@@ -42,7 +42,6 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alpha", type=float, help="stepwise significance level")
     parser.add_argument("--threshold", type=float, dest="predominance_threshold",
                         help="predominant land-use threshold (default 0.666)")
-    parser.add_argument("--workers", type=int, help="worker processes (capped by PULSE_THREADS)")
 
 
 def _build_config(args: argparse.Namespace) -> PipelineConfig:
@@ -57,7 +56,7 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
     if args.out is not None:
         updates["output_dir"] = Path(args.out)
     for name in ("events_format", "timezone", "centre_lon", "centre_lat",
-                 "normalization_total", "alpha", "predominance_threshold", "workers"):
+                 "normalization_total", "alpha", "predominance_threshold"):
         value = getattr(args, name, None)
         if value is not None:
             updates[name] = value

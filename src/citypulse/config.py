@@ -7,7 +7,6 @@ Slot boundaries are half-open local time ranges like ``08:00-14:00`` on a
 
 from __future__ import annotations
 
-import os
 import re
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -16,8 +15,6 @@ from .activity import DEFAULT_SLOTS, MajorSlot, NORMALIZATION_TOTAL, validate_sl
 from .errors import ConfigError
 from .ingest import get_timezone
 from .landuse import PREDOMINANCE_THRESHOLD
-
-WORKERS_ENV = "PULSE_THREADS"
 
 _TIME_RANGE = re.compile(r"^(\d{1,2}):(\d{2})-(\d{1,2}):(\d{2})$")
 
@@ -77,7 +74,6 @@ class PipelineConfig:
     normalization_total: float = NORMALIZATION_TOTAL
     alpha: float = 0.01
     predominance_threshold: float = PREDOMINANCE_THRESHOLD
-    workers: int = 1
 
     def validate(self) -> None:
         get_timezone(self.timezone)
@@ -90,8 +86,6 @@ class PipelineConfig:
             raise ConfigError("normalization_total must be positive")
         if not 0 <= self.night_range[0] <= self.night_range[1] <= 95:
             raise ConfigError("night_range bins must satisfy 0 <= start <= end <= 95")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
         if (self.centre_lon is None) != (self.centre_lat is None):
             raise ConfigError("centre_lon and centre_lat must be given together")
 
@@ -99,25 +93,11 @@ class PipelineConfig:
     def night_bins(self) -> range:
         return range(self.night_range[0], self.night_range[1] + 1)
 
-    def effective_workers(self) -> int:
-        """Configured workers, capped by the PULSE_THREADS environment variable."""
-        cap = os.environ.get(WORKERS_ENV)
-        if cap is None:
-            return self.workers
-        try:
-            cap_n = int(cap)
-        except ValueError as exc:
-            raise ConfigError(f"{WORKERS_ENV} must be an integer, got {cap!r}") from exc
-        if cap_n < 1:
-            raise ConfigError(f"{WORKERS_ENV} must be >= 1")
-        return min(self.workers, cap_n)
-
 
 _PATH_KEYS = {"events": "events_path", "zones": "zones_path", "census": "census_path",
               "output_dir": "output_dir"}
 _FLOAT_KEYS = {"centre_lon", "centre_lat", "normalization_total", "alpha",
                "predominance_threshold"}
-_INT_KEYS = {"workers"}
 
 
 def _apply_item(config: PipelineConfig, key: str, value: str) -> PipelineConfig:
@@ -128,11 +108,6 @@ def _apply_item(config: PipelineConfig, key: str, value: str) -> PipelineConfig:
             return replace(config, **{key: float(value)})
         except ValueError as exc:
             raise ConfigError(f"config key {key!r}: {value!r} is not a number") from exc
-    if key in _INT_KEYS:
-        try:
-            return replace(config, **{key: int(value)})
-        except ValueError as exc:
-            raise ConfigError(f"config key {key!r}: {value!r} is not an integer") from exc
     if key == "format":
         if value not in ("ndjson", "csv"):
             raise ConfigError(f"format must be ndjson or csv, got {value!r}")

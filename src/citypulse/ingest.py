@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
@@ -45,7 +46,7 @@ class GeoEvent:
 
 @dataclass
 class RejectionReport:
-    """Mergeable record of skipped input rows."""
+    """Record of skipped input rows: (line number, reason) plus row counts."""
 
     entries: list[tuple[int, str]] = field(default_factory=list)
     total_rows: int = 0
@@ -57,14 +58,6 @@ class RejectionReport:
 
     def add(self, line: int, reason: str) -> None:
         self.entries.append((line, reason))
-
-    def merge(self, other: "RejectionReport") -> "RejectionReport":
-        merged = RejectionReport(
-            entries=sorted(self.entries + other.entries),
-            total_rows=self.total_rows + other.total_rows,
-            parsed=self.parsed + other.parsed,
-        )
-        return merged
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -83,6 +76,8 @@ def get_timezone(tz: str) -> ZoneInfo:
 
 def parse_timestamp(raw: str) -> datetime:
     """RFC 3339 timestamp with explicit offset; naive timestamps are rejected."""
+    if type(raw) is not str:
+        raise ValueError(f"bad timestamp {raw!r}")
     text = raw.strip()
     if text.endswith(("Z", "z")):
         text = text[:-1] + "+00:00"
@@ -95,17 +90,39 @@ def parse_timestamp(raw: str) -> datetime:
     return ts
 
 
-def _check_event(user_id, raw_ts, lon, lat, lang, device, text) -> GeoEvent:
-    if not user_id:
+# Exact type() tests, not isinstance(): json.loads and csv build exact types,
+# and bool, a subclass of int, is neither an id nor a coordinate.
+def _user_id(value) -> str:
+    """A non-empty string, or an integer kept as its decimal string."""
+    if type(value) is str and value:
+        return value
+    if type(value) is int:
+        return str(value)
+    if value is None or value == "":
         raise ValueError("empty user_id")
+    raise ValueError("user_id not a string or integer")
+
+
+def _coordinate(value, name: str, limit: float) -> float:
+    """A finite number in [-limit, limit]; a CSV cell arrives as its string."""
+    kind = type(value)
+    if kind is not float and kind is not int and kind is not str:
+        raise ValueError(f"{name} not a number")
+    try:
+        number = float(value)
+    except ValueError:
+        raise ValueError(f"{name} not a number") from None
+    if not -limit <= number <= limit:  # NaN fails every comparison
+        raise ValueError(f"{name} out of range" if math.isfinite(number) else f"{name} not finite")
+    return number
+
+
+def _check_event(user_id, raw_ts, lon, lat, lang, device, text) -> GeoEvent:
+    user_id = _user_id(user_id)
     ts = parse_timestamp(raw_ts)
-    lon = float(lon)
-    lat = float(lat)
-    if not -180.0 <= lon <= 180.0:
-        raise ValueError("lon out of range")
-    if not -90.0 <= lat <= 90.0:
-        raise ValueError("lat out of range")
-    return GeoEvent(str(user_id), ts, lon, lat,
+    lon = _coordinate(lon, "lon", 180.0)
+    lat = _coordinate(lat, "lat", 90.0)
+    return GeoEvent(user_id, ts, lon, lat,
                     lang=lang or None, device=device or None, text=text or None)
 
 
@@ -139,12 +156,13 @@ def _open_text(source) -> IO[str]:
     raise DataError(f"unsupported event source {type(source).__name__}")
 
 
-def parse_events(source, fmt: str = "ndjson",
-                 line_offset: int = 0) -> tuple[list[GeoEvent], RejectionReport]:
+def parse_events(source, fmt: str = "ndjson") -> tuple[list[GeoEvent], RejectionReport]:
     """Parse an NDJSON or CSV event source, skipping and reporting bad rows.
 
-    ``line_offset`` shifts reported line numbers when parsing a partition of a
-    larger file; reports from partitions merge with ``RejectionReport.merge``.
+    Events keep input order. Rejections carry the physical line number. An
+    NDJSON row ends only at ``\\n``, ``\\r\\n`` or ``\\r``, so U+2028, U+0085 and
+    other Unicode line breaks inside a JSON string stay in their row. A CSV
+    row reports the line on which it ends.
     """
     if fmt not in ("ndjson", "csv"):
         raise ConfigError(f"unknown event format {fmt!r} (expected ndjson or csv)")
@@ -152,7 +170,7 @@ def parse_events(source, fmt: str = "ndjson",
     report = RejectionReport()
     with _open_text(source) as fh:
         if fmt == "ndjson":
-            for n, line in enumerate(fh, start=1 + line_offset):
+            for n, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
                 report.total_rows += 1
@@ -168,15 +186,14 @@ def parse_events(source, fmt: str = "ndjson",
             if missing:
                 raise DataError(f"csv header missing column(s): {', '.join(missing)}")
             for row in reader:
-                n = reader.line_num + line_offset
                 report.total_rows += 1
                 try:
                     events.append(_check_event(
                         row.get("user_id"), row.get("timestamp") or "",
-                        row.get("lon") or "nan", row.get("lat") or "nan",
+                        row.get("lon"), row.get("lat"),
                         row.get("lang"), row.get("device"), row.get("text")))
                 except ValueError as exc:
-                    report.add(n, str(exc))
+                    report.add(reader.line_num, str(exc))
     report.parsed = len(events)
     if report.rejected:
         logger.warning("rejected %d of %d rows", report.rejected, report.total_rows)

@@ -14,7 +14,6 @@ import json
 import logging
 import os
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -45,39 +44,22 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _parse_chunk(args) -> tuple[list[ingest.GeoEvent], ingest.RejectionReport]:
-    text, fmt, offset = args
-    return ingest.parse_events(text.encode("utf-8"), fmt, line_offset=offset)
-
-
-def parse_events_file(path, fmt: str | None, workers: int = 1,
+def parse_events_file(path, fmt: str | None
                       ) -> tuple[list[ingest.GeoEvent], ingest.RejectionReport]:
-    """Parse an event file, partitioning NDJSON input across workers if asked."""
+    """Parse an event file; ``fmt=None`` infers csv or ndjson from the suffix."""
     path = Path(path)
     if fmt is None:
         fmt = "csv" if path.suffix.lower() == ".csv" else "ndjson"
-    if workers <= 1 or fmt != "ndjson":
-        return ingest.parse_events(path, fmt)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read events file {path}: {exc}") from exc
-    bounds = np.linspace(0, len(lines), workers + 1).astype(int)
-    chunks = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if hi > lo:
-            chunks.append(("\n".join(lines[lo:hi]), fmt, int(lo)))
-    events: list[ingest.GeoEvent] = []
-    report = ingest.RejectionReport()
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for chunk_events, chunk_report in pool.map(_parse_chunk, chunks):
-            events.extend(chunk_events)
-            report = report.merge(chunk_report)
-    return events, report
+    return ingest.parse_events(path, fmt)
 
 
-def _assign_chunk(args) -> tuple[list[activity.AssignedEvent], int, int]:
-    events, index, tz = args
+def assign_events(events: Sequence[ingest.GeoEvent], index: ZoneIndex, tz: str
+                  ) -> tuple[list[activity.AssignedEvent], int, int]:
+    """Locate each event in a zone and bin its local time; order preserved.
+
+    Returns (assigned events, out-of-coverage count, overlap warnings raised
+    by this call). Out-of-coverage events are counted, not fatal.
+    """
     zone_info = ingest.get_timezone(tz)
     assigned: list[activity.AssignedEvent] = []
     unassigned = 0
@@ -89,31 +71,6 @@ def _assign_chunk(args) -> tuple[list[activity.AssignedEvent], int, int]:
             continue
         assigned.append((event.user_id, zone_id, ingest.quarter_bin(event.timestamp, zone_info)))
     return assigned, unassigned, index.overlap_warnings - overlaps_before
-
-
-def assign_events(events: Sequence[ingest.GeoEvent], index: ZoneIndex, tz: str,
-                  workers: int = 1) -> tuple[list[activity.AssignedEvent], int, int]:
-    """Locate each event in a zone and bin its local time; order preserved.
-
-    Returns (assigned events, out-of-coverage count, overlap warnings).
-    Out-of-coverage events are counted, not fatal. With multiple workers the
-    event list is partitioned into ordered chunks, so results are identical
-    regardless of the worker count.
-    """
-    if workers <= 1 or len(events) < 2000:
-        return _assign_chunk((events, index, tz))
-    bounds = np.linspace(0, len(events), workers + 1).astype(int)
-    chunks = [(list(events[lo:hi]), index, tz)
-              for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    assigned: list[activity.AssignedEvent] = []
-    unassigned = 0
-    overlaps = 0
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for chunk_assigned, chunk_unassigned, chunk_overlaps in pool.map(_assign_chunk, chunks):
-            assigned.extend(chunk_assigned)
-            unassigned += chunk_unassigned
-            overlaps += chunk_overlaps
-    return assigned, unassigned, overlaps
 
 
 def load_census(path) -> dict[str, float]:
@@ -268,13 +225,12 @@ def run_pipeline(config: PipelineConfig,
 
     output_dir = Path(config.output_dir)
     output_dir.parent.mkdir(parents=True, exist_ok=True)
-    workers = config.effective_workers()
 
     with tempfile.TemporaryDirectory(dir=output_dir.parent, prefix=".stage-") as stage_name:
         stage = Path(stage_name)
 
         # --- ingest ---------------------------------------------------------
-        events, report = parse_events_file(config.events_path, config.events_format, workers)
+        events, report = parse_events_file(config.events_path, config.events_format)
         workday_events = ingest.filter_workdays(events, config.timezone)
         report.write_csv(stage / "rejections.csv")
         if write_clean_events:
@@ -308,7 +264,7 @@ def run_pipeline(config: PipelineConfig,
                 f"{len(unclassified)} zones with zero built surface left unclassified")
 
         assigned, unassigned, overlaps = assign_events(
-            workday_events, index, config.timezone, workers)
+            workday_events, index, config.timezone)
         counts["events_assigned"] = len(assigned)
         counts["events_unassigned"] = unassigned
         counts["distinct_users"] = len({u for u, _, _ in assigned})

@@ -138,7 +138,7 @@ class ZoneIndex:
     Immutable after build; answers exactly as a brute-force even-odd scan over
     all zones. When overlapping zones both claim a point (a data error) the
     lexicographically smallest zone_id wins and ``overlap_warnings`` is
-    incremented (the counter is advisory and not synchronised).
+    incremented.
     """
 
     def __init__(self, zones: Sequence[Zone], grid_size: int | None = None):

@@ -1,4 +1,5 @@
 import io
+import json
 from datetime import datetime, timezone
 
 import pytest
@@ -162,13 +163,56 @@ def test_quarter_bin_converts_timezone():
     assert quarter_bin(ts, "UTC") == 94
 
 
-def test_rejection_report_merge():
-    left = RejectionReport(entries=[(7, "bad")], total_rows=10, parsed=9)
-    right = RejectionReport(entries=[(2, "worse")], total_rows=5, parsed=4)
-    merged = left.merge(right)
-    assert merged.total_rows == 15
-    assert merged.parsed == 13
-    assert merged.entries == [(2, "worse"), (7, "bad")]
+# (field overrides, accepted (user_id, lon, lat) or rejection reason)
+ROW_CASES = {
+    "string id": ({"u": "a1"}, ("a1", -3.7, 40.42)),
+    "integer id": ({"u": 42}, ("42", -3.7, 40.42)),
+    "zero id": ({"u": 0}, ("0", -3.7, 40.42)),
+    "negative id": ({"u": -7}, ("-7", -3.7, 40.42)),
+    "null id": ({"u": None}, "empty user_id"),
+    "empty id": ({"u": ""}, "empty user_id"),
+    "true id": ({"u": True}, "user_id not a string or integer"),
+    "false id": ({"u": False}, "user_id not a string or integer"),
+    "float id": ({"u": 1.5}, "user_id not a string or integer"),
+    "list id": ({"u": ["a"]}, "user_id not a string or integer"),
+    "integer lon": ({"lon": 3}, ("a1", 3.0, 40.42)),
+    "numeric string lat": ({"lat": "40.5"}, ("a1", -3.7, 40.5)),
+    "lon on the limit": ({"lon": -180.0}, ("a1", -180.0, 40.42)),
+    "true lon": ({"lon": True}, "lon not a number"),
+    "false lat": ({"lat": False}, "lat not a number"),
+    "null lon": ({"lon": None}, "lon not a number"),
+    "object lat": ({"lat": {"deg": 1}}, "lat not a number"),
+    "word lon": ({"lon": "west"}, "lon not a number"),
+    "nan lon": ({"lon": float("nan")}, "lon not finite"),
+    "infinite lat": ({"lat": float("inf")}, "lat not finite"),
+    "minus infinite lon": ({"lon": float("-inf")}, "lon not finite"),
+    "lon out of range": ({"lon": 180.5}, "lon out of range"),
+    "numeric timestamp": ({"t": 5}, "bad timestamp 5"),
+}
+
+
+@pytest.mark.parametrize("overrides,expected", ROW_CASES.values(), ids=ROW_CASES.keys())
+def test_ndjson_row_field_rules(overrides, expected):
+    obj = {"u": "a1", "t": "2013-03-05T10:07:00+01:00", "lon": -3.7, "lat": 40.42}
+    obj.update(overrides)
+    events, report = parse_events(io.StringIO(json.dumps(obj)), "ndjson")
+    if isinstance(expected, str):
+        assert events == []
+        assert report.entries == [(1, expected)]
+    else:
+        assert report.entries == []
+        assert [(e.user_id, e.lon, e.lat) for e in events] == [expected]
+
+
+@pytest.mark.parametrize("lon,reason", [
+    ("", "lon not a number"), ("abc", "lon not a number"), ("nan", "lon not finite"),
+    ("-inf", "lon not finite"), ("181", "lon out of range"),
+])
+def test_csv_coordinate_rules(lon, reason):
+    csv_text = f"user_id,timestamp,lon,lat\n0,2013-03-05T10:07:00+01:00,{lon},40.42\n"
+    events, report = parse_events(io.StringIO(csv_text), "csv")
+    assert events == []
+    assert report.entries == [(2, reason)]
 
 
 def test_rejection_report_csv(tmp_path):

@@ -1,6 +1,8 @@
 import csv
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -9,9 +11,8 @@ from citypulse.config import (PipelineConfig, load_config, parse_slots,
                               parse_time_range, slots_to_text)
 from citypulse.activity import DEFAULT_SLOTS
 from citypulse.errors import ConfigError, DataError
-from citypulse.pipeline import (assign_events, export_geojson, parse_events_file,
-                                run_pipeline)
-from citypulse.spatial import Zone, build_zone_index, load_zones_geojson
+from citypulse.pipeline import export_geojson, parse_events_file, run_pipeline
+from citypulse.spatial import Zone, load_zones_geojson
 
 SQUARE = (((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.0, 0.0)),)
 
@@ -52,32 +53,34 @@ def test_load_config_file(tmp_path):
         "zones = data/zones.geojson\n"
         "timezone = UTC\n"
         "alpha = 0.05\n"
-        "slots = day=08:00-20:00,night=22:00-24:00\n"
-        "workers = 2\n")
+        "slots = day=08:00-20:00,night=22:00-24:00\n")
     config = load_config(path)
     assert str(config.events_path) == "data/events.ndjson"
     assert config.timezone == "UTC"
     assert config.alpha == 0.05
     assert [s.name for s in config.slots] == ["day", "night"]
-    assert config.workers == 2
 
 
 def test_load_config_unknown_key(tmp_path):
     path = tmp_path / "bad.config"
-    path.write_text("tz = UTC\n")
-    with pytest.raises(ConfigError, match="unknown config key"):
-        load_config(path)
+    for line in ("tz = UTC\n", "workers = 2\n"):
+        path.write_text(line)
+        with pytest.raises(ConfigError, match="unknown config key"):
+            load_config(path)
 
 
-def test_pulse_threads_caps_workers(monkeypatch):
-    config = PipelineConfig(workers=8)
-    monkeypatch.setenv("PULSE_THREADS", "2")
-    assert config.effective_workers() == 2
-    monkeypatch.setenv("PULSE_THREADS", "not-a-number")
-    with pytest.raises(ConfigError):
-        config.effective_workers()
-    monkeypatch.delenv("PULSE_THREADS")
-    assert config.effective_workers() == 8
+def test_readme_config_example_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration file", 1)[1]
+    block = re.search(r"^```\n(.*?)^```$", section, re.S | re.M).group(1)
+    path = tmp_path / "example.config"
+    path.write_text(block, encoding="utf-8")
+    config = load_config(path)
+    config.validate()
+    assert str(config.census_path) == "data/census.csv"
+    assert config.night_range == (88, 95)
+    assert config.slots == DEFAULT_SLOTS
+    assert config.alpha == 0.01
 
 
 def test_config_validation_errors():
@@ -218,31 +221,30 @@ def test_model_csv_has_summary_row(small_city):
     assert int(summary[0]["n"]) == 36
 
 
-def test_assign_events_parallel_equivalence(small_city):
-    index = build_zone_index(
-        load_zones_geojson(small_city.zones_path))
-    sequential = assign_events(small_city.events, index, "Europe/Madrid", workers=1)
-    parallel = assign_events(small_city.events, index, "Europe/Madrid", workers=3)
-    assert sequential[0] == parallel[0]
-    assert sequential[1] == parallel[1]
+def test_unicode_line_separators_in_text_stay_inside_one_row(tmp_path):
+    # json.dumps(ensure_ascii=False) writes U+2028 and U+0085 raw; only "\n" ends a row
+    texts = ["para\u2028graph", "next\u0085line", "both\u2028and\u0085", "plain"]
+    events_path = tmp_path / "events.ndjson"
+    events_path.write_text("".join(
+        json.dumps({"u": f"u{i}", "t": "2013-03-05T10:00:00Z", "lon": 0.5, "lat": 0.5,
+                    "text": text}, ensure_ascii=False) + "\n"
+        for i, text in enumerate(texts)), encoding="utf-8")
+    physical_lines = events_path.read_bytes().count(b"\n")
+    assert physical_lines == 4
 
+    events, report = parse_events_file(events_path, "ndjson")
+    assert [e.text for e in events] == texts
+    assert report.entries == []
+    assert report.total_rows == physical_lines
 
-def test_run_pipeline_output_independent_of_workers(small_city, tmp_path):
-    import dataclasses
-    config = dataclasses.replace(small_city.config, output_dir=tmp_path / "mp", workers=3)
-    run_pipeline(config)
-    for path in sorted(small_city.out.iterdir()):
-        if path.name == "manifest.json":
-            continue  # config echo records the worker count
-        assert (tmp_path / "mp" / path.name).read_bytes() == path.read_bytes(), path.name
-
-
-def test_parse_events_file_parallel_equivalence(small_city):
-    seq_events, seq_report = parse_events_file(small_city.events_path, "ndjson", workers=1)
-    par_events, par_report = parse_events_file(small_city.events_path, "ndjson", workers=3)
-    assert seq_events == par_events
-    assert seq_report.total_rows == par_report.total_rows
-    assert seq_report.entries == par_report.entries
+    zones_path = tmp_path / "zones.geojson"
+    export_geojson([Zone("z", SQUARE, area_ha=1.0)], {}, zones_path)
+    config = PipelineConfig(events_path=events_path, zones_path=zones_path,
+                            output_dir=tmp_path / "out", timezone="UTC")
+    counts = run_pipeline(config, {"ingest"}).manifest["counts"]
+    assert counts["rows_total"] == physical_lines
+    assert counts["rows_rejected"] == 0
+    assert counts["events_parsed"] == 4
 
 
 # --- command-line interface --------------------------------------------------
