@@ -102,87 +102,101 @@ class TemporalProfile:
     daily_total: float = 0.0
 
 
-def _event_arrays(events: Iterable[AssignedEvent],
-                  zone_ids: Sequence[str] | None,
-                  ) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray]:
-    """Encode the event stream as integer arrays (user idx, zone idx, bin)."""
-    user_index: dict[str, int] = {}
-    users: list[int] = []
-    zones: list[str] = []
-    bins: list[int] = []
-    for user_id, zone_id, b in events:
-        idx = user_index.setdefault(user_id, len(user_index))
-        users.append(idx)
-        zones.append(zone_id)
-        bins.append(b)
-    if zone_ids is None:
-        ordered = tuple(sorted(set(zones)))
-    else:
-        ordered = tuple(sorted(zone_ids))
-    zone_index = {z: i for i, z in enumerate(ordered)}
-    try:
-        zone_arr = np.fromiter((zone_index[z] for z in zones), dtype=np.int64, count=len(zones))
-    except KeyError as exc:
-        raise DataError(f"event references unknown zone {exc.args[0]!r}") from exc
-    bin_arr = np.asarray(bins, dtype=np.int64)
-    if len(bin_arr) and (bin_arr.min() < 0 or bin_arr.max() >= N_QUARTER_BINS):
-        raise DataError("event bin outside 0..95")
-    return ordered, np.asarray(users, dtype=np.int64), zone_arr, bin_arr
+@dataclass(frozen=True)
+class AssignedEvents:
+    """Located events as parallel int64 arrays, encoded once for every count.
+
+    ``users`` holds codes into ``user_ids`` and ``zones`` codes into
+    ``zone_ids``, which is sorted, so code order is zone_id order. ``bins``
+    holds each event's local quarter-hour bin 0..95.
+    """
+
+    user_ids: Sequence[str]
+    zone_ids: tuple[str, ...]
+    users: np.ndarray
+    zones: np.ndarray
+    bins: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.users)
+
+    def take(self, rows) -> AssignedEvents:
+        """The events picked by a boolean mask or an index array, in that order."""
+        return AssignedEvents(self.user_ids, self.zone_ids, self.users[rows],
+                              self.zones[rows], self.bins[rows])
+
+    @classmethod
+    def from_tuples(cls, events: Iterable[AssignedEvent],
+                    zone_ids: Sequence[str] | None = None) -> AssignedEvents:
+        """Encode ``(user_id, zone_id, bin)`` tuples.
+
+        The zone table is ``sorted(zone_ids)``, or the sorted zones that occur
+        when ``zone_ids`` is None; a zone outside it or a bin outside 0..95 is
+        a :class:`DataError`.
+        """
+        user_index: dict[str, int] = {}
+        users: list[int] = []
+        zones: list[str] = []
+        bins: list[int] = []
+        for user_id, zone_id, b in events:
+            users.append(user_index.setdefault(user_id, len(user_index)))
+            zones.append(zone_id)
+            bins.append(b)
+        ordered = tuple(sorted(set(zones) if zone_ids is None else zone_ids))
+        zone_index = {z: i for i, z in enumerate(ordered)}
+        try:
+            zone_arr = np.array([zone_index[z] for z in zones], dtype=np.int64)
+        except KeyError as exc:
+            raise DataError(f"event references unknown zone {exc.args[0]!r}") from exc
+        bin_arr = np.array(bins, dtype=np.int64)
+        if len(bin_arr) and (bin_arr.min() < 0 or bin_arr.max() >= N_QUARTER_BINS):
+            raise DataError("event bin outside 0..95")
+        return cls(tuple(user_index), ordered, np.array(users, dtype=np.int64), zone_arr,
+                   bin_arr)
 
 
-def _dedup_matrix(users: np.ndarray, zones: np.ndarray, cols: np.ndarray,
-                  n_zones: int, n_cols: int) -> np.ndarray:
+def _dedup_matrix(events: AssignedEvents, cols: np.ndarray, n_cols: int) -> np.ndarray:
     """Count distinct users per (zone, column); cols < 0 are dropped."""
+    n_zones = len(events.zone_ids)
     keep = cols >= 0
-    users, zones, cols = users[keep], zones[keep], cols[keep]
-    counts = np.zeros((n_zones, n_cols), dtype=np.int64)
-    if len(users) == 0:
-        return counts
     # collapse duplicate (user, zone, col) triples, then count per cell
-    key = (users * n_zones + zones) * n_cols + cols
+    key = (events.users[keep] * n_zones + events.zones[keep]) * n_cols + cols[keep]
     cells = np.unique(key) % (n_zones * n_cols)
-    np.add.at(counts, (cells // n_cols, cells % n_cols), 1)
-    return counts
+    return np.bincount(cells, minlength=n_zones * n_cols).reshape(n_zones, n_cols)
 
 
-def count_unique_users(events: Iterable[AssignedEvent],
-                       zone_ids: Sequence[str] | None = None) -> ActivityMatrix:
+def count_unique_users(events: AssignedEvents) -> ActivityMatrix:
     """Distinct users per (zone, quarter-hour bin) across the whole input.
 
     A user active in two zones in the same bin counts once in each; a user
     active in one zone across two bins counts once per bin; repeat events in
-    the same cell (including on different days) collapse to one.
+    the same cell (including on different days) collapse to one. Rows follow
+    ``events.zone_ids``.
     """
-    ordered, users, zones, bins = _event_arrays(events, zone_ids)
-    counts = _dedup_matrix(users, zones, bins, len(ordered), N_QUARTER_BINS)
-    return ActivityMatrix(ordered, QUARTER_LABELS, counts)
+    counts = _dedup_matrix(events, events.bins, N_QUARTER_BINS)
+    return ActivityMatrix(events.zone_ids, QUARTER_LABELS, counts)
 
 
-def aggregate_major_slots(events: Iterable[AssignedEvent],
-                          slots: Sequence[MajorSlot] = DEFAULT_SLOTS,
-                          zone_ids: Sequence[str] | None = None) -> ActivityMatrix:
+def aggregate_major_slots(events: AssignedEvents,
+                          slots: Sequence[MajorSlot] = DEFAULT_SLOTS) -> ActivityMatrix:
     """Distinct users per (zone, major slot), re-deduplicated at slot scope.
 
-    Slot counts are recomputed from the event stream rather than summed from
-    quarter-hour counts: a user active in two bins of the same slot counts
-    once. Bins outside every slot are excluded.
+    Slot counts are recomputed from the encoded events rather than summed
+    from quarter-hour counts: a user active in two bins of the same slot
+    counts once. Bins outside every slot are excluded.
     """
     validate_slots(slots)
     slot_of = np.full(N_QUARTER_BINS, -1, dtype=np.int64)
     for i, slot in enumerate(slots):
         slot_of[slot.start_bin:slot.end_bin + 1] = i
-    ordered, users, zones, bins = _event_arrays(events, zone_ids)
-    counts = _dedup_matrix(users, zones, slot_of[bins] if len(bins) else bins,
-                           len(ordered), len(slots))
-    return ActivityMatrix(ordered, tuple(s.name for s in slots), counts)
+    counts = _dedup_matrix(events, slot_of[events.bins], len(slots))
+    return ActivityMatrix(events.zone_ids, tuple(s.name for s in slots), counts)
 
 
-def count_daily_unique(events: Iterable[AssignedEvent],
-                       zone_ids: Sequence[str] | None = None) -> ActivityMatrix:
+def count_daily_unique(events: AssignedEvents) -> ActivityMatrix:
     """Distinct users per zone over the whole day (single-column matrix)."""
-    ordered, users, zones, bins = _event_arrays(events, zone_ids)
-    counts = _dedup_matrix(users, zones, np.zeros_like(bins), len(ordered), 1)
-    return ActivityMatrix(ordered, ("day",), counts)
+    counts = _dedup_matrix(events, np.zeros_like(events.bins), 1)
+    return ActivityMatrix(events.zone_ids, ("day",), counts)
 
 
 def normalize_counts(matrix: ActivityMatrix,

@@ -45,7 +45,7 @@ def _sha256(path: Path) -> str:
 
 
 def parse_events_file(path, fmt: str | None
-                      ) -> tuple[list[ingest.GeoEvent], ingest.RejectionReport]:
+                      ) -> tuple[ingest.EventBatch, ingest.RejectionReport]:
     """Parse an event file; ``fmt=None`` infers csv or ndjson from the suffix."""
     path = Path(path)
     if fmt is None:
@@ -53,24 +53,23 @@ def parse_events_file(path, fmt: str | None
     return ingest.parse_events(path, fmt)
 
 
-def assign_events(events: Sequence[ingest.GeoEvent], index: ZoneIndex, tz: str
-                  ) -> tuple[list[activity.AssignedEvent], int, int]:
-    """Locate each event in a zone and bin its local time; order preserved.
+def assign_events(events: ingest.EventBatch, index: ZoneIndex, tz: str
+                  ) -> tuple[activity.AssignedEvents, int, int]:
+    """Locate every event in a zone and bin its local time, as whole arrays.
 
-    Returns (assigned events, out-of-coverage count, overlap warnings raised
-    by this call). Out-of-coverage events are counted, not fatal.
+    Returns (assigned events in input order, out-of-coverage count, overlap
+    warnings raised by this call). Out-of-coverage events are counted, not
+    fatal. Zone codes index ``index.zone_ids``.
     """
     zone_info = ingest.get_timezone(tz)
-    assigned: list[activity.AssignedEvent] = []
-    unassigned = 0
     overlaps_before = index.overlap_warnings
-    for event in events:
-        zone_id = index.locate(event.lon, event.lat)
-        if zone_id is None:
-            unassigned += 1
-            continue
-        assigned.append((event.user_id, zone_id, ingest.quarter_bin(event.timestamp, zone_info)))
-    return assigned, unassigned, index.overlap_warnings - overlaps_before
+    codes = index.locate_codes(events.lon, events.lat)
+    found = codes >= 0
+    assigned = activity.AssignedEvents(
+        events.user_ids, index.zone_ids, events.users[found], codes[found],
+        ingest.quarter_bins(events.epoch[found], zone_info))
+    return (assigned, len(events) - len(assigned),
+            index.overlap_warnings - overlaps_before)
 
 
 def load_census(path) -> dict[str, float]:
@@ -234,7 +233,7 @@ def run_pipeline(config: PipelineConfig,
         workday_events = ingest.filter_workdays(events, config.timezone)
         report.write_csv(stage / "rejections.csv")
         if write_clean_events:
-            ingest.write_events_ndjson(workday_events, stage / "events_clean.ndjson")
+            ingest.write_events_ndjson(workday_events.events(), stage / "events_clean.ndjson")
         counts["rows_total"] = report.total_rows
         counts["rows_rejected"] = report.rejected
         counts["events_parsed"] = report.parsed
@@ -243,9 +242,9 @@ def run_pipeline(config: PipelineConfig,
             warnings.append(f"{report.rejected} input rows rejected")
 
         zones = spatial.load_zones_geojson(config.zones_path)
-        zone_ids = tuple(sorted(z.zone_id for z in zones))
         zones_by_id = {z.zone_id: z for z in zones}
         index = spatial.build_zone_index(zones)
+        zone_ids = index.zone_ids
         counts["zones"] = len(zones)
 
         if config.centre_lon is not None:
@@ -267,7 +266,7 @@ def run_pipeline(config: PipelineConfig,
             workday_events, index, config.timezone)
         counts["events_assigned"] = len(assigned)
         counts["events_unassigned"] = unassigned
-        counts["distinct_users"] = len({u for u, _, _ in assigned})
+        counts["distinct_users"] = len(np.unique(assigned.users))
         counts["zone_overlap_warnings"] = overlaps
         if overlaps:
             warnings.append(f"{overlaps} points hit overlapping zones")
@@ -276,10 +275,10 @@ def run_pipeline(config: PipelineConfig,
         quarter = slot_matrix = normalized_slots = None
 
         if "aggregate" in steps:
-            quarter = activity.count_unique_users(assigned, zone_ids)
+            quarter = activity.count_unique_users(assigned)
             _write_matrix_csv(stage / "activity_matrix.csv", quarter.zone_ids,
                               quarter.bin_labels, quarter.counts, integer=True)
-            slot_matrix = activity.aggregate_major_slots(assigned, config.slots, zone_ids)
+            slot_matrix = activity.aggregate_major_slots(assigned, config.slots)
             _write_matrix_csv(stage / "slot_counts.csv", slot_matrix.zone_ids,
                               slot_matrix.bin_labels, slot_matrix.counts, integer=True)
             normalized_slots = activity.normalize_counts(slot_matrix, config.normalization_total)
@@ -305,7 +304,7 @@ def run_pipeline(config: PipelineConfig,
             if omitted:
                 warnings.append("classes with no activity omitted from profiles: "
                                 + ", ".join(omitted))
-            day = activity.count_daily_unique(assigned, zone_ids)
+            day = activity.count_daily_unique(assigned)
             day_norm = activity.normalize_counts(day, config.normalization_total)
             class_totals: dict[str, float] = {}
             class_areas: dict[str, float] = {}

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import DataError
 from .landuse import LandUseCategory
 
@@ -132,13 +134,23 @@ def distance_to_centre(zone: Zone, centre: CityCentre) -> float:
     return haversine_m(lon, lat, centre.lon, centre.lat)
 
 
+# Points located per pass, and the most (pair, edge) tests held in memory at
+# once; both keep the temporaries of a pass to a few MB.
+LOCATE_CHUNK = 8192
+PAIR_EDGE_BUDGET = 1 << 17
+
+
 class ZoneIndex:
     """Uniform-grid index over zone bounding boxes for point location.
 
-    Immutable after build; answers exactly as a brute-force even-odd scan over
-    all zones. When overlapping zones both claim a point (a data error) the
+    Zones are numbered by sorted zone_id: code ``k`` is ``zone_ids[k]``. Each
+    grid cell's candidate codes are stored in CSR form (one concatenated
+    array plus each cell's start offset), and every zone's edges sit in one
+    row of padded edge arrays, so :meth:`locate_codes` tests whole arrays of
+    points. Answers equal a brute-force :func:`point_in_rings` scan over all
+    zones. When overlapping zones both claim a point (a data error) the
     lexicographically smallest zone_id wins and ``overlap_warnings`` is
-    incremented.
+    incremented once per extra claim.
     """
 
     def __init__(self, zones: Sequence[Zone], grid_size: int | None = None):
@@ -151,26 +163,49 @@ class ZoneIndex:
         for zone in zones:
             zone.validate()
         self._zones = {z.zone_id: z for z in zones}
+        self.zone_ids = tuple(sorted(ids))
         self.overlap_warnings = 0
 
-        boxes = {z.zone_id: z.bbox() for z in zones}
-        self._minx = min(b[0] for b in boxes.values())
-        self._miny = min(b[1] for b in boxes.values())
-        maxx = max(b[2] for b in boxes.values())
-        maxy = max(b[3] for b in boxes.values())
+        boxes = [self._zones[z].bbox() for z in self.zone_ids]
+        self._minx = min(b[0] for b in boxes)
+        self._miny = min(b[1] for b in boxes)
+        maxx = max(b[2] for b in boxes)
+        maxy = max(b[3] for b in boxes)
         self._n = grid_size or max(1, int(math.sqrt(len(zones))) * 2)
         self._dx = (maxx - self._minx) / self._n or 1.0
         self._dy = (maxy - self._miny) / self._n or 1.0
         self._maxx = maxx
         self._maxy = maxy
 
-        cells: dict[tuple[int, int], list[str]] = {}
-        for zone in zones:
-            x0, y0, x1, y1 = boxes[zone.zone_id]
+        # candidates per cell, ascending code = ascending zone_id
+        cells: list[list[int]] = [[] for _ in range(self._n * self._n)]
+        for code, (x0, y0, x1, y1) in enumerate(boxes):
             for ci in range(self._cell_x(x0), self._cell_x(x1) + 1):
                 for cj in range(self._cell_y(y0), self._cell_y(y1) + 1):
-                    cells.setdefault((ci, cj), []).append(zone.zone_id)
-        self._cells = {key: sorted(vals) for key, vals in cells.items()}
+                    cells[ci * self._n + cj].append(code)
+        self._cell_start = np.zeros(len(cells) + 1, dtype=np.int64)
+        np.cumsum([len(c) for c in cells], out=self._cell_start[1:])
+        self._cell_zones = np.fromiter((code for c in cells for code in c), dtype=np.int64,
+                                       count=int(self._cell_start[-1]))
+
+        # Edges of all rings, one zone per row. A horizontal edge never toggles
+        # the crossing test, so it is left out; NaN pads never toggle either.
+        edges = []
+        for zone_id in self.zone_ids:
+            rows = []
+            for ring in self._zones[zone_id].rings:
+                x1, y1 = ring[-1]
+                for x2, y2 in ring:
+                    if y1 != y2:
+                        rows.append((x1, y1, x2, y2))
+                    x1, y1 = x2, y2
+            edges.append(rows)
+        padded = np.full((len(edges), max(1, max(map(len, edges))), 4), np.nan)
+        for code, rows in enumerate(edges):
+            if rows:
+                padded[code, :len(rows)] = rows
+        self._ex1, self._ey1, self._ex2, self._ey2 = (
+            np.ascontiguousarray(padded[:, :, k]) for k in range(4))
 
     def _cell_x(self, x: float) -> int:
         return min(self._n - 1, max(0, int((x - self._minx) / self._dx)))
@@ -185,18 +220,58 @@ class ZoneIndex:
     def zones(self) -> dict[str, Zone]:
         return self._zones
 
+    def locate_codes(self, lons, lats) -> np.ndarray:
+        """Zone code per point (an index into ``zone_ids``), or -1 outside every zone.
+
+        Points are processed :data:`LOCATE_CHUNK` at a time. The crossing
+        test is :func:`point_in_rings`'s float expression, evaluated in the
+        same order, so results are bit-identical to it.
+        """
+        lons = np.asarray(lons, dtype=np.float64)
+        lats = np.asarray(lats, dtype=np.float64)
+        codes = np.full(len(lons), -1, dtype=np.int64)
+        for lo in range(0, len(lons), LOCATE_CHUNK):
+            hi = lo + LOCATE_CHUNK
+            codes[lo:hi] = self._locate_chunk(lons[lo:hi], lats[lo:hi])
+        return codes
+
+    def _locate_chunk(self, lon: np.ndarray, lat: np.ndarray) -> np.ndarray:
+        codes = np.full(len(lon), -1, dtype=np.int64)
+        pts = np.flatnonzero((self._minx <= lon) & (lon <= self._maxx)
+                             & (self._miny <= lat) & (lat <= self._maxy))
+        x, y = lon[pts], lat[pts]
+        last = self._n - 1
+        ci = np.minimum(last, np.maximum(0, ((x - self._minx) / self._dx).astype(np.int64)))
+        cj = np.minimum(last, np.maximum(0, ((y - self._miny) / self._dy).astype(np.int64)))
+        cell = ci * self._n + cj
+        start = self._cell_start[cell]
+        count = self._cell_start[cell + 1] - start
+        # one (point, candidate) pair per candidate of the point's cell, by point
+        pair_pt = np.repeat(np.arange(len(pts)), count)
+        first_pair = np.cumsum(count) - count
+        pair_zone = self._cell_zones[np.repeat(start - first_pair, count)
+                                     + np.arange(len(pair_pt))]
+        inside = np.zeros(len(pair_pt), dtype=bool)
+        step = max(1, PAIR_EDGE_BUDGET // self._ex1.shape[1])
+        for lo in range(0, len(pair_pt), step):
+            z = pair_zone[lo:lo + step]
+            px = x[pair_pt[lo:lo + step], None]
+            py = y[pair_pt[lo:lo + step], None]
+            x1, y1, x2, y2 = self._ex1[z], self._ey1[z], self._ex2[z], self._ey2[z]
+            toggles = ((y1 > py) != (y2 > py)) & (px < (x2 - x1) * (py - y1) / (y2 - y1) + x1)
+            inside[lo:lo + step] = np.count_nonzero(toggles, axis=1) & 1
+        hits = np.flatnonzero(inside)
+        hit_pt = pair_pt[hits]
+        # candidates are ascending, so a point's first hit is its smallest zone_id
+        winner = np.ones(len(hits), dtype=bool)
+        winner[1:] = hit_pt[1:] != hit_pt[:-1]
+        codes[pts[hit_pt[winner]]] = pair_zone[hits[winner]]
+        self.overlap_warnings += int(len(hits) - np.count_nonzero(winner))
+        return codes
+
     def locate(self, lon: float, lat: float) -> str | None:
-        if not (self._minx <= lon <= self._maxx and self._miny <= lat <= self._maxy):
-            return None
-        candidates = self._cells.get((self._cell_x(lon), self._cell_y(lat)), ())
-        hit: str | None = None
-        for zone_id in candidates:
-            if point_in_rings(self._zones[zone_id].rings, lon, lat):
-                if hit is None:
-                    hit = zone_id
-                else:
-                    self.overlap_warnings += 1  # keep the smallest id; candidates are sorted
-        return hit
+        code = int(self.locate_codes([lon], [lat])[0])
+        return None if code < 0 else self.zone_ids[code]
 
 
 def build_zone_index(zones: Iterable[Zone]) -> ZoneIndex:

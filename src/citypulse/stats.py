@@ -17,6 +17,7 @@ import numpy as np
 from scipy import stats as sps
 from scipy.linalg import solve_triangular
 
+from .activity import AssignedEvents
 from .errors import DataError, SingularityError
 
 logger = logging.getLogger(__name__)
@@ -305,19 +306,35 @@ def infer_home(user_events: Iterable[tuple[str, int]],
     return min(night_counts, key=lambda z: (-night_counts[z], -total_counts[z], z))
 
 
-def infer_homes(events: Iterable[tuple[str, str, int]],
+def infer_homes(events: AssignedEvents,
                 night_bins: Collection[int] = DEFAULT_NIGHT_BINS,
                 residential_zones: Collection[str] | None = None) -> dict[str, str]:
-    """Home zone per user for every user with at least one qualifying night event."""
-    per_user: dict[str, list[tuple[str, int]]] = {}
-    for user_id, zone_id, b in events:
-        per_user.setdefault(user_id, []).append((zone_id, b))
-    homes: dict[str, str] = {}
-    for user_id in sorted(per_user):
-        home = infer_home(per_user[user_id], night_bins, residential_zones)
-        if home is not None:
-            homes[user_id] = home
-    return homes
+    """Home zone per user for every user with at least one qualifying night event.
+
+    Same rule as :func:`infer_home`, over all users at once: events are
+    counted per (user, zone) key with ``np.unique``, and each user's keys are
+    ranked by night count, then total count (both descending), then zone_id.
+    Users come out in sorted user_id order.
+    """
+    n_zones = len(events.zone_ids)
+    key = events.users * n_zones + events.zones
+    total_keys, total_counts = np.unique(key, return_counts=True)
+    night = np.isin(events.bins, np.fromiter(night_bins, dtype=np.int64))
+    if residential_zones is not None:
+        eligible = np.array([z in residential_zones for z in events.zone_ids], dtype=bool)
+        night &= eligible[events.zones]
+    night_keys, night_counts = np.unique(key[night], return_counts=True)
+    totals = total_counts[np.searchsorted(total_keys, night_keys)]
+    users, zones = np.divmod(night_keys, n_zones)
+    # keys are grouped by user; within a user the best-ranked key comes first
+    order = np.lexsort((zones, -totals, -night_counts, users))
+    ranked = users[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = ranked[1:] != ranked[:-1]
+    best = order[first]
+    homes = {events.user_ids[u]: events.zone_ids[z]
+             for u, z in zip(users[best].tolist(), zones[best].tolist())}
+    return dict(sorted(homes.items()))
 
 
 def census_correlation(home_counts, census) -> float:

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from citypulse.activity import (DEFAULT_SLOTS, aggregate_major_slots,
+from citypulse.activity import (DEFAULT_SLOTS, AssignedEvents, aggregate_major_slots,
                                 count_unique_users, landuse_profile, normalize_counts)
 from citypulse.ingest import get_timezone, quarter_bin
 from citypulse.landuse import CATEGORIES, landuse_area_table
@@ -23,12 +23,15 @@ from conftest import BIG_CITY_CONFIG, materialize
 
 SLOT_NAMES = [s.name for s in DEFAULT_SLOTS]
 
+encode = AssignedEvents.from_tuples
+
 
 def _assign(city, events):
     index = build_zone_index(city.zones)
     tz = get_timezone(city.config.timezone)
-    return [(e.user_id, index.locate(e.lon, e.lat), quarter_bin(e.timestamp, tz))
-            for e in events]
+    codes = index.locate_codes([e.lon for e in events], [e.lat for e in events]).tolist()
+    return [(e.user_id, index.zone_ids[c] if c >= 0 else None, quarter_bin(e.timestamp, tz))
+            for e, c in zip(events, codes)]
 
 
 def test_normalization_conservation():
@@ -39,7 +42,7 @@ def test_normalization_conservation():
         n_bins = int(rng.integers(1, 8))
         counts = rng.integers(0, 200, size=(n_zones, n_bins))
         counts[:, rng.integers(0, n_bins)] = 0  # force an empty column too
-        matrix = count_unique_users([], zone_ids=[f"z{i}" for i in range(n_zones)])
+        matrix = count_unique_users(encode([], [f"z{i}" for i in range(n_zones)]))
         matrix = dataclasses.replace(matrix, bin_labels=tuple(map(str, range(n_bins))),
                                      counts=counts)
         normalized = normalize_counts(matrix)
@@ -51,7 +54,7 @@ def test_normalization_conservation():
                 assert abs(sums[k] - 100000.0) <= 1e-6 * 100000.0
 
     counts = np.random.default_rng(1).integers(1, 500, size=(584, 4))
-    matrix = count_unique_users([], zone_ids=[f"z{i:04d}" for i in range(584)])
+    matrix = count_unique_users(encode([], [f"z{i:04d}" for i in range(584)]))
     matrix = dataclasses.replace(matrix, bin_labels=tuple(SLOT_NAMES), counts=counts)
     normalized = normalize_counts(matrix)
     means = normalized.values.mean(axis=0)
@@ -66,15 +69,17 @@ def test_dedup_property_suite():
     zone_ids = [f"z{i}" for i in range(12)]
     events = [(users[rng.integers(60)], zone_ids[rng.integers(12)], int(rng.integers(96)))
               for _ in range(1200)]
-    base_quarter = count_unique_users(events, zone_ids)
-    base_slots = aggregate_major_slots(events, DEFAULT_SLOTS, zone_ids)
+    base = encode(events, zone_ids)
+    base_quarter = count_unique_users(base)
+    base_slots = aggregate_major_slots(base, DEFAULT_SLOTS)
+    every = np.arange(len(events))
     start = time.monotonic()
     for _ in range(1000):
         size = int(rng.integers(0, len(events) + 1))
         picks = rng.integers(0, len(events), size=size)
-        doubled = events + [events[i] for i in picks]
-        quarter = count_unique_users(doubled, zone_ids)
-        slots = aggregate_major_slots(doubled, DEFAULT_SLOTS, zone_ids)
+        doubled = base.take(np.concatenate([every, picks]))
+        quarter = count_unique_users(doubled)
+        slots = aggregate_major_slots(doubled, DEFAULT_SLOTS)
         assert np.array_equal(quarter.counts, base_quarter.counts)
         assert np.array_equal(slots.counts, base_slots.counts)
     elapsed = time.monotonic() - start
@@ -212,9 +217,10 @@ def test_stepwise_behavior():
 def _profiles_from_run(fixture):
     assigned = _assign(fixture.city, fixture.events)
     zone_ids = fixture.city.zone_ids
-    normalized = normalize_counts(count_unique_users(assigned, zone_ids))
+    encoded = encode(assigned, zone_ids)
+    normalized = normalize_counts(count_unique_users(encoded))
     profiles, _ = landuse_profile(normalized, fixture.city.classes)
-    slot_matrix = aggregate_major_slots(assigned, DEFAULT_SLOTS, zone_ids)
+    slot_matrix = aggregate_major_slots(encoded, DEFAULT_SLOTS)
     normalized_slots = normalize_counts(slot_matrix)
     return {p.label: p.shares for p in profiles}, normalized_slots, assigned
 
@@ -261,7 +267,8 @@ def test_profile_round_trip(big_city):
     small_city_obj = generate_city(small_cfg)
     small_events, small_truth = generate_events(small_city_obj)
     small_assigned = _assign(small_city_obj, small_events)
-    small_norm = normalize_counts(count_unique_users(small_assigned, small_city_obj.zone_ids))
+    small_norm = normalize_counts(
+        count_unique_users(encode(small_assigned, small_city_obj.zone_ids)))
     small_profiles, _ = landuse_profile(small_norm, small_city_obj.classes)
     small_map = {p.label: p.shares for p in small_profiles}
     for label in ("residential", "mixed", "activity"):
@@ -319,7 +326,7 @@ def test_home_inference(tmp_path):
     events, truth = generate_events(city)
     assigned = _assign(city, events)
     eligible = {z for z, cls in city.classes.items() if cls.kind in ("residential", "mixed")}
-    homes = infer_homes(assigned, range(88, 96), eligible)
+    homes = infer_homes(encode(assigned, city.zone_ids), range(88, 96), eligible)
 
     night_users = {u for u, _, b in assigned if 88 <= b <= 95}
     assert night_users == set(homes)  # ensure_night_event makes that every user

@@ -3,41 +3,43 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from citypulse.activity import (MajorSlot, aggregate_major_slots,
+from citypulse.activity import (AssignedEvents, MajorSlot, aggregate_major_slots,
                                 count_daily_unique, count_unique_users,
                                 density_per_hectare, landuse_profile,
                                 normalize_counts, profile_labels, validate_slots)
 from citypulse.errors import ConfigError, DataError
 from citypulse.landuse import LandUseCategory, LandUseClass
 
+encode = AssignedEvents.from_tuples
+
 
 def test_repeat_events_in_same_cell_count_once():
     events = [("a", "Z", 40)] * 5
-    matrix = count_unique_users(events)
+    matrix = count_unique_users(encode(events))
     assert matrix.counts[0, 40] == 1
     assert matrix.counts.sum() == 1
 
 
 def test_distinct_users_both_count():
-    matrix = count_unique_users([("a", "Z", 40), ("b", "Z", 40)])
+    matrix = count_unique_users(encode([("a", "Z", 40), ("b", "Z", 40)]))
     assert matrix.counts[0, 40] == 2
 
 
 def test_user_in_two_bins_counts_once_per_bin():
-    matrix = count_unique_users([("a", "Z", 40), ("a", "Z", 41), ("a", "Z", 41)])
+    matrix = count_unique_users(encode([("a", "Z", 40), ("a", "Z", 41), ("a", "Z", 41)]))
     assert matrix.counts[0, 40] == 1
     assert matrix.counts[0, 41] == 1
     assert matrix.counts.sum() == 2
 
 
 def test_user_in_two_zones_same_bin_counts_in_each():
-    matrix = count_unique_users([("a", "Y", 40), ("a", "Z", 40)])
+    matrix = count_unique_users(encode([("a", "Y", 40), ("a", "Z", 40)]))
     assert matrix.counts[matrix.zone_ids.index("Y"), 40] == 1
     assert matrix.counts[matrix.zone_ids.index("Z"), 40] == 1
 
 
 def test_zone_rows_sorted_and_zero_rows_kept():
-    matrix = count_unique_users([("a", "B", 0)], zone_ids=["C", "A", "B"])
+    matrix = count_unique_users(encode([("a", "B", 0)], ["C", "A", "B"]))
     assert matrix.zone_ids == ("A", "B", "C")
     assert matrix.counts[1, 0] == 1
     assert matrix.counts[0].sum() == 0 and matrix.counts[2].sum() == 0
@@ -45,7 +47,12 @@ def test_zone_rows_sorted_and_zero_rows_kept():
 
 def test_unknown_zone_rejected_with_explicit_zone_set():
     with pytest.raises(DataError, match="unknown zone"):
-        count_unique_users([("a", "X", 0)], zone_ids=["A"])
+        encode([("a", "X", 0)], ["A"])
+
+
+def test_bin_outside_day_rejected():
+    with pytest.raises(DataError, match="bin outside"):
+        encode([("a", "A", 96)])
 
 
 @settings(max_examples=25, deadline=None)
@@ -56,15 +63,15 @@ def test_dedup_idempotence_under_duplication(data):
                   st.integers(0, 95)),
         min_size=1, max_size=40))
     subset = data.draw(st.lists(st.sampled_from(events), max_size=20))
-    base = count_unique_users(events, zone_ids=["Z1", "Z2"])
-    doubled = count_unique_users(events + subset, zone_ids=["Z1", "Z2"])
+    base = count_unique_users(encode(events, ["Z1", "Z2"]))
+    doubled = count_unique_users(encode(events + subset, ["Z1", "Z2"]))
     np.testing.assert_array_equal(base.counts, doubled.counts)
 
 
 def test_normalize_proportional_example():
-    matrix = count_unique_users(
+    matrix = count_unique_users(encode(
         [(f"u{i}", "z1", 0) for i in range(50)] + [(f"v{i}", "z2", 0) for i in range(150)],
-        zone_ids=["z1", "z2"])
+        ["z1", "z2"]))
     normalized = normalize_counts(matrix)
     assert normalized.values[0, 0] == pytest.approx(25000.0)
     assert normalized.values[1, 0] == pytest.approx(75000.0)
@@ -74,7 +81,7 @@ def test_normalized_nonzero_columns_sum_to_total():
     rng = np.random.default_rng(4)
     events = [(f"u{rng.integers(50)}", f"z{rng.integers(5)}", int(rng.integers(96)))
               for _ in range(400)]
-    normalized = normalize_counts(count_unique_users(events))
+    normalized = normalize_counts(count_unique_users(encode(events)))
     sums = normalized.values.sum(axis=0)
     for k in range(96):
         if k in normalized.zero_bins:
@@ -84,9 +91,9 @@ def test_normalized_nonzero_columns_sum_to_total():
 
 
 def test_normalize_matches_hand_computation():
-    matrix = count_unique_users(
+    matrix = count_unique_users(encode(
         [("a", "z1", 10), ("b", "z1", 10), ("c", "z2", 10), ("d", "z3", 10),
-         ("e", "z3", 10), ("f", "z3", 10)], zone_ids=["z1", "z2", "z3"])
+         ("e", "z3", 10), ("f", "z3", 10)], ["z1", "z2", "z3"]))
     normalized = normalize_counts(matrix)
     # hand: T_h = 6, values = (2, 1, 3) / 6 * 100000
     assert normalized.values[0, 10] == pytest.approx(2 / 6 * 100000)
@@ -95,15 +102,14 @@ def test_normalize_matches_hand_computation():
 
 
 def test_normalize_flags_empty_columns():
-    normalized = normalize_counts(count_unique_users([("a", "Z", 40)]))
+    normalized = normalize_counts(count_unique_users(encode([("a", "Z", 40)])))
     assert 39 in normalized.zero_bins
     assert 40 not in normalized.zero_bins
     assert normalized.values[0, 39] == 0.0
 
 
 def test_normalize_scale_invariance():
-    base = count_unique_users([("a", "Z", 5), ("b", "Z", 5), ("c", "Y", 5)],
-                              zone_ids=["Y", "Z"])
+    base = count_unique_users(encode([("a", "Z", 5), ("b", "Z", 5), ("c", "Y", 5)], ["Y", "Z"]))
     scaled = base
     scaled.counts[:, 5] *= 7
     np.testing.assert_allclose(normalize_counts(base).values[:, 5],
@@ -112,23 +118,23 @@ def test_normalize_scale_invariance():
 
 def test_slot_scope_dedup():
     # bins 40 and 41 are both morning; 60 is afternoon
-    matrix = aggregate_major_slots([("a", "Z", 40), ("a", "Z", 41)])
+    matrix = aggregate_major_slots(encode([("a", "Z", 40), ("a", "Z", 41)]))
     assert matrix.bin_labels == ("morning", "afternoon", "evening", "night")
     assert matrix.counts[0].tolist() == [1, 0, 0, 0]
-    matrix = aggregate_major_slots([("a", "Z", 40), ("a", "Z", 60)])
+    matrix = aggregate_major_slots(encode([("a", "Z", 40), ("a", "Z", 60)]))
     assert matrix.counts[0].tolist() == [1, 1, 0, 0]
 
 
 def test_slot_counts_not_sums_of_quarter_counts():
     events = [("a", "Z", b) for b in range(32, 56)]  # active in every morning bin
-    quarter = count_unique_users(events)
-    slots = aggregate_major_slots(events)
+    quarter = count_unique_users(encode(events))
+    slots = aggregate_major_slots(encode(events))
     assert quarter.counts.sum() == 24
     assert slots.counts[0, 0] == 1
 
 
 def test_bins_outside_slots_are_excluded():
-    matrix = aggregate_major_slots([("a", "Z", 0), ("a", "Z", 31)])  # early morning
+    matrix = aggregate_major_slots(encode([("a", "Z", 0), ("a", "Z", 31)]))  # early morning
     assert matrix.counts.sum() == 0
 
 
@@ -141,7 +147,7 @@ def test_six_user_fixture_hand_enumerated():
         ("u5", "B", 90), ("u5", "B", 91),   # night x2 -> 1
         ("u6", "A", 10),                    # outside all slots
     ]
-    matrix = aggregate_major_slots(events, zone_ids=["A", "B"])
+    matrix = aggregate_major_slots(encode(events, ["A", "B"]))
     assert matrix.counts.tolist() == [[2, 0, 1, 1], [1, 1, 0, 1]]
 
 
@@ -153,7 +159,7 @@ def test_overlapping_slot_config_fatal():
 
 
 def test_daily_unique_counts():
-    matrix = count_daily_unique([("a", "Z", 1), ("a", "Z", 90), ("b", "Z", 50)])
+    matrix = count_daily_unique(encode([("a", "Z", 1), ("a", "Z", 90), ("b", "Z", 50)]))
     assert matrix.counts[0, 0] == 2
 
 
@@ -165,7 +171,7 @@ def test_profile_all_residential_matches_city_columns():
     rng = np.random.default_rng(11)
     events = [(f"u{rng.integers(40)}", f"z{rng.integers(3)}", int(rng.integers(96)))
               for _ in range(300)]
-    normalized = normalize_counts(count_unique_users(events))
+    normalized = normalize_counts(count_unique_users(encode(events)))
     classes = {z: RES for z in normalized.zone_ids}
     profiles, omitted = landuse_profile(normalized, classes)
     assert omitted == []
@@ -179,7 +185,7 @@ def test_profile_all_residential_matches_city_columns():
 def test_profile_concentration_follows_activity():
     # retail zones active only in evening bins 76..87
     events = [("a", "R", 80), ("b", "R", 85), ("c", "H", 40), ("d", "H", 90)]
-    normalized = normalize_counts(count_unique_users(events, zone_ids=["H", "R"]))
+    normalized = normalize_counts(count_unique_users(encode(events, ["H", "R"])))
     classes = {"R": RETAIL, "H": RES}
     profiles, _ = landuse_profile(normalized, classes)
     by_label = {p.label: p.shares for p in profiles}
@@ -194,7 +200,7 @@ def test_profiles_partition_city_totals():
                "z4": RETAIL, "z5": LandUseClass("activity", LandUseCategory.OFFICE)}
     events = [(f"u{rng.integers(60)}", rng.choice(zone_ids), int(rng.integers(96)))
               for _ in range(500)]
-    normalized = normalize_counts(count_unique_users(events, zone_ids=zone_ids))
+    normalized = normalize_counts(count_unique_users(encode(events, zone_ids)))
     profiles, _ = landuse_profile(normalized, classes)
     by_label = {p.label: p for p in profiles}
     main = ["residential", "mixed", "activity"]
@@ -204,7 +210,7 @@ def test_profiles_partition_city_totals():
 
 def test_profile_zero_class_omitted():
     events = [("a", "H", 40)]
-    normalized = normalize_counts(count_unique_users(events, zone_ids=["H", "R"]))
+    normalized = normalize_counts(count_unique_users(encode(events, ["H", "R"])))
     profiles, omitted = landuse_profile(normalized, {"H": RES, "R": RETAIL})
     assert "activity" in omitted and "activity:retail" in omitted
     assert [p.label for p in profiles] == ["residential"]
@@ -213,7 +219,7 @@ def test_profile_zero_class_omitted():
 def test_profile_requires_quarter_granularity():
     with pytest.raises(DataError, match="quarter"):
         landuse_profile(
-            normalize_counts(aggregate_major_slots([("a", "Z", 40)])), {"Z": RES})
+            normalize_counts(aggregate_major_slots(encode([("a", "Z", 40)]))), {"Z": RES})
 
 
 def test_profile_label_order():

@@ -7,16 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from citypulse.errors import ConfigError, DataError
-from citypulse.ingest import (GeoEvent, RejectionReport, filter_workdays, parse_events,
-                              parse_timestamp, quarter_bin, write_events_ndjson)
+from citypulse.ingest import (EventBatch, GeoEvent, RejectionReport, filter_workdays,
+                              parse_events, parse_timestamp, quarter_bin, write_events_ndjson)
 
 NDJSON_ROW = '{"u":"a1","t":"2013-03-05T10:07:00+01:00","lon":-3.70,"lat":40.42}'
 
 
 def test_parse_ndjson_row_maps_fields():
-    events, report = parse_events(io.StringIO(NDJSON_ROW), "ndjson")
+    batch, report = parse_events(io.StringIO(NDJSON_ROW), "ndjson")
     assert report.rejected == 0
-    (event,) = events
+    (event,) = batch.events()
     assert event.user_id == "a1"
     assert event.lon == -3.70
     assert event.lat == 40.42
@@ -26,7 +26,7 @@ def test_parse_ndjson_row_maps_fields():
 def test_lat_out_of_range_rejected():
     row = '{"u":"a1","t":"2013-03-05T10:07:00+01:00","lon":-3.70,"lat":95.0}'
     events, report = parse_events(io.StringIO(row), "ndjson")
-    assert events == []
+    assert len(events) == 0
     assert report.entries == [(1, "lat out of range")]
 
 
@@ -45,8 +45,9 @@ def test_parse_csv_with_optional_columns():
     csv_text = ("user_id,timestamp,lon,lat,lang,device,text\n"
                 "a1,2013-03-05T10:07:00+01:00,-3.70,40.42,es,android,hola\n"
                 "a2,2013-03-05T11:00:00+01:00,-3.71,40.43,,,\n")
-    events, report = parse_events(io.StringIO(csv_text), "csv")
+    batch, report = parse_events(io.StringIO(csv_text), "csv")
     assert report.rejected == 0
+    events = list(batch.events())
     assert events[0].lang == "es" and events[0].text == "hola"
     assert events[1].lang is None and events[1].device is None
 
@@ -64,7 +65,7 @@ def test_unknown_format_rejected():
 def test_naive_timestamp_rejected():
     row = '{"u":"a1","t":"2013-03-05T10:07:00","lon":-3.70,"lat":40.42}'
     events, report = parse_events(io.StringIO(row), "ndjson")
-    assert events == []
+    assert len(events) == 0
     assert "no UTC offset" in report.entries[0][1]
 
 
@@ -80,7 +81,7 @@ def test_ordering_preserved_and_empty_lines_skipped():
         '{"u":"a","t":"2013-03-05T11:00:00Z","lon":0.0,"lat":0.0}',
     ])
     events, _ = parse_events(io.StringIO(rows), "ndjson")
-    assert [e.user_id for e in events] == ["b", "a"]
+    assert [e.user_id for e in events.events()] == ["b", "a"]
 
 
 events_strategy = st.lists(
@@ -108,37 +109,45 @@ def test_ndjson_round_trip_identity(tmp_path_factory, events):
     write_events_ndjson(events, path)
     parsed, report = parse_events(path, "ndjson")
     assert report.rejected == 0
-    assert parsed == events
+    assert list(parsed.events()) == events
+    # the clean-events writer prints every timestamp back as it was read
+    rewritten = path.with_name("rewritten.ndjson")
+    write_events_ndjson(parsed.events(), rewritten)
+    assert rewritten.read_bytes() == path.read_bytes()
 
 
 def _event(ts: str) -> GeoEvent:
     return GeoEvent("u", parse_timestamp(ts), 0.0, 0.0)
 
 
+def _workdays(events, tz):
+    return list(filter_workdays(EventBatch.from_events(events), tz).events())
+
+
 def test_filter_workdays_keeps_tue_wed_thu():
     wednesday = _event("2013-03-06T12:00:00+01:00")
     saturday = _event("2013-03-09T12:00:00+01:00")
-    kept = filter_workdays([wednesday, saturday], "Europe/Madrid")
-    assert kept == [wednesday]
+    assert _workdays([wednesday, saturday], "Europe/Madrid") == [wednesday]
 
 
 def test_filter_workdays_uses_local_weekday():
     # Monday 23:30 UTC is Tuesday 00:30 in Madrid (UTC+1 in March)
     boundary = _event("2013-03-04T23:30:00Z")
-    assert filter_workdays([boundary], "Europe/Madrid") == [boundary]
-    assert filter_workdays([boundary], "UTC") == []
+    assert _workdays([boundary], "Europe/Madrid") == [boundary]
+    assert _workdays([boundary], "UTC") == []
 
 
 def test_filter_workdays_idempotent():
-    events = [_event("2013-03-05T10:00:00Z"), _event("2013-03-09T10:00:00Z"),
-              _event("2013-03-07T01:00:00Z")]
+    events = EventBatch.from_events([
+        _event("2013-03-05T10:00:00Z"), _event("2013-03-09T10:00:00Z"),
+        _event("2013-03-07T01:00:00Z")])
     once = filter_workdays(events, "Europe/Madrid")
-    assert filter_workdays(once, "Europe/Madrid") == once
+    assert list(filter_workdays(once, "Europe/Madrid").events()) == list(once.events())
 
 
 def test_unknown_timezone_is_fatal():
     with pytest.raises(ConfigError, match="timezone"):
-        filter_workdays([], "Mars/Olympus_Mons")
+        filter_workdays(EventBatch.from_events([]), "Mars/Olympus_Mons")
 
 
 @pytest.mark.parametrize("clock,expected", [
@@ -188,6 +197,14 @@ ROW_CASES = {
     "minus infinite lon": ({"lon": float("-inf")}, "lon not finite"),
     "lon out of range": ({"lon": 180.5}, "lon out of range"),
     "numeric timestamp": ({"t": 5}, "bad timestamp 5"),
+    "string lang": ({"lang": "es"}, ("a1", -3.7, 40.42)),
+    "null lang": ({"lang": None}, ("a1", -3.7, 40.42)),
+    "empty device": ({"device": ""}, ("a1", -3.7, 40.42)),
+    "number lang": ({"lang": 7}, "lang not a string"),
+    "false lang": ({"lang": False}, "lang not a string"),
+    "list device": ({"device": ["ios"]}, "device not a string"),
+    "object text": ({"text": {"k": 1}}, "text not a string"),
+    "number text": ({"text": 0}, "text not a string"),
 }
 
 
@@ -197,11 +214,14 @@ def test_ndjson_row_field_rules(overrides, expected):
     obj.update(overrides)
     events, report = parse_events(io.StringIO(json.dumps(obj)), "ndjson")
     if isinstance(expected, str):
-        assert events == []
+        assert len(events) == 0
         assert report.entries == [(1, expected)]
     else:
         assert report.entries == []
-        assert [(e.user_id, e.lon, e.lat) for e in events] == [expected]
+        (event,) = events.events()
+        assert (event.user_id, event.lon, event.lat) == expected
+        for name in ("lang", "device", "text"):  # null, absent and "" all mean none
+            assert getattr(event, name) == (overrides.get(name) or None)
 
 
 @pytest.mark.parametrize("lon,reason", [
@@ -211,8 +231,36 @@ def test_ndjson_row_field_rules(overrides, expected):
 def test_csv_coordinate_rules(lon, reason):
     csv_text = f"user_id,timestamp,lon,lat\n0,2013-03-05T10:07:00+01:00,{lon},40.42\n"
     events, report = parse_events(io.StringIO(csv_text), "csv")
-    assert events == []
+    assert len(events) == 0
     assert report.entries == [(2, reason)]
+
+
+@pytest.mark.parametrize("fmt,data,line", [
+    ("ndjson", b'{"u":"a","t":"2013-03-05T10:07:00Z","lon":1,"lat":2,"text":"\xff"}\n'
+               b'{"u":"b","t":"2013-03-05T10:07:00Z","lon":1,"lat":2}\n', 1),
+    ("ndjson", b'{"u":"a","t":"2013-03-05T10:07:00Z","lon":1,"lat":2}\n'
+               b'{"u":"b","t":"2013-03-05T10:07:00Z","lon":1,"lat":2,"text":"caf\xc3"}\n', 2),
+    ("csv", b"user_id,timestamp,lon,lat,text\n"
+            b"a,2013-03-05T10:07:00Z,1,2,\"two\nlines \xfe\"\n"
+            b"b,2013-03-05T10:07:00Z,1,2,fine\n", 3),
+    ("csv", b"user_id,timestamp,lon,lat,extra\n"
+            b"a,2013-03-05T10:07:00Z,1,2,ok\n"
+            b"b,2013-03-05T10:07:00Z,1,2,\x80\n", 3),
+])
+def test_invalid_utf8_rejects_only_its_row(fmt, data, line):
+    events, report = parse_events(data, fmt)
+    assert report.entries == [(line, "invalid utf-8")]
+    assert report.total_rows == 2
+    assert len(events) == 1
+
+
+def test_valid_non_ascii_text_is_kept():
+    # JSON escapes, surrogate pair included, and the same text as raw UTF-8
+    row = r'{"u":"a","t":"2013-03-05T10:07:00Z","lon":1,"lat":2,"text":"caf\u00e9 \ud83d\ude00"}'
+    raw = '{"u":"b","t":"2013-03-05T10:07:00Z","lon":1,"lat":2,"text":"café 😀"}'
+    events, report = parse_events((row + "\n" + raw + "\n").encode("utf-8"), "ndjson")
+    assert report.entries == []
+    assert [e.text for e in events.events()] == ["café 😀", "café 😀"]
 
 
 def test_rejection_report_csv(tmp_path):

@@ -233,7 +233,7 @@ def test_unicode_line_separators_in_text_stay_inside_one_row(tmp_path):
     assert physical_lines == 4
 
     events, report = parse_events_file(events_path, "ndjson")
-    assert [e.text for e in events] == texts
+    assert [e.text for e in events.events()] == texts
     assert report.entries == []
     assert report.total_rows == physical_lines
 
@@ -294,6 +294,24 @@ def test_cli_ingest_writes_clean_events(tmp_path):
     assert '"u": "a"' in clean[0]  # the Saturday user is filtered out
     rows = read_csv(out / "rejections.csv")
     assert rows[0]["line"] == "2"
+
+
+def test_cli_ingest_rejects_invalid_utf8_row(tmp_path, capsys):
+    events = tmp_path / "events.ndjson"
+    events.write_bytes(
+        b'{"u":"a","t":"2013-03-05T10:00:00Z","lon":0.5,"lat":0.5,"text":"ok"}\n'
+        b'{"u":"b","t":"2013-03-05T11:00:00Z","lon":0.5,"lat":0.5,"text":"bad \xff byte"}\n')
+    zones = tmp_path / "zones.geojson"
+    export_geojson([Zone("z", SQUARE, area_ha=1.0)], {}, zones)
+    out = tmp_path / "out"
+    code = cli.main(["ingest", "--events", str(events), "--zones", str(zones),
+                     "--out", str(out), "--timezone", "UTC"])
+    assert code == 0, capsys.readouterr().err
+    clean = (out / "events_clean.ndjson").read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["u"] for line in clean] == ["a"]
+    assert read_csv(out / "rejections.csv") == [{"line": "2", "reason": "invalid utf-8"}]
+    counts = json.loads((out / "manifest.json").read_text())["counts"]
+    assert (counts["rows_total"], counts["rows_rejected"]) == (2, 1)
 
 
 def test_cli_synth_class_mix_and_census_round_trip(tmp_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from citypulse.activity import AssignedEvents
 from citypulse.errors import DataError, SingularityError
 from citypulse.stats import (bivariate_slot_ols, census_correlation, fit_ols,
                              infer_home, infer_homes, slot_descriptives, stepwise_fit)
@@ -280,7 +281,7 @@ def test_infer_home_respects_residential_set():
 
 def test_infer_homes_per_user():
     events = [("u1", "A", 90), ("u1", "A", 91), ("u2", "B", 40)]
-    homes = infer_homes(events, residential_zones={"A", "B"})
+    homes = infer_homes(AssignedEvents.from_tuples(events), residential_zones={"A", "B"})
     assert homes == {"u1": "A"}
 
 

@@ -3,15 +3,19 @@ import json
 import numpy as np
 import pytest
 
-from citypulse.activity import aggregate_major_slots, count_unique_users, normalize_counts
+from citypulse.activity import (AssignedEvents, aggregate_major_slots, count_unique_users,
+                                normalize_counts)
 from citypulse.errors import ConfigError
-from citypulse.ingest import filter_workdays, get_timezone, parse_events, quarter_bin, \
-    write_events_ndjson
+from citypulse.ingest import (EventBatch, filter_workdays, get_timezone, parse_events,
+                              quarter_bin, write_events_ndjson)
 from citypulse.landuse import LandUseClass, classify_zone
 from citypulse.spatial import build_zone_index, point_in_rings
 from citypulse.stats import infer_homes
 from citypulse.synth import (SynthConfig, allocate_counts, city_geojson, generate_city,
                              generate_events, slot_weights_to_intensity)
+
+
+encode = AssignedEvents.from_tuples
 
 
 def small_config(**overrides):
@@ -23,8 +27,9 @@ def small_config(**overrides):
 def assign(city, events):
     index = build_zone_index(city.zones)
     tz = get_timezone(city.config.timezone)
-    return [(e.user_id, index.locate(e.lon, e.lat), quarter_bin(e.timestamp, tz))
-            for e in events]
+    codes = index.locate_codes([e.lon for e in events], [e.lat for e in events]).tolist()
+    return [(e.user_id, index.zone_ids[c] if c >= 0 else None, quarter_bin(e.timestamp, tz))
+            for e, c in zip(events, codes)]
 
 
 def test_all_residential_city_classifies_residential():
@@ -88,9 +93,8 @@ def test_events_parse_cleanly_and_are_workdays():
     config = small_config()
     city = generate_city(config)
     events, _ = generate_events(city)
-    path_events = events
-    tz = config.timezone
-    assert filter_workdays(path_events, tz) == path_events
+    kept = filter_workdays(EventBatch.from_events(events), config.timezone)
+    assert list(kept.events()) == events
 
 
 def test_generated_events_round_trip_with_zero_rejections(tmp_path):
@@ -100,7 +104,7 @@ def test_generated_events_round_trip_with_zero_rejections(tmp_path):
     write_events_ndjson(events, path)
     parsed, report = parse_events(path, "ndjson")
     assert report.rejected == 0
-    assert parsed == events
+    assert list(parsed.events()) == events
 
 
 def test_every_point_falls_in_exactly_one_zone():
@@ -120,7 +124,7 @@ def test_home_bias_one_recovers_every_home():
     events, truth = generate_events(city)
     assigned = assign(city, events)
     eligible = {z for z, cls in city.classes.items() if cls.kind in ("residential", "mixed")}
-    homes = infer_homes(assigned, range(88, 96), eligible)
+    homes = infer_homes(encode(assigned, city.zone_ids), range(88, 96), eligible)
     assert set(homes) == set(truth.homes)
     assert homes == truth.homes
 
@@ -159,10 +163,10 @@ def test_expected_matrices_track_observed_counts():
     city = generate_city(config)
     events, truth = generate_events(city)
     assigned = assign(city, events)
-    observed = count_unique_users(assigned, city.zone_ids).counts.sum()
+    observed = count_unique_users(encode(assigned, city.zone_ids)).counts.sum()
     expected = truth.expected_quarter.sum()
     assert observed == pytest.approx(expected, rel=0.02)
-    observed_slots = aggregate_major_slots(assigned, config.slots, city.zone_ids)
+    observed_slots = aggregate_major_slots(encode(assigned, city.zone_ids), config.slots)
     assert observed_slots.counts.sum() == pytest.approx(truth.expected_slots.sum(), rel=0.02)
 
 
@@ -186,7 +190,7 @@ def test_profile_round_trip_error_shrinks_with_more_events():
         city = generate_city(config)
         events, truth = generate_events(city)
         assigned = assign(city, events)
-        normalized = normalize_counts(count_unique_users(assigned, city.zone_ids))
+        normalized = normalize_counts(count_unique_users(encode(assigned, city.zone_ids)))
         from citypulse.activity import landuse_profile
         profiles, _ = landuse_profile(normalized, city.classes)
         by_label = {p.label: p.shares for p in profiles}
