@@ -113,7 +113,7 @@ class EventBatch:
         builder = _BatchBuilder()
         for e in events:
             builder.append(e.user_id, builder.add_time(e.timestamp), e.lon, e.lat,
-                           (e.lang, e.device, e.text))
+                           e.lang, e.device, e.text)
         return builder.finish()
 
 
@@ -145,9 +145,10 @@ class _BatchBuilder:
             code = self._time_code[raw] = self.add_time(parse_timestamp(raw))
         return code
 
-    def append(self, user_id: str, time: int, lon: float, lat: float, optional: tuple) -> None:
-        if optional != (None, None, None):
-            self._optional.append((len(self._users), optional))
+    def append(self, user_id: str, time: int, lon: float, lat: float,
+               lang: str | None, device: str | None, text: str | None) -> None:
+        if lang is not None or device is not None or text is not None:
+            self._optional.append((len(self._users), (lang, device, text)))
         self._users.append(self._user_code.setdefault(user_id, len(self._user_code)))
         self._times.append(time)
         self._lon.append(lon)
@@ -159,9 +160,8 @@ class _BatchBuilder:
         time = self.time_of(raw_ts)
         lon = _coordinate(lon, "lon", 180.0)
         lat = _coordinate(lat, "lat", 90.0)
-        optional = (_optional(lang, "lang"), _optional(device, "device"),
-                    _optional(text, "text"))
-        self.append(user_id, time, lon, lat, optional)
+        self.append(user_id, time, lon, lat, _optional(lang, "lang"),
+                    _optional(device, "device"), _optional(text, "text"))
 
     def finish(self) -> EventBatch:
         times = np.frombuffer(self._times, dtype=np.int64)
@@ -290,6 +290,7 @@ def _open_text(source) -> IO[str]:
 
 
 def _parse_ndjson(fh: IO[str], builder: _BatchBuilder, report: RejectionReport) -> None:
+    loads, add_row = json.loads, builder.add_row
     for n, line in enumerate(fh, start=1):
         if not line.strip():
             continue
@@ -298,7 +299,7 @@ def _parse_ndjson(fh: IO[str], builder: _BatchBuilder, report: RejectionReport) 
             if _undecodable(line):
                 raise ValueError("invalid utf-8")
             try:
-                obj = json.loads(line)
+                obj = loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"invalid json: {exc.msg}") from exc
             if not isinstance(obj, dict):
@@ -306,8 +307,8 @@ def _parse_ndjson(fh: IO[str], builder: _BatchBuilder, report: RejectionReport) 
             missing = [k for k in NDJSON_KEYS if k not in obj]
             if missing:
                 raise ValueError(f"missing field {missing[0]!r}")
-            builder.add_row(obj["u"], obj["t"], obj["lon"], obj["lat"],
-                            obj.get("lang"), obj.get("device"), obj.get("text"))
+            add_row(obj["u"], obj["t"], obj["lon"], obj["lat"],
+                    obj.get("lang"), obj.get("device"), obj.get("text"))
         except ValueError as exc:
             report.add(n, str(exc))
 

@@ -1,14 +1,16 @@
 import io
 import json
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from citypulse.errors import ConfigError, DataError
 from citypulse.ingest import (EventBatch, GeoEvent, RejectionReport, filter_workdays,
-                              parse_events, parse_timestamp, quarter_bin, write_events_ndjson)
+                              get_timezone, local_seconds, parse_events, parse_timestamp,
+                              quarter_bin, quarter_bins, write_events_ndjson)
 
 NDJSON_ROW = '{"u":"a1","t":"2013-03-05T10:07:00+01:00","lon":-3.70,"lat":40.42}'
 
@@ -268,3 +270,83 @@ def test_rejection_report_csv(tmp_path):
     path = tmp_path / "rej.csv"
     report.write_csv(path)
     assert path.read_text() == "line,reason\n1,invalid json\n3,lat out of range\n"
+
+
+# --- array workday filter and bins against per-event astimezone ---------------
+
+def _utc(*args) -> int:
+    return int(datetime(*args, tzinfo=timezone.utc).timestamp())
+
+
+# Madrid kept local mean time (-00:14:44, not a multiple of 900 s) until
+# 1901-01-01 00:00 UTC. Paris Mean Time (+00:09:21) ended at 23:50:39 UTC, a
+# second that splits a UTC quarter-hour, so that one falls back per event.
+MADRID_LMT_END = _utc(1901, 1, 1)
+PARIS_PMT_END = _utc(1911, 3, 10, 23, 50, 39)
+# (timezone, first second, last second) of the instants drawn in each family
+TIME_WINDOWS = [
+    ("Europe/Madrid", _utc(2013, 3, 30), _utc(2013, 4, 1)),     # spring forward
+    ("Europe/Madrid", _utc(2013, 10, 26), _utc(2013, 10, 28)),  # fall back
+    ("Asia/Kathmandu", _utc(2013, 3, 1), _utc(2013, 3, 15)),    # +05:45
+    ("Asia/Kathmandu", _utc(1985, 12, 30), _utc(1986, 1, 2)),   # +05:30 -> +05:45
+    ("Europe/Madrid", MADRID_LMT_END - 3 * 86400, MADRID_LMT_END + 86400),
+    ("Europe/Paris", PARIS_PMT_END - 3600, PARIS_PMT_END + 3600),
+    ("Europe/Madrid", _utc(1900, 1, 1), _utc(1969, 12, 31)),    # before 1970
+    ("America/New_York", _utc(1883, 11, 17), _utc(1883, 11, 20)),  # LMT -04:56:02 ends
+]
+
+
+def _per_event(seconds, tz):
+    zone = get_timezone(tz)
+    stamps = [datetime(1970, 1, 1, tzinfo=timezone.utc) + timedelta(seconds=s)
+              for s in seconds]
+    workday = [ts.astimezone(zone).weekday() in (1, 2, 3) for ts in stamps]
+    return stamps, workday, [quarter_bin(ts, zone) for ts in stamps]
+
+
+def _check_against_per_event(seconds, tz):
+    stamps, workday, bins = _per_event(seconds, tz)
+    batch = EventBatch.from_events(GeoEvent(f"u{i}", ts, 0.0, 0.0)
+                                   for i, ts in enumerate(stamps))
+    kept = filter_workdays(batch, tz)
+    assert [e.user_id for e in kept.events()] == [
+        f"u{i}" for i, keep in enumerate(workday) if keep]
+    assert quarter_bins(batch.epoch, get_timezone(tz)).tolist() == bins
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(TIME_WINDOWS).flatmap(
+    lambda w: st.tuples(st.just(w[0]), st.lists(st.integers(w[1], w[2]), max_size=40))))
+def test_array_time_matches_per_event_astimezone(case):
+    tz, seconds = case
+    _check_against_per_event(seconds, tz)
+
+
+def test_quarter_hour_split_by_a_transition_falls_back_per_event():
+    # every second of the half hour around the end of Paris Mean Time
+    seconds = np.arange(PARIS_PMT_END - 900, PARIS_PMT_END + 900)
+    local = local_seconds(seconds, get_timezone("Europe/Paris"))
+    np.testing.assert_array_equal(local - seconds, np.where(seconds < PARIS_PMT_END, 561, 0))
+    _check_against_per_event(seconds.tolist(), "Europe/Paris")
+
+
+def test_local_mean_time_offset_off_the_quarter_grid():
+    seconds = np.arange(MADRID_LMT_END - 86400, MADRID_LMT_END + 3600, 7)
+    local = local_seconds(seconds, get_timezone("Europe/Madrid"))
+    np.testing.assert_array_equal(local - seconds, np.where(seconds < MADRID_LMT_END, -884, 0))
+    _check_against_per_event(seconds.tolist(), "Europe/Madrid")
+
+
+def test_parsed_timestamps_keep_instant_offset_and_microseconds():
+    # (timestamp, UTC epoch seconds, microseconds, offset seconds)
+    rows = [("2013-03-05T10:07:00.250000+05:45", _utc(2013, 3, 5, 4, 22), 250000, 20700),
+            ("1901-01-01T00:00:00-00:14:44", _utc(1901, 1, 1, 0, 14, 44), 0, -884),
+            ("1969-12-31T23:59:59.999999Z", -1, 999999, 0)]
+    text = "\n".join(json.dumps({"u": "a", "t": t, "lon": 0, "lat": 0}) for t, *_ in rows)
+    batch, report = parse_events(io.StringIO(text), "ndjson")
+    assert report.entries == []
+    assert batch.epoch.tolist() == [r[1] for r in rows]
+    assert batch.micro.tolist() == [r[2] for r in rows]
+    assert batch.offset_us.tolist() == [r[3] * 1_000_000 for r in rows]
+    assert [e.timestamp.isoformat() for e in batch.events()] == [
+        parse_timestamp(t).isoformat() for t, *_ in rows]

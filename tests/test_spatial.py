@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from citypulse import spatial
 from citypulse.errors import DataError
 from citypulse.landuse import LandUseCategory
 from citypulse.spatial import (CityCentre, Zone, build_zone_index, distance_to_centre,
@@ -225,3 +228,73 @@ def test_haversine_matches_spherical_law_small_angles():
     angle = math.acos(math.sin(phi1) * math.sin(phi2)
                       + math.cos(phi1) * math.cos(phi2) * math.cos(dl))
     assert haversine_m(lon1, lat1, lon2, lat2) == pytest.approx(6_371_000.0 * angle, rel=1e-9)
+
+
+# --- array join against a brute-force point_in_rings scan ---------------------
+
+LATTICE = st.integers(0, 8).map(lambda k: k * 0.5)
+
+
+@st.composite
+def zone_rings(draw):
+    """A rectangle, a rectangle with a hole, or a triangle on a 0.5-degree lattice."""
+    kind = draw(st.sampled_from(["rect", "holed", "triangle"]))
+    if kind == "triangle":
+        pts = draw(st.lists(st.tuples(LATTICE, LATTICE), min_size=3, max_size=3,
+                            unique=True))
+        return (tuple(pts) + (pts[0],),)
+    x0, x1 = sorted(draw(st.lists(LATTICE, min_size=2, max_size=2, unique=True)))
+    y0, y1 = sorted(draw(st.lists(LATTICE, min_size=2, max_size=2, unique=True)))
+    outer = ((x0, y0), (x1, y0), (x1, y1), (x0, y1), (x0, y0))
+    if kind == "rect" or x1 - x0 < 1.0 or y1 - y0 < 1.0:
+        return (outer,)
+    hx0, hy0 = x0 + 0.25, y0 + 0.25
+    hx1, hy1 = draw(st.floats(hx0 + 0.25, x1)), draw(st.floats(hy0 + 0.25, y1))
+    hole = ((hx0, hy0), (hx0, hy1), (hx1, hy1), (hx1, hy0), (hx0, hy0))
+    return (outer, hole)
+
+
+@st.composite
+def join_cases(draw):
+    rings = draw(st.lists(zone_rings(), min_size=1, max_size=6))
+    names = draw(st.permutations([f"z{k}" for k in range(len(rings))]))
+    zones = [Zone(name, r, area_ha=1.0) for name, r in zip(names, rings)]
+    maxx = max(z.bbox()[2] for z in zones)
+    maxy = max(z.bbox()[3] for z in zones)
+    on_grid = st.integers(-2, 18).map(lambda k: k * 0.25)  # vertices, edges, outside
+    anywhere = st.floats(-1.0, 5.0, allow_nan=False)
+    coord = st.one_of(on_grid, anywhere)
+    point = st.one_of(st.tuples(coord, coord),
+                      st.tuples(st.just(maxx), coord),   # on the coverage's max edges
+                      st.tuples(coord, st.just(maxy)),
+                      st.tuples(st.just(maxx), st.just(maxy)))
+    return zones, draw(st.lists(point, min_size=1, max_size=60))
+
+
+@settings(max_examples=300, deadline=None)
+@given(join_cases(), st.sampled_from([(8192, 1 << 17), (3, 2)]))
+def test_array_join_matches_point_in_rings_scan(case, sizes):
+    zones, points = case
+    by_id = sorted(zones, key=lambda z: z.zone_id)
+    expected, overlaps = [], 0
+    for lon, lat in points:
+        owners = [z.zone_id for z in by_id if point_in_rings(z.rings, lon, lat)]
+        expected.append(owners[0] if owners else None)
+        overlaps += max(0, len(owners) - 1)
+
+    saved = spatial.LOCATE_CHUNK, spatial.PAIR_EDGE_BUDGET
+    spatial.LOCATE_CHUNK, spatial.PAIR_EDGE_BUDGET = sizes  # also tiny chunks and slices
+    try:
+        index = build_zone_index(zones)
+        codes = index.locate_codes([p[0] for p in points], [p[1] for p in points])
+    finally:
+        spatial.LOCATE_CHUNK, spatial.PAIR_EDGE_BUDGET = saved
+    assert [index.zone_ids[c] if c >= 0 else None for c in codes] == expected
+    assert index.overlap_warnings == overlaps
+    assert [locate_point(index, lon, lat) for lon, lat in points] == expected
+
+
+def test_array_join_empty_input():
+    index = build_zone_index([square("a", 0, 0)])
+    assert index.locate_codes([], []).tolist() == []
+    assert index.overlap_warnings == 0
