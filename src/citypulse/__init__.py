@@ -5,13 +5,15 @@ time bin, normalized per-slot distributions, land-use activity profiles, and
 OLS models linking activity to land-use composition.
 """
 
-from .activity import (ActivityMatrix, DEFAULT_SLOTS, MajorSlot, NormalizedMatrix,
-                       TemporalProfile, aggregate_major_slots, count_unique_users,
-                       density_per_hectare, landuse_profile, normalize_counts)
+from .activity import (ActivityMatrix, AssignedEvents, DEFAULT_SLOTS, MajorSlot,
+                       NormalizedMatrix, TemporalProfile, aggregate_major_slots,
+                       count_unique_users, density_per_hectare, landuse_profile,
+                       normalize_counts)
 from .config import PipelineConfig, load_config
 from .errors import (CityPulseError, ClassificationError, ConfigError, DataError,
                      SingularityError)
-from .ingest import GeoEvent, RejectionReport, filter_workdays, parse_events, quarter_bin
+from .ingest import (EventBatch, GeoEvent, RejectionReport, filter_workdays, parse_events,
+                     quarter_bin)
 from .landuse import (LandUseCategory, LandUseClass, classify_zone, landuse_area_table)
 from .pipeline import export_geojson, run_pipeline
 from .spatial import (CityCentre, Zone, ZoneIndex, build_zone_index, distance_to_centre,

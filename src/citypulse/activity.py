@@ -159,9 +159,13 @@ def _dedup_matrix(events: AssignedEvents, cols: np.ndarray, n_cols: int) -> np.n
     """Count distinct users per (zone, column); cols < 0 are dropped."""
     n_zones = len(events.zone_ids)
     keep = cols >= 0
-    # collapse duplicate (user, zone, col) triples, then count per cell
-    key = (events.users[keep] * n_zones + events.zones[keep]) * n_cols + cols[keep]
-    cells = np.unique(key) % (n_zones * n_cols)
+    # collapse duplicate (user, zone, col) triples, then count per cell; one
+    # sort and a neighbour test, which is many times faster than np.unique
+    # on int64 keys with numpy 2.x
+    key = np.sort((events.users[keep] * n_zones + events.zones[keep]) * n_cols + cols[keep])
+    distinct = np.ones(len(key), dtype=bool)
+    distinct[1:] = key[1:] != key[:-1]
+    cells = key[distinct] % (n_zones * n_cols)
     return np.bincount(cells, minlength=n_zones * n_cols).reshape(n_zones, n_cols)
 
 
