@@ -120,11 +120,6 @@ class AssignedEvents:
     def __len__(self) -> int:
         return len(self.users)
 
-    def take(self, rows) -> AssignedEvents:
-        """The events picked by a boolean mask or an index array, in that order."""
-        return AssignedEvents(self.user_ids, self.zone_ids, self.users[rows],
-                              self.zones[rows], self.bins[rows])
-
     @classmethod
     def from_tuples(cls, events: Iterable[AssignedEvent],
                     zone_ids: Sequence[str] | None = None) -> AssignedEvents:
