@@ -37,7 +37,7 @@ NDJSON_KEYS = ("u", "t", "lon", "lat")
 CSV_COLUMNS = ("user_id", "timestamp", "lon", "lat")
 OPTIONAL_FIELDS = ("lang", "device", "text")
 
-EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _NAIVE_EPOCH = datetime(1970, 1, 1)
 _SECOND = timedelta(seconds=1)
 _MICROSECOND = timedelta(microseconds=1)
@@ -133,7 +133,7 @@ class _BatchBuilder:
         self._optional: list[tuple[int, tuple]] = []
 
     def add_time(self, ts: datetime) -> int:
-        us = (ts - EPOCH) // _MICROSECOND
+        us = (ts - _EPOCH) // _MICROSECOND
         self._epoch.append(us // 1_000_000)
         self._micro.append(us % 1_000_000)
         self._offset.append(ts.utcoffset() // _MICROSECOND)
@@ -376,7 +376,7 @@ def write_events_ndjson(events: Iterable[GeoEvent], path) -> None:
 
 
 def _utc_offset_s(epoch_s: int, zone: ZoneInfo) -> int:
-    return (EPOCH + timedelta(seconds=epoch_s)).astimezone(zone).utcoffset() // _SECOND
+    return (_EPOCH + timedelta(seconds=epoch_s)).astimezone(zone).utcoffset() // _SECOND
 
 
 def local_seconds(epoch: np.ndarray, zone: ZoneInfo) -> np.ndarray:
