@@ -41,6 +41,10 @@ _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _NAIVE_EPOCH = datetime(1970, 1, 1)
 _SECOND = timedelta(seconds=1)
 _MICROSECOND = timedelta(microseconds=1)
+# UTC instants a batch may hold: a day inside datetime's range at each end, so
+# that the instant stays a datetime under every UTC offset (all under 24 h)
+_FIRST_US = (datetime(1, 1, 2, tzinfo=timezone.utc) - _EPOCH) // _MICROSECOND
+_END_US = (datetime(9999, 12, 31, tzinfo=timezone.utc) - _EPOCH) // _MICROSECOND
 _DAY_S = 86_400
 _QUARTER_S = 900
 # 1970-01-01 was a Thursday
@@ -134,6 +138,8 @@ class _BatchBuilder:
 
     def add_time(self, ts: datetime) -> int:
         us = (ts - _EPOCH) // _MICROSECOND
+        if not _FIRST_US <= us < _END_US:
+            raise ValueError("timestamp out of range")
         self._epoch.append(us // 1_000_000)
         self._micro.append(us % 1_000_000)
         self._offset.append(ts.utcoffset() // _MICROSECOND)
@@ -255,6 +261,8 @@ def _coordinate(value, name: str, limit: float) -> float:
         number = float(value)
     except ValueError:
         raise ValueError(f"{name} not a number") from None
+    except OverflowError:  # an integer beyond float's range
+        raise ValueError(f"{name} out of range") from None
     if not -limit <= number <= limit:  # NaN fails every comparison
         raise ValueError(f"{name} out of range" if math.isfinite(number) else f"{name} not finite")
     return number
@@ -342,7 +350,8 @@ def parse_events(source, fmt: str = "ndjson") -> tuple[EventBatch, RejectionRepo
     """Parse an NDJSON or CSV event source into one batch, skipping bad rows.
 
     Every row is checked field by field: the user id, the timestamp (each
-    distinct string parsed once), lon, lat, then that ``lang``, ``device``
+    distinct string parsed once; its UTC instant must lie in
+    [0001-01-02, 9999-12-31)), lon, lat, then that ``lang``, ``device``
     and ``text`` are strings when present. A row holding bytes that are not
     UTF-8 is rejected as ``invalid utf-8``. Accepted rows keep input order.
     Rejections carry the physical line number. An NDJSON row ends only at

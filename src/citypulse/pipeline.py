@@ -132,12 +132,11 @@ def _write_matrix_csv(path, zone_ids, labels, array, integer=False) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["zone_id", *labels])
-        for i, zone_id in enumerate(zone_ids):
-            row = array[i]
-            if integer:
-                writer.writerow([zone_id, *(int(v) for v in row)])
-            else:
-                writer.writerow([zone_id, *(_fmt(v) for v in row)])
+        # one row at a time: the whole matrix as Python objects would cost
+        # megabytes at thousands of zones
+        for zone_id, row in zip(zone_ids, array):
+            values = row.tolist()
+            writer.writerow([zone_id, *(values if integer else map(_fmt, values))])
 
 
 def _write_profiles_csv(path, profiles: Sequence[activity.TemporalProfile]) -> None:
@@ -173,7 +172,7 @@ def _write_residuals_csv(path, zone_ids, residuals, std_residuals) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["zone_id", "residual", "std_residual"])
-        for zone_id, res, std in zip(zone_ids, residuals, std_residuals):
+        for zone_id, res, std in zip(zone_ids, residuals.tolist(), std_residuals.tolist()):
             writer.writerow([zone_id, _fmt(res), _fmt(std)])
 
 
@@ -248,11 +247,9 @@ def run_pipeline(config: PipelineConfig,
         counts["zones"] = len(zones)
 
         if config.centre_lon is not None:
-            x0 = min(z.bbox()[0] for z in zones)
-            y0 = min(z.bbox()[1] for z in zones)
-            x1 = max(z.bbox()[2] for z in zones)
-            y1 = max(z.bbox()[3] for z in zones)
-            if not (x0 <= config.centre_lon <= x1 and y0 <= config.centre_lat <= y1):
+            x0, y0, x1, y1 = zip(*(z.bbox() for z in zones))
+            if not (min(x0) <= config.centre_lon <= max(x1)
+                    and min(y0) <= config.centre_lat <= max(y1)):
                 warnings.append("configured city centre lies outside the zone coverage")
 
         classes, unclassified = landuse.classify_zones(

@@ -198,7 +198,21 @@ ROW_CASES = {
     "infinite lat": ({"lat": float("inf")}, "lat not finite"),
     "minus infinite lon": ({"lon": float("-inf")}, "lon not finite"),
     "lon out of range": ({"lon": 180.5}, "lon out of range"),
+    # float() of an integer this long raises OverflowError
+    "huge integer lon": ({"lon": 10 ** 400}, "lon out of range"),
+    "huge negative integer lat": ({"lat": -10 ** 400}, "lat out of range"),
     "numeric timestamp": ({"t": 5}, "bad timestamp 5"),
+    # UTC instants are kept in [0001-01-02T00:00Z, 9999-12-31T00:00Z)
+    "first instant": ({"t": "0001-01-02T00:00:00Z"}, ("a1", -3.7, 40.42)),
+    "first instant at an offset": ({"t": "0001-01-01T23:00:00-01:00"}, ("a1", -3.7, 40.42)),
+    "before the first instant": ({"t": "0001-01-01T23:59:59.999999Z"},
+                                 "timestamp out of range"),
+    "year 1 ahead of UTC": ({"t": "0001-01-01T00:30:00+01:00"}, "timestamp out of range"),
+    "year 1 behind UTC": ({"t": "0001-01-01T22:00:00-01:00"}, "timestamp out of range"),
+    "last instant": ({"t": "9999-12-30T23:59:59.999999Z"}, ("a1", -3.7, 40.42)),
+    "last day ahead of UTC": ({"t": "9999-12-31T00:30:00+01:00"}, ("a1", -3.7, 40.42)),
+    "end instant": ({"t": "9999-12-31T00:00:00Z"}, "timestamp out of range"),
+    "year 9999 behind UTC": ({"t": "9999-12-30T23:30:00-01:00"}, "timestamp out of range"),
     "string lang": ({"lang": "es"}, ("a1", -3.7, 40.42)),
     "null lang": ({"lang": None}, ("a1", -3.7, 40.42)),
     "empty device": ({"device": ""}, ("a1", -3.7, 40.42)),
@@ -335,6 +349,12 @@ def test_local_mean_time_offset_off_the_quarter_grid():
     local = local_seconds(seconds, get_timezone("Europe/Madrid"))
     np.testing.assert_array_equal(local - seconds, np.where(seconds < MADRID_LMT_END, -884, 0))
     _check_against_per_event(seconds.tolist(), "Europe/Madrid")
+
+
+@pytest.mark.parametrize("tz", ["Etc/GMT-14", "Etc/GMT+12", "Europe/Madrid", "Asia/Kathmandu"])
+def test_instants_at_both_accepted_ends_bin_in_every_zone(tz):
+    first, end = _utc(1, 1, 2), _utc(9999, 12, 31)
+    _check_against_per_event([first, first + 899, end - 900, end - 1], tz)
 
 
 def test_parsed_timestamps_keep_instant_offset_and_microseconds():

@@ -247,6 +247,23 @@ def test_unicode_line_separators_in_text_stay_inside_one_row(tmp_path):
     assert counts["events_parsed"] == 4
 
 
+def test_out_of_range_instant_is_a_rejected_row(tmp_path):
+    # its UTC instant, 0000-12-31T23:30Z, is before datetime's first day
+    events_path = tmp_path / "events.ndjson"
+    events_path.write_text(
+        '{"u":"a","t":"2013-03-05T10:00:00Z","lon":0.5,"lat":0.5}\n'
+        '{"u":"b","t":"0001-01-01T00:30:00+01:00","lon":0.5,"lat":0.5}\n')
+    zones_path = tmp_path / "zones.geojson"
+    export_geojson([Zone("z", SQUARE, area_ha=1.0)], {}, zones_path)
+    config = PipelineConfig(events_path=events_path, zones_path=zones_path,
+                            output_dir=tmp_path / "out", timezone="Europe/Madrid")
+    counts = run_pipeline(config, {"ingest"}).manifest["counts"]
+    assert (counts["rows_total"], counts["rows_rejected"], counts["events_parsed"],
+            counts["events_workdays"], counts["events_assigned"]) == (2, 1, 1, 1, 1)
+    assert read_csv(tmp_path / "out" / "rejections.csv") == [
+        {"line": "2", "reason": "timestamp out of range"}]
+
+
 # --- command-line interface --------------------------------------------------
 
 def test_cli_missing_zones_exits_2(tmp_path, capsys):

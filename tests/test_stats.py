@@ -1,12 +1,19 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 
+import citypulse
 from citypulse.activity import AssignedEvents
 from citypulse.errors import DataError, SingularityError
-from citypulse.stats import (bivariate_slot_ols, census_correlation, fit_ols,
-                             infer_home, infer_homes, slot_descriptives, stepwise_fit)
+from citypulse.stats import (_intercept_only_fit, bivariate_slot_ols, census_correlation,
+                             fit_ols, infer_home, infer_homes, slot_descriptives,
+                             stepwise_fit)
 
 
 def normal_equations(y, X, intercept=True):
@@ -133,6 +140,75 @@ def test_strong_signal_has_tiny_p_value():
     fit = fit_ols(y, x.reshape(-1, 1))
     assert fit.p_value("x1") < 1e-20
     assert fit.f_p_value < 1e-20
+
+
+def _noise_off_the_line(n):
+    """x = 0..n-1 and seeded noise minus its least-squares line in x."""
+    x = np.arange(n, dtype=float)
+    e = np.random.default_rng(n).normal(size=n)
+    design = np.column_stack([np.ones(n), x])
+    return x, e - design @ np.linalg.lstsq(design, e, rcond=None)[0]
+
+
+def _slope_cases():
+    """(y, x, regime check) for t zero, tiny, large and +-inf at dof 1, 2 and large."""
+    cases = [pytest.param(np.zeros(5), np.arange(5.0),
+                          lambda fit: not fit.t_stats.any(), id="zero y dof 3"),
+             # |t| is infinite where the residuals round to exactly zero, else huge
+             pytest.param(np.array([5.0, 3.0, 1.0, -1.0]), np.arange(4.0),
+                          lambda fit: (np.abs(fit.t_stats) > 1e12).all(),
+                          id="exact line dof 2")]
+    for dof in (1, 2, 4998):
+        x, e = _noise_off_the_line(dof + 2)
+        sigma = math.sqrt(e @ e / dof)
+        sxx = float(np.sum((x - x.mean()) ** 2))
+        # slope t about 1e-4, so F about 1e-8
+        cases.append(pytest.param(
+            e + 1e-4 * sigma / math.sqrt(sxx) * x, x,
+            lambda fit: 0 < abs(fit.t_stats[1]) < 1e-3 and 0 < fit.f_stat < 1e-6,
+            id=f"tiny t dof {dof}"))
+        cases.append(pytest.param(
+            x + 1e-9 * e, x, lambda fit: abs(fit.t_stats[1]) > 1e6 and fit.f_stat > 1e12,
+            id=f"large t dof {dof}"))
+    return cases
+
+
+@pytest.mark.parametrize("y,x,regime", _slope_cases())
+def test_p_values_equal_scipy_stats_tail_probabilities(y, x, regime):
+    fit = fit_ols(y, x)
+    assert regime(fit)
+    dof = fit.n - len(fit.names)
+    expected = 2.0 * sps.t.sf(np.abs(fit.t_stats), dof)
+    assert fit.p_values.tolist() == expected.tolist()
+    assert np.array_equal(fit.f_p_value, sps.f.sf(fit.f_stat, fit.k, dof), equal_nan=True)
+
+
+@pytest.mark.parametrize("y,t", [
+    (np.zeros(2), 0.0), (np.zeros(5), 0.0), (np.full(3, 5.0), math.inf),
+    (np.array([1.0, -1.0 + 1e-12]), "tiny"), (_noise_off_the_line(5000)[1] + 1e-8, "tiny"),
+    (np.array([1.0, 1.0 + 1e-9, 1.0 - 1e-9]), "large"),
+    (1.0 + 1e-9 * _noise_off_the_line(5000)[1], "large"),
+], ids=["zero dof 1", "zero dof 4", "inf dof 2", "tiny dof 1", "tiny dof 4999",
+        "large dof 2", "large dof 4999"])
+def test_intercept_only_p_value_equals_scipy_stats(y, t):
+    fit = _intercept_only_fit(y)
+    (stat,) = fit.t_stats
+    if t == "tiny":
+        assert 0 < abs(stat) < 1e-3
+    elif t == "large":
+        assert abs(stat) > 1e6
+    else:
+        assert stat == t
+    assert fit.p_values[0] == 2.0 * sps.t.sf(abs(stat), len(y) - 1)
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    env = dict(os.environ, PYTHONPATH=str(Path(citypulse.__file__).parents[1]))
+    code = ("import sys, citypulse.cli; "
+            "print([m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_stepwise_drops_noise_keeps_signal():
