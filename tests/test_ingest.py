@@ -1,12 +1,14 @@
 import io
 import json
 from datetime import datetime, timedelta, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from citypulse import ingest
 from citypulse.errors import ConfigError, DataError
 from citypulse.ingest import (EventBatch, GeoEvent, RejectionReport, filter_workdays,
                               get_timezone, local_seconds, parse_events, parse_timestamp,
@@ -174,6 +176,8 @@ def test_quarter_bin_converts_timezone():
     assert quarter_bin(ts, "UTC") == 94
 
 
+# stands for a 5,000-digit integer literal, which json.dumps cannot print
+LONG_INTEGER = "<5000 digits>"
 # (field overrides, accepted (user_id, lon, lat) or rejection reason)
 ROW_CASES = {
     "string id": ({"u": "a1"}, ("a1", -3.7, 40.42)),
@@ -202,6 +206,9 @@ ROW_CASES = {
     "huge integer lon": ({"lon": 10 ** 400}, "lon out of range"),
     "huge negative integer lat": ({"lat": -10 ** 400}, "lat out of range"),
     "numeric timestamp": ({"t": 5}, "bad timestamp 5"),
+    # json.loads refuses integer literals beyond sys.get_int_max_str_digits()
+    "5000-digit lon": ({"lon": LONG_INTEGER}, "invalid json: integer too long"),
+    "5000-digit id": ({"u": LONG_INTEGER}, "invalid json: integer too long"),
     # UTC instants are kept in [0001-01-02T00:00Z, 9999-12-31T00:00Z)
     "first instant": ({"t": "0001-01-02T00:00:00Z"}, ("a1", -3.7, 40.42)),
     "first instant at an offset": ({"t": "0001-01-01T23:00:00-01:00"}, ("a1", -3.7, 40.42)),
@@ -228,7 +235,8 @@ ROW_CASES = {
 def test_ndjson_row_field_rules(overrides, expected):
     obj = {"u": "a1", "t": "2013-03-05T10:07:00+01:00", "lon": -3.7, "lat": 40.42}
     obj.update(overrides)
-    events, report = parse_events(io.StringIO(json.dumps(obj)), "ndjson")
+    line = json.dumps(obj).replace(json.dumps(LONG_INTEGER), "9" * 5000)
+    events, report = parse_events(io.StringIO(line), "ndjson")
     if isinstance(expected, str):
         assert len(events) == 0
         assert report.entries == [(1, expected)]
@@ -370,3 +378,178 @@ def test_parsed_timestamps_keep_instant_offset_and_microseconds():
     assert batch.offset_us.tolist() == [r[3] * 1_000_000 for r in rows]
     assert [e.timestamp.isoformat() for e in batch.events()] == [
         parse_timestamp(t).isoformat() for t, *_ in rows]
+
+
+# --- block-decoded NDJSON against the per-line reference ----------------------
+
+def _parse_per_line(source):
+    """The NDJSON reader one line at a time: json.loads and the per-row checks."""
+    builder, report = ingest._BatchBuilder(), RejectionReport()
+    with ingest._open_text(source) as fh:
+        for n, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            report.total_rows += 1
+            try:
+                builder.append(*ingest._check_object(builder, ingest._load_row(line)))
+            except ValueError as exc:
+                report.add(n, str(exc))
+    return builder.finish(), report
+
+
+def _columns(batch):
+    return (batch.user_ids, batch.users.tolist(), batch.epoch.tolist(), batch.micro.tolist(),
+            batch.offset_us.tolist(), batch.lon.tobytes(), batch.lat.tobytes(),
+            {name: col.tolist() for name, col in batch.optional.items()})
+
+
+ROW_TIMES = ["2013-03-05T10:07:00+01:00", "2013-03-05T10:07:00Z", "2013-03-05T10:07:00-00:00",
+             "2012-02-29T23:59:59+05:45", "2013-03-05t10:07:00z", "2013-03-05 10:07:00+01:00",
+             "2013-03-05T10:07:00.250+01:00", "2013-03-05T10:07:00", "2013-02-29T10:07:00Z",
+             "2013-03-05T10:07:00+01:60", "0001-01-01T00:30:00+01:00", " 2013-03-05T10:07:00Z"]
+row_objects = st.fixed_dictionaries(
+    {"u": st.sampled_from(["a", "b", "ü", "", None]) | st.integers(-2, 2),
+     "t": st.sampled_from(ROW_TIMES) | st.integers(0, 2),
+     "lon": st.floats(-200, 200) | st.integers(-200, 200)
+            | st.sampled_from([float("nan"), True, None, "1.5"]),
+     "lat": st.floats(-90, 90) | st.sampled_from([90.5, float("inf"), "40.5"])},
+    optional={"text": st.text(max_size=6) | st.sampled_from(["a{b", "}", "x\u2028y\x85", 3]),
+              "lang": st.sampled_from(["es", "", None, False]),
+              "extra": st.sampled_from([{"k": {"z": [1]}}, [1, [2, {}]], "}{"])})
+
+
+def _dumps(obj, ascii_only):
+    return json.dumps(obj, ensure_ascii=ascii_only).encode("utf-8")
+
+
+@st.composite
+def ndjson_lines(draw):
+    """One or more physical lines (bytes, no terminator): a clean row or an adversarial one."""
+    obj = draw(row_objects)
+    line = _dumps(obj, draw(st.booleans()))
+    kind = draw(st.sampled_from(["row"] * 6 + ["split", "split at a comma", "merge", "trailing",
+                                                "blank", "raw", "undecodable", "long integer"]))
+    if kind == "split":  # one object over two lines
+        cut = draw(st.integers(1, len(line) - 1))
+        return [line[:cut], line[cut:]]
+    if kind == "split at a comma":  # the block's inserted comma would join the halves again
+        cut = draw(st.sampled_from([i for i in range(len(line)) if line.startswith(b", ", i)]))
+        return [line[:cut], line[cut + 2:]]
+    if kind == "merge":  # two objects on one line
+        return [line + draw(st.sampled_from([b"", b" ", b","])) + _dumps(draw(row_objects), True)]
+    if kind == "trailing":
+        return [line + draw(st.sampled_from([b" ", b"\r", b"\t ", b"\x0b", b"\xe2\x80\xa8"]))]
+    if kind == "blank":
+        return [draw(st.sampled_from([b"", b"  ", b"\t", b"\x0b", b"\x1c", b"\xe2\x80\xa8"]))]
+    if kind == "raw":
+        return [draw(st.sampled_from([b"[1]", b"null", b"{", b"}", b"{}", b"NaN",
+                                      b'{"u":"a","t":"2013-03-05T10:07:00Z","lon":NaN,"lat":1}',
+                                      b"\x0b" + line, b"\x1c" + line, b"[" + line + b"]"]))]
+    if kind == "undecodable":
+        return [line[:-1] + b', "text": "\xff"}']
+    if kind == "long integer":
+        return [line[:-1] + b', "lon": ' + b"9" * 5000 + b"}"]
+    return [line]
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(ndjson_lines(), max_size=12),
+       terminator=st.sampled_from([b"\n", b"\r\n"]), final=st.booleans(), bom=st.booleans(),
+       block_chars=st.sampled_from([1, 40, 300, ingest._BLOCK_CHARS]), from_file=st.booleans())
+def test_block_decoding_matches_per_line_parse(lines, terminator, final, bom, block_chars,
+                                               from_file, tmp_path_factory):
+    data = terminator.join(line for group in lines for line in group)
+    data = (b"\xef\xbb\xbf" if bom else b"") + data + (terminator if final else b"")
+    source = data
+    if from_file:  # a file splits lines at a lone "\r" too
+        source = tmp_path_factory.mktemp("blocks") / "events.ndjson"
+        source.write_bytes(data)
+    with mock.patch.object(ingest, "_BLOCK_CHARS", block_chars):
+        batch, report = parse_events(source, "ndjson")
+    expected, expected_report = _parse_per_line(source)
+    assert _columns(batch) == _columns(expected)
+    assert report.entries == expected_report.entries
+    assert report.total_rows == expected_report.total_rows
+
+
+# Lines whose block decodes as one JSON array although no line is an object;
+# each case below fails exactly one of the block decoder's conditions
+SPLIT_AFTER_NESTED = [b'{"x": {"k": 1}',
+                      b'"u": "a", "t": "2013-03-05T10:07:00Z", "lon": 1, "lat": 2}']
+SPLIT_AT_A_COMMA = [b'{"u": "a", "t": "2013-03-05T10:07:00Z"', b'"lon": 1, "lat": 2}']
+TWO_OBJECTS = [b'{"u": "b", "t": "2013-03-05T10:08:00Z", "lon": 1, "lat": 2}, '
+               b'{"u": "c", "t": "2013-03-05T10:09:00Z", "lon": 1, "lat": 2}']
+
+
+@pytest.mark.parametrize("lines", [
+    SPLIT_AFTER_NESTED,  # as many "{" as lines and a "}" at each end, but one object
+    SPLIT_AFTER_NESTED + TWO_OBJECTS,  # one object per line on average, but a "{" too many
+    SPLIT_AT_A_COMMA + TWO_OBJECTS,  # as many "{" as lines and objects, but a line ends in '"'
+], ids=["one object", "nested", "line end"])
+def test_block_decoder_conditions_each_needed(lines):
+    data = b"\n".join(lines) + b"\n"
+    json.loads(b"[" + b",".join(lines) + b"]")  # the block alone would decode
+    batch, report = parse_events(data, "ndjson")
+    expected, expected_report = _parse_per_line(data)
+    assert len(batch) == 0 and report.rejected == len(lines)
+    assert _columns(batch) == _columns(expected)
+    assert report.entries == expected_report.entries
+    assert report.total_rows == len(lines)
+
+
+# (timestamp, whether the bulk reader takes it; every other string goes to
+# parse_timestamp)
+_LAST_DAYS = [(2013, m, d) for m, d in enumerate(
+    [31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31], start=1)] + [(2012, 2, 29)]
+TIMESTAMP_CASES = (
+    [("1900-02-29T12:00:00Z", False), ("2000-02-29T12:00:00Z", True),
+     ("2012-02-29T12:00:00+01:00", True), ("2013-02-29T12:00:00Z", False)]
+    + [(f"{y}-{m:02d}-{d:02d}T12:00:00Z", True) for y, m, d in _LAST_DAYS]
+    + [(f"{y}-{m:02d}-{d + 1:02d}T12:00:00Z", False) for y, m, d in _LAST_DAYS]
+    + [("2013-03-05T23:59:59+01:00", True), ("2013-03-05T24:00:00+01:00", False),
+       ("2013-03-05T23:59:60Z", False), ("2013-03-05T23:60:00Z", False),
+       ("2013-03-05T10:00:00+23:59", True), ("2013-03-05T10:00:00-23:59", True),
+       ("2013-03-05T10:00:00+24:00", False), ("2013-03-05T10:00:00-00:00", True),
+       ("2013-03-05T10:00:00+01:60", False), ("2013-03-05T10:00:00+0100", False),
+       ("2013-03-05T10:00:00Z", True), ("2013-03-05T10:00:00z", False),
+       ("2013-03-05t10:00:00Z", False), ("2013-03-05 10:00:00Z", False),
+       ("2013-03-05X10:00:00+01:00", False), ("２０１３-03-05T10:00:00Z", False),
+       ("2013-03-05T1١:00:00Z", False), ("2013-03-05T10:00:00", False),
+       ("2013-03-05T10:00:00Z ", False), ("2013-03-05T10:00:00+01:00\x00", False),
+       ("2013-00-05T10:00:00Z", False), ("2013-13-05T10:00:00Z", False),
+       ("2013-03-00T10:00:00Z", False), ("+013-03-05T10:00:00Z", False),
+       ("0001-01-01T00:00:00Z", False), ("0001-01-02T00:00:00Z", False),
+       ("0002-01-01T00:00:00+23:59", True), ("0002-01-01T00:00:00-23:59", True),
+       ("9998-12-31T23:59:59-23:59", True), ("9998-12-31T23:59:59+23:59", True),
+       ("9999-01-01T00:00:00Z", False), ("9999-12-30T23:59:59Z", False),
+       ("1969-12-31T23:59:59Z", True), ("1970-01-01T00:00:00+00:01", True),
+       ("1582-10-10T00:00:00Z", True), ("2013-03-05T10:00:00.5Z", False),
+       ("2013-03-05T10:00:00.123456+01:00", False), ("2013-03-05T10:00:00.1234567Z", False)])
+
+
+def _time_tables(builder):
+    return list(builder._epoch), list(builder._micro), list(builder._offset)
+
+
+@pytest.mark.parametrize("raw,bulk", TIMESTAMP_CASES, ids=[raw for raw, _ in TIMESTAMP_CASES])
+def test_bulk_timestamps_match_parse_timestamp(raw, bulk):
+    assert ingest._fixed_instants([raw])[0].tolist() == [bulk]
+    reference = ingest._BatchBuilder()
+    try:
+        expected = reference.time_of(raw)
+    except ValueError as exc:
+        expected = str(exc)
+    builder = ingest._BatchBuilder()
+    rejected = builder.add_times([raw, raw])
+    assert rejected.get(raw, builder._time_code.get(raw)) == expected
+    assert _time_tables(builder) == _time_tables(reference)
+
+
+def test_bulk_timestamps_in_one_call():
+    raws = [raw for raw, _ in TIMESTAMP_CASES]
+    fits, epoch, offset = ingest._fixed_instants(raws)
+    assert fits.tolist() == [bulk for _, bulk in TIMESTAMP_CASES]
+    for raw, ok, e, o in zip(raws, fits.tolist(), epoch.tolist(), offset.tolist()):
+        if ok:
+            ts = parse_timestamp(raw)
+            assert (e, o) == (ts.timestamp(), ts.utcoffset().total_seconds())
