@@ -411,6 +411,8 @@ def _load_row(line: str) -> dict:
         raise ValueError(f"invalid json: {exc.msg}") from exc
     except ValueError as exc:  # int() refuses a literal beyond sys.get_int_max_str_digits()
         raise ValueError("invalid json: integer too long") from exc
+    except RecursionError as exc:  # arrays or objects nested past the recursion limit
+        raise ValueError("invalid json: nesting too deep") from exc
     if not isinstance(obj, dict):
         raise ValueError("row is not an object")
     return obj
@@ -447,7 +449,7 @@ def _decode_block(numbers: Sequence[int], lines: list[str], rejected: list[tuple
             and all(map(str.endswith, map(str.rstrip, lines), repeat("}")))):
         try:
             objs = json.loads("[" + text + "]")
-        except ValueError:  # JSONDecodeError, or an integer too long
+        except (ValueError, RecursionError):  # JSONDecodeError, an integer too long, deep nesting
             objs = None
         if objs is not None and len(objs) == len(lines) and set(map(type, objs)) == {dict}:
             return numbers, objs

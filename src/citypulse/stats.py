@@ -3,21 +3,33 @@
 The solver uses a QR decomposition of the design matrix for conditioning; the
 test suite checks it against an independent normal-equations oracle. P-values
 come from the t-distribution with n - k - 1 degrees of freedom and AIC is
-n*ln(RSS/n) + 2*(k+1). Tail probabilities are the ``scipy.special`` functions
-that ``scipy.stats`` itself evaluates (``stdtr``, ``fdtrc``); importing
-``scipy.stats`` would more than double the package's import time.
+n*ln(RSS/n) + 2*(k+1).
+
+Both tail probabilities are one regularized incomplete beta function
+``I_x(a, b)``: the two-sided t tail is ``I_{v/(v+t^2)}(v/2, 1/2)`` and the F
+upper tail is ``I_{v2/(v2+v1 F)}(v2/2, v1/2)``. ``I_x`` is evaluated by its
+continued fraction with the modified Lentz method and the symmetry switch
+``I_x(a, b) = 1 - I_{1-x}(b, a)`` of Numerical Recipes (Press et al., 3rd ed.,
+section 6.4). ``x`` and ``1 - x`` are formed separately from the statistic and
+no digits are lost to a subtraction from 1: the prefactor
+``x^a (1-x)^b / B(a, b)`` takes ``log1p`` forms of both logs, and the fraction,
+contracted to its odd part, forms each nearly cancelling ``1 + d`` from the
+smaller of ``x`` and ``1 - x``. For arguments above 10, ``ln B`` sums
+Stirling-series differences as ``betaln`` and ``algdiv`` of DiDonato & Morris,
+ACM TOMS 708 (1992) do, so two large ``lgamma`` values never cancel. A tail
+below the smallest normal double is 0, as in Cephes ``incbet``. The tests hold
+both tails to a relative error of 1e-12 against 50-digit mpmath.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Collection, Iterable, Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import fdtrc, stdtr
 
 from .activity import AssignedEvents
 from .errors import DataError, SingularityError
@@ -26,6 +38,119 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_ALPHA = 0.01
 DEFAULT_NIGHT_BINS = range(88, 96)  # 22:00-24:00
+
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+_FPMIN = _TINY / _EPS
+_MAX_TERMS = 10_000
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+# ln Gamma(z) - ((z - 1/2) ln z - z + ln(2 pi)/2) = sum of B_2k / (2k (2k - 1) z^(2k-1));
+# for z >= 10 the first omitted term is below 2e-18
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156,
+             -3617 / 122400)
+
+
+def _stirling_rest(z: float) -> float:
+    """ln Gamma(z) minus its Stirling approximation, for z >= 10."""
+    w = 1.0 / (z * z)
+    total = 0.0
+    for c in reversed(_STIRLING):
+        total = total * w + c
+    return total / z
+
+
+def _log_beta(a: float, b: float) -> float:
+    """ln B(a, b); with an argument above 10 as Stirling-series differences (TOMS 708)."""
+    a, b = min(a, b), max(a, b)
+    if b < 10.0:
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    h = a / b
+    rest = _stirling_rest(b) - _stirling_rest(a + b)
+    if a < 10.0:  # ln Gamma(b) - ln Gamma(a + b) as in algdiv
+        return math.lgamma(a) + rest - (a + b - 0.5) * math.log1p(h) - a * (math.log(b) - 1.0)
+    return (_HALF_LOG_2PI - 0.5 * math.log(b) + rest + _stirling_rest(a)
+            + (a - 0.5) * math.log(h / (1.0 + h)) - b * math.log1p(h))
+
+
+def _off_zero(v: np.ndarray) -> np.ndarray:
+    return np.where(np.abs(v) < _FPMIN, _FPMIN, v)
+
+
+def _beta_fraction(a: np.ndarray, b: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Continued fraction of I_x(a, b) for y = 1 - x (Numerical Recipes 6.4).
+
+    The fraction 1/(1 + d1/(1 + d2/(1 + ...))) is contracted to its odd part,
+    1/((1 + d1) - d1 d2/((1 + d2 + d3) - d3 d4/((1 + d4 + d5) - ...))), and
+    evaluated by the modified Lentz method. For x near 1 the odd terms
+    approach -1, and ``1 + d`` from a rounded ``d`` would lose the digits the
+    tail needs. So each ``1 + d_(2m+1) = (p - q x) / p`` is formed from the
+    smaller of x and y, the one that carries the digits: as ``(p - q) + q y``
+    (the ``lambda`` of TOMS 708 ``bfrac``) or as ``p - q x``. Each element
+    stops at its own convergence; one still open after ``_MAX_TERMS`` terms
+    is NaN. Elements with x outside [0, 1] are not iterated.
+    """
+    apb = a + b
+    near_one = x > 0.5
+
+    def odd(m: int) -> tuple[np.ndarray, np.ndarray]:
+        """d_(2m+1) and 1 + d_(2m+1)."""
+        p = (a + 2 * m) * (a + 2 * m + 1)
+        q = (a + m) * (apb + m)
+        return -q * x / p, np.where(near_one, (p - q) + q * y, p - q * x) / p
+
+    d_prev, one_plus = odd(0)
+    h = _off_zero(one_plus)
+    c, d = h, np.zeros_like(x)
+    active = (x >= 0.0) & (x <= 1.0)
+    for m in range(1, _MAX_TERMS + 1):
+        d_even = m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m))
+        d_odd, one_plus = odd(m)
+        num, den = -d_prev * d_even, one_plus + d_even
+        d = 1.0 / _off_zero(den + num * d)
+        c = _off_zero(den + num / c)
+        delta = c * d
+        h = np.where(active, h * delta, h)
+        active &= np.abs(delta - 1.0) > _EPS
+        if not active.any():
+            return 1.0 / h
+        d_prev = d_odd
+    return np.where(active, np.nan, 1.0 / h)
+
+
+def _betainc(a: float, b: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Regularized incomplete beta I_x(a, b), with y = 1 - x computed by the caller.
+
+    NaN where x or y lies outside [0, 1]; 0 where the result is below the
+    smallest normal double.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_x = np.where(x > 0.5, np.log1p(-y), np.log(x))
+        log_y = np.where(y > 0.5, np.log1p(-x), np.log(y))
+        front = np.exp(a * log_x + b * log_y - _log_beta(a, b))
+    swap = x >= (a + 1.0) / (a + b + 2.0)
+    first = np.where(swap, b, a)
+    part = front * _beta_fraction(first, np.where(swap, a, b), np.where(swap, y, x),
+                                  np.where(swap, x, y)) / first
+    p = np.where(swap, 1.0 - part, part)
+    return np.where(p < _TINY, 0.0, p)
+
+
+def _beta_tail(a: float, b: float, dof: int, v: np.ndarray) -> np.ndarray:
+    """I_x(a, b) at x = dof / (dof + v), with 1 - x = v / (dof + v) formed from v."""
+    s = dof + v
+    with np.errstate(invalid="ignore"):
+        y = np.where(np.isinf(v), 1.0, v / s)
+    return _betainc(a, b, dof / s, y)
+
+
+def _t_two_sided(t, dof: int) -> np.ndarray:
+    """P(|T| >= |t|) for Student's t with ``dof`` degrees of freedom."""
+    return _beta_tail(0.5 * dof, 0.5, dof, np.square(np.asarray(t, dtype=float)))
+
+
+def _f_upper(f, k: int, dof: int) -> np.ndarray:
+    """P(F >= f) for the F distribution with (k, dof) degrees of freedom."""
+    return _beta_tail(0.5 * dof, 0.5 * k, dof, k * np.asarray(f, dtype=float))
 
 
 @dataclass
@@ -133,7 +258,7 @@ def fit_ols(y, X, names: Sequence[str] | None = None, intercept: bool = True) ->
         raise SingularityError(bad or list(all_names))
 
     q, r = np.linalg.qr(design)
-    coef = solve_triangular(r, q.T @ y)
+    coef = np.linalg.solve(r, q.T @ y)
     fitted = design @ coef
     residuals = y - fitted
     rss = float(residuals @ residuals)
@@ -146,20 +271,20 @@ def fit_ols(y, X, names: Sequence[str] | None = None, intercept: bool = True) ->
     adj_r2 = r2 if dof == 0 else 1.0 - (1.0 - r2) * (n - 1) / dof
 
     sigma2 = rss / dof
-    r_inv = solve_triangular(r, np.eye(p))
+    r_inv = np.linalg.solve(r, np.eye(p))
     cov = sigma2 * (r_inv @ r_inv.T)
     std_errors = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     with np.errstate(divide="ignore", invalid="ignore"):
         t_stats = np.where(std_errors > 0, coef / np.where(std_errors > 0, std_errors, 1.0),
                            np.where(coef == 0, 0.0, np.inf * np.sign(coef)))
-    p_values = 2.0 * stdtr(dof, -np.abs(t_stats))
+    p_values = _t_two_sided(t_stats, dof)
 
     if k >= 1 and tss > 0.0:
         if rss == 0.0:
             f_stat, f_p = float("inf"), 0.0
         else:
             f_stat = ((tss - rss) / k) / (rss / dof)
-            f_p = float(fdtrc(k, dof, f_stat))
+            f_p = float(_f_upper(f_stat, k, dof))
     else:
         f_stat, f_p = float("nan"), float("nan")
 
@@ -188,7 +313,7 @@ def _intercept_only_fit(y: np.ndarray) -> OlsFit:
     dof = n - 1
     se = np.sqrt(rss / dof / n) if dof else 0.0
     t = mean / se if se > 0 else (0.0 if mean == 0 else float("inf"))
-    p = float(2.0 * stdtr(dof, -abs(t))) if dof else float("nan")
+    p = float(_t_two_sided(t, dof)) if dof else float("nan")
     aic = float("-inf") if rss == 0.0 else n * np.log(rss / n) + 2.0
     return OlsFit(("intercept",), np.array([mean]), np.array([se]), np.array([t]),
                   np.array([p]), 0.0, 0.0, float("nan"), float("nan"), aic,

@@ -178,7 +178,9 @@ def test_quarter_bin_converts_timezone():
 
 # stands for a 5,000-digit integer literal, which json.dumps cannot print
 LONG_INTEGER = "<5000 digits>"
-# (field overrides, accepted (user_id, lon, lat) or rejection reason)
+DEEP_ARRAY = "<array nested 100,000 deep>"
+DEEP_NESTING = "[" * 100_000 + "]" * 100_000
+# (field overrides or the whole line, accepted (user_id, lon, lat) or rejection reason)
 ROW_CASES = {
     "string id": ({"u": "a1"}, ("a1", -3.7, 40.42)),
     "integer id": ({"u": 42}, ("42", -3.7, 40.42)),
@@ -209,6 +211,9 @@ ROW_CASES = {
     # json.loads refuses integer literals beyond sys.get_int_max_str_digits()
     "5000-digit lon": ({"lon": LONG_INTEGER}, "invalid json: integer too long"),
     "5000-digit id": ({"u": LONG_INTEGER}, "invalid json: integer too long"),
+    # json.loads raises RecursionError past the interpreter's recursion limit
+    "unclosed deep array": ("[" * 100_000, "invalid json: nesting too deep"),
+    "deep array in an extra field": ({"x": DEEP_ARRAY}, "invalid json: nesting too deep"),
     # UTC instants are kept in [0001-01-02T00:00Z, 9999-12-31T00:00Z)
     "first instant": ({"t": "0001-01-02T00:00:00Z"}, ("a1", -3.7, 40.42)),
     "first instant at an offset": ({"t": "0001-01-01T23:00:00-01:00"}, ("a1", -3.7, 40.42)),
@@ -233,9 +238,13 @@ ROW_CASES = {
 
 @pytest.mark.parametrize("overrides,expected", ROW_CASES.values(), ids=ROW_CASES.keys())
 def test_ndjson_row_field_rules(overrides, expected):
-    obj = {"u": "a1", "t": "2013-03-05T10:07:00+01:00", "lon": -3.7, "lat": 40.42}
-    obj.update(overrides)
-    line = json.dumps(obj).replace(json.dumps(LONG_INTEGER), "9" * 5000)
+    if isinstance(overrides, str):
+        line = overrides
+    else:
+        obj = {"u": "a1", "t": "2013-03-05T10:07:00+01:00", "lon": -3.7, "lat": 40.42}
+        obj.update(overrides)
+        line = (json.dumps(obj).replace(json.dumps(LONG_INTEGER), "9" * 5000)
+                .replace(json.dumps(DEEP_ARRAY), DEEP_NESTING))
     events, report = parse_events(io.StringIO(line), "ndjson")
     if isinstance(expected, str):
         assert len(events) == 0
@@ -495,6 +504,18 @@ def test_block_decoder_conditions_each_needed(lines):
     assert _columns(batch) == _columns(expected)
     assert report.entries == expected_report.entries
     assert report.total_rows == len(lines)
+
+
+def test_deeply_nested_row_in_a_provable_block_rejects_only_itself():
+    # one "{" per line and a "}" at each end, so the block decode is tried and raises
+    clean = b'{"u": "a", "t": "2013-03-05T10:07:00Z", "lon": 1, "lat": 2}'
+    deep = clean.replace(b'"u": "a"', b'"u": "b", "x": ' + DEEP_NESTING.encode())
+    data = b"\n".join([clean, deep, clean]) + b"\n"
+    batch, report = parse_events(data, "ndjson")
+    expected, expected_report = _parse_per_line(data)
+    assert report.entries == [(2, "invalid json: nesting too deep")]
+    assert report.entries == expected_report.entries
+    assert len(batch) == 2 and _columns(batch) == _columns(expected)
 
 
 # (timestamp, whether the bulk reader takes it; every other string goes to

@@ -1,9 +1,11 @@
+import json
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -11,9 +13,9 @@ from scipy import stats as sps
 import citypulse
 from citypulse.activity import AssignedEvents
 from citypulse.errors import DataError, SingularityError
-from citypulse.stats import (_intercept_only_fit, bivariate_slot_ols, census_correlation,
-                             fit_ols, infer_home, infer_homes, slot_descriptives,
-                             stepwise_fit)
+from citypulse.stats import (DEFAULT_ALPHA, _f_upper, _intercept_only_fit, _t_two_sided,
+                             bivariate_slot_ols, census_correlation, fit_ols, infer_home,
+                             infer_homes, slot_descriptives, stepwise_fit)
 
 
 def normal_equations(y, X, intercept=True):
@@ -173,14 +175,49 @@ def _slope_cases():
     return cases
 
 
+def _exact_t_two_sided(t, dof):
+    """P(|T| >= |t|) at 50 digits for the double t: I_{dof/(dof+t^2)}(dof/2, 1/2)."""
+    with mpmath.workdps(50):
+        t2 = mpmath.mpf(float(t)) ** 2
+        return mpmath.betainc(mpmath.mpf(dof) / 2, mpmath.mpf(1) / 2, 0, dof / (dof + t2),
+                              regularized=True)
+
+
+def _exact_f_upper(f, k, dof):
+    """P(F >= f) at 50 digits for the double f: I_{dof/(dof+k f)}(dof/2, k/2)."""
+    with mpmath.workdps(50):
+        kf = k * mpmath.mpf(float(f))
+        return mpmath.betainc(mpmath.mpf(dof) / 2, mpmath.mpf(k) / 2, 0, dof / (dof + kf),
+                              regularized=True)
+
+
+def _assert_close_to_exact(got, exact):
+    """Relative error at most 1e-12 in the normal range, and exactly 0 below it."""
+    if exact < np.finfo(float).tiny:
+        assert got == 0.0, (got, exact)
+    else:
+        assert abs(mpmath.mpf(float(got)) - exact) <= 1e-12 * exact, (got, exact)
+
+
+def _same_side_of_alpha(got, reference):
+    got, reference = np.asarray(got), np.asarray(reference)
+    return np.array_equal(got < DEFAULT_ALPHA, reference < DEFAULT_ALPHA)
+
+
 @pytest.mark.parametrize("y,x,regime", _slope_cases())
 def test_p_values_equal_scipy_stats_tail_probabilities(y, x, regime):
+    """Within 1e-12 of the exact tails (0 below the normal range), on scipy.stats' side of alpha."""
     fit = fit_ols(y, x)
     assert regime(fit)
     dof = fit.n - len(fit.names)
-    expected = 2.0 * sps.t.sf(np.abs(fit.t_stats), dof)
-    assert fit.p_values.tolist() == expected.tolist()
-    assert np.array_equal(fit.f_p_value, sps.f.sf(fit.f_stat, fit.k, dof), equal_nan=True)
+    for t, p in zip(fit.t_stats, fit.p_values):
+        _assert_close_to_exact(p, _exact_t_two_sided(t, dof))
+    if math.isnan(fit.f_stat):
+        assert math.isnan(fit.f_p_value)
+    else:
+        _assert_close_to_exact(fit.f_p_value, _exact_f_upper(fit.f_stat, fit.k, dof))
+    assert _same_side_of_alpha(fit.p_values, 2.0 * sps.t.sf(np.abs(fit.t_stats), dof))
+    assert _same_side_of_alpha(fit.f_p_value, sps.f.sf(fit.f_stat, fit.k, dof))
 
 
 @pytest.mark.parametrize("y,t", [
@@ -191,6 +228,7 @@ def test_p_values_equal_scipy_stats_tail_probabilities(y, x, regime):
 ], ids=["zero dof 1", "zero dof 4", "inf dof 2", "tiny dof 1", "tiny dof 4999",
         "large dof 2", "large dof 4999"])
 def test_intercept_only_p_value_equals_scipy_stats(y, t):
+    """Within 1e-12 of the exact tail (0 below the normal range), on scipy.stats' side of alpha."""
     fit = _intercept_only_fit(y)
     (stat,) = fit.t_stats
     if t == "tiny":
@@ -199,16 +237,78 @@ def test_intercept_only_p_value_equals_scipy_stats(y, t):
         assert abs(stat) > 1e6
     else:
         assert stat == t
-    assert fit.p_values[0] == 2.0 * sps.t.sf(abs(stat), len(y) - 1)
+    _assert_close_to_exact(fit.p_values[0], _exact_t_two_sided(stat, len(y) - 1))
+    assert _same_side_of_alpha(fit.p_values[0], 2.0 * sps.t.sf(abs(stat), len(y) - 1))
+
+
+# t from 1e-9 to 300, 7.3e-9 (where scipy returns 1.0 at dof 1), and 40.9, 55.7 and
+# 56.9, whose tails are subnormal at dof 4998 and 1000
+SWEEP_T = np.concatenate([[0.0, 7.3e-9, 40.9, 55.7, 56.9, np.inf], np.geomspace(1e-9, 300.0, 23),
+                          np.linspace(1.2, 2.6, 15)])
+SWEEP_F = np.concatenate([np.geomspace(1e-9, 1e4, 14), np.linspace(0.5, 3.0, 6)])
+# relative steps to either side of the symmetry switch x = (a + 1) / (a + b + 2), where
+# the continued fraction's leading terms nearly cancel
+NEAR_SWITCH = np.array([1 - 1e-3, 1 - 1e-5, 1 - 1e-7, 1 + 1e-7, 1 + 1e-5])
+
+
+@pytest.mark.parametrize("dof", [1, 2, 3, 4, 5, 10, 30, 100, 1000, 4998, 14100, 16786,
+                                 19621, 20000])
+def test_t_tail_matches_exact_over_a_sweep(dof):
+    ts = np.concatenate([SWEEP_T, math.sqrt(3 * dof / (dof + 2)) * NEAR_SWITCH])
+    p = _t_two_sided(ts, dof)
+    for t, got in zip(ts, p):
+        _assert_close_to_exact(got, _exact_t_two_sided(t, dof))
+    assert _same_side_of_alpha(p, 2.0 * sps.t.sf(ts, dof))
+
+
+@pytest.mark.parametrize("dof", [40_000, 100_000])
+def test_t_tail_next_to_the_switch_at_large_dof(dof):
+    # here each 1 + d of the fraction formed from x, not from the small y, misses the bound
+    ts = math.sqrt(3 * dof / (dof + 2)) * NEAR_SWITCH
+    for t, got in zip(ts, _t_two_sided(ts, dof)):
+        _assert_close_to_exact(got, _exact_t_two_sided(t, dof))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 11, 15, 24])
+def test_f_tail_matches_exact_over_a_sweep(k):
+    for dof in (1, 2, 5, 30, 4890, 20000):
+        fs = np.concatenate([SWEEP_F, dof * (k + 2) / (k * (dof + 2)) * NEAR_SWITCH])
+        p = _f_upper(fs, k, dof)
+        for f, got in zip(fs, p):
+            _assert_close_to_exact(got, _exact_f_upper(f, k, dof))
+        assert _same_side_of_alpha(p, sps.f.sf(fs, k, dof))
+
+
+def test_tails_outside_their_domain_are_nan():
+    # an F a rounding below 0 (R^2 = 0 with rss a hair above tss), as scipy.special.fdtrc
+    assert np.isnan(_f_upper(-1e-16, 3, 10))
+    assert np.isnan(_t_two_sided(np.array([np.nan]), 10)).all()
 
 
 def test_cli_import_leaves_scipy_stats_out():
+    """No scipy module at all: numpy is the only runtime dependency."""
     env = dict(os.environ, PYTHONPATH=str(Path(citypulse.__file__).parents[1]))
     code = ("import sys, citypulse.cli; "
-            "print([m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']])")
+            "print([m for m in sys.modules if m.split('.')[0].startswith('scipy')])")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_run_without_scipy_matches_normal_run(small_city, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(citypulse.__file__).parents[1]))
+    out = tmp_path / "out"
+    code = ('import sys; sys.modules["scipy"] = None; '
+            "from citypulse.cli import main; sys.exit(main(sys.argv[1:]))")
+    config = small_city.config
+    subprocess.run([sys.executable, "-c", code, "run", "--events", str(config.events_path),
+                    "--zones", str(config.zones_path), "--out", str(out),
+                    "--timezone", config.timezone, "--centre-lon", str(config.centre_lon),
+                    "--centre-lat", str(config.centre_lat)],
+                   env=env, capture_output=True, text=True, check=True)
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    expected = json.loads((small_city.out / "manifest.json").read_text())["outputs"]
+    assert outputs == expected
 
 
 def test_stepwise_drops_noise_keeps_signal():
