@@ -216,6 +216,8 @@ def run_pipeline(config: PipelineConfig,
         raise DataError(f"zones file not found: {config.zones_path}")
     if config.census_path is not None and not Path(config.census_path).exists():
         raise DataError(f"census file not found: {config.census_path}")
+    if "regress" in steps and config.centre_lon is None:
+        raise ConfigError("regression requires centre_lon and centre_lat")
 
     inputs = {"events": str(config.events_path), "zones": str(config.zones_path)}
     if config.census_path is not None:
@@ -333,6 +335,11 @@ def run_pipeline(config: PipelineConfig,
             for j, name in enumerate(slot_names):
                 geo_columns[f"normalized_{name}"] = {
                     z: float(normalized_slots.values[i, j]) for i, z in enumerate(zone_ids)}
+            # r² of slot j on slot i is their squared correlation; a constant
+            # predictor slot has no fit (blank), a constant response r² 0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                r2 = np.corrcoef(normalized_slots.values, rowvar=False) ** 2
+            flat = np.ptp(normalized_slots.values, axis=0) == 0.0
             with open(stage / "bivariate_r2.csv", "w", newline="", encoding="utf-8") as fh:
                 writer = csv.writer(fh, lineterminator="\n")
                 writer.writerow(["slot", *slot_names])
@@ -341,13 +348,12 @@ def run_pipeline(config: PipelineConfig,
                     for i in range(len(slot_names)):
                         if i == j:
                             row.append("1")
+                        elif flat[i]:
+                            row.append("")
+                        elif flat[j]:
+                            row.append("0")
                         else:
-                            try:
-                                fit = stats.bivariate_slot_ols(
-                                    normalized_slots.values[:, i], normalized_slots.values[:, j])
-                                row.append(_fmt(fit.r2))
-                            except DataError:
-                                row.append("")
+                            row.append(_fmt(r2[j, i]))
                     writer.writerow(row)
             for j, name in enumerate(slot_names):
                 if j == base_col:
@@ -363,8 +369,6 @@ def run_pipeline(config: PipelineConfig,
                 geo_columns[f"std_residual_{name}_vs_{baseline}"] = {
                     z: float(fit.std_residuals[i]) for i, z in enumerate(zone_ids)}
 
-            if config.centre_lon is None:
-                raise ConfigError("regression requires centre_lon and centre_lat")
             centre = CityCentre(config.centre_lon, config.centre_lat)
             table_ids, table = landuse.landuse_area_table(zones)
             distance = np.array([spatial.distance_to_centre(zones_by_id[z], centre)

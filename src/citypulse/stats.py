@@ -5,6 +5,11 @@ test suite checks it against an independent normal-equations oracle. P-values
 come from the t-distribution with n - k - 1 degrees of freedom and AIC is
 n*ln(RSS/n) + 2*(k+1).
 
+Every model here has an intercept, so a predictor's VIF is a diagonal element
+of the inverse of the predictors' correlation matrix, and the r² of a simple
+regression (the census check, the pipeline's ``bivariate_r2.csv``) is a
+squared Pearson correlation; neither needs a least-squares fit of its own.
+
 Both tail probabilities are one regularized incomplete beta function
 ``I_x(a, b)``: the two-sided t tail is ``I_{v/(v+t^2)}(v/2, 1/2)`` and the F
 upper tail is ``I_{v2/(v2+v1 F)}(v2/2, v1/2)``. ``I_x`` is evaluated by its
@@ -170,13 +175,12 @@ class OlsFit:
     residuals: np.ndarray
     vif: dict[str, float]
     n: int
-    intercept: bool
     warnings: list[str] = field(default_factory=list)
 
     @property
     def k(self) -> int:
         """Number of predictors, excluding the intercept."""
-        return len(self.names) - (1 if self.intercept else 0)
+        return len(self.names) - 1
 
     def coefficient(self, name: str) -> float:
         return float(self.coefficients[self.names.index(name)])
@@ -210,23 +214,15 @@ def _dependent_columns(design: np.ndarray, names: Sequence[str]) -> list[str]:
     return bad
 
 
-def _aux_r2(y: np.ndarray, X: np.ndarray) -> float:
-    """R-squared of y ~ X + intercept, for the VIF auxiliary regressions."""
-    design = np.column_stack([np.ones(len(y)), X])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    resid = y - design @ coef
-    tss = float(np.sum((y - y.mean()) ** 2))
-    if tss == 0.0:
-        return 0.0
-    return 1.0 - float(resid @ resid) / tss
+def fit_ols(y, X, names: Sequence[str] | None = None) -> OlsFit:
+    """Ordinary least squares of y on an intercept and the columns of X.
 
-
-def fit_ols(y, X, names: Sequence[str] | None = None, intercept: bool = True) -> OlsFit:
-    """Ordinary least squares of y on the columns of X.
-
-    X excludes the intercept column; pass ``intercept=False`` to fit through
-    the origin. Raises :class:`SingularityError` naming the offending columns
-    for all-zero, duplicate, or linearly dependent predictors.
+    X excludes the intercept column. Raises :class:`SingularityError` naming
+    the offending columns for all-zero, duplicate, or linearly dependent
+    predictors. ``VIF_j`` is the j-th diagonal element of the inverse of the
+    predictors' correlation matrix, which equals ``1/(1 - R2_j)`` of the
+    regression of predictor j on the others with an intercept; a lone
+    predictor has VIF 1.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     X = np.asarray(X, dtype=float)
@@ -246,13 +242,9 @@ def fit_ols(y, X, names: Sequence[str] | None = None, intercept: bool = True) ->
     if k:
         _validate_design(X, names)
 
-    if intercept:
-        design = np.column_stack([np.ones(n), X])
-        all_names = ("intercept",) + names
-    else:
-        design = X
-        all_names = names
-    p = design.shape[1]
+    design = np.column_stack([np.ones(n), X])
+    all_names = ("intercept",) + names
+    p = k + 1
     if np.linalg.matrix_rank(design) < p:
         bad = _dependent_columns(design, all_names)
         raise SingularityError(bad or list(all_names))
@@ -262,10 +254,7 @@ def fit_ols(y, X, names: Sequence[str] | None = None, intercept: bool = True) ->
     fitted = design @ coef
     residuals = y - fitted
     rss = float(residuals @ residuals)
-    if intercept:
-        tss = float(np.sum((y - y.mean()) ** 2))
-    else:
-        tss = float(y @ y)
+    tss = float(np.sum((y - y.mean()) ** 2))
     dof = n - p
     r2 = 0.0 if tss == 0.0 else 1.0 - rss / tss
     adj_r2 = r2 if dof == 0 else 1.0 - (1.0 - r2) * (n - 1) / dof
@@ -290,18 +279,16 @@ def fit_ols(y, X, names: Sequence[str] | None = None, intercept: bool = True) ->
 
     aic = float("-inf") if rss == 0.0 else n * np.log(rss / n) + 2.0 * (k + 1)
 
-    vif: dict[str, float] = {}
-    for j, name in enumerate(names):
-        if k == 1:
-            vif[name] = 1.0
-            continue
-        others = np.delete(X, j, axis=1)
-        r2_j = _aux_r2(X[:, j], others)
-        vif[name] = float("inf") if r2_j >= 1.0 else 1.0 / (1.0 - r2_j)
+    # the rank check above rules out constant and dependent columns, so the
+    # correlation matrix is invertible
+    if k >= 2:
+        vif = dict(zip(names, np.diag(np.linalg.inv(np.corrcoef(X, rowvar=False))).tolist()))
+    else:
+        vif = dict.fromkeys(names, 1.0)
 
     return OlsFit(all_names, coef, std_errors, t_stats, p_values,
                   float(r2), float(adj_r2), float(f_stat), float(f_p), float(aic),
-                  residuals, vif, n, intercept)
+                  residuals, vif, n)
 
 
 def _intercept_only_fit(y: np.ndarray) -> OlsFit:
@@ -317,7 +304,7 @@ def _intercept_only_fit(y: np.ndarray) -> OlsFit:
     aic = float("-inf") if rss == 0.0 else n * np.log(rss / n) + 2.0
     return OlsFit(("intercept",), np.array([mean]), np.array([se]), np.array([t]),
                   np.array([p]), 0.0, 0.0, float("nan"), float("nan"), aic,
-                  residuals, {}, n, True)
+                  residuals, {}, n)
 
 
 def stepwise_fit(y, X, names: Sequence[str] | None = None,
@@ -333,7 +320,7 @@ def stepwise_fit(y, X, names: Sequence[str] | None = None,
         X = X.reshape(-1, 1)
     if names is None:
         names = tuple(f"x{j + 1}" for j in range(X.shape[1]))
-    first = fit_ols(y, X, names=names, intercept=True)
+    first = fit_ols(y, X, names=names)
     dropped = [name for name in names if first.p_value(name) >= alpha]
     if not dropped:
         return first, []
@@ -343,7 +330,7 @@ def stepwise_fit(y, X, names: Sequence[str] | None = None,
         fit.warnings.append("all predictors dropped; intercept-only model")
         logger.warning("stepwise elimination dropped every predictor")
         return fit, list(dropped)
-    second = fit_ols(y, X[:, keep], names=[names[j] for j in keep], intercept=True)
+    second = fit_ols(y, X[:, keep], names=[names[j] for j in keep])
     return second, dropped
 
 

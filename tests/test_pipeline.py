@@ -6,13 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from citypulse import cli
+from citypulse import activity, cli, pipeline
 from citypulse.config import (PipelineConfig, load_config, parse_slots,
                               parse_time_range, slots_to_text)
 from citypulse.activity import DEFAULT_SLOTS
 from citypulse.errors import ConfigError, DataError
 from citypulse.pipeline import export_geojson, parse_events_file, run_pipeline
 from citypulse.spatial import Zone, load_zones_geojson
+from citypulse.stats import bivariate_slot_ols
 
 SQUARE = (((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.0, 0.0)),)
 
@@ -187,6 +188,21 @@ def test_missing_inputs_fail_before_writing(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_regress_without_centre_fails_before_parsing(small_city, tmp_path, monkeypatch):
+    import dataclasses
+
+    def parse_events_file(path, fmt):
+        raise AssertionError("events parsed before the centre check")
+
+    monkeypatch.setattr(pipeline, "parse_events_file", parse_events_file)
+    out = tmp_path / "out"
+    config = dataclasses.replace(small_city.config, output_dir=out,
+                                 centre_lon=None, centre_lat=None)
+    with pytest.raises(ConfigError, match="centre_lon and centre_lat"):
+        run_pipeline(config)
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_geojson_metrics_match_normalized_csv(small_city):
     doc = json.loads((small_city.out / "zones_metrics.geojson").read_text())
     rows = {r["zone_id"]: r for r in read_csv(small_city.out / "normalized_slots.csv")}
@@ -204,6 +220,41 @@ def test_bivariate_r2_adjacent_slots_correlate_higher(big_city):
     assert float(rows["morning"]["morning"]) == 1.0
     # r-squared is symmetric across the exported matrix
     assert float(rows["morning"]["afternoon"]) == pytest.approx(morning_afternoon, rel=1e-5)
+
+
+def test_bivariate_r2_edge_cells_match_simple_regressions(small_city, tmp_path, monkeypatch):
+    # synth places no event before 08:00, so the dawn slot is all zero
+    import dataclasses
+    slots = parse_slots("dawn=00:00-08:00," + slots_to_text(DEFAULT_SLOTS))
+    names = [s.name for s in slots]
+    normalized = []
+    real_normalize = activity.normalize_counts
+
+    def normalize_counts(matrix, total):
+        result = real_normalize(matrix, total)
+        if list(result.bin_labels) == names:
+            normalized.append(result.values)
+        return result
+
+    monkeypatch.setattr(activity, "normalize_counts", normalize_counts)
+    config = dataclasses.replace(small_city.config, output_dir=tmp_path / "dawn", slots=slots)
+    run_pipeline(config)
+    monkeypatch.undo()
+    (values,) = normalized
+    assert not values[:, 0].any()
+    rows = {r["slot"]: r for r in read_csv(tmp_path / "dawn" / "bivariate_r2.csv")}
+    for j, response in enumerate(names):
+        for i, predictor in enumerate(names):
+            cell = rows[response][predictor]
+            if i == j:
+                assert cell == "1"
+            elif predictor == "dawn":
+                assert cell == ""
+            elif response == "dawn":
+                assert cell == "0"
+            else:
+                assert cell == pipeline._fmt(
+                    bivariate_slot_ols(values[:, i], values[:, j]).r2), (response, predictor)
 
 
 def test_normalized_slots_columns_sum_to_total(small_city):

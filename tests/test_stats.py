@@ -135,6 +135,35 @@ def test_vif_never_below_one():
     assert all(v >= 1.0 for v in fit.vif.values())
 
 
+def aux_regression_vif(X):
+    """Reference VIFs by definition: 1/(1 - R2_j) of x_j ~ other columns + intercept."""
+    n, k = X.shape
+    vif = []
+    for j in range(k):
+        y = X[:, j]
+        design = np.column_stack([np.ones(n), np.delete(X, j, axis=1)])
+        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+        resid = y - design @ coef
+        r2 = 1.0 - float(resid @ resid) / float(np.sum((y - y.mean()) ** 2))
+        vif.append(1.0 / (1.0 - r2))
+    return np.array(vif)
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.9, 0.999, 0.99999, 0.9999999])
+@pytest.mark.parametrize("k,n", [(2, 12), (3, 5000), (4, 25), (5, 300), (6, 40), (7, 1000),
+                                 (8, 15), (9, 2500), (10, 60), (11, 4900)])
+def test_vif_matches_auxiliary_regressions(k, n, rho):
+    rng = np.random.default_rng([k, n, int(rho * 1e7)])
+    factor = rng.normal(size=(n, 1))
+    X = math.sqrt(rho) * factor + math.sqrt(1.0 - rho) * rng.normal(size=(n, k))
+    X = X * 10.0 ** rng.uniform(-2, 2, size=k) + rng.uniform(-100, 100, size=k)
+    fit = fit_ols(rng.normal(size=n), X)
+    vif = np.array([fit.vif[name] for name in fit.names[1:]])
+    reference = aux_regression_vif(X)
+    assert np.all(vif >= 1.0)
+    assert np.max(np.abs(vif - reference) / reference) <= 1e-12 * reference.max()
+
+
 def test_strong_signal_has_tiny_p_value():
     rng = np.random.default_rng(6)
     x = rng.normal(size=50)
