@@ -16,8 +16,8 @@ from .ingest import (EventBatch, GeoEvent, RejectionReport, filter_workdays, par
                      quarter_bin)
 from .landuse import (LandUseCategory, LandUseClass, classify_zone, landuse_area_table)
 from .pipeline import export_geojson, run_pipeline
-from .spatial import (CityCentre, Zone, ZoneIndex, build_zone_index, distance_to_centre,
-                      haversine_m, locate_point)
+from .spatial import (CityCentre, Zone, ZoneIndex, ZoneTable, build_zone_index,
+                      distance_to_centre, haversine_m, load_zones_geojson, locate_point)
 from .stats import (BivariateFit, OlsFit, SlotDistribution, bivariate_slot_ols,
                     census_correlation, fit_ols, infer_home, slot_descriptives,
                     stepwise_fit)

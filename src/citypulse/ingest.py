@@ -18,6 +18,7 @@ import logging
 import math
 import re
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from itertools import compress, repeat
@@ -385,20 +386,47 @@ def _undecodable(text: str) -> bool:
     return not text.isascii() and _UNDECODABLE.search(text) is not None
 
 
-def _open_text(source) -> IO[str]:
+class _ByteReader(io.RawIOBase):
+    """Any object whose ``read(n)`` returns bytes, as a raw stream; never closes it."""
+
+    def __init__(self, source) -> None:
+        self._source = source
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        data = self._source.read(len(buffer))
+        buffer[:len(data)] = data
+        return len(data)
+
+
+@contextmanager
+def _open_text(source) -> Iterator[IO[str]]:
+    """The source as text lines, decoded as they are read and never held whole.
+
+    A path is opened; a text stream is read in place; bytes and binary streams
+    are decoded by one ``TextIOWrapper``, which splits lines as a path's file
+    object does. Streams the caller passed in are left open.
+    """
     if isinstance(source, (str, Path)):
         try:
-            return open(source, "r", encoding="utf-8", errors="surrogateescape", newline="")
+            fh = open(source, "r", encoding="utf-8", errors="surrogateescape", newline="")
         except OSError as exc:
             raise DataError(f"cannot read events file {source}: {exc}") from exc
+        with fh:
+            yield fh
+        return
     if isinstance(source, (bytes, bytearray)):
-        return io.StringIO(source.decode("utf-8", "surrogateescape"))
-    if hasattr(source, "read"):
-        data = source.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf-8", "surrogateescape")
-        return io.StringIO(data)
-    raise DataError(f"unsupported event source {type(source).__name__}")
+        source = io.BytesIO(source)
+    elif not hasattr(source, "read"):
+        raise DataError(f"unsupported event source {type(source).__name__}")
+    if isinstance(source.read(0), str):
+        yield source
+        return
+    with io.TextIOWrapper(io.BufferedReader(_ByteReader(source)), encoding="utf-8",
+                          errors="surrogateescape", newline="") as text:
+        yield text
 
 
 def _load_row(line: str) -> dict:

@@ -7,7 +7,6 @@ non-residential (carrying the dominant activity category), and mixed otherwise.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 from enum import Enum
@@ -16,9 +15,10 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 import numpy as np
 
 from .errors import ClassificationError
+from .tables import write_csv
 
 if TYPE_CHECKING:
-    from .spatial import Zone
+    from .spatial import Zone, ZoneTable
 
 logger = logging.getLogger(__name__)
 
@@ -116,51 +116,74 @@ def classify_zone(zone: "Zone", threshold: float = PREDOMINANCE_THRESHOLD) -> La
     return MIXED
 
 
-def classify_zones(zones: Iterable["Zone"],
+def _zone_table(zones) -> "ZoneTable":
+    from .spatial import ZoneTable  # spatial imports this module
+    return ZoneTable.of(zones)
+
+
+# Every class a zone can get, in class-code order: residential, mixed, then
+# activity by category
+CLASSES: tuple[LandUseClass, ...] = (
+    RESIDENTIAL, MIXED, *(LandUseClass("activity", c) for c in ACTIVITY_CATEGORIES))
+_ACTIVITY_COLUMNS = [CATEGORIES.index(c) for c in ACTIVITY_CATEGORIES]
+
+
+def classify_codes(zones: "ZoneTable | Iterable[Zone]",
+                   threshold: float = PREDOMINANCE_THRESHOLD) -> np.ndarray:
+    """:func:`classify_zone` of every zone at once, as an index into :data:`CLASSES`.
+
+    Rows follow the zone table (sorted zone_id); -1 marks a zone with zero
+    built surface. The activity subcategory is the first largest column of
+    the land-use matrix, which is the enumeration-order tie-break.
+    """
+    table = _zone_table(zones)
+    total = table.built_total_m2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fraction = table.built_residential_m2 / total
+    codes = np.where(fraction > threshold, 0, 1)
+    activity = fraction < 1.0 - threshold
+    codes[activity] = 2 + np.argmax(table.landuse_m2[activity][:, _ACTIVITY_COLUMNS], axis=1)
+    codes[total <= 0] = -1
+    return codes
+
+
+def classify_zones(zones: "ZoneTable | Iterable[Zone]",
                    threshold: float = PREDOMINANCE_THRESHOLD,
                    ) -> tuple[dict[str, LandUseClass], list[str]]:
     """Classify every zone; returns (zone_id -> class, ids that could not be classified).
 
-    Unclassifiable zones (zero built surface) are excluded from profile analyses
-    but stay in regressions with whatever areas they carry.
+    Both follow sorted zone_id order. Unclassified zones (zero built surface)
+    are excluded from profile analyses but stay in regressions with whatever
+    areas they carry.
     """
-    classes: dict[str, LandUseClass] = {}
-    unclassified: list[str] = []
-    for zone in zones:
-        try:
-            classes[zone.zone_id] = classify_zone(zone, threshold)
-        except ClassificationError:
-            unclassified.append(zone.zone_id)
+    table = _zone_table(zones)
+    codes = classify_codes(table, threshold).tolist()
+    classes = {z: CLASSES[c] for z, c in zip(table.zone_ids, codes) if c >= 0}
+    unclassified = [z for z, c in zip(table.zone_ids, codes) if c < 0]
     if unclassified:
         logger.warning("%d zones with zero built surface left unclassified", len(unclassified))
     return classes, unclassified
 
 
-def landuse_area_table(zones: Iterable["Zone"]) -> tuple[list[str], np.ndarray]:
+def landuse_area_table(zones: "ZoneTable | Iterable[Zone]") -> tuple[list[str], np.ndarray]:
     """Dense zones x categories matrix of m2, rows by sorted zone_id.
 
     Column order is the fixed category enumeration; absent categories are 0.
     """
-    ordered = sorted(zones, key=lambda z: z.zone_id)
-    table = np.zeros((len(ordered), len(CATEGORIES)), dtype=float)
-    for i, zone in enumerate(ordered):
-        for j, cat in enumerate(CATEGORIES):
-            table[i, j] = float(zone.landuse_m2.get(cat, 0.0))
-    return [z.zone_id for z in ordered], table
+    table = _zone_table(zones)
+    return list(table.zone_ids), table.landuse_m2.copy()
 
 
 def write_classification_csv(path,
-                             zones: Iterable["Zone"],
+                             zones: "ZoneTable | Iterable[Zone]",
                              classes: Mapping[str, LandUseClass]) -> None:
     """Export zone_id,class,subcategory,residential_fraction (unclassified rows blank)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["zone_id", "class", "subcategory", "residential_fraction"])
-        for zone in sorted(zones, key=lambda z: z.zone_id):
-            cls = classes.get(zone.zone_id)
-            if cls is None:
-                writer.writerow([zone.zone_id, "", "", ""])
-                continue
-            sub = cls.sub.value if cls.sub is not None else ""
-            frac = zone.built_residential_m2 / zone.built_total_m2
-            writer.writerow([zone.zone_id, cls.kind, sub, format(frac, ".6g")])
+    table = _zone_table(zones)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fractions = (table.built_residential_m2 / table.built_total_m2).tolist()
+    found = [classes.get(z) for z in table.zone_ids]
+    kinds = ["" if cls is None else cls.kind for cls in found]
+    subs = ["" if cls is None or cls.sub is None else cls.sub.value for cls in found]
+    fractions = ["" if cls is None else "%.6g" % f for cls, f in zip(found, fractions)]
+    write_csv(path, ["zone_id", "class", "subcategory", "residential_fraction"],
+              [table.zone_ids, kinds, subs, fractions])

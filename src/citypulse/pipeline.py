@@ -12,6 +12,7 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -24,7 +25,8 @@ from . import activity, ingest, landuse, spatial, stats
 from .config import PipelineConfig, config_echo
 from .errors import ConfigError, DataError
 from .landuse import CATEGORIES
-from .spatial import CityCentre, Zone, ZoneIndex
+from .spatial import CityCentre, Zone, ZoneIndex, ZoneTable
+from .tables import write_csv
 
 logger = logging.getLogger(__name__)
 
@@ -87,56 +89,108 @@ def load_census(path) -> dict[str, float]:
     return census
 
 
-def export_geojson(zones: Sequence[Zone],
-                   columns: Mapping[str, Mapping[str, object]],
+# json.dumps(value, ensure_ascii=False) without its per-call set-up
+_encode = json.JSONEncoder(ensure_ascii=False).encode
+_LANDUSE_KEYS = [cat.column for cat in CATEGORIES]
+_ZONE_PROPERTIES = frozenset(
+    ["zone_id", "area_ha", "built_residential_m2", "built_total_m2", *_LANDUSE_KEYS])
+
+
+def _json_6g(value: float) -> str:
+    """json.dumps text of float(format(value, ".6g"))."""
+    text = format(value, ".6g")
+    if "." in text and "e" not in text:  # fixed notation with a fraction: repr's own form
+        return text
+    if text.lstrip("-").isdigit():  # an integral float: repr adds ".0"
+        return text + ".0"
+    return _encode(float(text))  # exponent, nan or inf
+
+
+def _json_float(value: float) -> str:
+    """json.dumps text of a float."""
+    return repr(value) if math.isfinite(value) else _encode(value)
+
+
+def _float_texts(values: np.ndarray, text) -> list[str]:
+    """``text(v)`` per float, computed once per distinct bit pattern."""
+    bits, inverse = np.unique(np.ascontiguousarray(values, dtype=np.float64).view(np.int64),
+                              return_inverse=True)
+    texts = list(map(text, bits.view(np.float64).tolist()))
+    return [texts[k] for k in inverse.tolist()]
+
+
+def _json_values(values) -> list[str]:
+    """JSON text per value: floats at 6 significant digits, the rest as json.dumps prints it."""
+    if isinstance(values, np.ndarray) and values.dtype.kind == "f":
+        return _float_texts(values, _json_6g)
+    return [_json_6g(v) if isinstance(v, float) else _encode(v) for v in values]
+
+
+def export_geojson(zones: ZoneTable | Iterable[Zone],
+                   columns: Mapping[str, object],
                    path) -> None:
     """Write zones with named per-zone value columns as a FeatureCollection.
 
-    A column value for an unknown zone_id is fatal; zones missing a value get
-    an explicit null. Geometry and land-use properties round-trip through the
-    zones loader.
+    A column is either a sequence aligned with the table's sorted zone_ids or
+    a mapping by zone_id, where an unknown zone_id is fatal and zones missing
+    a value get an explicit null. Float values print at 6 significant
+    digits. Geometry and land-use properties round-trip through the zones
+    loader. The text equals ``json.dumps`` of the whole FeatureCollection; it
+    is written one feature at a time.
     """
-    known = {z.zone_id for z in zones}
+    table = ZoneTable.of(zones)
+    ids = table.zone_ids
+    aligned: dict[str, object] = {}
     for name, values in columns.items():
-        unknown = sorted(set(values) - known)
-        if unknown:
-            raise DataError(f"column {name!r} references unknown zone_id(s): "
-                            f"{', '.join(unknown[:5])}")
-    features = []
-    for zone in sorted(zones, key=lambda z: z.zone_id):
-        props: dict[str, object] = {
-            "zone_id": zone.zone_id,
-            "area_ha": zone.area_ha,
-            "built_residential_m2": zone.built_residential_m2,
-            "built_total_m2": zone.built_total_m2,
-        }
-        for cat in CATEGORIES:
-            if cat in zone.landuse_m2:
-                props[cat.column] = zone.landuse_m2[cat]
-        for name in sorted(columns):
-            value = columns[name].get(zone.zone_id)
-            if isinstance(value, float):
-                value = float(_fmt(value))
-            props[name] = value
-        features.append({
-            "type": "Feature",
-            "properties": props,
-            "geometry": {"type": "Polygon",
-                         "coordinates": [[list(p) for p in ring] for ring in zone.rings]},
-        })
-    doc = {"type": "FeatureCollection", "features": features}
-    Path(path).write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        if name in _ZONE_PROPERTIES:
+            raise DataError(f"column {name!r} would overwrite a zone property")
+        if isinstance(values, Mapping):
+            unknown = sorted(set(values) - set(ids))
+            if unknown:
+                raise DataError(f"column {name!r} references unknown zone_id(s): "
+                                f"{', '.join(unknown[:5])}")
+            values = [values.get(z) for z in ids]
+        elif len(values) != len(ids):
+            raise DataError(f"column {name!r} has {len(values)} values for {len(ids)} zones")
+        aligned[name] = values
+
+    # every column as JSON text once, then one string per feature
+    parts = [[_encode(z) for z in ids]]
+    for label, values in (("area_ha", table.area_ha),
+                          ("built_residential_m2", table.built_residential_m2),
+                          ("built_total_m2", table.built_total_m2)):
+        parts.append([f', "{label}": {t}' for t in _float_texts(values, _json_float)])
+    zone_of, cat_of = np.nonzero(table.landuse_present)  # by zone, then category
+    keyed = [f', "{_LANDUSE_KEYS[j]}": {t}' for j, t in zip(
+        cat_of.tolist(), _float_texts(table.landuse_m2[zone_of, cat_of], _json_float))]
+    bounds = np.searchsorted(zone_of, np.arange(len(ids) + 1)).tolist()
+    parts.append(["".join(keyed[a:b]) for a, b in zip(bounds, bounds[1:])])
+    for name in sorted(aligned):
+        key = _encode(name)
+        parts.append([f", {key}: {t}" for t in _json_values(aligned[name])])
+    vertex = ["[" + x + ", " + y + "]" for x, y in zip(_float_texts(table.vertices[:, 0], repr),
+                                                      _float_texts(table.vertices[:, 1], repr))]
+    starts = table.ring_start.tolist()
+    rings = ["[" + ", ".join(vertex[a:b]) + "]" for a, b in zip(starts, starts[1:])]
+    bounds = table.zone_ring_start.tolist()
+    parts.append(['}, "geometry": {"type": "Polygon", "coordinates": ['
+                  + ", ".join(rings[a:b]) + "]}}" for a, b in zip(bounds, bounds[1:])])
+
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write('{"type": "FeatureCollection", "features": [')
+        sep = ""
+        for row in zip(*parts):
+            fh.write(sep + '{"type": "Feature", "properties": {"zone_id": ' + "".join(row))
+            sep = ", "
+        fh.write("]}")
 
 
-def _write_matrix_csv(path, zone_ids, labels, array, integer=False) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["zone_id", *labels])
-        # one row at a time: the whole matrix as Python objects would cost
-        # megabytes at thousands of zones
-        for zone_id, row in zip(zone_ids, array):
-            values = row.tolist()
-            writer.writerow([zone_id, *(values if integer else map(_fmt, values))])
+def _write_matrix_csv(path, zone_ids, labels, array) -> None:
+    write_csv(path, ["zone_id", *labels], [zone_ids, *array.T])
+
+
+def _write_residuals_csv(path, zone_ids, residuals, std_residuals) -> None:
+    write_csv(path, ["zone_id", "residual", "std_residual"], [zone_ids, residuals, std_residuals])
 
 
 def _write_profiles_csv(path, profiles: Sequence[activity.TemporalProfile]) -> None:
@@ -166,14 +220,6 @@ def _write_model_csv(path, fit: stats.OlsFit, dropped: Sequence[str]) -> None:
         writer.writerow(["(summary)", "", "", "", "", "",
                          _fmt(fit.r2), _fmt(fit.adj_r2), _fmt(fit.f_stat),
                          _fmt(fit.f_p_value), _fmt(fit.aic), fit.n])
-
-
-def _write_residuals_csv(path, zone_ids, residuals, std_residuals) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["zone_id", "residual", "std_residual"])
-        for zone_id, res, std in zip(zone_ids, residuals.tolist(), std_residuals.tolist()):
-            writer.writerow([zone_id, _fmt(res), _fmt(std)])
 
 
 @dataclass
@@ -243,19 +289,19 @@ def run_pipeline(config: PipelineConfig,
             warnings.append(f"{report.rejected} input rows rejected")
 
         zones = spatial.load_zones_geojson(config.zones_path)
-        zones_by_id = {z.zone_id: z for z in zones}
         index = spatial.build_zone_index(zones)
-        zone_ids = index.zone_ids
+        zone_ids = zones.zone_ids
         counts["zones"] = len(zones)
 
         if config.centre_lon is not None:
-            x0, y0, x1, y1 = zip(*(z.bbox() for z in zones))
-            if not (min(x0) <= config.centre_lon <= max(x1)
-                    and min(y0) <= config.centre_lat <= max(y1)):
+            x0, y0, x1, y1 = zones.bbox.T
+            if not (x0.min() <= config.centre_lon <= x1.max()
+                    and y0.min() <= config.centre_lat <= y1.max()):
                 warnings.append("configured city centre lies outside the zone coverage")
 
         classes, unclassified = landuse.classify_zones(
             zones, config.predominance_threshold)
+        codes = landuse.classify_codes(zones, config.predominance_threshold)
         counts["zones_unclassified"] = len(unclassified)
         if unclassified:
             warnings.append(
@@ -276,10 +322,10 @@ def run_pipeline(config: PipelineConfig,
         if "aggregate" in steps:
             quarter = activity.count_unique_users(assigned)
             _write_matrix_csv(stage / "activity_matrix.csv", quarter.zone_ids,
-                              quarter.bin_labels, quarter.counts, integer=True)
+                              quarter.bin_labels, quarter.counts)
             slot_matrix = activity.aggregate_major_slots(assigned, config.slots)
             _write_matrix_csv(stage / "slot_counts.csv", slot_matrix.zone_ids,
-                              slot_matrix.bin_labels, slot_matrix.counts, integer=True)
+                              slot_matrix.bin_labels, slot_matrix.counts)
             normalized_slots = activity.normalize_counts(slot_matrix, config.normalization_total)
             _write_matrix_csv(stage / "normalized_slots.csv", normalized_slots.zone_ids,
                               normalized_slots.bin_labels, normalized_slots.values)
@@ -305,16 +351,19 @@ def run_pipeline(config: PipelineConfig,
                                 + ", ".join(omitted))
             day = activity.count_daily_unique(assigned)
             day_norm = activity.normalize_counts(day, config.normalization_total)
-            class_totals: dict[str, float] = {}
-            class_areas: dict[str, float] = {}
-            for i, zone_id in enumerate(day_norm.zone_ids):
-                cls = classes.get(zone_id)
-                if cls is None:
-                    continue
-                labels = [cls.kind] + ([cls.key] if cls.kind == "activity" else [])
-                for label in labels:
-                    class_totals[label] = class_totals.get(label, 0.0) + float(day_norm.values[i, 0])
-                    class_areas[label] = class_areas.get(label, 0.0) + zones_by_id[zone_id].area_ha
+            # each classified zone adds to its kind and, for activity, to its
+            # activity:<sub> key; np.add.at adds in zone order, as a running
+            # sum over the zones would
+            rows = np.concatenate([np.flatnonzero(codes >= 0), np.flatnonzero(codes >= 2)])
+            label = np.concatenate([np.minimum(codes[codes >= 0], 2), codes[codes >= 2] + 1])
+            labels = ["residential", "mixed", "activity",
+                      *(cls.key for cls in landuse.CLASSES[2:])]
+            label_totals, label_areas = np.zeros(len(labels)), np.zeros(len(labels))
+            np.add.at(label_totals, label, day_norm.values[rows, 0])
+            np.add.at(label_areas, label, zones.area_ha[rows])
+            used = np.flatnonzero(np.bincount(label, minlength=len(labels))).tolist()
+            class_totals = {labels[k]: float(label_totals[k]) for k in used}
+            class_areas = {labels[k]: float(label_areas[k]) for k in used}
             densities, zero_area = activity.density_per_hectare(class_totals, class_areas)
             if zero_area:
                 warnings.append("classes with zero area omitted from densities: "
@@ -330,11 +379,10 @@ def run_pipeline(config: PipelineConfig,
         if "regress" in steps:
             baseline = "night" if "night" in slot_names else slot_names[-1]
             base_col = slot_names.index(baseline)
-            geo_columns: dict[str, dict[str, object]] = {
-                "landuse_class": {z: classes[z].key for z in zone_ids if z in classes}}
+            geo_columns: dict[str, object] = {"landuse_class": [
+                landuse.CLASSES[c].key if c >= 0 else None for c in codes.tolist()]}
             for j, name in enumerate(slot_names):
-                geo_columns[f"normalized_{name}"] = {
-                    z: float(normalized_slots.values[i, j]) for i, z in enumerate(zone_ids)}
+                geo_columns[f"normalized_{name}"] = normalized_slots.values[:, j]
             # r² of slot j on slot i is their squared correlation; a constant
             # predictor slot has no fit (blank), a constant response r² 0
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -366,20 +414,18 @@ def run_pipeline(config: PipelineConfig,
                     continue
                 _write_residuals_csv(stage / f"residuals_{name}_vs_{baseline}.csv",
                                      zone_ids, fit.residuals, fit.std_residuals)
-                geo_columns[f"std_residual_{name}_vs_{baseline}"] = {
-                    z: float(fit.std_residuals[i]) for i, z in enumerate(zone_ids)}
+                geo_columns[f"std_residual_{name}_vs_{baseline}"] = fit.std_residuals
 
             centre = CityCentre(config.centre_lon, config.centre_lat)
-            table_ids, table = landuse.landuse_area_table(zones)
-            distance = np.array([spatial.distance_to_centre(zones_by_id[z], centre)
-                                 for z in table_ids])
-            nonzero = [j for j in range(table.shape[1]) if np.any(table[:, j])]
-            zero_cats = [CATEGORIES[j].value for j in range(table.shape[1]) if j not in nonzero]
+            _, areas = landuse.landuse_area_table(zones)
+            distance = spatial.distances_to_centre(zones, centre)
+            nonzero = [j for j in range(areas.shape[1]) if np.any(areas[:, j])]
+            zero_cats = [CATEGORIES[j].value for j in range(areas.shape[1]) if j not in nonzero]
             if zero_cats:
                 warnings.append("land-use categories absent from every zone: "
                                 + ", ".join(zero_cats))
             predictor_names = [CATEGORIES[j].value for j in nonzero] + ["distance_to_centre"]
-            X = np.column_stack([table[:, nonzero], distance])
+            X = np.column_stack([areas[:, nonzero], distance])
             for j, name in enumerate(slot_names):
                 fit, dropped = stats.stepwise_fit(normalized_slots.values[:, j], X,
                                                   names=predictor_names, alpha=config.alpha)
@@ -390,23 +436,22 @@ def run_pipeline(config: PipelineConfig,
                 _write_residuals_csv(stage / f"model_{name}_residuals.csv",
                                      zone_ids, fit.residuals, std_res)
 
-            eligible = {z for z, cls in classes.items() if cls.kind in ("residential", "mixed")}
+            # residential and mixed zones, codes 0 and 1
+            eligible = {z for z, c in zip(zone_ids, codes.tolist()) if c in (0, 1)}
             homes = stats.infer_homes(assigned, config.night_bins, eligible)
-            home_counts = {z: 0 for z in zone_ids}
-            for zone_id in homes.values():
-                home_counts[zone_id] += 1
-            with open(stage / "home_counts.csv", "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["zone_id", "inferred_homes"])
-                for zone_id in zone_ids:
-                    writer.writerow([zone_id, home_counts[zone_id]])
+            code_of = {z: k for k, z in enumerate(zone_ids)}
+            home_counts = np.bincount(
+                np.fromiter((code_of[z] for z in homes.values()), np.int64, len(homes)),
+                minlength=len(zone_ids))
+            write_csv(stage / "home_counts.csv", ["zone_id", "inferred_homes"],
+                      [zone_ids, home_counts])
             counts["users_with_home"] = len(homes)
             if config.census_path is not None:
                 census = load_census(config.census_path)
                 missing = [z for z in zone_ids if z not in census]
                 if missing:
                     warnings.append(f"{len(missing)} zones missing from census default to 0")
-                x = np.array([home_counts[z] for z in zone_ids], dtype=float)
+                x = home_counts.astype(float)
                 y = np.array([census.get(z, 0.0) for z in zone_ids])
                 try:
                     stats_out["census_home_r2"] = float(_fmt(stats.census_correlation(x, y)))

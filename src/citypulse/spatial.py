@@ -1,8 +1,9 @@
 """Zone geometry, point-in-zone assignment, and distance to the city centre.
 
-Point-in-polygon uses even-odd ray casting with the half-open edge convention,
-so a point on the shared edge of two adjacent zones is claimed by exactly one
-of them and results are deterministic.
+Zones load into one :class:`ZoneTable` of columns. Point-in-polygon uses
+even-odd ray casting with the half-open edge convention, so a point on the
+shared edge of two adjacent zones is claimed by exactly one of them and results
+are deterministic.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DataError
-from .landuse import LandUseCategory
+from .landuse import CATEGORIES, LandUseCategory
 
 logger = logging.getLogger(__name__)
 
@@ -27,7 +28,7 @@ Ring = tuple[tuple[float, float], ...]
 
 @dataclass(frozen=True)
 class Zone:
-    """Polygonal analysis unit with its land registry inventory.
+    """Polygonal analysis unit with its land registry inventory; one row of a ZoneTable.
 
     ``rings`` holds one or more closed rings of (lon, lat) vertices; the first
     ring of each polygon is the outer boundary, later rings are holes. Interior
@@ -46,6 +47,8 @@ class Zone:
         if not self.rings:
             raise DataError(f"zone {self.zone_id!r}: no geometry")
         for ring in self.rings:
+            if not all(math.isfinite(v) for point in ring for v in point):
+                raise DataError(f"zone {self.zone_id!r}: non-finite vertex")
             if len(set(ring)) < 3:
                 raise DataError(
                     f"zone {self.zone_id!r}: degenerate polygon (<3 distinct vertices)")
@@ -62,6 +65,168 @@ class Zone:
         xs = [x for ring in self.rings for x, _ in ring]
         ys = [y for ring in self.rings for _, y in ring]
         return min(xs), min(ys), max(xs), max(ys)
+
+
+@dataclass(frozen=True, eq=False)
+class ZoneTable:
+    """Every zone of a city as columns, one row per zone in sorted zone_id order.
+
+    Row ``k`` is ``zone_ids[k]``, the zone code used by :class:`ZoneIndex`.
+    ``landuse_m2`` is zones x :data:`~citypulse.landuse.CATEGORIES` (0 where
+    absent); ``landuse_present`` records which keys the input carried, so an
+    export writes back exactly those. Geometry is CSR: ring ``r`` is
+    ``vertices[ring_start[r]:ring_start[r + 1]]`` and zone ``k`` owns rings
+    ``zone_ring_start[k]`` to ``zone_ring_start[k + 1]``. ``bbox`` holds min
+    lon, min lat, max lon, max lat per zone. Build one with
+    :meth:`from_zones` or :func:`load_zones_geojson`, which validate it.
+    """
+
+    zone_ids: tuple[str, ...]
+    area_ha: np.ndarray
+    built_residential_m2: np.ndarray
+    built_total_m2: np.ndarray
+    landuse_m2: np.ndarray
+    landuse_present: np.ndarray
+    vertices: np.ndarray
+    ring_start: np.ndarray
+    zone_ring_start: np.ndarray
+    bbox: np.ndarray
+
+    @classmethod
+    def from_zones(cls, zones: Iterable[Zone]) -> "ZoneTable":
+        rows = _ZoneRows()
+        for zone in zones:
+            rows.add(zone.zone_id, zone.rings,
+                     [(CATEGORIES.index(cat), float(v)) for cat, v in zone.landuse_m2.items()],
+                     float(zone.area_ha), float(zone.built_residential_m2),
+                     float(zone.built_total_m2))
+        return rows.table()
+
+    @classmethod
+    def of(cls, zones: "ZoneTable | Iterable[Zone]") -> "ZoneTable":
+        return zones if isinstance(zones, ZoneTable) else cls.from_zones(zones)
+
+    def __len__(self) -> int:
+        return len(self.zone_ids)
+
+    def ring_lists(self) -> list[list[list[list[float]]]]:
+        """Per zone, its rings as lists of [lon, lat] lists."""
+        coords = self.vertices.tolist()
+        starts = self.ring_start.tolist()
+        bounds = self.zone_ring_start.tolist()
+        return [[coords[starts[r]:starts[r + 1]] for r in range(bounds[k], bounds[k + 1])]
+                for k in range(len(self))]
+
+    def __getitem__(self, k: int) -> Zone:
+        k = range(len(self))[k]  # negative indices count from the end; IndexError past it
+        lo, hi = self.zone_ring_start[k], self.zone_ring_start[k + 1]
+        rings = tuple(tuple(map(tuple, self.vertices[a:b].tolist()))
+                      for a, b in zip(self.ring_start[lo:hi], self.ring_start[lo + 1:hi + 1]))
+        landuse = {CATEGORIES[j]: float(self.landuse_m2[k, j])
+                   for j in np.flatnonzero(self.landuse_present[k])}
+        return Zone(self.zone_ids[k], rings, float(self.area_ha[k]), landuse,
+                    float(self.built_residential_m2[k]), float(self.built_total_m2[k]))
+
+    def __iter__(self):
+        return (self[k] for k in range(len(self)))
+
+
+class _ZoneRows:
+    """Zones gathered in input order, before they become one ZoneTable."""
+
+    def __init__(self) -> None:
+        self.ids: list[str] = []
+        self.rings: list = []  # per zone: its rings as nested [lon, lat] sequences
+        self.landuse: list[list[tuple[int, float]]] = []  # per zone: (category, m2)
+        self.numbers: list[tuple[float, float, float]] = []  # area, residential, total
+
+    def add(self, zone_id: str, rings, landuse: list[tuple[int, float]],
+            area_ha: float, built_residential_m2: float, built_total_m2: float) -> None:
+        self.ids.append(zone_id)
+        self.rings.append(rings)
+        self.landuse.append(landuse)
+        self.numbers.append((area_ha, built_residential_m2, built_total_m2))
+
+    def raise_first_fault(self) -> None:
+        """:meth:`Zone.validate` of each zone in input order, land-use keys in
+        category order; the first fault raises."""
+        for zone_id, rings, landuse, (area, residential, total) in zip(
+                self.ids, self.rings, self.landuse, self.numbers):
+            try:
+                rings = tuple(tuple((float(x), float(y)) for x, y in ring) for ring in rings)
+            except (TypeError, ValueError):
+                raise DataError(
+                    f"zone {zone_id!r}: coordinates are not [lon, lat] number pairs") from None
+            Zone(zone_id, rings, area, {CATEGORIES[j]: v for j, v in sorted(landuse)},
+                 residential, total).validate()
+
+    def table(self) -> ZoneTable:
+        """The zones as a table sorted by zone_id.
+
+        A fault raises the DataError of the first offending zone in input
+        order; the arrays only detect that there is one.
+        """
+        n = len(self.ids)
+        order = sorted(range(n), key=self.ids.__getitem__)
+        ids = tuple(self.ids[k] for k in order)
+        try:
+            ring_counts, ring_lens, flat = [], [], []
+            for k in order:
+                ring_counts.append(len(self.rings[k]))
+                for ring in self.rings[k]:
+                    ring_lens.append(len(ring))
+                    flat.extend(ring)
+            vertices = np.array(flat, dtype=np.float64) if flat else np.empty((0, 2))
+            if vertices.ndim != 2 or vertices.shape[1] != 2:
+                raise ValueError("vertices are not pairs")
+        except (TypeError, ValueError):
+            self.raise_first_fault()
+            raise
+        ring_start = np.zeros(len(ring_lens) + 1, dtype=np.int64)
+        np.cumsum(ring_lens, out=ring_start[1:])
+        zone_ring_start = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(ring_counts, out=zone_ring_start[1:])
+
+        numbers = np.array(self.numbers, dtype=np.float64).reshape(n, 3)[order]
+        landuse = np.zeros((n, len(CATEGORIES)))
+        present = np.zeros((n, len(CATEGORIES)), dtype=bool)
+        for row, k in enumerate(order):
+            for j, value in self.landuse[k]:
+                landuse[row, j] = value
+                present[row, j] = True
+        if _has_fault(vertices, ring_start, zone_ring_start, numbers, landuse, present):
+            self.raise_first_fault()
+        dupes = sorted({a for a, b in zip(ids, ids[1:]) if a == b})
+        if dupes:
+            raise DataError(f"duplicate zone_id(s): {', '.join(dupes)}")
+
+        bbox = np.empty((n, 4))
+        if n:  # every zone has a ring of 3+ vertices, so no segment is empty
+            first = ring_start[zone_ring_start[:-1]]
+            for col, (reduce, axis) in enumerate(((np.minimum, 0), (np.minimum, 1),
+                                                  (np.maximum, 0), (np.maximum, 1))):
+                bbox[:, col] = reduce.reduceat(vertices[:, axis], first)
+        return ZoneTable(ids, *numbers.T.copy(), landuse, present, vertices, ring_start,
+                         zone_ring_start, bbox)
+
+
+def _has_fault(vertices, ring_start, zone_ring_start, numbers, landuse, present) -> bool:
+    """Whether any zone fails :meth:`Zone.validate`, tested on whole arrays."""
+    if (not np.isfinite(vertices).all() or (np.diff(zone_ring_start) == 0).any()
+            or (numbers[:, 1] > numbers[:, 2]).any()
+            or (present & ~(np.isfinite(landuse) & (landuse >= 0))).any()):
+        return True
+    # distinct vertices per ring: sort by (ring, lon, lat) and count changes
+    ring_len = np.diff(ring_start)
+    ring_of = np.repeat(np.arange(len(ring_len)), ring_len)
+    by = np.lexsort((vertices[:, 1], vertices[:, 0], ring_of))
+    x, y, r = vertices[by, 0], vertices[by, 1], ring_of[by]
+    new = np.ones(len(by), dtype=bool)
+    new[1:] = (r[1:] != r[:-1]) | (x[1:] != x[:-1]) | (y[1:] != y[:-1])
+    if (np.bincount(r[new], minlength=len(ring_len)) < 3).any():
+        return True
+    # every ring now has vertices; its last must equal its first
+    return bool((vertices[ring_start[:-1]] != vertices[ring_start[1:] - 1]).any())
 
 
 @dataclass(frozen=True)
@@ -134,6 +299,12 @@ def distance_to_centre(zone: Zone, centre: CityCentre) -> float:
     return haversine_m(lon, lat, centre.lon, centre.lat)
 
 
+def distances_to_centre(zones: ZoneTable, centre: CityCentre) -> np.ndarray:
+    """:func:`distance_to_centre` of every zone, in table order and to the same bits."""
+    return np.array([haversine_m(*polygon_centroid(rings), centre.lon, centre.lat)
+                     for rings in zones.ring_lists()], dtype=np.float64)
+
+
 # Points located per pass, and the most (pair, edge) tests held in memory at
 # once; both keep the temporaries of a pass to a few MB.
 LOCATE_CHUNK = 8192
@@ -143,82 +314,62 @@ PAIR_EDGE_BUDGET = 1 << 17
 class ZoneIndex:
     """Uniform-grid index over zone bounding boxes for point location.
 
-    Zones are numbered by sorted zone_id: code ``k`` is ``zone_ids[k]``. Each
-    grid cell's candidate codes are stored in CSR form (one concatenated
-    array plus each cell's start offset), and every zone's edges sit in one
-    row of padded edge arrays, so :meth:`locate_codes` tests whole arrays of
+    Zones are numbered by sorted zone_id: code ``k`` is ``zone_ids[k]``, the
+    row of the :class:`ZoneTable`. Each grid cell's candidate codes are stored
+    in CSR form (one concatenated array plus each cell's start offset), and so
+    are every zone's edges, so :meth:`locate_codes` tests whole arrays of
     points. Answers equal a brute-force :func:`point_in_rings` scan over all
     zones. When overlapping zones both claim a point (a data error) the
     lexicographically smallest zone_id wins and ``overlap_warnings`` is
     incremented once per extra claim.
     """
 
-    def __init__(self, zones: Sequence[Zone], grid_size: int | None = None):
-        ids = [z.zone_id for z in zones]
-        if len(set(ids)) != len(ids):
-            dupes = sorted({i for i in ids if ids.count(i) > 1})
-            raise DataError(f"duplicate zone_id(s): {', '.join(dupes)}")
-        if not zones:
+    def __init__(self, zones: ZoneTable | Iterable[Zone], grid_size: int | None = None):
+        table = ZoneTable.of(zones)
+        if not len(table):
             raise DataError("cannot build an index over zero zones")
-        for zone in zones:
-            zone.validate()
-        self._zones = {z.zone_id: z for z in zones}
-        self.zone_ids = tuple(sorted(ids))
+        self.table = table
+        self.zone_ids = table.zone_ids
         self.overlap_warnings = 0
 
-        boxes = [self._zones[z].bbox() for z in self.zone_ids]
-        self._minx = min(b[0] for b in boxes)
-        self._miny = min(b[1] for b in boxes)
-        maxx = max(b[2] for b in boxes)
-        maxy = max(b[3] for b in boxes)
-        self._n = grid_size or max(1, int(math.sqrt(len(zones))) * 2)
-        self._dx = (maxx - self._minx) / self._n or 1.0
-        self._dy = (maxy - self._miny) / self._n or 1.0
-        self._maxx = maxx
-        self._maxy = maxy
+        x0, y0, x1, y1 = table.bbox.T
+        self._minx, self._miny = float(x0.min()), float(y0.min())
+        self._maxx, self._maxy = float(x1.max()), float(y1.max())
+        n = self._n = grid_size or max(1, int(math.sqrt(len(table))) * 2)
+        self._dx = (self._maxx - self._minx) / n or 1.0
+        self._dy = (self._maxy - self._miny) / n or 1.0
 
-        # candidates per cell, ascending code = ascending zone_id
-        cells: list[list[int]] = [[] for _ in range(self._n * self._n)]
-        for code, (x0, y0, x1, y1) in enumerate(boxes):
-            for ci in range(self._cell_x(x0), self._cell_x(x1) + 1):
-                for cj in range(self._cell_y(y0), self._cell_y(y1) + 1):
-                    cells[ci * self._n + cj].append(code)
-        self._cell_start = np.zeros(len(cells) + 1, dtype=np.int64)
-        np.cumsum([len(c) for c in cells], out=self._cell_start[1:])
-        self._cell_zones = np.fromiter((code for c in cells for code in c), dtype=np.int64,
-                                       count=int(self._cell_start[-1]))
+        # one (cell, code) pair per grid cell a zone's bbox touches; a stable
+        # sort by cell keeps each cell's candidates ascending = by zone_id
+        cx0, cx1 = (self._cells(v, self._minx, self._dx) for v in (x0, x1))
+        cy0, cy1 = (self._cells(v, self._miny, self._dy) for v in (y0, y1))
+        ny = cy1 - cy0 + 1
+        per_zone = (cx1 - cx0 + 1) * ny
+        code = np.repeat(np.arange(len(table)), per_zone)
+        k = np.arange(len(code)) - np.repeat(np.cumsum(per_zone) - per_zone, per_zone)
+        cell = (cx0[code] + k // ny[code]) * n + cy0[code] + k % ny[code]
+        self._cell_zones = code[np.argsort(cell, kind="stable")]
+        self._cell_start = np.zeros(n * n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(cell, minlength=n * n), out=self._cell_start[1:])
 
-        # Edges of all rings, one zone per row. A horizontal edge never toggles
-        # the crossing test, so it is left out; NaN pads never toggle either.
-        edges = []
-        for zone_id in self.zone_ids:
-            rows = []
-            for ring in self._zones[zone_id].rings:
-                x1, y1 = ring[-1]
-                for x2, y2 in ring:
-                    if y1 != y2:
-                        rows.append((x1, y1, x2, y2))
-                    x1, y1 = x2, y2
-            edges.append(rows)
-        padded = np.full((len(edges), max(1, max(map(len, edges))), 4), np.nan)
-        for code, rows in enumerate(edges):
-            if rows:
-                padded[code, :len(rows)] = rows
-        self._ex1, self._ey1, self._ex2, self._ey2 = (
-            np.ascontiguousarray(padded[:, :, k]) for k in range(4))
+        # Edges of all rings, zone after zone: vertex i closes the edge from
+        # its ring predecessor (a ring's first vertex from its last). A
+        # horizontal edge never toggles the crossing test, so it is left out.
+        v, starts = table.vertices, table.ring_start
+        prev = np.arange(len(v)) - 1
+        prev[starts[:-1]] = starts[1:] - 1
+        keep = v[prev, 1] != v[:, 1]
+        zone_of_vertex = np.repeat(np.arange(len(table)), np.diff(starts[table.zone_ring_start]))
+        self._edge_count = np.bincount(zone_of_vertex[keep], minlength=len(table))
+        self._edge_start = np.cumsum(self._edge_count) - self._edge_count
+        self._ex1, self._ey1 = v[prev[keep], 0], v[prev[keep], 1]
+        self._ex2, self._ey2 = v[keep, 0], v[keep, 1]
 
-    def _cell_x(self, x: float) -> int:
-        return min(self._n - 1, max(0, int((x - self._minx) / self._dx)))
-
-    def _cell_y(self, y: float) -> int:
-        return min(self._n - 1, max(0, int((y - self._miny) / self._dy)))
+    def _cells(self, values: np.ndarray, origin: float, step: float) -> np.ndarray:
+        return np.clip(((values - origin) / step).astype(np.int64), 0, self._n - 1)
 
     def __len__(self) -> int:
-        return len(self._zones)
-
-    @property
-    def zones(self) -> dict[str, Zone]:
-        return self._zones
+        return len(self.table)
 
     def locate_codes(self, lons, lats) -> np.ndarray:
         """Zone code per point (an index into ``zone_ids``), or -1 outside every zone.
@@ -240,10 +391,8 @@ class ZoneIndex:
         pts = np.flatnonzero((self._minx <= lon) & (lon <= self._maxx)
                              & (self._miny <= lat) & (lat <= self._maxy))
         x, y = lon[pts], lat[pts]
-        last = self._n - 1
-        ci = np.minimum(last, np.maximum(0, ((x - self._minx) / self._dx).astype(np.int64)))
-        cj = np.minimum(last, np.maximum(0, ((y - self._miny) / self._dy).astype(np.int64)))
-        cell = ci * self._n + cj
+        cell = (self._cells(x, self._minx, self._dx) * self._n
+                + self._cells(y, self._miny, self._dy))
         start = self._cell_start[cell]
         count = self._cell_start[cell + 1] - start
         # one (point, candidate) pair per candidate of the point's cell, by point
@@ -251,15 +400,25 @@ class ZoneIndex:
         first_pair = np.cumsum(count) - count
         pair_zone = self._cell_zones[np.repeat(start - first_pair, count)
                                      + np.arange(len(pair_pt))]
+        # pairs are tested a slice at a time, each slice holding at most
+        # PAIR_EDGE_BUDGET (pair, edge) tests (or one pair)
+        n_edges = self._edge_count[pair_zone]
+        edge_end = np.cumsum(n_edges)
         inside = np.zeros(len(pair_pt), dtype=bool)
-        step = max(1, PAIR_EDGE_BUDGET // self._ex1.shape[1])
-        for lo in range(0, len(pair_pt), step):
-            z = pair_zone[lo:lo + step]
-            px = x[pair_pt[lo:lo + step], None]
-            py = y[pair_pt[lo:lo + step], None]
-            x1, y1, x2, y2 = self._ex1[z], self._ey1[z], self._ex2[z], self._ey2[z]
+        lo = 0
+        while lo < len(pair_pt):
+            base = int(edge_end[lo - 1]) if lo else 0
+            hi = max(lo + 1, int(np.searchsorted(edge_end, base + PAIR_EDGE_BUDGET, "right")))
+            slice_edges = n_edges[lo:hi]
+            pair = np.repeat(np.arange(lo, hi), slice_edges)
+            edge = np.arange(len(pair)) + np.repeat(
+                self._edge_start[pair_zone[lo:hi]] - (edge_end[lo:hi] - slice_edges - base),
+                slice_edges)
+            px, py = x[pair_pt[pair]], y[pair_pt[pair]]
+            x1, y1, x2, y2 = self._ex1[edge], self._ey1[edge], self._ex2[edge], self._ey2[edge]
             toggles = ((y1 > py) != (y2 > py)) & (px < (x2 - x1) * (py - y1) / (y2 - y1) + x1)
-            inside[lo:lo + step] = np.count_nonzero(toggles, axis=1) & 1
+            inside[lo:hi] = np.bincount(pair[toggles] - lo, minlength=hi - lo) & 1
+            lo = hi
         hits = np.flatnonzero(inside)
         hit_pt = pair_pt[hits]
         # candidates are ascending, so a point's first hit is its smallest zone_id
@@ -274,15 +433,18 @@ class ZoneIndex:
         return None if code < 0 else self.zone_ids[code]
 
 
-def build_zone_index(zones: Iterable[Zone]) -> ZoneIndex:
-    return ZoneIndex(list(zones))
+def build_zone_index(zones: ZoneTable | Iterable[Zone]) -> ZoneIndex:
+    return ZoneIndex(zones)
 
 
 def locate_point(index: ZoneIndex, lon: float, lat: float) -> str | None:
     return index.locate(lon, lat)
 
 
-def _feature_to_zone(feature: dict, n: int) -> Zone:
+_LANDUSE_COLUMN = {cat.column: j for j, cat in enumerate(CATEGORIES)}
+
+
+def _add_feature(rows: _ZoneRows, feature: dict, n: int) -> None:
     props = feature.get("properties") or {}
     geom = feature.get("geometry") or {}
     if "zone_id" not in props:
@@ -293,28 +455,21 @@ def _feature_to_zone(feature: dict, n: int) -> Zone:
         raise DataError(
             f"zone {zone_id!r}: unsupported geometry type {gtype!r} "
             "(zones must be single polygons; split multipart zones upstream)")
-    rings = tuple(
-        tuple((float(x), float(y)) for x, y in ring)
-        for ring in geom.get("coordinates", [])
-    )
-    landuse = {}
-    for cat in LandUseCategory:
-        if cat.column in props:
-            landuse[cat] = float(props[cat.column])
-    zone = Zone(
-        zone_id=zone_id,
-        rings=rings,
-        area_ha=float(props.get("area_ha", 0.0)),
-        landuse_m2=landuse,
-        built_residential_m2=float(props.get("built_residential_m2", 0.0)),
-        built_total_m2=float(props.get("built_total_m2", 0.0)),
-    )
-    zone.validate()
-    return zone
+    try:
+        landuse = [(_LANDUSE_COLUMN[k], float(v)) for k, v in props.items()
+                   if k in _LANDUSE_COLUMN]
+        numbers = [float(props.get(k, 0.0))
+                   for k in ("area_ha", "built_residential_m2", "built_total_m2")]
+    except (TypeError, ValueError):
+        raise DataError(f"zone {zone_id!r}: a numeric property is not a number") from None
+    rows.add(zone_id, geom.get("coordinates", []), landuse, *numbers)
 
 
-def load_zones_geojson(path) -> list[Zone]:
-    """Read a FeatureCollection of zone polygons with land-use properties."""
+def load_zones_geojson(path) -> ZoneTable:
+    """Read a FeatureCollection of zone polygons with land-use properties.
+
+    A bad zone raises DataError naming the first offending feature in file order.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -324,6 +479,13 @@ def load_zones_geojson(path) -> list[Zone]:
         raise DataError(f"zones file {path} is not valid JSON: {exc}") from exc
     if doc.get("type") != "FeatureCollection":
         raise DataError(f"zones file {path}: expected a GeoJSON FeatureCollection")
-    zones = [_feature_to_zone(f, n) for n, f in enumerate(doc.get("features", []))]
-    logger.info("loaded %d zones from %s", len(zones), path)
-    return zones
+    rows = _ZoneRows()
+    try:
+        for n, feature in enumerate(doc.get("features", [])):
+            _add_feature(rows, feature, n)
+    except Exception:
+        rows.raise_first_fault()  # a fault in a zone before the failing feature comes first
+        raise
+    table = rows.table()
+    logger.info("loaded %d zones from %s", len(table), path)
+    return table

@@ -214,6 +214,12 @@ def _dependent_columns(design: np.ndarray, names: Sequence[str]) -> list[str]:
     return bad
 
 
+def _total_sum_of_squares(y: np.ndarray) -> float:
+    """Sum of squared deviations from the mean; exactly 0 for a constant response,
+    whose rounded mean would otherwise leave a sum of rounding size."""
+    return 0.0 if np.ptp(y) == 0.0 else float(np.sum((y - y.mean()) ** 2))
+
+
 def fit_ols(y, X, names: Sequence[str] | None = None) -> OlsFit:
     """Ordinary least squares of y on an intercept and the columns of X.
 
@@ -254,7 +260,7 @@ def fit_ols(y, X, names: Sequence[str] | None = None) -> OlsFit:
     fitted = design @ coef
     residuals = y - fitted
     rss = float(residuals @ residuals)
-    tss = float(np.sum((y - y.mean()) ** 2))
+    tss = _total_sum_of_squares(y)
     dof = n - p
     r2 = 0.0 if tss == 0.0 else 1.0 - rss / tss
     adj_r2 = r2 if dof == 0 else 1.0 - (1.0 - r2) * (n - 1) / dof
@@ -360,7 +366,7 @@ def bivariate_slot_ols(a, b) -> BivariateFit:
     design = np.column_stack([np.ones(len(a)), a])
     coef, *_ = np.linalg.lstsq(design, b, rcond=None)
     residuals = b - design @ coef
-    tss = float(np.sum((b - b.mean()) ** 2))
+    tss = _total_sum_of_squares(b)
     rss = float(residuals @ residuals)
     r2 = 0.0 if tss == 0.0 else 1.0 - rss / tss
     spread = float(np.std(residuals))

@@ -1,5 +1,6 @@
 import io
 import json
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 from unittest import mock
 
@@ -574,3 +575,65 @@ def test_bulk_timestamps_in_one_call():
         if ok:
             ts = parse_timestamp(raw)
             assert (e, o) == (ts.timestamp(), ts.utcoffset().total_seconds())
+
+
+# --- sources: a path, bytes and binary streams read the same lines -----------
+
+SOURCE_BYTES = (b'{"u":"a","t":"2013-03-05T10:07:00Z","lon":1,"lat":2,"text":"x\xe2\x80\xa8y"}\n'
+                b'{"u":"b","t":"2013-03-05T10:08:00Z","lon":1,"lat":2,"text":"bad \xff"}\r\n'
+                b'{"u":"c","t":"2013-03-05T10:09:00Z","lon":1,"lat":2}\r'
+                b'{"u":"d","t":"2013-03-05T10:10:00Z","lon":1,"lat":2}')
+
+
+@pytest.mark.parametrize("fmt", ["ndjson", "csv"])
+def test_path_bytes_and_streams_parse_alike(fmt, tmp_path):
+    data = SOURCE_BYTES
+    if fmt == "csv":
+        data = (b"user_id,timestamp,lon,lat,text\n"
+                b'a,2013-03-05T10:07:00Z,1,2,"x\xe2\x80\xa8y"\n'
+                b"b,2013-03-05T10:08:00Z,1,2,bad \xff\r\n"
+                b"c,2013-03-05T10:09:00Z,1,2,\r"
+                b"d,2013-03-05T10:10:00Z,1,2,")
+    path = tmp_path / "events"
+    path.write_bytes(data)
+    stream = io.BytesIO(data)
+
+    class ReadOnly:  # an object with nothing but read(n)
+        def read(self, n=-1):
+            return stream_copy.read(n)
+
+    stream_copy = io.BytesIO(data)
+    results = [parse_events(source, fmt)
+               for source in (path, str(path), data, bytearray(data), stream, ReadOnly())]
+    assert not stream.closed  # the caller's stream stays open
+    batch, report = results[0]
+    assert batch.user_ids == ("a", "c", "d")  # the U+2028 row and the lone "\r" row parse
+    assert report.entries == [(2 if fmt == "ndjson" else 3, "invalid utf-8")]
+    for other, other_report in results[1:]:
+        assert _columns(other) == _columns(batch)
+        assert (other_report.entries, other_report.total_rows) == (
+            report.entries, report.total_rows)
+
+
+def test_text_stream_is_read_in_place_and_left_open():
+    # a StringIO splits lines at "\n" only, so the lone "\r" joins rows c and d
+    stream = io.StringIO(SOURCE_BYTES.decode("utf-8", "surrogateescape"))
+    batch, report = parse_events(stream, "ndjson")
+    assert not stream.closed
+    assert batch.user_ids == ("a",)
+    assert report.entries == [(2, "invalid utf-8"), (3, "invalid json: Extra data")]
+
+
+def test_bytes_source_is_not_held_whole():
+    # 20,000 rows; reading the source whole and copying it into a StringIO
+    # peaked at about five times its size
+    data = b"".join(b'{"u":"u%d","t":"2013-03-05T10:07:00Z","lon":1.5,"lat":2.5}\n' % (i % 500)
+                    for i in range(20000))
+    tracemalloc.start()
+    try:
+        batch, _ = parse_events(data, "ndjson")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(batch) == 20000
+    assert peak < 2 * len(data)

@@ -58,6 +58,18 @@ def test_constant_y_gives_zero_slope_and_r2():
     assert fit.r2 == 0.0
 
 
+def test_constant_nonzero_y_has_zero_r2_and_no_f():
+    # the mean of 399 copies of 100000/399 is rounded, so y - mean is not all 0
+    y = np.full(399, 100000 / 399)
+    assert np.sum((y - y.mean()) ** 2) > 0.0
+    X = np.random.default_rng(8).normal(size=(399, 2))
+    fit = fit_ols(y, X)
+    assert fit.r2 == 0.0
+    assert math.isnan(fit.f_stat) and math.isnan(fit.f_p_value)
+    bivariate = bivariate_slot_ols(X[:, 0], y)
+    assert bivariate.r2 == 0.0
+
+
 def test_residuals_sum_to_zero_with_intercept():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(30, 2))
