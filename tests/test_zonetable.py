@@ -234,10 +234,14 @@ FAULTS = ["degenerate", "unclosed", "residential exceeds", "negative area", "nan
 
 
 def _break(feature, fault, other_id):
+    """Apply one fault; faults may land on the same feature, so each skips when an
+    earlier one already took away what it changes."""
     props, geom = feature["properties"], feature["geometry"]
     if not geom["coordinates"]:  # "no rings" came first
         return
     ring = geom["coordinates"][0]
+    if len(ring) < {"unclosed": 1, "nan vertex": 2, "bad pair": 2, "null vertex": 3}.get(fault, 0):
+        return  # "degenerate" and "unclosed" left too few vertices
     if fault == "degenerate":
         geom["coordinates"][-1] = [[0, 0], [1, 1], [0, 0]]
     elif fault == "unclosed":
@@ -249,7 +253,7 @@ def _break(feature, fault, other_id):
     elif fault == "nan area":
         props["lu_office_m2"] = math.nan
     elif fault == "missing id":
-        del props["zone_id"]
+        props.pop("zone_id", None)
     elif fault == "multipolygon":
         geom["type"] = "MultiPolygon"
     elif fault == "no rings":
