@@ -128,13 +128,16 @@ CLASSES: tuple[LandUseClass, ...] = (
 _ACTIVITY_COLUMNS = [CATEGORIES.index(c) for c in ACTIVITY_CATEGORIES]
 
 
-def classify_codes(zones: "ZoneTable | Iterable[Zone]",
-                   threshold: float = PREDOMINANCE_THRESHOLD) -> np.ndarray:
-    """:func:`classify_zone` of every zone at once, as an index into :data:`CLASSES`.
+def classify_zones(zones: "ZoneTable | Iterable[Zone]",
+                   threshold: float = PREDOMINANCE_THRESHOLD,
+                   ) -> tuple[dict[str, LandUseClass], list[str]]:
+    """:func:`classify_zone` of every zone at once; returns (zone_id -> class,
+    ids that could not be classified).
 
-    Rows follow the zone table (sorted zone_id); -1 marks a zone with zero
-    built surface. The activity subcategory is the first largest column of
-    the land-use matrix, which is the enumeration-order tie-break.
+    Both follow sorted zone_id order. The activity subcategory is the first
+    largest column of the land-use matrix, which is the enumeration-order
+    tie-break. Unclassified zones (zero built surface) are excluded from
+    profile analyses but stay in regressions with whatever areas they carry.
     """
     table = _zone_table(zones)
     total = table.built_total_m2
@@ -144,20 +147,7 @@ def classify_codes(zones: "ZoneTable | Iterable[Zone]",
     activity = fraction < 1.0 - threshold
     codes[activity] = 2 + np.argmax(table.landuse_m2[activity][:, _ACTIVITY_COLUMNS], axis=1)
     codes[total <= 0] = -1
-    return codes
-
-
-def classify_zones(zones: "ZoneTable | Iterable[Zone]",
-                   threshold: float = PREDOMINANCE_THRESHOLD,
-                   ) -> tuple[dict[str, LandUseClass], list[str]]:
-    """Classify every zone; returns (zone_id -> class, ids that could not be classified).
-
-    Both follow sorted zone_id order. Unclassified zones (zero built surface)
-    are excluded from profile analyses but stay in regressions with whatever
-    areas they carry.
-    """
-    table = _zone_table(zones)
-    codes = classify_codes(table, threshold).tolist()
+    codes = codes.tolist()
     classes = {z: CLASSES[c] for z, c in zip(table.zone_ids, codes) if c >= 0}
     unclassified = [z for z, c in zip(table.zone_ids, codes) if c < 0]
     if unclassified:

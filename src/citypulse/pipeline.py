@@ -12,7 +12,6 @@ import csv
 import hashlib
 import json
 import logging
-import math
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -96,34 +95,16 @@ _ZONE_PROPERTIES = frozenset(
     ["zone_id", "area_ha", "built_residential_m2", "built_total_m2", *_LANDUSE_KEYS])
 
 
-def _json_6g(value: float) -> str:
-    """json.dumps text of float(format(value, ".6g"))."""
-    text = format(value, ".6g")
-    if "." in text and "e" not in text:  # fixed notation with a fraction: repr's own form
-        return text
-    if text.lstrip("-").isdigit():  # an integral float: repr adds ".0"
-        return text + ".0"
-    return _encode(float(text))  # exponent, nan or inf
-
-
-def _json_float(value: float) -> str:
-    """json.dumps text of a float."""
-    return repr(value) if math.isfinite(value) else _encode(value)
-
-
-def _float_texts(values: np.ndarray, text) -> list[str]:
-    """``text(v)`` per float, computed once per distinct bit pattern."""
-    bits, inverse = np.unique(np.ascontiguousarray(values, dtype=np.float64).view(np.int64),
-                              return_inverse=True)
-    texts = list(map(text, bits.view(np.float64).tolist()))
-    return [texts[k] for k in inverse.tolist()]
+def _json_floats(values: list[float]) -> list[str]:
+    """json.dumps text of each float, from one encoder call (no float's text holds ", ")."""
+    return _encode(values)[1:-1].split(", ") if values else []
 
 
 def _json_values(values) -> list[str]:
-    """JSON text per value: floats at 6 significant digits, the rest as json.dumps prints it."""
+    """json.dumps text per value, a float rounded first to float(format(v, ".6g"))."""
     if isinstance(values, np.ndarray) and values.dtype.kind == "f":
-        return _float_texts(values, _json_6g)
-    return [_json_6g(v) if isinstance(v, float) else _encode(v) for v in values]
+        return _json_floats(list(map(float, map("%.6g".__mod__, values.tolist()))))
+    return [_encode(float(format(v, ".6g")) if isinstance(v, float) else v) for v in values]
 
 
 def export_geojson(zones: ZoneTable | Iterable[Zone],
@@ -159,17 +140,17 @@ def export_geojson(zones: ZoneTable | Iterable[Zone],
     for label, values in (("area_ha", table.area_ha),
                           ("built_residential_m2", table.built_residential_m2),
                           ("built_total_m2", table.built_total_m2)):
-        parts.append([f', "{label}": {t}' for t in _float_texts(values, _json_float)])
+        parts.append([f', "{label}": {t}' for t in _json_floats(values.tolist())])
     zone_of, cat_of = np.nonzero(table.landuse_present)  # by zone, then category
     keyed = [f', "{_LANDUSE_KEYS[j]}": {t}' for j, t in zip(
-        cat_of.tolist(), _float_texts(table.landuse_m2[zone_of, cat_of], _json_float))]
+        cat_of.tolist(), _json_floats(table.landuse_m2[zone_of, cat_of].tolist()))]
     bounds = np.searchsorted(zone_of, np.arange(len(ids) + 1)).tolist()
     parts.append(["".join(keyed[a:b]) for a, b in zip(bounds, bounds[1:])])
     for name in sorted(aligned):
         key = _encode(name)
         parts.append([f", {key}: {t}" for t in _json_values(aligned[name])])
-    vertex = ["[" + x + ", " + y + "]" for x, y in zip(_float_texts(table.vertices[:, 0], repr),
-                                                      _float_texts(table.vertices[:, 1], repr))]
+    lon, lat = (_json_floats(axis.tolist()) for axis in table.vertices.T)
+    vertex = ["[" + x + ", " + y + "]" for x, y in zip(lon, lat)]
     starts = table.ring_start.tolist()
     rings = ["[" + ", ".join(vertex[a:b]) + "]" for a, b in zip(starts, starts[1:])]
     bounds = table.zone_ring_start.tolist()
@@ -301,7 +282,8 @@ def run_pipeline(config: PipelineConfig,
 
         classes, unclassified = landuse.classify_zones(
             zones, config.predominance_threshold)
-        codes = landuse.classify_codes(zones, config.predominance_threshold)
+        code_of = {cls: k for k, cls in enumerate(landuse.CLASSES)}
+        codes = np.array([code_of.get(classes.get(z), -1) for z in zone_ids], dtype=np.int64)
         counts["zones_unclassified"] = len(unclassified)
         if unclassified:
             warnings.append(

@@ -109,14 +109,6 @@ class ZoneTable:
     def __len__(self) -> int:
         return len(self.zone_ids)
 
-    def ring_lists(self) -> list[list[list[list[float]]]]:
-        """Per zone, its rings as lists of [lon, lat] lists."""
-        coords = self.vertices.tolist()
-        starts = self.ring_start.tolist()
-        bounds = self.zone_ring_start.tolist()
-        return [[coords[starts[r]:starts[r + 1]] for r in range(bounds[k], bounds[k + 1])]
-                for k in range(len(self))]
-
     def __getitem__(self, k: int) -> Zone:
         k = range(len(self))[k]  # negative indices count from the end; IndexError past it
         lo, hi = self.zone_ring_start[k], self.zone_ring_start[k + 1]
@@ -164,7 +156,9 @@ class _ZoneRows:
         """The zones as a table sorted by zone_id.
 
         A fault raises the DataError of the first offending zone in input
-        order; the arrays only detect that there is one.
+        order. The arrays only detect that there is one, which keeps the
+        per-zone :meth:`Zone.validate` walk off valid input; the walk names
+        it, and the two must agree on every rule.
         """
         n = len(self.ids)
         order = sorted(range(n), key=self.ids.__getitem__)
@@ -196,6 +190,7 @@ class _ZoneRows:
                 present[row, j] = True
         if _has_fault(vertices, ring_start, zone_ring_start, numbers, landuse, present):
             self.raise_first_fault()
+            raise RuntimeError("zone arrays report a fault that Zone.validate accepts")
         dupes = sorted({a for a, b in zip(ids, ids[1:]) if a == b})
         if dupes:
             raise DataError(f"duplicate zone_id(s): {', '.join(dupes)}")
@@ -301,8 +296,12 @@ def distance_to_centre(zone: Zone, centre: CityCentre) -> float:
 
 def distances_to_centre(zones: ZoneTable, centre: CityCentre) -> np.ndarray:
     """:func:`distance_to_centre` of every zone, in table order and to the same bits."""
-    return np.array([haversine_m(*polygon_centroid(rings), centre.lon, centre.lat)
-                     for rings in zones.ring_lists()], dtype=np.float64)
+    coords = zones.vertices.tolist()
+    starts = zones.ring_start.tolist()
+    rings = [coords[a:b] for a, b in zip(starts, starts[1:])]
+    bounds = zones.zone_ring_start.tolist()
+    return np.array([haversine_m(*polygon_centroid(rings[a:b]), centre.lon, centre.lat)
+                     for a, b in zip(bounds, bounds[1:])], dtype=np.float64)
 
 
 # Points located per pass, and the most (pair, edge) tests held in memory at

@@ -98,7 +98,7 @@ def zone_fields(zone):
 # --- random zone sets -----------------------------------------------------------
 
 LATTICE = st.integers(0, 8).map(lambda k: k * 0.5)
-IDS = st.text(alphabet=st.sampled_from('az09 ,;"\\\n\té中 \U0001f600'),
+IDS = st.text(alphabet=st.sampled_from('az09 ,;"\\\r\n\té中 \U0001f600'),
               min_size=1, max_size=6)
 AREA = st.one_of(st.floats(0, 1e7, allow_nan=False), st.integers(0, 10 ** 6),
                  st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-7, 2.5e16]))
@@ -298,6 +298,17 @@ def test_first_offender_in_file_order_not_id_order(tmp_path):
     write_zones(tmp_path / "zones.geojson", feats)
     with pytest.raises(DataError, match="zone 'c': ring is not closed"):
         load_zones_geojson(tmp_path / "zones.geojson")
+
+
+def test_array_check_and_validate_must_agree(tmp_path):
+    """A fault the arrays see but Zone.validate accepts stops the load."""
+    square = [[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]]
+    write_zones(tmp_path / "zones.geojson", [
+        {"type": "Feature", "properties": {"zone_id": "a"},
+         "geometry": {"type": "Polygon", "coordinates": [square]}}])
+    with mock.patch("citypulse.spatial._has_fault", return_value=True):
+        with pytest.raises(RuntimeError, match="Zone.validate accepts"):
+            load_zones_geojson(tmp_path / "zones.geojson")
 
 
 # --- zones_metrics.geojson as zones input, at scale -----------------------------
