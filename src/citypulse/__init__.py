@@ -14,13 +14,12 @@ from .errors import (CityPulseError, ClassificationError, ConfigError, DataError
                      SingularityError)
 from .ingest import (EventBatch, GeoEvent, RejectionReport, filter_workdays, parse_events,
                      quarter_bin)
-from .landuse import (LandUseCategory, LandUseClass, classify_zone, landuse_area_table)
+from .landuse import LandUseCategory, LandUseClass, classify_zone
 from .pipeline import export_geojson, run_pipeline
 from .spatial import (CityCentre, Zone, ZoneIndex, ZoneTable, build_zone_index,
-                      distance_to_centre, haversine_m, load_zones_geojson, locate_point)
+                      distance_to_centre, haversine_m, load_zones_geojson)
 from .stats import (BivariateFit, OlsFit, SlotDistribution, bivariate_slot_ols,
-                    census_correlation, fit_ols, infer_home, slot_descriptives,
-                    stepwise_fit)
+                    census_correlation, fit_ols, slot_descriptives, stepwise_fit)
 from .synth import SynthConfig, generate_city, generate_events
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .landuse import ACTIVITY_CATEGORIES, LandUseClass
+from .landuse import class_groups
 
 logger = logging.getLogger(__name__)
 
@@ -77,9 +77,6 @@ class ActivityMatrix:
     zone_ids: tuple[str, ...]
     bin_labels: tuple[str, ...]
     counts: np.ndarray  # int64, zones x bins
-
-    def zone_row(self, zone_id: str) -> np.ndarray:
-        return self.counts[self.zone_ids.index(zone_id)]
 
 
 @dataclass
@@ -217,46 +214,22 @@ def normalize_counts(matrix: ActivityMatrix,
                             float(slot_total), zero_bins)
 
 
-MAIN_CLASS_ORDER = ("residential", "mixed", "activity")
-
-
-def profile_labels(classes: Mapping[str, LandUseClass]) -> list[str]:
-    """Deterministic profile label order: main kinds, then activity subcategories."""
-    kinds = {cls.kind for cls in classes.values()}
-    subs = {cls.sub for cls in classes.values() if cls.kind == "activity"}
-    labels = [k for k in MAIN_CLASS_ORDER if k in kinds]
-    labels.extend(f"activity:{c.value}" for c in ACTIVITY_CATEGORIES if c in subs)
-    return labels
-
-
-def landuse_profile(normalized: NormalizedMatrix,
-                    classes: Mapping[str, LandUseClass],
+def landuse_profile(normalized: NormalizedMatrix, codes: np.ndarray,
                     ) -> tuple[list[TemporalProfile], list[str]]:
     """Temporal profile per land-use class from the quarter-hour normalized matrix.
 
-    Every zone's normalized users are assigned to its predominant class; the
-    per-bin class totals divided by the class daily total give the shares.
-    Profiles are built for the three main kinds and, additionally, for each
+    Every zone's normalized users are assigned to its predominant class
+    (``codes``, one class code per row); the per-bin class totals divided by
+    the class daily total give the shares. Profiles follow the groups of
+    :func:`~citypulse.landuse.class_groups`: the three main kinds, then each
     activity subcategory present. Classes with zero daily total are omitted
     and reported; unclassified zones are skipped.
     """
     if len(normalized.bin_labels) != N_QUARTER_BINS:
         raise DataError("land-use profiles require the quarter-hour normalized matrix")
-    rows_by_label: dict[str, list[int]] = {}
-    for i, zone_id in enumerate(normalized.zone_ids):
-        cls = classes.get(zone_id)
-        if cls is None:
-            continue
-        rows_by_label.setdefault(cls.kind, []).append(i)
-        if cls.kind == "activity":
-            rows_by_label.setdefault(cls.key, []).append(i)
-
     profiles: list[TemporalProfile] = []
     omitted: list[str] = []
-    for label in profile_labels(classes):
-        rows = rows_by_label.get(label)
-        if not rows:
-            continue
+    for label, rows in class_groups(codes):
         totals = normalized.values[rows].sum(axis=0)
         daily = float(totals.sum())
         if daily == 0.0:

@@ -29,6 +29,7 @@ from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 import numpy as np
 
+from . import tables
 from .errors import ConfigError, DataError
 
 logger = logging.getLogger(__name__)
@@ -258,11 +259,10 @@ class RejectionReport:
         self.entries.append((line, reason))
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["line", "reason"])
-            for line, reason in sorted(self.entries):
-                writer.writerow([line, reason])
+        entries = sorted(self.entries)
+        tables.write_csv(path, ["line", "reason"], [
+            np.array([line for line, _ in entries], dtype=np.int64),
+            [reason for _, reason in entries]])
 
 
 def get_timezone(tz: str) -> ZoneInfo:

@@ -1,4 +1,4 @@
-"""Predominant land-use classification of zones and per-zone land-use area tables.
+"""Predominant land-use classification of zones, as class codes, and class grouping.
 
 A zone is classed residential when more than ``PREDOMINANCE_THRESHOLD`` of its
 built surface is residential, activity when more than the same share is
@@ -10,7 +10,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -116,30 +116,25 @@ def classify_zone(zone: "Zone", threshold: float = PREDOMINANCE_THRESHOLD) -> La
     return MIXED
 
 
-def _zone_table(zones) -> "ZoneTable":
-    from .spatial import ZoneTable  # spatial imports this module
-    return ZoneTable.of(zones)
-
-
 # Every class a zone can get, in class-code order: residential, mixed, then
 # activity by category
 CLASSES: tuple[LandUseClass, ...] = (
     RESIDENTIAL, MIXED, *(LandUseClass("activity", c) for c in ACTIVITY_CATEGORIES))
 _ACTIVITY_COLUMNS = [CATEGORIES.index(c) for c in ACTIVITY_CATEGORIES]
 
+# Profile and density labels in output order: the three kinds, then each activity class
+LABELS: tuple[str, ...] = ("residential", "mixed", "activity", *(c.key for c in CLASSES[2:]))
 
-def classify_zones(zones: "ZoneTable | Iterable[Zone]",
-                   threshold: float = PREDOMINANCE_THRESHOLD,
-                   ) -> tuple[dict[str, LandUseClass], list[str]]:
-    """:func:`classify_zone` of every zone at once; returns (zone_id -> class,
-    ids that could not be classified).
 
-    Both follow sorted zone_id order. The activity subcategory is the first
-    largest column of the land-use matrix, which is the enumeration-order
-    tie-break. Unclassified zones (zero built surface) are excluded from
+def classify_zones(table: "ZoneTable", threshold: float = PREDOMINANCE_THRESHOLD) -> np.ndarray:
+    """:func:`classify_zone` of every zone at once, as class codes.
+
+    Code ``k`` is ``CLASSES[k]``; -1 marks a zone that cannot be classified
+    (zero built surface). Codes follow the table's rows. The activity
+    subcategory is the first largest column of the land-use matrix, which is
+    the enumeration-order tie-break. Unclassified zones are excluded from
     profile analyses but stay in regressions with whatever areas they carry.
     """
-    table = _zone_table(zones)
     total = table.built_total_m2
     with np.errstate(divide="ignore", invalid="ignore"):
         fraction = table.built_residential_m2 / total
@@ -147,33 +142,47 @@ def classify_zones(zones: "ZoneTable | Iterable[Zone]",
     activity = fraction < 1.0 - threshold
     codes[activity] = 2 + np.argmax(table.landuse_m2[activity][:, _ACTIVITY_COLUMNS], axis=1)
     codes[total <= 0] = -1
-    codes = codes.tolist()
-    classes = {z: CLASSES[c] for z, c in zip(table.zone_ids, codes) if c >= 0}
-    unclassified = [z for z, c in zip(table.zone_ids, codes) if c < 0]
+    unclassified = np.count_nonzero(codes < 0)
     if unclassified:
-        logger.warning("%d zones with zero built surface left unclassified", len(unclassified))
-    return classes, unclassified
+        logger.warning("%d zones with zero built surface left unclassified", unclassified)
+    return codes
 
 
-def landuse_area_table(zones: "ZoneTable | Iterable[Zone]") -> tuple[list[str], np.ndarray]:
-    """Dense zones x categories matrix of m2, rows by sorted zone_id.
+def class_groups(codes: np.ndarray) -> list[tuple[str, np.ndarray]]:
+    """Each label of :data:`LABELS` that has zones, with its zone rows ascending.
 
-    Column order is the fixed category enumeration; absent categories are 0.
+    A classified zone belongs to its kind (residential, mixed or activity), and
+    an activity zone also to its ``activity:<sub>`` label; code -1 belongs to
+    none. Labels without zones are left out.
     """
-    table = _zone_table(zones)
-    return list(table.zone_ids), table.landuse_m2.copy()
+    kinds = np.minimum(codes, 2)
+    groups = [(label, np.flatnonzero(kinds == k)) for k, label in enumerate(LABELS[:3])]
+    groups += [(label, np.flatnonzero(codes == k)) for k, label in enumerate(LABELS[3:], 2)]
+    return [(label, rows) for label, rows in groups if len(rows)]
 
 
-def write_classification_csv(path,
-                             zones: "ZoneTable | Iterable[Zone]",
-                             classes: Mapping[str, LandUseClass]) -> None:
+def class_sums(codes: np.ndarray, values: np.ndarray) -> dict[str, float]:
+    """Per label of :func:`class_groups`, the sum of its zones' ``values``.
+
+    Each sum adds zone after zone (``np.add.at`` is unbuffered and in order),
+    as a running sum would; ``values[rows].sum()`` sums pairwise and can
+    differ in the last bit.
+    """
+    groups = class_groups(codes)
+    group = np.repeat(np.arange(len(groups)), [len(rows) for _, rows in groups])
+    rows = np.concatenate([np.empty(0, np.int64), *(rows for _, rows in groups)])
+    sums = np.zeros(len(groups))
+    np.add.at(sums, group, values[rows])
+    return {label: s for (label, _), s in zip(groups, sums.tolist())}
+
+
+def write_classification_csv(path, table: "ZoneTable", codes: np.ndarray) -> None:
     """Export zone_id,class,subcategory,residential_fraction (unclassified rows blank)."""
-    table = _zone_table(zones)
     with np.errstate(divide="ignore", invalid="ignore"):
         fractions = (table.built_residential_m2 / table.built_total_m2).tolist()
-    found = [classes.get(z) for z in table.zone_ids]
-    kinds = ["" if cls is None else cls.kind for cls in found]
-    subs = ["" if cls is None or cls.sub is None else cls.sub.value for cls in found]
-    fractions = ["" if cls is None else "%.6g" % f for cls, f in zip(found, fractions)]
+    codes = codes.tolist()
+    kinds = [CLASSES[c].kind if c >= 0 else "" for c in codes]
+    subs = [CLASSES[c].sub.value if c >= 2 else "" for c in codes]
+    fractions = ["%.6g" % f if c >= 0 else "" for c, f in zip(codes, fractions)]
     write_csv(path, ["zone_id", "class", "subcategory", "residential_fraction"],
               [table.zone_ids, kinds, subs, fractions])

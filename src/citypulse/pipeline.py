@@ -12,6 +12,7 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -24,7 +25,7 @@ from . import activity, ingest, landuse, spatial, stats
 from .config import PipelineConfig, config_echo
 from .errors import ConfigError, DataError
 from .landuse import CATEGORIES
-from .spatial import CityCentre, Zone, ZoneIndex, ZoneTable
+from .spatial import CityCentre, ZoneIndex, ZoneTable
 from .tables import write_csv
 
 logger = logging.getLogger(__name__)
@@ -74,7 +75,7 @@ def assign_events(events: ingest.EventBatch, index: ZoneIndex, tz: str
 
 
 def load_census(path) -> dict[str, float]:
-    """CSV with header zone_id,population."""
+    """CSV with header zone_id,population; each population a finite number."""
     census: dict[str, float] = {}
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -82,7 +83,16 @@ def load_census(path) -> dict[str, float]:
             if reader.fieldnames is None or not {"zone_id", "population"} <= set(reader.fieldnames):
                 raise DataError(f"census file {path} must have columns zone_id,population")
             for row in reader:
-                census[row["zone_id"]] = float(row["population"])
+                raw = row["population"]
+                try:
+                    population = float(raw)
+                except (TypeError, ValueError):
+                    population = math.nan
+                if not math.isfinite(population):
+                    raise DataError(f"census file {path} line {reader.line_num}: population "
+                                    f"{'missing' if raw is None else repr(raw)} is not a "
+                                    "finite number")
+                census[row["zone_id"]] = population
     except OSError as exc:
         raise DataError(f"cannot read census file {path}: {exc}") from exc
     return census
@@ -107,33 +117,21 @@ def _json_values(values) -> list[str]:
     return [_encode(float(format(v, ".6g")) if isinstance(v, float) else v) for v in values]
 
 
-def export_geojson(zones: ZoneTable | Iterable[Zone],
-                   columns: Mapping[str, object],
-                   path) -> None:
+def export_geojson(table: ZoneTable, columns: Mapping[str, Sequence], path) -> None:
     """Write zones with named per-zone value columns as a FeatureCollection.
 
-    A column is either a sequence aligned with the table's sorted zone_ids or
-    a mapping by zone_id, where an unknown zone_id is fatal and zones missing
-    a value get an explicit null. Float values print at 6 significant
-    digits. Geometry and land-use properties round-trip through the zones
-    loader. The text equals ``json.dumps`` of the whole FeatureCollection; it
-    is written one feature at a time.
+    Each column is aligned with the table's sorted zone_ids; ``None`` is an
+    explicit null. Float values print at 6 significant digits. Geometry and
+    land-use properties round-trip through the zones loader. The text equals
+    ``json.dumps`` of the whole FeatureCollection; it is written one feature
+    at a time.
     """
-    table = ZoneTable.of(zones)
     ids = table.zone_ids
-    aligned: dict[str, object] = {}
     for name, values in columns.items():
         if name in _ZONE_PROPERTIES:
             raise DataError(f"column {name!r} would overwrite a zone property")
-        if isinstance(values, Mapping):
-            unknown = sorted(set(values) - set(ids))
-            if unknown:
-                raise DataError(f"column {name!r} references unknown zone_id(s): "
-                                f"{', '.join(unknown[:5])}")
-            values = [values.get(z) for z in ids]
-        elif len(values) != len(ids):
+        if len(values) != len(ids):
             raise DataError(f"column {name!r} has {len(values)} values for {len(ids)} zones")
-        aligned[name] = values
 
     # every column as JSON text once, then one string per feature
     parts = [[_encode(z) for z in ids]]
@@ -146,9 +144,9 @@ def export_geojson(zones: ZoneTable | Iterable[Zone],
         cat_of.tolist(), _json_floats(table.landuse_m2[zone_of, cat_of].tolist()))]
     bounds = np.searchsorted(zone_of, np.arange(len(ids) + 1)).tolist()
     parts.append(["".join(keyed[a:b]) for a, b in zip(bounds, bounds[1:])])
-    for name in sorted(aligned):
+    for name in sorted(columns):
         key = _encode(name)
-        parts.append([f", {key}: {t}" for t in _json_values(aligned[name])])
+        parts.append([f", {key}: {t}" for t in _json_values(columns[name])])
     lon, lat = (_json_floats(axis.tolist()) for axis in table.vertices.T)
     vertex = ["[" + x + ", " + y + "]" for x, y in zip(lon, lat)]
     starts = table.ring_start.tolist()
@@ -166,21 +164,16 @@ def export_geojson(zones: ZoneTable | Iterable[Zone],
         fh.write("]}")
 
 
-def _write_matrix_csv(path, zone_ids, labels, array) -> None:
-    write_csv(path, ["zone_id", *labels], [zone_ids, *array.T])
-
-
 def _write_residuals_csv(path, zone_ids, residuals, std_residuals) -> None:
     write_csv(path, ["zone_id", "residual", "std_residual"], [zone_ids, residuals, std_residuals])
 
 
 def _write_profiles_csv(path, profiles: Sequence[activity.TemporalProfile]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["class", "bin", "share"])
-        for profile in profiles:
-            for b, share in enumerate(profile.shares):
-                writer.writerow([profile.label, b, _fmt(share)])
+    n_bins = activity.N_QUARTER_BINS
+    write_csv(path, ["class", "bin", "share"],
+              [[p.label for p in profiles for _ in range(n_bins)],
+               np.tile(np.arange(n_bins), len(profiles)),
+               np.array([p.shares for p in profiles]).reshape(-1)])
 
 
 def _write_model_csv(path, fit: stats.OlsFit, dropped: Sequence[str]) -> None:
@@ -245,6 +238,9 @@ def run_pipeline(config: PipelineConfig,
         raise DataError(f"census file not found: {config.census_path}")
     if "regress" in steps and config.centre_lon is None:
         raise ConfigError("regression requires centre_lon and centre_lat")
+    census = None
+    if "regress" in steps and config.census_path is not None:
+        census = load_census(config.census_path)
 
     inputs = {"events": str(config.events_path), "zones": str(config.zones_path)}
     if config.census_path is not None:
@@ -280,14 +276,11 @@ def run_pipeline(config: PipelineConfig,
                     and y0.min() <= config.centre_lat <= y1.max()):
                 warnings.append("configured city centre lies outside the zone coverage")
 
-        classes, unclassified = landuse.classify_zones(
-            zones, config.predominance_threshold)
-        code_of = {cls: k for k, cls in enumerate(landuse.CLASSES)}
-        codes = np.array([code_of.get(classes.get(z), -1) for z in zone_ids], dtype=np.int64)
-        counts["zones_unclassified"] = len(unclassified)
+        codes = landuse.classify_zones(zones, config.predominance_threshold)
+        unclassified = int(np.count_nonzero(codes < 0))
+        counts["zones_unclassified"] = unclassified
         if unclassified:
-            warnings.append(
-                f"{len(unclassified)} zones with zero built surface left unclassified")
+            warnings.append(f"{unclassified} zones with zero built surface left unclassified")
 
         assigned, unassigned, overlaps = assign_events(
             workday_events, index, config.timezone)
@@ -303,60 +296,45 @@ def run_pipeline(config: PipelineConfig,
 
         if "aggregate" in steps:
             quarter = activity.count_unique_users(assigned)
-            _write_matrix_csv(stage / "activity_matrix.csv", quarter.zone_ids,
-                              quarter.bin_labels, quarter.counts)
+            write_csv(stage / "activity_matrix.csv", ["zone_id", *quarter.bin_labels],
+                      [quarter.zone_ids, *quarter.counts.T])
             slot_matrix = activity.aggregate_major_slots(assigned, config.slots)
-            _write_matrix_csv(stage / "slot_counts.csv", slot_matrix.zone_ids,
-                              slot_matrix.bin_labels, slot_matrix.counts)
+            write_csv(stage / "slot_counts.csv", ["zone_id", *slot_matrix.bin_labels],
+                      [slot_matrix.zone_ids, *slot_matrix.counts.T])
             normalized_slots = activity.normalize_counts(slot_matrix, config.normalization_total)
-            _write_matrix_csv(stage / "normalized_slots.csv", normalized_slots.zone_ids,
-                              normalized_slots.bin_labels, normalized_slots.values)
+            write_csv(stage / "normalized_slots.csv", ["zone_id", *normalized_slots.bin_labels],
+                      [normalized_slots.zone_ids, *normalized_slots.values.T])
             if normalized_slots.zero_bins:
                 warnings.append("slots with no active users: " + ", ".join(
                     slot_names[i] for i in normalized_slots.zero_bins))
-            with open(stage / "descriptives.csv", "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["slot", "n_zones", "minimum", "maximum",
-                                 "total", "mean", "std_dev"])
-                for j, name in enumerate(slot_names):
-                    d = stats.slot_descriptives(normalized_slots.values[:, j], name)
-                    writer.writerow([name, d.n_zones, _fmt(d.minimum), _fmt(d.maximum),
-                                     _fmt(d.total), _fmt(d.mean), _fmt(d.std_dev)])
+            described = [stats.slot_descriptives(normalized_slots.values[:, j], name)
+                         for j, name in enumerate(slot_names)]
+            measures = ["n_zones", "minimum", "maximum", "total", "mean", "std_dev"]
+            write_csv(stage / "descriptives.csv", ["slot", *measures],
+                      [slot_names, *(np.array([getattr(d, m) for d in described])
+                                     for m in measures)])
 
         if "profiles" in steps:
-            landuse.write_classification_csv(stage / "landuse_classes.csv", zones, classes)
+            landuse.write_classification_csv(stage / "landuse_classes.csv", zones, codes)
             normalized_quarter = activity.normalize_counts(quarter, config.normalization_total)
-            profiles, omitted = activity.landuse_profile(normalized_quarter, classes)
+            profiles, omitted = activity.landuse_profile(normalized_quarter, codes)
             _write_profiles_csv(stage / "profiles.csv", profiles)
             if omitted:
                 warnings.append("classes with no activity omitted from profiles: "
                                 + ", ".join(omitted))
             day = activity.count_daily_unique(assigned)
             day_norm = activity.normalize_counts(day, config.normalization_total)
-            # each classified zone adds to its kind and, for activity, to its
-            # activity:<sub> key; np.add.at adds in zone order, as a running
-            # sum over the zones would
-            rows = np.concatenate([np.flatnonzero(codes >= 0), np.flatnonzero(codes >= 2)])
-            label = np.concatenate([np.minimum(codes[codes >= 0], 2), codes[codes >= 2] + 1])
-            labels = ["residential", "mixed", "activity",
-                      *(cls.key for cls in landuse.CLASSES[2:])]
-            label_totals, label_areas = np.zeros(len(labels)), np.zeros(len(labels))
-            np.add.at(label_totals, label, day_norm.values[rows, 0])
-            np.add.at(label_areas, label, zones.area_ha[rows])
-            used = np.flatnonzero(np.bincount(label, minlength=len(labels))).tolist()
-            class_totals = {labels[k]: float(label_totals[k]) for k in used}
-            class_areas = {labels[k]: float(label_areas[k]) for k in used}
+            class_totals = landuse.class_sums(codes, day_norm.values[:, 0])
+            class_areas = landuse.class_sums(codes, zones.area_ha)
             densities, zero_area = activity.density_per_hectare(class_totals, class_areas)
             if zero_area:
                 warnings.append("classes with zero area omitted from densities: "
                                 + ", ".join(sorted(zero_area)))
-            with open(stage / "density.csv", "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["class", "daily_normalized_users", "area_ha", "users_per_ha"])
-                for label in activity.profile_labels(classes):
-                    if label in densities:
-                        writer.writerow([label, _fmt(class_totals[label]),
-                                         _fmt(class_areas[label]), _fmt(densities[label])])
+            write_csv(stage / "density.csv",
+                      ["class", "daily_normalized_users", "area_ha", "users_per_ha"],
+                      [list(densities), np.array([class_totals[k] for k in densities]),
+                       np.array([class_areas[k] for k in densities]),
+                       np.array(list(densities.values()))])
 
         if "regress" in steps:
             baseline = "night" if "night" in slot_names else slot_names[-1]
@@ -399,7 +377,7 @@ def run_pipeline(config: PipelineConfig,
                 geo_columns[f"std_residual_{name}_vs_{baseline}"] = fit.std_residuals
 
             centre = CityCentre(config.centre_lon, config.centre_lat)
-            _, areas = landuse.landuse_area_table(zones)
+            areas = zones.landuse_m2
             distance = spatial.distances_to_centre(zones, centre)
             nonzero = [j for j in range(areas.shape[1]) if np.any(areas[:, j])]
             zero_cats = [CATEGORIES[j].value for j in range(areas.shape[1]) if j not in nonzero]
@@ -428,8 +406,7 @@ def run_pipeline(config: PipelineConfig,
             write_csv(stage / "home_counts.csv", ["zone_id", "inferred_homes"],
                       [zone_ids, home_counts])
             counts["users_with_home"] = len(homes)
-            if config.census_path is not None:
-                census = load_census(config.census_path)
+            if census is not None:
                 missing = [z for z in zone_ids if z not in census]
                 if missing:
                     warnings.append(f"{len(missing)} zones missing from census default to 0")

@@ -102,10 +102,6 @@ class ZoneTable:
                      float(zone.built_total_m2))
         return rows.table()
 
-    @classmethod
-    def of(cls, zones: "ZoneTable | Iterable[Zone]") -> "ZoneTable":
-        return zones if isinstance(zones, ZoneTable) else cls.from_zones(zones)
-
     def __len__(self) -> int:
         return len(self.zone_ids)
 
@@ -323,8 +319,7 @@ class ZoneIndex:
     incremented once per extra claim.
     """
 
-    def __init__(self, zones: ZoneTable | Iterable[Zone], grid_size: int | None = None):
-        table = ZoneTable.of(zones)
+    def __init__(self, table: ZoneTable):
         if not len(table):
             raise DataError("cannot build an index over zero zones")
         self.table = table
@@ -334,7 +329,7 @@ class ZoneIndex:
         x0, y0, x1, y1 = table.bbox.T
         self._minx, self._miny = float(x0.min()), float(y0.min())
         self._maxx, self._maxy = float(x1.max()), float(y1.max())
-        n = self._n = grid_size or max(1, int(math.sqrt(len(table))) * 2)
+        n = self._n = max(1, int(math.sqrt(len(table))) * 2)
         self._dx = (self._maxx - self._minx) / n or 1.0
         self._dy = (self._maxy - self._miny) / n or 1.0
 
@@ -432,12 +427,8 @@ class ZoneIndex:
         return None if code < 0 else self.zone_ids[code]
 
 
-def build_zone_index(zones: ZoneTable | Iterable[Zone]) -> ZoneIndex:
-    return ZoneIndex(zones)
-
-
-def locate_point(index: ZoneIndex, lon: float, lat: float) -> str | None:
-    return index.locate(lon, lat)
+def build_zone_index(table: ZoneTable) -> ZoneIndex:
+    return ZoneIndex(table)
 
 
 _LANDUSE_COLUMN = {cat.column: j for j, cat in enumerate(CATEGORIES)}

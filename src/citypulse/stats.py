@@ -30,9 +30,8 @@ from __future__ import annotations
 
 import logging
 import math
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 
@@ -406,35 +405,18 @@ def slot_descriptives(values, slot: str = "") -> SlotDistribution:
     )
 
 
-def infer_home(user_events: Iterable[tuple[str, int]],
-               night_bins: Collection[int] = DEFAULT_NIGHT_BINS,
-               residential_zones: Collection[str] | None = None) -> str | None:
-    """Most frequent night-time zone of one user, restricted to residential zones.
-
-    Ties break by the user's total event count in the zone (all bins), then by
-    zone_id. Returns None when the user has no qualifying night event.
-    """
-    night_bins = set(night_bins)
-    night_counts: Counter[str] = Counter()
-    total_counts: Counter[str] = Counter()
-    for zone_id, b in user_events:
-        total_counts[zone_id] += 1
-        if b in night_bins and (residential_zones is None or zone_id in residential_zones):
-            night_counts[zone_id] += 1
-    if not night_counts:
-        return None
-    return min(night_counts, key=lambda z: (-night_counts[z], -total_counts[z], z))
-
-
 def infer_homes(events: AssignedEvents,
                 night_bins: Collection[int] = DEFAULT_NIGHT_BINS,
                 residential_zones: Collection[str] | None = None) -> dict[str, str]:
     """Home zone per user for every user with at least one qualifying night event.
 
-    Same rule as :func:`infer_home`, over all users at once: events are
-    counted per (user, zone) key with ``np.unique``, and each user's keys are
-    ranked by night count, then total count (both descending), then zone_id.
-    Users come out in sorted user_id order.
+    A user's home is the zone holding most of their night-time events (bins
+    in ``night_bins``), counting only zones in ``residential_zones`` when it
+    is given. Ties break by the user's total event count in the zone (all
+    bins), then by zone_id. Events are counted per (user, zone) key with
+    ``np.unique``, and each user's keys are ranked by night count, then total
+    count (both descending), then zone_id. Users come out in sorted user_id
+    order.
     """
     n_zones = len(events.zone_ids)
     key = events.users * n_zones + events.zones

@@ -25,7 +25,7 @@ import numpy as np
 from .activity import DEFAULT_SLOTS, MajorSlot, N_QUARTER_BINS, validate_slots
 from .errors import ConfigError
 from .ingest import GeoEvent, WORKDAY_WEEKDAYS
-from .landuse import LandUseCategory, LandUseClass, classify_zone
+from .landuse import CLASSES, LandUseCategory, LandUseClass, class_groups, classify_zone
 from .spatial import CityCentre, Zone, distance_to_centre
 
 logger = logging.getLogger(__name__)
@@ -441,13 +441,9 @@ def _expected_truth(city: SynthCity, q0, p0_bin, night_mask, homes, mu) -> Synth
 
     profiles: dict[str, np.ndarray] = {}
     slot_class_totals: dict[str, np.ndarray] = {}
-    rows_by_label: dict[str, list[int]] = {}
-    for i, zone in enumerate(city.zones):
-        cls = city.classes[zone.zone_id]
-        rows_by_label.setdefault(cls.kind, []).append(i)
-        if cls.kind == "activity":
-            rows_by_label.setdefault(cls.key, []).append(i)
-    for label, rows in rows_by_label.items():
+    code_of = {cls: k for k, cls in enumerate(CLASSES)}
+    codes = np.array([code_of[city.classes[z]] for z in city.zone_ids], dtype=np.int64)
+    for label, rows in class_groups(codes):
         totals = normalized[rows].sum(axis=0)
         daily = totals.sum()
         if daily > 0:

@@ -13,9 +13,9 @@ import numpy as np
 from citypulse.activity import (DEFAULT_SLOTS, AssignedEvents, aggregate_major_slots,
                                 count_unique_users, landuse_profile, normalize_counts)
 from citypulse.ingest import get_timezone, quarter_bin
-from citypulse.landuse import CATEGORIES, landuse_area_table
+from citypulse.landuse import CATEGORIES, classify_zones
 from citypulse.pipeline import run_pipeline
-from citypulse.spatial import build_zone_index, distance_to_centre, locate_point
+from citypulse.spatial import ZoneTable, build_zone_index, distance_to_centre
 from citypulse.stats import census_correlation, fit_ols, infer_homes, stepwise_fit
 from citypulse.synth import SynthConfig, generate_city, generate_events
 
@@ -27,7 +27,7 @@ encode = AssignedEvents.from_tuples
 
 
 def _assign(city, events):
-    index = build_zone_index(city.zones)
+    index = build_zone_index(ZoneTable.from_zones(city.zones))
     tz = get_timezone(city.config.timezone)
     codes = index.locate_codes([e.lon for e in events], [e.lat for e in events]).tolist()
     return [(e.user_id, index.zone_ids[c] if c >= 0 else None, quarter_bin(e.timestamp, tz))
@@ -104,9 +104,9 @@ def _brute_force_hits(zone, lons, lats):
 
 
 def test_spatial_join_oracle():
-    """locate_point equals brute-force even-odd testing on 10k points."""
+    """ZoneIndex.locate equals brute-force even-odd testing on 10k points."""
     city = generate_city(SynthConfig(seed=13, n_zones=100))
-    index = build_zone_index(city.zones)
+    index = build_zone_index(ZoneTable.from_zones(city.zones))
     rng = np.random.default_rng(29)
     x0, y0, x1, y1 = (min(z.bbox()[0] for z in city.zones),
                       min(z.bbox()[1] for z in city.zones),
@@ -123,7 +123,7 @@ def test_spatial_join_oracle():
     for i in range(len(lons)):
         owners = [zid for zid, hits in hit_matrix.items() if hits[i]]
         expected = owners[0] if owners else None
-        assert locate_point(index, lons[i], lats[i]) == expected
+        assert index.locate(lons[i], lats[i]) == expected
         agreements += 1
     assert agreements == 10_000
 
@@ -140,7 +140,7 @@ def test_spatial_join_oracle():
         blons, blats = np.array([lon]), np.array([lat])
         owners = [z.zone_id for z in city.zones if _brute_force_hits(z, blons, blats)[0]]
         assert len(owners) == 1, f"boundary point {(lon, lat)} claimed by {owners}"
-        assert locate_point(index, lon, lat) == owners[0]
+        assert index.locate(lon, lat) == owners[0]
     elapsed = time.monotonic() - start
     assert elapsed < 5.0
     print(f"PASS: spatial join oracle, 10000/10000 agreement + "
@@ -221,7 +221,8 @@ def _profiles_from_run(fixture):
     zone_ids = fixture.city.zone_ids
     encoded = encode(assigned, zone_ids)
     normalized = normalize_counts(count_unique_users(encoded))
-    profiles, _ = landuse_profile(normalized, fixture.city.classes)
+    profiles, _ = landuse_profile(
+        normalized, classify_zones(ZoneTable.from_zones(fixture.city.zones)))
     slot_matrix = aggregate_major_slots(encoded, DEFAULT_SLOTS)
     normalized_slots = normalize_counts(slot_matrix)
     return {p.label: p.shares for p in profiles}, normalized_slots, assigned
@@ -271,7 +272,8 @@ def test_profile_round_trip(big_city):
     small_assigned = _assign(small_city_obj, small_events)
     small_norm = normalize_counts(
         count_unique_users(encode(small_assigned, small_city_obj.zone_ids)))
-    small_profiles, _ = landuse_profile(small_norm, small_city_obj.classes)
+    small_profiles, _ = landuse_profile(
+        small_norm, classify_zones(ZoneTable.from_zones(small_city_obj.zones)))
     small_map = {p.label: p.shares for p in small_profiles}
     for label in ("residential", "mixed", "activity"):
         small_l1 = float(np.abs(small_map[label] - small_truth.profiles[label]).sum())
@@ -286,7 +288,7 @@ def test_regression_sign_structure(big_city):
     """Retained land-use coefficients positive, distance negative, trends planted."""
     _, normalized_slots, _ = _profiles_from_run(big_city)
     zones_sorted = sorted(big_city.city.zones, key=lambda z: z.zone_id)
-    _, table = landuse_area_table(big_city.city.zones)
+    table = ZoneTable.from_zones(big_city.city.zones).landuse_m2
     distance = np.array([distance_to_centre(z, big_city.city.centre) for z in zones_sorted])
     nonzero = [j for j in range(table.shape[1]) if np.any(table[:, j])]
     names = [CATEGORIES[j].value for j in nonzero] + ["distance_to_centre"]

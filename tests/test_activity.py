@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from citypulse.activity import (AssignedEvents, MajorSlot, aggregate_major_slots,
                                 count_daily_unique, count_unique_users,
                                 density_per_hectare, landuse_profile,
-                                normalize_counts, profile_labels, validate_slots)
+                                normalize_counts, validate_slots)
 from citypulse.errors import ConfigError, DataError
-from citypulse.landuse import LandUseCategory, LandUseClass
+from citypulse.landuse import CLASSES, LandUseCategory, LandUseClass, class_groups
 
 encode = AssignedEvents.from_tuples
 
@@ -167,13 +167,18 @@ RES = LandUseClass("residential")
 RETAIL = LandUseClass("activity", LandUseCategory.RETAIL)
 
 
+def codes_of(classes, zone_ids):
+    """Class code per zone from a zone_id -> LandUseClass dict; -1 for a zone without one."""
+    return np.array([CLASSES.index(classes[z]) if z in classes else -1 for z in zone_ids],
+                    dtype=np.int64)
+
+
 def test_profile_all_residential_matches_city_columns():
     rng = np.random.default_rng(11)
     events = [(f"u{rng.integers(40)}", f"z{rng.integers(3)}", int(rng.integers(96)))
               for _ in range(300)]
     normalized = normalize_counts(count_unique_users(encode(events)))
-    classes = {z: RES for z in normalized.zone_ids}
-    profiles, omitted = landuse_profile(normalized, classes)
+    profiles, omitted = landuse_profile(normalized, np.zeros(len(normalized.zone_ids), np.int64))
     assert omitted == []
     (profile,) = profiles
     assert profile.label == "residential"
@@ -187,7 +192,7 @@ def test_profile_concentration_follows_activity():
     events = [("a", "R", 80), ("b", "R", 85), ("c", "H", 40), ("d", "H", 90)]
     normalized = normalize_counts(count_unique_users(encode(events, ["H", "R"])))
     classes = {"R": RETAIL, "H": RES}
-    profiles, _ = landuse_profile(normalized, classes)
+    profiles, _ = landuse_profile(normalized, codes_of(classes, normalized.zone_ids))
     by_label = {p.label: p.shares for p in profiles}
     assert by_label["activity:retail"][76:88].sum() == pytest.approx(1.0)
     assert by_label["activity"][76:88].sum() == pytest.approx(1.0)
@@ -201,7 +206,7 @@ def test_profiles_partition_city_totals():
     events = [(f"u{rng.integers(60)}", rng.choice(zone_ids), int(rng.integers(96)))
               for _ in range(500)]
     normalized = normalize_counts(count_unique_users(encode(events, zone_ids)))
-    profiles, _ = landuse_profile(normalized, classes)
+    profiles, _ = landuse_profile(normalized, codes_of(classes, normalized.zone_ids))
     by_label = {p.label: p for p in profiles}
     main = ["residential", "mixed", "activity"]
     per_bin = sum(by_label[m].shares * by_label[m].daily_total for m in main)
@@ -211,7 +216,8 @@ def test_profiles_partition_city_totals():
 def test_profile_zero_class_omitted():
     events = [("a", "H", 40)]
     normalized = normalize_counts(count_unique_users(encode(events, ["H", "R"])))
-    profiles, omitted = landuse_profile(normalized, {"H": RES, "R": RETAIL})
+    profiles, omitted = landuse_profile(normalized,
+                                        codes_of({"H": RES, "R": RETAIL}, ["H", "R"]))
     assert "activity" in omitted and "activity:retail" in omitted
     assert [p.label for p in profiles] == ["residential"]
 
@@ -219,13 +225,16 @@ def test_profile_zero_class_omitted():
 def test_profile_requires_quarter_granularity():
     with pytest.raises(DataError, match="quarter"):
         landuse_profile(
-            normalize_counts(aggregate_major_slots(encode([("a", "Z", 40)]))), {"Z": RES})
+            normalize_counts(aggregate_major_slots(encode([("a", "Z", 40)]))),
+            np.zeros(1, dtype=np.int64))
 
 
 def test_profile_label_order():
     classes = {"a": RETAIL, "b": RES, "c": LandUseClass("activity", LandUseCategory.OFFICE)}
-    assert profile_labels(classes) == ["residential", "activity",
-                                       "activity:office", "activity:retail"]
+    groups = class_groups(codes_of(classes, "abc"))
+    assert [label for label, _ in groups] == ["residential", "activity",
+                                              "activity:office", "activity:retail"]
+    assert [rows.tolist() for _, rows in groups] == [[1], [0, 2], [2], [0]]
 
 
 def test_density_simple_division():

@@ -12,7 +12,7 @@ from citypulse.config import (PipelineConfig, load_config, parse_slots,
 from citypulse.activity import DEFAULT_SLOTS
 from citypulse.errors import ConfigError, DataError
 from citypulse.pipeline import export_geojson, parse_events_file, run_pipeline
-from citypulse.spatial import Zone, load_zones_geojson
+from citypulse.spatial import Zone, ZoneTable, load_zones_geojson
 from citypulse.stats import bivariate_slot_ols
 
 SQUARE = (((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.0, 0.0)),)
@@ -97,13 +97,18 @@ def test_config_validation_errors():
 
 def zones_pair():
     far = (((2.0, 0.0), (3.0, 0.0), (3.0, 1.0), (2.0, 1.0), (2.0, 0.0)),)
-    return [Zone("a", SQUARE, area_ha=1.0, built_residential_m2=10.0, built_total_m2=20.0),
-            Zone("b", far, area_ha=2.0, built_residential_m2=5.0, built_total_m2=30.0)]
+    return ZoneTable.from_zones([
+        Zone("a", SQUARE, area_ha=1.0, built_residential_m2=10.0, built_total_m2=20.0),
+        Zone("b", far, area_ha=2.0, built_residential_m2=5.0, built_total_m2=30.0)])
+
+
+def one_zone():
+    return ZoneTable.from_zones([Zone("z", SQUARE, area_ha=1.0)])
 
 
 def test_export_geojson_values_and_nulls(tmp_path):
     path = tmp_path / "zones.geojson"
-    export_geojson(zones_pair(), {"score": {"a": 1.23456789}}, path)
+    export_geojson(zones_pair(), {"score": [1.23456789, None]}, path)
     doc = json.loads(path.read_text())
     assert doc["type"] == "FeatureCollection"
     by_id = {f["properties"]["zone_id"]: f["properties"] for f in doc["features"]}
@@ -111,9 +116,11 @@ def test_export_geojson_values_and_nulls(tmp_path):
     assert by_id["b"]["score"] is None
 
 
-def test_export_geojson_unknown_zone_fatal(tmp_path):
-    with pytest.raises(DataError, match="unknown zone_id"):
-        export_geojson(zones_pair(), {"score": {"ghost": 1.0}}, tmp_path / "x.geojson")
+def test_export_geojson_misaligned_column_fatal(tmp_path):
+    with pytest.raises(DataError, match="has 1 values for 2 zones"):
+        export_geojson(zones_pair(), {"score": [1.0]}, tmp_path / "x.geojson")
+    with pytest.raises(DataError, match="overwrite a zone property"):
+        export_geojson(zones_pair(), {"area_ha": [1.0, 2.0]}, tmp_path / "x.geojson")
 
 
 def test_export_geojson_round_trips_as_zone_input(tmp_path):
@@ -289,7 +296,7 @@ def test_unicode_line_separators_in_text_stay_inside_one_row(tmp_path):
     assert report.total_rows == physical_lines
 
     zones_path = tmp_path / "zones.geojson"
-    export_geojson([Zone("z", SQUARE, area_ha=1.0)], {}, zones_path)
+    export_geojson(one_zone(), {}, zones_path)
     config = PipelineConfig(events_path=events_path, zones_path=zones_path,
                             output_dir=tmp_path / "out", timezone="UTC")
     counts = run_pipeline(config, {"ingest"}).manifest["counts"]
@@ -305,7 +312,7 @@ def test_out_of_range_instant_is_a_rejected_row(tmp_path):
         '{"u":"a","t":"2013-03-05T10:00:00Z","lon":0.5,"lat":0.5}\n'
         '{"u":"b","t":"0001-01-01T00:30:00+01:00","lon":0.5,"lat":0.5}\n')
     zones_path = tmp_path / "zones.geojson"
-    export_geojson([Zone("z", SQUARE, area_ha=1.0)], {}, zones_path)
+    export_geojson(one_zone(), {}, zones_path)
     config = PipelineConfig(events_path=events_path, zones_path=zones_path,
                             output_dir=tmp_path / "out", timezone="Europe/Madrid")
     counts = run_pipeline(config, {"ingest"}).manifest["counts"]
@@ -352,7 +359,7 @@ def test_cli_ingest_writes_clean_events(tmp_path):
         'garbage\n'
         '{"u":"b","t":"2013-03-09T10:00:00Z","lon":0.5,"lat":0.5}\n')  # saturday
     zones = tmp_path / "zones.geojson"
-    export_geojson([Zone("z", SQUARE, area_ha=1.0)], {}, zones)
+    export_geojson(one_zone(), {}, zones)
     out = tmp_path / "out"
     code = cli.main(["ingest", "--events", str(events), "--zones", str(zones),
                      "--out", str(out), "--timezone", "UTC"])
@@ -370,7 +377,7 @@ def test_cli_ingest_rejects_invalid_utf8_row(tmp_path, capsys):
         b'{"u":"a","t":"2013-03-05T10:00:00Z","lon":0.5,"lat":0.5,"text":"ok"}\n'
         b'{"u":"b","t":"2013-03-05T11:00:00Z","lon":0.5,"lat":0.5,"text":"bad \xff byte"}\n')
     zones = tmp_path / "zones.geojson"
-    export_geojson([Zone("z", SQUARE, area_ha=1.0)], {}, zones)
+    export_geojson(one_zone(), {}, zones)
     out = tmp_path / "out"
     code = cli.main(["ingest", "--events", str(events), "--zones", str(zones),
                      "--out", str(out), "--timezone", "UTC"])
@@ -406,6 +413,28 @@ def test_cli_synth_class_mix_and_census_round_trip(tmp_path):
     manifest = json.loads((out / "run" / "manifest.json").read_text())
     assert 0.0 <= manifest["stats"]["census_home_r2"] <= 1.0
     assert manifest["stats"]["census_home_r2"] > 0.5  # strong home bias, aligned census
+
+
+@pytest.mark.parametrize("row,shown", [
+    ("z0000,abc", "'abc'"), ("z0000,nan", "'nan'"), ("z0000,-inf", "'-inf'"),
+    ("z0000,", "''"), ("z0000", "missing")])
+def test_cli_bad_census_population_exits_2_before_parsing(small_city, tmp_path, monkeypatch,
+                                                          capsys, row, shown):
+    def parse_events_file(path, fmt):
+        raise AssertionError("events parsed before the census was read")
+
+    monkeypatch.setattr(pipeline, "parse_events_file", parse_events_file)
+    census = tmp_path / "census.csv"
+    census.write_text(f"zone_id,population\nz0001,12\n{row}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    config = small_city.config
+    code = cli.main(["run", "--events", str(config.events_path),
+                     "--zones", str(config.zones_path), "--census", str(census),
+                     "--timezone", config.timezone, "--centre-lon", str(config.centre_lon),
+                     "--centre-lat", str(config.centre_lat), "--out", str(out)])
+    assert code == 2
+    assert f"line 3: population {shown} is not a finite number" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_bad_class_mix_exits_2(tmp_path, capsys):

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from citypulse import spatial
 from citypulse.errors import DataError
 from citypulse.landuse import LandUseCategory
-from citypulse.spatial import (CityCentre, Zone, build_zone_index, distance_to_centre,
-                               haversine_m, load_zones_geojson, locate_point,
+from citypulse.spatial import (CityCentre, Zone, ZoneTable, build_zone_index,
+                               distance_to_centre, haversine_m, load_zones_geojson,
                                point_in_rings, polygon_centroid)
 
 
@@ -41,14 +41,14 @@ def brute_force_locate(zones, lon, lat):
 
 
 def test_single_zone_locate():
-    index = build_zone_index([square("z1", 0, 0)])
-    assert locate_point(index, 0.5, 0.5) == "z1"
-    assert locate_point(index, 2.0, 2.0) is None
+    index = build_zone_index(ZoneTable.from_zones([square("z1", 0, 0)]))
+    assert index.locate(0.5, 0.5) == "z1"
+    assert index.locate(2.0, 2.0) is None
 
 
 def test_index_cardinality_584_zones():
     zones = [square(f"z{i:04d}", i % 25, i // 25) for i in range(584)]
-    index = build_zone_index(zones)
+    index = build_zone_index(ZoneTable.from_zones(zones))
     assert len(index) == 584
 
 
@@ -56,8 +56,8 @@ def test_shared_edge_claimed_by_exactly_one_zone():
     zones = [square("left", 0, 0), square("right", 1, 0)]
     claims = []
     for _ in range(2):  # deterministic across rebuilt indexes
-        index = build_zone_index(zones)
-        claims.append([locate_point(index, 1.0, y) for y in (0.25, 0.5, 0.75)])
+        index = build_zone_index(ZoneTable.from_zones(zones))
+        claims.append([index.locate(1.0, y) for y in (0.25, 0.5, 0.75)])
     assert claims[0] == claims[1]
     assert all(c in ("left", "right") for c in claims[0])
     assert len(set(claims[0])) == 1
@@ -65,8 +65,8 @@ def test_shared_edge_claimed_by_exactly_one_zone():
 
 def test_shared_corner_claimed_by_exactly_one_zone():
     zones = [square("a", 0, 0), square("b", 1, 0), square("c", 0, 1), square("d", 1, 1)]
-    index = build_zone_index(zones)
-    owner = locate_point(index, 1.0, 1.0)
+    index = build_zone_index(ZoneTable.from_zones(zones))
+    owner = index.locate(1.0, 1.0)
     assert owner is not None
     assert owner == brute_force_locate(zones, 1.0, 1.0)
 
@@ -87,45 +87,45 @@ def _random_tessellation(rng, nx, ny):
 def test_locate_matches_brute_force_on_random_tessellation():
     rng = np.random.default_rng(17)
     zones, xs, ys = _random_tessellation(rng, 10, 5)
-    index = build_zone_index(zones)
+    index = build_zone_index(ZoneTable.from_zones(zones))
     pts = np.column_stack([rng.uniform(-1, xs[-1] + 1, 1000),
                            rng.uniform(-1, ys[-1] + 1, 1000)])
     for lon, lat in pts:
-        assert locate_point(index, lon, lat) == brute_force_locate(zones, lon, lat)
+        assert index.locate(lon, lat) == brute_force_locate(zones, lon, lat)
 
 
 def test_no_double_counting_in_tessellation():
     rng = np.random.default_rng(3)
     zones, xs, ys = _random_tessellation(rng, 6, 6)
-    index = build_zone_index(zones)
+    index = build_zone_index(ZoneTable.from_zones(zones))
     pts = np.column_stack([rng.uniform(0, xs[-1], 500), rng.uniform(0, ys[-1], 500)])
-    assigned = sum(1 for lon, lat in pts if locate_point(index, lon, lat) is not None)
+    assigned = sum(1 for lon, lat in pts if index.locate(lon, lat) is not None)
     unassigned = len(pts) - assigned
     assert assigned + unassigned == 500
 
 
 def test_overlapping_zones_warn_and_pick_smallest_id():
     zones = [square("zzz", 0, 0), square("aaa", 0, 0)]
-    index = build_zone_index(zones)
-    assert locate_point(index, 0.5, 0.5) == "aaa"
+    index = build_zone_index(ZoneTable.from_zones(zones))
+    assert index.locate(0.5, 0.5) == "aaa"
     assert index.overlap_warnings == 1
 
 
 def test_duplicate_zone_id_fatal():
     with pytest.raises(DataError, match="duplicate zone_id"):
-        build_zone_index([square("z", 0, 0), square("z", 1, 0)])
+        build_zone_index(ZoneTable.from_zones([square("z", 0, 0), square("z", 1, 0)]))
 
 
 def test_degenerate_polygon_fatal_names_zone():
     bad = Zone("flat", (((0, 0), (1, 1), (0, 0)),), area_ha=1.0)
     with pytest.raises(DataError, match="flat"):
-        build_zone_index([bad])
+        build_zone_index(ZoneTable.from_zones([bad]))
 
 
 def test_unclosed_ring_fatal():
     bad = Zone("open", (((0, 0), (1, 0), (1, 1), (0, 1)),), area_ha=1.0)
     with pytest.raises(DataError, match="not closed"):
-        build_zone_index([bad])
+        build_zone_index(ZoneTable.from_zones([bad]))
 
 
 def test_point_in_hole_is_outside():
@@ -285,16 +285,16 @@ def test_array_join_matches_point_in_rings_scan(case, sizes):
     saved = spatial.LOCATE_CHUNK, spatial.PAIR_EDGE_BUDGET
     spatial.LOCATE_CHUNK, spatial.PAIR_EDGE_BUDGET = sizes  # also tiny chunks and slices
     try:
-        index = build_zone_index(zones)
+        index = build_zone_index(ZoneTable.from_zones(zones))
         codes = index.locate_codes([p[0] for p in points], [p[1] for p in points])
     finally:
         spatial.LOCATE_CHUNK, spatial.PAIR_EDGE_BUDGET = saved
     assert [index.zone_ids[c] if c >= 0 else None for c in codes] == expected
     assert index.overlap_warnings == overlaps
-    assert [locate_point(index, lon, lat) for lon, lat in points] == expected
+    assert [index.locate(lon, lat) for lon, lat in points] == expected
 
 
 def test_array_join_empty_input():
-    index = build_zone_index([square("a", 0, 0)])
+    index = build_zone_index(ZoneTable.from_zones([square("a", 0, 0)]))
     assert index.locate_codes([], []).tolist() == []
     assert index.overlap_warnings == 0

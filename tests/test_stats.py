@@ -3,18 +3,21 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 import citypulse
 from citypulse.activity import AssignedEvents
 from citypulse.errors import DataError, SingularityError
-from citypulse.stats import (DEFAULT_ALPHA, _f_upper, _intercept_only_fit, _t_two_sided,
-                             bivariate_slot_ols, census_correlation, fit_ols, infer_home,
+from citypulse.stats import (DEFAULT_ALPHA, DEFAULT_NIGHT_BINS, _f_upper, _intercept_only_fit,
+                             _t_two_sided, bivariate_slot_ols, census_correlation, fit_ols,
                              infer_homes, slot_descriptives, stepwise_fit)
 
 
@@ -465,6 +468,25 @@ def test_descriptives_hand_computed():
     assert d.minimum == 2.0 and d.maximum == 9.0 and d.total == 40.0
 
 
+def infer_home(user_events, night_bins=DEFAULT_NIGHT_BINS, residential_zones=None):
+    """Reference for infer_homes: one user's (zone_id, bin) events, walked one by one.
+
+    The most frequent night-time zone, restricted to residential zones; ties
+    break by the user's total event count in the zone (all bins), then by
+    zone_id. None when the user has no qualifying night event.
+    """
+    night_bins = set(night_bins)
+    night_counts: Counter[str] = Counter()
+    total_counts: Counter[str] = Counter()
+    for zone_id, b in user_events:
+        total_counts[zone_id] += 1
+        if b in night_bins and (residential_zones is None or zone_id in residential_zones):
+            night_counts[zone_id] += 1
+    if not night_counts:
+        return None
+    return min(night_counts, key=lambda z: (-night_counts[z], -total_counts[z], z))
+
+
 def test_infer_home_modal_zone():
     events = [("A", 90), ("A", 91), ("A", 92), ("B", 90)]
     assert infer_home(events, residential_zones={"A", "B"}) == "A"
@@ -500,6 +522,22 @@ def test_infer_homes_per_user():
     events = [("u1", "A", 90), ("u1", "A", 91), ("u2", "B", 40)]
     homes = infer_homes(AssignedEvents.from_tuples(events), residential_zones={"A", "B"})
     assert homes == {"u1": "A"}
+
+
+@settings(max_examples=100, deadline=None)
+@given(events=st.lists(st.tuples(st.sampled_from(["u1", "u2", "u3", "u4"]),
+                                 st.sampled_from(["A", "B", "C", "D"]),
+                                 st.sampled_from([0, 40, 87, 88, 90, 95])), max_size=40),
+       residential=st.one_of(st.none(), st.sets(st.sampled_from(["A", "B", "C", "D"]))))
+def test_infer_homes_matches_per_user_reference(events, residential):
+    homes = infer_homes(AssignedEvents.from_tuples(events), residential_zones=residential)
+    expected = {}
+    for user in sorted({u for u, _, _ in events}):
+        home = infer_home([(z, b) for u, z, b in events if u == user],
+                          residential_zones=residential)
+        if home is not None:
+            expected[user] = home
+    assert list(homes.items()) == list(expected.items())
 
 
 def test_census_r2_perfect_proportionality():

@@ -8,8 +8,8 @@ from citypulse.activity import (AssignedEvents, aggregate_major_slots, count_uni
 from citypulse.errors import ConfigError
 from citypulse.ingest import (EventBatch, filter_workdays, get_timezone, parse_events,
                               quarter_bin, write_events_ndjson)
-from citypulse.landuse import LandUseClass, classify_zone
-from citypulse.spatial import build_zone_index, point_in_rings
+from citypulse.landuse import LandUseClass, classify_zone, classify_zones
+from citypulse.spatial import ZoneTable, build_zone_index, point_in_rings
 from citypulse.stats import infer_homes
 from citypulse.synth import (SynthConfig, allocate_counts, city_geojson, generate_city,
                              generate_events, slot_weights_to_intensity)
@@ -25,7 +25,7 @@ def small_config(**overrides):
 
 
 def assign(city, events):
-    index = build_zone_index(city.zones)
+    index = build_zone_index(ZoneTable.from_zones(city.zones))
     tz = get_timezone(city.config.timezone)
     codes = index.locate_codes([e.lon for e in events], [e.lat for e in events]).tolist()
     return [(e.user_id, index.zone_ids[c] if c >= 0 else None, quarter_bin(e.timestamp, tz))
@@ -110,7 +110,7 @@ def test_generated_events_round_trip_with_zero_rejections(tmp_path):
 def test_every_point_falls_in_exactly_one_zone():
     city = generate_city(small_config())
     events, _ = generate_events(city)
-    index = build_zone_index(city.zones)
+    index = build_zone_index(ZoneTable.from_zones(city.zones))
     for event in events[:300]:
         owners = [z.zone_id for z in city.zones
                   if point_in_rings(z.rings, event.lon, event.lat)]
@@ -192,7 +192,8 @@ def test_profile_round_trip_error_shrinks_with_more_events():
         assigned = assign(city, events)
         normalized = normalize_counts(count_unique_users(encode(assigned, city.zone_ids)))
         from citypulse.activity import landuse_profile
-        profiles, _ = landuse_profile(normalized, city.classes)
+        profiles, _ = landuse_profile(
+            normalized, classify_zones(ZoneTable.from_zones(city.zones)))
         by_label = {p.label: p.shares for p in profiles}
         errors[scale] = sum(
             np.abs(by_label[label] - truth.profiles[label]).sum()

@@ -20,7 +20,7 @@ from citypulse import tables
 from citypulse.config import PipelineConfig
 from citypulse.errors import ClassificationError, DataError
 from citypulse.ingest import write_events_ndjson
-from citypulse.landuse import (ACTIVITY_CATEGORIES, CATEGORIES, classify_zone,
+from citypulse.landuse import (ACTIVITY_CATEGORIES, CATEGORIES, CLASSES, classify_zone,
                                classify_zones)
 from citypulse.pipeline import export_geojson, run_pipeline
 from citypulse.spatial import (CityCentre, Zone, ZoneTable, distance_to_centre,
@@ -183,11 +183,10 @@ def test_table_path_matches_per_zone_references(case, tmp_path_factory):
         zone_fields(z) for z in reference]
 
     ids = table.zone_ids
-    columns = {"metric": np.array(metric), "landuse_class": labels,
-               "sparse": {z: v for z, v in zip(ids, sparse) if v is not None}}
+    columns = {"metric": np.array(metric), "landuse_class": labels, "sparse": sparse}
     reference_columns = {"metric": dict(zip(ids, metric)),
                          "landuse_class": {z: v for z, v in zip(ids, labels) if v is not None},
-                         "sparse": columns["sparse"]}
+                         "sparse": {z: v for z, v in zip(ids, sparse) if v is not None}}
     export_geojson(table, columns, tmp / "new.geojson")
     reference_export(reference, reference_columns, tmp / "reference.geojson")
     assert (tmp / "new.geojson").read_bytes() == (tmp / "reference.geojson").read_bytes()
@@ -195,15 +194,15 @@ def test_table_path_matches_per_zone_references(case, tmp_path_factory):
     again = load_zones_geojson(tmp / "new.geojson")
     assert [zone_fields(z) for z in again] == [zone_fields(z) for z in table]
 
-    classes, unclassified = classify_zones(table)
-    for zone in reference:
+    codes = classify_zones(table)
+    assert len(codes) == len(reference)
+    for zone, code in zip(reference, codes.tolist()):
         try:
             expected_class = classify_zone(zone)
         except ClassificationError:
-            assert zone.zone_id in unclassified and zone.zone_id not in classes
+            assert code == -1
         else:
-            assert classes[zone.zone_id] == expected_class
-    assert len(classes) + len(unclassified) == len(reference)
+            assert CLASSES[code] == expected_class
 
     centre = CityCentre(1.25, 2.0)
     expected = np.array([distance_to_centre(z, centre) for z in reference])
@@ -334,7 +333,7 @@ def test_zones_metrics_reparses_as_zones_input_at_scale(tmp_path):
     original = load_zones_geojson(zones_path)
     reloaded = load_zones_geojson(tmp_path / "out" / "zones_metrics.geojson")
     assert len(original) == 2025
-    assert {cls.key for cls in classify_zones(original)[0].values()} == set(ALL_CLASSES)
+    assert {CLASSES[c].key for c in classify_zones(original).tolist()} == set(ALL_CLASSES)
     assert reloaded.zone_ids == original.zone_ids
     for name in ("area_ha", "built_residential_m2", "built_total_m2", "landuse_m2",
                  "landuse_present", "vertices", "ring_start", "zone_ring_start", "bbox"):
