@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 internal error, 2 bad input or configuration.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import logging
@@ -16,6 +15,7 @@ from pathlib import Path
 from . import ingest, pipeline, synth
 from .config import PipelineConfig, load_config, parse_slots, parse_time_range
 from .errors import CityPulseError, ConfigError, DataError, SingularityError
+from .tables import write_csv
 
 logger = logging.getLogger(__name__)
 
@@ -134,17 +134,11 @@ def _cmd_synth(args) -> int:
                           encoding="utf-8")
     events_path = out / "events.ndjson"
     ingest.write_events_ndjson(events, events_path)
-    with open(out / "profiles_truth.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["class", "bin", "share"])
-        for label in sorted(truth.profiles):
-            for b, share in enumerate(truth.profiles[label]):
-                writer.writerow([label, b, format(float(share), ".6g")])
-    with open(out / "homes_truth.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["user_id", "zone_id"])
-        for user_id in sorted(truth.homes):
-            writer.writerow([user_id, truth.homes[user_id]])
+    pipeline.write_profiles_csv(out / "profiles_truth.csv",
+                                {label: truth.profiles[label] for label in sorted(truth.profiles)})
+    users = sorted(truth.homes)
+    write_csv(out / "homes_truth.csv", ["user_id", "zone_id"],
+              [users, [truth.homes[user] for user in users]])
     run_config = out / "pipeline.config"
     run_config.write_text(
         "\n".join([

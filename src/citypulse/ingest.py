@@ -22,6 +22,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from itertools import compress, repeat
+from json.encoder import encode_basestring
 from operator import itemgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
@@ -78,7 +79,8 @@ class EventBatch:
 
     ``users`` holds codes into ``user_ids``. ``epoch`` (floor seconds) and
     ``micro`` give the UTC instant; ``offset_us`` is the UTC offset the input
-    wrote, kept so that :meth:`events` prints every timestamp back as parsed.
+    wrote, kept so that iterating the batch and
+    :func:`write_events_ndjson` print every timestamp back as parsed.
     ``optional`` maps each of ``lang``/``device``/``text`` that some row
     carries to an object column holding a string or None per row.
     """
@@ -101,8 +103,8 @@ class EventBatch:
                           self.offset_us[rows], self.lon[rows], self.lat[rows],
                           {name: col[rows] for name, col in self.optional.items()})
 
-    def events(self) -> Iterator[GeoEvent]:
-        """Rebuild the rows as :class:`GeoEvent` values, each with its input offset."""
+    def __iter__(self) -> Iterator[GeoEvent]:
+        """The rows as :class:`GeoEvent` values, each with its input offset as a fixed tzinfo."""
         zones: dict[int, timezone] = {}
         columns = [self.optional.get(name) for name in OPTIONAL_FIELDS]
         rows = zip(self.users.tolist(), self.epoch.tolist(), self.micro.tolist(),
@@ -117,7 +119,7 @@ class EventBatch:
 
     @classmethod
     def from_events(cls, events: Iterable[GeoEvent]) -> EventBatch:
-        """Columns of already-parsed events, e.g. from the synthetic generator."""
+        """Columns of GeoEvent rows, each keeping the UTC offset of its timestamp."""
         builder = _BatchBuilder()
         for e in events:
             builder.append(e.user_id, builder.add_time(e.timestamp), e.lon, e.lat,
@@ -652,41 +654,112 @@ def parse_events(source, fmt: str = "ndjson") -> tuple[EventBatch, RejectionRepo
     return batch, report
 
 
-def write_events_ndjson(events: Iterable[GeoEvent], path) -> None:
-    """Serialize events to the NDJSON schema; inverse of ndjson parsing."""
+# The text json.dumps(row, ensure_ascii=False) gives one row: user, local time,
+# written offset, lon, lat, then the optional fields it holds
+_NDJSON_ROW = '{"u": %s, "t": "%s%s", "lon": %r, "lat": %r%s}\n'
+
+
+def _offset_text(offset_us: int) -> str:
+    """A UTC offset as ``datetime.isoformat`` prints it: ``+HH:MM[:SS[.ffffff]]``."""
+    tz = timezone(timedelta(microseconds=offset_us))
+    return datetime(2000, 1, 1, tzinfo=tz).isoformat()[19:]
+
+
+def _local_texts(events: EventBatch) -> np.ndarray:
+    """Each row's local wall time as ``isoformat`` prints it, without the offset."""
+    local_us = events.epoch * 1_000_000 + events.micro + events.offset_us
+    local = local_us.astype("datetime64[us]")
+    texts = np.datetime_as_string(local, unit="s")
+    fine = np.flatnonzero(local_us % 1_000_000)
+    if len(fine):  # isoformat adds .ffffff only where the microsecond is not 0
+        texts = texts.astype("U26")
+        texts[fine] = np.datetime_as_string(local[fine], unit="us")
+    return texts
+
+
+def _optional_texts(events: EventBatch) -> list[str] | None:
+    """Per row, the JSON text of its optional fields (``, "lang": "es"`` and so on)."""
+    parts = []
+    for name in OPTIONAL_FIELDS:
+        column = events.optional.get(name)
+        if column is not None:
+            key = f', "{name}": '
+            parts.append(["" if v is None else key + encode_basestring(v)
+                          for v in column.tolist()])
+    return ["".join(fields) for fields in zip(*parts)] if parts else None
+
+
+def write_events_ndjson(events: EventBatch, path) -> None:
+    """Serialize a batch to the NDJSON schema; inverse of ndjson parsing.
+
+    Each line is the ``json.dumps(..., ensure_ascii=False)`` text of the row's
+    object, built from the columns: the local time by ``np.datetime_as_string``,
+    each distinct offset and user id formatted once, floats by ``repr``. One
+    row template is filled a block of rows at a time, as in
+    :func:`tables.write_csv`.
+    """
+    users = [encode_basestring(user) for user in events.user_ids]
+    offsets, which = np.unique(events.offset_us, return_inverse=True)
+    offset_texts = [_offset_text(offset) for offset in offsets.tolist()]
+    columns = [events.users, _local_texts(events), which.reshape(-1), events.lon, events.lat]
+    tails = _optional_texts(events)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for e in events:
-            obj = {"u": e.user_id, "t": e.timestamp.isoformat(), "lon": e.lon, "lat": e.lat}
-            for name in OPTIONAL_FIELDS:
-                value = getattr(e, name)
-                if value is not None:
-                    obj[name] = value
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+        for lo in range(0, len(events), tables.BLOCK_ROWS):
+            hi = lo + tables.BLOCK_ROWS
+            user, local, offset, lon, lat = (c[lo:hi].tolist() for c in columns)
+            tail = repeat("") if tails is None else tails[lo:hi]
+            fh.write("".join(_NDJSON_ROW % row for row in zip(
+                map(users.__getitem__, user), local, map(offset_texts.__getitem__, offset),
+                lon, lat, tail)))
 
 
 def _utc_offset_s(epoch_s: int, zone: ZoneInfo) -> int:
     return (_EPOCH + timedelta(seconds=epoch_s)).astimezone(zone).utcoffset() // _SECOND
 
 
-def local_seconds(epoch: np.ndarray, zone: ZoneInfo) -> np.ndarray:
-    """Local wall-clock seconds since 1970-01-01 for UTC epoch seconds in ``zone``.
+def _wall_offset_s(wall_s: int, zone: ZoneInfo) -> int:
+    local = _NAIVE_EPOCH + timedelta(seconds=wall_s)
+    return local.replace(tzinfo=zone).utcoffset() // _SECOND
 
-    The zone's offset is looked up once per distinct UTC quarter-hour, at its
-    first and last second. Where the two differ (a transition not aligned to
-    900 s, such as the end of local mean time) that quarter-hour's events are
-    looked up one by one.
+
+def _by_quarter(seconds: np.ndarray, lookup) -> np.ndarray:
+    """``lookup(s)`` for each of ``seconds``, called once per distinct quarter-hour.
+
+    Each quarter-hour is looked up at its first and last second. Where the two
+    differ (a transition not aligned to 900 s, such as the end of local mean
+    time) that quarter-hour's values are looked up one by one.
     """
-    quarters, inverse = np.unique(epoch // _QUARTER_S, return_inverse=True)
+    quarters, inverse = np.unique(seconds // _QUARTER_S, return_inverse=True)
+    inverse = inverse.reshape(-1)
     starts = (quarters * _QUARTER_S).tolist()
-    first = np.array([_utc_offset_s(s, zone) for s in starts], dtype=np.int64)
-    last = np.array([_utc_offset_s(s + _QUARTER_S - 1, zone) for s in starts], dtype=np.int64)
-    local = epoch + first[inverse]
+    first = np.array([lookup(s) for s in starts], dtype=np.int64)
+    last = np.array([lookup(s + _QUARTER_S - 1) for s in starts], dtype=np.int64)
+    out = first[inverse]
     split = np.flatnonzero(first != last)
     if len(split):
         rows = np.flatnonzero(np.isin(inverse, split))
-        local[rows] = epoch[rows] + np.array(
-            [_utc_offset_s(s, zone) for s in epoch[rows].tolist()], dtype=np.int64)
-    return local
+        out[rows] = np.array([lookup(s) for s in seconds[rows].tolist()], dtype=np.int64)
+    return out
+
+
+def local_seconds(epoch: np.ndarray, zone: ZoneInfo) -> np.ndarray:
+    """Local wall-clock seconds since 1970-01-01 for UTC epoch seconds in ``zone``.
+
+    The zone's offset is looked up once per distinct UTC quarter-hour (see
+    :func:`_by_quarter`).
+    """
+    return epoch + _by_quarter(epoch, lambda s: _utc_offset_s(s, zone))
+
+
+def wall_offsets(wall: np.ndarray, zone: ZoneInfo) -> np.ndarray:
+    """UTC offset in seconds of local wall-clock seconds since 1970-01-01 in ``zone``.
+
+    The offset is the one ``datetime(..., tzinfo=zone)`` reads with
+    ``fold=0``: a wall time that a transition skips or repeats gets the
+    offset in force before it. Looked up once per distinct local
+    quarter-hour (see :func:`_by_quarter`).
+    """
+    return _by_quarter(wall, lambda s: _wall_offset_s(s, zone))
 
 
 def quarter_bins(epoch: np.ndarray, zone: ZoneInfo) -> np.ndarray:

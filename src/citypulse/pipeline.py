@@ -75,24 +75,35 @@ def assign_events(events: ingest.EventBatch, index: ZoneIndex, tz: str
 
 
 def load_census(path) -> dict[str, float]:
-    """CSV with header zone_id,population; each population a finite number."""
+    """CSV with header zone_id,population: one row per zone_id, each population
+    a finite number >= 0. A fault is fatal and names its line (both lines for a
+    repeated zone_id)."""
     census: dict[str, float] = {}
+    line_of: dict[str, int] = {}
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or not {"zone_id", "population"} <= set(reader.fieldnames):
                 raise DataError(f"census file {path} must have columns zone_id,population")
             for row in reader:
+                where = f"census file {path} line {reader.line_num}"
                 raw = row["population"]
                 try:
                     population = float(raw)
                 except (TypeError, ValueError):
                     population = math.nan
                 if not math.isfinite(population):
-                    raise DataError(f"census file {path} line {reader.line_num}: population "
+                    raise DataError(f"{where}: population "
                                     f"{'missing' if raw is None else repr(raw)} is not a "
                                     "finite number")
-                census[row["zone_id"]] = population
+                if population < 0:
+                    raise DataError(f"{where}: population {raw!r} is negative")
+                zone_id = row["zone_id"]
+                if zone_id in line_of:
+                    raise DataError(f"census file {path} lines {line_of[zone_id]} and "
+                                    f"{reader.line_num}: zone_id {zone_id!r} appears twice")
+                line_of[zone_id] = reader.line_num
+                census[zone_id] = population
     except OSError as exc:
         raise DataError(f"cannot read census file {path}: {exc}") from exc
     return census
@@ -168,12 +179,13 @@ def _write_residuals_csv(path, zone_ids, residuals, std_residuals) -> None:
     write_csv(path, ["zone_id", "residual", "std_residual"], [zone_ids, residuals, std_residuals])
 
 
-def _write_profiles_csv(path, profiles: Sequence[activity.TemporalProfile]) -> None:
+def write_profiles_csv(path, profiles: Mapping[str, np.ndarray]) -> None:
+    """``class,bin,share``: each label's 96 shares, labels in the mapping's order."""
     n_bins = activity.N_QUARTER_BINS
     write_csv(path, ["class", "bin", "share"],
-              [[p.label for p in profiles for _ in range(n_bins)],
+              [[label for label in profiles for _ in range(n_bins)],
                np.tile(np.arange(n_bins), len(profiles)),
-               np.array([p.shares for p in profiles]).reshape(-1)])
+               np.array(list(profiles.values()), dtype=np.float64).reshape(-1)])
 
 
 def _write_model_csv(path, fit: stats.OlsFit, dropped: Sequence[str]) -> None:
@@ -257,7 +269,7 @@ def run_pipeline(config: PipelineConfig,
         workday_events = ingest.filter_workdays(events, config.timezone)
         report.write_csv(stage / "rejections.csv")
         if write_clean_events:
-            ingest.write_events_ndjson(workday_events.events(), stage / "events_clean.ndjson")
+            ingest.write_events_ndjson(workday_events, stage / "events_clean.ndjson")
         counts["rows_total"] = report.total_rows
         counts["rows_rejected"] = report.rejected
         counts["events_parsed"] = report.parsed
@@ -318,7 +330,7 @@ def run_pipeline(config: PipelineConfig,
             landuse.write_classification_csv(stage / "landuse_classes.csv", zones, codes)
             normalized_quarter = activity.normalize_counts(quarter, config.normalization_total)
             profiles, omitted = activity.landuse_profile(normalized_quarter, codes)
-            _write_profiles_csv(stage / "profiles.csv", profiles)
+            write_profiles_csv(stage / "profiles.csv", {p.label: p.shares for p in profiles})
             if omitted:
                 warnings.append("classes with no activity omitted from profiles: "
                                 + ", ".join(omitted))
@@ -410,6 +422,10 @@ def run_pipeline(config: PipelineConfig,
                 missing = [z for z in zone_ids if z not in census]
                 if missing:
                     warnings.append(f"{len(missing)} zones missing from census default to 0")
+                unknown = len(census.keys() - set(zone_ids))
+                if unknown:
+                    warnings.append(f"{unknown} census rows name zones not in the zones file "
+                                    "and are ignored")
                 x = home_counts.astype(float)
                 y = np.array([census.get(z, 0.0) for z in zone_ids])
                 try:

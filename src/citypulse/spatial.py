@@ -291,13 +291,59 @@ def distance_to_centre(zone: Zone, centre: CityCentre) -> float:
 
 
 def distances_to_centre(zones: ZoneTable, centre: CityCentre) -> np.ndarray:
-    """:func:`distance_to_centre` of every zone, in table order and to the same bits."""
-    coords = zones.vertices.tolist()
-    starts = zones.ring_start.tolist()
-    rings = [coords[a:b] for a, b in zip(starts, starts[1:])]
-    bounds = zones.zone_ring_start.tolist()
-    return np.array([haversine_m(*polygon_centroid(rings[a:b]), centre.lon, centre.lat)
-                     for a, b in zip(bounds, bounds[1:])], dtype=np.float64)
+    """:func:`distance_to_centre` of every zone, in table order and to the same bits.
+
+    The shoelace sums of :func:`polygon_centroid` run vertex position by
+    vertex position over all rings at once, and its ring weights ring
+    position by ring position over all zones, each in the scalar code's
+    order of operations; only the haversine runs per zone.
+    """
+    x, y = zones.vertices[:, 0], zones.vertices[:, 1]
+    start, end = zones.ring_start[:-1], zones.ring_start[1:]
+    area, rx, ry = (np.zeros(len(start)) for _ in range(3))
+    previous = end - 1  # each ring's walk starts from its last vertex
+    for p, rings in enumerate(_longest_first(end - start)):
+        x1, y1 = x[previous[rings]], y[previous[rings]]
+        current = start[rings] + p
+        x2, y2 = x[current], y[current]
+        cross = x1 * y2 - x2 * y1
+        area[rings] += cross
+        rx[rings] += (x1 + x2) * cross
+        ry[rings] += (y1 + y2) * cross
+        previous[rings] = current
+    area *= 0.5
+
+    first_ring = zones.zone_ring_start
+    total, cx, cy = (np.zeros(len(zones)) for _ in range(3))
+    for j, live in enumerate(_longest_first(np.diff(first_ring))):
+        rings = first_ring[live] + j
+        kept = area[rings] != 0.0
+        live, rings = live[kept], rings[kept]
+        a = area[rings]
+        weight = (1.0 if j == 0 else -1.0) * np.abs(a)
+        cx[live] += weight * (rx[rings] / (6.0 * a))
+        cy[live] += weight * (ry[rings] / (6.0 * a))
+        total[live] += weight
+
+    distances = np.empty(len(zones))
+    for k, (t, sx, sy) in enumerate(zip(total.tolist(), cx.tolist(), cy.tolist())):
+        if t == 0.0:  # zero-area geometry: the scalar code's vertex mean
+            lon, lat = polygon_centroid(zones[k].rings)
+        else:
+            lon, lat = sx / t, sy / t
+        distances[k] = haversine_m(lon, lat, centre.lon, centre.lat)
+    return distances
+
+
+def _longest_first(counts: np.ndarray) -> list[np.ndarray]:
+    """For p = 0, 1, ...: the items with more than p elements.
+
+    Items are ordered longest first once, so each array is a prefix of that
+    order and a pass touches only the items it needs.
+    """
+    order = np.argsort(-counts, kind="stable")
+    ends = np.searchsorted(-counts[order], -np.arange(int(counts.max(initial=0))), side="left")
+    return [order[:e] for e in ends.tolist()]
 
 
 # Points located per pass, and the most (pair, edge) tests held in memory at

@@ -16,7 +16,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from datetime import date, datetime, timedelta
+from datetime import date, timedelta
 from typing import Mapping, Sequence
 from zoneinfo import ZoneInfo
 
@@ -24,9 +24,9 @@ import numpy as np
 
 from .activity import DEFAULT_SLOTS, MajorSlot, N_QUARTER_BINS, validate_slots
 from .errors import ConfigError
-from .ingest import GeoEvent, WORKDAY_WEEKDAYS
+from .ingest import EventBatch, WORKDAY_WEEKDAYS, wall_offsets
 from .landuse import CLASSES, LandUseCategory, LandUseClass, class_groups, classify_zone
-from .spatial import CityCentre, Zone, distance_to_centre
+from .spatial import CityCentre, Zone, ZoneTable, distances_to_centre
 
 logger = logging.getLogger(__name__)
 
@@ -148,13 +148,17 @@ class SynthConfig:
 @dataclass
 class SynthCity:
     zones: list[Zone]
-    classes: dict[str, LandUseClass]
+    codes: np.ndarray  # per zone, in ``zones`` order: its index into landuse.CLASSES
     centre: CityCentre
     config: SynthConfig
 
     @property
     def zone_ids(self) -> tuple[str, ...]:
         return tuple(z.zone_id for z in self.zones)
+
+    @property
+    def classes(self) -> dict[str, LandUseClass]:
+        return {z.zone_id: CLASSES[c] for z, c in zip(self.zones, self.codes.tolist())}
 
 
 @dataclass
@@ -238,7 +242,6 @@ def generate_city(config: SynthConfig) -> SynthCity:
     xs = [config.origin_lon + c * d for c in range(cols + 1)]
     ys = [config.origin_lat + r * d for r in range(rows + 1)]
     zones: list[Zone] = []
-    classes: dict[str, LandUseClass] = {}
     for i in range(n):
         r, c = divmod(i, cols)
         ring = ((xs[c], ys[r]), (xs[c + 1], ys[r]), (xs[c + 1], ys[r + 1]),
@@ -257,35 +260,40 @@ def generate_city(config: SynthConfig) -> SynthCity:
         if classify_zone(zone) != class_of[i]:
             raise AssertionError(f"generated zone {zone.zone_id} does not classify as planned")
         zones.append(zone)
-        classes[zone.zone_id] = class_of[i]
 
     centre = CityCentre(config.origin_lon + cols * d / 2.0,
                         config.origin_lat + rows * d / 2.0)
     logger.info("generated %d zones (%dx%d grid): %s", n, rows, cols,
                 ", ".join(f"{k}={v}" for k, v in counts.items()))
-    return SynthCity(zones, classes, centre, config)
+    codes = np.array([CLASSES.index(cls) for cls in class_of], dtype=np.int64)
+    return SynthCity(zones, codes, centre, config)
 
 
-def _placement(city: SynthCity) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _zone_columns(city: SynthCity) -> tuple[ZoneTable, np.ndarray]:
+    """The city's zone table and, per zone in ``city.zones`` order, its table row."""
+    table = ZoneTable.from_zones(city.zones)
+    row_of = {zone_id: k for k, zone_id in enumerate(table.zone_ids)}
+    return table, np.array([row_of[z.zone_id] for z in city.zones], dtype=np.int64)
+
+
+def _placement(city: SynthCity, table: ZoneTable, rows: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Joint event-placement distribution Q0 over (zone, bin), its per-bin
     marginal, and the night-bin mask."""
     config = city.config
     n_zones = len(city.zones)
     targets = config.mass_targets()
 
-    weight = np.zeros(n_zones)
-    for i, zone in enumerate(city.zones):
-        w = zone.built_total_m2
-        if config.centre_decay_per_km > 0:
-            dist_km = distance_to_centre(zone, city.centre) / 1000.0
-            w *= math.exp(-config.centre_decay_per_km * dist_km)
-        weight[i] = w
+    weight = table.built_total_m2[rows]
+    if config.centre_decay_per_km > 0:
+        dist_km = distances_to_centre(table, city.centre)[rows] / 1000.0
+        weight = weight * np.array([math.exp(-config.centre_decay_per_km * d)
+                                    for d in dist_km.tolist()])
 
     q = np.zeros((n_zones, N_QUARTER_BINS))
     for key, target in targets.items():
-        cls = LandUseClass.from_key(key)
-        members = [i for i, z in enumerate(city.zones) if city.classes[z.zone_id] == cls]
-        if not members:
+        members = np.flatnonzero(city.codes == CLASSES.index(LandUseClass.from_key(key)))
+        if not len(members):
             continue
         class_weight = weight[members]
         class_weight = class_weight / class_weight.sum()
@@ -319,28 +327,31 @@ def _user_rates(config: SynthConfig, rng: np.random.Generator) -> np.ndarray:
     return base * factor
 
 
-def _home_zones(city: SynthCity, rng: np.random.Generator) -> np.ndarray:
-    eligible = [i for i, z in enumerate(city.zones)
-                if city.classes[z.zone_id].kind in ("residential", "mixed")]
-    if not eligible:
+def _home_zones(city: SynthCity, pull: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """A home zone per user, drawn among residential and mixed zones by ``pull``."""
+    eligible = np.flatnonzero(city.codes < 2)  # CLASSES starts residential, mixed
+    if not len(eligible):
         raise ConfigError("class mix has no residential or mixed zones to home users in")
-    pull = np.array([city.zones[i].built_residential_m2 for i in eligible])
-    probs = pull / pull.sum()
+    probs = pull[eligible] / pull[eligible].sum()
     picks = rng.choice(len(eligible), size=city.config.n_users, p=probs)
-    return np.array([eligible[i] for i in picks])
+    return eligible[picks]
 
 
-def generate_events(city: SynthCity) -> tuple[list[GeoEvent], SynthTruth]:
+def generate_events(city: SynthCity) -> tuple[EventBatch, SynthTruth]:
     """Sample the event stream and compute the exact expectations behind it.
 
     Uses an RNG stream seeded at ``seed + 1`` so the city geometry (seeded at
-    ``seed``) can be regenerated independently.
+    ``seed``) can be regenerated independently. Rows are ordered by local
+    wall time, then by user id string, then in generation order; timestamps
+    are local wall times with the zone's UTC offset, read with ``fold=0``
+    where a transition skips or repeats them.
     """
     config = city.config
     rng = np.random.default_rng(config.seed + 1)
-    q0, p0_bin, night_mask = _placement(city)
+    table, rows = _zone_columns(city)
+    q0, p0_bin, night_mask = _placement(city, table, rows)
 
-    homes = _home_zones(city, rng)
+    homes = _home_zones(city, table.built_residential_m2[rows], rng)
     mu = _user_rates(config, rng)
     n_events_per_user = rng.poisson(mu)
 
@@ -374,28 +385,32 @@ def generate_events(city: SynthCity) -> tuple[list[GeoEvent], SynthTruth]:
     jitter_x = 0.05 + 0.90 * rng.random(n_events)
     jitter_y = 0.05 + 0.90 * rng.random(n_events)
 
-    tz = ZoneInfo(config.timezone)
-    boxes = [z.bbox() for z in city.zones]
-    events: list[GeoEvent] = []
-    for e in range(n_events):
-        z = int(zone_idx[e])
-        b = int(bin_idx[e])
-        day = days[int(day_idx[e])]
-        ts = datetime(day.year, day.month, day.day,
-                      b // 4, (b % 4) * 15 + int(minutes[e]), int(seconds[e]), tzinfo=tz)
-        x0, y0, x1, y1 = boxes[z]
-        events.append(GeoEvent(
-            user_id=f"u{int(user_of[e]):05d}",
-            timestamp=ts,
-            lon=x0 + float(jitter_x[e]) * (x1 - x0),
-            lat=y0 + float(jitter_y[e]) * (y1 - y0),
-        ))
-    events.sort(key=lambda ev: (ev.timestamp, ev.user_id))
+    day_s = np.array([(day - date(1970, 1, 1)).days for day in days], dtype=np.int64) * 86_400
+    wall = day_s[day_idx] + bin_idx * 900 + minutes * 60 + seconds
+    offset = wall_offsets(wall, ZoneInfo(config.timezone))
+    x0, y0, x1, y1 = table.bbox[rows[zone_idx]].T
+    lon = x0 + jitter_x * (x1 - x0)
+    lat = y0 + jitter_y * (y1 - y0)
+
+    # user ids compare as strings ("u100000" < "u10001"); lexsort is stable
+    user_ids = [f"u{u:05d}" for u in range(config.n_users)]
+    text_rank = np.empty(config.n_users, dtype=np.int64)
+    text_rank[sorted(range(config.n_users), key=user_ids.__getitem__)] = np.arange(config.n_users)
+    order = np.lexsort((text_rank[user_of], wall))
+    users = user_of[order]
+    # user codes in order of first appearance, as parsing the written file gives them
+    present, first = np.unique(users, return_index=True)
+    seen = present[np.argsort(first)]
+    code = np.empty(config.n_users, dtype=np.int64)
+    code[seen] = np.arange(len(seen))
+    batch = EventBatch(tuple(user_ids[u] for u in seen.tolist()), code[users],
+                       (wall - offset)[order], np.zeros(n_events, dtype=np.int64),
+                       offset[order] * 1_000_000, lon[order], lat[order])
     logger.info("generated %d events for %d users over %d days",
                 n_events, config.n_users, len(days))
 
     truth = _expected_truth(city, q0, p0_bin, night_mask, homes, mu)
-    return events, truth
+    return batch, truth
 
 
 def _expected_unique(mu_group: np.ndarray, rates: np.ndarray,
@@ -409,28 +424,56 @@ def _expected_unique(mu_group: np.ndarray, rates: np.ndarray,
     return out.reshape(rates.shape)
 
 
+def _home_group_sums(cells: np.ndarray, home_cells: np.ndarray, groups: np.ndarray,
+                     homes: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Sum over home groups of :func:`_expected_unique`, each group placed at ``cells``
+    except in its home row, which holds ``home_cells``.
+
+    Outside its home row a group sees the shared ``cells``, so each group is
+    evaluated once per distinct value there and once per value of its home
+    row. Rows that are nobody's home add up per distinct value; home rows are
+    added group by group. Both add in group order starting from 0, as
+    summing the groups' zones x width matrices does, so the result is
+    bit-identical.
+    """
+    n_zones, width = cells.shape
+    if n_zones == 1:  # a lone zone is every user's home: only its home row is seen
+        return _expected_unique(mu, home_cells[0])[None, :]
+    values, where = np.unique(cells, return_inverse=True)
+    where = where.reshape(cells.shape)
+    shared = np.zeros(len(values))
+    home_sums = np.zeros(home_cells.shape)
+    index = width + where[groups]  # the home rows' places in [home row, values]
+    for i, h in enumerate(groups.tolist()):
+        sums = _expected_unique(mu[homes == h], np.concatenate([home_cells[i], values]))
+        shared += sums[width:]
+        at = sums[index]
+        at[i] = sums[:width]
+        home_sums += at
+    out = np.empty(cells.shape)
+    away = np.setdiff1d(np.arange(n_zones), groups)
+    out[away] = shared[where[away]]
+    out[groups] = home_sums
+    return out
+
+
 def _expected_truth(city: SynthCity, q0, p0_bin, night_mask, homes, mu) -> SynthTruth:
     config = city.config
-    n_zones = len(city.zones)
     slots = config.slots
 
     # per-event placement given a home zone: night mass shifts toward home
     base = q0 * np.where(night_mask, 1.0 - config.home_bias, 1.0)[None, :]
     bonus = config.home_bias * p0_bin * night_mask  # added to the home zone's row
+    groups = np.unique(homes)
+    home_rows = base[groups] + bonus
 
-    expected_quarter = np.zeros((n_zones, N_QUARTER_BINS))
-    expected_slots = np.zeros((n_zones, len(slots)))
-    expected_day = np.zeros(n_zones)
-    slot_cols = [list(s.bins) for s in slots]
+    def by_slot(q: np.ndarray) -> np.ndarray:
+        return np.column_stack([q[:, list(s.bins)].sum(axis=1) for s in slots])
 
-    for h in np.unique(homes):
-        group_mu = mu[homes == h]
-        q_h = base.copy()
-        q_h[h, :] += bonus
-        expected_quarter += _expected_unique(group_mu, q_h)
-        q_h_slots = np.column_stack([q_h[:, cols].sum(axis=1) for cols in slot_cols])
-        expected_slots += _expected_unique(group_mu, q_h_slots)
-        expected_day += _expected_unique(group_mu, q_h.sum(axis=1))
+    expected_quarter = _home_group_sums(base, home_rows, groups, homes, mu)
+    expected_slots = _home_group_sums(by_slot(base), by_slot(home_rows), groups, homes, mu)
+    expected_day = _home_group_sums(base.sum(axis=1)[:, None], home_rows.sum(axis=1)[:, None],
+                                    groups, homes, mu)[:, 0]
 
     col_sums = expected_quarter.sum(axis=0)
     safe = np.where(col_sums > 0, col_sums, 1.0)
@@ -441,9 +484,7 @@ def _expected_truth(city: SynthCity, q0, p0_bin, night_mask, homes, mu) -> Synth
 
     profiles: dict[str, np.ndarray] = {}
     slot_class_totals: dict[str, np.ndarray] = {}
-    code_of = {cls: k for k, cls in enumerate(CLASSES)}
-    codes = np.array([code_of[city.classes[z]] for z in city.zone_ids], dtype=np.int64)
-    for label, rows in class_groups(codes):
+    for label, rows in class_groups(city.codes):
         totals = normalized[rows].sum(axis=0)
         daily = totals.sum()
         if daily > 0:

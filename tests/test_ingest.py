@@ -21,7 +21,7 @@ NDJSON_ROW = '{"u":"a1","t":"2013-03-05T10:07:00+01:00","lon":-3.70,"lat":40.42}
 def test_parse_ndjson_row_maps_fields():
     batch, report = parse_events(io.StringIO(NDJSON_ROW), "ndjson")
     assert report.rejected == 0
-    (event,) = batch.events()
+    (event,) = batch
     assert event.user_id == "a1"
     assert event.lon == -3.70
     assert event.lat == 40.42
@@ -52,7 +52,7 @@ def test_parse_csv_with_optional_columns():
                 "a2,2013-03-05T11:00:00+01:00,-3.71,40.43,,,\n")
     batch, report = parse_events(io.StringIO(csv_text), "csv")
     assert report.rejected == 0
-    events = list(batch.events())
+    events = list(batch)
     assert events[0].lang == "es" and events[0].text == "hola"
     assert events[1].lang is None and events[1].device is None
 
@@ -86,7 +86,7 @@ def test_ordering_preserved_and_empty_lines_skipped():
         '{"u":"a","t":"2013-03-05T11:00:00Z","lon":0.0,"lat":0.0}',
     ])
     events, _ = parse_events(io.StringIO(rows), "ndjson")
-    assert [e.user_id for e in events.events()] == ["b", "a"]
+    assert [e.user_id for e in events] == ["b", "a"]
 
 
 events_strategy = st.lists(
@@ -111,13 +111,13 @@ events_strategy = st.lists(
 @given(events_strategy)
 def test_ndjson_round_trip_identity(tmp_path_factory, events):
     path = tmp_path_factory.mktemp("rt") / "events.ndjson"
-    write_events_ndjson(events, path)
+    write_events_ndjson(EventBatch.from_events(events), path)
     parsed, report = parse_events(path, "ndjson")
     assert report.rejected == 0
-    assert list(parsed.events()) == events
+    assert list(parsed) == events
     # the clean-events writer prints every timestamp back as it was read
     rewritten = path.with_name("rewritten.ndjson")
-    write_events_ndjson(parsed.events(), rewritten)
+    write_events_ndjson(parsed, rewritten)
     assert rewritten.read_bytes() == path.read_bytes()
 
 
@@ -126,7 +126,7 @@ def _event(ts: str) -> GeoEvent:
 
 
 def _workdays(events, tz):
-    return list(filter_workdays(EventBatch.from_events(events), tz).events())
+    return list(filter_workdays(EventBatch.from_events(events), tz))
 
 
 def test_filter_workdays_keeps_tue_wed_thu():
@@ -147,7 +147,7 @@ def test_filter_workdays_idempotent():
         _event("2013-03-05T10:00:00Z"), _event("2013-03-09T10:00:00Z"),
         _event("2013-03-07T01:00:00Z")])
     once = filter_workdays(events, "Europe/Madrid")
-    assert list(filter_workdays(once, "Europe/Madrid").events()) == list(once.events())
+    assert list(filter_workdays(once, "Europe/Madrid")) == list(once)
 
 
 def test_unknown_timezone_is_fatal():
@@ -252,7 +252,7 @@ def test_ndjson_row_field_rules(overrides, expected):
         assert report.entries == [(1, expected)]
     else:
         assert report.entries == []
-        (event,) = events.events()
+        (event,) = events
         assert (event.user_id, event.lon, event.lat) == expected
         for name in ("lang", "device", "text"):  # null, absent and "" all mean none
             assert getattr(event, name) == (overrides.get(name) or None)
@@ -294,7 +294,7 @@ def test_valid_non_ascii_text_is_kept():
     raw = '{"u":"b","t":"2013-03-05T10:07:00Z","lon":1,"lat":2,"text":"café 😀"}'
     events, report = parse_events((row + "\n" + raw + "\n").encode("utf-8"), "ndjson")
     assert report.entries == []
-    assert [e.text for e in events.events()] == ["café 😀", "café 😀"]
+    assert [e.text for e in events] == ["café 😀", "café 😀"]
 
 
 def test_rejection_report_csv(tmp_path):
@@ -341,7 +341,7 @@ def _check_against_per_event(seconds, tz):
     batch = EventBatch.from_events(GeoEvent(f"u{i}", ts, 0.0, 0.0)
                                    for i, ts in enumerate(stamps))
     kept = filter_workdays(batch, tz)
-    assert [e.user_id for e in kept.events()] == [
+    assert [e.user_id for e in kept] == [
         f"u{i}" for i, keep in enumerate(workday) if keep]
     assert quarter_bins(batch.epoch, get_timezone(tz)).tolist() == bins
 
@@ -386,7 +386,7 @@ def test_parsed_timestamps_keep_instant_offset_and_microseconds():
     assert batch.epoch.tolist() == [r[1] for r in rows]
     assert batch.micro.tolist() == [r[2] for r in rows]
     assert batch.offset_us.tolist() == [r[3] * 1_000_000 for r in rows]
-    assert [e.timestamp.isoformat() for e in batch.events()] == [
+    assert [e.timestamp.isoformat() for e in batch] == [
         parse_timestamp(t).isoformat() for t, *_ in rows]
 
 

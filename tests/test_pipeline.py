@@ -14,6 +14,7 @@ from citypulse.errors import ConfigError, DataError
 from citypulse.pipeline import export_geojson, parse_events_file, run_pipeline
 from citypulse.spatial import Zone, ZoneTable, load_zones_geojson
 from citypulse.stats import bivariate_slot_ols
+from citypulse.synth import SynthConfig, generate_city, generate_events
 
 SQUARE = (((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.0, 0.0)),)
 
@@ -291,7 +292,7 @@ def test_unicode_line_separators_in_text_stay_inside_one_row(tmp_path):
     assert physical_lines == 4
 
     events, report = parse_events_file(events_path, "ndjson")
-    assert [e.text for e in events.events()] == texts
+    assert [e.text for e in events] == texts
     assert report.entries == []
     assert report.total_rows == physical_lines
 
@@ -435,6 +436,68 @@ def test_cli_bad_census_population_exits_2_before_parsing(small_city, tmp_path, 
     assert code == 2
     assert f"line 3: population {shown} is not a finite number" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_census_zone_id_twice_is_fatal_naming_both_lines(tmp_path):
+    census = tmp_path / "census.csv"
+    census.write_text("zone_id,population\nz0000,900\nz0001,12\nz0000,40\n", encoding="utf-8")
+    with pytest.raises(DataError, match="lines 2 and 4: zone_id 'z0000' appears twice"):
+        pipeline.load_census(census)
+
+
+def test_census_negative_population_is_fatal_naming_its_line(tmp_path):
+    census = tmp_path / "census.csv"
+    census.write_text("zone_id,population\nz0000,900\nz0001,-40\n", encoding="utf-8")
+    with pytest.raises(DataError, match="line 3: population '-40' is negative"):
+        pipeline.load_census(census)
+    census.write_text("zone_id,population\nz0000,0\nz0001,-0\n", encoding="utf-8")
+    assert pipeline.load_census(census) == {"z0000": 0.0, "z0001": 0.0}
+
+
+def test_census_rows_for_unknown_zones_are_one_warning(small_city, tmp_path):
+    census = tmp_path / "census.csv"
+    rows = [f"{z},{10 + k}" for k, z in enumerate(small_city.city.zone_ids[1:])]
+    census.write_text("\n".join(["zone_id,population", *rows, "ghost,7", "phantom,3"]) + "\n",
+                      encoding="utf-8")
+    config = small_city.config
+    result = run_pipeline(PipelineConfig(
+        events_path=config.events_path, zones_path=config.zones_path,
+        census_path=census, output_dir=tmp_path / "out", timezone=config.timezone,
+        centre_lon=config.centre_lon, centre_lat=config.centre_lat))
+    assert "1 zones missing from census default to 0" in result.warnings
+    assert "2 census rows name zones not in the zones file and are ignored" in result.warnings
+
+
+def _head_truth_csvs(truth, out):
+    """profiles_truth.csv and homes_truth.csv as csv.writer loops write them."""
+    with open(out / "profiles_truth.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["class", "bin", "share"])
+        for label in sorted(truth.profiles):
+            for b, share in enumerate(truth.profiles[label]):
+                writer.writerow([label, b, format(float(share), ".6g")])
+    with open(out / "homes_truth.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["user_id", "zone_id"])
+        for user_id in sorted(truth.homes):
+            writer.writerow([user_id, truth.homes[user_id]])
+
+
+def test_cli_synth_truth_csvs_match_csv_writer_loops(tmp_path):
+    out = tmp_path / "city"
+    assert cli.main(["synth", "--out", str(out), "--seed", "6", "--n-zones", "30",
+                     "--n-users", "200", "--events-per-day", "4", "--class-mix",
+                     "residential:0.4,mixed:0.2,activity:retail:0.2,activity:park:0.2"]) == 0
+    city = generate_city(SynthConfig(
+        seed=6, n_zones=30, n_users=200, events_per_user_per_day=4.0,
+        class_mix={"residential": 0.4, "mixed": 0.2, "activity:retail": 0.2,
+                   "activity:park": 0.2}))
+    _, truth = generate_events(city)
+    reference = tmp_path / "reference"
+    reference.mkdir()
+    _head_truth_csvs(truth, reference)
+    for name in ("profiles_truth.csv", "homes_truth.csv"):
+        assert (out / name).read_bytes() == (reference / name).read_bytes(), name
 
 
 def test_cli_bad_class_mix_exits_2(tmp_path, capsys):

@@ -94,7 +94,7 @@ def test_events_parse_cleanly_and_are_workdays():
     city = generate_city(config)
     events, _ = generate_events(city)
     kept = filter_workdays(EventBatch.from_events(events), config.timezone)
-    assert list(kept.events()) == events
+    assert list(kept) == list(events)
 
 
 def test_generated_events_round_trip_with_zero_rejections(tmp_path):
@@ -104,14 +104,14 @@ def test_generated_events_round_trip_with_zero_rejections(tmp_path):
     write_events_ndjson(events, path)
     parsed, report = parse_events(path, "ndjson")
     assert report.rejected == 0
-    assert list(parsed.events()) == events
+    assert list(parsed) == list(events)
 
 
 def test_every_point_falls_in_exactly_one_zone():
     city = generate_city(small_config())
     events, _ = generate_events(city)
     index = build_zone_index(ZoneTable.from_zones(city.zones))
-    for event in events[:300]:
+    for event in list(events)[:300]:
         owners = [z.zone_id for z in city.zones
                   if point_in_rings(z.rings, event.lon, event.lat)]
         assert len(owners) == 1
