@@ -122,77 +122,46 @@ class EventBatch:
         """Columns of GeoEvent rows, each keeping the UTC offset of its timestamp."""
         builder = _BatchBuilder()
         for e in events:
-            builder.append(e.user_id, builder.add_time(e.timestamp), e.lon, e.lat,
+            builder.append(e.user_id, _instant(e.timestamp), e.lon, e.lat,
                            e.lang, e.device, e.text)
         return builder.finish()
 
 
+def _instant(ts: datetime) -> tuple[int, int, int]:
+    """(epoch s, microsecond, UTC offset us) of an aware datetime inside a batch's range."""
+    us = (ts - _EPOCH) // _MICROSECOND
+    if not _FIRST_US <= us < _END_US:
+        raise ValueError("timestamp out of range")
+    return us // 1_000_000, us % 1_000_000, ts.utcoffset() // _MICROSECOND
+
+
 class _BatchBuilder:
-    """Appends checked rows to typed columns; each distinct timestamp is parsed once."""
+    """Appends checked rows to typed columns, one UTC instant and offset per row."""
 
     def __init__(self):
         self._user_code: dict[str, int] = {}
         self._users = array("q")
-        self._times = array("q")  # row -> index into the three time tables
-        self._lon = array("d")
-        self._lat = array("d")
-        self._time_code: dict[str, int] = {}
         self._epoch = array("q")
         self._micro = array("q")
         self._offset = array("q")
+        self._lon = array("d")
+        self._lat = array("d")
         self._optional: list[tuple[int, tuple]] = []
 
-    def add_time(self, ts: datetime) -> int:
-        us = (ts - _EPOCH) // _MICROSECOND
-        if not _FIRST_US <= us < _END_US:
-            raise ValueError("timestamp out of range")
-        self._epoch.append(us // 1_000_000)
-        self._micro.append(us % 1_000_000)
-        self._offset.append(ts.utcoffset() // _MICROSECOND)
-        return len(self._epoch) - 1
-
-    def time_of(self, raw) -> int:
-        code = self._time_code.get(raw) if type(raw) is str else None
-        if code is None:
-            code = self._time_code[raw] = self.add_time(parse_timestamp(raw))
-        return code
-
-    def add_times(self, raws: list[str]) -> dict[str, str]:
-        """Parse the strings among ``raws`` not seen before; map each rejected one to its reason.
-
-        The strings :func:`_fixed_instants` reads go into the time tables
-        together; every other one goes through :meth:`time_of`.
-        """
-        new = [raw for raw in dict.fromkeys(raws) if raw not in self._time_code]
-        if not new:
-            return {}
-        fits, epoch, offset = _fixed_instants(new)
-        start, count = len(self._epoch), int(np.count_nonzero(fits))
-        self._epoch.frombytes(epoch[fits].tobytes())
-        self._micro.frombytes(bytes(8 * count))
-        self._offset.frombytes((offset[fits] * 1_000_000).tobytes())
-        fits = fits.tolist()
-        self._time_code.update(zip(compress(new, fits), range(start, start + count)))
-        rejected = {}
-        for raw in compress(new, [not f for f in fits]):
-            try:
-                self.time_of(raw)
-            except ValueError as exc:
-                rejected[raw] = str(exc)
-        return rejected
-
-    def append(self, user_id: str, time: int, lon: float, lat: float,
+    def append(self, user_id: str, instant: tuple[int, int, int], lon: float, lat: float,
                lang: str | None, device: str | None, text: str | None) -> None:
         if lang is not None or device is not None or text is not None:
             self._optional.append((len(self._users), (lang, device, text)))
         self._users.append(self._user_code.setdefault(user_id, len(self._user_code)))
-        self._times.append(time)
+        for column, value in zip((self._epoch, self._micro, self._offset), instant):
+            column.append(value)
         self._lon.append(lon)
         self._lat.append(lat)
 
-    def extend(self, users: list[str], times: list[str], lon: np.ndarray, lat: np.ndarray,
+    def extend(self, users: list[str], epoch: np.ndarray, micro: np.ndarray,
+               offset: np.ndarray, lon: np.ndarray, lat: np.ndarray,
                extras: list[list | None]) -> None:
-        """Append checked rows whose timestamps :meth:`add_times` has parsed.
+        """Append checked rows: user ids, int64 instant columns and float64 coordinates.
 
         ``extras`` holds a ``lang``/``device``/``text`` column per field, or
         None where no row has that field.
@@ -203,27 +172,20 @@ class _BatchBuilder:
             if user not in code:
                 code[user] = len(code)
         self._users.extend(map(code.__getitem__, users))
-        self._times.extend(map(self._time_code.__getitem__, times))
-        self._lon.frombytes(lon.tobytes())
-        self._lat.frombytes(lat.tobytes())
+        for column, values in ((self._epoch, epoch), (self._micro, micro),
+                               (self._offset, offset), (self._lon, lon), (self._lat, lat)):
+            column.frombytes(values.tobytes())
         if any(column is not None for column in extras):
             columns = [repeat(None) if column is None else column for column in extras]
             self._optional.extend((base + i, fields) for i, fields in enumerate(zip(*columns))
                                   if fields != (None, None, None))
 
-    def check_row(self, user_id, raw_ts, lon, lat, lang, device, text) -> tuple:
-        """One row's fields checked in input order; ValueError names the first fault."""
-        return (_user_id(user_id), self.time_of(raw_ts), _coordinate(lon, "lon", 180.0),
-                _coordinate(lat, "lat", 90.0), _optional(lang, "lang"),
-                _optional(device, "device"), _optional(text, "text"))
-
     def add_row(self, user_id, raw_ts, lon, lat, lang, device, text) -> None:
         """Check one row's fields in input order and append it; ValueError names the fault."""
-        self.append(*self.check_row(user_id, raw_ts, lon, lat, lang, device, text))
+        self.append(*_check_row(user_id, raw_ts, lon, lat, lang, device, text))
 
     def finish(self) -> EventBatch:
-        times = np.frombuffer(self._times, dtype=np.int64)
-        n = len(times)
+        n = len(self._users)
         optional: dict[str, np.ndarray] = {}
         if self._optional:
             rows = np.fromiter((row for row, _ in self._optional), dtype=np.int64,
@@ -237,9 +199,9 @@ class _BatchBuilder:
         return EventBatch(
             tuple(self._user_code),
             np.frombuffer(self._users, dtype=np.int64),
-            np.frombuffer(self._epoch, dtype=np.int64)[times],
-            np.frombuffer(self._micro, dtype=np.int64)[times],
-            np.frombuffer(self._offset, dtype=np.int64)[times],
+            np.frombuffer(self._epoch, dtype=np.int64),
+            np.frombuffer(self._micro, dtype=np.int64),
+            np.frombuffer(self._offset, dtype=np.int64),
             np.frombuffer(self._lon, dtype=np.float64),
             np.frombuffer(self._lat, dtype=np.float64),
             optional)
@@ -314,10 +276,10 @@ def _fixed_instants(raws: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray
     the form ``YYYY-MM-DDTHH:MM:SS`` plus ``Z``, ``+HH:MM`` or ``-HH:MM``:
     ASCII digits, a valid date (leap years included) and time of day, an
     offset under 24 h with minutes under 60, and 1 < year < 9999, so that
-    every such instant lies in the range :meth:`_BatchBuilder.add_time`
-    accepts. For those rows ``epoch`` and ``offset`` equal what
-    :func:`parse_timestamp` and ``add_time`` give; other rows hold no
-    meaningful value, and their strings are left to :func:`parse_timestamp`.
+    every such instant lies in the range :func:`_instant` accepts. For those
+    rows ``epoch`` and ``offset`` equal what :func:`parse_timestamp` and
+    ``_instant`` give; other rows hold no meaningful value, and their strings
+    are left to :func:`parse_timestamp`.
     """
     n = len(raws)
     size = np.fromiter(map(len, raws), dtype=np.int64, count=n)
@@ -448,13 +410,20 @@ def _load_row(line: str) -> dict:
     return obj
 
 
-def _check_object(builder: _BatchBuilder, obj: dict) -> tuple:
+def _check_row(user_id, raw_ts, lon, lat, lang, device, text) -> tuple:
+    """One row's fields checked in input order; ValueError names the first fault."""
+    return (_user_id(user_id), _instant(parse_timestamp(raw_ts)),
+            _coordinate(lon, "lon", 180.0), _coordinate(lat, "lat", 90.0),
+            _optional(lang, "lang"), _optional(device, "device"), _optional(text, "text"))
+
+
+def _check_object(obj: dict) -> tuple:
     """The per-row field checks of one object: its values, or ValueError naming the fault."""
     missing = [k for k in NDJSON_KEYS if k not in obj]
     if missing:
         raise ValueError(f"missing field {missing[0]!r}")
-    return builder.check_row(obj["u"], obj["t"], obj["lon"], obj["lat"],
-                             obj.get("lang"), obj.get("device"), obj.get("text"))
+    return _check_row(obj["u"], obj["t"], obj["lon"], obj["lat"],
+                      obj.get("lang"), obj.get("device"), obj.get("text"))
 
 
 def _decode_block(numbers: Sequence[int], lines: list[str], rejected: list[tuple[int, str]]
@@ -528,7 +497,8 @@ def _add_objects(builder: _BatchBuilder, numbers: Sequence[int], objs: list[dict
     A row that fails a column test goes through the per-row checks
     (:func:`_check_object`), which either give its rejection reason or accept it,
     as they do an integer user id. A row that passes every column test can
-    fail only on its timestamp, the one field left to check.
+    fail only on its timestamp, the one field left to check, read in bulk by
+    :func:`_fixed_instants` where it has that shape.
     """
     n = len(objs)
     try:
@@ -552,9 +522,18 @@ def _add_objects(builder: _BatchBuilder, numbers: Sequence[int], objs: list[dict
             _flag(suspect, values, _OPTIONAL)
             extras[k] = [value or None for value in values]
     keep = (~suspect).tolist()
+    fits, epoch, offset = _fixed_instants(list(compress(times, keep)))
+    instants = np.zeros((3, n), dtype=np.int64)  # epoch, micro and offset_us per row
+    instants[0, keep], instants[2, keep] = epoch, offset * 1_000_000
+    for i in np.flatnonzero(keep)[~fits].tolist():
+        try:
+            instants[:, i] = _instant(parse_timestamp(times[i]))
+        except ValueError as exc:
+            keep[i] = False
+            rejected.append((numbers[i], str(exc)))
     for i in np.flatnonzero(suspect).tolist():
         try:
-            user, _, lon[i], lat[i], *fields = _check_object(builder, objs[i])
+            user, instants[:, i], lon[i], lat[i], *fields = _check_object(objs[i])
         except ValueError as exc:
             rejected.append((numbers[i], str(exc)))
             continue
@@ -563,24 +542,17 @@ def _add_objects(builder: _BatchBuilder, numbers: Sequence[int], objs: list[dict
         for column, value in zip(extras, fields):
             if column is not None:
                 column[i] = value
-    # rows that passed check_row have their timestamp parsed already
-    failed = builder.add_times(list(compress(times, (~suspect).tolist())))
-    if failed:
-        for i, raw in enumerate(times):
-            if not suspect[i] and raw in failed:
-                keep[i] = False
-                rejected.append((numbers[i], failed[raw]))
     if not all(keep):
-        users, times = list(compress(users, keep)), list(compress(times, keep))
+        users, instants = list(compress(users, keep)), instants[:, keep]
         lon, lat = lon[keep], lat[keep]
         extras = [None if column is None else list(compress(column, keep)) for column in extras]
-    builder.extend(users, times, lon, lat, extras)
+    builder.extend(users, *instants, lon, lat, extras)
 
 
-# Characters of NDJSON decoded at a time (~230 rows of 105 characters). Larger
-# blocks leave more memory behind and raise a run's peak RSS (at 1 MiB by
-# 12 MB, 11 %, at city-253k; 32 KiB by ~1.4 MB); smaller ones spend more on
-# the fixed cost of each block than they save (16 KiB parses ~10 % slower)
+# Characters of NDJSON decoded at a time (~230 rows of 105 characters). Up to
+# 64 KiB the size barely moves a run's peak RSS (city-253k: 62.8 MB at 24 and
+# 32 KiB, 62.9 MB at 64 KiB) or its parse time; smaller blocks spend more on
+# the fixed cost of each block than they save (16 KiB parsed ~10 % slower)
 _BLOCK_CHARS = 24 * 1024
 
 
@@ -630,11 +602,11 @@ def _parse_csv(fh: IO[str], builder: _BatchBuilder, report: RejectionReport) -> 
 def parse_events(source, fmt: str = "ndjson") -> tuple[EventBatch, RejectionReport]:
     """Parse an NDJSON or CSV event source into one batch, skipping bad rows.
 
-    Every row is checked field by field: the user id, the timestamp (each
-    distinct string parsed once; its UTC instant must lie in
-    [0001-01-02, 9999-12-31)), lon, lat, then that ``lang``, ``device``
-    and ``text`` are strings when present. A row holding bytes that are not
-    UTF-8 is rejected as ``invalid utf-8``. Accepted rows keep input order.
+    Every row is checked field by field: the user id, the timestamp (its UTC
+    instant must lie in [0001-01-02, 9999-12-31)), lon, lat, then that
+    ``lang``, ``device`` and ``text`` are strings when present. A row holding
+    bytes that are not UTF-8 is rejected as ``invalid utf-8``. Accepted rows
+    keep input order.
     Rejections carry the physical line number. An NDJSON row ends only at
     ``\\n``, ``\\r\\n`` or ``\\r``, so U+2028, U+0085 and other Unicode line
     breaks inside a JSON string stay in their row. A CSV row reports the line
@@ -729,8 +701,9 @@ def _by_quarter(seconds: np.ndarray, lookup) -> np.ndarray:
     differ (a transition not aligned to 900 s, such as the end of local mean
     time) that quarter-hour's values are looked up one by one.
     """
-    quarters, inverse = np.unique(seconds // _QUARTER_S, return_inverse=True)
-    inverse = inverse.reshape(-1)
+    # the quarter-hours are computed twice, not kept: one array fewer at the peak
+    quarters = np.unique(seconds // _QUARTER_S)
+    inverse = np.searchsorted(quarters, seconds // _QUARTER_S)
     starts = (quarters * _QUARTER_S).tolist()
     first = np.array([lookup(s) for s in starts], dtype=np.int64)
     last = np.array([lookup(s + _QUARTER_S - 1) for s in starts], dtype=np.int64)
@@ -770,12 +743,15 @@ def quarter_bins(epoch: np.ndarray, zone: ZoneInfo) -> np.ndarray:
 def filter_workdays(events: EventBatch, tz: str) -> EventBatch:
     """The rows whose local weekday is Tuesday, Wednesday, or Thursday, in order.
 
+    A batch whose every row is kept is returned itself, not a copy.
+
     The weekday comes from the epoch plus the zone's offset (see
     :func:`local_seconds`); floor division keeps pre-1970 instants right.
     """
     zone = get_timezone(tz)
     weekday = (local_seconds(events.epoch, zone) // _DAY_S + _EPOCH_WEEKDAY) % 7
-    return events.take(np.isin(weekday, WORKDAY_WEEKDAYS))
+    keep = np.isin(weekday, WORKDAY_WEEKDAYS)
+    return events if keep.all() else events.take(keep)
 
 
 def quarter_bin(timestamp: datetime, tz: str | ZoneInfo) -> int:

@@ -265,8 +265,10 @@ def run_pipeline(config: PipelineConfig,
         stage = Path(stage_name)
 
         # --- ingest ---------------------------------------------------------
+        # one event batch alive at a time: each is dropped once the next stage has it
         events, report = parse_events_file(config.events_path, config.events_format)
         workday_events = ingest.filter_workdays(events, config.timezone)
+        del events
         report.write_csv(stage / "rejections.csv")
         if write_clean_events:
             ingest.write_events_ndjson(workday_events, stage / "events_clean.ndjson")
@@ -296,6 +298,7 @@ def run_pipeline(config: PipelineConfig,
 
         assigned, unassigned, overlaps = assign_events(
             workday_events, index, config.timezone)
+        del workday_events
         counts["events_assigned"] = len(assigned)
         counts["events_unassigned"] = unassigned
         counts["distinct_users"] = len(np.unique(assigned.users))

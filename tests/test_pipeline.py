@@ -179,6 +179,50 @@ def test_rerun_is_byte_identical(small_city, tmp_path):
             assert again.read_bytes() == path.read_bytes(), path.name
 
 
+@pytest.mark.parametrize("weekend_row", [False, True], ids=["all workdays", "one weekend row"])
+def test_one_event_batch_alive_at_a_time(small_city, tmp_path, monkeypatch, weekend_row):
+    import dataclasses
+    import weakref
+
+    from citypulse import ingest
+    events_path = small_city.events_path
+    if weekend_row:  # 2013-03-09 is a Saturday
+        events_path = tmp_path / "events.ndjson"
+        events_path.write_bytes(small_city.events_path.read_bytes() + b'{"u": "w", '
+                                b'"t": "2013-03-09T10:00:00+01:00", "lon": 0, "lat": 0}\n')
+    seen = {}
+    filter_workdays, assign_events = ingest.filter_workdays, pipeline.assign_events
+
+    def traced_filter(events, tz):
+        seen["parsed"] = weakref.ref(events)
+        workdays = filter_workdays(events, tz)
+        seen["same"] = workdays is events
+        return workdays
+
+    def traced_assign(events, index, tz):
+        seen["parsed_alive"] = seen["parsed"]() is not None and seen["parsed"]() is not events
+        seen["workdays"] = weakref.ref(events)
+        return assign_events(events, index, tz)
+
+    def traced_count(assigned):
+        seen["workdays_alive"] = seen["workdays"]() is not None
+        return count_unique_users(assigned)
+
+    count_unique_users = activity.count_unique_users
+    monkeypatch.setattr(ingest, "filter_workdays", traced_filter)
+    monkeypatch.setattr(pipeline, "assign_events", traced_assign)
+    monkeypatch.setattr(activity, "count_unique_users", traced_count)
+    config = dataclasses.replace(small_city.config, events_path=events_path,
+                                 output_dir=tmp_path / "out")
+    result = run_pipeline(config, steps={"aggregate"})
+    assert result.manifest["counts"]["events_workdays"] == len(small_city.events)
+    # a filter that drops no row hands its input on; the parsed batch is gone
+    # before the zone join, and the workday batch before aggregation
+    assert seen["same"] is not weekend_row
+    assert not seen["parsed_alive"]
+    assert not seen["workdays_alive"]
+
+
 def test_centre_outside_coverage_warns(small_city, tmp_path):
     import dataclasses
     config = dataclasses.replace(small_city.config, output_dir=tmp_path / "far",
