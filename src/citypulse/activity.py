@@ -101,11 +101,12 @@ class TemporalProfile:
 
 @dataclass(frozen=True)
 class AssignedEvents:
-    """Located events as parallel int64 arrays, encoded once for every count.
+    """Located events as parallel arrays, encoded once for every count.
 
-    ``users`` holds codes into ``user_ids`` and ``zones`` codes into
-    ``zone_ids``, which is sorted, so code order is zone_id order. ``bins``
-    holds each event's local quarter-hour bin 0..95.
+    ``users`` (int32) holds codes into ``user_ids`` and ``zones`` (int32)
+    codes into ``zone_ids``, which is sorted, so code order is zone_id order.
+    ``bins`` (int8) holds each event's local quarter-hour bin 0..95. A key
+    combining codes is built in int64: int32 arithmetic wraps without a word.
     """
 
     user_ids: Sequence[str]
@@ -137,14 +138,13 @@ class AssignedEvents:
         ordered = tuple(sorted(set(zones) if zone_ids is None else zone_ids))
         zone_index = {z: i for i, z in enumerate(ordered)}
         try:
-            zone_arr = np.array([zone_index[z] for z in zones], dtype=np.int64)
+            zone_arr = np.array([zone_index[z] for z in zones], dtype=np.int32)
         except KeyError as exc:
             raise DataError(f"event references unknown zone {exc.args[0]!r}") from exc
-        bin_arr = np.array(bins, dtype=np.int64)
-        if len(bin_arr) and (bin_arr.min() < 0 or bin_arr.max() >= N_QUARTER_BINS):
+        if bins and not 0 <= min(bins) <= max(bins) < N_QUARTER_BINS:
             raise DataError("event bin outside 0..95")
-        return cls(tuple(user_index), ordered, np.array(users, dtype=np.int64), zone_arr,
-                   bin_arr)
+        return cls(tuple(user_index), ordered, np.array(users, dtype=np.int32), zone_arr,
+                   np.array(bins, dtype=np.int8))
 
 
 def _dedup_matrix(events: AssignedEvents, cols: np.ndarray, n_cols: int) -> np.ndarray:
@@ -154,7 +154,8 @@ def _dedup_matrix(events: AssignedEvents, cols: np.ndarray, n_cols: int) -> np.n
     # collapse duplicate (user, zone, col) triples, then count per cell; one
     # sort and a neighbour test, which is many times faster than np.unique
     # on int64 keys with numpy 2.x
-    key = np.sort((events.users[keep] * n_zones + events.zones[keep]) * n_cols + cols[keep])
+    key = np.sort((events.users[keep].astype(np.int64) * n_zones + events.zones[keep])
+                  * n_cols + cols[keep])
     distinct = np.ones(len(key), dtype=bool)
     distinct[1:] = key[1:] != key[:-1]
     cells = key[distinct] % (n_zones * n_cols)

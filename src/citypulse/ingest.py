@@ -77,18 +77,19 @@ class GeoEvent:
 class EventBatch:
     """Events as parallel columns; row i is the i-th accepted input row.
 
-    ``users`` holds codes into ``user_ids``. ``epoch`` (floor seconds) and
-    ``micro`` give the UTC instant; ``offset_us`` is the UTC offset the input
-    wrote, kept so that iterating the batch and
-    :func:`write_events_ndjson` print every timestamp back as parsed.
+    ``users`` (int32) holds codes into ``user_ids``. ``epoch`` (int64 floor
+    seconds) and ``micro`` (int32) give the UTC instant; ``offset_us`` (int64)
+    is the UTC offset the input wrote, kept so that iterating the batch and
+    :func:`write_events_ndjson` print every timestamp back as parsed. ``lon``
+    and ``lat`` are float64.
     ``optional`` maps each of ``lang``/``device``/``text`` that some row
     carries to an object column holding a string or None per row.
     """
 
     user_ids: tuple[str, ...]
-    users: np.ndarray  # int64
+    users: np.ndarray  # int32
     epoch: np.ndarray  # int64
-    micro: np.ndarray  # int64
+    micro: np.ndarray  # int32
     offset_us: np.ndarray  # int64
     lon: np.ndarray  # float64
     lat: np.ndarray  # float64
@@ -140,9 +141,9 @@ class _BatchBuilder:
 
     def __init__(self):
         self._user_code: dict[str, int] = {}
-        self._users = array("q")
+        self._users = array("i")
         self._epoch = array("q")
-        self._micro = array("q")
+        self._micro = array("i")
         self._offset = array("q")
         self._lon = array("d")
         self._lat = array("d")
@@ -161,7 +162,7 @@ class _BatchBuilder:
     def extend(self, users: list[str], epoch: np.ndarray, micro: np.ndarray,
                offset: np.ndarray, lon: np.ndarray, lat: np.ndarray,
                extras: list[list | None]) -> None:
-        """Append checked rows: user ids, int64 instant columns and float64 coordinates.
+        """Append checked rows: user ids, integer instant columns and float64 coordinates.
 
         ``extras`` holds a ``lang``/``device``/``text`` column per field, or
         None where no row has that field.
@@ -174,7 +175,7 @@ class _BatchBuilder:
         self._users.extend(map(code.__getitem__, users))
         for column, values in ((self._epoch, epoch), (self._micro, micro),
                                (self._offset, offset), (self._lon, lon), (self._lat, lat)):
-            column.frombytes(values.tobytes())
+            column.frombytes(values.astype(column.typecode, copy=False).tobytes())
         if any(column is not None for column in extras):
             columns = [repeat(None) if column is None else column for column in extras]
             self._optional.extend((base + i, fields) for i, fields in enumerate(zip(*columns))
@@ -198,9 +199,9 @@ class _BatchBuilder:
                     optional[name] = col
         return EventBatch(
             tuple(self._user_code),
-            np.frombuffer(self._users, dtype=np.int64),
+            np.frombuffer(self._users, dtype=np.int32),
             np.frombuffer(self._epoch, dtype=np.int64),
-            np.frombuffer(self._micro, dtype=np.int64),
+            np.frombuffer(self._micro, dtype=np.int32),
             np.frombuffer(self._offset, dtype=np.int64),
             np.frombuffer(self._lon, dtype=np.float64),
             np.frombuffer(self._lat, dtype=np.float64),
@@ -701,9 +702,9 @@ def _by_quarter(seconds: np.ndarray, lookup) -> np.ndarray:
     differ (a transition not aligned to 900 s, such as the end of local mean
     time) that quarter-hour's values are looked up one by one.
     """
-    # the quarter-hours are computed twice, not kept: one array fewer at the peak
-    quarters = np.unique(seconds // _QUARTER_S)
-    inverse = np.searchsorted(quarters, seconds // _QUARTER_S)
+    quarter = seconds // _QUARTER_S
+    quarters = np.unique(quarter)
+    inverse = np.searchsorted(quarters, quarter)
     starts = (quarters * _QUARTER_S).tolist()
     first = np.array([lookup(s) for s in starts], dtype=np.int64)
     last = np.array([lookup(s + _QUARTER_S - 1) for s in starts], dtype=np.int64)
@@ -735,9 +736,23 @@ def wall_offsets(wall: np.ndarray, zone: ZoneInfo) -> np.ndarray:
     return _by_quarter(wall, lambda s: _wall_offset_s(s, zone))
 
 
+# Rows per pass of the local-time work: each pass's int64 temporaries are a
+# few hundred KB, whatever the batch size
+LOCAL_CHUNK = 1 << 16
+
+
+def _by_local_seconds(epoch: np.ndarray, zone: ZoneInfo, dtype, of_local) -> np.ndarray:
+    """``of_local(local seconds)`` per row as ``dtype``, :data:`LOCAL_CHUNK` rows at a time."""
+    out = np.empty(len(epoch), dtype=dtype)
+    for lo in range(0, len(epoch), LOCAL_CHUNK):
+        hi = lo + LOCAL_CHUNK
+        out[lo:hi] = of_local(local_seconds(epoch[lo:hi], zone))
+    return out
+
+
 def quarter_bins(epoch: np.ndarray, zone: ZoneInfo) -> np.ndarray:
-    """Quarter-hour bin 0..95 of each instant's local wall-clock time."""
-    return local_seconds(epoch, zone) % _DAY_S // _QUARTER_S
+    """Quarter-hour bin 0..95 (int8) of each instant's local wall-clock time."""
+    return _by_local_seconds(epoch, zone, np.int8, lambda local: local % _DAY_S // _QUARTER_S)
 
 
 def filter_workdays(events: EventBatch, tz: str) -> EventBatch:
@@ -749,8 +764,8 @@ def filter_workdays(events: EventBatch, tz: str) -> EventBatch:
     :func:`local_seconds`); floor division keeps pre-1970 instants right.
     """
     zone = get_timezone(tz)
-    weekday = (local_seconds(events.epoch, zone) // _DAY_S + _EPOCH_WEEKDAY) % 7
-    keep = np.isin(weekday, WORKDAY_WEEKDAYS)
+    keep = _by_local_seconds(events.epoch, zone, bool, lambda local: np.isin(
+        (local // _DAY_S + _EPOCH_WEEKDAY) % 7, WORKDAY_WEEKDAYS))
     return events if keep.all() else events.take(keep)
 
 

@@ -61,15 +61,18 @@ def assign_events(events: ingest.EventBatch, index: ZoneIndex, tz: str
 
     Returns (assigned events in input order, out-of-coverage count, overlap
     warnings raised by this call). Out-of-coverage events are counted, not
-    fatal. Zone codes index ``index.zone_ids``.
+    fatal. Zone codes index ``index.zone_ids``. When every event is found its
+    ``users`` and ``epoch`` columns are used as they are, not copied.
     """
     zone_info = ingest.get_timezone(tz)
     overlaps_before = index.overlap_warnings
     codes = index.locate_codes(events.lon, events.lat)
+    users, epoch = events.users, events.epoch
     found = codes >= 0
-    assigned = activity.AssignedEvents(
-        events.user_ids, index.zone_ids, events.users[found], codes[found],
-        ingest.quarter_bins(events.epoch[found], zone_info))
+    if not found.all():
+        users, codes, epoch = users[found], codes[found], epoch[found]
+    assigned = activity.AssignedEvents(events.user_ids, index.zone_ids, users, codes,
+                                       ingest.quarter_bins(epoch, zone_info))
     return (assigned, len(events) - len(assigned),
             index.overlap_warnings - overlaps_before)
 
@@ -301,7 +304,8 @@ def run_pipeline(config: PipelineConfig,
         del workday_events
         counts["events_assigned"] = len(assigned)
         counts["events_unassigned"] = unassigned
-        counts["distinct_users"] = len(np.unique(assigned.users))
+        counts["distinct_users"] = int(np.count_nonzero(
+            np.bincount(assigned.users, minlength=len(assigned.user_ids))))
         counts["zone_overlap_warnings"] = overlaps
         if overlaps:
             warnings.append(f"{overlaps} points hit overlapping zones")

@@ -412,7 +412,7 @@ class ZoneIndex:
         return len(self.table)
 
     def locate_codes(self, lons, lats) -> np.ndarray:
-        """Zone code per point (an index into ``zone_ids``), or -1 outside every zone.
+        """Zone code (int32) per point, an index into ``zone_ids``, or -1 outside every zone.
 
         Points are processed :data:`LOCATE_CHUNK` at a time. The crossing
         test is :func:`point_in_rings`'s float expression, evaluated in the
@@ -420,7 +420,7 @@ class ZoneIndex:
         """
         lons = np.asarray(lons, dtype=np.float64)
         lats = np.asarray(lats, dtype=np.float64)
-        codes = np.full(len(lons), -1, dtype=np.int64)
+        codes = np.full(len(lons), -1, dtype=np.int32)
         for lo in range(0, len(lons), LOCATE_CHUNK):
             hi = lo + LOCATE_CHUNK
             codes[lo:hi] = self._locate_chunk(lons[lo:hi], lats[lo:hi])

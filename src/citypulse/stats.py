@@ -419,7 +419,7 @@ def infer_homes(events: AssignedEvents,
     order.
     """
     n_zones = len(events.zone_ids)
-    key = events.users * n_zones + events.zones
+    key = events.users.astype(np.int64) * n_zones + events.zones
     total_keys, total_counts = np.unique(key, return_counts=True)
     night = np.isin(events.bins, np.fromiter(night_bins, dtype=np.int64))
     if residential_zones is not None:

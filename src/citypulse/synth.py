@@ -401,10 +401,10 @@ def generate_events(city: SynthCity) -> tuple[EventBatch, SynthTruth]:
     # user codes in order of first appearance, as parsing the written file gives them
     present, first = np.unique(users, return_index=True)
     seen = present[np.argsort(first)]
-    code = np.empty(config.n_users, dtype=np.int64)
+    code = np.empty(config.n_users, dtype=np.int32)
     code[seen] = np.arange(len(seen))
     batch = EventBatch(tuple(user_ids[u] for u in seen.tolist()), code[users],
-                       (wall - offset)[order], np.zeros(n_events, dtype=np.int64),
+                       (wall - offset)[order], np.zeros(n_events, dtype=np.int32),
                        offset[order] * 1_000_000, lon[order], lat[order])
     logger.info("generated %d events for %d users over %d days",
                 n_events, config.n_users, len(days))

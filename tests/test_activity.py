@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from citypulse.activity import (AssignedEvents, MajorSlot, aggregate_major_slots,
+from citypulse.activity import (DEFAULT_SLOTS, AssignedEvents, MajorSlot, aggregate_major_slots,
                                 count_daily_unique, count_unique_users,
                                 density_per_hectare, landuse_profile,
                                 normalize_counts, validate_slots)
 from citypulse.errors import ConfigError, DataError
 from citypulse.landuse import CLASSES, LandUseCategory, LandUseClass, class_groups
+from citypulse.stats import DEFAULT_NIGHT_BINS, infer_homes
 
 encode = AssignedEvents.from_tuples
 
@@ -53,6 +54,54 @@ def test_unknown_zone_rejected_with_explicit_zone_set():
 def test_bin_outside_day_rejected():
     with pytest.raises(DataError, match="bin outside"):
         encode([("a", "A", 96)])
+
+
+def test_from_tuples_builds_the_pipeline_dtypes():
+    events = encode([("a", "Z", 40), ("b", "Y", 95)])
+    assert (events.users.dtype, events.zones.dtype, events.bins.dtype) == (
+        np.int32, np.int32, np.int8)
+
+
+def test_keys_past_int32_match_a_set_reference():
+    # 100,000 users x 24,000 zones: the (user, zone) key of the homes reaches
+    # 2.4e9 and the (user, zone, bin) key of the dedup 2.3e11, both past 2**31,
+    # where int32 codes times a Python int wrap without a word
+    n_users, n_zones = 100_000, 24_000
+    user_ids = tuple(f"u{u:06d}" for u in range(n_users))
+    zone_ids = tuple(f"z{z:05d}" for z in range(n_zones))
+    # every 97th user and the last 300, each with two night events in one
+    # zone near the end of the table, one in another zone and one by day
+    rows = []
+    for u in sorted({*range(0, n_users, 97), *range(n_users - 300, n_users)}):
+        home, other = n_zones - 1 - u % 500, u * 7919 % n_zones
+        rows += [(u, home, 88 + u % 8), (u, home, 95), (u, other, 90), (u, other, u % 88)]
+    users, zones, bins = (np.array(col, dtype=dtype) for col, dtype in zip(
+        zip(*rows), (np.int32, np.int32, np.int8)))
+    events = AssignedEvents(user_ids, zone_ids, users, zones, bins)
+
+    slot_of = {b: i for i, slot in enumerate(DEFAULT_SLOTS) for b in slot.bins}
+    for matrix, col_of, n_cols in (
+            (count_unique_users(events), lambda b: b, 96),
+            (aggregate_major_slots(events), slot_of.get, len(DEFAULT_SLOTS)),
+            (count_daily_unique(events), lambda b: 0, 1)):
+        expected = np.zeros((n_zones, n_cols), dtype=np.int64)
+        for _, z, col in {(u, z, col_of(b)) for u, z, b in rows if col_of(b) is not None}:
+            expected[z, col] += 1
+        np.testing.assert_array_equal(matrix.counts, expected)
+
+    night, total = {}, {}
+    for u, z, b in rows:
+        total[u, z] = total.get((u, z), 0) + 1
+        if b in DEFAULT_NIGHT_BINS:
+            night[u, z] = night.get((u, z), 0) + 1
+    best = {}
+    for (u, z), count in night.items():
+        rank = (-count, -total[u, z], zone_ids[z])
+        if u not in best or rank < best[u][0]:
+            best[u] = (rank, zone_ids[z])
+    expected_homes = {user_ids[u]: zone for u, (_, zone) in sorted(best.items())}
+    homes = infer_homes(events)
+    assert list(homes.items()) == list(expected_homes.items())
 
 
 @settings(max_examples=25, deadline=None)

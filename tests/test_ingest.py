@@ -370,6 +370,23 @@ def test_local_mean_time_offset_off_the_quarter_grid():
     _check_against_per_event(seconds.tolist(), "Europe/Madrid")
 
 
+@pytest.mark.parametrize("tz, seconds", [
+    ("Europe/Madrid", [
+        *range(_utc(2013, 3, 31, 1) - 20, _utc(2013, 3, 31, 1) + 20, 3),    # spring forward
+        *range(_utc(2013, 10, 27, 1) - 20, _utc(2013, 10, 27, 1) + 20, 3),  # fall back
+        *range(_utc(2013, 3, 7, 23) - 900, _utc(2013, 3, 7, 23) + 13),      # Thu -> Fri
+        *range(MADRID_LMT_END - 900, MADRID_LMT_END + 900, 61)]),
+    ("Europe/Paris", [*range(PARIS_PMT_END - 900, PARIS_PMT_END + 900, 61)])],
+    ids=["Madrid DST and LMT", "Paris PMT"])
+def test_local_time_chunks_match_per_event(monkeypatch, tz, seconds):
+    # 7-row chunks: one quarter-hour's rows, and the quarter-hour a transition
+    # splits (looked up row by row), fall into several chunks
+    monkeypatch.setattr(ingest, "LOCAL_CHUNK", 7)
+    assert quarter_bins(np.array(seconds), get_timezone(tz)).dtype == np.int8
+    _check_against_per_event(seconds, tz)
+    _check_against_per_event(seconds[::-1], tz)
+
+
 @pytest.mark.parametrize("tz", ["Etc/GMT-14", "Etc/GMT+12", "Europe/Madrid", "Asia/Kathmandu"])
 def test_instants_at_both_accepted_ends_bin_in_every_zone(tz):
     first, end = _utc(1, 1, 2), _utc(9999, 12, 31)
