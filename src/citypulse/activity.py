@@ -203,11 +203,11 @@ def normalize_counts(matrix: ActivityMatrix,
     Columns with no active users at all are left as zeros and flagged in
     ``zero_bins`` rather than treated as fatal.
     """
-    counts = matrix.counts.astype(float)
-    col_sums = counts.sum(axis=0)
+    values = matrix.counts.astype(float)
+    col_sums = values.sum(axis=0)
     zero = col_sums == 0
-    safe = np.where(zero, 1.0, col_sums)
-    values = counts / safe * slot_total
+    values /= np.where(zero, 1.0, col_sums)  # in place: one zones x bins array
+    values *= slot_total
     zero_bins = tuple(int(i) for i in np.flatnonzero(zero))
     if zero_bins:
         logger.info("%d time bins have no active users", len(zero_bins))

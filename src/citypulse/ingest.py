@@ -638,28 +638,24 @@ def _offset_text(offset_us: int) -> str:
     return datetime(2000, 1, 1, tzinfo=tz).isoformat()[19:]
 
 
-def _local_texts(events: EventBatch) -> np.ndarray:
+def _local_texts(events: EventBatch, rows: slice) -> list[str]:
     """Each row's local wall time as ``isoformat`` prints it, without the offset."""
-    local_us = events.epoch * 1_000_000 + events.micro + events.offset_us
+    local_us = events.epoch[rows] * 1_000_000 + events.micro[rows] + events.offset_us[rows]
     local = local_us.astype("datetime64[us]")
     texts = np.datetime_as_string(local, unit="s")
     fine = np.flatnonzero(local_us % 1_000_000)
     if len(fine):  # isoformat adds .ffffff only where the microsecond is not 0
         texts = texts.astype("U26")
         texts[fine] = np.datetime_as_string(local[fine], unit="us")
-    return texts
+    return texts.tolist()
 
 
-def _optional_texts(events: EventBatch) -> list[str] | None:
+def _optional_texts(events: EventBatch, rows: slice) -> Iterable[str]:
     """Per row, the JSON text of its optional fields (``, "lang": "es"`` and so on)."""
-    parts = []
-    for name in OPTIONAL_FIELDS:
-        column = events.optional.get(name)
-        if column is not None:
-            key = f', "{name}": '
-            parts.append(["" if v is None else key + encode_basestring(v)
-                          for v in column.tolist()])
-    return ["".join(fields) for fields in zip(*parts)] if parts else None
+    parts = [["" if v is None else f', "{name}": ' + encode_basestring(v)
+              for v in events.optional[name][rows].tolist()]
+             for name in OPTIONAL_FIELDS if name in events.optional]
+    return map("".join, zip(*parts)) if parts else repeat("")
 
 
 def write_events_ndjson(events: EventBatch, path) -> None:
@@ -668,22 +664,20 @@ def write_events_ndjson(events: EventBatch, path) -> None:
     Each line is the ``json.dumps(..., ensure_ascii=False)`` text of the row's
     object, built from the columns: the local time by ``np.datetime_as_string``,
     each distinct offset and user id formatted once, floats by ``repr``. One
-    row template is filled a block of rows at a time, as in
-    :func:`tables.write_csv`.
+    row template is filled, and every column formatted, a block of rows at a
+    time, as in :func:`tables.write_csv`.
     """
     users = [encode_basestring(user) for user in events.user_ids]
     offsets, which = np.unique(events.offset_us, return_inverse=True)
     offset_texts = [_offset_text(offset) for offset in offsets.tolist()]
-    columns = [events.users, _local_texts(events), which.reshape(-1), events.lon, events.lat]
-    tails = _optional_texts(events)
+    columns = [events.users, which.reshape(-1), events.lon, events.lat]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for lo in range(0, len(events), tables.BLOCK_ROWS):
-            hi = lo + tables.BLOCK_ROWS
-            user, local, offset, lon, lat = (c[lo:hi].tolist() for c in columns)
-            tail = repeat("") if tails is None else tails[lo:hi]
+            rows = slice(lo, lo + tables.BLOCK_ROWS)
+            user, offset, lon, lat = (c[rows].tolist() for c in columns)
             fh.write("".join(_NDJSON_ROW % row for row in zip(
-                map(users.__getitem__, user), local, map(offset_texts.__getitem__, offset),
-                lon, lat, tail)))
+                map(users.__getitem__, user), _local_texts(events, rows),
+                map(offset_texts.__getitem__, offset), lon, lat, _optional_texts(events, rows))))
 
 
 def _utc_offset_s(epoch_s: int, zone: ZoneInfo) -> int:

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from . import activity, ingest, landuse, spatial, stats
+from . import activity, ingest, landuse, spatial, stats, tables
 from .config import PipelineConfig, config_echo
 from .errors import ConfigError, DataError
 from .landuse import CATEGORIES
@@ -137,8 +137,8 @@ def export_geojson(table: ZoneTable, columns: Mapping[str, Sequence], path) -> N
     Each column is aligned with the table's sorted zone_ids; ``None`` is an
     explicit null. Float values print at 6 significant digits. Geometry and
     land-use properties round-trip through the zones loader. The text equals
-    ``json.dumps`` of the whole FeatureCollection; it is written one feature
-    at a time.
+    ``json.dumps`` of the whole FeatureCollection; it is formatted and written
+    :data:`tables.BLOCK_ROWS` features at a time.
     """
     ids = table.zone_ids
     for name, values in columns.items():
@@ -147,34 +147,37 @@ def export_geojson(table: ZoneTable, columns: Mapping[str, Sequence], path) -> N
         if len(values) != len(ids):
             raise DataError(f"column {name!r} has {len(values)} values for {len(ids)} zones")
 
-    # every column as JSON text once, then one string per feature
-    parts = [[_encode(z) for z in ids]]
-    for label, values in (("area_ha", table.area_ha),
-                          ("built_residential_m2", table.built_residential_m2),
-                          ("built_total_m2", table.built_total_m2)):
-        parts.append([f', "{label}": {t}' for t in _json_floats(values.tolist())])
-    zone_of, cat_of = np.nonzero(table.landuse_present)  # by zone, then category
-    keyed = [f', "{_LANDUSE_KEYS[j]}": {t}' for j, t in zip(
-        cat_of.tolist(), _json_floats(table.landuse_m2[zone_of, cat_of].tolist()))]
-    bounds = np.searchsorted(zone_of, np.arange(len(ids) + 1)).tolist()
-    parts.append(["".join(keyed[a:b]) for a, b in zip(bounds, bounds[1:])])
-    for name in sorted(columns):
-        key = _encode(name)
-        parts.append([f", {key}: {t}" for t in _json_values(columns[name])])
-    lon, lat = (_json_floats(axis.tolist()) for axis in table.vertices.T)
-    vertex = ["[" + x + ", " + y + "]" for x, y in zip(lon, lat)]
-    starts = table.ring_start.tolist()
-    rings = ["[" + ", ".join(vertex[a:b]) + "]" for a, b in zip(starts, starts[1:])]
-    bounds = table.zone_ring_start.tolist()
-    parts.append(['}, "geometry": {"type": "Polygon", "coordinates": ['
-                  + ", ".join(rings[a:b]) + "]}}" for a, b in zip(bounds, bounds[1:])])
-
     with open(path, "w", encoding="utf-8") as fh:
         fh.write('{"type": "FeatureCollection", "features": [')
         sep = ""
-        for row in zip(*parts):
-            fh.write(sep + '{"type": "Feature", "properties": {"zone_id": ' + "".join(row))
-            sep = ", "
+        for lo in range(0, len(ids), tables.BLOCK_ROWS):
+            hi = min(lo + tables.BLOCK_ROWS, len(ids))
+            # every column of the block as JSON text, then one string per feature
+            parts = [[_encode(z) for z in ids[lo:hi]]]
+            for label in ("area_ha", "built_residential_m2", "built_total_m2"):
+                parts.append([f', "{label}": {t}'
+                              for t in _json_floats(getattr(table, label)[lo:hi].tolist())])
+            zone_of, cat_of = np.nonzero(table.landuse_present[lo:hi])  # by zone, then category
+            keyed = [f', "{_LANDUSE_KEYS[j]}": {t}' for j, t in zip(
+                cat_of.tolist(), _json_floats(table.landuse_m2[lo + zone_of, cat_of].tolist()))]
+            bounds = np.searchsorted(zone_of, np.arange(hi - lo + 1)).tolist()
+            parts.append(["".join(keyed[a:b]) for a, b in zip(bounds, bounds[1:])])
+            for name in sorted(columns):
+                key = _encode(name)
+                parts.append([f", {key}: {t}" for t in _json_values(columns[name][lo:hi])])
+            # the block's rings and vertices, offset to its first ring and vertex
+            rings = table.zone_ring_start[lo:hi + 1]
+            starts = table.ring_start[rings[0]:rings[-1] + 1]
+            lon, lat = map(_json_floats, table.vertices[starts[0]:starts[-1]].T.tolist())
+            vertex = ["[" + x + ", " + y + "]" for x, y in zip(lon, lat)]
+            starts = (starts - starts[0]).tolist()
+            ring_texts = ["[" + ", ".join(vertex[a:b]) + "]" for a, b in zip(starts, starts[1:])]
+            bounds = (rings - rings[0]).tolist()
+            parts.append(['}, "geometry": {"type": "Polygon", "coordinates": ['
+                          + ", ".join(ring_texts[a:b]) + "]}}" for a, b in zip(bounds, bounds[1:])])
+            for row in zip(*parts):
+                fh.write(sep + '{"type": "Feature", "properties": {"zone_id": ' + "".join(row))
+                sep = ", "
         fh.write("]}")
 
 
@@ -335,8 +338,9 @@ def run_pipeline(config: PipelineConfig,
 
         if "profiles" in steps:
             landuse.write_classification_csv(stage / "landuse_classes.csv", zones, codes)
-            normalized_quarter = activity.normalize_counts(quarter, config.normalization_total)
-            profiles, omitted = activity.landuse_profile(normalized_quarter, codes)
+            profiles, omitted = activity.landuse_profile(
+                activity.normalize_counts(quarter, config.normalization_total), codes)
+            quarter = None  # the quarter-hour matrices are not needed past the profiles
             write_profiles_csv(stage / "profiles.csv", {p.label: p.shares for p in profiles})
             if omitted:
                 warnings.append("classes with no activity omitted from profiles: "

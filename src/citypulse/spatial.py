@@ -11,7 +11,9 @@ from __future__ import annotations
 import json
 import logging
 import math
+from array import array
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -124,27 +126,34 @@ class _ZoneRows:
 
     def __init__(self) -> None:
         self.ids: list[str] = []
-        self.rings: list = []  # per zone: its rings as nested [lon, lat] sequences
+        self.coords: list[array] = []  # per zone: its vertices flat, lon, lat, lon, ...
+        self.ring_lens: list[list[int]] = []  # per zone: vertices per ring
         self.landuse: list[list[tuple[int, float]]] = []  # per zone: (category, m2)
         self.numbers: list[tuple[float, float, float]] = []  # area, residential, total
 
     def add(self, zone_id: str, rings, landuse: list[tuple[int, float]],
             area_ha: float, built_residential_m2: float, built_total_m2: float) -> None:
+        try:
+            pairs = list(chain.from_iterable(rings))
+            values = list(chain.from_iterable(pairs))
+            if not {2}.issuperset(map(len, pairs)) or bool in map(type, values):
+                raise TypeError
+            self.coords.append(array("d", values))  # a string, null, list or object raises
+        except (TypeError, ValueError, OverflowError):
+            raise DataError(
+                f"zone {zone_id!r}: coordinates are not [lon, lat] number pairs") from None
         self.ids.append(zone_id)
-        self.rings.append(rings)
+        self.ring_lens.append(list(map(len, rings)))
         self.landuse.append(landuse)
         self.numbers.append((area_ha, built_residential_m2, built_total_m2))
 
     def raise_first_fault(self) -> None:
         """:meth:`Zone.validate` of each zone in input order, land-use keys in
         category order; the first fault raises."""
-        for zone_id, rings, landuse, (area, residential, total) in zip(
-                self.ids, self.rings, self.landuse, self.numbers):
-            try:
-                rings = tuple(tuple((float(x), float(y)) for x, y in ring) for ring in rings)
-            except (TypeError, ValueError):
-                raise DataError(
-                    f"zone {zone_id!r}: coordinates are not [lon, lat] number pairs") from None
+        for zone_id, coords, ring_lens, landuse, (area, residential, total) in zip(
+                self.ids, self.coords, self.ring_lens, self.landuse, self.numbers):
+            pairs, ends = list(zip(*[iter(coords.tolist())] * 2)), list(accumulate(ring_lens))
+            rings = tuple(tuple(pairs[end - size:end]) for size, end in zip(ring_lens, ends))
             Zone(zone_id, rings, area, {CATEGORIES[j]: v for j, v in sorted(landuse)},
                  residential, total).validate()
 
@@ -159,23 +168,10 @@ class _ZoneRows:
         n = len(self.ids)
         order = sorted(range(n), key=self.ids.__getitem__)
         ids = tuple(self.ids[k] for k in order)
-        try:
-            ring_counts, ring_lens, flat = [], [], []
-            for k in order:
-                ring_counts.append(len(self.rings[k]))
-                for ring in self.rings[k]:
-                    ring_lens.append(len(ring))
-                    flat.extend(ring)
-            vertices = np.array(flat, dtype=np.float64) if flat else np.empty((0, 2))
-            if vertices.ndim != 2 or vertices.shape[1] != 2:
-                raise ValueError("vertices are not pairs")
-        except (TypeError, ValueError):
-            self.raise_first_fault()
-            raise
-        ring_start = np.zeros(len(ring_lens) + 1, dtype=np.int64)
-        np.cumsum(ring_lens, out=ring_start[1:])
-        zone_ring_start = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(ring_counts, out=zone_ring_start[1:])
+        vertices = np.frombuffer(bytearray().join([self.coords[k] for k in order])).reshape(-1, 2)
+        ring_lens = [self.ring_lens[k] for k in order]
+        zone_ring_start = np.cumsum([0, *map(len, ring_lens)], dtype=np.int64)
+        ring_start = np.cumsum([0, *chain.from_iterable(ring_lens)], dtype=np.int64)
 
         numbers = np.array(self.numbers, dtype=np.float64).reshape(n, 3)[order]
         landuse = np.zeros((n, len(CATEGORIES)))
@@ -478,50 +474,99 @@ def build_zone_index(table: ZoneTable) -> ZoneIndex:
 
 
 _LANDUSE_COLUMN = {cat.column: j for j, cat in enumerate(CATEGORIES)}
+_FLOAT_OF = {int: float, float: float}  # JSON numbers; a string or a boolean is not one
 
 
-def _add_feature(rows: _ZoneRows, feature: dict, n: int) -> None:
+def _add_feature(rows: _ZoneRows, feature, n: int) -> None:
+    feature = feature if isinstance(feature, dict) else {}  # not an object: no zone_id
     props = feature.get("properties") or {}
     geom = feature.get("geometry") or {}
-    if "zone_id" not in props:
+    if not isinstance(props, dict) or "zone_id" not in props:
         raise DataError(f"feature #{n}: missing property 'zone_id'")
     zone_id = str(props["zone_id"])
-    gtype = geom.get("type")
+    gtype = geom.get("type") if isinstance(geom, dict) else None
     if gtype != "Polygon":
         raise DataError(
             f"zone {zone_id!r}: unsupported geometry type {gtype!r} "
             "(zones must be single polygons; split multipart zones upstream)")
     try:
-        landuse = [(_LANDUSE_COLUMN[k], float(v)) for k, v in props.items()
+        landuse = [(_LANDUSE_COLUMN[k], _FLOAT_OF[type(v)](v)) for k, v in props.items()
                    if k in _LANDUSE_COLUMN]
-        numbers = [float(props.get(k, 0.0))
-                   for k in ("area_ha", "built_residential_m2", "built_total_m2")]
-    except (TypeError, ValueError):
+        numbers = [_FLOAT_OF[type(v)](v) for v in map(
+            props.get, ("area_ha", "built_residential_m2", "built_total_m2"), (0.0,) * 3)]
+    except (KeyError, OverflowError):
         raise DataError(f"zone {zone_id!r}: a numeric property is not a number") from None
     rows.add(zone_id, geom.get("coordinates", []), landuse, *numbers)
 
 
-def load_zones_geojson(path) -> ZoneTable:
-    """Read a FeatureCollection of zone polygons with land-use properties.
+_decode, _skip = json.JSONDecoder().raw_decode, json.decoder.WHITESPACE.match
 
-    A bad zone raises DataError naming the first offending feature in file order.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read zones file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"zones file {path} is not valid JSON: {exc}") from exc
-    if doc.get("type") != "FeatureCollection":
-        raise DataError(f"zones file {path}: expected a GeoJSON FeatureCollection")
+
+def _token(text: str, pos: int) -> tuple[str, int]:
+    """The next non-whitespace character from ``pos``, and the position past it and its blanks."""
+    pos = _skip(text, pos).end()
+    return text[pos:pos + 1], _skip(text, pos + 1).end()
+
+
+def _features(text: str):
+    """The features of a FeatureCollection text one at a time, other members whole. A text
+    off this path (a syntax error, a repeated key, no features, another type) raises."""
+    members, (sep, pos) = {}, _token(text, 0)
+    while sep == ("," if members else "{") and text[pos:pos + 1] == '"':
+        key, pos = json.decoder.scanstring(text, pos + 1)
+        colon, pos = _token(text, pos)
+        if colon != ":" or key in members:
+            raise ValueError
+        if key != "features":
+            members[key], pos = _decode(text, pos)
+        elif text[pos:pos + 1] == "[":
+            members[key], pos, sep = None, _skip(text, pos + 1).end(), ","
+            while sep == ",":
+                feature, pos = _decode(text, pos)
+                yield feature
+                sep, pos = _token(text, pos)
+            if sep != "]":
+                raise ValueError
+        sep, pos = _token(text, pos)
+    if sep != "}" or pos < len(text) or "features" not in members \
+            or members.get("type") != "FeatureCollection":
+        raise ValueError
+
+
+def _gather(features) -> _ZoneRows:
     rows = _ZoneRows()
     try:
-        for n, feature in enumerate(doc.get("features", [])):
+        for n, feature in enumerate(features):
             _add_feature(rows, feature, n)
     except Exception:
         rows.raise_first_fault()  # a fault in a zone before the failing feature comes first
         raise
+    return rows
+
+
+def load_zones_geojson(path) -> ZoneTable:
+    """Read a FeatureCollection of zone polygons with land-use properties, one feature at a time.
+
+    A text that is not valid JSON raises json's error, whatever else is wrong with it; a bad
+    zone raises DataError naming the first offending feature in file order.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read zones file {path}: {exc}") from exc
+    try:
+        rows = _gather(_features(text))
+    except (ValueError, RecursionError, DataError):  # off the path: decode the text whole
+        try:
+            doc = json.loads(text)
+        except (ValueError, RecursionError) as exc:
+            raise DataError(f"zones file {path} is not valid JSON: {exc}") from exc
+        features = doc.get("features", []) if isinstance(doc, dict) else None
+        if not isinstance(features, list) or doc.get("type") != "FeatureCollection":
+            raise DataError(f"zones file {path}: expected a GeoJSON FeatureCollection")
+        rows = _gather(features)
+    del text  # the table is built without it
     table = rows.table()
     logger.info("loaded %d zones from %s", len(table), path)
     return table

@@ -689,3 +689,22 @@ def test_parse_memory_grows_by_bytes_per_row(tmp_path):
     assert rows >= 50_000 and report.rejected == 0
     assert kept - before < 64 * rows
     assert peak - kept < 1_000_000
+
+
+def test_ndjson_writer_peak_grows_by_bytes_per_row(tmp_path):
+    # ~52k synth rows. Each column is formatted a block of tables.BLOCK_ROWS
+    # rows at a time, so the writer peaks at 2.2 MB traced (42 B a row), most
+    # of it np.unique's offset codes. The local-time and optional-field texts
+    # of the whole batch, built before the first write, peaked at 9.6 MB
+    # (185 B a row).
+    config = SynthConfig(seed=11, n_zones=100, n_users=1000, events_per_user_per_day=17.0,
+                         n_days=3, home_bias=0.3, centre_decay_per_km=0.12)
+    events, _ = generate_events(generate_city(config))
+    tracemalloc.start()
+    try:
+        write_events_ndjson(events, tmp_path / "events.ndjson")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(events) >= 50_000
+    assert peak < 64 * len(events)

@@ -7,6 +7,7 @@ sorted with ``list.sort``, one zones x 96 matrix per home group, one
 
 import json
 import re
+from unittest import mock
 from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import synth_reference as reference
+from citypulse import tables
 from citypulse.ingest import EventBatch, parse_events, write_events_ndjson
 from citypulse.synth import SynthConfig, generate_city, generate_events
 
@@ -126,6 +128,19 @@ def batches(draw):
 def test_writer_matches_json_dumps_per_row(tmp_path_factory, batch):
     path = tmp_path_factory.mktemp("writer")
     write_events_ndjson(batch, path / "columns.ndjson")
+    reference.write_events_ndjson(list(batch), path / "reference.ndjson")
+    assert (path / "columns.ndjson").read_bytes() == (path / "reference.ndjson").read_bytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(batch=batches(), block=st.sampled_from([1, 2, 5]))
+def test_writer_blocks_join_to_the_per_row_text(tmp_path_factory, batch, block):
+    # every column is formatted a block of rows at a time; the blocks, some
+    # with a fine time or an optional field and some without, join to the
+    # per-row text
+    path = tmp_path_factory.mktemp("blocks")
+    with mock.patch.object(tables, "BLOCK_ROWS", block):
+        write_events_ndjson(batch, path / "columns.ndjson")
     reference.write_events_ndjson(list(batch), path / "reference.ndjson")
     assert (path / "columns.ndjson").read_bytes() == (path / "reference.ndjson").read_bytes()
 

@@ -6,9 +6,12 @@ dicts and written with one ``json.dumps``, ``classify_zone`` and
 ``distance_to_centre`` per zone.
 """
 
+import copy
 import csv
 import json
 import math
+import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -339,3 +342,300 @@ def test_zones_metrics_reparses_as_zones_input_at_scale(tmp_path):
                  "landuse_present", "vertices", "ring_start", "zone_ring_start", "bbox"):
         assert np.array_equal(getattr(reloaded, name), getattr(original, name)), name
     assert ZoneTable.from_zones(city.zones).vertices.tobytes() == original.vertices.tobytes()
+
+
+# --- the zones reader: one feature at a time, json.load's verdict ----------------
+
+SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]]
+
+
+def _feature(zone_id, ring=SQUARE, **props):
+    return {"type": "Feature", "properties": {"zone_id": zone_id, **props},
+            "geometry": {"type": "Polygon", "coordinates": [ring]}}
+
+
+def _fields_or_error(load, path):
+    try:
+        return [zone_fields(z) for z in load(path)]
+    except DataError as exc:
+        return str(exc)
+
+
+def _reference_outcome(path):
+    """What the loader must give for a file: json's own text for a syntax
+    error, the document rules, then reference_load's zones or message. None
+    where only some DataError is asked for (bytes that are not UTF-8, a
+    document that json refuses otherwise, a feature reference_load cannot read)."""
+    try:
+        doc = json.loads(path.read_bytes().decode("utf-8"))
+    except json.JSONDecodeError as exc:
+        return f"zones file {path} is not valid JSON: {exc}"
+    except (ValueError, RecursionError):
+        return None
+    features = doc.get("features", []) if isinstance(doc, dict) else None
+    if not isinstance(features, list) or doc.get("type") != "FeatureCollection":
+        return f"zones file {path}: expected a GeoJSON FeatureCollection"
+    try:
+        return _fields_or_error(reference_load, path) if features else []
+    except Exception:
+        return None
+
+
+def _json_error(path, text):
+    try:
+        json.loads(text)
+    except json.JSONDecodeError as exc:
+        return f"zones file {path} is not valid JSON: {exc}"
+    raise AssertionError("the text is valid JSON")
+
+
+GOOD_TEXT = json.dumps({"type": "FeatureCollection",
+                        "features": [_feature("b", lu_park_m2=5), _feature("a")]})
+
+
+def test_every_truncation_raises_the_json_error(tmp_path):
+    path = tmp_path / "zones.geojson"
+    for end in range(len(GOOD_TEXT)):
+        path.write_text(GOOD_TEXT[:end], encoding="utf-8")
+        assert _fields_or_error(load_zones_geojson, path) == _json_error(path, GOOD_TEXT[:end])
+
+
+@pytest.mark.parametrize("old,new", [
+    ('}, {"type"', '} {"type"'),  # no comma between features
+    ('"features": [', '"features": [,'),
+    ('"Feature"', "'Feature'"),
+    ("]]}}]}", "]]}}]}}"),  # extra data
+    ("]]}}]}", "]]}}]]"),
+    ('{"type": "FeatureCollection"', '{"type": "FeatureCollection" "x": 1'),
+    ('{"type"', '{type'),
+    ('{"type"', ', "type"'),
+    ('"FeatureCollection", ', '"FeatureCollection" { '),
+    ('"features": [', '"features": , "x": ['),
+    ("]]}}]}", ']]}}}, "n": 1}'),  # the features array closed by "}"
+])
+def test_garbled_text_raises_the_json_error(old, new, tmp_path):
+    text = GOOD_TEXT.replace(old, new, 1)
+    assert text != GOOD_TEXT
+    path = tmp_path / "zones.geojson"
+    path.write_text(text, encoding="utf-8")
+    assert _fields_or_error(load_zones_geojson, path) == _json_error(path, text)
+
+
+def test_syntax_error_after_a_bad_zone_wins(tmp_path):
+    text = json.dumps({"type": "FeatureCollection",
+                       "features": [_feature("a", SQUARE[:-1]), _feature("b")]})[:-1]
+    path = tmp_path / "zones.geojson"
+    path.write_text(text, encoding="utf-8")
+    assert _fields_or_error(load_zones_geojson, path) == _json_error(path, text)
+
+
+@pytest.mark.parametrize("text", [
+    # a repeated key: the last one wins, as in json.load
+    '{"type": "FeatureCollection", "features": [{"type": "Feature"}], "features": []}',
+    '{"type": "FeatureCollection", "features": [%s], "features": [%s]}'
+    % (json.dumps(_feature("a")), json.dumps(_feature("b"))),
+    '{"type": "FeatureCollection", "features": [], "features": [%s]}'
+    % json.dumps(_feature("a", SQUARE[:-1])),
+    '{"features": [%s], "type": "Point", "type": "FeatureCollection"}'
+    % json.dumps(_feature("a")),
+    # whitespace and escapes between and inside features
+    '\n {"\\u0074ype" :"FeatureCollection" ,\r\n"feat\\u0075res"\t: [ \n%s\n ,\t%s ] \n}\n '
+    % (json.dumps(_feature('q"\\é', lu_park_m2=1.5)),
+       json.dumps(_feature("\\u00e9", [[0, 0], [2, 0], [0, 2], [0, 0]]), indent=3)),
+    json.dumps({"type": "FeatureCollection", "features": [_feature("b"), _feature("a")]},
+               indent="\t", ensure_ascii=False),
+    # no zones at all
+    '{"type": "FeatureCollection", "features": []}',
+    '{"type": "FeatureCollection", "features": [ ]}',
+    '{"type": "FeatureCollection"}',
+    # the last "type" member is the document's type
+    '{"features": [], "type": "Feature"}',
+    '{"type": "FeatureCollection", "type": "Feature", "features": []}',
+    '{"type": "Feature", "type": "FeatureCollection", "features": []}',
+])
+def test_decoder_agrees_with_the_reference(text, tmp_path):
+    path = tmp_path / "zones.geojson"
+    path.write_text(text, encoding="utf-8")
+    expected = _reference_outcome(path)
+    assert expected is not None
+    assert _fields_or_error(load_zones_geojson, path) == expected
+
+
+@pytest.mark.parametrize("text", [
+    GOOD_TEXT,
+    json.dumps({"features": [_feature("b"), _feature("a")], "type": "FeatureCollection",
+                "bbox": [0, 0, 1, 1], "name": {"x": [1, "]"]}}),
+    '\t{ "type":"FeatureCollection","features":[%s,%s]}\r\n'
+    % (json.dumps(_feature("\u00e9")), json.dumps(_feature("a\\b\"", SQUARE[:-1]))),
+])
+def test_valid_documents_are_decoded_one_feature_at_a_time(text, tmp_path):
+    # json.loads of the whole text is the fallback for a text off the path
+    # (the second zone of the last text is bad: that is not off the path)
+    path = tmp_path / "zones.geojson"
+    path.write_text(text, encoding="utf-8")
+    expected = _reference_outcome(path)
+    with mock.patch.object(json, "loads", side_effect=AssertionError("whole text")):
+        assert _fields_or_error(load_zones_geojson, path) == expected
+
+
+@pytest.mark.parametrize("content,message", [
+    (b"[]", "expected a GeoJSON FeatureCollection"),
+    (b"null", "expected a GeoJSON FeatureCollection"),
+    (b'{"type": "FeatureCollection", "features": {"a": 1}}',
+     "expected a GeoJSON FeatureCollection"),
+    (b'{"type": "FeatureCollection", "features": null}', "expected a GeoJSON FeatureCollection"),
+    (b'{"type": "FeatureCollection", "features": [1]}', "feature #0: missing property 'zone_id'"),
+    (b'{"type": "FeatureCollection", "features": [{"properties": [], "geometry": 2}]}',
+     "feature #0: missing property 'zone_id'"),
+    (b'{"type": "FeatureCollection", "features": [{"properties": ["zone_id"]}]}',
+     "feature #0: missing property 'zone_id'"),
+    (b'{"type": "FeatureCollection", "features": [{"properties": {"zone_id": "a"}, '
+     b'"geometry": "x"}]}', "zone 'a': unsupported geometry type None"),
+    (b'{"type": "FeatureCollection", "features": []}\xff', "cannot read zones file"),
+    (b'{"type": "FeatureCollection", "features": [' + b"[" * 100_000 + b"]" * 100_000 + b"]}",
+     "is not valid JSON"),
+    (b'{"type": "FeatureCollection", "features": [], "n": ' + b"9" * 5000 + b"}",
+     "is not valid JSON"),
+])
+def test_malformed_zones_file_is_a_data_error(content, message, tmp_path):
+    path = tmp_path / "zones.geojson"
+    path.write_bytes(content)
+    with pytest.raises(DataError, match=message):
+        load_zones_geojson(path)
+
+
+PAIRS = "coordinates are not [lon, lat] number pairs"
+NOT_A_NUMBER = "a numeric property is not a number"
+
+
+@pytest.mark.parametrize("feature,message", [
+    (_feature("a", [["0", "0"], [1, 0], [1, 1], [0, 1], ["0", "0"]]), PAIRS),
+    (_feature("a", [[False, 0], [1, 0], [1, 1], [0, 1], [False, 0]]), PAIRS),
+    (_feature("a", [[0, 0], [1, 0], [1, True], [0, 1], [0, 0]]), PAIRS),
+    (_feature("a", [[0, 0], [1, 0], [1, 1], [0, 1], [0, 10 ** 400]]), PAIRS),
+    (_feature("a", area_ha="2.5"), NOT_A_NUMBER),
+    (_feature("a", built_total_m2=True), NOT_A_NUMBER),
+    (_feature("a", lu_park_m2="1"), NOT_A_NUMBER),
+    (_feature("a", lu_park_m2=False), NOT_A_NUMBER),
+    (_feature("a", area_ha=10 ** 400), NOT_A_NUMBER),
+])
+def test_zone_numbers_are_json_numbers(feature, message, tmp_path):
+    path = tmp_path / "zones.geojson"
+    write_zones(path, [_feature("b"), feature])
+    with pytest.raises(DataError) as caught:
+        load_zones_geojson(path)
+    assert str(caught.value) == f"zone 'a': {message}"
+
+
+JUNK = st.sampled_from([None, True, False, 0, 1, -2.5, 10 ** 400, "", "x", "2.5", [], {}, [1],
+                        [1, "2"], [[1, 2]], {"type": "Polygon"}, {"zone_id": "j"}]
+                       ).map(copy.deepcopy)  # a later mutation may change what this one put
+NUMBER_RULE = r"^zone .*: (coordinates are not \[lon, lat\] number pairs|a numeric property is not a number)$"
+
+
+def _nodes(value, found):
+    """Every (container, key) of a decoded JSON value, depth first."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) \
+        if isinstance(value, list) else ()
+    for key, child in items:
+        found.append((value, key))
+        _nodes(child, found)
+    return found
+
+
+@st.composite
+def mutated_documents(draw):
+    """A zones document with some of its values replaced, then some of its bytes."""
+    doc = {"type": "FeatureCollection", "features": draw(features(draw(st.integers(1, 4))))}
+    for _ in range(draw(st.integers(0, 3))):
+        nodes = _nodes(doc, [])
+        container, key = nodes[draw(st.integers(0, len(nodes) - 1))]
+        container[key] = draw(JUNK)
+    if draw(st.integers(0, 7)) == 0:
+        doc = draw(JUNK)
+    data = json.dumps(doc, ensure_ascii=False, indent=draw(st.sampled_from([None, 1]))).encode()
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(data)))
+        cut = draw(st.sampled_from([0, 1]))
+        data = data[:at] + draw(st.sampled_from([b"", b",", b"]", b"}", b"{", b"[", b'"', b" ",
+                                                 b"\\", b":", b"\xff", b"1"])) + data[at + cut:]
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=mutated_documents())
+def test_mutated_zones_file_raises_only_data_error(data, tmp_path_factory):
+    path = tmp_path_factory.mktemp("mutated") / "zones.geojson"
+    path.write_bytes(data)
+    got = _fields_or_error(load_zones_geojson, path)  # any other exception fails the test
+    expected = _reference_outcome(path)
+    if isinstance(got, list):  # valid input: the reference's zones
+        assert got == expected
+    elif expected is not None and got != expected:
+        # the reference takes strings and booleans for numbers, so a zone
+        # fails earlier here
+        assert re.match(NUMBER_RULE, got), (got, expected)
+
+
+# --- memory per zone --------------------------------------------------------------
+
+
+def _synth_zones(n_zones):
+    config = SynthConfig(seed=19, n_zones=n_zones, n_users=10,
+                         class_mix={k: 1 / len(ALL_CLASSES) for k in ALL_CLASSES})
+    return generate_city(config)
+
+
+def test_zone_load_memory_grows_by_bytes_per_zone(tmp_path):
+    # 4,900 zones, a 2.0 MB file. Decoded one feature at a time into flat
+    # vertices, the load peaks at 5.9 MB traced (1.2 KB a zone): the text,
+    # the gathered columns and the table. json.load of the whole document and
+    # nested vertex lists peaked at 13.2 MB (2.7 KB a zone).
+    path = tmp_path / "zones.geojson"
+    path.write_text(json.dumps(city_geojson(_synth_zones(4900))), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        table = load_zones_geojson(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 4900
+    assert peak < 1500 * len(table)
+
+
+def test_export_geojson_peak_is_one_block(tmp_path):
+    # Formatted tables.BLOCK_ROWS features at a time, the export's traced
+    # peak is 3.9 MB at both 2,100 and 4,900 zones: one block's text and the
+    # tail of the one before it. Every column's text for the whole table at
+    # once peaked at 6.3 and 14.7 MB.
+    city = _synth_zones(4900)
+    peaks = []
+    for n in (2100, 4900):
+        table = ZoneTable.from_zones(city.zones[:n])
+        rng = np.random.default_rng(n)
+        columns = {f"value_{j}": rng.random(n) for j in range(8)}
+        columns["label"] = ["residential"] * n
+        tracemalloc.start()
+        try:
+            export_geojson(table, columns, tmp_path / "zones_metrics.geojson")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert load_zones_geojson(tmp_path / "zones_metrics.geojson").zone_ids == table.zone_ids
+    assert peaks[1] < 1.25 * peaks[0]
+
+
+@pytest.mark.parametrize("block", [1, 3, 1024])
+def test_export_blocks_join_to_the_reference_text(block, tmp_path):
+    feats = [_feature("c", lu_park_m2=2.5), _feature("a", [[0, 0], [2, 0], [0, 2], [0, 0]]),
+             _feature("b", lu_office_m2=1, built_total_m2=3.0), _feature("d")]
+    feats[3]["geometry"]["coordinates"].append([[0.2, 0.2], [0.4, 0.2], [0.2, 0.4], [0.2, 0.2]])
+    write_zones(tmp_path / "zones.geojson", feats)
+    table = load_zones_geojson(tmp_path / "zones.geojson")
+    columns = {"x": np.array([0.5, 1e-7, math.nan, 3.0]), "y": [None, "m", "r", None]}
+    with mock.patch.object(tables, "BLOCK_ROWS", block):
+        export_geojson(table, columns, tmp_path / "new.geojson")
+    reference_export(list(table), {"x": dict(zip(table.zone_ids, columns["x"].tolist())),
+                                   "y": {z: v for z, v in zip(table.zone_ids, columns["y"])
+                                         if v is not None}}, tmp_path / "reference.geojson")
+    assert (tmp_path / "new.geojson").read_bytes() == (tmp_path / "reference.geojson").read_bytes()
