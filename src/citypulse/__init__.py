@@ -12,12 +12,10 @@ from .activity import (ActivityMatrix, AssignedEvents, DEFAULT_SLOTS, MajorSlot,
 from .config import PipelineConfig, load_config
 from .errors import (CityPulseError, ClassificationError, ConfigError, DataError,
                      SingularityError)
-from .ingest import (EventBatch, GeoEvent, RejectionReport, filter_workdays, parse_events,
-                     quarter_bin)
-from .landuse import LandUseCategory, LandUseClass, classify_zone
+from .ingest import EventBatch, GeoEvent, RejectionReport, filter_workdays, parse_events
+from .landuse import LandUseCategory, LandUseClass
 from .pipeline import export_geojson, run_pipeline
-from .spatial import (CityCentre, Zone, ZoneIndex, ZoneTable, build_zone_index,
-                      distance_to_centre, haversine_m, load_zones_geojson)
+from .spatial import CityCentre, ZoneIndex, ZoneTable, build_zone_index, load_zones_geojson
 from .stats import (BivariateFit, OlsFit, SlotDistribution, bivariate_slot_ols,
                     census_correlation, fit_ols, slot_descriptives, stepwise_fit)
 from .synth import SynthConfig, generate_city, generate_events

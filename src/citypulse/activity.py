@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -24,8 +24,6 @@ N_QUARTER_BINS = 96
 NORMALIZATION_TOTAL = 100_000.0
 
 QUARTER_LABELS = tuple(f"bin_{k}" for k in range(N_QUARTER_BINS))
-
-AssignedEvent = tuple[str, str, int]  # (user_id, zone_id, quarter bin)
 
 
 @dataclass(frozen=True)
@@ -117,34 +115,6 @@ class AssignedEvents:
 
     def __len__(self) -> int:
         return len(self.users)
-
-    @classmethod
-    def from_tuples(cls, events: Iterable[AssignedEvent],
-                    zone_ids: Sequence[str] | None = None) -> AssignedEvents:
-        """Encode ``(user_id, zone_id, bin)`` tuples.
-
-        The zone table is ``sorted(zone_ids)``, or the sorted zones that occur
-        when ``zone_ids`` is None; a zone outside it or a bin outside 0..95 is
-        a :class:`DataError`.
-        """
-        user_index: dict[str, int] = {}
-        users: list[int] = []
-        zones: list[str] = []
-        bins: list[int] = []
-        for user_id, zone_id, b in events:
-            users.append(user_index.setdefault(user_id, len(user_index)))
-            zones.append(zone_id)
-            bins.append(b)
-        ordered = tuple(sorted(set(zones) if zone_ids is None else zone_ids))
-        zone_index = {z: i for i, z in enumerate(ordered)}
-        try:
-            zone_arr = np.array([zone_index[z] for z in zones], dtype=np.int32)
-        except KeyError as exc:
-            raise DataError(f"event references unknown zone {exc.args[0]!r}") from exc
-        if bins and not 0 <= min(bins) <= max(bins) < N_QUARTER_BINS:
-            raise DataError("event bin outside 0..95")
-        return cls(tuple(user_index), ordered, np.array(users, dtype=np.int32), zone_arr,
-                   np.array(bins, dtype=np.int8))
 
 
 def _dedup_matrix(events: AssignedEvents, cols: np.ndarray, n_cols: int) -> np.ndarray:

@@ -761,10 +761,3 @@ def filter_workdays(events: EventBatch, tz: str) -> EventBatch:
     keep = _by_local_seconds(events.epoch, zone, bool, lambda local: np.isin(
         (local // _DAY_S + _EPOCH_WEEKDAY) % 7, WORKDAY_WEEKDAYS))
     return events if keep.all() else events.take(keep)
-
-
-def quarter_bin(timestamp: datetime, tz: str | ZoneInfo) -> int:
-    """Quarter-hour bin 0..95 of the local wall-clock time of one timestamp."""
-    zone = get_timezone(tz) if isinstance(tz, str) else tz
-    local = timestamp.astimezone(zone)
-    return (local.hour * 60 + local.minute) // 15

@@ -14,11 +14,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ClassificationError
 from .tables import write_csv
 
 if TYPE_CHECKING:
-    from .spatial import Zone, ZoneTable
+    from .spatial import ZoneTable
 
 logger = logging.getLogger(__name__)
 
@@ -85,37 +84,6 @@ RESIDENTIAL = LandUseClass("residential")
 MIXED = LandUseClass("mixed")
 
 
-def residential_fraction(zone: "Zone") -> float:
-    """Share of built surface that is residential; built_total_m2 must be > 0."""
-    if zone.built_total_m2 <= 0:
-        raise ClassificationError(zone.zone_id, "built_total_m2 is zero, cannot classify")
-    return zone.built_residential_m2 / zone.built_total_m2
-
-
-def classify_zone(zone: "Zone", threshold: float = PREDOMINANCE_THRESHOLD) -> LandUseClass:
-    """Classify a zone by its residential share of built surface.
-
-    Strictly above ``threshold`` is residential; strictly below ``1 - threshold``
-    (non-residential predominant) is activity, labelled with the largest
-    non-residential land-use area; the closed middle band is mixed. Activity
-    ties break by the category enumeration order.
-    """
-    fraction = residential_fraction(zone)
-    if fraction > threshold:
-        return RESIDENTIAL
-    if fraction < 1.0 - threshold:
-        best = None
-        best_area = -1.0
-        for cat in ACTIVITY_CATEGORIES:
-            area = float(zone.landuse_m2.get(cat, 0.0))
-            if area > best_area:
-                best, best_area = cat, area
-        logger.debug("zone %s classed activity:%s (%.0f m2 dominant)",
-                     zone.zone_id, best.value, best_area)
-        return LandUseClass("activity", best)
-    return MIXED
-
-
 # Every class a zone can get, in class-code order: residential, mixed, then
 # activity by category
 CLASSES: tuple[LandUseClass, ...] = (
@@ -127,13 +95,16 @@ LABELS: tuple[str, ...] = ("residential", "mixed", "activity", *(c.key for c in 
 
 
 def classify_zones(table: "ZoneTable", threshold: float = PREDOMINANCE_THRESHOLD) -> np.ndarray:
-    """:func:`classify_zone` of every zone at once, as class codes.
+    """The predominant class of every zone, as class codes in the table's row order.
 
-    Code ``k`` is ``CLASSES[k]``; -1 marks a zone that cannot be classified
-    (zero built surface). Codes follow the table's rows. The activity
-    subcategory is the first largest column of the land-use matrix, which is
-    the enumeration-order tie-break. Unclassified zones are excluded from
-    profile analyses but stay in regressions with whatever areas they carry.
+    Code ``k`` is ``CLASSES[k]``. A residential share of built surface
+    strictly above ``threshold`` is residential; strictly below
+    ``1 - threshold`` (non-residential predominant) is activity, labelled
+    with the first largest non-residential column of the land-use matrix,
+    which is the enumeration-order tie-break; the closed middle band is
+    mixed. -1 marks a zone that cannot be classified (zero built surface):
+    it is excluded from profile analyses but stays in regressions with
+    whatever areas it carries.
     """
     total = table.built_total_m2
     with np.errstate(divide="ignore", invalid="ignore"):

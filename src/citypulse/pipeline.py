@@ -33,11 +33,6 @@ logger = logging.getLogger(__name__)
 ALL_STEPS = frozenset({"ingest", "aggregate", "profiles", "regress"})
 
 
-def _fmt(x) -> str:
-    """Floats at 6 significant digits; keeps golden files stable."""
-    return format(float(x), ".6g")
-
-
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -195,23 +190,20 @@ def write_profiles_csv(path, profiles: Mapping[str, np.ndarray]) -> None:
 
 
 def _write_model_csv(path, fit: stats.OlsFit, dropped: Sequence[str]) -> None:
+    """One row per retained predictor, one blank row per predictor the first
+    stepwise pass eliminated, then the fit's summary row."""
     header = ["predictor", "coefficient", "std_error", "t", "p", "vif",
               "r2", "adj_r2", "f", "f_p", "aic", "n"]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for i, name in enumerate(fit.names):
-            vif = fit.vif.get(name)
-            writer.writerow([name, _fmt(fit.coefficients[i]), _fmt(fit.std_errors[i]),
-                             _fmt(fit.t_stats[i]), _fmt(fit.p_values[i]),
-                             _fmt(vif) if vif is not None else "",
-                             "", "", "", "", "", ""])
-        # predictors eliminated in the first stepwise pass stay listed, blank
-        for name in dropped:
-            writer.writerow([name, "", "", "", "", "", "", "", "", "", "", ""])
-        writer.writerow(["(summary)", "", "", "", "", "",
-                         _fmt(fit.r2), _fmt(fit.adj_r2), _fmt(fit.f_stat),
-                         _fmt(fit.f_p_value), _fmt(fit.aic), fit.n])
+    per_predictor = (fit.coefficients, fit.std_errors, fit.t_stats, fit.p_values,
+                     [fit.vif.get(name) for name in fit.names])
+    summary = [*("%.6g" % v for v in (fit.r2, fit.adj_r2, fit.f_stat, fit.f_p_value, fit.aic)),
+               str(fit.n)]
+    below = [""] * (len(dropped) + 1)  # the dropped rows and the summary row
+    above = [""] * (len(fit.names) + len(dropped))
+    write_csv(path, header, [
+        [*fit.names, *dropped, "(summary)"],
+        *(["" if v is None else "%.6g" % v for v in values] + below for values in per_predictor),
+        *(above + [text] for text in summary)])
 
 
 @dataclass
@@ -366,26 +358,18 @@ def run_pipeline(config: PipelineConfig,
                 landuse.CLASSES[c].key if c >= 0 else None for c in codes.tolist()]}
             for j, name in enumerate(slot_names):
                 geo_columns[f"normalized_{name}"] = normalized_slots.values[:, j]
-            # r² of slot j on slot i is their squared correlation; a constant
-            # predictor slot has no fit (blank), a constant response r² 0
+            # r² of slot j (row) on slot i (column) is their squared correlation;
+            # a constant predictor slot has no fit (blank), a constant response r² 0.
+            # corrcoef of a single slot is 0-d, hence atleast_2d.
             with np.errstate(divide="ignore", invalid="ignore"):
-                r2 = np.corrcoef(normalized_slots.values, rowvar=False) ** 2
+                r2 = np.atleast_2d(np.corrcoef(normalized_slots.values, rowvar=False)) ** 2
             flat = np.ptp(normalized_slots.values, axis=0) == 0.0
-            with open(stage / "bivariate_r2.csv", "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["slot", *slot_names])
-                for j, name in enumerate(slot_names):
-                    row = [name]
-                    for i in range(len(slot_names)):
-                        if i == j:
-                            row.append("1")
-                        elif flat[i]:
-                            row.append("")
-                        elif flat[j]:
-                            row.append("0")
-                        else:
-                            row.append(_fmt(r2[j, i]))
-                    writer.writerow(row)
+            cells = np.array([["%.6g" % v for v in row] for row in r2.tolist()], dtype=object)
+            cells[flat, :] = "0"
+            cells[:, flat] = ""
+            np.fill_diagonal(cells, "1")
+            write_csv(stage / "bivariate_r2.csv", ["slot", *slot_names],
+                      [slot_names, *cells.T.tolist()])
             for j, name in enumerate(slot_names):
                 if j == base_col:
                     continue
@@ -440,7 +424,7 @@ def run_pipeline(config: PipelineConfig,
                 x = home_counts.astype(float)
                 y = np.array([census.get(z, 0.0) for z in zone_ids])
                 try:
-                    stats_out["census_home_r2"] = float(_fmt(stats.census_correlation(x, y)))
+                    stats_out["census_home_r2"] = float("%.6g" % stats.census_correlation(x, y))
                 except DataError as exc:
                     warnings.append(f"census correlation skipped: {exc}")
 

@@ -13,8 +13,8 @@ import logging
 import math
 from array import array
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
-from typing import Iterable, Mapping, Sequence
+from itertools import chain
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -44,24 +44,6 @@ class Zone:
     landuse_m2: Mapping[LandUseCategory, float] = field(default_factory=dict)
     built_residential_m2: float = 0.0
     built_total_m2: float = 0.0
-
-    def validate(self) -> None:
-        if not self.rings:
-            raise DataError(f"zone {self.zone_id!r}: no geometry")
-        for ring in self.rings:
-            if not all(math.isfinite(v) for point in ring for v in point):
-                raise DataError(f"zone {self.zone_id!r}: non-finite vertex")
-            if len(set(ring)) < 3:
-                raise DataError(
-                    f"zone {self.zone_id!r}: degenerate polygon (<3 distinct vertices)")
-            if ring[0] != ring[-1]:
-                raise DataError(f"zone {self.zone_id!r}: ring is not closed")
-        if self.built_residential_m2 > self.built_total_m2:
-            raise DataError(
-                f"zone {self.zone_id!r}: built_residential_m2 exceeds built_total_m2")
-        for cat, value in self.landuse_m2.items():
-            if not math.isfinite(value) or value < 0:
-                raise DataError(f"zone {self.zone_id!r}: bad area for {cat.value}")
 
     def bbox(self) -> tuple[float, float, float, float]:
         xs = [x for ring in self.rings for x, _ in ring]
@@ -107,19 +89,6 @@ class ZoneTable:
     def __len__(self) -> int:
         return len(self.zone_ids)
 
-    def __getitem__(self, k: int) -> Zone:
-        k = range(len(self))[k]  # negative indices count from the end; IndexError past it
-        lo, hi = self.zone_ring_start[k], self.zone_ring_start[k + 1]
-        rings = tuple(tuple(map(tuple, self.vertices[a:b].tolist()))
-                      for a, b in zip(self.ring_start[lo:hi], self.ring_start[lo + 1:hi + 1]))
-        landuse = {CATEGORIES[j]: float(self.landuse_m2[k, j])
-                   for j in np.flatnonzero(self.landuse_present[k])}
-        return Zone(self.zone_ids[k], rings, float(self.area_ha[k]), landuse,
-                    float(self.built_residential_m2[k]), float(self.built_total_m2[k]))
-
-    def __iter__(self):
-        return (self[k] for k in range(len(self)))
-
 
 class _ZoneRows:
     """Zones gathered in input order, before they become one ZoneTable."""
@@ -147,24 +116,9 @@ class _ZoneRows:
         self.landuse.append(landuse)
         self.numbers.append((area_ha, built_residential_m2, built_total_m2))
 
-    def raise_first_fault(self) -> None:
-        """:meth:`Zone.validate` of each zone in input order, land-use keys in
-        category order; the first fault raises."""
-        for zone_id, coords, ring_lens, landuse, (area, residential, total) in zip(
-                self.ids, self.coords, self.ring_lens, self.landuse, self.numbers):
-            pairs, ends = list(zip(*[iter(coords.tolist())] * 2)), list(accumulate(ring_lens))
-            rings = tuple(tuple(pairs[end - size:end]) for size, end in zip(ring_lens, ends))
-            Zone(zone_id, rings, area, {CATEGORIES[j]: v for j, v in sorted(landuse)},
-                 residential, total).validate()
-
-    def table(self) -> ZoneTable:
-        """The zones as a table sorted by zone_id.
-
-        A fault raises the DataError of the first offending zone in input
-        order. The arrays only detect that there is one, which keeps the
-        per-zone :meth:`Zone.validate` walk off valid input; the walk names
-        it, and the two must agree on every rule.
-        """
+    def columns(self) -> tuple:
+        """The zones in zone_id order: their ids, their input positions, then the
+        vertex, ring and zone offsets, numbers, land-use and present arrays."""
         n = len(self.ids)
         order = sorted(range(n), key=self.ids.__getitem__)
         ids = tuple(self.ids[k] for k in order)
@@ -180,13 +134,24 @@ class _ZoneRows:
             for j, value in self.landuse[k]:
                 landuse[row, j] = value
                 present[row, j] = True
-        if _has_fault(vertices, ring_start, zone_ring_start, numbers, landuse, present):
-            self.raise_first_fault()
-            raise RuntimeError("zone arrays report a fault that Zone.validate accepts")
+        return ids, order, vertices, ring_start, zone_ring_start, numbers, landuse, present
+
+    def table(self) -> ZoneTable:
+        """The zones as a table sorted by zone_id.
+
+        A zone that breaks a rule raises the DataError of :func:`_first_fault`;
+        then a repeated zone_id raises.
+        """
+        columns = self.columns()
+        fault = _first_fault(*columns)
+        if fault is not None:
+            raise DataError(fault)
+        ids, _, vertices, ring_start, zone_ring_start, numbers, landuse, present = columns
         dupes = sorted({a for a, b in zip(ids, ids[1:]) if a == b})
         if dupes:
             raise DataError(f"duplicate zone_id(s): {', '.join(dupes)}")
 
+        n = len(ids)
         bbox = np.empty((n, 4))
         if n:  # every zone has a ring of 3+ vertices, so no segment is empty
             first = ring_start[zone_ring_start[:-1]]
@@ -197,77 +162,65 @@ class _ZoneRows:
                          zone_ring_start, bbox)
 
 
-def _has_fault(vertices, ring_start, zone_ring_start, numbers, landuse, present) -> bool:
-    """Whether any zone fails :meth:`Zone.validate`, tested on whole arrays."""
-    if (not np.isfinite(vertices).all() or (np.diff(zone_ring_start) == 0).any()
-            or (numbers[:, 1] > numbers[:, 2]).any()
-            or (present & ~(np.isfinite(landuse) & (landuse >= 0))).any()):
-        return True
-    # distinct vertices per ring: sort by (ring, lon, lat) and count changes
+def _first_fault(ids, position, vertices, ring_start, zone_ring_start, numbers, landuse,
+                 present) -> str | None:
+    """The message of the first zone in input order that breaks a zone rule, or None.
+
+    Row ``k`` of the arrays is zone ``ids[k]``, ``position[k]``-th in the input.
+    A zone's rules come in this order: it has a ring; then ring by ring, the
+    ring's vertices are finite, at least 3 of them distinct, and its last
+    vertex equals its first; its residential built surface is at most its
+    total; then category by category, each land-use area it carries is finite
+    and non-negative. Every rule runs on whole arrays.
+    """
+    x, y = vertices[:, 0], vertices[:, 1]  # per-column tests: reducing rows of 2 is slow
     ring_len = np.diff(ring_start)
     ring_of = np.repeat(np.arange(len(ring_len)), ring_len)
-    by = np.lexsort((vertices[:, 1], vertices[:, 0], ring_of))
-    x, y, r = vertices[by, 0], vertices[by, 1], ring_of[by]
+    nonfinite = np.zeros(len(ring_len), dtype=bool)
+    nonfinite[ring_of[~(np.isfinite(x) & np.isfinite(y))]] = True
+    # distinct vertices per ring: sort by (ring, lon, lat) and count changes
+    by = np.lexsort((y, x, ring_of))
+    sx, sy, r = x[by], y[by], ring_of[by]
     new = np.ones(len(by), dtype=bool)
-    new[1:] = (r[1:] != r[:-1]) | (x[1:] != x[:-1]) | (y[1:] != y[:-1])
-    if (np.bincount(r[new], minlength=len(ring_len)) < 3).any():
-        return True
-    # every ring now has vertices; its last must equal its first
-    return bool((vertices[ring_start[:-1]] != vertices[ring_start[1:] - 1]).any())
+    new[1:] = (r[1:] != r[:-1]) | (sx[1:] != sx[:-1]) | (sy[1:] != sy[:-1])
+    degenerate = np.bincount(r[new], minlength=len(ring_len)) < 3
+    # an empty ring is degenerate; it has no first or last vertex to compare
+    filled = ring_len > 0
+    first, last = ring_start[:-1][filled], ring_start[1:][filled] - 1
+    unclosed = np.zeros(len(ring_len), dtype=bool)
+    unclosed[filled] = (x[first] != x[last]) | (y[first] != y[last])
+    bad_ring = nonfinite | degenerate | unclosed
+
+    zone_rings = np.diff(zone_ring_start)
+    exceeds = numbers[:, 1] > numbers[:, 2]
+    bad_area = present & ~(np.isfinite(landuse) & (landuse >= 0))
+    faulty = np.concatenate([np.flatnonzero(zone_rings == 0),
+                             np.repeat(np.arange(len(ids)), zone_rings)[bad_ring],
+                             np.flatnonzero(exceeds), np.nonzero(bad_area)[0]])
+    if not len(faulty):
+        return None
+
+    k = min(faulty.tolist(), key=position.__getitem__)
+    lo, hi = zone_ring_start[k], zone_ring_start[k + 1]
+    bad = np.flatnonzero(bad_ring[lo:hi])
+    if lo == hi:
+        reason = "no geometry"
+    elif len(bad):  # the first rule that the zone's first bad ring breaks
+        ring = lo + bad[0]
+        reason = ("non-finite vertex" if nonfinite[ring] else
+                  "degenerate polygon (<3 distinct vertices)" if degenerate[ring] else
+                  "ring is not closed")
+    elif exceeds[k]:
+        reason = "built_residential_m2 exceeds built_total_m2"
+    else:  # the first category in CATEGORIES order
+        reason = f"bad area for {CATEGORIES[int(np.argmax(bad_area[k]))].value}"
+    return f"zone {ids[k]!r}: {reason}"
 
 
 @dataclass(frozen=True)
 class CityCentre:
     lon: float
     lat: float
-
-
-def point_in_rings(rings: Sequence[Ring], lon: float, lat: float) -> bool:
-    """Even-odd crossing test over all rings (half-open edges)."""
-    inside = False
-    for ring in rings:
-        x1, y1 = ring[-1]
-        for x2, y2 in ring:
-            if (y1 > lat) != (y2 > lat):
-                if lon < (x2 - x1) * (lat - y1) / (y2 - y1) + x1:
-                    inside = not inside
-            x1, y1 = x2, y2
-    return inside
-
-
-def polygon_centroid(rings: Sequence[Ring]) -> tuple[float, float]:
-    """Area-weighted centroid of a polygon with optional holes, as (lon, lat).
-
-    Holes subtract from the outer ring regardless of their winding. Falls back
-    to the vertex mean for zero-area degenerate geometry.
-    """
-    total_area = 0.0
-    cx = 0.0
-    cy = 0.0
-    for index, ring in enumerate(rings):
-        a = 0.0
-        rx = 0.0
-        ry = 0.0
-        x1, y1 = ring[-1]
-        for x2, y2 in ring:
-            cross = x1 * y2 - x2 * y1
-            a += cross
-            rx += (x1 + x2) * cross
-            ry += (y1 + y2) * cross
-            x1, y1 = x2, y2
-        a *= 0.5
-        if a == 0.0:
-            continue
-        sign = 1.0 if index == 0 else -1.0
-        weight = sign * abs(a)
-        # rx/(6a) is the ring centroid; re-weight by signed magnitude
-        cx += weight * (rx / (6.0 * a))
-        cy += weight * (ry / (6.0 * a))
-        total_area += weight
-    if total_area == 0.0:
-        pts = [p for ring in rings for p in ring[:-1]]
-        return (sum(p[0] for p in pts) / len(pts), sum(p[1] for p in pts) / len(pts))
-    return cx / total_area, cy / total_area
 
 
 def haversine_m(lon1: float, lat1: float, lon2: float, lat2: float) -> float:
@@ -280,19 +233,16 @@ def haversine_m(lon1: float, lat1: float, lon2: float, lat2: float) -> float:
     return EARTH_RADIUS_M * 2.0 * math.atan2(math.sqrt(a), math.sqrt(1.0 - a))
 
 
-def distance_to_centre(zone: Zone, centre: CityCentre) -> float:
-    """Haversine distance in metres from the zone's polygon centroid to the centre."""
-    lon, lat = polygon_centroid(zone.rings)
-    return haversine_m(lon, lat, centre.lon, centre.lat)
-
-
 def distances_to_centre(zones: ZoneTable, centre: CityCentre) -> np.ndarray:
-    """:func:`distance_to_centre` of every zone, in table order and to the same bits.
+    """Haversine metres from each zone's polygon centroid to the centre, in table order.
 
-    The shoelace sums of :func:`polygon_centroid` run vertex position by
-    vertex position over all rings at once, and its ring weights ring
-    position by ring position over all zones, each in the scalar code's
-    order of operations; only the haversine runs per zone.
+    The centroid is area-weighted over all rings, holes subtracting whatever
+    their winding; zero-area geometry takes the mean of its vertices, each
+    ring's closing vertex left out. The shoelace sums run vertex position by
+    vertex position over all rings at once, and the ring weights ring
+    position by ring position over all zones; only the haversine runs per
+    zone. The scalar reference in the tests does each zone alone, in the same
+    order of operations, and gives the same bits.
     """
     x, y = zones.vertices[:, 0], zones.vertices[:, 1]
     start, end = zones.ring_start[:-1], zones.ring_start[1:]
@@ -321,10 +271,15 @@ def distances_to_centre(zones: ZoneTable, centre: CityCentre) -> np.ndarray:
         cy[live] += weight * (ry[rings] / (6.0 * a))
         total[live] += weight
 
+    inner = np.ones(len(x), dtype=bool)
+    inner[end - 1] = False  # each ring's closing vertex repeats its first
+    vertex_start = zones.ring_start[first_ring]
     distances = np.empty(len(zones))
     for k, (t, sx, sy) in enumerate(zip(total.tolist(), cx.tolist(), cy.tolist())):
-        if t == 0.0:  # zero-area geometry: the scalar code's vertex mean
-            lon, lat = polygon_centroid(zones[k].rings)
+        if t == 0.0:  # zero-area geometry: the vertex mean, summed in vertex order
+            at = slice(vertex_start[k], vertex_start[k + 1])
+            xs, ys = x[at][inner[at]].tolist(), y[at][inner[at]].tolist()
+            lon, lat = sum(xs) / len(xs), sum(ys) / len(ys)
         else:
             lon, lat = sx / t, sy / t
         distances[k] = haversine_m(lon, lat, centre.lon, centre.lat)
@@ -355,10 +310,10 @@ class ZoneIndex:
     row of the :class:`ZoneTable`. Each grid cell's candidate codes are stored
     in CSR form (one concatenated array plus each cell's start offset), and so
     are every zone's edges, so :meth:`locate_codes` tests whole arrays of
-    points. Answers equal a brute-force :func:`point_in_rings` scan over all
-    zones. When overlapping zones both claim a point (a data error) the
-    lexicographically smallest zone_id wins and ``overlap_warnings`` is
-    incremented once per extra claim.
+    points. Answers equal a brute-force scan of every zone with the per-zone
+    ``point_in_rings`` reference kept in the tests. When overlapping zones
+    both claim a point (a data error) the lexicographically smallest zone_id
+    wins and ``overlap_warnings`` is incremented once per extra claim.
     """
 
     def __init__(self, table: ZoneTable):
@@ -410,9 +365,11 @@ class ZoneIndex:
     def locate_codes(self, lons, lats) -> np.ndarray:
         """Zone code (int32) per point, an index into ``zone_ids``, or -1 outside every zone.
 
-        Points are processed :data:`LOCATE_CHUNK` at a time. The crossing
-        test is :func:`point_in_rings`'s float expression, evaluated in the
-        same order, so results are bit-identical to it.
+        Points are processed :data:`LOCATE_CHUNK` at a time. A point is in
+        a zone when a ray from it crosses the zone's edges an odd number of
+        times; the crossing test is the float expression of the tests'
+        ``point_in_rings`` reference, evaluated in the same order, so results
+        are bit-identical to it.
         """
         lons = np.asarray(lons, dtype=np.float64)
         lats = np.asarray(lats, dtype=np.float64)
@@ -539,7 +496,10 @@ def _gather(features) -> _ZoneRows:
         for n, feature in enumerate(features):
             _add_feature(rows, feature, n)
     except Exception:
-        rows.raise_first_fault()  # a fault in a zone before the failing feature comes first
+        # a fault in a zone before the failing feature comes first
+        fault = _first_fault(*rows.columns())
+        if fault is not None:
+            raise DataError(fault)
         raise
     return rows
 

@@ -25,7 +25,7 @@ import numpy as np
 from .activity import DEFAULT_SLOTS, MajorSlot, N_QUARTER_BINS, validate_slots
 from .errors import ConfigError
 from .ingest import EventBatch, WORKDAY_WEEKDAYS, wall_offsets
-from .landuse import CLASSES, LandUseCategory, LandUseClass, class_groups, classify_zone
+from .landuse import CLASSES, LandUseCategory, LandUseClass, class_groups, classify_zones
 from .spatial import CityCentre, Zone, ZoneTable, distances_to_centre
 
 logger = logging.getLogger(__name__)
@@ -248,18 +248,14 @@ def generate_city(config: SynthConfig) -> SynthCity:
                 (xs[c], ys[r + 1]), (xs[c], ys[r]))
         total_m2 = config.built_total_base_m2 * rng.lognormal(0.0, 0.35)
         landuse = _zone_composition(rng, class_of[i], total_m2)
-        zone = Zone(
+        zones.append(Zone(
             zone_id=f"z{i:04d}",
             rings=(ring,),
             area_ha=area_ha,
             landuse_m2=landuse,
             built_residential_m2=landuse.get(LandUseCategory.RESIDENTIAL, 0.0),
             built_total_m2=sum(landuse.values()),
-        )
-        zone.validate()
-        if classify_zone(zone) != class_of[i]:
-            raise AssertionError(f"generated zone {zone.zone_id} does not classify as planned")
-        zones.append(zone)
+        ))
 
     centre = CityCentre(config.origin_lon + cols * d / 2.0,
                         config.origin_lat + rows * d / 2.0)
@@ -270,10 +266,19 @@ def generate_city(config: SynthConfig) -> SynthCity:
 
 
 def _zone_columns(city: SynthCity) -> tuple[ZoneTable, np.ndarray]:
-    """The city's zone table and, per zone in ``city.zones`` order, its table row."""
+    """The city's zone table and, per zone in ``city.zones`` order, its table row.
+
+    Building the table validates the zones; each must then classify as the
+    class it was generated for.
+    """
     table = ZoneTable.from_zones(city.zones)
     row_of = {zone_id: k for k, zone_id in enumerate(table.zone_ids)}
-    return table, np.array([row_of[z.zone_id] for z in city.zones], dtype=np.int64)
+    rows = np.array([row_of[z.zone_id] for z in city.zones], dtype=np.int64)
+    unplanned = np.flatnonzero(classify_zones(table)[rows] != city.codes)
+    if len(unplanned):
+        raise AssertionError(
+            f"generated zone {city.zones[unplanned[0]].zone_id} does not classify as planned")
+    return table, rows
 
 
 def _placement(city: SynthCity, table: ZoneTable, rows: np.ndarray

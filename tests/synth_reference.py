@@ -21,8 +21,8 @@ from citypulse.activity import N_QUARTER_BINS
 from citypulse.errors import ConfigError
 from citypulse.ingest import OPTIONAL_FIELDS, GeoEvent
 from citypulse.landuse import CLASSES, LandUseClass, class_groups
-from citypulse.spatial import distance_to_centre
 from citypulse.synth import SynthCity, SynthTruth, _user_rates, _workdays
+from scalar_reference import distance_to_centre
 
 
 def placement(city: SynthCity):

@@ -10,20 +10,19 @@ import time
 
 import numpy as np
 
-from citypulse.activity import (DEFAULT_SLOTS, AssignedEvents, aggregate_major_slots,
+from citypulse.activity import (DEFAULT_SLOTS, aggregate_major_slots,
                                 count_unique_users, landuse_profile, normalize_counts)
-from citypulse.ingest import get_timezone, quarter_bin
+from citypulse.ingest import get_timezone
 from citypulse.landuse import CATEGORIES, classify_zones
 from citypulse.pipeline import run_pipeline
-from citypulse.spatial import ZoneTable, build_zone_index, distance_to_centre
+from citypulse.spatial import ZoneTable, build_zone_index
 from citypulse.stats import census_correlation, fit_ols, infer_homes, stepwise_fit
 from citypulse.synth import SynthConfig, generate_city, generate_events
 
 from conftest import BIG_CITY_CONFIG, materialize
+from scalar_reference import distance_to_centre, encode, quarter_bin
 
 SLOT_NAMES = [s.name for s in DEFAULT_SLOTS]
-
-encode = AssignedEvents.from_tuples
 
 
 def _assign(city, events):

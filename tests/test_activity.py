@@ -11,7 +11,7 @@ from citypulse.errors import ConfigError, DataError
 from citypulse.landuse import CLASSES, LandUseCategory, LandUseClass, class_groups
 from citypulse.stats import DEFAULT_NIGHT_BINS, infer_homes
 
-encode = AssignedEvents.from_tuples
+from scalar_reference import encode
 
 
 def test_repeat_events_in_same_cell_count_once():

@@ -13,8 +13,10 @@ from citypulse import ingest
 from citypulse.errors import ConfigError, DataError
 from citypulse.ingest import (EventBatch, GeoEvent, RejectionReport, filter_workdays,
                               get_timezone, local_seconds, parse_events, parse_timestamp,
-                              quarter_bin, quarter_bins, write_events_ndjson)
+                              quarter_bins, write_events_ndjson)
 from citypulse.synth import SynthConfig, generate_city, generate_events
+
+from scalar_reference import quarter_bin
 
 NDJSON_ROW = '{"u":"a1","t":"2013-03-05T10:07:00+01:00","lon":-3.70,"lat":40.42}'
 

@@ -9,10 +9,12 @@ from citypulse.activity import (N_QUARTER_BINS, NORMALIZATION_TOTAL, QUARTER_LAB
                                 NormalizedMatrix, density_per_hectare, landuse_profile)
 from citypulse.errors import ClassificationError
 from citypulse.landuse import (ACTIVITY_CATEGORIES, CATEGORIES, CLASSES, LandUseCategory,
-                               LandUseClass, class_sums, classify_zone, classify_zones,
+                               LandUseClass, class_sums, classify_zones,
                                write_classification_csv)
 from citypulse.spatial import Zone, ZoneTable
 from citypulse.synth import SynthConfig, generate_city, generate_events
+
+from scalar_reference import classify_zone
 
 RING = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.0, 0.0))
 

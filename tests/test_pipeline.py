@@ -17,6 +17,8 @@ from citypulse.spatial import Zone, ZoneTable, load_zones_geojson
 from citypulse.stats import bivariate_slot_ols
 from citypulse.synth import SynthConfig, generate_city, generate_events
 
+from scalar_reference import zone_rows
+
 SQUARE = (((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.0, 0.0)),)
 
 
@@ -128,7 +130,7 @@ def test_export_geojson_misaligned_column_fatal(tmp_path):
 def test_export_geojson_round_trips_as_zone_input(tmp_path):
     path = tmp_path / "zones.geojson"
     export_geojson(zones_pair(), {}, path)
-    zones = load_zones_geojson(path)
+    zones = zone_rows(load_zones_geojson(path))
     assert [z.zone_id for z in zones] == ["a", "b"]
     assert zones[0].rings == SQUARE
     assert zones[1].area_ha == 2.0
@@ -337,8 +339,17 @@ def test_bivariate_r2_edge_cells_match_simple_regressions(small_city, tmp_path, 
             elif response == "dawn":
                 assert cell == "0"
             else:
-                assert cell == pipeline._fmt(
-                    bivariate_slot_ols(values[:, i], values[:, j]).r2), (response, predictor)
+                assert cell == format(
+                    bivariate_slot_ols(values[:, i], values[:, j]).r2, ".6g"), (response, predictor)
+
+
+def test_bivariate_r2_with_one_slot(small_city, tmp_path):
+    import dataclasses
+    config = dataclasses.replace(small_city.config, output_dir=tmp_path / "one",
+                                 slots=parse_slots("night=00:00-06:00"))
+    run_pipeline(config)
+    text = (tmp_path / "one" / "bivariate_r2.csv").read_text(encoding="utf-8")
+    assert text == "slot,night\nnight,1\n"
 
 
 def test_normalized_slots_columns_sum_to_total(small_city):
@@ -482,8 +493,8 @@ def test_cli_synth_class_mix_and_census_round_trip(tmp_path):
     with open(census_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["zone_id", "population"])
-        for zone in zones:
-            writer.writerow([zone.zone_id, 120 * census_counts.get(zone.zone_id, 0)])
+        for zone_id in zones.zone_ids:
+            writer.writerow([zone_id, 120 * census_counts.get(zone_id, 0)])
     code = cli.main(["run", "--config", str(out / "pipeline.config"),
                      "--census", str(census_path)])
     assert code == 0

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from citypulse import spatial
 from citypulse.errors import DataError
 from citypulse.landuse import LandUseCategory
-from citypulse.spatial import (CityCentre, Zone, ZoneTable, build_zone_index,
-                               distance_to_centre, haversine_m, load_zones_geojson,
-                               point_in_rings, polygon_centroid)
+from citypulse.spatial import (CityCentre, Zone, ZoneTable, build_zone_index, haversine_m,
+                               load_zones_geojson)
+
+from scalar_reference import distance_to_centre, point_in_rings, polygon_centroid, zone_rows
 
 
 def square(zone_id, x0, y0, size=1.0, **kwargs):
@@ -193,7 +194,7 @@ def test_load_zones_geojson(tmp_path):
     doc = {"type": "FeatureCollection", "features": [_feature("z1"), _feature("z2", 1.0)]}
     path = tmp_path / "zones.geojson"
     path.write_text(json.dumps(doc))
-    zones = load_zones_geojson(path)
+    zones = zone_rows(load_zones_geojson(path))
     assert [z.zone_id for z in zones] == ["z1", "z2"]
     assert zones[0].area_ha == 2.5
     assert zones[0].landuse_m2[LandUseCategory.RETAIL] == 200.0
@@ -217,7 +218,7 @@ def test_load_zones_rejects_bad_documents(tmp_path):
 def test_zone_validate_residential_exceeds_total():
     zone = square("z", 0, 0, built_residential_m2=2000.0, built_total_m2=1000.0)
     with pytest.raises(DataError, match="exceeds"):
-        zone.validate()
+        ZoneTable.from_zones([zone])
 
 
 def test_haversine_matches_spherical_law_small_angles():

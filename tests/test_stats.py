@@ -14,11 +14,12 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 import citypulse
-from citypulse.activity import AssignedEvents
 from citypulse.errors import DataError, SingularityError
 from citypulse.stats import (DEFAULT_ALPHA, DEFAULT_NIGHT_BINS, _f_upper, _intercept_only_fit,
                              _t_two_sided, bivariate_slot_ols, census_correlation, fit_ols,
                              infer_homes, slot_descriptives, stepwise_fit)
+
+from scalar_reference import encode
 
 
 def normal_equations(y, X, intercept=True):
@@ -520,7 +521,7 @@ def test_infer_home_respects_residential_set():
 
 def test_infer_homes_per_user():
     events = [("u1", "A", 90), ("u1", "A", 91), ("u2", "B", 40)]
-    homes = infer_homes(AssignedEvents.from_tuples(events), residential_zones={"A", "B"})
+    homes = infer_homes(encode(events), residential_zones={"A", "B"})
     assert homes == {"u1": "A"}
 
 
@@ -530,7 +531,7 @@ def test_infer_homes_per_user():
                                  st.sampled_from([0, 40, 87, 88, 90, 95])), max_size=40),
        residential=st.one_of(st.none(), st.sets(st.sampled_from(["A", "B", "C", "D"]))))
 def test_infer_homes_matches_per_user_reference(events, residential):
-    homes = infer_homes(AssignedEvents.from_tuples(events), residential_zones=residential)
+    homes = infer_homes(encode(events), residential_zones=residential)
     expected = {}
     for user in sorted({u for u, _, _ in events}):
         home = infer_home([(z, b) for u, z, b in events if u == user],

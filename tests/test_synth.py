@@ -3,19 +3,18 @@ import json
 import numpy as np
 import pytest
 
-from citypulse.activity import (AssignedEvents, aggregate_major_slots, count_unique_users,
-                                normalize_counts)
+from citypulse import synth
+from citypulse.activity import aggregate_major_slots, count_unique_users, normalize_counts
 from citypulse.errors import ConfigError
 from citypulse.ingest import (EventBatch, filter_workdays, get_timezone, parse_events,
-                              quarter_bin, write_events_ndjson)
-from citypulse.landuse import LandUseClass, classify_zone, classify_zones
-from citypulse.spatial import ZoneTable, build_zone_index, point_in_rings
+                              write_events_ndjson)
+from citypulse.landuse import CLASSES, LandUseClass, classify_zones
+from citypulse.spatial import ZoneTable, build_zone_index
 from citypulse.stats import infer_homes
 from citypulse.synth import (SynthConfig, allocate_counts, city_geojson, generate_city,
                              generate_events, slot_weights_to_intensity)
 
-
-encode = AssignedEvents.from_tuples
+from scalar_reference import classify_zone, encode, point_in_rings, quarter_bin, zone_rows
 
 
 def small_config(**overrides):
@@ -38,6 +37,25 @@ def test_all_residential_city_classifies_residential():
     assert len(city.zones) == 4
     for zone in city.zones:
         assert classify_zone(zone) == LandUseClass("residential")
+
+
+def test_zone_off_its_planned_class_stops_the_events(monkeypatch):
+    composition = synth._zone_composition
+    residential = LandUseClass("residential")
+    swapped = []
+
+    def one_residential_zone_mixed(rng, cls, total_m2):
+        if cls == residential and not swapped:
+            swapped.append(cls)
+            cls = LandUseClass("mixed")
+        return composition(rng, cls, total_m2)
+
+    monkeypatch.setattr(synth, "_zone_composition", one_residential_zone_mixed)
+    city = generate_city(small_config())
+    first = next(z.zone_id for z, c in zip(city.zones, city.codes.tolist())
+                 if CLASSES[c] == residential)
+    with pytest.raises(AssertionError, match=f"generated zone {first} does not classify"):
+        generate_events(city)
 
 
 def test_generation_is_byte_identical_across_runs(tmp_path):
@@ -175,7 +193,7 @@ def test_zone_geojson_round_trips_through_loader(tmp_path):
     city = generate_city(small_config())
     path = tmp_path / "zones.geojson"
     path.write_text(json.dumps(city_geojson(city)))
-    zones = load_zones_geojson(path)
+    zones = zone_rows(load_zones_geojson(path))
     assert [z.zone_id for z in zones] == [z.zone_id for z in city.zones]
     for loaded, original in zip(zones, city.zones):
         assert loaded.rings == original.rings

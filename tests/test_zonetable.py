@@ -2,7 +2,8 @@
 
 The references are the row-at-a-time code the table replaced: a loader that
 builds and validates one ``Zone`` per feature, the FeatureCollection built as
-dicts and written with one ``json.dumps``, ``classify_zone`` and
+dicts and written with one ``json.dumps``, and the ``scalar_reference``
+functions: one table row as a ``Zone``, ``classify_zone`` and
 ``distance_to_centre`` per zone.
 """
 
@@ -16,20 +17,21 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from citypulse import tables
 from citypulse.config import PipelineConfig
 from citypulse.errors import ClassificationError, DataError
 from citypulse.ingest import write_events_ndjson
-from citypulse.landuse import (ACTIVITY_CATEGORIES, CATEGORIES, CLASSES, classify_zone,
-                               classify_zones)
+from citypulse.landuse import ACTIVITY_CATEGORIES, CATEGORIES, CLASSES, classify_zones
 from citypulse.pipeline import export_geojson, run_pipeline
-from citypulse.spatial import (CityCentre, Zone, ZoneTable, distance_to_centre,
-                               distances_to_centre, load_zones_geojson)
+from citypulse.spatial import (CityCentre, Zone, ZoneTable, distances_to_centre,
+                               load_zones_geojson)
 from citypulse.synth import SynthConfig, city_geojson, generate_city, generate_events
 from citypulse.tables import write_csv
+
+from scalar_reference import classify_zone, distance_to_centre, validate, zone_row, zone_rows
 
 # --- references ---------------------------------------------------------------
 
@@ -62,7 +64,7 @@ def reference_load(path):
         except (TypeError, ValueError):
             raise DataError(f"zone {zone_id!r}: coordinates are not [lon, lat] number pairs")
         zone = Zone(zone_id, rings, area, landuse, residential, total)
-        zone.validate()
+        validate(zone)
         zones.append(zone)
     ids = [z.zone_id for z in zones]
     dupes = sorted({i for i in ids if ids.count(i) > 1})
@@ -180,9 +182,9 @@ def test_table_path_matches_per_zone_references(case, tmp_path_factory):
     write_zones(path, feats)
     table = load_zones_geojson(path)
     reference = reference_load(path)
-    assert [zone_fields(z) for z in table] == [zone_fields(z) for z in reference]
-    assert zone_fields(table[-1]) == zone_fields(reference[-1])
-    assert [zone_fields(z) for z in ZoneTable.from_zones(reference)] == [
+    assert [zone_fields(z) for z in zone_rows(table)] == [zone_fields(z) for z in reference]
+    assert zone_fields(zone_row(table, -1)) == zone_fields(reference[-1])
+    assert [zone_fields(z) for z in zone_rows(ZoneTable.from_zones(reference))] == [
         zone_fields(z) for z in reference]
 
     ids = table.zone_ids
@@ -195,7 +197,7 @@ def test_table_path_matches_per_zone_references(case, tmp_path_factory):
     assert (tmp / "new.geojson").read_bytes() == (tmp / "reference.geojson").read_bytes()
     # the export re-parses as zones input with the same table
     again = load_zones_geojson(tmp / "new.geojson")
-    assert [zone_fields(z) for z in again] == [zone_fields(z) for z in table]
+    assert [zone_fields(z) for z in zone_rows(again)] == [zone_fields(z) for z in zone_rows(table)]
 
     codes = classify_zones(table)
     assert len(codes) == len(reference)
@@ -210,6 +212,21 @@ def test_table_path_matches_per_zone_references(case, tmp_path_factory):
     centre = CityCentre(1.25, 2.0)
     expected = np.array([distance_to_centre(z, centre) for z in reference])
     assert distances_to_centre(table, centre).tobytes() == expected.tobytes()
+
+
+def test_zero_area_centroids_match_the_reference():
+    # the vertex-mean fallback runs for zero-area geometry: a collinear ring,
+    # and an outer ring whose hole has the same area
+    square = ((0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0), (0.0, 0.0))
+    shifted = tuple((x + 0.3, y + 0.7) for x, y in square)
+    zones = [Zone("a", (square,), 1.0),
+             Zone("b", (((0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (0.0, 0.0)),), 1.0),
+             Zone("c", (square, shifted), 1.0),
+             Zone("d", (((-3.1, 1.1), (-2.9, 1.1), (-3.0, 1.3), (-3.1, 1.1)),), 1.0),
+             Zone("e", (((0.1, 0.2), (0.1, 0.2 + 1e-9), (0.1, 0.2 + 3e-9), (0.1, 0.2)),), 1.0)]
+    centre = CityCentre(0.4, 0.9)
+    expected = np.array([distance_to_centre(z, centre) for z in zones])
+    assert distances_to_centre(ZoneTable.from_zones(zones), centre).tobytes() == expected.tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -232,17 +249,20 @@ def test_write_csv_matches_csv_writer(rows, block, tmp_path_factory):
 
 FAULTS = ["degenerate", "unclosed", "residential exceeds", "negative area", "nan area",
           "missing id", "multipolygon", "no rings", "nan vertex", "bad pair", "duplicate",
-          "text area", "null vertex"]
+          "text area", "null vertex", "nan hole vertex", "empty ring"]
 
 
 def _break(feature, fault, other_id):
     """Apply one fault; faults may land on the same feature, so each skips when an
-    earlier one already took away what it changes."""
+    earlier one already took away what it changes. Ring faults damage ring 0, but
+    "degenerate" replaces the last ring, "nan hole vertex" damages ring 1 (a copy
+    of ring 0 when there is no hole) and "empty ring" appends an empty ring."""
     props, geom = feature["properties"], feature["geometry"]
     if not geom["coordinates"]:  # "no rings" came first
         return
     ring = geom["coordinates"][0]
-    if len(ring) < {"unclosed": 1, "nan vertex": 2, "bad pair": 2, "null vertex": 3}.get(fault, 0):
+    if len(ring) < {"unclosed": 1, "nan vertex": 2, "bad pair": 2, "null vertex": 3,
+                    "nan hole vertex": 2}.get(fault, 0):
         return  # "degenerate" and "unclosed" left too few vertices
     if fault == "degenerate":
         geom["coordinates"][-1] = [[0, 0], [1, 1], [0, 0]]
@@ -270,21 +290,51 @@ def _break(feature, fault, other_id):
         props["built_total_m2"] = "many"
     elif fault == "null vertex":
         ring[2] = [ring[2][0], None]
+    elif fault == "nan hole vertex":
+        if len(geom["coordinates"]) == 1:
+            geom["coordinates"].append(copy.deepcopy(ring))
+        hole = geom["coordinates"][1]
+        if len(hole) >= 2:  # not an empty ring
+            hole[1] = [math.nan, hole[1][1]]
+    elif fault == "empty ring":
+        geom["coordinates"].append([])
+
+
+def _rows(zones):
+    """A loader's zones as Zone rows: the reference's list, or each row of a table."""
+    return zone_rows(zones) if isinstance(zones, ZoneTable) else zones
 
 
 def _outcome(load, path):
     try:
-        return [z.zone_id for z in load(path)]
+        return [z.zone_id for z in _rows(load(path))]
     except DataError as exc:
         return str(exc)
+
+
+SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]]
+
+
+def _feature(zone_id, ring=SQUARE, **props):
+    return {"type": "Feature", "properties": {"zone_id": zone_id, **props},
+            "geometry": {"type": "Polygon", "coordinates": [list(ring)]}}
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=st.integers(2, 6).flatmap(lambda n: st.tuples(
     features(n), st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from(FAULTS)),
                           max_size=3))))
+# ring 0 breaks a later rule than ring 1: the first ring decides
+@example(case=([_feature("a"), _feature("b")], [(1, "unclosed"), (1, "nan hole vertex")]))
+@example(case=([_feature("a"), _feature("b")], [(1, "unclosed"), (1, "empty ring")]))
+# one ring breaks two rules: the earlier rule names it
+@example(case=([_feature("a"), _feature("b")], [(1, "degenerate"), (1, "nan vertex")]))
+@example(case=([_feature("a"), _feature("b")], [(1, "degenerate"), (1, "unclosed")]))
+# the empty ring of the last zone by zone_id ends the vertex array
+@example(case=([_feature("b"), _feature("a")], [(0, "empty ring")]))
+@example(case=([_feature("b"), _feature("a")], [(0, "empty ring"), (1, "missing id")]))
 def test_bad_zones_file_raises_the_reference_error(case, tmp_path_factory):
-    feats, faults = case
+    feats, faults = copy.deepcopy(case)
     for k, fault in faults:
         _break(feats[k], fault, feats[(k + 1) % len(feats)]["properties"].get("zone_id", "x"))
     path = tmp_path_factory.mktemp("bad") / "zones.geojson"
@@ -300,17 +350,6 @@ def test_first_offender_in_file_order_not_id_order(tmp_path):
     write_zones(tmp_path / "zones.geojson", feats)
     with pytest.raises(DataError, match="zone 'c': ring is not closed"):
         load_zones_geojson(tmp_path / "zones.geojson")
-
-
-def test_array_check_and_validate_must_agree(tmp_path):
-    """A fault the arrays see but Zone.validate accepts stops the load."""
-    square = [[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]]
-    write_zones(tmp_path / "zones.geojson", [
-        {"type": "Feature", "properties": {"zone_id": "a"},
-         "geometry": {"type": "Polygon", "coordinates": [square]}}])
-    with mock.patch("citypulse.spatial._has_fault", return_value=True):
-        with pytest.raises(RuntimeError, match="Zone.validate accepts"):
-            load_zones_geojson(tmp_path / "zones.geojson")
 
 
 # --- zones_metrics.geojson as zones input, at scale -----------------------------
@@ -346,17 +385,9 @@ def test_zones_metrics_reparses_as_zones_input_at_scale(tmp_path):
 
 # --- the zones reader: one feature at a time, json.load's verdict ----------------
 
-SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]]
-
-
-def _feature(zone_id, ring=SQUARE, **props):
-    return {"type": "Feature", "properties": {"zone_id": zone_id, **props},
-            "geometry": {"type": "Polygon", "coordinates": [ring]}}
-
-
 def _fields_or_error(load, path):
     try:
-        return [zone_fields(z) for z in load(path)]
+        return [zone_fields(z) for z in _rows(load(path))]
     except DataError as exc:
         return str(exc)
 
@@ -635,7 +666,7 @@ def test_export_blocks_join_to_the_reference_text(block, tmp_path):
     columns = {"x": np.array([0.5, 1e-7, math.nan, 3.0]), "y": [None, "m", "r", None]}
     with mock.patch.object(tables, "BLOCK_ROWS", block):
         export_geojson(table, columns, tmp_path / "new.geojson")
-    reference_export(list(table), {"x": dict(zip(table.zone_ids, columns["x"].tolist())),
+    reference_export(zone_rows(table), {"x": dict(zip(table.zone_ids, columns["x"].tolist())),
                                    "y": {z: v for z, v in zip(table.zone_ids, columns["y"])
                                          if v is not None}}, tmp_path / "reference.geojson")
     assert (tmp_path / "new.geojson").read_bytes() == (tmp_path / "reference.geojson").read_bytes()
