@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from itertools import compress, repeat
 from json.encoder import encode_basestring
-from operator import itemgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
@@ -169,10 +168,7 @@ class _BatchBuilder:
         """
         base = len(self._users)
         code = self._user_code
-        for user in dict.fromkeys(users):
-            if user not in code:
-                code[user] = len(code)
-        self._users.extend(map(code.__getitem__, users))
+        self._users.extend(array("i", [code.setdefault(user, len(code)) for user in users]))
         for column, values in ((self._epoch, epoch), (self._micro, micro),
                                (self._offset, offset), (self._lon, lon), (self._lat, lat)):
             column.frombytes(values.astype(column.typecode, copy=False).tobytes())
@@ -255,19 +251,32 @@ def parse_timestamp(raw: str) -> datetime:
 
 # The one timestamp shape read in bulk; "Z" in place of the offset reads as
 # "+00:00". The arrays below are columns: strings run along the second axis.
-_FIXED_SHAPE = np.array([[ord(c)] for c in "0000-00-00T00:00:00+00:00"], dtype=np.uint32)
-_FIXED_DIGIT = (_FIXED_SHAPE == ord("0"))[:, 0]
-_ZULU_OFFSET = _FIXED_SHAPE[19:]
-# place value of each of the 18 digits in year, month, day, hour, minute,
-# second, offset hour and offset minute, and the bounds of those fields
-# (float64, so that the product is one BLAS call; every value is exact)
-_PLACES = np.zeros((8, 18))
-_PLACES[[0, 0, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7], range(18)] = (
-    [1000, 100, 10, 1] + [10, 1] * 7)
+_FIXED_SHAPE = "0000-00-00T00:00:00+00:00"
+# per character of the shape, the lowest code point allowed there and how far
+# above it the others may lie: the ten digits, "+" to "-" (the "," between
+# them is ruled out on its own) or the one literal character
+_BASE = np.array([[ord(c)] for c in _FIXED_SHAPE], dtype=np.uint32)
+_SPAN = np.array([[{"0": 9, "+": 2}.get(c, 0)] for c in _FIXED_SHAPE], dtype=np.uint32)
+# place value of each character in year, month, day, hour, minute, second,
+# offset hour and offset minute (0 for the literal ones), and the bounds of
+# those fields (float64, so that the product is one BLAS call; every value is exact)
+_PLACES = np.zeros((8, len(_FIXED_SHAPE)))
+_PLACES[[0, 0, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7],
+        [i for i, c in enumerate(_FIXED_SHAPE) if c == "0"]] = [1000, 100, 10, 1] + [10, 1] * 7
 _LOW = np.array([[2], [1], [1], [0], [0], [0], [0], [0]])
 _HIGH = np.array([[9998], [12], [31], [23], [59], [59], [23], [59]])
 # seconds of the day and of the offset from those fields
 _SECONDS = np.array([[0, 0, 0, 3600, 60, 1, 0, 0], [0, 0, 0, 0, 0, 0, 3600, 60]])
+# Calendar tables (numpy's calendar is the proleptic Gregorian one that
+# datetime uses): days from 1970-01-01 to 1 January of each year 0-9999, 1 for
+# each leap year and 0 for the others, and per common and leap year (rows) the
+# length of each month 1-12 and the days before it in its year
+_YEAR_START = (np.arange(10_000) - 1970).astype("datetime64[Y]").astype("datetime64[D]").astype(
+    np.int64)
+_LEAP = np.diff(_YEAR_START, append=_YEAR_START[-1] + 365) - 365
+_MONTH_DAYS = np.array([[0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31],
+                        [0, 31, 29, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31]])
+_MONTH_START = np.cumsum(_MONTH_DAYS, axis=1) - _MONTH_DAYS
 
 
 def _fixed_instants(raws: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -286,26 +295,23 @@ def _fixed_instants(raws: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray
     size = np.fromiter(map(len, raws), dtype=np.int64, count=n)
     # code points, one string per column; a longer string is cut to 25 here
     # and fails on its size
-    chars = np.array(raws, dtype="U25").view(np.uint32).reshape(n, 25).T.copy()
+    chars = np.array(raws, dtype="U25").view(np.uint32).reshape(n, 25).T
+    # each character's rise above the lowest one allowed in its place;
+    # unsigned, so a code point below that wraps past every span
+    rise = np.subtract(chars, _BASE, order="C")
     zulu = (size == 20) & (chars[19] == ord("Z"))
-    chars[19:, zulu] = _ZULU_OFFSET
-    west = chars[19] == ord("-")
-    chars[19, west] = ord("+")
-    # unsigned: a code point below "0" wraps past 9
-    fits = (zulu | (size == 25)) & np.where(
-        _FIXED_DIGIT[:, None], chars - ord("0") <= 9, chars == _FIXED_SHAPE).all(axis=0)
-    fields = (_PLACES @ (chars[_FIXED_DIGIT] - ord("0"))).astype(np.int64)
+    rise[19:, zulu] = 0
+    west = rise[19] == 2
+    fits = (zulu | (size == 25)) & (rise <= _SPAN).all(axis=0) & (rise[19] != 1)
+    fields = (_PLACES @ rise).astype(np.int64)
     fits &= ((_LOW <= fields) & (fields <= _HIGH)).all(axis=0)
-    fields *= fits  # what does not fit reads as 0000-00-00, which converts safely
+    fields *= fits  # what does not fit reads as 0000-00-00, which indexes the tables safely
     year, month, day = fields[:3]
-    # numpy's calendar is the proleptic Gregorian one that datetime uses
-    months = (year - 1970) * 12 + month - 1
-    first = months.astype("datetime64[M]").astype("datetime64[D]").astype(np.int64)
-    following = (months + 1).astype("datetime64[M]").astype("datetime64[D]").astype(np.int64)
-    fits &= day <= following - first
+    leap = _LEAP[year]
+    fits &= day <= _MONTH_DAYS[leap, month]
     clock, offset = _SECONDS @ fields
     offset[west] *= -1
-    epoch = (first + day - 1) * _DAY_S + clock - offset
+    epoch = (_YEAR_START[year] + _MONTH_START[leap, month] + day - 1) * _DAY_S + clock - offset
     return fits, epoch, offset
 
 
@@ -464,7 +470,6 @@ def _decode_block(numbers: Sequence[int], lines: list[str], rejected: list[tuple
     return kept, objs
 
 
-_REQUIRED = itemgetter(*NDJSON_KEYS)
 _STRING = frozenset({str})
 _NUMBER = frozenset({float, int})
 _OPTIONAL = frozenset({str, type(None)})
@@ -499,11 +504,12 @@ def _add_objects(builder: _BatchBuilder, numbers: Sequence[int], objs: list[dict
     (:func:`_check_object`), which either give its rejection reason or accept it,
     as they do an integer user id. A row that passes every column test can
     fail only on its timestamp, the one field left to check, read in bulk by
-    :func:`_fixed_instants` where it has that shape.
+    :func:`_fixed_instants` where it has that shape. A block with no row for
+    the per-row steps goes into the builder as it is.
     """
     n = len(objs)
     try:
-        users, times, lon, lat = map(list, zip(*map(_REQUIRED, objs)))
+        users, times, lon, lat = ([obj[key] for obj in objs] for key in NDJSON_KEYS)
         # every object holds the four required keys: with none more, no optional one
         has_optional = sum(map(len, objs)) > len(NDJSON_KEYS) * n
     except KeyError:
@@ -522,10 +528,15 @@ def _add_objects(builder: _BatchBuilder, numbers: Sequence[int], objs: list[dict
         if values.count(None) < n:
             _flag(suspect, values, _OPTIONAL)
             extras[k] = [value or None for value in values]
+    clean = not suspect.any()
     keep = (~suspect).tolist()
-    fits, epoch, offset = _fixed_instants(list(compress(times, keep)))
+    fits, epoch, offset = _fixed_instants(times if clean else list(compress(times, keep)))
+    offset_us = offset * 1_000_000
+    if clean and fits.all():  # no row for the per-row steps
+        builder.extend(users, epoch, np.zeros(n, dtype=np.int32), offset_us, lon, lat, extras)
+        return
     instants = np.zeros((3, n), dtype=np.int64)  # epoch, micro and offset_us per row
-    instants[0, keep], instants[2, keep] = epoch, offset * 1_000_000
+    instants[0, keep], instants[2, keep] = epoch, offset_us
     for i in np.flatnonzero(keep)[~fits].tolist():
         try:
             instants[:, i] = _instant(parse_timestamp(times[i]))
@@ -550,11 +561,13 @@ def _add_objects(builder: _BatchBuilder, numbers: Sequence[int], objs: list[dict
     builder.extend(users, *instants, lon, lat, extras)
 
 
-# Characters of NDJSON decoded at a time (~230 rows of 105 characters). Up to
-# 64 KiB the size barely moves a run's peak RSS (city-253k: 62.8 MB at 24 and
-# 32 KiB, 62.9 MB at 64 KiB) or its parse time; smaller blocks spend more on
-# the fixed cost of each block than they save (16 KiB parsed ~10 % slower)
-_BLOCK_CHARS = 24 * 1024
+# Characters of NDJSON decoded at a time (~470 rows of 104 characters). Each
+# block pays a fixed cost, so at city-253k 48 KiB parsed ~8 % faster than
+# 24 KiB (median 1.22 against 1.33 s, 6 interleaved parses on a shared 2-CPU
+# VM) and 64 KiB no faster than 48. A block's objects add ~11 bytes per
+# character to the parse's peak: a run's peak RSS went 52.5 → 52.6 MB, and
+# at 96 KiB a 20,000-row bytes source peaks above twice its size
+_BLOCK_CHARS = 48 * 1024
 
 
 def _parse_ndjson(fh: IO[str], builder: _BatchBuilder, report: RejectionReport) -> None:
@@ -562,9 +575,9 @@ def _parse_ndjson(fh: IO[str], builder: _BatchBuilder, report: RejectionReport) 
     while lines := fh.readlines(_BLOCK_CHARS):
         numbers: Sequence[int] = range(first, first + len(lines))
         first += len(lines)
-        if not all(map(str.strip, lines)):  # skip blank lines, keeping the line numbers
-            numbers = [n for n, line in zip(numbers, lines) if line.strip()]
-            lines = [line for line in lines if line.strip()]
+        if any(map(str.isspace, lines)):  # skip blank lines, keeping the line numbers
+            numbers = [n for n, line in zip(numbers, lines) if not line.isspace()]
+            lines = [line for line in lines if not line.isspace()]
             if not lines:
                 continue
         report.total_rows += len(lines)

@@ -101,6 +101,8 @@ class SynthConfig:
             raise ConfigError("n_users must be >= 1")
         if not (0.0 <= self.home_bias <= 1.0):
             raise ConfigError("home_bias must be in [0, 1]")
+        if not (math.isfinite(self.built_total_base_m2) and self.built_total_base_m2 > 0):
+            raise ConfigError("built_total_base_m2 must be a finite number > 0")
         total = sum(self.class_mix.values())
         if abs(total - 1.0) > 1e-9:
             raise ConfigError(f"class mix fractions sum to {total}, expected 1")

@@ -539,6 +539,106 @@ def test_deeply_nested_row_in_a_provable_block_rejects_only_itself():
     assert len(batch) == 2 and _columns(batch) == _columns(expected)
 
 
+# --- the clean block goes into the columns with no per-row step --------------
+
+def _per_row_step(*args):
+    raise AssertionError(f"per-row step called with {args!r}")
+
+
+def test_clean_blocks_skip_the_per_row_checks(tmp_path):
+    # a synth file of several blocks, each row a string id, a bulk-shape
+    # timestamp and two coordinates in range
+    config = SynthConfig(seed=5, n_zones=16, n_users=100, events_per_user_per_day=10.0, n_days=2)
+    events, _ = generate_events(generate_city(config))
+    path = tmp_path / "events.ndjson"
+    write_events_ndjson(events, path)
+    assert path.stat().st_size > 3 * ingest._BLOCK_CHARS
+    expected, expected_report = _parse_per_line(path)
+    with mock.patch.multiple(ingest, _check_row=_per_row_step, parse_timestamp=_per_row_step,
+                             _load_row=_per_row_step):
+        batch, report = parse_events(path, "ndjson")
+    assert report.entries == expected_report.entries == []
+    assert report.total_rows == len(batch) == len(events)
+    assert _columns(batch) == _columns(expected)
+
+
+# Rows padded to one width, so that a block of k rows is read whole when
+# _BLOCK_CHARS is k * ROW_WIDTH - 1 (readlines stops once it passes the hint)
+ROW_WIDTH = 100
+LON_TIME = "2013-03-05T11:00:00+01:00"
+FRACTION_TIME = "2013-03-05T10:07:00.5Z"
+
+
+def _padded_lines(rows) -> str:
+    """NDJSON lines of ROW_WIDTH characters each, line feed included: spaces pad before the "}"."""
+    return "".join(json.dumps(obj)[:-1].ljust(ROW_WIDTH - 2) + "}\n" for obj in rows)
+
+
+def _clean_rows(first, count):
+    return [{"u": f"u{i % 3}", "t": f"2013-03-05T10:{i:02d}:00+01:00", "lon": -3.7, "lat": 40.4}
+            for i in range(first, first + count)]
+
+
+@pytest.mark.parametrize("lon", ["-3.7", "west"], ids=["numeric", "word"])
+@pytest.mark.parametrize("layout", ["LcccF", "FcccL", "L", "F"],
+                         ids=["lon first", "fraction first", "lon alone", "fraction alone"])
+def test_rows_off_the_bulk_path_alone_take_the_per_row_checks(layout, lon):
+    # a string lon (L) and a timestamp with a fraction (F) in the middle block
+    # of three; "alone" gives every row its own block, the other row following
+    special = {"L": {"u": "lon row", "t": LON_TIME, "lon": lon, "lat": 40.4},
+               "F": {"u": "fraction row", "t": FRACTION_TIME, "lon": -3.7, "lat": 40.4}}
+    size = len(layout)
+    middle = [special[c] if c in special else row
+              for c, row in zip(layout, _clean_rows(size, size))]
+    rows = _clean_rows(0, size) + middle + _clean_rows(2 * size, size)
+    if size == 1:
+        rows.insert(3, special["F" if layout == "L" else "L"])
+    text = _padded_lines(rows)
+    assert len(io.StringIO(text).readlines(size * ROW_WIDTH - 1)) == size
+    expected, expected_report = _parse_per_line(io.StringIO(text))
+    calls = []
+
+    def spy(step):
+        def record(*args):
+            calls.append((step.__name__, args))
+            return step(*args)
+        return record
+
+    with mock.patch.multiple(ingest, _check_row=spy(ingest._check_row),
+                             parse_timestamp=spy(ingest.parse_timestamp),
+                             _load_row=spy(ingest._load_row),
+                             _BLOCK_CHARS=size * ROW_WIDTH - 1):
+        batch, report = parse_events(io.StringIO(text), "ndjson")
+    # the string lon row takes the per-row checks (they read its timestamp
+    # too); the fraction row only the per-row timestamp parse
+    assert [args for step, args in calls if step == "_check_row"] == [
+        ("lon row", LON_TIME, lon, 40.4, None, None, None)]
+    assert sorted(args for step, args in calls if step == "parse_timestamp") == [
+        (FRACTION_TIME,), (LON_TIME,)]
+    assert len(calls) == 3
+    assert _columns(batch) == _columns(expected)
+    assert report.entries == expected_report.entries
+    assert report.total_rows == expected_report.total_rows == len(rows)
+    assert len(batch) == len(rows) - (lon == "west")
+
+
+def test_user_codes_follow_the_first_accepted_row():
+    # "b" is rejected on its first row (a bad date), then accepted later in
+    # that block and in the next one: its code comes from its first accepted row
+    ok = "2013-03-05T10:07:00+01:00"
+    rows = [{"u": user, "t": t, "lon": -3.7, "lat": 40.4} for user, t in [
+        ("a", ok), ("b", "2013-02-29T10:07:00+01:00"), ("c", ok), ("b", ok), ("d", ok),
+        ("e", ok), ("b", ok), ("a", ok), ("f", ok), ("c", ok)]]
+    text = _padded_lines(rows)
+    with mock.patch.object(ingest, "_BLOCK_CHARS", 5 * ROW_WIDTH - 1):
+        batch, report = parse_events(io.StringIO(text), "ndjson")
+    expected, expected_report = _parse_per_line(io.StringIO(text))
+    assert [line for line, _ in report.entries] == [2]
+    assert report.entries == expected_report.entries
+    assert batch.user_ids == expected.user_ids == ("a", "c", "b", "d", "e", "f")
+    assert batch.users.tolist() == expected.users.tolist() == [0, 1, 2, 3, 4, 2, 0, 5, 1]
+
+
 # (timestamp, whether the bulk reader takes it; every other string goes to
 # parse_timestamp)
 _LAST_DAYS = [(2013, m, d) for m, d in enumerate(
@@ -553,6 +653,8 @@ TIMESTAMP_CASES = (
        ("2013-03-05T10:00:00+23:59", True), ("2013-03-05T10:00:00-23:59", True),
        ("2013-03-05T10:00:00+24:00", False), ("2013-03-05T10:00:00-00:00", True),
        ("2013-03-05T10:00:00+01:60", False), ("2013-03-05T10:00:00+0100", False),
+       ("2013-03-05T10:00:00,01:00", False), ("2013-03-05T10:00:00*01:00", False),
+       ("2013-03-05T10:00:00.01:00", False),
        ("2013-03-05T10:00:00Z", True), ("2013-03-05T10:00:00z", False),
        ("2013-03-05t10:00:00Z", False), ("2013-03-05 10:00:00Z", False),
        ("2013-03-05X10:00:00+01:00", False), ("２０１３-03-05T10:00:00Z", False),
@@ -672,7 +774,7 @@ def test_bytes_source_is_not_held_whole():
 def test_parse_memory_grows_by_bytes_per_row(tmp_path):
     # ~52k synth rows holding ~44k distinct timestamp strings. The batch keeps
     # six 8-byte columns (48 B a row, measured 52 B with the user ids); the
-    # parse peaks ~0.3 MB above that, one block's objects. A table keyed by
+    # parse peaks ~0.6 MB above that, one 48 KiB block's objects. A table keyed by
     # timestamp string, kept for the whole parse, adds ~8 MB to the peak here.
     config = SynthConfig(seed=11, n_zones=100, n_users=1000, events_per_user_per_day=17.0,
                          n_days=3, home_bias=0.3, centre_decay_per_km=0.12)

@@ -94,6 +94,17 @@ def test_config_validation():
         small_config(intensities={"residential": np.ones(5)}).validate()
 
 
+@pytest.mark.parametrize("base", [0.0, -1.0, float("nan"), float("inf"), -float("inf")])
+def test_built_surface_base_must_be_finite_and_positive(base):
+    # 0 used to end in an AssertionError from generate_events and a negative
+    # base in a zone DataError about a zone the generator made
+    config = small_config(built_total_base_m2=base)
+    with pytest.raises(ConfigError, match="built_total_base_m2 must be a finite number > 0"):
+        config.validate()
+    with pytest.raises(ConfigError, match="built_total_base_m2"):
+        generate_city(config)
+
+
 def test_mass_targets_sum_to_one():
     targets = small_config().mass_targets()
     assert sum(targets.values()) == pytest.approx(1.0)
