@@ -10,8 +10,7 @@ from .activity import (ActivityMatrix, AssignedEvents, DEFAULT_SLOTS, MajorSlot,
                        count_unique_users, density_per_hectare, landuse_profile,
                        normalize_counts)
 from .config import PipelineConfig, load_config
-from .errors import (CityPulseError, ClassificationError, ConfigError, DataError,
-                     SingularityError)
+from .errors import CityPulseError, ConfigError, DataError, SingularityError
 from .ingest import EventBatch, GeoEvent, RejectionReport, filter_workdays, parse_events
 from .landuse import LandUseCategory, LandUseClass
 from .pipeline import export_geojson, run_pipeline

@@ -1,4 +1,5 @@
-"""Pipeline configuration: flat key=value files with command-line overrides.
+"""Pipeline configuration: flat key=value files with command-line overrides,
+each setting read by :func:`apply_item` and checked by :meth:`PipelineConfig.validate`.
 
 Slot boundaries are half-open local time ranges like ``08:00-14:00`` on a
 15-minute grid; ``24:00`` is a valid end. The defaults are morning
@@ -15,6 +16,7 @@ from .activity import DEFAULT_SLOTS, MajorSlot, NORMALIZATION_TOTAL, validate_sl
 from .errors import ConfigError
 from .ingest import get_timezone
 from .landuse import PREDOMINANCE_THRESHOLD
+from .stats import DEFAULT_ALPHA, DEFAULT_NIGHT_BINS
 
 _TIME_RANGE = re.compile(r"^(\d{1,2}):(\d{2})-(\d{1,2}):(\d{2})$")
 
@@ -57,6 +59,11 @@ def slots_to_text(slots) -> str:
     return ",".join(f"{s.name}={clock(s.start_bin)}-{clock(s.end_bin + 1)}" for s in slots)
 
 
+# In this range every sum of squares of normalized values is a normal double, so
+# the models' p-values and retained predictors do not depend on the total.
+NORMALIZATION_RANGE = (1.0, 1e100)
+
+
 @dataclass
 class PipelineConfig:
     """All knobs of one pipeline run."""
@@ -70,9 +77,9 @@ class PipelineConfig:
     centre_lon: float | None = None
     centre_lat: float | None = None
     slots: tuple[MajorSlot, ...] = DEFAULT_SLOTS
-    night_range: tuple[int, int] = (88, 95)  # home inference, 22:00-24:00
+    night_range: tuple[int, int] = (DEFAULT_NIGHT_BINS[0], DEFAULT_NIGHT_BINS[-1])  # home inference
     normalization_total: float = NORMALIZATION_TOTAL
-    alpha: float = 0.01
+    alpha: float = DEFAULT_ALPHA
     predominance_threshold: float = PREDOMINANCE_THRESHOLD
 
     def validate(self) -> None:
@@ -82,43 +89,47 @@ class PipelineConfig:
             raise ConfigError("alpha must be in (0, 1]")
         if not 0.5 <= self.predominance_threshold < 1.0:
             raise ConfigError("predominance_threshold must be in [0.5, 1)")
-        if self.normalization_total <= 0:
-            raise ConfigError("normalization_total must be positive")
+        if not NORMALIZATION_RANGE[0] <= self.normalization_total <= NORMALIZATION_RANGE[1]:
+            raise ConfigError("normalization_total must be a number in [%g, %g]"
+                              % NORMALIZATION_RANGE)
         if not 0 <= self.night_range[0] <= self.night_range[1] <= 95:
             raise ConfigError("night_range bins must satisfy 0 <= start <= end <= 95")
         if (self.centre_lon is None) != (self.centre_lat is None):
             raise ConfigError("centre_lon and centre_lat must be given together")
+        if self.centre_lon is not None and not (-180.0 <= self.centre_lon <= 180.0
+                                                and -90.0 <= self.centre_lat <= 90.0):
+            raise ConfigError("centre_lon must be in [-180, 180] and centre_lat in [-90, 90]")
 
     @property
     def night_bins(self) -> range:
         return range(self.night_range[0], self.night_range[1] + 1)
 
 
-_PATH_KEYS = {"events": "events_path", "zones": "zones_path", "census": "census_path",
-              "output_dir": "output_dir"}
-_FLOAT_KEYS = {"centre_lon", "centre_lat", "normalization_total", "alpha",
-               "predominance_threshold"}
+def _events_format(text: str) -> str:
+    if text not in ("ndjson", "csv"):
+        raise ConfigError(f"format must be ndjson or csv, got {text!r}")
+    return text
 
 
-def _apply_item(config: PipelineConfig, key: str, value: str) -> PipelineConfig:
-    if key in _PATH_KEYS:
-        return replace(config, **{_PATH_KEYS[key]: Path(value)})
-    if key in _FLOAT_KEYS:
-        try:
-            return replace(config, **{key: float(value)})
-        except ValueError as exc:
-            raise ConfigError(f"config key {key!r}: {value!r} is not a number") from exc
-    if key == "format":
-        if value not in ("ndjson", "csv"):
-            raise ConfigError(f"format must be ndjson or csv, got {value!r}")
-        return replace(config, events_format=value)
-    if key == "timezone":
-        return replace(config, timezone=value)
-    if key == "slots":
-        return replace(config, slots=parse_slots(value))
-    if key == "night_range":
-        return replace(config, night_range=parse_time_range(value))
-    raise ConfigError(f"unknown config key {key!r}")
+# each config-file key: the PipelineConfig field it sets and the parser of its text
+KEYS = {"events": ("events_path", Path), "zones": ("zones_path", Path),
+        "census": ("census_path", Path), "output_dir": ("output_dir", Path),
+        "format": ("events_format", _events_format), "timezone": ("timezone", str),
+        "centre_lon": ("centre_lon", float), "centre_lat": ("centre_lat", float),
+        "slots": ("slots", parse_slots), "night_range": ("night_range", parse_time_range),
+        "normalization_total": ("normalization_total", float), "alpha": ("alpha", float),
+        "predominance_threshold": ("predominance_threshold", float)}
+
+
+def apply_item(config: PipelineConfig, key: str, value: str) -> PipelineConfig:
+    """``config`` with the setting ``key`` read from its text ``value``."""
+    if key not in KEYS:
+        raise ConfigError(f"unknown config key {key!r}")
+    name, parse = KEYS[key]
+    try:
+        return replace(config, **{name: parse(value)})
+    except ValueError as exc:  # only float raises it; the other parsers raise ConfigError
+        raise ConfigError(f"config key {key!r}: {value!r} is not a number") from exc
 
 
 def load_config(path) -> PipelineConfig:
@@ -135,7 +146,7 @@ def load_config(path) -> PipelineConfig:
         if "=" not in line:
             raise ConfigError(f"{path}:{n}: expected key=value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        config = _apply_item(config, key, value)
+        config = apply_item(config, key, value)
     return config
 
 

@@ -13,14 +13,6 @@ class DataError(CityPulseError):
     """Unusable input data (unreadable file, bad schema, duplicate zone ids, ...)."""
 
 
-class ClassificationError(CityPulseError):
-    """A zone cannot be classified (zero built surface)."""
-
-    def __init__(self, zone_id: str, message: str):
-        self.zone_id = zone_id
-        super().__init__(f"zone {zone_id!r}: {message}")
-
-
 class SingularityError(CityPulseError):
     """Design matrix is rank-deficient; carries the offending column names."""
 

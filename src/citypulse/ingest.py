@@ -117,15 +117,6 @@ class EventBatch:
             yield GeoEvent(self.user_ids[user], local.replace(tzinfo=tz), lon, lat,
                            *(None if col is None else col[i] for col in columns))
 
-    @classmethod
-    def from_events(cls, events: Iterable[GeoEvent]) -> EventBatch:
-        """Columns of GeoEvent rows, each keeping the UTC offset of its timestamp."""
-        builder = _BatchBuilder()
-        for e in events:
-            builder.append(e.user_id, _instant(e.timestamp), e.lon, e.lat,
-                           e.lang, e.device, e.text)
-        return builder.finish()
-
 
 def _instant(ts: datetime) -> tuple[int, int, int]:
     """(epoch s, microsecond, UTC offset us) of an aware datetime inside a batch's range."""

@@ -1,7 +1,8 @@
 """End-to-end batch pipeline: ingest, spatial join, aggregation, profiles, models.
 
-Artifacts are written to a staging directory and moved into place only when
-the whole run succeeds, so failures leave no partial outputs. All exports are
+Artifacts are written to a staging directory, which replaces the output
+directory as a whole only when the whole run succeeds, so failures leave no
+partial outputs and a run leaves no file of an earlier one. All exports are
 deterministic: fixed row order (sorted zone ids), floats at 6 significant
 digits, and a manifest with content digests instead of timestamps.
 """
@@ -176,10 +177,6 @@ def export_geojson(table: ZoneTable, columns: Mapping[str, Sequence], path) -> N
         fh.write("]}")
 
 
-def _write_residuals_csv(path, zone_ids, residuals, std_residuals) -> None:
-    write_csv(path, ["zone_id", "residual", "std_residual"], [zone_ids, residuals, std_residuals])
-
-
 def write_profiles_csv(path, profiles: Mapping[str, np.ndarray]) -> None:
     """``class,bin,share``: each label's 96 shares, labels in the mapping's order."""
     n_bins = activity.N_QUARTER_BINS
@@ -225,14 +222,31 @@ def _normalize_steps(steps: Iterable[str]) -> set[str]:
     return steps
 
 
-def run_pipeline(config: PipelineConfig,
-                 steps: Iterable[str] = ALL_STEPS,
-                 write_clean_events: bool = False) -> RunResult:
+def _check_output_dir(output_dir: Path, inputs: Iterable[str]) -> None:
+    """Refuse an existing ``output_dir`` that holds an input of the run, or that is
+    not empty and holds no citypulse ``manifest.json``: replacing it could lose data."""
+    if not output_dir.exists():
+        return
+    if any(Path(path).resolve().is_relative_to(output_dir.resolve()) for path in inputs):
+        raise ConfigError(f"output_dir {output_dir} holds an input of the run")
+    if output_dir.is_dir() and not any(output_dir.iterdir()):
+        return
+    try:
+        manifest = json.loads((output_dir / "manifest.json").read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        manifest = None
+    if not (isinstance(manifest, dict) and manifest.get("tool") == "citypulse"):
+        raise ConfigError(f"output_dir {output_dir} is not an empty directory and holds "
+                          "no citypulse manifest.json")
+
+
+def run_pipeline(config: PipelineConfig, steps: Iterable[str] = ALL_STEPS) -> RunResult:
     """Run the requested pipeline steps and write artifacts atomically.
 
     Identical inputs and configuration produce byte-identical artifacts. The
     manifest records input digests, the configuration echo, row counts,
-    warnings, and a digest of every output file.
+    warnings, and a digest of every output file. The ingest step alone also
+    writes the workday events back as ``events_clean.ndjson``.
     """
     config.validate()
     steps = _normalize_steps(steps)
@@ -257,10 +271,14 @@ def run_pipeline(config: PipelineConfig,
         inputs["census"] = str(config.census_path)
 
     output_dir = Path(config.output_dir)
-    output_dir.parent.mkdir(parents=True, exist_ok=True)
+    _check_output_dir(output_dir, inputs.values())
+    target = output_dir.resolve()  # a symlinked output_dir is replaced at its target
+    target.parent.mkdir(parents=True, exist_ok=True)
 
-    with tempfile.TemporaryDirectory(dir=output_dir.parent, prefix=".stage-") as stage_name:
-        stage = Path(stage_name)
+    # the stage and the old output_dir live in one work directory, removed on exit
+    with tempfile.TemporaryDirectory(dir=target.parent, prefix=".stage-") as work:
+        stage = Path(work) / "out"
+        stage.mkdir()
 
         # --- ingest ---------------------------------------------------------
         # one event batch alive at a time: each is dropped once the next stage has it
@@ -268,7 +286,7 @@ def run_pipeline(config: PipelineConfig,
         workday_events = ingest.filter_workdays(events, config.timezone)
         del events
         report.write_csv(stage / "rejections.csv")
-        if write_clean_events:
+        if steps == {"ingest"}:
             ingest.write_events_ndjson(workday_events, stage / "events_clean.ndjson")
         counts["rows_total"] = report.total_rows
         counts["rows_rejected"] = report.rejected
@@ -353,6 +371,7 @@ def run_pipeline(config: PipelineConfig,
 
         if "regress" in steps:
             baseline = "night" if "night" in slot_names else slot_names[-1]
+            residual_header = ["zone_id", "residual", "std_residual"]
             base_col = slot_names.index(baseline)
             geo_columns: dict[str, object] = {"landuse_class": [
                 landuse.CLASSES[c].key if c >= 0 else None for c in codes.tolist()]}
@@ -379,8 +398,8 @@ def run_pipeline(config: PipelineConfig,
                 except DataError as exc:
                     warnings.append(f"bivariate {name} vs {baseline} skipped: {exc}")
                     continue
-                _write_residuals_csv(stage / f"residuals_{name}_vs_{baseline}.csv",
-                                     zone_ids, fit.residuals, fit.std_residuals)
+                write_csv(stage / f"residuals_{name}_vs_{baseline}.csv", residual_header,
+                          [zone_ids, fit.residuals, fit.std_residuals])
                 geo_columns[f"std_residual_{name}_vs_{baseline}"] = fit.std_residuals
 
             centre = CityCentre(config.centre_lon, config.centre_lat)
@@ -400,8 +419,8 @@ def run_pipeline(config: PipelineConfig,
                 _write_model_csv(stage / f"model_{name}.csv", fit, dropped)
                 spread = float(np.std(fit.residuals))
                 std_res = fit.residuals / spread if spread > 0 else np.zeros_like(fit.residuals)
-                _write_residuals_csv(stage / f"model_{name}_residuals.csv",
-                                     zone_ids, fit.residuals, std_res)
+                write_csv(stage / f"model_{name}_residuals.csv", residual_header,
+                          [zone_ids, fit.residuals, std_res])
 
             # residential and mixed zones, codes 0 and 1
             eligible = {z for z, c in zip(zone_ids, codes.tolist()) if c in (0, 1)}
@@ -439,16 +458,21 @@ def run_pipeline(config: PipelineConfig,
             "counts": counts,
             "stats": stats_out,
             "warnings": warnings,
-            "outputs": {},
+            "outputs": {p.name: _sha256(p) for p in sorted(stage.iterdir())},
         }
-        staged = sorted(p for p in stage.iterdir() if p.is_file())
-        manifest["outputs"] = {p.name: _sha256(p) for p in staged}
         (stage / "manifest.json").write_text(
             json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-        output_dir.mkdir(parents=True, exist_ok=True)
-        for path in [*staged, stage / "manifest.json"]:
-            os.replace(path, output_dir / path.name)
+        # one directory commit: the old output_dir goes aside, and back if the stage
+        # cannot take its place; it is removed with the work directory
+        old = Path(work) / "old"
+        if target.exists():
+            os.rename(target, old)
+        try:
+            os.rename(stage, target)
+        except BaseException:
+            if old.exists():
+                os.rename(old, target)
+            raise
 
     logger.info("pipeline finished: %d artifacts in %s",
                 len(manifest["outputs"]) + 1, output_dir)

@@ -319,7 +319,6 @@ class ZoneIndex:
     def __init__(self, table: ZoneTable):
         if not len(table):
             raise DataError("cannot build an index over zero zones")
-        self.table = table
         self.zone_ids = table.zone_ids
         self.overlap_warnings = 0
 
@@ -358,9 +357,6 @@ class ZoneIndex:
 
     def _cells(self, values: np.ndarray, origin: float, step: float) -> np.ndarray:
         return np.clip(((values - origin) / step).astype(np.int64), 0, self._n - 1)
-
-    def __len__(self) -> int:
-        return len(self.table)
 
     def locate_codes(self, lons, lats) -> np.ndarray:
         """Zone code (int32) per point, an index into ``zone_ids``, or -1 outside every zone.
@@ -420,10 +416,6 @@ class ZoneIndex:
         codes[pts[hit_pt[winner]]] = pair_zone[hits[winner]]
         self.overlap_warnings += int(len(hits) - np.count_nonzero(winner))
         return codes
-
-    def locate(self, lon: float, lat: float) -> str | None:
-        code = int(self.locate_codes([lon], [lat])[0])
-        return None if code < 0 else self.zone_ids[code]
 
 
 def build_zone_index(table: ZoneTable) -> ZoneIndex:

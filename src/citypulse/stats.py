@@ -176,14 +176,6 @@ class OlsFit:
     n: int
     warnings: list[str] = field(default_factory=list)
 
-    @property
-    def k(self) -> int:
-        """Number of predictors, excluding the intercept."""
-        return len(self.names) - 1
-
-    def coefficient(self, name: str) -> float:
-        return float(self.coefficients[self.names.index(name)])
-
     def p_value(self, name: str) -> float:
         return float(self.p_values[self.names.index(name)])
 

@@ -62,6 +62,9 @@ def slot_weights_to_intensity(weights: Mapping[str, float],
         intensity /= total
     return intensity
 
+# median built surface of a generated zone, in m2
+BUILT_TOTAL_BASE_M2 = 200_000.0
+
 
 @dataclass
 class SynthConfig:
@@ -76,7 +79,6 @@ class SynthConfig:
         "residential": 0.40, "mixed": 0.25,
         "activity:education": 0.15, "activity:retail": 0.10, "activity:office": 0.10,
     })
-    class_mass: Mapping[str, float] | None = None  # target activity share per class key
     intensities: Mapping[str, np.ndarray] | None = None  # per class key, 96 bins
     slots: tuple[MajorSlot, ...] = DEFAULT_SLOTS
     night_bins: tuple[int, ...] = tuple(range(88, 96))
@@ -89,10 +91,6 @@ class SynthConfig:
     ensure_night_event: bool = False
     timezone: str = "Europe/Madrid"
     start_date: date = date(2013, 3, 5)  # a Tuesday
-    built_total_base_m2: float = 200_000.0
-
-    def class_keys(self) -> list[str]:
-        return list(self.class_mix)
 
     def validate(self) -> None:
         if self.n_zones < 1:
@@ -101,8 +99,6 @@ class SynthConfig:
             raise ConfigError("n_users must be >= 1")
         if not (0.0 <= self.home_bias <= 1.0):
             raise ConfigError("home_bias must be in [0, 1]")
-        if not (math.isfinite(self.built_total_base_m2) and self.built_total_base_m2 > 0):
-            raise ConfigError("built_total_base_m2 must be a finite number > 0")
         total = sum(self.class_mix.values())
         if abs(total - 1.0) > 1e-9:
             raise ConfigError(f"class mix fractions sum to {total}, expected 1")
@@ -126,25 +122,13 @@ class SynthConfig:
         return slot_weights_to_intensity(weights, self.slots)
 
     def mass_targets(self) -> dict[str, float]:
-        """Target share of total event mass per class key.
-
-        Defaults split mass equally across the main kinds present, and equally
-        among activity subcategories within the activity share, so small
-        classes still receive enough events to measure.
-        """
-        if self.class_mass is not None:
-            total = sum(self.class_mass.values())
-            if total <= 0:
-                raise ConfigError("class_mass must have positive total")
-            return {k: v / total for k, v in self.class_mass.items()}
+        """Target share of total event mass per class key: equal across the main
+        kinds present, and equal among the activity subcategories within the
+        activity share, so small classes still receive enough events to measure."""
         kinds: dict[str, list[str]] = {}
         for key in self.class_mix:
             kinds.setdefault(LandUseClass.from_key(key).kind, []).append(key)
-        targets: dict[str, float] = {}
-        for kind, keys in kinds.items():
-            for key in keys:
-                targets[key] = (1.0 / len(kinds)) / len(keys)
-        return targets
+        return {key: (1.0 / len(kinds)) / len(keys) for keys in kinds.values() for key in keys}
 
 
 @dataclass
@@ -157,10 +141,6 @@ class SynthCity:
     @property
     def zone_ids(self) -> tuple[str, ...]:
         return tuple(z.zone_id for z in self.zones)
-
-    @property
-    def classes(self) -> dict[str, LandUseClass]:
-        return {z.zone_id: CLASSES[c] for z, c in zip(self.zones, self.codes.tolist())}
 
 
 @dataclass
@@ -227,7 +207,7 @@ def generate_city(config: SynthConfig) -> SynthCity:
 
     counts = allocate_counts(config.class_mix, n)
     assignment: list[LandUseClass] = []
-    for key in config.class_keys():
+    for key in config.class_mix:
         assignment.extend([LandUseClass.from_key(key)] * counts[key])
     order = rng.permutation(n)
     class_of = [None] * n
@@ -248,7 +228,7 @@ def generate_city(config: SynthConfig) -> SynthCity:
         r, c = divmod(i, cols)
         ring = ((xs[c], ys[r]), (xs[c + 1], ys[r]), (xs[c + 1], ys[r + 1]),
                 (xs[c], ys[r + 1]), (xs[c], ys[r]))
-        total_m2 = config.built_total_base_m2 * rng.lognormal(0.0, 0.35)
+        total_m2 = BUILT_TOTAL_BASE_M2 * rng.lognormal(0.0, 0.35)
         landuse = _zone_composition(rng, class_of[i], total_m2)
         zones.append(Zone(
             zone_id=f"z{i:04d}",

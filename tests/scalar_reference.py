@@ -2,9 +2,11 @@
 
 Each function here does for one zone or one event what the package does on
 whole arrays: validate a zone, read one row of a zone table, locate a point
-in a polygon, take a polygon's centroid and its distance to the centre,
-classify a zone, bin a timestamp and encode located events. Nothing in the
-package calls them; the tests compare the array code against them.
+in a polygon or a zone index, take a polygon's centroid and its distance to
+the centre, classify a zone, bin a timestamp, build a batch from event rows
+and encode located events. Nothing in the package calls them; the tests
+compare the array code against them. The last section reads single values
+off an OLS fit.
 """
 
 from __future__ import annotations
@@ -17,11 +19,12 @@ from zoneinfo import ZoneInfo
 import numpy as np
 
 from citypulse.activity import N_QUARTER_BINS, AssignedEvents
-from citypulse.errors import ClassificationError, DataError
-from citypulse.ingest import get_timezone
+from citypulse.errors import CityPulseError, DataError
+from citypulse.ingest import EventBatch, GeoEvent, _BatchBuilder, _instant, get_timezone
 from citypulse.landuse import (ACTIVITY_CATEGORIES, CATEGORIES, MIXED, PREDOMINANCE_THRESHOLD,
                                RESIDENTIAL, LandUseClass)
-from citypulse.spatial import CityCentre, Ring, Zone, ZoneTable, haversine_m
+from citypulse.spatial import CityCentre, Ring, Zone, ZoneIndex, ZoneTable, haversine_m
+from citypulse.stats import OlsFit
 
 # --- zones ----------------------------------------------------------------------
 
@@ -113,6 +116,12 @@ def polygon_centroid(rings: Sequence[Ring]) -> tuple[float, float]:
     return cx / total_area, cy / total_area
 
 
+def locate(index: ZoneIndex, lon: float, lat: float) -> str | None:
+    """The zone_id the index gives one point, or None outside every zone."""
+    code = int(index.locate_codes([lon], [lat])[0])
+    return None if code < 0 else index.zone_ids[code]
+
+
 def distance_to_centre(zone: Zone, centre: CityCentre) -> float:
     """Haversine distance in metres from the zone's polygon centroid to the centre."""
     lon, lat = polygon_centroid(zone.rings)
@@ -120,6 +129,14 @@ def distance_to_centre(zone: Zone, centre: CityCentre) -> float:
 
 
 # --- land use -------------------------------------------------------------------
+
+
+class ClassificationError(CityPulseError):
+    """A zone cannot be classified (zero built surface)."""
+
+    def __init__(self, zone_id: str, message: str):
+        self.zone_id = zone_id
+        super().__init__(f"zone {zone_id!r}: {message}")
 
 
 def residential_fraction(zone: Zone) -> float:
@@ -161,6 +178,14 @@ def quarter_bin(timestamp: datetime, tz: str | ZoneInfo) -> int:
     return (local.hour * 60 + local.minute) // 15
 
 
+def events_batch(events: Iterable[GeoEvent]) -> EventBatch:
+    """Columns of GeoEvent rows, each keeping the UTC offset of its timestamp."""
+    builder = _BatchBuilder()
+    for e in events:
+        builder.append(e.user_id, _instant(e.timestamp), e.lon, e.lat, e.lang, e.device, e.text)
+    return builder.finish()
+
+
 def encode(events: Iterable[tuple[str, str, int]],
            zone_ids: Sequence[str] | None = None) -> AssignedEvents:
     """Encode ``(user_id, zone_id, bin)`` tuples.
@@ -187,3 +212,15 @@ def encode(events: Iterable[tuple[str, str, int]],
         raise DataError("event bin outside 0..95")
     return AssignedEvents(tuple(user_index), ordered, np.array(users, dtype=np.int32), zone_arr,
                           np.array(bins, dtype=np.int8))
+
+
+# --- models ---------------------------------------------------------------------
+
+
+def coefficient(fit: OlsFit, name: str) -> float:
+    return float(fit.coefficients[fit.names.index(name)])
+
+
+def n_predictors(fit: OlsFit) -> int:
+    """Number of predictors, excluding the intercept."""
+    return len(fit.names) - 1

@@ -25,6 +25,11 @@ from citypulse.synth import SynthCity, SynthTruth, _user_rates, _workdays
 from scalar_reference import distance_to_centre
 
 
+def zone_classes(city: SynthCity) -> dict[str, LandUseClass]:
+    """Each generated zone's planned class, by zone_id."""
+    return {z.zone_id: CLASSES[c] for z, c in zip(city.zones, city.codes.tolist())}
+
+
 def placement(city: SynthCity):
     """Q0 over (zone, bin), its per-bin marginal and the night mask, zone by zone."""
     config = city.config
@@ -38,9 +43,10 @@ def placement(city: SynthCity):
         weight[i] = w
 
     q = np.zeros((n_zones, N_QUARTER_BINS))
+    classes = zone_classes(city)
     for key, target in config.mass_targets().items():
         cls = LandUseClass.from_key(key)
-        members = [i for i, z in enumerate(city.zones) if city.classes[z.zone_id] == cls]
+        members = [i for i, z in enumerate(city.zones) if classes[z.zone_id] == cls]
         if not members:
             continue
         class_weight = weight[members]
@@ -56,8 +62,9 @@ def placement(city: SynthCity):
 
 
 def home_zones(city: SynthCity, rng: np.random.Generator) -> np.ndarray:
+    classes = zone_classes(city)
     eligible = [i for i, z in enumerate(city.zones)
-                if city.classes[z.zone_id].kind in ("residential", "mixed")]
+                if classes[z.zone_id].kind in ("residential", "mixed")]
     pull = np.array([city.zones[i].built_residential_m2 for i in eligible])
     picks = rng.choice(len(eligible), size=city.config.n_users, p=pull / pull.sum())
     return np.array([eligible[i] for i in picks])
@@ -158,7 +165,8 @@ def expected_truth(city: SynthCity, q0, p0_bin, night_mask, homes, mu) -> SynthT
 
     profiles, slot_class_totals = {}, {}
     code_of = {cls: k for k, cls in enumerate(CLASSES)}
-    codes = np.array([code_of[city.classes[z]] for z in city.zone_ids], dtype=np.int64)
+    classes = zone_classes(city)
+    codes = np.array([code_of[classes[z]] for z in city.zone_ids], dtype=np.int64)
     for label, rows in class_groups(codes):
         totals = normalized[rows].sum(axis=0)
         daily = totals.sum()

@@ -20,7 +20,8 @@ from citypulse.stats import census_correlation, fit_ols, infer_homes, stepwise_f
 from citypulse.synth import SynthConfig, generate_city, generate_events
 
 from conftest import BIG_CITY_CONFIG, materialize
-from scalar_reference import distance_to_centre, encode, quarter_bin
+from scalar_reference import coefficient, distance_to_centre, encode, locate, quarter_bin
+from synth_reference import zone_classes
 
 SLOT_NAMES = [s.name for s in DEFAULT_SLOTS]
 
@@ -122,7 +123,7 @@ def test_spatial_join_oracle():
     for i in range(len(lons)):
         owners = [zid for zid, hits in hit_matrix.items() if hits[i]]
         expected = owners[0] if owners else None
-        assert index.locate(lons[i], lats[i]) == expected
+        assert locate(index, lons[i], lats[i]) == expected
         agreements += 1
     assert agreements == 10_000
 
@@ -139,7 +140,7 @@ def test_spatial_join_oracle():
         blons, blats = np.array([lon]), np.array([lat])
         owners = [z.zone_id for z in city.zones if _brute_force_hits(z, blons, blats)[0]]
         assert len(owners) == 1, f"boundary point {(lon, lat)} claimed by {owners}"
-        assert index.locate(lon, lat) == owners[0]
+        assert locate(index, lon, lat) == owners[0]
     elapsed = time.monotonic() - start
     assert elapsed < 5.0
     print(f"PASS: spatial join oracle, 10000/10000 agreement + "
@@ -230,11 +231,11 @@ def _profiles_from_run(fixture):
 def _class_slot_totals(fixture, normalized_slots):
     """Per-class totals of the slot-normalized users, the per-slot class mix."""
     totals = {}
+    classes = zone_classes(fixture.city)
     for label in ("residential", "mixed", "activity",
                   "activity:education", "activity:retail", "activity:office"):
         rows = [i for i, z in enumerate(fixture.city.zone_ids)
-                if fixture.city.classes[z].kind == label
-                or fixture.city.classes[z].key == label]
+                if classes[z].kind == label or classes[z].key == label]
         totals[label] = normalized_slots.values[rows].sum(axis=0)
     return totals
 
@@ -300,7 +301,7 @@ def test_regression_sign_structure(big_city):
         for name in fit.names:
             if name == "intercept":
                 continue
-            value = fit.coefficient(name)
+            value = coefficient(fit, name)
             if name == "distance_to_centre":
                 assert value < 0, f"{slot}: distance coefficient {value} not negative"
             else:
@@ -328,7 +329,8 @@ def test_home_inference(tmp_path):
     city = generate_city(config)
     events, truth = generate_events(city)
     assigned = _assign(city, events)
-    eligible = {z for z, cls in city.classes.items() if cls.kind in ("residential", "mixed")}
+    eligible = {z for z, cls in zone_classes(city).items()
+                if cls.kind in ("residential", "mixed")}
     homes = infer_homes(encode(assigned, city.zone_ids), range(88, 96), eligible)
 
     night_users = {u for u, _, b in assigned if 88 <= b <= 95}

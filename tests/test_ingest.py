@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 
 from citypulse import ingest
 from citypulse.errors import ConfigError, DataError
-from citypulse.ingest import (EventBatch, GeoEvent, RejectionReport, filter_workdays,
-                              get_timezone, local_seconds, parse_events, parse_timestamp,
-                              quarter_bins, write_events_ndjson)
+from citypulse.ingest import (GeoEvent, RejectionReport, filter_workdays, get_timezone,
+                              local_seconds, parse_events, parse_timestamp, quarter_bins,
+                              write_events_ndjson)
 from citypulse.synth import SynthConfig, generate_city, generate_events
 
-from scalar_reference import quarter_bin
+from scalar_reference import events_batch, quarter_bin
 
 NDJSON_ROW = '{"u":"a1","t":"2013-03-05T10:07:00+01:00","lon":-3.70,"lat":40.42}'
 
@@ -114,7 +114,7 @@ events_strategy = st.lists(
 @given(events_strategy)
 def test_ndjson_round_trip_identity(tmp_path_factory, events):
     path = tmp_path_factory.mktemp("rt") / "events.ndjson"
-    write_events_ndjson(EventBatch.from_events(events), path)
+    write_events_ndjson(events_batch(events), path)
     parsed, report = parse_events(path, "ndjson")
     assert report.rejected == 0
     assert list(parsed) == events
@@ -129,7 +129,7 @@ def _event(ts: str) -> GeoEvent:
 
 
 def _workdays(events, tz):
-    return list(filter_workdays(EventBatch.from_events(events), tz))
+    return list(filter_workdays(events_batch(events), tz))
 
 
 def test_filter_workdays_keeps_tue_wed_thu():
@@ -146,7 +146,7 @@ def test_filter_workdays_uses_local_weekday():
 
 
 def test_filter_workdays_idempotent():
-    events = EventBatch.from_events([
+    events = events_batch([
         _event("2013-03-05T10:00:00Z"), _event("2013-03-09T10:00:00Z"),
         _event("2013-03-07T01:00:00Z")])
     once = filter_workdays(events, "Europe/Madrid")
@@ -155,7 +155,7 @@ def test_filter_workdays_idempotent():
 
 def test_unknown_timezone_is_fatal():
     with pytest.raises(ConfigError, match="timezone"):
-        filter_workdays(EventBatch.from_events([]), "Mars/Olympus_Mons")
+        filter_workdays(events_batch([]), "Mars/Olympus_Mons")
 
 
 @pytest.mark.parametrize("clock,expected", [
@@ -341,7 +341,7 @@ def _per_event(seconds, tz):
 
 def _check_against_per_event(seconds, tz):
     stamps, workday, bins = _per_event(seconds, tz)
-    batch = EventBatch.from_events(GeoEvent(f"u{i}", ts, 0.0, 0.0)
+    batch = events_batch(GeoEvent(f"u{i}", ts, 0.0, 0.0)
                                    for i, ts in enumerate(stamps))
     kept = filter_workdays(batch, tz)
     assert [e.user_id for e in kept] == [

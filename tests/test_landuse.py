@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 
 from citypulse.activity import (N_QUARTER_BINS, NORMALIZATION_TOTAL, QUARTER_LABELS,
                                 NormalizedMatrix, density_per_hectare, landuse_profile)
-from citypulse.errors import ClassificationError
 from citypulse.landuse import (ACTIVITY_CATEGORIES, CATEGORIES, CLASSES, LandUseCategory,
                                LandUseClass, class_sums, classify_zones,
                                write_classification_csv)
 from citypulse.spatial import Zone, ZoneTable
 from citypulse.synth import SynthConfig, generate_city, generate_events
 
-from scalar_reference import classify_zone
+from scalar_reference import ClassificationError, classify_zone
+from synth_reference import zone_classes
 
 RING = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.0, 0.0))
 
@@ -270,7 +270,7 @@ def test_synth_truth_grouping_matches_dict_walk(seed):
     normalized = quarter / np.where(quarter.sum(axis=0) > 0, quarter.sum(axis=0), 1.0) * 1e5
     normalized_slots = slots / np.where(slots.sum(axis=0) > 0, slots.sum(axis=0), 1.0) * 1e5
 
-    rows_by_label = reference_rows_by_label(city.zone_ids, city.classes)
+    rows_by_label = reference_rows_by_label(city.zone_ids, zone_classes(city))
     assert set(rows_by_label) == set(truth.slot_class_totals) == set(
         cls.key for cls in CLASSES) | {"activity"}
     for label, rows in rows_by_label.items():

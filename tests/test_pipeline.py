@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import hashlib
 import json
+import os
 import re
 import tracemalloc
 from pathlib import Path
@@ -607,3 +609,111 @@ def test_cli_flag_overrides_config(tmp_path, small_city):
     assert not (tmp_path / "ignored").exists()
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["alpha"] == 0.5
+
+
+# --- output directory commit -------------------------------------------------
+
+def _listing(out):
+    """File name -> content digest of every entry in ``out``."""
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+
+
+def _committed_set(out):
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    return set(manifest["outputs"]) | {"manifest.json"}
+
+
+def test_profiles_after_run_leaves_only_its_own_outputs(small_city, tmp_path):
+    out = tmp_path / "out"
+    config = dataclasses.replace(small_city.config, output_dir=out)
+    run_pipeline(config)
+    assert set(_listing(out)) == _committed_set(out)
+    run_pipeline(config, {"profiles"})
+    assert set(_listing(out)) == _committed_set(out)
+    assert "model_morning.csv" not in _listing(out)
+    assert not [p for p in tmp_path.iterdir() if p.name.startswith(".stage-")]
+
+
+@pytest.mark.parametrize("failing_call", [1, 2])
+def test_failed_rename_leaves_the_old_outputs_whole(small_city, tmp_path, monkeypatch,
+                                                    failing_call):
+    out = tmp_path / "out"
+    config = dataclasses.replace(small_city.config, output_dir=out)
+    run_pipeline(config)
+    before = _listing(out)
+    rename, calls = os.rename, []
+
+    def flaky_rename(src, dst):
+        calls.append((src, dst))
+        if len(calls) == failing_call:
+            raise OSError("injected rename failure")
+        rename(src, dst)
+
+    monkeypatch.setattr(os, "rename", flaky_rename)
+    with pytest.raises(OSError, match="injected"):
+        run_pipeline(config, {"profiles"})
+    monkeypatch.undo()
+    assert _listing(out) == before
+    assert len(calls) == failing_call + (failing_call == 2)  # the second failure renames back
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+    run_pipeline(config, {"profiles"})
+    assert set(_listing(out)) == _committed_set(out)
+
+
+@pytest.mark.parametrize("content", [
+    {"notes.txt": "field notes"},
+    {"manifest.json": '{"tool": "something else"}'},
+    {"manifest.json": "not json"},
+])
+def test_foreign_output_dir_is_refused_before_the_parse(small_city, tmp_path, monkeypatch,
+                                                        capsys, content):
+    def parse_events_file(path, fmt):
+        raise AssertionError("events parsed before the output directory was checked")
+
+    monkeypatch.setattr(pipeline, "parse_events_file", parse_events_file)
+    out = tmp_path / "mine"
+    out.mkdir()
+    for name, text in content.items():
+        (out / name).write_text(text, encoding="utf-8")
+    before = _listing(out)
+    config = small_city.config
+    code = cli.main(["run", "--events", str(config.events_path),
+                     "--zones", str(config.zones_path), "--timezone", config.timezone,
+                     "--centre-lon", str(config.centre_lon),
+                     "--centre-lat", str(config.centre_lat), "--out", str(out)])
+    assert code == 2
+    assert "is not an empty directory and holds no citypulse manifest.json" in (
+        capsys.readouterr().err)
+    assert _listing(out) == before
+
+
+def test_output_dir_holding_an_input_is_refused(small_city, tmp_path):
+    out = tmp_path / "out"
+    config = dataclasses.replace(small_city.config, output_dir=out)
+    run_pipeline(config, {"ingest"})
+    before = _listing(out)
+    with pytest.raises(ConfigError, match="holds an input of the run"):
+        run_pipeline(dataclasses.replace(config, events_path=out / "events_clean.ndjson"),
+                     {"ingest"})
+    assert _listing(out) == before
+
+
+def test_symlinked_output_dir_is_replaced_at_its_target(small_city, tmp_path):
+    real = tmp_path / "disk" / "results"
+    config = dataclasses.replace(small_city.config, output_dir=real)
+    run_pipeline(config)
+    link = tmp_path / "out"
+    link.symlink_to(real, target_is_directory=True)
+    run_pipeline(dataclasses.replace(config, output_dir=link), {"ingest"})
+    assert link.is_symlink()
+    assert set(_listing(real)) == _committed_set(real) == {
+        "events_clean.ndjson", "rejections.csv", "manifest.json"}
+    assert sorted(p.name for p in real.parent.iterdir()) == ["results"]
+
+
+def test_empty_output_dir_is_replaced(small_city, tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    run_pipeline(dataclasses.replace(small_city.config, output_dir=out), {"ingest"})
+    assert set(_listing(out)) == _committed_set(out) == {
+        "events_clean.ndjson", "rejections.csv", "manifest.json"}

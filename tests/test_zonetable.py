@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from citypulse import tables
 from citypulse.config import PipelineConfig
-from citypulse.errors import ClassificationError, DataError
+from citypulse.errors import DataError
 from citypulse.ingest import write_events_ndjson
 from citypulse.landuse import ACTIVITY_CATEGORIES, CATEGORIES, CLASSES, classify_zones
 from citypulse.pipeline import export_geojson, run_pipeline
@@ -31,7 +31,8 @@ from citypulse.spatial import (CityCentre, Zone, ZoneTable, distances_to_centre,
 from citypulse.synth import SynthConfig, city_geojson, generate_city, generate_events
 from citypulse.tables import write_csv
 
-from scalar_reference import classify_zone, distance_to_centre, validate, zone_row, zone_rows
+from scalar_reference import (ClassificationError, classify_zone, distance_to_centre, validate,
+                              zone_row, zone_rows)
 
 # --- references ---------------------------------------------------------------
 
