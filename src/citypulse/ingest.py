@@ -21,10 +21,10 @@ from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
-from itertools import compress, repeat
+from itertools import chain, compress, islice, repeat
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 import numpy as np
@@ -127,7 +127,7 @@ def _instant(ts: datetime) -> tuple[int, int, int]:
 
 
 class _BatchBuilder:
-    """Appends checked rows to typed columns, one UTC instant and offset per row."""
+    """Appends blocks of checked rows to typed columns, one UTC instant and offset per row."""
 
     def __init__(self):
         self._user_code: dict[str, int] = {}
@@ -137,53 +137,34 @@ class _BatchBuilder:
         self._offset = array("q")
         self._lon = array("d")
         self._lat = array("d")
-        self._optional: list[tuple[int, tuple]] = []
-
-    def append(self, user_id: str, instant: tuple[int, int, int], lon: float, lat: float,
-               lang: str | None, device: str | None, text: str | None) -> None:
-        if lang is not None or device is not None or text is not None:
-            self._optional.append((len(self._users), (lang, device, text)))
-        self._users.append(self._user_code.setdefault(user_id, len(self._user_code)))
-        for column, value in zip((self._epoch, self._micro, self._offset), instant):
-            column.append(value)
-        self._lon.append(lon)
-        self._lat.append(lat)
+        self._optional: list[tuple[int, list[list | None]]] = []  # (first row, extras) per block
 
     def extend(self, users: list[str], epoch: np.ndarray, micro: np.ndarray,
                offset: np.ndarray, lon: np.ndarray, lat: np.ndarray,
                extras: list[list | None]) -> None:
         """Append checked rows: user ids, integer instant columns and float64 coordinates.
 
-        ``extras`` holds a ``lang``/``device``/``text`` column per field, or
-        None where no row has that field.
+        ``extras`` holds a ``lang``/``device``/``text`` column per field (a
+        string or None per row), or None where no row has that field.
         """
-        base = len(self._users)
+        extras = [column if column is not None and any(column) else None for column in extras]
+        if any(extras):
+            self._optional.append((len(self._users), extras))
         code = self._user_code
         self._users.extend(array("i", [code.setdefault(user, len(code)) for user in users]))
         for column, values in ((self._epoch, epoch), (self._micro, micro),
                                (self._offset, offset), (self._lon, lon), (self._lat, lat)):
             column.frombytes(values.astype(column.typecode, copy=False).tobytes())
-        if any(column is not None for column in extras):
-            columns = [repeat(None) if column is None else column for column in extras]
-            self._optional.extend((base + i, fields) for i, fields in enumerate(zip(*columns))
-                                  if fields != (None, None, None))
-
-    def add_row(self, user_id, raw_ts, lon, lat, lang, device, text) -> None:
-        """Check one row's fields in input order and append it; ValueError names the fault."""
-        self.append(*_check_row(user_id, raw_ts, lon, lat, lang, device, text))
 
     def finish(self) -> EventBatch:
         n = len(self._users)
         optional: dict[str, np.ndarray] = {}
-        if self._optional:
-            rows = np.fromiter((row for row, _ in self._optional), dtype=np.int64,
-                               count=len(self._optional))
-            for k, name in enumerate(OPTIONAL_FIELDS):
-                values = [fields[k] for _, fields in self._optional]
-                if any(v is not None for v in values):
-                    col = np.full(n, None, dtype=object)
-                    col[rows] = values
-                    optional[name] = col
+        for k, name in enumerate(OPTIONAL_FIELDS):
+            blocks = [(first, extras[k]) for first, extras in self._optional if extras[k]]
+            if blocks:
+                optional[name] = column = np.full(n, None, dtype=object)
+                for first, values in blocks:
+                    column[first:first + len(values)] = values
         return EventBatch(
             tuple(self._user_code),
             np.frombuffer(self._users, dtype=np.int32),
@@ -206,9 +187,6 @@ class RejectionReport:
     @property
     def rejected(self) -> int:
         return len(self.entries)
-
-    def add(self, line: int, reason: str) -> None:
-        self.entries.append((line, reason))
 
     def write_csv(self, path) -> None:
         entries = sorted(self.entries)
@@ -462,7 +440,7 @@ def _decode_block(numbers: Sequence[int], lines: list[str], rejected: list[tuple
 
 
 _STRING = frozenset({str})
-_NUMBER = frozenset({float, int})
+_COORDINATE = frozenset({float, int, str})  # np.array(..., float64) reads a str as float() does
 _OPTIONAL = frozenset({str, type(None)})
 
 
@@ -472,40 +450,42 @@ def _flag(suspect: np.ndarray, values: list, kinds: frozenset) -> None:
         suspect |= [type(value) not in kinds for value in values]
 
 
+def _float_or_nan(value) -> float:
+    try:
+        return float(value)
+    except (ValueError, OverflowError):
+        return math.nan
+
+
 def _coordinates(values: list, limit: float, suspect: np.ndarray) -> np.ndarray:
     """A coordinate column as float64, flagging rows that are not a number in [-limit, limit]."""
-    if not set(map(type, values)) <= _NUMBER:
-        misfit = [type(value) not in _NUMBER for value in values]
+    if not set(map(type, values)) <= _COORDINATE:
+        misfit = [type(value) not in _COORDINATE for value in values]
         suspect |= misfit
-        values = [0.0 if m else value for value, m in zip(values, misfit)]
+        values = [math.nan if m else value for value, m in zip(values, misfit)]
     try:
         column = np.array(values, dtype=np.float64)
-    except OverflowError:  # an integer beyond float's range
-        column = np.array([v if -limit <= v <= limit else math.nan for v in values],
-                          dtype=np.float64)
+    except (ValueError, OverflowError):  # a string float() refuses, an integer beyond its range
+        column = np.array(list(map(_float_or_nan, values)), dtype=np.float64)
     suspect |= ~(np.abs(column) <= limit)  # NaN fails the test
     return column
 
 
-def _add_objects(builder: _BatchBuilder, numbers: Sequence[int], objs: list[dict],
-                 rejected: list[tuple[int, str]]) -> None:
-    """Check the field rules on whole columns and append the accepted rows in order.
+def _add_rows(builder: _BatchBuilder, numbers: Sequence[int], columns: list[list | None],
+              check: Callable[[int], tuple], rejected: list[tuple[int, str]]) -> None:
+    """Check the field rules on one block's columns and append the accepted rows in order.
 
-    A row that fails a column test goes through the per-row checks
-    (:func:`_check_object`), which either give its rejection reason or accept it,
-    as they do an integer user id. A row that passes every column test can
-    fail only on its timestamp, the one field left to check, read in bulk by
+    ``columns`` holds the raw user ids, timestamps, lon and lat, then a
+    ``lang``/``device``/``text`` column, or None where no row has that field.
+    A row that fails a column test goes through ``check(i)``, its per-row
+    checks (:func:`_check_row`), which either give its rejection reason or
+    accept it, as they do an integer user id. A row that passes every column
+    test can fail only on its timestamp, read in bulk by
     :func:`_fixed_instants` where it has that shape. A block with no row for
     the per-row steps goes into the builder as it is.
     """
-    n = len(objs)
-    try:
-        users, times, lon, lat = ([obj[key] for obj in objs] for key in NDJSON_KEYS)
-        # every object holds the four required keys: with none more, no optional one
-        has_optional = sum(map(len, objs)) > len(NDJSON_KEYS) * n
-    except KeyError:
-        users, times, lon, lat = ([obj.get(key) for obj in objs] for key in NDJSON_KEYS)
-        has_optional = True
+    users, times, lon, lat, *optional = columns
+    n = len(users)
     suspect = np.zeros(n, dtype=bool)
     _flag(suspect, users, _STRING)
     if "" in users:
@@ -514,9 +494,8 @@ def _add_objects(builder: _BatchBuilder, numbers: Sequence[int], objs: list[dict
     lon = _coordinates(lon, 180.0, suspect)
     lat = _coordinates(lat, 90.0, suspect)
     extras: list[list | None] = [None] * len(OPTIONAL_FIELDS)
-    for k, name in enumerate(OPTIONAL_FIELDS if has_optional else ()):
-        values = [obj.get(name) for obj in objs]
-        if values.count(None) < n:
+    for k, values in enumerate(optional):
+        if values is not None:
             _flag(suspect, values, _OPTIONAL)
             extras[k] = [value or None for value in values]
     clean = not suspect.any()
@@ -536,12 +515,11 @@ def _add_objects(builder: _BatchBuilder, numbers: Sequence[int], objs: list[dict
             rejected.append((numbers[i], str(exc)))
     for i in np.flatnonzero(suspect).tolist():
         try:
-            user, instants[:, i], lon[i], lat[i], *fields = _check_object(objs[i])
+            users[i], instants[:, i], lon[i], lat[i], *fields = check(i)
         except ValueError as exc:
             rejected.append((numbers[i], str(exc)))
             continue
         keep[i] = True
-        users[i] = user
         for column, value in zip(extras, fields):
             if column is not None:
                 column[i] = value
@@ -574,9 +552,23 @@ def _parse_ndjson(fh: IO[str], builder: _BatchBuilder, report: RejectionReport) 
         report.total_rows += len(lines)
         rejected: list[tuple[int, str]] = []
         numbers, objs = _decode_block(numbers, lines, rejected)
-        if objs:
-            _add_objects(builder, numbers, objs, rejected)
+        try:  # every object holds the four required keys: with none more, no optional one
+            columns = [[obj[key] for obj in objs] for key in NDJSON_KEYS]
+            has_optional = sum(map(len, objs)) > len(NDJSON_KEYS) * len(objs)
+        except KeyError:
+            columns = [[obj.get(key) for obj in objs] for key in NDJSON_KEYS]
+            has_optional = True
+        columns += [[obj.get(name) for obj in objs] if has_optional else None
+                    for name in OPTIONAL_FIELDS]
+        _add_rows(builder, numbers, columns, lambda i: _check_object(objs[i]), rejected)
         report.entries.extend(sorted(rejected))
+
+
+# CSV rows checked at a time, about as many as an NDJSON block holds. On the
+# CSV copy of city-253k (257,902 rows) blocks of 128 to 8,192 rows parsed in
+# 0.9-1.3 s alike (3 parses each, shared 2-CPU VM); at 512 a ~52k-row parse
+# peaks ~0.6 MB above its batch (traced)
+_CSV_BLOCK_ROWS = 512
 
 
 def _parse_csv(fh: IO[str], builder: _BatchBuilder, report: RejectionReport) -> None:
@@ -588,20 +580,24 @@ def _parse_csv(fh: IO[str], builder: _BatchBuilder, report: RejectionReport) -> 
     missing = [c for c in CSV_COLUMNS if c not in position]
     if missing:
         raise DataError(f"csv header missing column(s): {', '.join(missing)}")
-    columns = [position.get(name) for name in CSV_COLUMNS + OPTIONAL_FIELDS]
-    for row in reader:
-        if not row:
-            continue
-        report.total_rows += 1
-        # a short row leaves its last columns empty (None), as csv.DictReader does
-        cells = [row[i] if i is not None and i < len(row) else None for i in columns]
-        try:
-            if any(map(_undecodable, row)):
-                raise ValueError("invalid utf-8")
-            user_id, raw_ts, lon, lat, lang, device, text = cells
-            builder.add_row(user_id, raw_ts or "", lon, lat, lang, device, text)
-        except ValueError as exc:
-            report.add(reader.line_num, str(exc))
+    positions = [position.get(name) for name in CSV_COLUMNS + OPTIONAL_FIELDS]
+    fill: list[str | None] = [None] * len(header)  # a short row reads None past its end,
+    fill[position["timestamp"]] = ""  # and "" for a missing timestamp
+    nonblank = filter(None, reader)  # blank rows are skipped; a row keeps the line it ends on
+    while block := [(reader.line_num, row) for row in islice(nonblank, _CSV_BLOCK_ROWS)]:
+        report.total_rows += len(block)
+        rejected: list[tuple[int, str]] = []
+        if _undecodable("".join(chain.from_iterable(row for _, row in block))):
+            bad = [any(map(_undecodable, row)) for _, row in block]
+            rejected = [(n, "invalid utf-8") for n, _ in compress(block, bad)]
+            block = [entry for entry, b in zip(block, bad) if not b]
+        if block:
+            numbers, rows = zip(*block)
+            rows = [row if len(row) >= len(fill) else row + fill[len(row):] for row in rows]
+            columns = [[row[i] for row in rows] if i is not None else None for i in positions]
+            _add_rows(builder, numbers, columns, lambda i: _check_row(
+                *(None if p is None else rows[i][p] for p in positions)), rejected)
+        report.entries.extend(sorted(rejected))
 
 
 def parse_events(source, fmt: str = "ndjson") -> tuple[EventBatch, RejectionReport]:
@@ -615,8 +611,8 @@ def parse_events(source, fmt: str = "ndjson") -> tuple[EventBatch, RejectionRepo
     Rejections carry the physical line number. An NDJSON row ends only at
     ``\\n``, ``\\r\\n`` or ``\\r``, so U+2028, U+0085 and other Unicode line
     breaks inside a JSON string stay in their row. A CSV row reports the line
-    on which it ends. NDJSON is decoded and checked a block of lines at a
-    time, with the results of a line-by-line parse.
+    on which it ends. Both formats are checked a block at a time (NDJSON
+    lines, CSV rows) by one row engine, with the results of a row-by-row parse.
     """
     if fmt not in ("ndjson", "csv"):
         raise ConfigError(f"unknown event format {fmt!r} (expected ndjson or csv)")

@@ -16,7 +16,7 @@ import logging
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -283,6 +283,8 @@ def run_pipeline(config: PipelineConfig, steps: Iterable[str] = ALL_STEPS) -> Ru
         # --- ingest ---------------------------------------------------------
         # one event batch alive at a time: each is dropped once the next stage has it
         events, report = parse_events_file(config.events_path, config.events_format)
+        if steps != {"ingest"}:  # only events_clean.ndjson reads the optional fields
+            events = replace(events, optional={})
         workday_events = ingest.filter_workdays(events, config.timezone)
         del events
         report.write_csv(stage / "rejections.csv")

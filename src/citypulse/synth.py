@@ -18,13 +18,12 @@ import math
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from typing import Mapping, Sequence
-from zoneinfo import ZoneInfo
 
 import numpy as np
 
 from .activity import DEFAULT_SLOTS, MajorSlot, N_QUARTER_BINS, validate_slots
 from .errors import ConfigError
-from .ingest import EventBatch, WORKDAY_WEEKDAYS, wall_offsets
+from .ingest import EventBatch, WORKDAY_WEEKDAYS, get_timezone, wall_offsets
 from .landuse import CLASSES, LandUseCategory, LandUseClass, class_groups, classify_zones
 from .spatial import CityCentre, Zone, ZoneTable, distances_to_centre
 
@@ -93,17 +92,32 @@ class SynthConfig:
     start_date: date = date(2013, 3, 5)  # a Tuesday
 
     def validate(self) -> None:
+        """Raise ConfigError for the first setting out of its range (NaN is out of every range)."""
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.n_zones < 1:
             raise ConfigError("n_zones must be >= 1")
         if self.n_users < 1:
             raise ConfigError("n_users must be >= 1")
+        if self.n_days < 1:
+            raise ConfigError("n_days must be >= 1")
         if not (0.0 <= self.home_bias <= 1.0):
             raise ConfigError("home_bias must be in [0, 1]")
+        if not 0.0 <= self.events_per_user_per_day < math.inf:
+            raise ConfigError("events_per_user_per_day must be a finite number >= 0")
+        if not 0.0 <= self.centre_decay_per_km < math.inf:
+            raise ConfigError("centre_decay_per_km must be a finite number >= 0")
+        get_timezone(self.timezone)
+        for key, fraction in self.class_mix.items():
+            try:
+                LandUseClass.from_key(key)
+            except ValueError as exc:
+                raise ConfigError(f"unknown class mix key {key!r}") from exc
+            if not 0.0 <= fraction < math.inf:
+                raise ConfigError(f"class mix fraction for {key!r} must be a finite number >= 0")
         total = sum(self.class_mix.values())
         if abs(total - 1.0) > 1e-9:
             raise ConfigError(f"class mix fractions sum to {total}, expected 1")
-        for key in self.class_mix:
-            LandUseClass.from_key(key)  # raises on unknown keys
         validate_slots(self.slots)
         if self.intensities is not None:
             for key, vec in self.intensities.items():
@@ -283,7 +297,10 @@ def _placement(city: SynthCity, table: ZoneTable, rows: np.ndarray
         if not len(members):
             continue
         class_weight = weight[members]
-        class_weight = class_weight / class_weight.sum()
+        class_total = class_weight.sum()
+        if not class_total > 0:  # the decay's exp() underflows to 0 in every zone of the class
+            raise ConfigError(f"centre_decay_per_km leaves no {key} zone any weight")
+        class_weight = class_weight / class_total
         q[members, :] = target * np.outer(class_weight, config.class_intensity(key))
     total = q.sum()
     if total <= 0:
@@ -374,7 +391,7 @@ def generate_events(city: SynthCity) -> tuple[EventBatch, SynthTruth]:
 
     day_s = np.array([(day - date(1970, 1, 1)).days for day in days], dtype=np.int64) * 86_400
     wall = day_s[day_idx] + bin_idx * 900 + minutes * 60 + seconds
-    offset = wall_offsets(wall, ZoneInfo(config.timezone))
+    offset = wall_offsets(wall, get_timezone(config.timezone))
     x0, y0, x1, y1 = table.bbox[rows[zone_idx]].T
     lon = x0 + jitter_x * (x1 - x0)
     lat = y0 + jitter_y * (y1 - y0)

@@ -3,8 +3,8 @@
 Each function here does for one zone or one event what the package does on
 whole arrays: validate a zone, read one row of a zone table, locate a point
 in a polygon or a zone index, take a polygon's centroid and its distance to
-the centre, classify a zone, bin a timestamp, build a batch from event rows
-and encode located events. Nothing in the package calls them; the tests
+the centre, classify a zone, bin a timestamp, build a batch from checked event
+rows and encode located events. Nothing in the package calls them; the tests
 compare the array code against them. The last section reads single values
 off an OLS fit.
 """
@@ -178,12 +178,26 @@ def quarter_bin(timestamp: datetime, tz: str | ZoneInfo) -> int:
     return (local.hour * 60 + local.minute) // 15
 
 
+def checked_rows_batch(rows: Iterable[tuple]) -> EventBatch:
+    """The batch of rows as ``ingest._check_row`` returns them, in order.
+
+    Each row is ``(user_id, (epoch, micro, offset_us), lon, lat, lang,
+    device, text)``; the rows go into the builder as one block.
+    """
+    builder = _BatchBuilder()
+    rows = list(rows)
+    if rows:
+        users, instants, lon, lat, *optional = (list(column) for column in zip(*rows))
+        epoch, micro, offset_us = np.array(instants, dtype=np.int64).T
+        builder.extend(users, epoch, micro, offset_us, np.array(lon, dtype=np.float64),
+                       np.array(lat, dtype=np.float64), optional)
+    return builder.finish()
+
+
 def events_batch(events: Iterable[GeoEvent]) -> EventBatch:
     """Columns of GeoEvent rows, each keeping the UTC offset of its timestamp."""
-    builder = _BatchBuilder()
-    for e in events:
-        builder.append(e.user_id, _instant(e.timestamp), e.lon, e.lat, e.lang, e.device, e.text)
-    return builder.finish()
+    return checked_rows_batch((e.user_id, _instant(e.timestamp), e.lon, e.lat, e.lang, e.device,
+                               e.text) for e in events)
 
 
 def encode(events: Iterable[tuple[str, str, int]],

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import tracemalloc
@@ -16,7 +17,7 @@ from citypulse.ingest import (GeoEvent, RejectionReport, filter_workdays, get_ti
                               write_events_ndjson)
 from citypulse.synth import SynthConfig, generate_city, generate_events
 
-from scalar_reference import events_batch, quarter_bin
+from scalar_reference import checked_rows_batch, events_batch, quarter_bin
 
 NDJSON_ROW = '{"u":"a1","t":"2013-03-05T10:07:00+01:00","lon":-3.70,"lat":40.42}'
 
@@ -414,17 +415,53 @@ def test_parsed_timestamps_keep_instant_offset_and_microseconds():
 
 def _parse_per_line(source):
     """The NDJSON reader one line at a time: json.loads and the per-row checks."""
-    builder, report = ingest._BatchBuilder(), RejectionReport()
+    rows, report = [], RejectionReport()
     with ingest._open_text(source) as fh:
         for n, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             report.total_rows += 1
             try:
-                builder.append(*ingest._check_object(ingest._load_row(line)))
+                rows.append(ingest._check_object(ingest._load_row(line)))
             except ValueError as exc:
-                report.add(n, str(exc))
-    return builder.finish(), report
+                report.entries.append((n, str(exc)))
+    return checked_rows_batch(rows), report
+
+
+def _parse_csv_per_row(source):
+    """The CSV reader one row at a time: csv.reader and the per-row checks."""
+    rows, report = [], RejectionReport()
+    with ingest._open_text(source) as fh:
+        reader = csv.reader(fh)
+        # a repeated name: the last wins
+        position = {name: i for i, name in enumerate(next(reader))}
+        columns = [position.get(name) for name in ingest.CSV_COLUMNS + ingest.OPTIONAL_FIELDS]
+        for row in reader:
+            if not row:
+                continue
+            report.total_rows += 1
+            # a short row leaves its last columns empty (None), as csv.DictReader does
+            cells = [row[i] if i is not None and i < len(row) else None for i in columns]
+            try:
+                if any(map(ingest._undecodable, row)):
+                    raise ValueError("invalid utf-8")
+                user_id, raw_ts, lon, lat, lang, device, text = cells
+                rows.append(ingest._check_row(user_id, raw_ts or "", lon, lat, lang, device, text))
+            except ValueError as exc:
+                report.entries.append((reader.line_num, str(exc)))
+    return checked_rows_batch(rows), report
+
+
+def _write_csv_copy(ndjson_path, csv_path):
+    """The rows of an NDJSON events file as CSV, written by Python's csv module."""
+    with open(ndjson_path, encoding="utf-8") as src, \
+            open(csv_path, "w", encoding="utf-8", newline="") as out:
+        writer = csv.writer(out)
+        writer.writerow([*ingest.CSV_COLUMNS, *ingest.OPTIONAL_FIELDS])
+        for line in src:
+            obj = json.loads(line)
+            writer.writerow([obj["u"], obj["t"], repr(obj["lon"]), repr(obj["lat"]),
+                             *(obj.get(name, "") for name in ingest.OPTIONAL_FIELDS)])
 
 
 def _columns(batch):
@@ -441,8 +478,9 @@ row_objects = st.fixed_dictionaries(
     {"u": st.sampled_from(["a", "b", "ü", "", None]) | st.integers(-2, 2),
      "t": st.sampled_from(ROW_TIMES) | st.integers(0, 2),
      "lon": st.floats(-200, 200) | st.integers(-200, 200)
-            | st.sampled_from([float("nan"), True, None, "1.5"]),
-     "lat": st.floats(-90, 90) | st.sampled_from([90.5, float("inf"), "40.5"])},
+            | st.sampled_from([float("nan"), True, None, "1.5", " -3.7 ", "1_5", "west", "",
+                               "nan", "1e400"]),
+     "lat": st.floats(-90, 90) | st.sampled_from([90.5, float("inf"), "40.5", "\uff14"])},
     optional={"text": st.text(max_size=6) | st.sampled_from(["a{b", "}", "x\u2028y\x85", 3]),
               "lang": st.sampled_from(["es", "", None, False]),
               "extra": st.sampled_from([{"k": {"z": [1]}}, [1, [2, {}]], "}{"])})
@@ -502,6 +540,60 @@ def test_block_decoding_matches_per_line_parse(lines, terminator, final, bom, bl
     assert report.total_rows == expected_report.total_rows
 
 
+# --- CSV blocks against the per-row reference ------------------------------
+
+# stands for bytes that are not UTF-8; replaced after the row is written
+UNDECODABLE = "@@ff@@"
+CSV_CELLS = {
+    "user_id": st.sampled_from(["a", "b", "ü", "", "42", "-7", "007", " 7"]),
+    "timestamp": st.sampled_from(ROW_TIMES + ["", "5"]),
+    "lon": st.floats(-200, 200).map(repr) | st.integers(-200, 200).map(str) | st.sampled_from(
+        ["-3.7", " -3.7 ", "1_5", "１５", "west", "", "nan", "-inf", "1e400", "0x10"]),
+    "lat": st.floats(-90, 90).map(repr) | st.sampled_from(
+        ["40.5", "\t40.5\n", "90.5", "inf", "", "1e-400", "4_0"]),
+    "lang": st.sampled_from(["es", "", "x,y"]),
+    "device": st.sampled_from(["ios", ""]),
+    "text": st.text(max_size=6) | st.sampled_from(['say "hi"', "two\nlines", "a\r\nb", ",", ""]),
+    "extra": st.sampled_from(["", "k", "x\ny"]),
+}
+
+
+@st.composite
+def csv_sources(draw):
+    """CSV bytes: a header, possibly with repeated or extra names, then adversarial rows."""
+    optional = draw(st.lists(st.sampled_from(["lang", "device", "text", "extra", "lon"]),
+                             max_size=4))
+    header = draw(st.permutations([*ingest.CSV_COLUMNS, *optional]))
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        row = [draw(CSV_CELLS[name]) for name in header]
+        kind = draw(st.sampled_from(["row"] * 5 + ["short", "long", "blank", "undecodable"]))
+        if kind == "short":
+            row = row[:draw(st.integers(1, len(row) - 1))]
+        elif kind == "long":
+            row += ["more"]
+        elif kind == "blank":
+            row = []
+        elif kind == "undecodable":
+            row[draw(st.integers(0, len(row) - 1))] += UNDECODABLE
+        rows.append(row)
+    text = io.StringIO()
+    csv.writer(text, lineterminator=draw(st.sampled_from(["\n", "\r\n"]))).writerows(
+        [header, *rows])
+    return text.getvalue().encode("utf-8").replace(UNDECODABLE.encode(), b"\xff")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=csv_sources(), block_rows=st.sampled_from([1, 2, 5, ingest._CSV_BLOCK_ROWS]))
+def test_csv_blocks_match_per_row_parse(data, block_rows):
+    with mock.patch.object(ingest, "_CSV_BLOCK_ROWS", block_rows):
+        batch, report = parse_events(data, "csv")
+    expected, expected_report = _parse_csv_per_row(data)
+    assert _columns(batch) == _columns(expected)
+    assert report.entries == expected_report.entries
+    assert report.total_rows == expected_report.total_rows
+
+
 # Lines whose block decodes as one JSON array although no line is an object;
 # each case below fails exactly one of the block decoder's conditions
 SPLIT_AFTER_NESTED = [b'{"x": {"k": 1}',
@@ -545,18 +637,24 @@ def _per_row_step(*args):
     raise AssertionError(f"per-row step called with {args!r}")
 
 
-def test_clean_blocks_skip_the_per_row_checks(tmp_path):
+@pytest.mark.parametrize("fmt", ["ndjson", "csv"])
+def test_clean_blocks_skip_the_per_row_checks(tmp_path, fmt):
     # a synth file of several blocks, each row a string id, a bulk-shape
-    # timestamp and two coordinates in range
+    # timestamp and two coordinates in range (CSV cells are strings)
     config = SynthConfig(seed=5, n_zones=16, n_users=100, events_per_user_per_day=10.0, n_days=2)
     events, _ = generate_events(generate_city(config))
     path = tmp_path / "events.ndjson"
     write_events_ndjson(events, path)
     assert path.stat().st_size > 3 * ingest._BLOCK_CHARS
     expected, expected_report = _parse_per_line(path)
+    if fmt == "csv":
+        _write_csv_copy(path, tmp_path / "events.csv")
+        path = tmp_path / "events.csv"
+        assert len(events) > 3 * ingest._CSV_BLOCK_ROWS
+        assert _columns(_parse_csv_per_row(path)[0]) == _columns(expected)
     with mock.patch.multiple(ingest, _check_row=_per_row_step, parse_timestamp=_per_row_step,
-                             _load_row=_per_row_step):
-        batch, report = parse_events(path, "ndjson")
+                             _load_row=_per_row_step, _float_or_nan=_per_row_step):
+        batch, report = parse_events(path, fmt)
     assert report.entries == expected_report.entries == []
     assert report.total_rows == len(batch) == len(events)
     assert _columns(batch) == _columns(expected)
@@ -609,13 +707,15 @@ def test_rows_off_the_bulk_path_alone_take_the_per_row_checks(layout, lon):
                              _load_row=spy(ingest._load_row),
                              _BLOCK_CHARS=size * ROW_WIDTH - 1):
         batch, report = parse_events(io.StringIO(text), "ndjson")
-    # the string lon row takes the per-row checks (they read its timestamp
-    # too); the fraction row only the per-row timestamp parse
-    assert [args for step, args in calls if step == "_check_row"] == [
-        ("lon row", LON_TIME, lon, 40.4, None, None, None)]
-    assert sorted(args for step, args in calls if step == "parse_timestamp") == [
-        (FRACTION_TIME,), (LON_TIME,)]
-    assert len(calls) == 3
+    # the word lon row takes the per-row checks (they read its timestamp
+    # too); the fraction row only the per-row timestamp parse. A numeric
+    # string lon is read on the column path, as a CSV cell is.
+    word = lon == "west"
+    checked = [("lon row", LON_TIME, lon, 40.4, None, None, None)] if word else []
+    timestamps = [(FRACTION_TIME,), (LON_TIME,)] if word else [(FRACTION_TIME,)]
+    assert [args for step, args in calls if step == "_check_row"] == checked
+    assert sorted(args for step, args in calls if step == "parse_timestamp") == timestamps
+    assert len(calls) == len(checked) + len(timestamps)
     assert _columns(batch) == _columns(expected)
     assert report.entries == expected_report.entries
     assert report.total_rows == expected_report.total_rows == len(rows)
@@ -771,21 +871,26 @@ def test_bytes_source_is_not_held_whole():
     assert peak < 2 * len(data)
 
 
-def test_parse_memory_grows_by_bytes_per_row(tmp_path):
+@pytest.mark.parametrize("fmt", ["ndjson", "csv"])
+def test_parse_memory_grows_by_bytes_per_row(tmp_path, fmt):
     # ~52k synth rows holding ~44k distinct timestamp strings. The batch keeps
     # six 8-byte columns (48 B a row, measured 52 B with the user ids); the
     # parse peaks ~0.6 MB above that, one 48 KiB block's objects. A table keyed by
     # timestamp string, kept for the whole parse, adds ~8 MB to the peak here.
+    # The CSV copy's 512-row blocks of cells peak about as high (~0.6 MB).
     config = SynthConfig(seed=11, n_zones=100, n_users=1000, events_per_user_per_day=17.0,
                          n_days=3, home_bias=0.3, centre_decay_per_km=0.12)
     events, _ = generate_events(generate_city(config))
     path = tmp_path / "events.ndjson"
     write_events_ndjson(events, path)
     del events
+    if fmt == "csv":
+        _write_csv_copy(path, tmp_path / "events.csv")
+        path = tmp_path / "events.csv"
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        batch, report = parse_events(path, "ndjson")
+        batch, report = parse_events(path, fmt)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -461,6 +461,34 @@ def test_cli_ingest_writes_clean_events(tmp_path):
     assert rows[0]["line"] == "2"
 
 
+@pytest.mark.parametrize("steps", [{"ingest"}, {"aggregate"}, {"profiles"}])
+def test_optional_fields_reach_only_the_ingest_step(tmp_path, monkeypatch, steps):
+    # events_clean.ndjson, written by the ingest step alone, is the one reader
+    # of the optional fields; every other step set drops them before the
+    # workday filter copies the rows it keeps
+    from citypulse import ingest
+    events = tmp_path / "events.csv"
+    events.write_text("user_id,timestamp,lon,lat,lang\n"
+                      "a,2013-03-05T10:00:00Z,0.5,0.5,es\n"
+                      "b,2013-03-09T10:00:00Z,0.5,0.5,en\n")  # saturday
+    zones = tmp_path / "zones.geojson"
+    export_geojson(one_zone(), {}, zones)
+    seen = []
+    filter_workdays = ingest.filter_workdays
+
+    def traced_filter(batch, tz):
+        seen.append(sorted(batch.optional))
+        return filter_workdays(batch, tz)
+
+    monkeypatch.setattr(ingest, "filter_workdays", traced_filter)
+    config = PipelineConfig(events_path=events, zones_path=zones, output_dir=tmp_path / "out",
+                            timezone="UTC", centre_lon=0.5, centre_lat=0.5)
+    run_pipeline(config, steps)
+    assert seen == [["lang"] if steps == {"ingest"} else []]
+    if steps == {"ingest"}:
+        assert '"lang": "es"' in (tmp_path / "out" / "events_clean.ndjson").read_text()
+
+
 def test_cli_ingest_rejects_invalid_utf8_row(tmp_path, capsys):
     events = tmp_path / "events.ndjson"
     events.write_bytes(

@@ -186,6 +186,83 @@ def test_any_setting_text_ends_in_exit_0_or_2(tiny_city, flag, text):
             assert not out.exists()
 
 
+def _exit_code(argv) -> int:
+    """cli.main's exit code; argparse refuses a malformed flag value by exiting with 2."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# a 16-zone, 40-user city; a flag given again overrides these
+SYNTH_BASE = ["--seed", "3", "--n-zones", "16", "--n-users", "40", "--events-per-day", "4"]
+FRACTIONS = st.sampled_from(["0.5", "1", "0", "-0.5", "1.5", "nan", "inf", "-inf", "", "x"])
+# Event rates stay below 50 a day, because a large finite rate is accepted
+# and the generator then allocates every one of its events.
+SYNTH_TEXTS = {
+    "--seed": st.integers(-2, 5).map(str) | TEXTS,
+    "--n-zones": st.integers(-1, 20).map(str) | TEXTS,
+    "--n-users": st.integers(-1, 50).map(str) | TEXTS,
+    "--days": st.integers(-2, 3).map(str) | TEXTS,
+    "--events-per-day": st.floats(0, 50).map(repr) | st.sampled_from(
+        ["nan", "-nan", "inf", "-inf", "-1", "-0.0", "5e-324", "1_5", "", "x"]),
+    "--home-bias": TEXTS,
+    "--centre-decay": TEXTS,
+    "--timezone": st.sampled_from(["UTC", "Asia/Kathmandu", "Mars/X", "", "Europe", "../UTC",
+                                   "/etc/localtime", "UTC\x00"]),
+    "--class-mix": st.builds("residential:{},mixed:{}".format, FRACTIONS, FRACTIONS)
+                   | st.sampled_from(["residential:1", "foo:1", "activity:retail:1",
+                                      "activity:foo:1", "residential", ",", ""]),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(SYNTH_TEXTS)).flatmap(
+    lambda flag: st.tuples(st.just(flag), SYNTH_TEXTS[flag])))
+@example(("--timezone", "Mars/X"))
+@example(("--events-per-day", "nan"))
+@example(("--events-per-day", "-1"))
+@example(("--class-mix", "residential:nan"))
+@example(("--days", "0"))
+@example(("--centre-decay", "nan"))
+@example(("--centre-decay", "1e308"))
+@example(("--class-mix", "residential:1.5,mixed:-0.5"))
+def test_any_synth_setting_text_ends_in_exit_0_or_2(tmp_path_factory, case):
+    flag, text = case
+    out = tmp_path_factory.mktemp("synth") / "city"
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        code = _exit_code(["synth", "--out", str(out), *SYNTH_BASE, f"{flag}={text}"])
+    shown = stderr.getvalue()
+    assert code in (0, 2), shown
+    assert "RuntimeWarning" not in shown and "Traceback" not in shown
+    if code == 0:
+        assert (out / "events.ndjson").exists() and (out / "pipeline.config").exists()
+    else:
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,text,message", [
+    ("--timezone", "Mars/X", "unknown timezone id 'Mars/X'"),
+    ("--events-per-day", "nan", "events_per_user_per_day must be a finite number >= 0"),
+    ("--events-per-day", "-1", "events_per_user_per_day must be a finite number >= 0"),
+    ("--events-per-day", "inf", "events_per_user_per_day must be a finite number >= 0"),
+    ("--days", "0", "n_days must be >= 1"),
+    ("--centre-decay", "nan", "centre_decay_per_km must be a finite number >= 0"),
+    ("--centre-decay", "-0.1", "centre_decay_per_km must be a finite number >= 0"),
+    ("--centre-decay", "1e308", "centre_decay_per_km leaves no residential zone any weight"),
+    ("--class-mix", "residential:nan", "class mix fraction for 'residential' must be a finite"),
+    ("--class-mix", "residential:1.5,mixed:-0.5", "class mix fraction for 'mixed' must be"),
+    ("--class-mix", "foo:1", "unknown class mix key 'foo'"),
+    ("--seed", "-1", "seed must be >= 0"),
+])
+def test_bad_synth_setting_gives_its_error(tmp_path, capsys, flag, text, message):
+    assert cli.main(["synth", "--out", str(tmp_path / "city"), *SYNTH_BASE, flag, text]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "city").exists()
+
+
 def test_flagless_synth_writes_the_synth_config_defaults(tmp_path):
     out = tmp_path / "flagless"
     with contextlib.redirect_stdout(io.StringIO()):
