@@ -151,10 +151,14 @@ class _BatchBuilder:
         if any(extras):
             self._optional.append((len(self._users), extras))
         code = self._user_code
-        self._users.extend(array("i", [code.setdefault(user, len(code)) for user in users]))
+        codes = list(map(code.get, users))
+        if None in codes:  # new users take the next codes in order of first appearance
+            for i in [i for i, c in enumerate(codes) if c is None]:
+                codes[i] = code.setdefault(users[i], len(code))
+        self._users.extend(array("i", codes))
         for column, values in ((self._epoch, epoch), (self._micro, micro),
                                (self._offset, offset), (self._lon, lon), (self._lat, lat)):
-            column.frombytes(values.astype(column.typecode, copy=False).tobytes())
+            column.frombytes(np.ascontiguousarray(values, dtype=column.typecode).view(np.uint8))
 
     def finish(self) -> EventBatch:
         n = len(self._users)
@@ -221,21 +225,21 @@ def parse_timestamp(raw: str) -> datetime:
 # The one timestamp shape read in bulk; "Z" in place of the offset reads as
 # "+00:00". The arrays below are columns: strings run along the second axis.
 _FIXED_SHAPE = "0000-00-00T00:00:00+00:00"
-# per character of the shape, the lowest code point allowed there and how far
-# above it the others may lie: the ten digits, "+" to "-" (the "," between
-# them is ruled out on its own) or the one literal character
-_BASE = np.array([[ord(c)] for c in _FIXED_SHAPE], dtype=np.uint32)
-_SPAN = np.array([[{"0": 9, "+": 2}.get(c, 0)] for c in _FIXED_SHAPE], dtype=np.uint32)
-# place value of each character in year, month, day, hour, minute, second,
-# offset hour and offset minute (0 for the literal ones), and the bounds of
-# those fields (float64, so that the product is one BLAS call; every value is exact)
-_PLACES = np.zeros((8, len(_FIXED_SHAPE)))
-_PLACES[[0, 0, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7],
-        [i for i, c in enumerate(_FIXED_SHAPE) if c == "0"]] = [1000, 100, 10, 1] + [10, 1] * 7
+_WIDTH = len(_FIXED_SHAPE)
+_ZULU_WIDTH = len("0000-00-00T00:00:00Z")
+_SIGN = _FIXED_SHAPE.index("+")
+# per character of the shape, the lowest byte allowed there and how far above
+# it the others may lie: the ten digits, "+" to "-" (the "," between them is
+# ruled out on its own) or the one literal character
+_BASE = np.frombuffer(_FIXED_SHAPE.encode("ascii"), dtype=np.uint8).reshape(-1, 1)
+_SPAN = np.array([[{"0": 9, "+": 2}.get(c, 0)] for c in _FIXED_SHAPE], dtype=np.uint8)
+# the tens and the ones digit of each two-digit field: the year's first and
+# last two digits, then month, day, hour, minute, second, offset hour and
+# offset minute; and the lowest value and span of the fields from the year on
+_DIGITS = [i for i, c in enumerate(_FIXED_SHAPE) if c == "0"]
+_TENS, _ONES = _DIGITS[0::2], _DIGITS[1::2]
 _LOW = np.array([[2], [1], [1], [0], [0], [0], [0], [0]])
-_HIGH = np.array([[9998], [12], [31], [23], [59], [59], [23], [59]])
-# seconds of the day and of the offset from those fields
-_SECONDS = np.array([[0, 0, 0, 3600, 60, 1, 0, 0], [0, 0, 0, 0, 0, 0, 3600, 60]])
+_RANGE = (np.array([[9998], [12], [31], [23], [59], [59], [23], [59]]) - _LOW).astype(np.uint64)
 # Calendar tables (numpy's calendar is the proleptic Gregorian one that
 # datetime uses): days from 1970-01-01 to 1 January of each year 0-9999, 1 for
 # each leap year and 0 for the others, and per common and leap year (rows) the
@@ -262,25 +266,32 @@ def _fixed_instants(raws: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray
     """
     n = len(raws)
     size = np.fromiter(map(len, raws), dtype=np.int64, count=n)
-    # code points, one string per column; a longer string is cut to 25 here
-    # and fails on its size
-    chars = np.array(raws, dtype="U25").view(np.uint32).reshape(n, 25).T
-    # each character's rise above the lowest one allowed in its place;
-    # unsigned, so a code point below that wraps past every span
-    rise = np.subtract(chars, _BASE, order="C")
-    zulu = (size == 20) & (chars[19] == ord("Z"))
-    rise[19:, zulu] = 0
-    west = rise[19] == 2
-    fits = (zulu | (size == 25)) & (rise <= _SPAN).all(axis=0) & (rise[19] != 1)
-    fields = (_PLACES @ rise).astype(np.int64)
-    fits &= ((_LOW <= fields) & (fields <= _HIGH)).all(axis=0)
+    # the strings end to end, one byte per character, every one that is not
+    # ASCII read as "?" (and one byte more, so that the buffer is never empty);
+    # each string's first 25 bytes, where a shorter or longer one fails on its size
+    data = np.frombuffer(("".join(raws) + "\n").encode("ascii", "replace"), dtype=np.uint8)
+    start = np.cumsum(size) - size
+    chars = data.take(start[:, None] + np.arange(_WIDTH), mode="clip")
+    zulu = (size == _ZULU_WIDTH) & (chars[:, _SIGN] == ord("Z"))
+    # each byte's rise above the lowest one allowed in its place, one string
+    # per column; unsigned, so a byte below that wraps past every span
+    rise = np.subtract(chars.T, _BASE, order="C")
+    rise[_SIGN:, zulu] = 0
+    west = rise[_SIGN] == 2
+    fits = (zulu | (size == _WIDTH)) & (rise <= _SPAN).all(axis=0) & (rise[_SIGN] != 1)
+    # each two-digit field (0-99 where the digits fit), the year from its halves
+    fields = (rise[_TENS] * 10 + rise[_ONES]).astype(np.int64)
+    fields[1] += fields[0] * 100
+    fields = fields[1:]
+    fits &= (np.subtract(fields, _LOW).view(np.uint64) <= _RANGE).all(axis=0)
     fields *= fits  # what does not fit reads as 0000-00-00, which indexes the tables safely
-    year, month, day = fields[:3]
+    year, month, day, hour, minute, second, offset_hour, offset_minute = fields
     leap = _LEAP[year]
     fits &= day <= _MONTH_DAYS[leap, month]
-    clock, offset = _SECONDS @ fields
-    offset[west] *= -1
-    epoch = (_YEAR_START[year] + _MONTH_START[leap, month] + day - 1) * _DAY_S + clock - offset
+    offset = offset_hour * 3600 + offset_minute * 60
+    np.negative(offset, out=offset, where=west)
+    epoch = ((_YEAR_START[year] + _MONTH_START[leap, month] + day - 1) * _DAY_S
+             + (hour * 60 + minute) * 60 + second - offset)
     return fits, epoch, offset
 
 
@@ -343,11 +354,12 @@ class _ByteReader(io.RawIOBase):
 
 @contextmanager
 def _open_text(source) -> Iterator[IO[str]]:
-    """The source as text lines, decoded as they are read and never held whole.
+    """The source as text, decoded as it is read and never held whole.
 
     A path is opened; a text stream is read in place; bytes and binary streams
-    are decoded by one ``TextIOWrapper``, which splits lines as a path's file
-    object does. Streams the caller passed in are left open.
+    are decoded by one ``TextIOWrapper``, whose lines end where a path's file
+    object ends them: at "\\n", "\\r\\n" or "\\r". Streams the caller passed in
+    are left open.
     """
     if isinstance(source, (str, Path)):
         try:
@@ -402,32 +414,12 @@ def _check_object(obj: dict) -> tuple:
                       obj.get("lang"), obj.get("device"), obj.get("text"))
 
 
-def _decode_block(numbers: Sequence[int], lines: list[str], rejected: list[tuple[int, str]]
-                  ) -> tuple[Sequence[int], list[dict]]:
-    """Line numbers and objects of the non-blank ``lines`` that hold an object; rejects the rest.
+def _decode_lines(numbers: Sequence[int], lines: list[str], rejected: list[tuple[int, str]]
+                  ) -> tuple[list[int], list[dict]]:
+    """Line numbers and objects of the ``lines`` that hold an object; rejects the rest.
 
-    The lines are decoded with one ``json.loads`` of ``"[" + ",".join(lines) +
-    "]"`` when the block proves that each line is exactly one object: then
-    every inserted comma separates two top-level objects, and each element
-    equals ``json.loads(line)``. The proof: each line ends in its terminator
-    (the last one is given "\\n") and strict JSON allows no raw control
-    character in a string, so no string spans a separator; each line's last
-    non-whitespace character is "}"; the block holds as many "{" as lines, so
-    no object nests and no string holds a "{"; and the decode yields one dict
-    per line. Otherwise, or with bytes that are not UTF-8 in the block, each
-    line is decoded on its own by :func:`_load_row`.
+    Each line is decoded on its own by :func:`_load_row`.
     """
-    text = ",".join(lines)
-    if not text.endswith(("\n", "\r")):
-        text += "\n"
-    if (text.count("{") == len(lines) and not _undecodable(text)
-            and all(map(str.endswith, map(str.rstrip, lines), repeat("}")))):
-        try:
-            objs = json.loads("[" + text + "]")
-        except (ValueError, RecursionError):  # JSONDecodeError, an integer too long, deep nesting
-            objs = None
-        if objs is not None and len(objs) == len(lines) and set(map(type, objs)) == {dict}:
-            return numbers, objs
     kept, objs = [], []
     for n, line in zip(numbers, lines):
         try:
@@ -437,6 +429,48 @@ def _decode_block(numbers: Sequence[int], lines: list[str], rejected: list[tuple
         else:
             kept.append(n)
     return kept, objs
+
+
+def _proven_objects(text: str) -> list[dict] | None:
+    """The objects of a chunk of whole lines, one per line, when it proves that each line is one.
+
+    Strict JSON allows no raw control character in a string, so every raw
+    ``"\\r"`` and ``"\\n"`` lies outside strings. The proof, on the chunk with
+    a ``"\\n"`` appended if its last line has no line end: every ``"\\r"``
+    ends a ``"\\r\\n"``, so the lines end all at ``"\\n"``; as many ``{`` as
+    lines, and a ``}`` directly before every line end; no byte that is not
+    UTF-8; and one ``json.loads`` of the chunk as an array, a comma put after
+    each ``"\\n"`` but the last, that yields one dict per line. The raw
+    ``"\\n"`` before each comma keeps the comma, and the ``}`` before that
+    line end, outside strings. A dict per line and a ``{`` per line leave no
+    ``{`` in a string or a nested object, so each such ``}`` closes a
+    top-level object and each inserted comma separates two of them: each line
+    holds exactly one, and each equals ``json.loads(line)``. Otherwise None,
+    and the caller decodes the chunk's own text line by line (a chunk of lone
+    ``"\\r"`` line ends among them).
+    """
+    if not text.endswith("\n"):
+        text += "\n"
+    if _undecodable(text):
+        return None
+    # counted on the UTF-8 bytes, where no byte of a multi-byte character is ASCII
+    data = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    ends = np.flatnonzero(data == ord("\n"))
+    # the byte before each line end; a chunk that opens with a line end reads
+    # the last byte, a line end too
+    last = ends - 1
+    if "\r" in text:
+        crlf = data[last] == ord("\r")
+        if np.count_nonzero(data == ord("\r")) != np.count_nonzero(crlf):
+            return None
+        last -= crlf
+    if np.count_nonzero(data == ord("{")) != len(ends) or not (data[last] == ord("}")).all():
+        return None
+    try:
+        objs = json.loads("[" + text.replace("\n", "\n,")[:-1] + "]")
+    except (ValueError, RecursionError):  # JSONDecodeError, an integer too long, deep nesting
+        return None
+    return objs if len(objs) == len(ends) and set(map(type, objs)) == {dict} else None
 
 
 _STRING = frozenset({str})
@@ -498,13 +532,14 @@ def _add_rows(builder: _BatchBuilder, numbers: Sequence[int], columns: list[list
         if values is not None:
             _flag(suspect, values, _OPTIONAL)
             extras[k] = [value or None for value in values]
-    clean = not suspect.any()
-    keep = (~suspect).tolist()
-    fits, epoch, offset = _fixed_instants(times if clean else list(compress(times, keep)))
+    keep = (~suspect).tolist() if suspect.any() else None
+    fits, epoch, offset = _fixed_instants(times if keep is None else list(compress(times, keep)))
     offset_us = offset * 1_000_000
-    if clean and fits.all():  # no row for the per-row steps
-        builder.extend(users, epoch, np.zeros(n, dtype=np.int32), offset_us, lon, lat, extras)
-        return
+    if keep is None:
+        if fits.all():  # no row for the per-row steps
+            builder.extend(users, epoch, np.zeros(n, dtype=np.int32), offset_us, lon, lat, extras)
+            return
+        keep = [True] * n
     instants = np.zeros((3, n), dtype=np.int64)  # epoch, micro and offset_us per row
     instants[0, keep], instants[2, keep] = epoch, offset_us
     for i in np.flatnonzero(keep)[~fits].tolist():
@@ -530,37 +565,64 @@ def _add_rows(builder: _BatchBuilder, numbers: Sequence[int], columns: list[list
     builder.extend(users, *instants, lon, lat, extras)
 
 
-# Characters of NDJSON decoded at a time (~470 rows of 104 characters). Each
-# block pays a fixed cost, so at city-253k 48 KiB parsed ~8 % faster than
+# Characters of NDJSON read at a time (~470 rows of 104 characters). Each
+# chunk pays a fixed cost, so at city-253k 48 KiB parsed ~8 % faster than
 # 24 KiB (median 1.22 against 1.33 s, 6 interleaved parses on a shared 2-CPU
-# VM) and 64 KiB no faster than 48. A block's objects add ~11 bytes per
+# VM) and 64 KiB no faster than 48. A chunk's objects add ~11 bytes per
 # character to the parse's peak: a run's peak RSS went 52.5 → 52.6 MB, and
 # at 96 KiB a 20,000-row bytes source peaks above twice its size
 _BLOCK_CHARS = 48 * 1024
 
+# One line and its line end: an NDJSON row ends only at "\n", "\r\n" or "\r"
+_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
+
+
+def _chunks(fh: IO[str]) -> Iterator[str]:
+    """The text in chunks of whole lines, read ``_BLOCK_CHARS`` characters at a time.
+
+    Each read is cut after its last line end, and the rest waits for the next
+    read; so does a ``"\\r"`` that ends a read, which the next one may continue
+    as ``"\\r\\n"``. A line longer than a read is gathered from its pieces and
+    joined once. The last chunk ends where the text does, line end or not.
+    """
+    pieces: list[str] = []
+    while piece := fh.read(_BLOCK_CHARS):
+        cut = max(piece.rfind("\n"), piece.rfind("\r", 0, -1)) + 1
+        if cut:
+            pieces.append(piece[:cut])
+            yield "".join(pieces)
+            pieces = [piece[cut:]]
+        else:
+            pieces.append(piece)
+    if rest := "".join(pieces):
+        yield rest
+
 
 def _parse_ndjson(fh: IO[str], builder: _BatchBuilder, report: RejectionReport) -> None:
     first = 1
-    while lines := fh.readlines(_BLOCK_CHARS):
-        numbers: Sequence[int] = range(first, first + len(lines))
-        first += len(lines)
-        if any(map(str.isspace, lines)):  # skip blank lines, keeping the line numbers
-            numbers = [n for n, line in zip(numbers, lines) if not line.isspace()]
-            lines = [line for line in lines if not line.isspace()]
-            if not lines:
-                continue
-        report.total_rows += len(lines)
+    for text in _chunks(fh):
         rejected: list[tuple[int, str]] = []
-        numbers, objs = _decode_block(numbers, lines, rejected)
-        try:  # every object holds the four required keys: with none more, no optional one
-            columns = [[obj[key] for obj in objs] for key in NDJSON_KEYS]
-            has_optional = sum(map(len, objs)) > len(NDJSON_KEYS) * len(objs)
-        except KeyError:
-            columns = [[obj.get(key) for obj in objs] for key in NDJSON_KEYS]
-            has_optional = True
-        columns += [[obj.get(name) for obj in objs] if has_optional else None
-                    for name in OPTIONAL_FIELDS]
-        _add_rows(builder, numbers, columns, lambda i: _check_object(objs[i]), rejected)
+        objs = _proven_objects(text)
+        if objs is not None:
+            numbers: Sequence[int] = range(first, first + len(objs))
+            first += len(objs)
+        else:
+            lines = _LINE.findall(text)
+            numbers = [n for n, line in enumerate(lines, start=first) if not line.isspace()]
+            first += len(lines)
+            lines = [line for line in lines if not line.isspace()]  # blank lines are skipped
+            numbers, objs = _decode_lines(numbers, lines, rejected)
+        report.total_rows += len(objs) + len(rejected)
+        if objs:
+            try:  # every object holds the four required keys: with none more, no optional one
+                columns = [[obj[key] for obj in objs] for key in NDJSON_KEYS]
+                has_optional = sum(map(len, objs)) > len(NDJSON_KEYS) * len(objs)
+            except KeyError:
+                columns = [[obj.get(key) for obj in objs] for key in NDJSON_KEYS]
+                has_optional = True
+            columns += [[obj.get(name) for obj in objs] if has_optional else None
+                        for name in OPTIONAL_FIELDS]
+            _add_rows(builder, numbers, columns, lambda i: _check_object(objs[i]), rejected)
         report.entries.extend(sorted(rejected))
 
 
@@ -572,7 +634,15 @@ _CSV_BLOCK_ROWS = 512
 
 
 def _parse_csv(fh: IO[str], builder: _BatchBuilder, report: RejectionReport) -> None:
-    reader = csv.reader(fh)
+    """The CSV rows, read strictly: a framing fault refuses the whole source, naming its line."""
+    reader = csv.reader(fh, strict=True)
+    try:
+        _add_csv_rows(reader, builder, report)
+    except csv.Error as exc:  # a cell past the field size limit, a stray or unclosed quote
+        raise DataError(f"malformed csv: line {reader.line_num}: {exc}") from exc
+
+
+def _add_csv_rows(reader, builder: _BatchBuilder, report: RejectionReport) -> None:
     header = next(reader, None)
     if header is None:
         raise DataError("csv source has no header row")
@@ -609,10 +679,14 @@ def parse_events(source, fmt: str = "ndjson") -> tuple[EventBatch, RejectionRepo
     bytes that are not UTF-8 is rejected as ``invalid utf-8``. Accepted rows
     keep input order.
     Rejections carry the physical line number. An NDJSON row ends only at
-    ``\\n``, ``\\r\\n`` or ``\\r``, so U+2028, U+0085 and other Unicode line
-    breaks inside a JSON string stay in their row. A CSV row reports the line
-    on which it ends. Both formats are checked a block at a time (NDJSON
-    lines, CSV rows) by one row engine, with the results of a row-by-row parse.
+    ``\\n``, ``\\r\\n`` or ``\\r``, whatever the source, so U+2028, U+0085 and
+    other Unicode line breaks inside a JSON string stay in their row. A CSV
+    row reports the line on which it ends; ``csv.reader`` reads the lines of
+    the source (a caller's text stream splits them itself), and a framing
+    fault, such as a quote left open or a cell past csv's field size limit,
+    refuses the whole source as ``malformed csv``. Both formats are checked a
+    block at a time (NDJSON lines, CSV rows) by one row engine, with the
+    results of a row-by-row parse.
     """
     if fmt not in ("ndjson", "csv"):
         raise ConfigError(f"unknown event format {fmt!r} (expected ndjson or csv)")

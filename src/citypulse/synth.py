@@ -63,6 +63,10 @@ def slot_weights_to_intensity(weights: Mapping[str, float],
 
 # median built surface of a generated zone, in m2
 BUILT_TOTAL_BASE_M2 = 200_000.0
+# Most events a generated city may expect (n_users * n_days * rate): 20 times
+# the ~509k of the largest benchmark city. The generator holds every event in
+# memory, and numpy's Poisson sampler refuses a rate near 1e19.
+MAX_EXPECTED_EVENTS = 10_000_000
 
 
 @dataclass
@@ -105,6 +109,9 @@ class SynthConfig:
             raise ConfigError("home_bias must be in [0, 1]")
         if not 0.0 <= self.events_per_user_per_day < math.inf:
             raise ConfigError("events_per_user_per_day must be a finite number >= 0")
+        if self.n_users * self.n_days * self.events_per_user_per_day > MAX_EXPECTED_EVENTS:
+            raise ConfigError(f"n_users * n_days * events_per_user_per_day must be <= "
+                              f"{MAX_EXPECTED_EVENTS:,}")
         if not 0.0 <= self.centre_decay_per_km < math.inf:
             raise ConfigError("centre_decay_per_km must be a finite number >= 0")
         get_timezone(self.timezone)

@@ -218,6 +218,8 @@ ROW_CASES = {
     "5000-digit id": ({"u": LONG_INTEGER}, "invalid json: integer too long"),
     # json.loads raises RecursionError past the interpreter's recursion limit
     "unclosed deep array": ("[" * 100_000, "invalid json: nesting too deep"),
+    # the last line of a source without a final line end is decoded as it stands
+    "unterminated string": ('{"u": "a', "invalid json: Unterminated string starting at"),
     "deep array in an extra field": ({"x": DEEP_ARRAY}, "invalid json: nesting too deep"),
     # UTC instants are kept in [0001-01-02T00:00Z, 9999-12-31T00:00Z)
     "first instant": ({"t": "0001-01-02T00:00:00Z"}, ("a1", -3.7, 40.42)),
@@ -414,10 +416,14 @@ def test_parsed_timestamps_keep_instant_offset_and_microseconds():
 # --- block-decoded NDJSON against the per-line reference ----------------------
 
 def _parse_per_line(source):
-    """The NDJSON reader one line at a time: json.loads and the per-row checks."""
+    """The NDJSON reader one line at a time: json.loads and the per-row checks.
+
+    Every source is split into lines by a StringIO in universal-newline mode,
+    at "\\n", "\\r\\n" and a lone "\\r".
+    """
     rows, report = [], RejectionReport()
     with ingest._open_text(source) as fh:
-        for n, line in enumerate(fh, start=1):
+        for n, line in enumerate(io.StringIO(fh.read(), newline=""), start=1):
             if not line.strip():
                 continue
             report.total_rows += 1
@@ -496,10 +502,14 @@ def ndjson_lines(draw):
     obj = draw(row_objects)
     line = _dumps(obj, draw(st.booleans()))
     kind = draw(st.sampled_from(["row"] * 6 + ["split", "split at a comma", "merge", "trailing",
-                                                "blank", "raw", "undecodable", "long integer"]))
+                                                "blank", "raw", "undecodable", "long integer",
+                                                "carriage return inside"]))
     if kind == "split":  # one object over two lines
         cut = draw(st.integers(1, len(line) - 1))
         return [line[:cut], line[cut:]]
+    if kind == "carriage return inside":  # a lone "\r" ends a line in a file of any line end
+        cut = draw(st.integers(1, len(line) - 1))
+        return [line[:cut] + b"\r" + line[cut:]]
     if kind == "split at a comma":  # the block's inserted comma would join the halves again
         cut = draw(st.sampled_from([i for i in range(len(line)) if line.startswith(b", ", i)]))
         return [line[:cut], line[cut + 2:]]
@@ -520,21 +530,29 @@ def ndjson_lines(draw):
     return [line]
 
 
+def _source(kind, data, tmp_path_factory):
+    """``data`` as bytes, as a file's path, or as a text stream of its decoded text."""
+    if kind == "file":
+        path = tmp_path_factory.mktemp("blocks") / "events.ndjson"
+        path.write_bytes(data)
+        return path
+    if kind == "text":
+        return io.StringIO(data.decode("utf-8", "surrogateescape"))
+    return data
+
+
 @settings(max_examples=300, deadline=None)
 @given(lines=st.lists(ndjson_lines(), max_size=12),
-       terminator=st.sampled_from([b"\n", b"\r\n"]), final=st.booleans(), bom=st.booleans(),
-       block_chars=st.sampled_from([1, 40, 300, ingest._BLOCK_CHARS]), from_file=st.booleans())
+       terminator=st.sampled_from([b"\n", b"\r\n", b"\r"]), final=st.booleans(),
+       bom=st.booleans(), block_chars=st.sampled_from([1, 40, 300, ingest._BLOCK_CHARS]),
+       kind=st.sampled_from(["bytes", "file", "text"]))
 def test_block_decoding_matches_per_line_parse(lines, terminator, final, bom, block_chars,
-                                               from_file, tmp_path_factory):
+                                               kind, tmp_path_factory):
     data = terminator.join(line for group in lines for line in group)
     data = (b"\xef\xbb\xbf" if bom else b"") + data + (terminator if final else b"")
-    source = data
-    if from_file:  # a file splits lines at a lone "\r" too
-        source = tmp_path_factory.mktemp("blocks") / "events.ndjson"
-        source.write_bytes(data)
     with mock.patch.object(ingest, "_BLOCK_CHARS", block_chars):
-        batch, report = parse_events(source, "ndjson")
-    expected, expected_report = _parse_per_line(source)
+        batch, report = parse_events(_source(kind, data, tmp_path_factory), "ndjson")
+    expected, expected_report = _parse_per_line(_source(kind, data, tmp_path_factory))
     assert _columns(batch) == _columns(expected)
     assert report.entries == expected_report.entries
     assert report.total_rows == expected_report.total_rows
@@ -601,13 +619,19 @@ SPLIT_AFTER_NESTED = [b'{"x": {"k": 1}',
 SPLIT_AT_A_COMMA = [b'{"u": "a", "t": "2013-03-05T10:07:00Z"', b'"lon": 1, "lat": 2}']
 TWO_OBJECTS = [b'{"u": "b", "t": "2013-03-05T10:08:00Z", "lon": 1, "lat": 2}, '
                b'{"u": "c", "t": "2013-03-05T10:09:00Z", "lon": 1, "lat": 2}']
+# a string that would run from one line into the next, over the inserted comma
+STRING_OVER_A_LINE_END = [b'{"u": "b", "t": "2013-03-05T10:08:00Z", "lon": 1, "lat": 2}, '
+                          b'{"u": "c", "t": "2013-03-05T10:09:00Z", "lon": 1, "lat": 2, "text": "}',
+                          b'"}']
 
 
 @pytest.mark.parametrize("lines", [
     SPLIT_AFTER_NESTED,  # as many "{" as lines and a "}" at each end, but one object
     SPLIT_AFTER_NESTED + TWO_OBJECTS,  # one object per line on average, but a "{" too many
     SPLIT_AT_A_COMMA + TWO_OBJECTS,  # as many "{" as lines and objects, but a line ends in '"'
-], ids=["one object", "nested", "line end"])
+    # as many "{" as lines and objects and a "}" at each end, but a string spans a line end
+    STRING_OVER_A_LINE_END,
+], ids=["one object", "nested", "line end", "string over a line end"])
 def test_block_decoder_conditions_each_needed(lines):
     data = b"\n".join(lines) + b"\n"
     json.loads(b"[" + b",".join(lines) + b"]")  # the block alone would decode
@@ -617,6 +641,18 @@ def test_block_decoder_conditions_each_needed(lines):
     assert _columns(batch) == _columns(expected)
     assert report.entries == expected_report.entries
     assert report.total_rows == len(lines)
+
+
+def test_lone_carriage_return_between_tokens_ends_its_line():
+    # JSON reads a "\r" between two tokens as whitespace, but the reader ends
+    # a line there: the chunk must not decode as one object per "\n"
+    clean = b'{"u": "a", "t": "2013-03-05T10:07:00Z", "lon": 1, "lat": 2}'
+    data = b"\n".join([clean, clean.replace(b', "lon"', b',\r "lon"'), clean]) + b"\n"
+    batch, report = parse_events(data, "ndjson")
+    expected, expected_report = _parse_per_line(data)
+    assert [line for line, _ in report.entries] == [2, 3]
+    assert report.entries == expected_report.entries
+    assert len(batch) == 2 and _columns(batch) == _columns(expected)
 
 
 def test_deeply_nested_row_in_a_provable_block_rejects_only_itself():
@@ -637,16 +673,18 @@ def _per_row_step(*args):
     raise AssertionError(f"per-row step called with {args!r}")
 
 
-@pytest.mark.parametrize("fmt", ["ndjson", "csv"])
-def test_clean_blocks_skip_the_per_row_checks(tmp_path, fmt):
+@pytest.mark.parametrize("fmt,line_end", [("ndjson", b"\n"), ("ndjson", b"\r\n"),
+                                           ("csv", b"\n")])
+def test_clean_blocks_skip_the_per_row_checks(tmp_path, fmt, line_end):
     # a synth file of several blocks, each row a string id, a bulk-shape
     # timestamp and two coordinates in range (CSV cells are strings)
     config = SynthConfig(seed=5, n_zones=16, n_users=100, events_per_user_per_day=10.0, n_days=2)
     events, _ = generate_events(generate_city(config))
     path = tmp_path / "events.ndjson"
     write_events_ndjson(events, path)
-    assert path.stat().st_size > 3 * ingest._BLOCK_CHARS
     expected, expected_report = _parse_per_line(path)
+    path.write_bytes(path.read_bytes().replace(b"\n", line_end))
+    assert path.stat().st_size > 3 * ingest._BLOCK_CHARS
     if fmt == "csv":
         _write_csv_copy(path, tmp_path / "events.csv")
         path = tmp_path / "events.csv"
@@ -660,8 +698,8 @@ def test_clean_blocks_skip_the_per_row_checks(tmp_path, fmt):
     assert _columns(batch) == _columns(expected)
 
 
-# Rows padded to one width, so that a block of k rows is read whole when
-# _BLOCK_CHARS is k * ROW_WIDTH - 1 (readlines stops once it passes the hint)
+# Rows padded to one width, so that each read of k * ROW_WIDTH characters is a
+# chunk of k whole rows
 ROW_WIDTH = 100
 LON_TIME = "2013-03-05T11:00:00+01:00"
 FRACTION_TIME = "2013-03-05T10:07:00.5Z"
@@ -692,7 +730,7 @@ def test_rows_off_the_bulk_path_alone_take_the_per_row_checks(layout, lon):
     if size == 1:
         rows.insert(3, special["F" if layout == "L" else "L"])
     text = _padded_lines(rows)
-    assert len(io.StringIO(text).readlines(size * ROW_WIDTH - 1)) == size
+    assert len(text) == len(rows) * ROW_WIDTH
     expected, expected_report = _parse_per_line(io.StringIO(text))
     calls = []
 
@@ -705,7 +743,7 @@ def test_rows_off_the_bulk_path_alone_take_the_per_row_checks(layout, lon):
     with mock.patch.multiple(ingest, _check_row=spy(ingest._check_row),
                              parse_timestamp=spy(ingest.parse_timestamp),
                              _load_row=spy(ingest._load_row),
-                             _BLOCK_CHARS=size * ROW_WIDTH - 1):
+                             _BLOCK_CHARS=size * ROW_WIDTH):
         batch, report = parse_events(io.StringIO(text), "ndjson")
     # the word lon row takes the per-row checks (they read its timestamp
     # too); the fraction row only the per-row timestamp parse. A numeric
@@ -730,7 +768,7 @@ def test_user_codes_follow_the_first_accepted_row():
         ("a", ok), ("b", "2013-02-29T10:07:00+01:00"), ("c", ok), ("b", ok), ("d", ok),
         ("e", ok), ("b", ok), ("a", ok), ("f", ok), ("c", ok)]]
     text = _padded_lines(rows)
-    with mock.patch.object(ingest, "_BLOCK_CHARS", 5 * ROW_WIDTH - 1):
+    with mock.patch.object(ingest, "_BLOCK_CHARS", 5 * ROW_WIDTH):
         batch, report = parse_events(io.StringIO(text), "ndjson")
     expected, expected_report = _parse_per_line(io.StringIO(text))
     assert [line for line, _ in report.entries] == [2]
@@ -799,6 +837,16 @@ def test_bulk_timestamps_match_parse_timestamp(raw, bulk):
                         batch.offset_us.tolist())) == [expected, expected]
 
 
+@pytest.mark.parametrize("raws", [
+    # 24 and 26 characters: read 25 at a time, both would look valid
+    ["2013-03-05T10:00:00+01:0", "12013-03-05T10:00:00+01:00"],
+    # a line feed inside a string: read between line feeds, the first two would look valid
+    ["2013-03-05T10:00:00+01:00\n2013-03-05T11:00:00+01:00", "", "2013-03-05T10:00:00+01:0"],
+], ids=["24 and 26", "line feed inside"])
+def test_bulk_timestamps_of_other_lengths_are_never_read_shifted(raws):
+    assert ingest._fixed_instants(raws)[0].tolist() == [False] * len(raws)
+
+
 def test_bulk_timestamps_in_one_call():
     raws = [raw for raw, _ in TIMESTAMP_CASES]
     fits, epoch, offset = ingest._fixed_instants(raws)
@@ -848,19 +896,21 @@ def test_path_bytes_and_streams_parse_alike(fmt, tmp_path):
 
 
 def test_text_stream_is_read_in_place_and_left_open():
-    # a StringIO splits lines at "\n" only, so the lone "\r" joins rows c and d
+    # the reader, not the stream, splits the lines: a lone "\r" ends row c, as
+    # it does in a file, although a StringIO's own lines end at "\n" only
     stream = io.StringIO(SOURCE_BYTES.decode("utf-8", "surrogateescape"))
     batch, report = parse_events(stream, "ndjson")
     assert not stream.closed
-    assert batch.user_ids == ("a",)
-    assert report.entries == [(2, "invalid utf-8"), (3, "invalid json: Extra data")]
+    assert batch.user_ids == ("a", "c", "d")
+    assert report.entries == [(2, "invalid utf-8")]
 
 
-def test_bytes_source_is_not_held_whole():
+@pytest.mark.parametrize("line_end", [b"\n", b"\r"])
+def test_bytes_source_is_not_held_whole(line_end):
     # 20,000 rows; reading the source whole and copying it into a StringIO
     # peaked at about five times its size
-    data = b"".join(b'{"u":"u%d","t":"2013-03-05T10:07:00Z","lon":1.5,"lat":2.5}\n' % (i % 500)
-                    for i in range(20000))
+    data = line_end.join(b'{"u":"u%d","t":"2013-03-05T10:07:00Z","lon":1.5,"lat":2.5}' % (i % 500)
+                         for i in range(20000)) + line_end
     tracemalloc.start()
     try:
         batch, _ = parse_events(data, "ndjson")
@@ -869,6 +919,19 @@ def test_bytes_source_is_not_held_whole():
         tracemalloc.stop()
     assert len(batch) == 20000
     assert peak < 2 * len(data)
+
+
+@pytest.mark.parametrize("block_chars", [40, ingest._BLOCK_CHARS])
+def test_line_longer_than_a_read_parses_intact(block_chars):
+    # a 200,000-character line between two short ones, gathered from many reads
+    text = "x" * 200_000
+    rows = [{"u": u, "t": "2013-03-05T10:07:00Z", "lon": 1.5, "lat": 2.5, "text": t}
+            for u, t in [("a", "short"), ("b", text), ("c", "short")]]
+    data = "".join(json.dumps(row) + "\n" for row in rows).encode()
+    with mock.patch.object(ingest, "_BLOCK_CHARS", block_chars):
+        batch, report = parse_events(data, "ndjson")
+    assert report.entries == [] and report.total_rows == 3
+    assert [e.text for e in batch] == ["short", text, "short"]
 
 
 @pytest.mark.parametrize("fmt", ["ndjson", "csv"])

@@ -507,6 +507,31 @@ def test_cli_ingest_rejects_invalid_utf8_row(tmp_path, capsys):
     assert (counts["rows_total"], counts["rows_rejected"]) == (2, 1)
 
 
+CSV_HEADER = "user_id,timestamp,lon,lat,text\n"
+CSV_ROW = "a,2013-03-05T10:00:00Z,0.5,0.5,"
+
+
+@pytest.mark.parametrize("rows,message", [
+    # csv's default field size limit is 131,072 characters
+    ([CSV_ROW + "x" * 200_000, CSV_ROW + "ok"],
+     "malformed csv: line 2: field larger than field limit (131072)"),
+    # a quote opened and never closed would take in every later line
+    ([CSV_ROW + "ok", CSV_ROW + '"open', CSV_ROW + "ok"],
+     "malformed csv: line 4: unexpected end of data"),
+    ([CSV_ROW + '"a"b'], "malformed csv: line 2: ',' expected after '\"'"),
+], ids=["long cell", "open quote", "text after a closing quote"])
+def test_cli_csv_framing_fault_exits_2_naming_the_line(tmp_path, capsys, rows, message):
+    events = tmp_path / "events.csv"
+    events.write_text(CSV_HEADER + "\n".join(rows) + "\n", encoding="utf-8")
+    zones = tmp_path / "zones.geojson"
+    export_geojson(one_zone(), {}, zones)
+    code = cli.main(["ingest", "--events", str(events), "--zones", str(zones),
+                     "--out", str(tmp_path / "out"), "--timezone", "UTC"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_synth_class_mix_and_census_round_trip(tmp_path):
     out = tmp_path / "mixed"
     code = cli.main(["synth", "--out", str(out), "--seed", "8", "--n-zones", "25",

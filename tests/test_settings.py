@@ -197,15 +197,17 @@ def _exit_code(argv) -> int:
 # a 16-zone, 40-user city; a flag given again overrides these
 SYNTH_BASE = ["--seed", "3", "--n-zones", "16", "--n-users", "40", "--events-per-day", "4"]
 FRACTIONS = st.sampled_from(["0.5", "1", "0", "-0.5", "1.5", "nan", "inf", "-inf", "", "x"])
-# Event rates stay below 50 a day, because a large finite rate is accepted
-# and the generator then allocates every one of its events.
+# Accepted event rates stay below 50 a day, because the generator allocates
+# every event of a rate under the cap; the rates past the cap (40 users over 3
+# days: 83,333.3 a day) are refused before any event exists.
 SYNTH_TEXTS = {
     "--seed": st.integers(-2, 5).map(str) | TEXTS,
     "--n-zones": st.integers(-1, 20).map(str) | TEXTS,
     "--n-users": st.integers(-1, 50).map(str) | TEXTS,
     "--days": st.integers(-2, 3).map(str) | TEXTS,
-    "--events-per-day": st.floats(0, 50).map(repr) | st.sampled_from(
-        ["nan", "-nan", "inf", "-inf", "-1", "-0.0", "5e-324", "1_5", "", "x"]),
+    "--events-per-day": st.floats(0, 50).map(repr) | st.floats(83_334, 1e308).map(repr)
+                        | st.sampled_from(["nan", "-nan", "inf", "-inf", "-1", "-0.0", "5e-324",
+                                           "1_5", "", "x", "1e300", "83333.34"]),
     "--home-bias": TEXTS,
     "--centre-decay": TEXTS,
     "--timezone": st.sampled_from(["UTC", "Asia/Kathmandu", "Mars/X", "", "Europe", "../UTC",
@@ -222,6 +224,7 @@ SYNTH_TEXTS = {
 @example(("--timezone", "Mars/X"))
 @example(("--events-per-day", "nan"))
 @example(("--events-per-day", "-1"))
+@example(("--events-per-day", "1e300"))
 @example(("--class-mix", "residential:nan"))
 @example(("--days", "0"))
 @example(("--centre-decay", "nan"))
@@ -247,6 +250,8 @@ def test_any_synth_setting_text_ends_in_exit_0_or_2(tmp_path_factory, case):
     ("--events-per-day", "nan", "events_per_user_per_day must be a finite number >= 0"),
     ("--events-per-day", "-1", "events_per_user_per_day must be a finite number >= 0"),
     ("--events-per-day", "inf", "events_per_user_per_day must be a finite number >= 0"),
+    ("--events-per-day", "1e300",
+     "n_users * n_days * events_per_user_per_day must be <= 10,000,000"),
     ("--days", "0", "n_days must be >= 1"),
     ("--centre-decay", "nan", "centre_decay_per_km must be a finite number >= 0"),
     ("--centre-decay", "-0.1", "centre_decay_per_km must be a finite number >= 0"),
@@ -261,6 +266,17 @@ def test_bad_synth_setting_gives_its_error(tmp_path, capsys, flag, text, message
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not (tmp_path / "city").exists()
+
+
+def test_synth_event_cap_admits_its_bound():
+    # 40 users over 5 days at 50,000 events a day expect exactly the cap; the
+    # check needs no event generated
+    at_cap = SynthConfig(n_users=40, n_days=5, events_per_user_per_day=50_000.0)
+    at_cap.validate()
+    with pytest.raises(ConfigError, match="events_per_user_per_day must be <= 10,000,000"):
+        dataclasses.replace(at_cap, events_per_user_per_day=50_000.001).validate()
+    with pytest.raises(ConfigError, match="events_per_user_per_day must be <= 10,000,000"):
+        dataclasses.replace(at_cap, n_days=6).validate()
 
 
 def test_flagless_synth_writes_the_synth_config_defaults(tmp_path):

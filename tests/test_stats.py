@@ -542,6 +542,54 @@ def test_infer_homes_matches_per_user_reference(events, residential):
     assert list(homes.items()) == list(expected.items())
 
 
+def _homes_by_dict_count(events, residential):
+    """Reference for infer_homes over all users at once: night and total counts per (user, zone)."""
+    night_bins = set(DEFAULT_NIGHT_BINS)
+    night, total = Counter(), Counter()
+    for user, zone, b in events:
+        total[user, zone] += 1
+        if b in night_bins and zone in residential:
+            night[user, zone] += 1
+    best = {}
+    for (user, zone), count in night.items():
+        rank = (-count, -total[user, zone], zone)
+        best[user] = min(best.get(user, rank), rank)
+    return {user: best[user][2] for user in sorted(best)}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_infer_homes_matches_dict_counts_with_ties(seed):
+    # 600 users over 40 zones, each with three zones of equal night counts;
+    # every other user also has equal day counts in them, so that the zone_id
+    # breaks the tie, and one zone outside the residential set has more nights
+    rng = np.random.default_rng(seed)
+    zones = [f"z{i:02d}" for i in range(40)]
+    residential = set(zones[:30])
+    events = []
+    for u in range(600):
+        user = f"u{rng.integers(10_000):04d}"  # ids repeat: some users add more events
+        tied = rng.choice(zones[:30], size=3, replace=False)
+        nights = int(rng.integers(1, 4))
+        days = [int(rng.integers(0, 3))] * 3 if u % 2 else rng.integers(0, 3, size=3).tolist()
+        for zone, d in zip(tied, days):
+            events += [(user, zone, int(rng.choice(DEFAULT_NIGHT_BINS)))] * nights
+            events += [(user, zone, int(rng.integers(0, 80)))] * d
+        events += [(user, zones[30 + u % 10], 90)] * (nights + 1)
+    events = [events[i] for i in rng.permutation(len(events))]
+    homes = infer_homes(encode(events), residential_zones=residential)
+    assert list(homes.items()) == list(_homes_by_dict_count(events, residential).items())
+    # the ties the ranking must break: one night count and one total count
+    # in two zones, and one night count with different totals
+    night = Counter((u, z) for u, z, b in events if b in DEFAULT_NIGHT_BINS and z in residential)
+    total = Counter((u, z) for u, z, _ in events)
+    ranks = {}
+    for (user, zone), count in night.items():
+        ranks.setdefault(user, []).append((count, total[user, zone]))
+    top = [sorted(r, reverse=True)[:2] for r in ranks.values() if len(r) > 1]
+    assert any(a == b for a, b in top)
+    assert any(a[0] == b[0] and a[1] != b[1] for a, b in top)
+
+
 def test_census_r2_perfect_proportionality():
     counts = np.array([1.0, 4.0, 2.0, 8.0])
     assert census_correlation(counts, 100.0 * counts) == pytest.approx(1.0)
