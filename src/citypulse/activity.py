@@ -120,15 +120,24 @@ class AssignedEvents:
 def _dedup_matrix(events: AssignedEvents, cols: np.ndarray, n_cols: int) -> np.ndarray:
     """Count distinct users per (zone, column); cols < 0 are dropped."""
     n_zones = len(events.zone_ids)
+    users, zones = events.users, events.zones
     keep = cols >= 0
+    if not keep.all():
+        users, zones, cols = users[keep], zones[keep], cols[keep]
     # collapse duplicate (user, zone, col) triples, then count per cell; one
     # sort and a neighbour test, which is many times faster than np.unique
-    # on int64 keys with numpy 2.x
-    key = np.sort((events.users[keep].astype(np.int64) * n_zones + events.zones[keep])
-                  * n_cols + cols[keep])
+    # on int64 keys with numpy 2.x. The key is built and sorted in place, so
+    # its 8 B an event are the largest temporary.
+    key = users.astype(np.int64)
+    key *= n_zones
+    key += zones
+    key *= n_cols
+    key += cols
+    key.sort()
     distinct = np.ones(len(key), dtype=bool)
     distinct[1:] = key[1:] != key[:-1]
-    cells = key[distinct] % (n_zones * n_cols)
+    cells = key[distinct]
+    cells %= n_zones * n_cols
     return np.bincount(cells, minlength=n_zones * n_cols).reshape(n_zones, n_cols)
 
 
@@ -153,7 +162,7 @@ def aggregate_major_slots(events: AssignedEvents,
     counts once. Bins outside every slot are excluded.
     """
     validate_slots(slots)
-    slot_of = np.full(N_QUARTER_BINS, -1, dtype=np.int64)
+    slot_of = np.full(N_QUARTER_BINS, -1, dtype=np.int8)  # one byte a slot code per event
     for i, slot in enumerate(slots):
         slot_of[slot.start_bin:slot.end_bin + 1] = i
     counts = _dedup_matrix(events, slot_of[events.bins], len(slots))

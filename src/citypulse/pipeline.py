@@ -80,7 +80,7 @@ def load_census(path) -> dict[str, float]:
     census: dict[str, float] = {}
     line_of: dict[str, int] = {}
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:  # skips a byte-order mark
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or not {"zone_id", "population"} <= set(reader.fieldnames):
                 raise DataError(f"census file {path} must have columns zone_id,population")
@@ -283,8 +283,8 @@ def run_pipeline(config: PipelineConfig, steps: Iterable[str] = ALL_STEPS) -> Ru
         # --- ingest ---------------------------------------------------------
         # one event batch alive at a time: each is dropped once the next stage has it
         events, report = parse_events_file(config.events_path, config.events_format)
-        if steps != {"ingest"}:  # only events_clean.ndjson reads the optional fields
-            events = replace(events, optional={})
+        if steps != {"ingest"}:  # only events_clean.ndjson reads these columns
+            events = replace(events, micro=None, offset_us=None, optional={})
         workday_events = ingest.filter_workdays(events, config.timezone)
         del events
         report.write_csv(stage / "rejections.csv")

@@ -419,11 +419,12 @@ def _parse_per_line(source):
     """The NDJSON reader one line at a time: json.loads and the per-row checks.
 
     Every source is split into lines by a StringIO in universal-newline mode,
-    at "\\n", "\\r\\n" and a lone "\\r".
+    at "\\n", "\\r\\n" and a lone "\\r", after a leading byte-order mark.
     """
     rows, report = [], RejectionReport()
     with ingest._open_text(source) as fh:
-        for n, line in enumerate(io.StringIO(fh.read(), newline=""), start=1):
+        text = fh.read().removeprefix("\ufeff")
+        for n, line in enumerate(io.StringIO(text, newline=""), start=1):
             if not line.strip():
                 continue
             report.total_rows += 1
@@ -439,8 +440,11 @@ def _parse_csv_per_row(source):
     rows, report = [], RejectionReport()
     with ingest._open_text(source) as fh:
         reader = csv.reader(fh)
+        header = next(reader)
+        if header:  # a leading byte-order mark opens the first (unquoted) name
+            header[0] = header[0].removeprefix("\ufeff")
         # a repeated name: the last wins
-        position = {name: i for i, name in enumerate(next(reader))}
+        position = {name: i for i, name in enumerate(header)}
         columns = [position.get(name) for name in ingest.CSV_COLUMNS + ingest.OPTIONAL_FIELDS]
         for row in reader:
             if not row:
@@ -602,8 +606,10 @@ def csv_sources(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(data=csv_sources(), block_rows=st.sampled_from([1, 2, 5, ingest._CSV_BLOCK_ROWS]))
-def test_csv_blocks_match_per_row_parse(data, block_rows):
+@given(data=csv_sources(), block_rows=st.sampled_from([1, 2, 5, ingest._CSV_BLOCK_ROWS]),
+       bom=st.booleans())
+def test_csv_blocks_match_per_row_parse(data, block_rows, bom):
+    data = (b"\xef\xbb\xbf" if bom else b"") + data
     with mock.patch.object(ingest, "_CSV_BLOCK_ROWS", block_rows):
         batch, report = parse_events(data, "csv")
     expected, expected_report = _parse_csv_per_row(data)
@@ -903,6 +909,36 @@ def test_text_stream_is_read_in_place_and_left_open():
     assert not stream.closed
     assert batch.user_ids == ("a", "c", "d")
     assert report.entries == [(2, "invalid utf-8")]
+
+
+@pytest.mark.parametrize("fmt", ["ndjson", "csv"])
+def test_leading_byte_order_mark_is_skipped(fmt, tmp_path):
+    # spreadsheet tools write EF BB BF at the start of a UTF-8 file. Every
+    # source kind skips it, a text stream's U+FEFF too, and line numbers stay
+    # physical; a quoted first header cell still reads as its name. A mark
+    # anywhere else is the row's own text.
+    data = SOURCE_BYTES
+    if fmt == "csv":
+        data = (b'"user_id",timestamp,lon,lat,text\n'
+                b'a,2013-03-05T10:07:00Z,1,2,"x\xe2\x80\xa8y"\n'
+                b"b,2013-03-05T10:08:00Z,1,2,bad \xff\r\n"
+                b"c,2013-03-05T10:09:00Z,1,2,\n"
+                b"d,2013-03-05T10:10:00Z,1,2,")
+    marked = b"\xef\xbb\xbf" + data
+    path = tmp_path / "events"
+    path.write_bytes(marked)
+    batch, report = parse_events(data, fmt)
+    assert batch.user_ids == ("a", "c", "d")
+    for source in (path, marked, io.BytesIO(marked),
+                   io.StringIO(marked.decode("utf-8", "surrogateescape"))):
+        other, other_report = parse_events(source, fmt)
+        assert _columns(other) == _columns(batch)
+        assert (other_report.entries, other_report.total_rows) == (
+            report.entries, report.total_rows)
+    if fmt == "ndjson":
+        batch, report = parse_events(data + b"\n\xef\xbb\xbf" + data.split(b"\n")[0], fmt)
+        assert report.entries == [(2, "invalid utf-8"),
+                                  (5, "invalid json: Unexpected UTF-8 BOM (decode using utf-8-sig)")]
 
 
 @pytest.mark.parametrize("line_end", [b"\n", b"\r"])

@@ -202,6 +202,8 @@ def test_one_event_batch_alive_at_a_time(small_city, tmp_path, monkeypatch, week
         seen["parsed"] = weakref.ref(events)
         workdays = filter_workdays(events, tz)
         seen["same"] = workdays is events
+        seen["write_back"] = [column is not None for batch in (events, workdays)
+                              for column in (batch.micro, batch.offset_us)]
         return workdays
 
     def traced_assign(events, index, tz):
@@ -226,6 +228,9 @@ def test_one_event_batch_alive_at_a_time(small_city, tmp_path, monkeypatch, week
     assert seen["same"] is not weekend_row
     assert not seen["parsed_alive"]
     assert not seen["workdays_alive"]
+    # the write-back columns are gone before the filter, and a filter that
+    # drops a row keeps them gone in the rows it takes
+    assert seen["write_back"] == [False] * 4
 
 
 def test_event_path_memory_grows_by_bytes_per_row(monkeypatch):
@@ -257,6 +262,36 @@ def test_event_path_memory_grows_by_bytes_per_row(monkeypatch):
     assert rows >= 50_000 and len(assigned) == rows and unassigned == 0
     assert kept - before < 8 * rows
     assert peak - before < 1_000_000 + 8 * rows
+
+
+@pytest.mark.parametrize("count", ["homes", "slots"])
+def test_count_memory_grows_by_bytes_per_event(count):
+    # ~52k assigned synth events. Each count sorts one int64 key a row, built
+    # in place, beside one-byte masks and slot codes: measured 15 B an event
+    # for home inference (half the zones residential) and 18 B for the slot
+    # counts. np.unique with counts over every (user, zone) key peaked at
+    # 33 B an event, and an int64 slot code per event and a key built through
+    # temporaries at 32 B.
+    from citypulse import spatial, stats
+    config = SynthConfig(seed=11, n_zones=100, n_users=1000, events_per_user_per_day=17.0,
+                         n_days=3, home_bias=0.3, centre_decay_per_km=0.12)
+    city = generate_city(config)
+    events, _ = generate_events(city)
+    index = spatial.build_zone_index(ZoneTable.from_zones(city.zones))
+    assigned, _, _ = pipeline.assign_events(events, index, config.timezone)
+    del events
+    residential = set(assigned.zone_ids[::2])
+    call = {"homes": lambda: stats.infer_homes(assigned, stats.DEFAULT_NIGHT_BINS, residential),
+            "slots": lambda: activity.aggregate_major_slots(assigned)}[count]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(assigned) >= 50_000
+    assert peak - before < 24 * len(assigned)
 
 
 def test_centre_outside_coverage_warns(small_city, tmp_path):
@@ -464,8 +499,8 @@ def test_cli_ingest_writes_clean_events(tmp_path):
 @pytest.mark.parametrize("steps", [{"ingest"}, {"aggregate"}, {"profiles"}])
 def test_optional_fields_reach_only_the_ingest_step(tmp_path, monkeypatch, steps):
     # events_clean.ndjson, written by the ingest step alone, is the one reader
-    # of the optional fields; every other step set drops them before the
-    # workday filter copies the rows it keeps
+    # of the optional fields, the microseconds and the written offsets; every
+    # other step set drops them before the workday filter copies the rows it keeps
     from citypulse import ingest
     events = tmp_path / "events.csv"
     events.write_text("user_id,timestamp,lon,lat,lang\n"
@@ -477,14 +512,15 @@ def test_optional_fields_reach_only_the_ingest_step(tmp_path, monkeypatch, steps
     filter_workdays = ingest.filter_workdays
 
     def traced_filter(batch, tz):
-        seen.append(sorted(batch.optional))
+        seen.append((sorted(batch.optional), batch.micro is None, batch.offset_us is None))
         return filter_workdays(batch, tz)
 
     monkeypatch.setattr(ingest, "filter_workdays", traced_filter)
     config = PipelineConfig(events_path=events, zones_path=zones, output_dir=tmp_path / "out",
                             timezone="UTC", centre_lon=0.5, centre_lat=0.5)
     run_pipeline(config, steps)
-    assert seen == [["lang"] if steps == {"ingest"} else []]
+    dropped = steps != {"ingest"}
+    assert seen == [([] if dropped else ["lang"], dropped, dropped)]
     if steps == {"ingest"}:
         assert '"lang": "es"' in (tmp_path / "out" / "events_clean.ndjson").read_text()
 
@@ -594,6 +630,12 @@ def test_census_negative_population_is_fatal_naming_its_line(tmp_path):
         pipeline.load_census(census)
     census.write_text("zone_id,population\nz0000,0\nz0001,-0\n", encoding="utf-8")
     assert pipeline.load_census(census) == {"z0000": 0.0, "z0001": 0.0}
+
+
+def test_census_byte_order_mark_is_skipped(tmp_path):
+    census = tmp_path / "census.csv"
+    census.write_bytes(b"\xef\xbb\xbfzone_id,population\nz0000,900\nz0001,12\n")
+    assert pipeline.load_census(census) == {"z0000": 900.0, "z0001": 12.0}
 
 
 def test_census_rows_for_unknown_zones_are_one_warning(small_city, tmp_path):

@@ -202,6 +202,15 @@ def test_load_zones_geojson(tmp_path):
     assert zones[0].built_residential_m2 == 800.0
 
 
+def test_load_zones_skips_a_byte_order_mark(tmp_path):
+    doc = json.dumps({"type": "FeatureCollection", "features": [_feature("z1")]}).encode()
+    path = tmp_path / "zones.geojson"
+    path.write_bytes(doc)
+    plain = zone_rows(load_zones_geojson(path))
+    path.write_bytes(b"\xef\xbb\xbf" + doc)
+    assert zone_rows(load_zones_geojson(path)) == plain
+
+
 def test_load_zones_rejects_bad_documents(tmp_path):
     path = tmp_path / "zones.geojson"
     path.write_text(json.dumps({"type": "Feature"}))
