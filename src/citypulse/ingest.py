@@ -64,6 +64,10 @@ _BOM = "\ufeff"
 # to one of these code points, and valid UTF-8 never decodes to them.
 _UNDECODABLE = re.compile("[\udc80-\udcff]")
 
+# float() also reads " 1.5 ", "1_5" and the digits of other scripts, so a
+# coordinate string must be ASCII and hold no whitespace and no "_" first
+_SPACE = re.compile(r"\s")
+
 
 @dataclass(frozen=True)
 class GeoEvent:
@@ -323,10 +327,20 @@ def _user_id(value) -> str:
     raise ValueError("user_id not a string or integer")
 
 
+def _plain(text: str) -> bool:
+    """Whether coordinate text may go to float(): ASCII, no whitespace, no "_"."""
+    return text.isascii() and "_" not in text and _SPACE.search(text) is None
+
+
+def _readable(value) -> bool:
+    """Whether float() may read a coordinate value: a number or a plain string."""
+    kind = type(value)
+    return kind is float or kind is int or kind is str and _plain(value)
+
+
 def _coordinate(value, name: str, limit: float) -> float:
     """A finite number in [-limit, limit]; a CSV cell arrives as its string."""
-    kind = type(value)
-    if kind is not float and kind is not int and kind is not str:
+    if not _readable(value):
         raise ValueError(f"{name} not a number")
     try:
         number = float(value)
@@ -490,6 +504,7 @@ def _proven_objects(text: str) -> list[dict] | None:
 
 
 _STRING = frozenset({str})
+_NUMBER = frozenset({float, int})
 _COORDINATE = frozenset({float, int, str})  # np.array(..., float64) reads a str as float() does
 _OPTIONAL = frozenset({str, type(None)})
 
@@ -508,11 +523,18 @@ def _float_or_nan(value) -> float:
 
 
 def _coordinates(values: list, limit: float, suspect: np.ndarray) -> np.ndarray:
-    """A coordinate column as float64, flagging rows that are not a number in [-limit, limit]."""
-    if not set(map(type, values)) <= _COORDINATE:
-        misfit = [type(value) not in _COORDINATE for value in values]
-        suspect |= misfit
-        values = [math.nan if m else value for value, m in zip(values, misfit)]
+    """A coordinate column as float64, flagging rows that are not a number in [-limit, limit].
+
+    A column of JSON numbers takes no test of its own; the strings of any
+    other are tested joined, and only a column that fails goes row by row.
+    """
+    kinds = set(map(type, values))
+    if not kinds <= _NUMBER:
+        strings = values if kinds == _STRING else [v for v in values if type(v) is str]
+        if not (kinds <= _COORDINATE and _plain("".join(strings))):
+            misfit = [not _readable(value) for value in values]
+            suspect |= misfit
+            values = [math.nan if m else value for value, m in zip(values, misfit)]
     try:
         column = np.array(values, dtype=np.float64)
     except (ValueError, OverflowError):  # a string float() refuses, an integer beyond its range

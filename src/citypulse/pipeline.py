@@ -316,7 +316,7 @@ def run_pipeline(config: PipelineConfig, steps: Iterable[str] = ALL_STEPS) -> Ru
 
         assigned, unassigned, overlaps = assign_events(
             workday_events, index, config.timezone)
-        del workday_events
+        del workday_events, index  # the index has no other user
         counts["events_assigned"] = len(assigned)
         counts["events_unassigned"] = unassigned
         counts["distinct_users"] = int(np.count_nonzero(
@@ -350,9 +350,9 @@ def run_pipeline(config: PipelineConfig, steps: Iterable[str] = ALL_STEPS) -> Ru
 
         if "profiles" in steps:
             landuse.write_classification_csv(stage / "landuse_classes.csv", zones, codes)
-            profiles, omitted = activity.landuse_profile(
-                activity.normalize_counts(quarter, config.normalization_total), codes)
-            quarter = None  # the quarter-hour matrices are not needed past the profiles
+            profiles, omitted = activity.landuse_profile(quarter, codes,
+                                                         config.normalization_total)
+            quarter = None  # the quarter-hour counts are not needed past the profiles
             write_profiles_csv(stage / "profiles.csv", {p.label: p.shares for p in profiles})
             if omitted:
                 warnings.append("classes with no activity omitted from profiles: "

@@ -220,9 +220,8 @@ def _profiles_from_run(fixture):
     assigned = _assign(fixture.city, fixture.events)
     zone_ids = fixture.city.zone_ids
     encoded = encode(assigned, zone_ids)
-    normalized = normalize_counts(count_unique_users(encoded))
     profiles, _ = landuse_profile(
-        normalized, classify_zones(ZoneTable.from_zones(fixture.city.zones)))
+        count_unique_users(encoded), classify_zones(ZoneTable.from_zones(fixture.city.zones)))
     slot_matrix = aggregate_major_slots(encoded, DEFAULT_SLOTS)
     normalized_slots = normalize_counts(slot_matrix)
     return {p.label: p.shares for p in profiles}, normalized_slots, assigned
@@ -270,10 +269,9 @@ def test_profile_round_trip(big_city):
     small_city_obj = generate_city(small_cfg)
     small_events, small_truth = generate_events(small_city_obj)
     small_assigned = _assign(small_city_obj, small_events)
-    small_norm = normalize_counts(
-        count_unique_users(encode(small_assigned, small_city_obj.zone_ids)))
     small_profiles, _ = landuse_profile(
-        small_norm, classify_zones(ZoneTable.from_zones(small_city_obj.zones)))
+        count_unique_users(encode(small_assigned, small_city_obj.zone_ids)),
+        classify_zones(ZoneTable.from_zones(small_city_obj.zones)))
     small_map = {p.label: p.shares for p in small_profiles}
     for label in ("residential", "mixed", "activity"):
         small_l1 = float(np.abs(small_map[label] - small_truth.profiles[label]).sum())

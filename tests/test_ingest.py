@@ -205,6 +205,13 @@ ROW_CASES = {
     "null lon": ({"lon": None}, "lon not a number"),
     "object lat": ({"lat": {"deg": 1}}, "lat not a number"),
     "word lon": ({"lon": "west"}, "lon not a number"),
+    # a coordinate string must be ASCII with no whitespace and no "_", though float() takes them
+    "padded string lon": ({"lon": " -3.7 "}, "lon not a number"),
+    "underscored string lon": ({"lon": "-3_7"}, "lon not a number"),
+    "full-width string lat": ({"lat": "\uff14\uff10"}, "lat not a number"),
+    "nan string lon": ({"lon": "nan"}, "lon not finite"),
+    "inf string lat": ({"lat": "inf"}, "lat not finite"),
+    "1e400 string lon": ({"lon": "1e400"}, "lon not finite"),
     "nan lon": ({"lon": float("nan")}, "lon not finite"),
     "infinite lat": ({"lat": float("inf")}, "lat not finite"),
     "minus infinite lon": ({"lon": float("-inf")}, "lon not finite"),
@@ -266,7 +273,9 @@ def test_ndjson_row_field_rules(overrides, expected):
 
 @pytest.mark.parametrize("lon,reason", [
     ("", "lon not a number"), ("abc", "lon not a number"), ("nan", "lon not finite"),
-    ("-inf", "lon not finite"), ("181", "lon out of range"),
+    ("-inf", "lon not finite"), ("1e400", "lon not finite"), ("181", "lon out of range"),
+    ("1_0", "lon not a number"), (" 1.5 ", "lon not a number"), ("1.5\t", "lon not a number"),
+    ("\uff11", "lon not a number"),
 ])
 def test_csv_coordinate_rules(lon, reason):
     csv_text = f"user_id,timestamp,lon,lat\n0,2013-03-05T10:07:00+01:00,{lon},40.42\n"

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from citypulse.activity import (N_QUARTER_BINS, NORMALIZATION_TOTAL, QUARTER_LABELS,
-                                NormalizedMatrix, density_per_hectare, landuse_profile)
+                                ActivityMatrix, density_per_hectare, landuse_profile,
+                                normalize_counts)
 from citypulse.landuse import (ACTIVITY_CATEGORIES, CATEGORIES, CLASSES, LandUseCategory,
                                LandUseClass, class_sums, classify_zones,
                                write_classification_csv)
@@ -237,16 +238,18 @@ def test_class_groups_match_dict_walk(codes, seed, data, tmp_path_factory):
     zone_ids = tuple(f"z{i:02d}" for i in range(n))
     classes = {z: CLASSES[c] for z, c in zip(zone_ids, codes.tolist()) if c >= 0}
     rng = np.random.default_rng(seed)
-    values = rng.random((n, N_QUARTER_BINS)) * rng.choice([1.0, 1e3, 1e5], (n, 1))
+    counts = rng.integers(0, rng.choice([2, 1_000, 100_000], (n, 1)), (n, N_QUARTER_BINS))
     idle = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    values[idle] = 0.0  # zones without activity; a class of only these is omitted
-    normalized = NormalizedMatrix(zone_ids, QUARTER_LABELS, values, NORMALIZATION_TOTAL)
+    counts[idle] = 0  # zones without activity; a class of only these is omitted
+    matrix = ActivityMatrix(zone_ids, QUARTER_LABELS, counts)
 
-    profiles, omitted = landuse_profile(normalized, codes)
+    profiles, omitted = landuse_profile(matrix, codes, NORMALIZATION_TOTAL)
     assert ([(p.label, p.shares.tobytes(), p.daily_total) for p in profiles], omitted) == \
-        reference_profiles(normalized, classes)
+        reference_profiles(normalize_counts(matrix, NORMALIZATION_TOTAL), classes)
 
-    day, area_ha = values[:, 0], rng.random(n) * rng.choice([0.0, 1.0, 1e4], n)
+    day = rng.random(n) * rng.choice([1.0, 1e3, 1e5], n)
+    day[idle] = 0.0
+    area_ha = rng.random(n) * rng.choice([0.0, 1.0, 1e4], n)
     totals, areas = class_sums(codes, day), class_sums(codes, area_ha)
     densities, _ = density_per_hectare(totals, areas)
     assert [repr((k, totals[k], areas[k], d)) for k, d in densities.items()] == \

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from citypulse import synth
-from citypulse.activity import aggregate_major_slots, count_unique_users, normalize_counts
+from citypulse.activity import aggregate_major_slots, count_unique_users
 from citypulse.errors import ConfigError
 from citypulse.ingest import filter_workdays, get_timezone, parse_events, write_events_ndjson
 from citypulse.landuse import CLASSES, LandUseClass, classify_zones
@@ -210,10 +210,9 @@ def test_profile_round_trip_error_shrinks_with_more_events():
         city = generate_city(config)
         events, truth = generate_events(city)
         assigned = assign(city, events)
-        normalized = normalize_counts(count_unique_users(encode(assigned, city.zone_ids)))
         from citypulse.activity import landuse_profile
-        profiles, _ = landuse_profile(
-            normalized, classify_zones(ZoneTable.from_zones(city.zones)))
+        profiles, _ = landuse_profile(count_unique_users(encode(assigned, city.zone_ids)),
+                                      classify_zones(ZoneTable.from_zones(city.zones)))
         by_label = {p.label: p.shares for p in profiles}
         errors[scale] = sum(
             np.abs(by_label[label] - truth.profiles[label]).sum()
