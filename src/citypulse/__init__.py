@@ -6,9 +6,9 @@ OLS models linking activity to land-use composition.
 """
 
 from .activity import (ActivityMatrix, AssignedEvents, DEFAULT_SLOTS, MajorSlot,
-                       NormalizedMatrix, TemporalProfile, aggregate_major_slots,
-                       count_unique_users, density_per_hectare, landuse_profile,
-                       normalize_counts)
+                       NormalizedMatrix, QuarterCounts, TemporalProfile,
+                       aggregate_major_slots, count_unique_users, density_per_hectare,
+                       landuse_profile, normalize_counts)
 from .config import PipelineConfig, load_config
 from .errors import CityPulseError, ConfigError, DataError, SingularityError
 from .ingest import EventBatch, GeoEvent, RejectionReport, filter_workdays, parse_events

@@ -77,6 +77,55 @@ class ActivityMatrix:
     counts: np.ndarray  # int64, zones x bins
 
 
+# Zone rows made dense at a time, for activity_matrix.csv and the profiles: a
+# block is 192 KiB at 96 bins. On a 4,900-zone city with a third of its cells
+# nonzero (3.76 MB as a dense int64 matrix) the profiles peak at 0.92 MB of
+# traced memory (0.59 MB at 128 rows, 1.54 MB at 512, 2.78 MB at 1,024) and
+# take ~7.3 ms, as at 512 rows; 128 rows took 7.8 ms and 1,024 9.0 ms (medians
+# of 30 calls, shared 2-CPU VM)
+PROFILE_BLOCK_ROWS = 256
+
+
+@dataclass(frozen=True)
+class QuarterCounts:
+    """Unique active users per (zone, quarter-hour bin) cell, kept for the cells
+    that have any; rows follow ``zone_ids`` (sorted).
+
+    ``cells`` (int32, ascending) holds ``zone * 96 + bin`` of each such cell
+    and ``counts`` (int32) its users. :meth:`blocks` gives the dense
+    zones x 96 matrix :data:`PROFILE_BLOCK_ROWS` zone rows at a time.
+    """
+
+    zone_ids: tuple[str, ...]
+    cells: np.ndarray
+    counts: np.ndarray
+
+    def _spans(self):
+        """Per block: its first zone row and the slice of the cells that fall in it."""
+        n = len(self.zone_ids)
+        starts = range(0, n, PROFILE_BLOCK_ROWS)
+        # needles of the cells' own dtype: mixed dtypes would copy every cell
+        firsts = np.array([*starts, n], dtype=self.cells.dtype) * N_QUARTER_BINS
+        bounds = np.searchsorted(self.cells, firsts).tolist()
+        return zip(starts, map(slice, bounds, bounds[1:]))
+
+    def column_totals(self) -> np.ndarray:
+        """Users per bin summed over every zone, as float64 (exact below 2**53)."""
+        totals = np.zeros(N_QUARTER_BINS)
+        for _, cells in self._spans():  # a block's cells at a time keeps the casts small
+            totals += np.bincount(self.cells[cells] % N_QUARTER_BINS,
+                                  weights=self.counts[cells], minlength=N_QUARTER_BINS)
+        return totals
+
+    def blocks(self):
+        """Dense int64 blocks of :data:`PROFILE_BLOCK_ROWS` zone rows x 96 bins, in row order."""
+        for lo, cells in self._spans():
+            rows = min(PROFILE_BLOCK_ROWS, len(self.zone_ids) - lo)
+            block = np.zeros((rows, N_QUARTER_BINS), dtype=np.int64)
+            block.reshape(-1)[self.cells[cells] - lo * N_QUARTER_BINS] = self.counts[cells]
+            yield block
+
+
 @dataclass
 class NormalizedMatrix:
     """Per-bin normalized user counts; every nonzero column sums to slot_total."""
@@ -141,16 +190,34 @@ def _dedup_matrix(events: AssignedEvents, cols: np.ndarray, n_cols: int) -> np.n
     return np.bincount(cells, minlength=n_zones * n_cols).reshape(n_zones, n_cols)
 
 
-def count_unique_users(events: AssignedEvents) -> ActivityMatrix:
+def count_unique_users(events: AssignedEvents) -> QuarterCounts:
     """Distinct users per (zone, quarter-hour bin) across the whole input.
 
     A user active in two zones in the same bin counts once in each; a user
     active in one zone across two bins counts once per bin; repeat events in
     the same cell (including on different days) collapse to one. Rows follow
-    ``events.zone_ids``.
+    ``events.zone_ids``; only the cells with users are kept.
     """
-    counts = _dedup_matrix(events, events.bins, N_QUARTER_BINS)
-    return ActivityMatrix(events.zone_ids, QUARTER_LABELS, counts)
+    # one int64 key, (zone * 96 + bin) * n_users + user, sorted in place: its
+    # distinct entries come grouped by cell, cells ascending, so each cell's
+    # run length is its count, with no matrix of zones x 96
+    n_users = max(len(events.user_ids), 1)
+    key = events.zones.astype(np.int64)
+    key *= N_QUARTER_BINS
+    key += events.bins
+    key *= n_users
+    key += events.users
+    key.sort()
+    distinct = np.ones(len(key), dtype=bool)
+    distinct[1:] = key[1:] != key[:-1]
+    key //= n_users
+    cells = key[distinct]
+    del key, distinct
+    first = np.ones(len(cells), dtype=bool)
+    first[1:] = cells[1:] != cells[:-1]
+    starts = np.flatnonzero(first)
+    counts = np.diff(starts, append=len(cells)).astype(np.int32)
+    return QuarterCounts(events.zone_ids, cells[starts].astype(np.int32), counts)
 
 
 def aggregate_major_slots(events: AssignedEvents,
@@ -175,10 +242,9 @@ def count_daily_unique(events: AssignedEvents) -> ActivityMatrix:
     return ActivityMatrix(events.zone_ids, ("day",), counts)
 
 
-def _divisors(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _divisors(totals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each column's total as a float divisor, 1.0 for a column without users, and
     which columns those are."""
-    totals = counts.sum(axis=0)  # exact, as a float64 sum of counts below 2**53 is
     zero = totals == 0
     return np.where(zero, 1.0, totals), zero
 
@@ -198,7 +264,7 @@ def normalize_counts(matrix: ActivityMatrix,
     Columns with no active users at all are left as zeros and flagged in
     ``zero_bins`` rather than treated as fatal.
     """
-    divisors, zero = _divisors(matrix.counts)
+    divisors, zero = _divisors(matrix.counts.sum(axis=0))
     values = _normalized(matrix.counts, divisors, slot_total)
     zero_bins = tuple(int(i) for i in np.flatnonzero(zero))
     if zero_bins:
@@ -207,36 +273,25 @@ def normalize_counts(matrix: ActivityMatrix,
                             float(slot_total), zero_bins)
 
 
-# Zone rows normalized at a time for the profiles: a block is 192 KiB at 96
-# bins. On a 4,900-zone city (a 3.76 MB count matrix) the call peaks at
-# 0.69 MB of traced memory (0.49 MB at 128 rows, 1.87 MB at 1,024) and takes
-# ~4 ms, against ~2.7 ms to normalize the whole matrix and gather each
-# class's rows; 128 and 512 rows were no faster and 1,024 ~10 % slower
-# (medians of 30 calls, shared 2-CPU VM)
-PROFILE_BLOCK_ROWS = 256
-
-
-def landuse_profile(counts: ActivityMatrix, codes: np.ndarray,
+def landuse_profile(counts: QuarterCounts, codes: np.ndarray,
                     total: float = NORMALIZATION_TOTAL,
                     ) -> tuple[list[TemporalProfile], list[str]]:
-    """Temporal profile per land-use class from the quarter-hour count matrix.
+    """Temporal profile per land-use class from the quarter-hour counts.
 
     Every zone's users, normalized as :func:`normalize_counts` does with
     ``total``, are assigned to its predominant class (``codes``, one class
     code per row); the per-bin class totals divided by the class daily total
-    give the shares. The normalized values are made
-    :data:`PROFILE_BLOCK_ROWS` zone rows at a time and added into the class
-    totals row after row, so no normalized copy of the whole matrix exists.
+    give the shares. The normalized values are made a block of
+    :meth:`QuarterCounts.blocks` at a time and added into the class totals
+    row after row, so no normalized copy of the whole matrix exists.
     Profiles follow the groups of :func:`~citypulse.landuse.class_groups`: the
     three main kinds, then each activity subcategory present. Classes with
     zero daily total are omitted and reported; unclassified zones are skipped.
     """
-    if len(counts.bin_labels) != N_QUARTER_BINS:
-        raise DataError("land-use profiles require the quarter-hour count matrix")
-    matrix = counts.counts
-    divisors, _ = _divisors(matrix)
-    blocks = (_normalized(matrix[lo:lo + PROFILE_BLOCK_ROWS], divisors, total)
-              for lo in range(0, len(matrix), PROFILE_BLOCK_ROWS))
+    if not isinstance(counts, QuarterCounts):
+        raise DataError("land-use profiles require the quarter-hour counts")
+    divisors, _ = _divisors(counts.column_totals())
+    blocks = (_normalized(block, divisors, total) for block in counts.blocks())
     profiles: list[TemporalProfile] = []
     omitted: list[str] = []
     for label, totals in class_sums(codes, blocks).items():

@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from . import activity, ingest, landuse, spatial, stats, tables
+from . import activity, ingest, landuse, spatial, stats
 from .config import PipelineConfig, config_echo
 from .errors import ConfigError, DataError
 from .landuse import CATEGORIES
@@ -127,6 +127,13 @@ def _json_values(values) -> list[str]:
     return [_encode(float(format(v, ".6g")) if isinstance(v, float) else v) for v in values]
 
 
+# Features formatted at a time. At 5 vertices a zone (4,900 zones, 8 value
+# columns) the export's traced peak is 0.50 MB at 128 features, 0.98 MB at 256
+# and 3.85 MB at 1,024, for the same time within noise; in a fine-grid run the
+# export then adds ~0.1 MB to the process peak, against 0.6 MB at 256
+EXPORT_BLOCK_FEATURES = 128
+
+
 def export_geojson(table: ZoneTable, columns: Mapping[str, Sequence], path) -> None:
     """Write zones with named per-zone value columns as a FeatureCollection.
 
@@ -134,7 +141,7 @@ def export_geojson(table: ZoneTable, columns: Mapping[str, Sequence], path) -> N
     explicit null. Float values print at 6 significant digits. Geometry and
     land-use properties round-trip through the zones loader. The text equals
     ``json.dumps`` of the whole FeatureCollection; it is formatted and written
-    :data:`tables.BLOCK_ROWS` features at a time.
+    :data:`EXPORT_BLOCK_FEATURES` features at a time.
     """
     ids = table.zone_ids
     for name, values in columns.items():
@@ -146,8 +153,8 @@ def export_geojson(table: ZoneTable, columns: Mapping[str, Sequence], path) -> N
     with open(path, "w", encoding="utf-8") as fh:
         fh.write('{"type": "FeatureCollection", "features": [')
         sep = ""
-        for lo in range(0, len(ids), tables.BLOCK_ROWS):
-            hi = min(lo + tables.BLOCK_ROWS, len(ids))
+        for lo in range(0, len(ids), EXPORT_BLOCK_FEATURES):
+            hi = min(lo + EXPORT_BLOCK_FEATURES, len(ids))
             # every column of the block as JSON text, then one string per feature
             parts = [[_encode(z) for z in ids[lo:hi]]]
             for label in ("area_ha", "built_residential_m2", "built_total_m2"):
@@ -184,6 +191,15 @@ def write_profiles_csv(path, profiles: Mapping[str, np.ndarray]) -> None:
               [[label for label in profiles for _ in range(n_bins)],
                np.tile(np.arange(n_bins), len(profiles)),
                np.array(list(profiles.values()), dtype=np.float64).reshape(-1)])
+
+
+def write_quarter_csv(path, quarter: activity.QuarterCounts) -> None:
+    """``zone_id,bin_0..bin_95``: one row of counts per zone, written a block of
+    :meth:`~citypulse.activity.QuarterCounts.blocks` at a time."""
+    ids, step = quarter.zone_ids, activity.PROFILE_BLOCK_ROWS
+    write_csv(path, ["zone_id", *activity.QUARTER_LABELS],
+              blocks=([ids[k * step:(k + 1) * step], *block.T]
+                      for k, block in enumerate(quarter.blocks())))
 
 
 def _write_model_csv(path, fit: stats.OlsFit, dropped: Sequence[str]) -> None:
@@ -280,7 +296,13 @@ def run_pipeline(config: PipelineConfig, steps: Iterable[str] = ALL_STEPS) -> Ru
         stage = Path(work) / "out"
         stage.mkdir()
 
-        # --- ingest ---------------------------------------------------------
+        # --- zones, then events --------------------------------------------
+        # the zones load first, into a heap the events have not grown yet
+        zones = spatial.load_zones_geojson(config.zones_path)
+        index = spatial.build_zone_index(zones)
+        zone_ids = zones.zone_ids
+        codes = landuse.classify_zones(zones, config.predominance_threshold)
+
         # one event batch alive at a time: each is dropped once the next stage has it
         events, report = parse_events_file(config.events_path, config.events_format)
         if steps != {"ingest"}:  # only events_clean.ndjson reads these columns
@@ -296,10 +318,6 @@ def run_pipeline(config: PipelineConfig, steps: Iterable[str] = ALL_STEPS) -> Ru
         counts["events_workdays"] = len(workday_events)
         if report.rejected:
             warnings.append(f"{report.rejected} input rows rejected")
-
-        zones = spatial.load_zones_geojson(config.zones_path)
-        index = spatial.build_zone_index(zones)
-        zone_ids = zones.zone_ids
         counts["zones"] = len(zones)
 
         if config.centre_lon is not None:
@@ -308,7 +326,6 @@ def run_pipeline(config: PipelineConfig, steps: Iterable[str] = ALL_STEPS) -> Ru
                     and y0.min() <= config.centre_lat <= y1.max()):
                 warnings.append("configured city centre lies outside the zone coverage")
 
-        codes = landuse.classify_zones(zones, config.predominance_threshold)
         unclassified = int(np.count_nonzero(codes < 0))
         counts["zones_unclassified"] = unclassified
         if unclassified:
@@ -330,8 +347,7 @@ def run_pipeline(config: PipelineConfig, steps: Iterable[str] = ALL_STEPS) -> Ru
 
         if "aggregate" in steps:
             quarter = activity.count_unique_users(assigned)
-            write_csv(stage / "activity_matrix.csv", ["zone_id", *quarter.bin_labels],
-                      [quarter.zone_ids, *quarter.counts.T])
+            write_quarter_csv(stage / "activity_matrix.csv", quarter)
             slot_matrix = activity.aggregate_major_slots(assigned, config.slots)
             write_csv(stage / "slot_counts.csv", ["zone_id", *slot_matrix.bin_labels],
                       [slot_matrix.zone_ids, *slot_matrix.counts.T])

@@ -12,7 +12,7 @@ import json
 import logging
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
 from typing import Iterable, Mapping
 
@@ -91,14 +91,20 @@ class ZoneTable:
 
 
 class _ZoneRows:
-    """Zones gathered in input order, before they become one ZoneTable."""
+    """Zones gathered in input order, before they become one ZoneTable.
+
+    Every column but the ids is one flat array, so a gathered zone holds no
+    Python object of its own besides its id.
+    """
 
     def __init__(self) -> None:
         self.ids: list[str] = []
-        self.coords: list[array] = []  # per zone: its vertices flat, lon, lat, lon, ...
-        self.ring_lens: list[list[int]] = []  # per zone: vertices per ring
-        self.landuse: list[list[tuple[int, float]]] = []  # per zone: (category, m2)
-        self.numbers: list[tuple[float, float, float]] = []  # area, residential, total
+        self.coords = array("d")  # the vertices flat, zone after zone: lon, lat, lon, ...
+        self.vertex_counts = array("q")  # per zone
+        self.ring_lens = array("q")  # vertices per ring, zone after zone
+        self.ring_counts = array("q")  # per zone
+        self.landuse = (array("q"), array("q"), array("d"))  # (zone, category, m2) triples
+        self.numbers = array("d")  # per zone: area, residential, total
 
     def add(self, zone_id: str, rings, landuse: list[tuple[int, float]],
             area_ha: float, built_residential_m2: float, built_total_m2: float) -> None:
@@ -107,33 +113,43 @@ class _ZoneRows:
             values = list(chain.from_iterable(pairs))
             if not {2}.issuperset(map(len, pairs)) or bool in map(type, values):
                 raise TypeError
-            self.coords.append(array("d", values))  # a string, null, list or object raises
+            self.coords += array("d", values)  # a string, null, list or object raises
         except (TypeError, ValueError, OverflowError):
             raise DataError(
                 f"zone {zone_id!r}: coordinates are not [lon, lat] number pairs") from None
+        k = len(self.ids)
         self.ids.append(zone_id)
-        self.ring_lens.append(list(map(len, rings)))
-        self.landuse.append(landuse)
-        self.numbers.append((area_ha, built_residential_m2, built_total_m2))
+        self.vertex_counts.append(len(pairs))
+        self.ring_lens.extend(map(len, rings))
+        self.ring_counts.append(len(rings))
+        zones, cats, m2 = self.landuse
+        for j, value in landuse:
+            zones.append(k)
+            cats.append(j)
+            m2.append(value)
+        self.numbers.extend((area_ha, built_residential_m2, built_total_m2))
 
     def columns(self) -> tuple:
         """The zones in zone_id order: their ids, their input positions, then the
         vertex, ring and zone offsets, numbers, land-use and present arrays."""
         n = len(self.ids)
-        order = sorted(range(n), key=self.ids.__getitem__)
-        ids = tuple(self.ids[k] for k in order)
-        vertices = np.frombuffer(bytearray().join([self.coords[k] for k in order])).reshape(-1, 2)
-        ring_lens = [self.ring_lens[k] for k in order]
-        zone_ring_start = np.cumsum([0, *map(len, ring_lens)], dtype=np.int64)
-        ring_start = np.cumsum([0, *chain.from_iterable(ring_lens)], dtype=np.int64)
+        order = np.array(sorted(range(n), key=self.ids.__getitem__), dtype=np.int64)
+        ids = tuple(map(self.ids.__getitem__, order.tolist()))
+        vertices = np.array(self.coords).reshape(-1, 2)[_segments(self.vertex_counts, order)]
+        ring_lens = np.array(self.ring_lens, dtype=np.int64)[_segments(self.ring_counts, order)]
+        zone_ring_start = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.array(self.ring_counts, dtype=np.int64)[order], out=zone_ring_start[1:])
+        ring_start = np.zeros(len(ring_lens) + 1, dtype=np.int64)
+        np.cumsum(ring_lens, out=ring_start[1:])
 
-        numbers = np.array(self.numbers, dtype=np.float64).reshape(n, 3)[order]
+        numbers = np.array(self.numbers).reshape(n, 3)[order]
+        row_of = np.empty(n, dtype=np.int64)
+        row_of[order] = np.arange(n)
+        zone, cat, m2 = (np.array(column) for column in self.landuse)
         landuse = np.zeros((n, len(CATEGORIES)))
         present = np.zeros((n, len(CATEGORIES)), dtype=bool)
-        for row, k in enumerate(order):
-            for j, value in self.landuse[k]:
-                landuse[row, j] = value
-                present[row, j] = True
+        landuse[row_of[zone], cat] = m2
+        present[row_of[zone], cat] = True
         return ids, order, vertices, ring_start, zone_ring_start, numbers, landuse, present
 
     def table(self) -> ZoneTable:
@@ -160,6 +176,16 @@ class _ZoneRows:
                 bbox[:, col] = reduce.reduceat(vertices[:, axis], first)
         return ZoneTable(ids, *numbers.T.copy(), landuse, present, vertices, ring_start,
                          zone_ring_start, bbox)
+
+
+def _segments(counts: array, order: np.ndarray) -> np.ndarray:
+    """Indices of the items of segments ``order``, in that order, where segment
+    ``k`` is the next ``counts[k]`` consecutive items."""
+    counts = np.array(counts, dtype=np.int64)
+    starts = np.cumsum(counts) - counts
+    picked = counts[order]
+    return (np.repeat(starts[order] - (np.cumsum(picked) - picked), picked)
+            + np.arange(int(picked.sum())))
 
 
 def _first_fault(ids, position, vertices, ring_start, zone_ring_start, numbers, landuse,
@@ -459,27 +485,61 @@ def _token(text: str, pos: int) -> tuple[str, int]:
     return text[pos:pos + 1], _skip(text, pos + 1).end()
 
 
-def _features(text: str):
-    """The features of a FeatureCollection text one at a time, other members whole. A text
+# Characters of the zones file read at a time. The text read whole is one
+# allocation above glibc's 128 KiB mmap threshold, and freeing it raises that
+# threshold, so the event columns parsed next grow in the heap and fragment
+# it: with the zones loaded before the events, city-253k runs (a 166 KB zones
+# file) peaked up to 1 MB higher on some seeds
+ZONES_READ = 1 << 14
+
+
+class _Items:
+    """A text stream taken an item at a time and read a block at a time: ``text``
+    holds it from the last read's kept part on, ``pos`` is where the next item starts."""
+
+    def __init__(self, fh) -> None:
+        self.fh, self.text, self.pos, self.eof = fh, "", 0, False
+
+    def take(self, parse):
+        """The value of ``parse(text, pos) -> (value, end)``, taken once a character
+        follows it in the text or the stream has ended, so that no read cuts it
+        short; a parse that fails before the end is tried again with the next block."""
+        while True:
+            try:
+                value, end = parse(self.text, self.pos)
+                if self.eof or _skip(self.text, end).end() < len(self.text):
+                    self.pos = end
+                    return value
+            except ValueError:
+                if self.eof:
+                    raise
+            # a read at least as long as the kept part, so a long item takes few reads
+            block = self.fh.read(max(ZONES_READ, len(self.text) - self.pos))
+            self.text, self.pos, self.eof = self.text[self.pos:] + block, 0, not block
+
+    def peek(self) -> str:
+        return self.text[self.pos:self.pos + 1]
+
+
+def _features(src: _Items):
+    """The features of a FeatureCollection one at a time, other members whole. A text
     off this path (a syntax error, a repeated key, no features, another type) raises."""
-    members, (sep, pos) = {}, _token(text, 0)
-    while sep == ("," if members else "{") and text[pos:pos + 1] == '"':
-        key, pos = json.decoder.scanstring(text, pos + 1)
-        colon, pos = _token(text, pos)
-        if colon != ":" or key in members:
+    members, sep = {}, src.take(_token)
+    while sep == ("," if members else "{") and src.peek() == '"':
+        key = src.take(lambda text, pos: json.decoder.scanstring(text, pos + 1))
+        if src.take(_token) != ":" or key in members:
             raise ValueError
         if key != "features":
-            members[key], pos = _decode(text, pos)
-        elif text[pos:pos + 1] == "[":
-            members[key], pos, sep = None, _skip(text, pos + 1).end(), ","
+            members[key] = src.take(_decode)
+        elif src.peek() == "[":
+            members[key], sep = src.take(lambda text, pos: (None, _skip(text, pos + 1).end())), ","
             while sep == ",":
-                feature, pos = _decode(text, pos)
-                yield feature
-                sep, pos = _token(text, pos)
+                yield src.take(_decode)
+                sep = src.take(_token)
             if sep != "]":
                 raise ValueError
-        sep, pos = _token(text, pos)
-    if sep != "}" or pos < len(text) or "features" not in members \
+        sep = src.take(_token)
+    if sep != "}" or src.pos < len(src.text) or "features" not in members \
             or members.get("type") != "FeatureCollection":
         raise ValueError
 
@@ -506,12 +566,14 @@ def load_zones_geojson(path) -> ZoneTable:
     """
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:  # a leading byte-order mark is skipped
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read zones file {path}: {exc}") from exc
-    try:
-        rows = _gather(_features(text))
-    except (ValueError, RecursionError, DataError):  # off the path: decode the text whole
+            rows = _gather(_features(_Items(fh)))
+    except (OSError, UnicodeDecodeError, ValueError, RecursionError, DataError):
+        # off the path: read and decode the text whole
+        try:
+            with open(path, "r", encoding="utf-8-sig") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DataError(f"cannot read zones file {path}: {exc}") from exc
         try:
             doc = json.loads(text)
         except (ValueError, RecursionError) as exc:
@@ -520,7 +582,16 @@ def load_zones_geojson(path) -> ZoneTable:
         if not isinstance(features, list) or doc.get("type") != "FeatureCollection":
             raise DataError(f"zones file {path}: expected a GeoJSON FeatureCollection")
         rows = _gather(features)
-    del text  # the table is built without it
+        del doc, features, text
     table = rows.table()
+    del rows
+    # The zone ids were decoded amid the features' dicts, lists and floats, so
+    # they would keep that heap resident. They go with the first replace, once
+    # the rest of it is freed, and are sliced again from one joined string.
+    joined = "".join(table.zone_ids)
+    ends = np.cumsum(np.fromiter(map(len, table.zone_ids), np.int64, len(table)))
+    table = replace(table, zone_ids=())
+    ends = ends.tolist()
+    table = replace(table, zone_ids=tuple(map(joined.__getitem__, map(slice, [0, *ends], ends))))
     logger.info("loaded %d zones from %s", len(table), path)
     return table

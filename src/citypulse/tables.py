@@ -9,7 +9,8 @@ from __future__ import annotations
 import csv
 import io
 import re
-from typing import Sequence
+from itertools import chain
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -35,24 +36,27 @@ def _text_cells(values) -> list[str]:
     return [_csv_field(v) if _NEEDS_QUOTES.search(v) else v for v in values]
 
 
-def write_csv(path, header: Sequence[str], columns: Sequence) -> None:
-    """One CSV of equal-length columns.
+def write_csv(path, header: Sequence[str], columns: Sequence = (), *,
+              blocks: Iterable[Sequence] = ()) -> None:
+    """One CSV of equal-length columns, or of ``blocks`` of rows, each block a
+    sequence of such columns, one block after another.
 
     Float arrays print at 6 significant digits, integer arrays as integers,
     any other sequence as text, quoted where csv.writer would quote it.
     """
-    specs, cells = [], []
-    for column in columns:
-        if isinstance(column, np.ndarray):
-            specs.append("%.6g" if column.dtype.kind == "f" else "%d")
-        else:
-            specs.append("%s")
-            column = _text_cells(column)
-        cells.append(column)
-    row = ",".join(specs) + "\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerow(header)
-        for lo in range(0, len(cells[0]), BLOCK_ROWS):
-            block = [c[lo:lo + BLOCK_ROWS] for c in cells]
-            fh.write("".join(row % r for r in zip(
-                *(c.tolist() if isinstance(c, np.ndarray) else c for c in block))))
+        for block in chain([columns] if columns else [], blocks):
+            specs, cells = [], []
+            for column in block:
+                if isinstance(column, np.ndarray):
+                    specs.append("%.6g" if column.dtype.kind == "f" else "%d")
+                else:
+                    specs.append("%s")
+                    column = _text_cells(column)
+                cells.append(column)
+            row = ",".join(specs) + "\n"
+            for lo in range(0, len(cells[0]), BLOCK_ROWS):
+                part = [c[lo:lo + BLOCK_ROWS] for c in cells]
+                fh.write("".join(row % r for r in zip(
+                    *(c.tolist() if isinstance(c, np.ndarray) else c for c in part))))

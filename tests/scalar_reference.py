@@ -4,9 +4,9 @@ Each function here does for one zone or one event what the package does on
 whole arrays: validate a zone, read one row of a zone table, locate a point
 in a polygon or a zone index, take a polygon's centroid and its distance to
 the centre, classify a zone, bin a timestamp, build a batch from checked event
-rows and encode located events. Nothing in the package calls them; the tests
-compare the array code against them. The last section reads single values
-off an OLS fit.
+rows, encode located events and spell out quarter-hour counts cell by cell.
+Nothing in the package calls them; the tests compare the array code against
+them. The last section reads single values off an OLS fit.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from zoneinfo import ZoneInfo
 
 import numpy as np
 
-from citypulse.activity import N_QUARTER_BINS, AssignedEvents
+from citypulse.activity import (N_QUARTER_BINS, QUARTER_LABELS, ActivityMatrix, AssignedEvents,
+                                QuarterCounts)
 from citypulse.errors import CityPulseError, DataError
 from citypulse.ingest import EventBatch, GeoEvent, _BatchBuilder, _instant, get_timezone
 from citypulse.landuse import (ACTIVITY_CATEGORIES, CATEGORIES, MIXED, PREDOMINANCE_THRESHOLD,
@@ -226,6 +227,21 @@ def encode(events: Iterable[tuple[str, str, int]],
         raise DataError("event bin outside 0..95")
     return AssignedEvents(tuple(user_index), ordered, np.array(users, dtype=np.int32), zone_arr,
                           np.array(bins, dtype=np.int8))
+
+
+def quarter_matrix(quarter: QuarterCounts) -> ActivityMatrix:
+    """The quarter-hour counts as the dense zones x 96 int64 matrix, each cell set alone."""
+    counts = np.zeros((len(quarter.zone_ids), N_QUARTER_BINS), dtype=np.int64)
+    for cell, count in zip(quarter.cells.tolist(), quarter.counts.tolist()):
+        counts[divmod(cell, N_QUARTER_BINS)] = count
+    return ActivityMatrix(quarter.zone_ids, QUARTER_LABELS, counts)
+
+
+def quarter_counts(zone_ids: Sequence[str], counts: np.ndarray) -> QuarterCounts:
+    """A dense zones x 96 count matrix as the QuarterCounts of its nonzero cells."""
+    flat = np.asarray(counts).reshape(-1)
+    cells = np.flatnonzero(flat)
+    return QuarterCounts(tuple(zone_ids), cells.astype(np.int32), flat[cells].astype(np.int32))
 
 
 # --- models ---------------------------------------------------------------------

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from citypulse.activity import (DEFAULT_SLOTS, aggregate_major_slots,
+from citypulse.activity import (DEFAULT_SLOTS, ActivityMatrix, aggregate_major_slots,
                                 count_unique_users, landuse_profile, normalize_counts)
 from citypulse.ingest import get_timezone
 from citypulse.landuse import CATEGORIES, classify_zones
@@ -42,9 +42,8 @@ def test_normalization_conservation():
         n_bins = int(rng.integers(1, 8))
         counts = rng.integers(0, 200, size=(n_zones, n_bins))
         counts[:, rng.integers(0, n_bins)] = 0  # force an empty column too
-        matrix = count_unique_users(encode([], [f"z{i}" for i in range(n_zones)]))
-        matrix = dataclasses.replace(matrix, bin_labels=tuple(map(str, range(n_bins))),
-                                     counts=counts)
+        matrix = ActivityMatrix(tuple(f"z{i}" for i in range(n_zones)),
+                                tuple(map(str, range(n_bins))), counts)
         normalized = normalize_counts(matrix)
         sums = normalized.values.sum(axis=0)
         for k in range(n_bins):
@@ -54,8 +53,7 @@ def test_normalization_conservation():
                 assert abs(sums[k] - 100000.0) <= 1e-6 * 100000.0
 
     counts = np.random.default_rng(1).integers(1, 500, size=(584, 4))
-    matrix = count_unique_users(encode([], [f"z{i:04d}" for i in range(584)]))
-    matrix = dataclasses.replace(matrix, bin_labels=tuple(SLOT_NAMES), counts=counts)
+    matrix = ActivityMatrix(tuple(f"z{i:04d}" for i in range(584)), tuple(SLOT_NAMES), counts)
     normalized = normalize_counts(matrix)
     means = normalized.values.mean(axis=0)
     assert np.all(np.abs(means - 171.23) <= 0.01 + 1e-9)
@@ -82,6 +80,7 @@ def test_dedup_property_suite():
                                       bins=base.bins[rows])
         quarter = count_unique_users(doubled)
         slots = aggregate_major_slots(doubled, DEFAULT_SLOTS)
+        assert np.array_equal(quarter.cells, base_quarter.cells)
         assert np.array_equal(quarter.counts, base_quarter.counts)
         assert np.array_equal(slots.counts, base_slots.counts)
     elapsed = time.monotonic() - start

@@ -15,36 +15,37 @@ from citypulse.errors import ConfigError, DataError
 from citypulse.landuse import CLASSES, LandUseCategory, LandUseClass, class_groups
 from citypulse.stats import DEFAULT_NIGHT_BINS, infer_homes
 
-from scalar_reference import encode
+from scalar_reference import encode, quarter_counts, quarter_matrix
 
 
 def test_repeat_events_in_same_cell_count_once():
     events = [("a", "Z", 40)] * 5
-    matrix = count_unique_users(encode(events))
+    matrix = quarter_matrix(count_unique_users(encode(events)))
     assert matrix.counts[0, 40] == 1
     assert matrix.counts.sum() == 1
 
 
 def test_distinct_users_both_count():
-    matrix = count_unique_users(encode([("a", "Z", 40), ("b", "Z", 40)]))
+    matrix = quarter_matrix(count_unique_users(encode([("a", "Z", 40), ("b", "Z", 40)])))
     assert matrix.counts[0, 40] == 2
 
 
 def test_user_in_two_bins_counts_once_per_bin():
-    matrix = count_unique_users(encode([("a", "Z", 40), ("a", "Z", 41), ("a", "Z", 41)]))
+    matrix = quarter_matrix(count_unique_users(
+        encode([("a", "Z", 40), ("a", "Z", 41), ("a", "Z", 41)])))
     assert matrix.counts[0, 40] == 1
     assert matrix.counts[0, 41] == 1
     assert matrix.counts.sum() == 2
 
 
 def test_user_in_two_zones_same_bin_counts_in_each():
-    matrix = count_unique_users(encode([("a", "Y", 40), ("a", "Z", 40)]))
+    matrix = quarter_matrix(count_unique_users(encode([("a", "Y", 40), ("a", "Z", 40)])))
     assert matrix.counts[matrix.zone_ids.index("Y"), 40] == 1
     assert matrix.counts[matrix.zone_ids.index("Z"), 40] == 1
 
 
 def test_zone_rows_sorted_and_zero_rows_kept():
-    matrix = count_unique_users(encode([("a", "B", 0)], ["C", "A", "B"]))
+    matrix = quarter_matrix(count_unique_users(encode([("a", "B", 0)], ["C", "A", "B"])))
     assert matrix.zone_ids == ("A", "B", "C")
     assert matrix.counts[1, 0] == 1
     assert matrix.counts[0].sum() == 0 and matrix.counts[2].sum() == 0
@@ -85,7 +86,7 @@ def test_keys_past_int32_match_a_set_reference():
 
     slot_of = {b: i for i, slot in enumerate(DEFAULT_SLOTS) for b in slot.bins}
     for matrix, col_of, n_cols in (
-            (count_unique_users(events), lambda b: b, 96),
+            (quarter_matrix(count_unique_users(events)), lambda b: b, 96),
             (aggregate_major_slots(events), slot_of.get, len(DEFAULT_SLOTS)),
             (count_daily_unique(events), lambda b: 0, 1)):
         expected = np.zeros((n_zones, n_cols), dtype=np.int64)
@@ -118,13 +119,14 @@ def test_dedup_idempotence_under_duplication(data):
     subset = data.draw(st.lists(st.sampled_from(events), max_size=20))
     base = count_unique_users(encode(events, ["Z1", "Z2"]))
     doubled = count_unique_users(encode(events + subset, ["Z1", "Z2"]))
+    np.testing.assert_array_equal(base.cells, doubled.cells)
     np.testing.assert_array_equal(base.counts, doubled.counts)
 
 
 def test_normalize_proportional_example():
-    matrix = count_unique_users(encode(
+    matrix = quarter_matrix(count_unique_users(encode(
         [(f"u{i}", "z1", 0) for i in range(50)] + [(f"v{i}", "z2", 0) for i in range(150)],
-        ["z1", "z2"]))
+        ["z1", "z2"])))
     normalized = normalize_counts(matrix)
     assert normalized.values[0, 0] == pytest.approx(25000.0)
     assert normalized.values[1, 0] == pytest.approx(75000.0)
@@ -134,7 +136,7 @@ def test_normalized_nonzero_columns_sum_to_total():
     rng = np.random.default_rng(4)
     events = [(f"u{rng.integers(50)}", f"z{rng.integers(5)}", int(rng.integers(96)))
               for _ in range(400)]
-    normalized = normalize_counts(count_unique_users(encode(events)))
+    normalized = normalize_counts(quarter_matrix(count_unique_users(encode(events))))
     sums = normalized.values.sum(axis=0)
     for k in range(96):
         if k in normalized.zero_bins:
@@ -144,9 +146,9 @@ def test_normalized_nonzero_columns_sum_to_total():
 
 
 def test_normalize_matches_hand_computation():
-    matrix = count_unique_users(encode(
+    matrix = quarter_matrix(count_unique_users(encode(
         [("a", "z1", 10), ("b", "z1", 10), ("c", "z2", 10), ("d", "z3", 10),
-         ("e", "z3", 10), ("f", "z3", 10)], ["z1", "z2", "z3"]))
+         ("e", "z3", 10), ("f", "z3", 10)], ["z1", "z2", "z3"])))
     normalized = normalize_counts(matrix)
     # hand: T_h = 6, values = (2, 1, 3) / 6 * 100000
     assert normalized.values[0, 10] == pytest.approx(2 / 6 * 100000)
@@ -155,14 +157,15 @@ def test_normalize_matches_hand_computation():
 
 
 def test_normalize_flags_empty_columns():
-    normalized = normalize_counts(count_unique_users(encode([("a", "Z", 40)])))
+    normalized = normalize_counts(quarter_matrix(count_unique_users(encode([("a", "Z", 40)]))))
     assert 39 in normalized.zero_bins
     assert 40 not in normalized.zero_bins
     assert normalized.values[0, 39] == 0.0
 
 
 def test_normalize_scale_invariance():
-    base = count_unique_users(encode([("a", "Z", 5), ("b", "Z", 5), ("c", "Y", 5)], ["Y", "Z"]))
+    base = quarter_matrix(count_unique_users(
+        encode([("a", "Z", 5), ("b", "Z", 5), ("c", "Y", 5)], ["Y", "Z"])))
     scaled = base
     scaled.counts[:, 5] *= 7
     np.testing.assert_allclose(normalize_counts(base).values[:, 5],
@@ -231,7 +234,7 @@ def test_profile_all_residential_matches_city_columns():
     events = [(f"u{rng.integers(40)}", f"z{rng.integers(3)}", int(rng.integers(96)))
               for _ in range(300)]
     matrix = count_unique_users(encode(events))
-    normalized = normalize_counts(matrix)
+    normalized = normalize_counts(quarter_matrix(matrix))
     profiles, omitted = landuse_profile(matrix, np.zeros(len(matrix.zone_ids), np.int64))
     assert omitted == []
     (profile,) = profiles
@@ -260,7 +263,7 @@ def test_profiles_partition_city_totals():
     events = [(f"u{rng.integers(60)}", rng.choice(zone_ids), int(rng.integers(96)))
               for _ in range(500)]
     matrix = count_unique_users(encode(events, zone_ids))
-    normalized = normalize_counts(matrix)
+    normalized = normalize_counts(quarter_matrix(matrix))
     profiles, _ = landuse_profile(matrix, codes_of(classes, matrix.zone_ids))
     by_label = {p.label: p for p in profiles}
     main = ["residential", "mixed", "activity"]
@@ -315,7 +318,7 @@ def test_block_profiles_match_two_step_formula(n, present, zero_bins, idle, tota
     counts[:, sorted(zero_bins)] = 0  # bins without users
     counts[codes == idle] = 0  # a class whose total is 0
     matrix = ActivityMatrix(tuple(f"z{i:04d}" for i in range(n)), QUARTER_LABELS, counts)
-    profiles, omitted = landuse_profile(matrix, codes, total)
+    profiles, omitted = landuse_profile(quarter_counts(matrix.zone_ids, counts), codes, total)
     expected, expected_omitted = two_step_profile(matrix, codes, total)
     assert omitted == expected_omitted
     assert [p.label for p in profiles] == [label for label, _, _ in expected]
@@ -324,20 +327,109 @@ def test_block_profiles_match_two_step_formula(n, present, zero_bins, idle, tota
         assert profile.daily_total == daily
 
 
+@st.composite
+def located_events(draw):
+    """Assigned events on 1, B - 1, B, B + 1, 2B + 1 or any number of zones: none
+    at all, from one user, all in one cell, or spread over the first zones, so
+    that the zones past them (the last among them) have none. Some put users on
+    both sides of each block edge."""
+    n_zones = draw(st.sampled_from([1, B - 1, B, B + 1, 2 * B + 1]) | st.integers(2, 600))
+    shape = draw(st.sampled_from(["none", "one user", "one cell", "spread"]))
+    n_events = 0 if shape == "none" else draw(st.integers(1, 400))
+    n_users = 1 if shape == "one user" else draw(st.integers(0 if shape == "none" else 1, 60))
+    used = draw(st.integers(1, n_zones))  # zones used: the first `used`
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    users = rng.integers(0, max(n_users, 1), n_events)
+    if shape == "one cell":
+        zones = np.full(n_events, rng.integers(used))
+        bins = np.full(n_events, rng.integers(N_QUARTER_BINS))
+    else:
+        zones = rng.integers(0, used, n_events)
+        bins = rng.integers(0, N_QUARTER_BINS, n_events)
+    if shape == "spread" and draw(st.booleans()):
+        edges = [e for e in range(B, n_zones, B) for e in (e - 1, e)]
+        users = np.concatenate([users, rng.integers(0, n_users, len(edges))])
+        zones = np.concatenate([zones, edges])
+        bins = np.concatenate([bins, [N_QUARTER_BINS - 1, 0] * (len(edges) // 2)])
+    return AssignedEvents(tuple(f"u{i:02d}" for i in range(n_users)),
+                          tuple(f"z{i:04d}" for i in range(n_zones)), users.astype(np.int32),
+                          zones.astype(np.int32), bins.astype(np.int8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(events=located_events(), total=st.sampled_from([NORMALIZATION_TOTAL, 3.7e4]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_quarter_blocks_match_the_dense_counts(events, total, seed, tmp_path_factory):
+    from citypulse import activity
+    from citypulse.pipeline import write_quarter_csv
+    from citypulse.tables import write_csv
+    # the dense path: one (user, zone, bin) key and a bincount over zones x 96
+    dense = activity._dedup_matrix(events, events.bins, N_QUARTER_BINS)
+    quarter = count_unique_users(events)
+    assert quarter.cells.dtype == quarter.counts.dtype == np.int32
+    assert np.all(np.diff(quarter.cells) > 0) and np.all(quarter.counts > 0)
+    blocks = list(quarter.blocks())
+    assert [len(b) for b in blocks] == [len(dense[lo:lo + B])
+                                        for lo in range(0, len(dense), B)]
+    assert np.array_equal(np.vstack(blocks), dense)
+    assert np.array_equal(quarter.column_totals(), dense.sum(axis=0))
+
+    codes = np.random.default_rng(seed).integers(-1, len(CLASSES), len(events.zone_ids))
+    matrix = ActivityMatrix(events.zone_ids, QUARTER_LABELS, dense)
+    profiles, omitted = landuse_profile(quarter, codes, total)
+    expected, expected_omitted = two_step_profile(matrix, codes, total)
+    assert omitted == expected_omitted
+    assert [p.label for p in profiles] == [label for label, _, _ in expected]
+    for profile, (_, shares, daily) in zip(profiles, expected):
+        assert np.array_equal(profile.shares, shares)
+        assert profile.daily_total == daily
+
+    tmp = tmp_path_factory.mktemp("quarter")
+    write_quarter_csv(tmp / "blocks.csv", quarter)
+    write_csv(tmp / "dense.csv", ["zone_id", *QUARTER_LABELS], [events.zone_ids, *dense.T])
+    assert (tmp / "blocks.csv").read_bytes() == (tmp / "dense.csv").read_bytes()
+
+
+def test_quarter_counts_memory_grows_by_bytes_per_event():
+    # A fine-grid city: 4,900 zones, 30,000 events from 300 users. The dense
+    # zones x 96 int64 matrix alone is 3.76 MB. Counted as sorted nonzero
+    # cells, then made dense one 256-zone block at a time, the counts and one
+    # pass over the blocks peak at 0.97 MB traced; counting into the dense
+    # matrix (one bincount over zones x 96) peaked at 4.30 MB.
+    rng = np.random.default_rng(21)
+    n_zones, n_events, n_users = 4_900, 30_000, 300
+    events = AssignedEvents(tuple(f"u{i:03d}" for i in range(n_users)),
+                            tuple(f"z{i:04d}" for i in range(n_zones)),
+                            rng.integers(0, n_users, n_events).astype(np.int32),
+                            rng.integers(0, n_zones, n_events).astype(np.int32),
+                            rng.integers(0, N_QUARTER_BINS, n_events).astype(np.int8))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        quarter = count_unique_users(events)
+        rows = sum(len(block) for block in quarter.blocks())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows == n_zones
+    assert peak - before < n_zones * N_QUARTER_BINS * 8 / 3
+
+
 def test_profile_memory_grows_by_bytes_per_zone():
-    # A fine-grid city: 4,900 zones x 96 bins of int64 counts, 3.76 MB. The
-    # profiles normalize 256 zone rows at a time: measured 0.69 MB traced
-    # peak. Normalizing the whole matrix first, then gathering each class's
-    # rows, peaked at 6.69 MB, more than one extra matrix.
+    # A fine-grid city: 4,900 zones x 96 bins, 3.76 MB as int64 counts. The
+    # profiles make and normalize 256 zone rows at a time from the nonzero
+    # cells: measured 0.92 MB traced peak (0.69 MB when the dense matrix was
+    # their input). Normalizing the whole matrix first, then gathering each
+    # class's rows, peaked at 6.69 MB, more than one extra matrix.
     rng = np.random.default_rng(5)
     n = 4_900
     counts = rng.poisson(0.4, (n, N_QUARTER_BINS))
     codes = rng.integers(-1, len(CLASSES), n)
-    matrix = ActivityMatrix(tuple(f"z{i:04d}" for i in range(n)), QUARTER_LABELS, counts)
+    quarter = quarter_counts([f"z{i:04d}" for i in range(n)], counts)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        landuse_profile(matrix, codes)
+        landuse_profile(quarter, codes)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

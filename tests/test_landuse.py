@@ -14,7 +14,7 @@ from citypulse.landuse import (ACTIVITY_CATEGORIES, CATEGORIES, CLASSES, LandUse
 from citypulse.spatial import Zone, ZoneTable
 from citypulse.synth import SynthConfig, generate_city, generate_events
 
-from scalar_reference import ClassificationError, classify_zone
+from scalar_reference import ClassificationError, classify_zone, quarter_counts
 from synth_reference import zone_classes
 
 RING = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.0, 0.0))
@@ -243,7 +243,8 @@ def test_class_groups_match_dict_walk(codes, seed, data, tmp_path_factory):
     counts[idle] = 0  # zones without activity; a class of only these is omitted
     matrix = ActivityMatrix(zone_ids, QUARTER_LABELS, counts)
 
-    profiles, omitted = landuse_profile(matrix, codes, NORMALIZATION_TOTAL)
+    profiles, omitted = landuse_profile(quarter_counts(zone_ids, counts), codes,
+                                        NORMALIZATION_TOTAL)
     assert ([(p.label, p.shares.tobytes(), p.daily_total) for p in profiles], omitted) == \
         reference_profiles(normalize_counts(matrix, NORMALIZATION_TOTAL), classes)
 

@@ -189,16 +189,26 @@ def test_one_event_batch_alive_at_a_time(small_city, tmp_path, monkeypatch, week
     import dataclasses
     import weakref
 
-    from citypulse import ingest
+    from citypulse import ingest, spatial
     events_path = small_city.events_path
     if weekend_row:  # 2013-03-09 is a Saturday
         events_path = tmp_path / "events.ndjson"
         events_path.write_bytes(small_city.events_path.read_bytes() + b'{"u": "w", '
                                 b'"t": "2013-03-09T10:00:00+01:00", "lon": 0, "lat": 0}\n')
-    seen = {}
+    seen, order = {}, []
     filter_workdays, assign_events = ingest.filter_workdays, pipeline.assign_events
+    load_zones, parse_events = spatial.load_zones_geojson, pipeline.parse_events_file
+
+    def traced_load(path):
+        order.append("zones")
+        return load_zones(path)
+
+    def traced_parse(path, fmt):
+        order.append("parse")
+        return parse_events(path, fmt)
 
     def traced_filter(events, tz):
+        order.append("filter")
         seen["parsed"] = weakref.ref(events)
         workdays = filter_workdays(events, tz)
         seen["same"] = workdays is events
@@ -207,15 +217,19 @@ def test_one_event_batch_alive_at_a_time(small_city, tmp_path, monkeypatch, week
         return workdays
 
     def traced_assign(events, index, tz):
+        order.append("assign")
         seen["parsed_alive"] = seen["parsed"]() is not None and seen["parsed"]() is not events
         seen["workdays"] = weakref.ref(events)
         return assign_events(events, index, tz)
 
     def traced_count(assigned):
+        order.append("count")
         seen["workdays_alive"] = seen["workdays"]() is not None
         return count_unique_users(assigned)
 
     count_unique_users = activity.count_unique_users
+    monkeypatch.setattr(spatial, "load_zones_geojson", traced_load)
+    monkeypatch.setattr(pipeline, "parse_events_file", traced_parse)
     monkeypatch.setattr(ingest, "filter_workdays", traced_filter)
     monkeypatch.setattr(pipeline, "assign_events", traced_assign)
     monkeypatch.setattr(activity, "count_unique_users", traced_count)
@@ -223,14 +237,33 @@ def test_one_event_batch_alive_at_a_time(small_city, tmp_path, monkeypatch, week
                                  output_dir=tmp_path / "out")
     result = run_pipeline(config, steps={"aggregate"})
     assert result.manifest["counts"]["events_workdays"] == len(small_city.events)
-    # a filter that drops no row hands its input on; the parsed batch is gone
-    # before the zone join, and the workday batch before aggregation
+    # the zones load before the events; a filter that drops no row hands its
+    # input on; the parsed batch is gone before the zone join, and the workday
+    # batch before the quarter-hour counts, the first aggregation
+    assert order == ["zones", "parse", "filter", "assign", "count"]
     assert seen["same"] is not weekend_row
     assert not seen["parsed_alive"]
     assert not seen["workdays_alive"]
     # the write-back columns are gone before the filter, and a filter that
     # drops a row keeps them gone in the rows it takes
     assert seen["write_back"] == [False] * 4
+
+
+def test_bad_zones_file_is_reported_before_unreadable_events(tmp_path):
+    # the zones load before the events parse, so with both inputs bad the
+    # zones error is the one reported
+    events, zones = tmp_path / "events.csv", tmp_path / "zones.geojson"
+    events.write_text("")  # no header row
+    zones.write_text("x")
+    config = PipelineConfig(events_path=events, zones_path=zones, output_dir=tmp_path / "out")
+    with pytest.raises(DataError, match="zones file .* is not valid JSON"):
+        run_pipeline(config, steps={"aggregate"})
+    zones.write_text(json.dumps({"type": "FeatureCollection", "features": [{
+        "type": "Feature", "properties": {"zone_id": "a"},
+        "geometry": {"type": "Polygon", "coordinates": [[[0, 0], [1, 0], [1, 1], [0, 0]]]}}]}))
+    with pytest.raises(DataError, match="no header row"):
+        run_pipeline(config, steps={"aggregate"})
+    assert not (tmp_path / "out").exists()
 
 
 def test_event_path_memory_grows_by_bytes_per_row(monkeypatch):

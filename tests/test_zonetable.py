@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from citypulse import tables
+from citypulse import pipeline, spatial, tables
 from citypulse.config import PipelineConfig
 from citypulse.errors import DataError
 from citypulse.ingest import write_events_ndjson
@@ -609,6 +609,38 @@ def test_mutated_zones_file_raises_only_data_error(data, tmp_path_factory):
         assert re.match(NUMBER_RULE, got), (got, expected)
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=mutated_documents(), block=st.sampled_from([1, 2, 3, 7, 64]))
+def test_zones_read_in_small_blocks_match_one_read(data, block, tmp_path_factory):
+    # the zones file is read spatial.ZONES_READ characters at a time: blocks
+    # that cut tokens, strings, numbers and features anywhere give the zones
+    # or the error of one read of the whole file
+    path = tmp_path_factory.mktemp("blocks") / "zones.geojson"
+    path.write_bytes(data)
+    with mock.patch.object(spatial, "ZONES_READ", 1 << 30):
+        whole = _fields_or_error(load_zones_geojson, path)
+    with mock.patch.object(spatial, "ZONES_READ", block):
+        assert _fields_or_error(load_zones_geojson, path) == whole
+
+
+@pytest.mark.parametrize("block", [1, 7, 4096])
+def test_zones_read_in_blocks_stay_on_the_feature_path(block, tmp_path, monkeypatch):
+    # a valid file is decoded feature by feature whatever the block size: the
+    # whole-text json.loads, the error path, never runs
+    doc = city_geojson(_synth_zones(49))
+    doc["features"][3]["properties"]["zone_id"] = "z\u00e9\u4e2d\U0001f600"  # 2- to 4-byte UTF-8
+    path = tmp_path / "zones.geojson"
+    path.write_text(json.dumps(doc, ensure_ascii=False, indent=1), encoding="utf-8")
+    expected = [zone_fields(z) for z in zone_rows(load_zones_geojson(path))]
+
+    def whole_text(*args, **kwargs):
+        raise AssertionError("the zones file left the feature path")
+
+    monkeypatch.setattr(spatial, "ZONES_READ", block)
+    monkeypatch.setattr(json, "loads", whole_text)
+    assert [zone_fields(z) for z in zone_rows(load_zones_geojson(path))] == expected
+
+
 # --- memory per zone --------------------------------------------------------------
 
 
@@ -619,10 +651,13 @@ def _synth_zones(n_zones):
 
 
 def test_zone_load_memory_grows_by_bytes_per_zone(tmp_path):
-    # 4,900 zones, a 2.0 MB file. Decoded one feature at a time into flat
-    # vertices, the load peaks at 5.9 MB traced (1.2 KB a zone): the text,
-    # the gathered columns and the table. json.load of the whole document and
-    # nested vertex lists peaked at 13.2 MB (2.7 KB a zone).
+    # 4,900 zones, a 2.0 MB file. Read 16,384 characters at a time and
+    # decoded one feature at a time into flat arrays, the load peaks at
+    # 3.7 MB traced (0.75 KB a zone): the gathered columns and the table made
+    # from them. The text read whole peaked at 4.1 MB, and with it a list of
+    # vertices, ring lengths, land-use pairs and numbers per zone at 5.9 MB
+    # (1.2 KB a zone); json.load of the whole document and nested vertex
+    # lists at 13.2 MB (2.7 KB a zone).
     path = tmp_path / "zones.geojson"
     path.write_text(json.dumps(city_geojson(_synth_zones(4900))), encoding="utf-8")
     tracemalloc.start()
@@ -632,14 +667,15 @@ def test_zone_load_memory_grows_by_bytes_per_zone(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(table) == 4900
-    assert peak < 1500 * len(table)
+    assert peak < 1000 * len(table)
 
 
 def test_export_geojson_peak_is_one_block(tmp_path):
-    # Formatted tables.BLOCK_ROWS features at a time, the export's traced
-    # peak is 3.9 MB at both 2,100 and 4,900 zones: one block's text and the
-    # tail of the one before it. Every column's text for the whole table at
-    # once peaked at 6.3 and 14.7 MB.
+    # Formatted pipeline.EXPORT_BLOCK_FEATURES (128) features at a time, the
+    # export's traced peak is 0.50 MB at both 2,100 and 4,900 zones (3.9 MB
+    # at 1,024 features a block): one block's text and the tail of the one
+    # before it. Every column's text for the whole table at once peaked at
+    # 6.3 and 14.7 MB.
     city = _synth_zones(4900)
     peaks = []
     for n in (2100, 4900):
@@ -657,6 +693,36 @@ def test_export_geojson_peak_is_one_block(tmp_path):
     assert peaks[1] < 1.25 * peaks[0]
 
 
+def _edge_zones(case):
+    """Squares around a block edge of the export, or one zone of 10,000 vertices."""
+    if case == "one 10,000-vertex zone":
+        angle = np.linspace(0.0, 2 * math.pi, 9_999, endpoint=False)
+        ring = np.column_stack([np.cos(angle), np.sin(angle) * 0.5]).tolist()
+        return [Zone("round", (tuple(map(tuple, ring + ring[:1])),), 78.5,
+                     {CATEGORIES[0]: 3.25}, 1.0, 2.0)]
+    return [Zone(f"z{k:03d}", (((x, 0.0), (x + 1, 0.0), (x + 1, 0.1 * x + 1), (x, 0.0)),),
+                 1.5 * x, {CATEGORIES[k % len(CATEGORIES)]: x / 7}, x / 3, x / 2)
+            for k, x in enumerate(map(float, range(int(case.split()[0]))))]
+
+
+@pytest.mark.parametrize("case", ["255 features", "256 features", "257 features",
+                                  "one 10,000-vertex zone"])
+def test_export_text_equals_one_dumps_across_block_edges(case, tmp_path):
+    # features are formatted 128 at a time: 255, 256 and 257 end a block one
+    # short, on and one past its edge; a 10,000-vertex zone is a block alone
+    assert pipeline.EXPORT_BLOCK_FEATURES == 128
+    zones = _edge_zones(case)
+    table = ZoneTable.from_zones(zones)
+    n = len(table)
+    columns = {"share": np.arange(n) / 3.0,
+               "label": [None, "retail"] * (n // 2) + [None] * (n % 2)}
+    export_geojson(table, columns, tmp_path / "new.geojson")
+    reference_export(zones, {"share": dict(zip(table.zone_ids, columns["share"].tolist())),
+                             "label": {z: v for z, v in zip(table.zone_ids, columns["label"])}},
+                     tmp_path / "reference.geojson")
+    assert (tmp_path / "new.geojson").read_bytes() == (tmp_path / "reference.geojson").read_bytes()
+
+
 @pytest.mark.parametrize("block", [1, 3, 1024])
 def test_export_blocks_join_to_the_reference_text(block, tmp_path):
     feats = [_feature("c", lu_park_m2=2.5), _feature("a", [[0, 0], [2, 0], [0, 2], [0, 0]]),
@@ -665,7 +731,7 @@ def test_export_blocks_join_to_the_reference_text(block, tmp_path):
     write_zones(tmp_path / "zones.geojson", feats)
     table = load_zones_geojson(tmp_path / "zones.geojson")
     columns = {"x": np.array([0.5, 1e-7, math.nan, 3.0]), "y": [None, "m", "r", None]}
-    with mock.patch.object(tables, "BLOCK_ROWS", block):
+    with mock.patch.object(pipeline, "EXPORT_BLOCK_FEATURES", block):
         export_geojson(table, columns, tmp_path / "new.geojson")
     reference_export(zone_rows(table), {"x": dict(zip(table.zone_ids, columns["x"].tolist())),
                                    "y": {z: v for z, v in zip(table.zone_ids, columns["y"])
