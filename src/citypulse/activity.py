@@ -166,28 +166,43 @@ class AssignedEvents:
         return len(self.users)
 
 
-def _dedup_matrix(events: AssignedEvents, cols: np.ndarray, n_cols: int) -> np.ndarray:
-    """Count distinct users per (zone, column); cols < 0 are dropped."""
-    n_zones = len(events.zone_ids)
+def _distinct_cells(events: AssignedEvents, cols: np.ndarray,
+                    n_cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """``zone * n_cols + col`` of each (zone, column) cell with users, ascending,
+    and its distinct users (both int64); events whose col is < 0 are dropped."""
     users, zones = events.users, events.zones
-    keep = cols >= 0
-    if not keep.all():
+    if cols.min(initial=0) < 0:
+        keep = cols >= 0
         users, zones, cols = users[keep], zones[keep], cols[keep]
-    # collapse duplicate (user, zone, col) triples, then count per cell; one
-    # sort and a neighbour test, which is many times faster than np.unique
-    # on int64 keys with numpy 2.x. The key is built and sorted in place, so
-    # its 8 B an event are the largest temporary.
-    key = users.astype(np.int64)
-    key *= n_zones
-    key += zones
+        del keep
+    # one int64 key, (zone * n_cols + col) * n_users + user, sorted in place
+    # (many times faster than np.unique with numpy 2.x): its distinct entries
+    # come grouped by cell, so each cell's run length is its count
+    n_users = max(len(events.user_ids), 1)
+    key = zones.astype(np.int64)
     key *= n_cols
     key += cols
+    key *= n_users
+    key += users
     key.sort()
     distinct = np.ones(len(key), dtype=bool)
     distinct[1:] = key[1:] != key[:-1]
     cells = key[distinct]
-    cells %= n_zones * n_cols
-    return np.bincount(cells, minlength=n_zones * n_cols).reshape(n_zones, n_cols)
+    del key, distinct
+    cells //= n_users
+    first = np.ones(len(cells), dtype=bool)
+    first[1:] = cells[1:] != cells[:-1]
+    starts = np.flatnonzero(first)
+    counts = np.diff(starts, append=len(cells))
+    return cells[starts], counts
+
+
+def _dense_counts(events: AssignedEvents, cols: np.ndarray, n_cols: int) -> np.ndarray:
+    """:func:`_distinct_cells` scattered into the int64 zones x ``n_cols`` matrix."""
+    cells, counts = _distinct_cells(events, cols, n_cols)
+    matrix = np.zeros((len(events.zone_ids), n_cols), dtype=np.int64)
+    matrix.reshape(-1)[cells] = counts
+    return matrix
 
 
 def count_unique_users(events: AssignedEvents) -> QuarterCounts:
@@ -198,26 +213,8 @@ def count_unique_users(events: AssignedEvents) -> QuarterCounts:
     the same cell (including on different days) collapse to one. Rows follow
     ``events.zone_ids``; only the cells with users are kept.
     """
-    # one int64 key, (zone * 96 + bin) * n_users + user, sorted in place: its
-    # distinct entries come grouped by cell, cells ascending, so each cell's
-    # run length is its count, with no matrix of zones x 96
-    n_users = max(len(events.user_ids), 1)
-    key = events.zones.astype(np.int64)
-    key *= N_QUARTER_BINS
-    key += events.bins
-    key *= n_users
-    key += events.users
-    key.sort()
-    distinct = np.ones(len(key), dtype=bool)
-    distinct[1:] = key[1:] != key[:-1]
-    key //= n_users
-    cells = key[distinct]
-    del key, distinct
-    first = np.ones(len(cells), dtype=bool)
-    first[1:] = cells[1:] != cells[:-1]
-    starts = np.flatnonzero(first)
-    counts = np.diff(starts, append=len(cells)).astype(np.int32)
-    return QuarterCounts(events.zone_ids, cells[starts].astype(np.int32), counts)
+    cells, counts = _distinct_cells(events, events.bins, N_QUARTER_BINS)
+    return QuarterCounts(events.zone_ids, cells.astype(np.int32), counts.astype(np.int32))
 
 
 def aggregate_major_slots(events: AssignedEvents,
@@ -232,13 +229,13 @@ def aggregate_major_slots(events: AssignedEvents,
     slot_of = np.full(N_QUARTER_BINS, -1, dtype=np.int8)  # one byte a slot code per event
     for i, slot in enumerate(slots):
         slot_of[slot.start_bin:slot.end_bin + 1] = i
-    counts = _dedup_matrix(events, slot_of[events.bins], len(slots))
+    counts = _dense_counts(events, slot_of[events.bins], len(slots))
     return ActivityMatrix(events.zone_ids, tuple(s.name for s in slots), counts)
 
 
 def count_daily_unique(events: AssignedEvents) -> ActivityMatrix:
     """Distinct users per zone over the whole day (single-column matrix)."""
-    counts = _dedup_matrix(events, np.zeros_like(events.bins), 1)
+    counts = _dense_counts(events, np.zeros_like(events.bins), 1)
     return ActivityMatrix(events.zone_ids, ("day",), counts)
 
 

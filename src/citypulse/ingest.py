@@ -225,6 +225,10 @@ def get_timezone(tz: str) -> ZoneInfo:
         raise ConfigError(f"unknown timezone id {tz!r}") from exc
 
 
+# a fraction of the seconds of HH:MM:SS, up to an offset +HH:MM or the end
+_FRACTION = re.compile(r"(?<=[0-9]{2}:[0-9]{2}:[0-9]{2})[.,]([0-9]+)(?=([+-][0-9]{2}:[0-9]{2})?$)")
+
+
 def parse_timestamp(raw: str) -> datetime:
     """RFC 3339 timestamp with explicit offset; naive timestamps are rejected."""
     if type(raw) is not str:
@@ -232,6 +236,9 @@ def parse_timestamp(raw: str) -> datetime:
     text = raw.strip()
     if text.endswith(("Z", "z")):
         text = text[:-1] + "+00:00"
+    # exactly six fraction digits: Python 3.10 reads only three or six, and
+    # 3.11 on read any number and keep the first six
+    text = _FRACTION.sub(lambda m: "." + (m[1] + "00000")[:6], text)
     try:
         ts = datetime.fromisoformat(text)
     except ValueError as exc:

@@ -4,9 +4,10 @@ Each function here does for one zone or one event what the package does on
 whole arrays: validate a zone, read one row of a zone table, locate a point
 in a polygon or a zone index, take a polygon's centroid and its distance to
 the centre, classify a zone, bin a timestamp, build a batch from checked event
-rows, encode located events and spell out quarter-hour counts cell by cell.
-Nothing in the package calls them; the tests compare the array code against
-them. The last section reads single values off an OLS fit.
+rows, encode located events, count distinct users into a dense matrix and
+spell out quarter-hour counts cell by cell. Nothing in the package calls
+them; the tests compare the array code against them. The last section reads
+single values off an OLS fit.
 """
 
 from __future__ import annotations
@@ -227,6 +228,17 @@ def encode(events: Iterable[tuple[str, str, int]],
         raise DataError("event bin outside 0..95")
     return AssignedEvents(tuple(user_index), ordered, np.array(users, dtype=np.int32), zone_arr,
                           np.array(bins, dtype=np.int8))
+
+
+def dedup_matrix(events: AssignedEvents, cols: np.ndarray, n_cols: int) -> np.ndarray:
+    """Distinct users per (zone, column) as the dense int64 zones x ``n_cols``
+    matrix, from one (user, zone, col) key and a bincount; cols < 0 are dropped."""
+    n_zones = len(events.zone_ids)
+    keep = cols >= 0
+    users, zones, cols = events.users[keep], events.zones[keep], cols[keep]
+    key = (users.astype(np.int64) * n_zones + zones) * n_cols + cols
+    cells = np.unique(key) % (n_zones * n_cols)
+    return np.bincount(cells, minlength=n_zones * n_cols).reshape(n_zones, n_cols)
 
 
 def quarter_matrix(quarter: QuarterCounts) -> ActivityMatrix:

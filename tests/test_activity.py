@@ -15,7 +15,7 @@ from citypulse.errors import ConfigError, DataError
 from citypulse.landuse import CLASSES, LandUseCategory, LandUseClass, class_groups
 from citypulse.stats import DEFAULT_NIGHT_BINS, infer_homes
 
-from scalar_reference import encode, quarter_counts, quarter_matrix
+from scalar_reference import dedup_matrix, encode, quarter_counts, quarter_matrix
 
 
 def test_repeat_events_in_same_cell_count_once():
@@ -360,11 +360,17 @@ def located_events(draw):
 @given(events=located_events(), total=st.sampled_from([NORMALIZATION_TOTAL, 3.7e4]),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_quarter_blocks_match_the_dense_counts(events, total, seed, tmp_path_factory):
-    from citypulse import activity
     from citypulse.pipeline import write_quarter_csv
     from citypulse.tables import write_csv
     # the dense path: one (user, zone, bin) key and a bincount over zones x 96
-    dense = activity._dedup_matrix(events, events.bins, N_QUARTER_BINS)
+    dense = dedup_matrix(events, events.bins, N_QUARTER_BINS)
+    slot_of = np.full(N_QUARTER_BINS, -1)
+    for i, slot in enumerate(DEFAULT_SLOTS):
+        slot_of[slot.bins] = i
+    assert np.array_equal(aggregate_major_slots(events).counts,
+                          dedup_matrix(events, slot_of[events.bins], len(DEFAULT_SLOTS)))
+    assert np.array_equal(count_daily_unique(events).counts,
+                          dedup_matrix(events, np.zeros_like(events.bins), 1))
     quarter = count_unique_users(events)
     assert quarter.cells.dtype == quarter.counts.dtype == np.int32
     assert np.all(np.diff(quarter.cells) > 0) and np.all(quarter.counts > 0)

@@ -172,6 +172,8 @@ def test_rerun_is_byte_identical(small_city, tmp_path):
     import dataclasses
     config = dataclasses.replace(small_city.config, output_dir=tmp_path / "again")
     run_pipeline(config)
+    assert sorted(p.name for p in (tmp_path / "again").iterdir()) == sorted(
+        p.name for p in small_city.out.iterdir())
     for path in sorted(small_city.out.iterdir()):
         again = tmp_path / "again" / path.name
         if path.name == "manifest.json":

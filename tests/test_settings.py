@@ -93,9 +93,13 @@ def test_flag_and_config_line_are_one_setting(tmp_path, key):
         assert message in shown
 
 
-def test_bad_flag_value_gives_the_parser_message(tmp_path, capsys):
-    assert cli.main(["run", "--centre-lon", "abc", "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err == "error: config key 'centre_lon': 'abc' is not a number\n"
+@pytest.mark.parametrize("flag,value,message", [
+    ("--centre-lon", "abc", "config key 'centre_lon': 'abc' is not a number"),
+    ("--normalization-total", "nan", "normalization_total must be a number in [1, 1e+100]"),
+], ids=["centre-lon abc", "normalization-total nan"])
+def test_bad_flag_value_gives_the_parser_message(tmp_path, capsys, flag, value, message):
+    assert cli.main(["run", flag, value, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("changes", [
