@@ -283,7 +283,7 @@ def landuse_profile(counts: QuarterCounts, codes: np.ndarray,
     row after row, so no normalized copy of the whole matrix exists.
     Profiles follow the groups of :func:`~citypulse.landuse.class_groups`: the
     three main kinds, then each activity subcategory present. Classes with
-    zero daily total are omitted and reported; unclassified zones are skipped.
+    zero daily total are omitted and returned by label; unclassified zones are skipped.
     """
     if not isinstance(counts, QuarterCounts):
         raise DataError("land-use profiles require the quarter-hour counts")
@@ -297,9 +297,6 @@ def landuse_profile(counts: QuarterCounts, codes: np.ndarray,
             omitted.append(label)
             continue
         profiles.append(TemporalProfile(label, totals / daily, daily))
-    if omitted:
-        logger.warning("classes with no activity omitted from profiles: %s",
-                       ", ".join(omitted))
     return profiles, omitted
 
 
@@ -315,7 +312,4 @@ def density_per_hectare(class_totals: Mapping[str, float],
             omitted.append(label)
             continue
         densities[label] = float(class_totals[label]) / area
-    if omitted:
-        logger.warning("classes with zero area omitted from densities: %s",
-                       ", ".join(sorted(omitted)))
     return densities, omitted

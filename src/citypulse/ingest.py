@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import logging
 import math
 import re
 from array import array
@@ -24,15 +23,13 @@ from datetime import datetime, timedelta, timezone
 from itertools import chain, compress, islice, repeat
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 import numpy as np
 
 from . import tables
 from .errors import ConfigError, DataError
-
-logger = logging.getLogger(__name__)
 
 # Tuesday, Wednesday, Thursday as datetime.weekday() values
 WORKDAY_WEEKDAYS = (1, 2, 3)
@@ -44,11 +41,10 @@ OPTIONAL_FIELDS = ("lang", "device", "text")
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _NAIVE_EPOCH = datetime(1970, 1, 1)
 _SECOND = timedelta(seconds=1)
-_MICROSECOND = timedelta(microseconds=1)
-# UTC instants a batch may hold: a day inside datetime's range at each end, so
-# that the instant stays a datetime under every UTC offset (all under 24 h)
-_FIRST_US = (datetime(1, 1, 2, tzinfo=timezone.utc) - _EPOCH) // _MICROSECOND
-_END_US = (datetime(9999, 12, 31, tzinfo=timezone.utc) - _EPOCH) // _MICROSECOND
+# UTC epoch seconds a batch may hold: a day inside datetime's range at each end,
+# so that the instant stays a datetime under every UTC offset (all under 24 h)
+_FIRST_S = (datetime(1, 1, 2, tzinfo=timezone.utc) - _EPOCH) // _SECOND
+_END_S = (datetime(9999, 12, 31, tzinfo=timezone.utc) - _EPOCH) // _SECOND
 _DAY_S = 86_400
 _QUARTER_S = 900
 # 1970-01-01 was a Thursday
@@ -137,14 +133,6 @@ class EventBatch:
                            *(None if col is None else col[i] for col in columns))
 
 
-def _instant(ts: datetime) -> tuple[int, int, int]:
-    """(epoch s, microsecond, UTC offset us) of an aware datetime inside a batch's range."""
-    us = (ts - _EPOCH) // _MICROSECOND
-    if not _FIRST_US <= us < _END_US:
-        raise ValueError("timestamp out of range")
-    return us // 1_000_000, us % 1_000_000, ts.utcoffset() // _MICROSECOND
-
-
 class _BatchBuilder:
     """Appends blocks of checked rows to typed columns, one UTC instant and offset per row."""
 
@@ -225,29 +213,6 @@ def get_timezone(tz: str) -> ZoneInfo:
         raise ConfigError(f"unknown timezone id {tz!r}") from exc
 
 
-# a fraction of the seconds of HH:MM:SS, up to an offset +HH:MM or the end
-_FRACTION = re.compile(r"(?<=[0-9]{2}:[0-9]{2}:[0-9]{2})[.,]([0-9]+)(?=([+-][0-9]{2}:[0-9]{2})?$)")
-
-
-def parse_timestamp(raw: str) -> datetime:
-    """RFC 3339 timestamp with explicit offset; naive timestamps are rejected."""
-    if type(raw) is not str:
-        raise ValueError(f"bad timestamp {raw!r}")
-    text = raw.strip()
-    if text.endswith(("Z", "z")):
-        text = text[:-1] + "+00:00"
-    # exactly six fraction digits: Python 3.10 reads only three or six, and
-    # 3.11 on read any number and keep the first six
-    text = _FRACTION.sub(lambda m: "." + (m[1] + "00000")[:6], text)
-    try:
-        ts = datetime.fromisoformat(text)
-    except ValueError as exc:
-        raise ValueError(f"bad timestamp {raw!r}") from exc
-    if ts.tzinfo is None:
-        raise ValueError(f"timestamp {raw!r} has no UTC offset")
-    return ts
-
-
 # The one timestamp shape read in bulk; "Z" in place of the offset reads as
 # "+00:00". The arrays below are columns: strings run along the second axis.
 _FIXED_SHAPE = "0000-00-00T00:00:00+00:00"
@@ -264,8 +229,8 @@ _SPAN = np.array([[{"0": 9, "+": 2}.get(c, 0)] for c in _FIXED_SHAPE], dtype=np.
 # offset minute; and the lowest value and span of the fields from the year on
 _DIGITS = [i for i, c in enumerate(_FIXED_SHAPE) if c == "0"]
 _TENS, _ONES = _DIGITS[0::2], _DIGITS[1::2]
-_LOW = np.array([[2], [1], [1], [0], [0], [0], [0], [0]])
-_RANGE = (np.array([[9998], [12], [31], [23], [59], [59], [23], [59]]) - _LOW).astype(np.uint64)
+_LOW = np.array([[1], [1], [1], [0], [0], [0], [0], [0]])
+_RANGE = (np.array([[9999], [12], [31], [23], [59], [59], [23], [59]]) - _LOW).astype(np.uint64)
 # Calendar tables (numpy's calendar is the proleptic Gregorian one that
 # datetime uses): days from 1970-01-01 to 1 January of each year 0-9999, 1 for
 # each leap year and 0 for the others, and per common and leap year (rows) the
@@ -278,24 +243,28 @@ _MONTH_DAYS = np.array([[0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31],
 _MONTH_START = np.cumsum(_MONTH_DAYS, axis=1) - _MONTH_DAYS
 
 
-def _fixed_instants(raws: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _fixed_instants(raws: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """UTC epoch seconds and UTC offset seconds of the timestamps of one fixed shape.
 
-    Returns ``(fits, epoch, offset)``. ``fits`` marks the strings of exactly
+    Returns ``(valid, epoch, offset)``. ``valid`` marks the strings of exactly
     the form ``YYYY-MM-DDTHH:MM:SS`` plus ``Z``, ``+HH:MM`` or ``-HH:MM``:
-    ASCII digits, a valid date (leap years included) and time of day, an
-    offset under 24 h with minutes under 60, and 1 < year < 9999, so that
-    every such instant lies in the range :func:`_instant` accepts. For those
-    rows ``epoch`` and ``offset`` equal what :func:`parse_timestamp` and
-    ``_instant`` give; other rows hold no meaningful value, and their strings
-    are left to :func:`parse_timestamp`.
+    ASCII digits, a year 0001-9999, a valid date (leap years included) and
+    time of day, and an offset under 24 h with minutes under 60. For those
+    rows ``epoch`` and ``offset`` hold the instant, which may still lie
+    outside a batch's range (:func:`_in_range`); other rows, and every value
+    that is not a string, hold no meaningful value.
     """
+    try:
+        text = "".join(raws)
+    except TypeError:  # a value that is not a string reads as "", which never fits
+        raws = [raw if type(raw) is str else "" for raw in raws]
+        text = "".join(raws)
     n = len(raws)
     size = np.fromiter(map(len, raws), dtype=np.int64, count=n)
     # the strings end to end, one byte per character, every one that is not
     # ASCII read as "?" (and one byte more, so that the buffer is never empty);
     # each string's first 25 bytes, where a shorter or longer one fails on its size
-    data = np.frombuffer(("".join(raws) + "\n").encode("ascii", "replace"), dtype=np.uint8)
+    data = np.frombuffer((text + "\n").encode("ascii", "replace"), dtype=np.uint8)
     start = np.cumsum(size) - size
     chars = data.take(start[:, None] + np.arange(_WIDTH), mode="clip")
     zulu = (size == _ZULU_WIDTH) & (chars[:, _SIGN] == ord("Z"))
@@ -304,21 +273,61 @@ def _fixed_instants(raws: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray
     rise = np.subtract(chars.T, _BASE, order="C")
     rise[_SIGN:, zulu] = 0
     west = rise[_SIGN] == 2
-    fits = (zulu | (size == _WIDTH)) & (rise <= _SPAN).all(axis=0) & (rise[_SIGN] != 1)
+    valid = (zulu | (size == _WIDTH)) & (rise <= _SPAN).all(axis=0) & (rise[_SIGN] != 1)
     # each two-digit field (0-99 where the digits fit), the year from its halves
     fields = (rise[_TENS] * 10 + rise[_ONES]).astype(np.int64)
     fields[1] += fields[0] * 100
     fields = fields[1:]
-    fits &= (np.subtract(fields, _LOW).view(np.uint64) <= _RANGE).all(axis=0)
-    fields *= fits  # what does not fit reads as 0000-00-00, which indexes the tables safely
+    valid &= (np.subtract(fields, _LOW).view(np.uint64) <= _RANGE).all(axis=0)
+    fields *= valid  # what does not fit reads as 0000-00-00, which indexes the tables safely
     year, month, day, hour, minute, second, offset_hour, offset_minute = fields
     leap = _LEAP[year]
-    fits &= day <= _MONTH_DAYS[leap, month]
+    valid &= day <= _MONTH_DAYS[leap, month]
     offset = offset_hour * 3600 + offset_minute * 60
     np.negative(offset, out=offset, where=west)
     epoch = ((_YEAR_START[year] + _MONTH_START[leap, month] + day - 1) * _DAY_S
              + (hour * 60 + minute) * 60 + second - offset)
-    return fits, epoch, offset
+    return valid, epoch, offset
+
+
+def _in_range(epoch: np.ndarray) -> np.ndarray:
+    """Which UTC epoch seconds lie in a batch's range, [0001-01-02, 9999-12-31)."""
+    return (epoch >= _FIRST_S) & (epoch < _END_S)
+
+
+# The timestamp grammar, RFC 3339 section 5.6 date-time: a date, "T", "t" or a
+# space, a time of day, an optional fraction of the second, then "Z", "z" or a
+# numeric offset, which the pattern leaves optional so that a timestamp
+# without one is named as such. Field ranges are left to the bulk reader.
+_RFC3339 = re.compile(r"([0-9]{4}-[0-9]{2}-[0-9]{2})[Tt ]([0-9]{2}:[0-9]{2}:[0-9]{2})"
+                      r"(?:\.([0-9]+))?([Zz]|[+-][0-9]{2}:[0-9]{2})?", re.ASCII)
+
+
+def _rfc3339_instants(raws: list) -> tuple[np.ndarray, list[str | None]]:
+    """The grammar step: timestamps off the fixed shape, read through :func:`_fixed_instants`.
+
+    Each string that :data:`_RFC3339` matches whole is rewritten to the fixed
+    shape, and its fraction of the second is kept aside, cut to
+    microseconds; one :func:`_fixed_instants` call then reads them all.
+    Returns the ``(epoch, micro, offset_us)`` columns (int64) and, per
+    string, None where it is accepted or the reason it is refused: a bad
+    timestamp (no match, or no valid date, time and offset), one that has no
+    UTC offset, or one out of range, the first that applies.
+    """
+    fixed, micro, zoned = [], [], []
+    for raw in raws:
+        match = _RFC3339.fullmatch(raw) if type(raw) is str else None
+        date, clock, fraction, offset = match.groups("") if match else ("",) * 4
+        fixed.append(f"{date}T{clock}{offset.upper() or 'Z'}" if match else "")
+        micro.append(int(fraction[:6].ljust(6, "0")))
+        zoned.append(offset != "")
+    valid, epoch, offset = _fixed_instants(fixed)
+    reasons = [f"bad timestamp {raw!r}" if not ok
+               else f"timestamp {raw!r} has no UTC offset" if not zone
+               else None if inside else "timestamp out of range"
+               for raw, ok, zone, inside in zip(raws, valid.tolist(), zoned,
+                                                _in_range(epoch).tolist())]
+    return np.array([epoch, micro, offset * 1_000_000], dtype=np.int64), reasons
 
 
 # Exact type() tests, not isinstance(): json.loads and csv build exact types,
@@ -435,20 +444,17 @@ def _load_row(line: str) -> dict:
     return obj
 
 
-def _check_row(user_id, raw_ts, lon, lat, lang, device, text) -> tuple:
-    """One row's fields checked in input order; ValueError names the first fault."""
-    return (_user_id(user_id), _instant(parse_timestamp(raw_ts)),
-            _coordinate(lon, "lon", 180.0), _coordinate(lat, "lat", 90.0),
+def _check_row(user_id, refusal: str | None, lon, lat, lang, device, text) -> tuple:
+    """One row's fields but its timestamp, checked in input order; ValueError names the first fault.
+
+    ``refusal`` is the reason the block's read refused the row's timestamp,
+    or None, and counts as the second field.
+    """
+    user_id = _user_id(user_id)
+    if refusal is not None:
+        raise ValueError(refusal)
+    return (user_id, _coordinate(lon, "lon", 180.0), _coordinate(lat, "lat", 90.0),
             _optional(lang, "lang"), _optional(device, "device"), _optional(text, "text"))
-
-
-def _check_object(obj: dict) -> tuple:
-    """The per-row field checks of one object: its values, or ValueError naming the fault."""
-    missing = [k for k in NDJSON_KEYS if k not in obj]
-    if missing:
-        raise ValueError(f"missing field {missing[0]!r}")
-    return _check_row(obj["u"], obj["t"], obj["lon"], obj["lat"],
-                      obj.get("lang"), obj.get("device"), obj.get("text"))
 
 
 def _decode_lines(numbers: Sequence[int], lines: list[str], rejected: list[tuple[int, str]]
@@ -551,51 +557,50 @@ def _coordinates(values: list, limit: float, suspect: np.ndarray) -> np.ndarray:
 
 
 def _add_rows(builder: _BatchBuilder, numbers: Sequence[int], columns: list[list | None],
-              check: Callable[[int], tuple], rejected: list[tuple[int, str]]) -> None:
+              rejected: list[tuple[int, str]]) -> None:
     """Check the field rules on one block's columns and append the accepted rows in order.
 
     ``columns`` holds the raw user ids, timestamps, lon and lat, then a
     ``lang``/``device``/``text`` column, or None where no row has that field.
-    A row that fails a column test goes through ``check(i)``, its per-row
-    checks (:func:`_check_row`), which either give its rejection reason or
-    accept it, as they do an integer user id. A row that passes every column
-    test can fail only on its timestamp, read in bulk by
-    :func:`_fixed_instants` where it has that shape. A block with no row for
-    the per-row steps goes into the builder as it is.
+    Every timestamp is read by :func:`_fixed_instants`, those off its shape
+    or range once more after the grammar step (:func:`_rfc3339_instants`).
+    A row that fails a column test, or whose timestamp is refused, goes
+    through :func:`_check_row`, which either gives its rejection reason or
+    accepts it, as it does an integer user id. A block with no such row goes
+    into the builder as it is.
     """
-    users, times, lon, lat, *optional = columns
+    users, times, raw_lon, raw_lat, *optional = columns
     n = len(users)
     suspect = np.zeros(n, dtype=bool)
     _flag(suspect, users, _STRING)
     if "" in users:
         suspect |= [user == "" for user in users]
-    _flag(suspect, times, _STRING)
-    lon = _coordinates(lon, 180.0, suspect)
-    lat = _coordinates(lat, 90.0, suspect)
+    lon = _coordinates(raw_lon, 180.0, suspect)
+    lat = _coordinates(raw_lat, 90.0, suspect)
     extras: list[list | None] = [None] * len(OPTIONAL_FIELDS)
     for k, values in enumerate(optional):
         if values is not None:
             _flag(suspect, values, _OPTIONAL)
             extras[k] = [value or None for value in values]
-    keep = (~suspect).tolist() if suspect.any() else None
-    fits, epoch, offset = _fixed_instants(times if keep is None else list(compress(times, keep)))
-    offset_us = offset * 1_000_000
-    if keep is None:
-        if fits.all():  # no row for the per-row steps
-            builder.extend(users, epoch, np.zeros(n, dtype=np.int32), offset_us, lon, lat, extras)
-            return
-        keep = [True] * n
-    instants = np.zeros((3, n), dtype=np.int64)  # epoch, micro and offset_us per row
-    instants[0, keep], instants[2, keep] = epoch, offset_us
-    for i in np.flatnonzero(keep)[~fits].tolist():
-        try:
-            instants[:, i] = _instant(parse_timestamp(times[i]))
-        except ValueError as exc:
-            keep[i] = False
-            rejected.append((numbers[i], str(exc)))
+    valid, epoch, offset = _fixed_instants(times)
+    fits = valid & _in_range(epoch)
+    if fits.all() and not suspect.any():  # no row for the per-row steps
+        builder.extend(users, epoch, np.zeros(n, dtype=np.int32), offset * 1_000_000, lon, lat,
+                       extras)
+        return
+    instants = np.array([epoch, np.zeros(n, dtype=np.int64), offset * 1_000_000])
+    refusals: dict[int, str | None] = {}
+    misfits = np.flatnonzero(~fits).tolist()
+    if misfits:
+        instants[:, misfits], reasons = _rfc3339_instants([times[i] for i in misfits])
+        refusals = dict(zip(misfits, reasons))
+        suspect[misfits] |= [reason is not None for reason in reasons]
+    keep = ~suspect
     for i in np.flatnonzero(suspect).tolist():
         try:
-            users[i], instants[:, i], lon[i], lat[i], *fields = check(i)
+            users[i], lon[i], lat[i], *fields = _check_row(
+                users[i], refusals.get(i), raw_lon[i], raw_lat[i],
+                *(None if column is None else column[i] for column in optional))
         except ValueError as exc:
             rejected.append((numbers[i], str(exc)))
             continue
@@ -603,7 +608,7 @@ def _add_rows(builder: _BatchBuilder, numbers: Sequence[int], columns: list[list
         for column, value in zip(extras, fields):
             if column is not None:
                 column[i] = value
-    if not all(keep):
+    if not keep.all():
         users, instants = list(compress(users, keep)), instants[:, keep]
         lon, lat = lon[keep], lat[keep]
         extras = [None if column is None else list(compress(column, keep)) for column in extras]
@@ -660,16 +665,20 @@ def _parse_ndjson(fh: IO[str], builder: _BatchBuilder, report: RejectionReport) 
             lines = [line for line in lines if not line.isspace()]  # blank lines are skipped
             numbers, objs = _decode_lines(numbers, lines, rejected)
         report.total_rows += len(objs) + len(rejected)
+        try:  # every object holds the four required keys: with none more, no optional one
+            columns = [[obj[key] for obj in objs] for key in NDJSON_KEYS]
+            has_optional = sum(map(len, objs)) > len(NDJSON_KEYS) * len(objs)
+        except KeyError:  # a row without one is rejected first, naming the first missing key
+            missing = [next((k for k in NDJSON_KEYS if k not in obj), None) for obj in objs]
+            rejected += [(n, f"missing field {k!r}") for n, k in zip(numbers, missing) if k]
+            numbers = [n for n, k in zip(numbers, missing) if k is None]
+            objs = [obj for obj, k in zip(objs, missing) if k is None]
+            columns = [[obj[key] for obj in objs] for key in NDJSON_KEYS]
+            has_optional = True
         if objs:
-            try:  # every object holds the four required keys: with none more, no optional one
-                columns = [[obj[key] for obj in objs] for key in NDJSON_KEYS]
-                has_optional = sum(map(len, objs)) > len(NDJSON_KEYS) * len(objs)
-            except KeyError:
-                columns = [[obj.get(key) for obj in objs] for key in NDJSON_KEYS]
-                has_optional = True
             columns += [[obj.get(name) for obj in objs] if has_optional else None
                         for name in OPTIONAL_FIELDS]
-            _add_rows(builder, numbers, columns, lambda i: _check_object(objs[i]), rejected)
+            _add_rows(builder, numbers, columns, rejected)
         report.entries.extend(sorted(rejected))
 
 
@@ -714,8 +723,7 @@ def _add_csv_rows(reader, builder: _BatchBuilder, report: RejectionReport) -> No
             numbers, rows = zip(*block)
             rows = [row if len(row) >= len(fill) else row + fill[len(row):] for row in rows]
             columns = [[row[i] for row in rows] if i is not None else None for i in positions]
-            _add_rows(builder, numbers, columns, lambda i: _check_row(
-                *(None if p is None else rows[i][p] for p in positions)), rejected)
+            _add_rows(builder, numbers, columns, rejected)
         report.entries.extend(sorted(rejected))
 
 
@@ -747,8 +755,6 @@ def parse_events(source, fmt: str = "ndjson") -> tuple[EventBatch, RejectionRepo
         (_parse_ndjson if fmt == "ndjson" else _parse_csv)(fh, builder, report)
     batch = builder.finish()
     report.parsed = len(batch)
-    if report.rejected:
-        logger.warning("rejected %d of %d rows", report.rejected, report.total_rows)
     return batch, report
 
 

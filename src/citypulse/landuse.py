@@ -7,7 +7,6 @@ non-residential (carrying the dominant activity category), and mixed otherwise.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable
@@ -19,7 +18,6 @@ from .tables import write_csv
 if TYPE_CHECKING:
     from .spatial import ZoneTable
 
-logger = logging.getLogger(__name__)
 
 PREDOMINANCE_THRESHOLD = 0.666
 
@@ -113,9 +111,6 @@ def classify_zones(table: "ZoneTable", threshold: float = PREDOMINANCE_THRESHOLD
     activity = fraction < 1.0 - threshold
     codes[activity] = 2 + np.argmax(table.landuse_m2[activity][:, _ACTIVITY_COLUMNS], axis=1)
     codes[total <= 0] = -1
-    unclassified = np.count_nonzero(codes < 0)
-    if unclassified:
-        logger.warning("%d zones with zero built surface left unclassified", unclassified)
     return codes
 
 

@@ -28,7 +28,6 @@ both tails to a relative error of 1e-12 against 50-digit mpmath.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from typing import Collection, Sequence
@@ -38,7 +37,6 @@ import numpy as np
 from .activity import AssignedEvents
 from .errors import DataError, SingularityError
 
-logger = logging.getLogger(__name__)
 
 DEFAULT_ALPHA = 0.01
 DEFAULT_NIGHT_BINS = range(88, 96)  # 22:00-24:00
@@ -325,7 +323,6 @@ def stepwise_fit(y, X, names: Sequence[str] | None = None,
     if not keep:
         fit = _intercept_only_fit(y)
         fit.warnings.append("all predictors dropped; intercept-only model")
-        logger.warning("stepwise elimination dropped every predictor")
         return fit, list(dropped)
     second = fit_ols(y, X[:, keep], names=[names[j] for j in keep])
     return second, dropped
@@ -343,10 +340,10 @@ class BivariateFit:
 
 
 def bivariate_slot_ols(a, b) -> BivariateFit:
-    """Fit b ~ a across zones; standardized residuals are residual / std(residual).
+    """Fit b ~ a across zones with :func:`fit_ols`, so over three zones or more.
 
-    A positive standardized residual marks a zone more active in b than its
-    activity in a predicts.
+    Standardized residuals are residual / std(residual). A positive one
+    marks a zone more active in b than its activity in a predicts.
     """
     a = np.asarray(a, dtype=float).reshape(-1)
     b = np.asarray(b, dtype=float).reshape(-1)
@@ -354,19 +351,19 @@ def bivariate_slot_ols(a, b) -> BivariateFit:
         raise DataError("slot distributions must cover the same zones in the same order")
     if np.ptp(a) == 0.0:
         raise DataError("predictor slot has zero variance")
-    design = np.column_stack([np.ones(len(a)), a])
-    coef, *_ = np.linalg.lstsq(design, b, rcond=None)
-    residuals = b - design @ coef
-    tss = _total_sum_of_squares(b)
-    rss = float(residuals @ residuals)
-    r2 = 0.0 if tss == 0.0 else 1.0 - rss / tss
+    try:
+        fit = fit_ols(b, a)
+    except SingularityError as exc:  # a predictor constant to rounding
+        raise DataError("predictor slot has zero variance to rounding") from exc
+    residuals = fit.residuals
     spread = float(np.std(residuals))
     # a perfect fit leaves only rounding noise; report zero residuals then
     if spread <= 1e-12 * max(1.0, float(np.abs(b).max())):
         std_residuals = np.zeros_like(residuals)
     else:
         std_residuals = residuals / spread
-    return BivariateFit(float(r2), float(coef[1]), float(coef[0]), residuals, std_residuals)
+    intercept, slope = fit.coefficients.tolist()
+    return BivariateFit(fit.r2, slope, intercept, residuals, std_residuals)
 
 
 @dataclass

@@ -22,11 +22,13 @@ import numpy as np
 from citypulse.activity import (N_QUARTER_BINS, QUARTER_LABELS, ActivityMatrix, AssignedEvents,
                                 QuarterCounts)
 from citypulse.errors import CityPulseError, DataError
-from citypulse.ingest import EventBatch, GeoEvent, _BatchBuilder, _instant, get_timezone
+from citypulse.ingest import EventBatch, GeoEvent, _BatchBuilder, get_timezone
 from citypulse.landuse import (ACTIVITY_CATEGORIES, CATEGORIES, MIXED, PREDOMINANCE_THRESHOLD,
                                RESIDENTIAL, LandUseClass)
 from citypulse.spatial import CityCentre, Ring, Zone, ZoneIndex, ZoneTable, haversine_m
 from citypulse.stats import OlsFit
+
+from timestamp_reference import instant
 
 # --- zones ----------------------------------------------------------------------
 
@@ -181,7 +183,7 @@ def quarter_bin(timestamp: datetime, tz: str | ZoneInfo) -> int:
 
 
 def checked_rows_batch(rows: Iterable[tuple]) -> EventBatch:
-    """The batch of rows as ``ingest._check_row`` returns them, in order.
+    """The batch of checked event rows, in order.
 
     Each row is ``(user_id, (epoch, micro, offset_us), lon, lat, lang,
     device, text)``; the rows go into the builder as one block.
@@ -198,7 +200,7 @@ def checked_rows_batch(rows: Iterable[tuple]) -> EventBatch:
 
 def events_batch(events: Iterable[GeoEvent]) -> EventBatch:
     """Columns of GeoEvent rows, each keeping the UTC offset of its timestamp."""
-    return checked_rows_batch((e.user_id, _instant(e.timestamp), e.lon, e.lat, e.lang, e.device,
+    return checked_rows_batch((e.user_id, instant(e.timestamp), e.lon, e.lat, e.lang, e.device,
                                e.text) for e in events)
 
 

@@ -7,12 +7,19 @@ and mutated rows are rejected by their physical line.
 """
 
 import csv
+import importlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from citypulse import cli
+
+REPO = Path(__file__).resolve().parents[1]
 
 SYNTH = ["--seed", "4", "--n-zones", "49", "--n-users", "300", "--events-per-day", "8",
          "--centre-decay", "0.1"]
@@ -107,6 +114,23 @@ def test_mutated_rows_are_rejected_by_physical_line(city, tmp_path, fmt, expecte
     assert manifest["counts"]["rows_rejected"] == 4
 
 
+def test_each_warning_is_reported_once(city, tmp_path):
+    # through a fresh interpreter, so that the command line's own logging
+    # setup prints the library's log records to stderr as a user sees them
+    events = tmp_path / "mutated.ndjson"
+    events.write_bytes(mutated_ndjson(city))
+    done = subprocess.run(
+        [sys.executable, "-m", "citypulse.cli", "run", "--config", str(city / "pipeline.config"),
+         "--events", str(events), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        check=True)
+    lines = done.stderr.splitlines()
+    assert "warning: 4 input rows rejected" in lines
+    # the command line's own lines only, each once: no library log record repeats a fact
+    assert all(line.startswith("warning: ") for line in lines)
+    assert len(lines) == len(set(lines))
+
+
 @pytest.mark.parametrize("source,copy,transform", [
     ("events.ndjson", "events.csv", csv_bytes),
     ("events.ndjson", "events.ndjson", lambda data: data.replace(b"\n", b"\r\n")),
@@ -129,3 +153,30 @@ def test_open_ring_exits_2_before_any_output(city, tmp_path, capsys):
     assert run(city, "run", tmp_path / "bad", "--zones", str(tmp_path / "bad.geojson")) == 2
     assert capsys.readouterr().err == "error: zone 'z0007': ring is not closed\n"
     assert not (tmp_path / "bad").exists()
+
+
+def _perfbench_layers():
+    spec = importlib.util.spec_from_file_location("layers", REPO / "perfbench" / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    return layers
+
+
+def test_traced_run_yields_every_per_layer_metric(city, tmp_path, monkeypatch):
+    # the benchmark's traced run reads its per-layer metrics off wrapped
+    # entry points: each must still exist and keep its argument and result shapes
+    layers = _perfbench_layers()
+    for module_name, attr, _layer, _metric in layers.ENTRY_POINTS:
+        module = importlib.import_module(f"citypulse.{module_name}")
+        monkeypatch.setattr(module, attr, getattr(module, attr, None), raising=False)
+    tracer = layers.Tracer(run_id=0)
+    tracer.install()
+    assert run(city, "run", tmp_path / "out") == 0
+    assert tracer.missing == []
+    metrics = layers.layer_metrics(tracer.spans, tracer.missing,
+                                   {"import_s": 0.1, "rss_start_kb": 0, "rss_import_kb": 1024})
+    benchmark = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
+    expected = {m["name"] for m in benchmark["per_layer"]
+                if m["name"].split(".")[0] not in ("synth", "host", "trace")}
+    assert len(expected) == 31 and set(metrics) == expected
+    json.dumps(metrics, allow_nan=False)

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 import tracemalloc
 from datetime import datetime, timedelta, timezone
 from unittest import mock
@@ -13,11 +14,12 @@ from hypothesis import strategies as st
 from citypulse import ingest
 from citypulse.errors import ConfigError, DataError
 from citypulse.ingest import (GeoEvent, RejectionReport, filter_workdays, get_timezone,
-                              local_seconds, parse_events, parse_timestamp, quarter_bins,
-                              write_events_ndjson)
+                              local_seconds, parse_events, quarter_bins, write_events_ndjson)
 from citypulse.synth import SynthConfig, generate_city, generate_events
 
 from scalar_reference import checked_rows_batch, events_batch, quarter_bin
+from timestamp_reference import (FRACTION_CASES, TIMESTAMP_CASES, instant_or_reason,
+                                 parse_timestamp)
 
 NDJSON_ROW = '{"u":"a1","t":"2013-03-05T10:07:00+01:00","lon":-3.70,"lat":40.42}'
 
@@ -79,8 +81,10 @@ def test_naive_timestamp_rejected():
 
 
 def test_zulu_suffix_accepted():
-    ts = parse_timestamp("2013-03-05T10:07:00Z")
-    assert ts.utcoffset().total_seconds() == 0
+    row = '{"u":"a1","t":"2013-03-05T10:07:00Z","lon":-3.70,"lat":40.42}'
+    batch, report = parse_events(io.StringIO(row), "ndjson")
+    assert report.entries == []
+    assert batch.offset_us.tolist() == [0]
 
 
 def test_ordering_preserved_and_empty_lines_skipped():
@@ -410,7 +414,7 @@ def test_instants_at_both_accepted_ends_bin_in_every_zone(tz):
 def test_parsed_timestamps_keep_instant_offset_and_microseconds():
     # (timestamp, UTC epoch seconds, microseconds, offset seconds)
     rows = [("2013-03-05T10:07:00.250000+05:45", _utc(2013, 3, 5, 4, 22), 250000, 20700),
-            ("1901-01-01T00:00:00-00:14:44", _utc(1901, 1, 1, 0, 14, 44), 0, -884),
+            ("1901-01-01T00:00:00-00:14", _utc(1901, 1, 1, 0, 14), 0, -840),
             ("1969-12-31T23:59:59.999999Z", -1, 999999, 0)]
     text = "\n".join(json.dumps({"u": "a", "t": t, "lon": 0, "lat": 0}) for t, *_ in rows)
     batch, report = parse_events(io.StringIO(text), "ndjson")
@@ -423,6 +427,27 @@ def test_parsed_timestamps_keep_instant_offset_and_microseconds():
 
 
 # --- block-decoded NDJSON against the per-line reference ----------------------
+
+def _checked_row(user_id, raw_ts, lon, lat, lang, device, text) -> tuple:
+    """One row through the per-row checks, its timestamp read by the reference.
+
+    The row as :func:`scalar_reference.checked_rows_batch` takes it; ValueError
+    names the first fault.
+    """
+    instant = instant_or_reason(raw_ts)
+    refusal = instant if isinstance(instant, str) else None
+    user_id, *fields = ingest._check_row(user_id, refusal, lon, lat, lang, device, text)
+    return (user_id, instant, *fields)
+
+
+def _checked_object(obj: dict) -> tuple:
+    """One NDJSON object through the per-row checks, after its required keys."""
+    missing = [k for k in ingest.NDJSON_KEYS if k not in obj]
+    if missing:
+        raise ValueError(f"missing field {missing[0]!r}")
+    return _checked_row(obj["u"], obj["t"], obj["lon"], obj["lat"],
+                        obj.get("lang"), obj.get("device"), obj.get("text"))
+
 
 def _parse_per_line(source):
     """The NDJSON reader one line at a time: json.loads and the per-row checks.
@@ -438,7 +463,7 @@ def _parse_per_line(source):
                 continue
             report.total_rows += 1
             try:
-                rows.append(ingest._check_object(ingest._load_row(line)))
+                rows.append(_checked_object(ingest._load_row(line)))
             except ValueError as exc:
                 report.entries.append((n, str(exc)))
     return checked_rows_batch(rows), report
@@ -465,7 +490,7 @@ def _parse_csv_per_row(source):
                 if any(map(ingest._undecodable, row)):
                     raise ValueError("invalid utf-8")
                 user_id, raw_ts, lon, lat, lang, device, text = cells
-                rows.append(ingest._check_row(user_id, raw_ts or "", lon, lat, lang, device, text))
+                rows.append(_checked_row(user_id, raw_ts or "", lon, lat, lang, device, text))
             except ValueError as exc:
                 report.entries.append((reader.line_num, str(exc)))
     return checked_rows_batch(rows), report
@@ -705,7 +730,7 @@ def test_clean_blocks_skip_the_per_row_checks(tmp_path, fmt, line_end):
         path = tmp_path / "events.csv"
         assert len(events) > 3 * ingest._CSV_BLOCK_ROWS
         assert _columns(_parse_csv_per_row(path)[0]) == _columns(expected)
-    with mock.patch.multiple(ingest, _check_row=_per_row_step, parse_timestamp=_per_row_step,
+    with mock.patch.multiple(ingest, _check_row=_per_row_step, _rfc3339_instants=_per_row_step,
                              _load_row=_per_row_step, _float_or_nan=_per_row_step):
         batch, report = parse_events(path, fmt)
     assert report.entries == expected_report.entries == []
@@ -756,19 +781,19 @@ def test_rows_off_the_bulk_path_alone_take_the_per_row_checks(layout, lon):
         return record
 
     with mock.patch.multiple(ingest, _check_row=spy(ingest._check_row),
-                             parse_timestamp=spy(ingest.parse_timestamp),
+                             _rfc3339_instants=spy(ingest._rfc3339_instants),
                              _load_row=spy(ingest._load_row),
                              _BLOCK_CHARS=size * ROW_WIDTH):
         batch, report = parse_events(io.StringIO(text), "ndjson")
-    # the word lon row takes the per-row checks (they read its timestamp
-    # too); the fraction row only the per-row timestamp parse. A numeric
-    # string lon is read on the column path, as a CSV cell is.
+    # the word lon row takes the per-row checks, its timestamp read in bulk
+    # with its block's; the fraction row only the grammar step, with no other
+    # timestamp of its block. A numeric string lon is read on the column
+    # path, as a CSV cell is.
     word = lon == "west"
-    checked = [("lon row", LON_TIME, lon, 40.4, None, None, None)] if word else []
-    timestamps = [(FRACTION_TIME,), (LON_TIME,)] if word else [(FRACTION_TIME,)]
+    checked = [("lon row", None, lon, 40.4, None, None, None)] if word else []
     assert [args for step, args in calls if step == "_check_row"] == checked
-    assert sorted(args for step, args in calls if step == "parse_timestamp") == timestamps
-    assert len(calls) == len(checked) + len(timestamps)
+    assert [args for step, args in calls if step == "_rfc3339_instants"] == [([FRACTION_TIME],)]
+    assert len(calls) == len(checked) + 1
     assert _columns(batch) == _columns(expected)
     assert report.entries == expected_report.entries
     assert report.total_rows == expected_report.total_rows == len(rows)
@@ -792,73 +817,95 @@ def test_user_codes_follow_the_first_accepted_row():
     assert batch.users.tolist() == expected.users.tolist() == [0, 1, 2, 3, 4, 2, 0, 5, 1]
 
 
-# (timestamp, whether the bulk reader takes it; every other string goes to
-# parse_timestamp)
-_LAST_DAYS = [(2013, m, d) for m, d in enumerate(
-    [31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31], start=1)] + [(2012, 2, 29)]
-# (timestamp with 1-9 fraction digits, its microseconds): the digits past six are cut
-FRACTION_CASES = [(f"2013-03-05T10:00:00.{'123456789'[:n]}{tail}", int(f"{'123456789'[:n]:0<6.6}"))
-                  for n in range(1, 10) for tail in ("Z", "+01:00", "-05:30")]
-TIMESTAMP_CASES = (
-    [("1900-02-29T12:00:00Z", False), ("2000-02-29T12:00:00Z", True),
-     ("2012-02-29T12:00:00+01:00", True), ("2013-02-29T12:00:00Z", False)]
-    + [(f"{y}-{m:02d}-{d:02d}T12:00:00Z", True) for y, m, d in _LAST_DAYS]
-    + [(f"{y}-{m:02d}-{d + 1:02d}T12:00:00Z", False) for y, m, d in _LAST_DAYS]
-    + [("2013-03-05T23:59:59+01:00", True), ("2013-03-05T24:00:00+01:00", False),
-       ("2013-03-05T23:59:60Z", False), ("2013-03-05T23:60:00Z", False),
-       ("2013-03-05T10:00:00+23:59", True), ("2013-03-05T10:00:00-23:59", True),
-       ("2013-03-05T10:00:00+24:00", False), ("2013-03-05T10:00:00-00:00", True),
-       ("2013-03-05T10:00:00+01:60", False), ("2013-03-05T10:00:00+0100", False),
-       ("2013-03-05T10:00:00,01:00", False), ("2013-03-05T10:00:00*01:00", False),
-       ("2013-03-05T10:00:00.01:00", False),
-       ("2013-03-05T10:00:00Z", True), ("2013-03-05T10:00:00z", False),
-       ("2013-03-05t10:00:00Z", False), ("2013-03-05 10:00:00Z", False),
-       ("2013-03-05X10:00:00+01:00", False), ("２０１３-03-05T10:00:00Z", False),
-       ("2013-03-05T1١:00:00Z", False), ("2013-03-05T10:00:00", False),
-       ("2013-03-05T10:00:00Z ", False), ("2013-03-05T10:00:00+01:00\x00", False),
-       ("2013-00-05T10:00:00Z", False), ("2013-13-05T10:00:00Z", False),
-       ("2013-03-00T10:00:00Z", False), ("+013-03-05T10:00:00Z", False),
-       ("0001-01-01T00:00:00Z", False), ("0001-01-02T00:00:00Z", False),
-       ("0002-01-01T00:00:00+23:59", True), ("0002-01-01T00:00:00-23:59", True),
-       ("9998-12-31T23:59:59-23:59", True), ("9998-12-31T23:59:59+23:59", True),
-       ("9999-01-01T00:00:00Z", False), ("9999-12-30T23:59:59Z", False),
-       ("1969-12-31T23:59:59Z", True), ("1970-01-01T00:00:00+00:01", True),
-       ("1582-10-10T00:00:00Z", True), ("2013-03-05T10:00:00.5Z", False)]
-    + [(raw, False) for raw, _ in FRACTION_CASES])
+def _case_rows(raws, fmt) -> tuple[bytes, list[tuple[int, object]]]:
+    """A source of rows for each timestamp of ``raws``, and each row's line and outcome.
 
-
-def _instant_or_reason(raw):
-    """(epoch, micro, offset_us) of parse_timestamp within the batch range, or its reason."""
-    try:
-        ts = parse_timestamp(raw)
-    except ValueError as exc:
-        return str(exc)
-    utc = timezone.utc
-    if not datetime(1, 1, 2, tzinfo=utc) <= ts < datetime(9999, 12, 31, tzinfo=utc):
-        return "timestamp out of range"
-    us = (ts - datetime(1970, 1, 1, tzinfo=utc)) // timedelta(microseconds=1)
-    return us // 1_000_000, us % 1_000_000, ts.utcoffset() // timedelta(microseconds=1)
-
-
-@pytest.mark.parametrize("raw,bulk", TIMESTAMP_CASES, ids=[raw for raw, _ in TIMESTAMP_CASES])
-def test_bulk_timestamps_match_parse_timestamp(raw, bulk):
-    assert ingest._fixed_instants([raw])[0].tolist() == [bulk]
-    expected = _instant_or_reason(raw)
-    row = json.dumps({"u": "a", "t": raw, "lon": 1.0, "lat": 2.0})
-    batch, report = parse_events(f"{row}\n{row}\n".encode(), "ndjson")
-    if isinstance(expected, str):
-        assert len(batch) == 0
-        assert report.entries == [(1, expected), (2, expected)]
+    Per timestamp a clean row, a row with a word lon and, in NDJSON, a row
+    with an integer user id: the last two take the per-row checks, which give
+    the timestamp's reason before the lon's. The outcome is the reference's
+    ``(epoch, micro, offset_us)`` or rejection reason.
+    """
+    rows, expected = [], []
+    line = 1 if fmt == "ndjson" else 2  # a CSV header takes line 1
+    for raw in raws:
+        outcome = instant_or_reason(raw)
+        for user, lon in [("a", 1.0), ("b", "west")] + ([(7, 1.0)] if fmt == "ndjson" else []):
+            rows.append((user, raw, lon, 2.0))
+            if fmt == "csv":  # a quoted line end: the row ends on a later line
+                line += len(re.findall("\r\n|\r|\n", raw))
+            refused = isinstance(outcome, str) or lon == 1.0
+            expected.append((line, outcome if refused else "lon not a number"))
+            line += 1
+    if fmt == "ndjson":
+        data = "".join(json.dumps(dict(zip(ingest.NDJSON_KEYS, row))) + "\n" for row in rows)
     else:
-        assert report.entries == []
-        assert list(zip(batch.epoch.tolist(), batch.micro.tolist(),
-                        batch.offset_us.tolist())) == [expected, expected]
+        text = io.StringIO()
+        csv.writer(text).writerows([ingest.CSV_COLUMNS, *rows])
+        data = text.getvalue()
+    return data.encode("utf-8"), expected
+
+
+def _check_cases(raws, fmt) -> None:
+    """Every row of :func:`_case_rows` in one source parses to its reference outcome."""
+    data, expected = _case_rows(raws, fmt)
+    batch, report = parse_events(data, fmt)
+    rejected = dict(report.entries)
+    instants = iter(zip(batch.epoch.tolist(), batch.micro.tolist(), batch.offset_us.tolist()))
+    assert [(n, rejected[n] if n in rejected else next(instants)) for n, _ in expected] == expected
+    assert report.total_rows == len(expected)
+
+
+CASES = [raw for raw, _ in TIMESTAMP_CASES]
+
+
+@pytest.mark.parametrize("fmt", ["ndjson", "csv"])
+@pytest.mark.parametrize("raw", CASES, ids=[repr(raw) for raw in CASES])
+def test_timestamps_match_the_reference(raw, fmt):
+    _check_cases([raw], fmt)
+
+
+@pytest.mark.parametrize("fmt", ["ndjson", "csv"])
+def test_every_case_in_one_block_matches_the_reference(fmt):
+    # one block holds every case, so the grammar step reads them all at once
+    _check_cases(CASES, fmt)
 
 
 @pytest.mark.parametrize("raw,micro", FRACTION_CASES, ids=[raw for raw, _ in FRACTION_CASES])
 def test_fractions_of_any_length_read_alike_on_every_python(raw, micro):
-    # fromisoformat reads only 3 or 6 digits on Python 3.10 and any number from 3.11 on
     assert parse_timestamp(raw).microsecond == micro
+    batch, report = parse_events(json.dumps({"u": "a", "t": raw, "lon": 1, "lat": 2}).encode())
+    assert report.entries == [] and batch.micro.tolist() == [micro]
+
+
+# Characters a timestamp may be mutated with: its own, the other separators
+# and zone letters, signs, whitespace, a non-ASCII digit and a full-width one
+MUTATION_CHARS = "0123456789-:.+TtZz ,Xx_\t\n\r\x00١２é"
+VALID_TIMESTAMPS = st.sampled_from(
+    ["2013-03-05T10:07:00+01:00", "2013-03-05T10:07:00Z", "2012-02-29t23:59:59.999999z",
+     "0001-01-02 00:00:00.5-05:30", "9999-12-30T23:59:59+23:59", "1969-12-31T23:59:59.25Z"])
+
+
+@st.composite
+def mutated_timestamps(draw):
+    """A valid timestamp with up to four characters replaced, inserted or deleted."""
+    raw = draw(VALID_TIMESTAMPS)
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(raw)))
+        char = draw(st.sampled_from(MUTATION_CHARS))
+        kind = draw(st.sampled_from(["replace", "insert", "delete"]))
+        raw = (raw[:at] + char + raw[at + 1:] if kind == "replace"
+               else raw[:at] + char + raw[at:] if kind == "insert" else raw[:at] + raw[at + 1:])
+    return raw
+
+
+@settings(max_examples=300, deadline=None)
+@given(raws=st.lists(mutated_timestamps(), min_size=1, max_size=6),
+       fmt=st.sampled_from(["ndjson", "csv"]))
+def test_mutated_timestamps_match_the_reference(raws, fmt):
+    try:
+        _check_cases(raws, fmt)
+    except (DataError, ConfigError):
+        pass  # the only errors that may escape the parse
 
 
 @pytest.mark.parametrize("raws", [
@@ -872,10 +919,9 @@ def test_bulk_timestamps_of_other_lengths_are_never_read_shifted(raws):
 
 
 def test_bulk_timestamps_in_one_call():
-    raws = [raw for raw, _ in TIMESTAMP_CASES]
-    fits, epoch, offset = ingest._fixed_instants(raws)
-    assert fits.tolist() == [bulk for _, bulk in TIMESTAMP_CASES]
-    for raw, ok, e, o in zip(raws, fits.tolist(), epoch.tolist(), offset.tolist()):
+    valid, epoch, offset = ingest._fixed_instants(CASES)
+    assert valid.tolist() == [bulk for _, bulk in TIMESTAMP_CASES]
+    for raw, ok, e, o in zip(CASES, valid.tolist(), epoch.tolist(), offset.tolist()):
         if ok:
             ts = parse_timestamp(raw)
             assert (e, o) == (ts.timestamp(), ts.utcoffset().total_seconds())

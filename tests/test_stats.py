@@ -448,6 +448,25 @@ def test_bivariate_zero_variance_error():
         bivariate_slot_ols(np.ones(5), np.arange(5.0))
 
 
+def test_bivariate_is_the_ols_fit():
+    rng = np.random.default_rng(21)
+    a = rng.normal(size=30)
+    b = 0.4 * a + rng.normal(size=30)
+    fit, ols = bivariate_slot_ols(a, b), fit_ols(b, a)
+    assert (fit.intercept, fit.slope) == tuple(ols.coefficients.tolist())
+    assert fit.r2 == ols.r2 and np.array_equal(fit.residuals, ols.residuals)
+
+
+def test_bivariate_needs_three_zones_and_a_predictor_past_rounding():
+    # a slot that differs from a constant in one zone by one unit in the last place
+    a = np.full(50, 0.25)
+    a[3] = np.nextafter(0.25, 1.0)
+    with pytest.raises(DataError, match="zero variance to rounding"):
+        bivariate_slot_ols(a, np.arange(50.0))
+    with pytest.raises(DataError, match="more than 2 observations"):
+        bivariate_slot_ols([1.0, 2.0], [3.0, 5.0])
+
+
 def test_descriptives_normalized_mean_is_total_over_zones():
     rng = np.random.default_rng(22)
     counts = rng.integers(1, 50, size=584).astype(float)
