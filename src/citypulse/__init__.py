@@ -15,8 +15,8 @@ from .ingest import EventBatch, GeoEvent, RejectionReport, filter_workdays, pars
 from .landuse import LandUseCategory, LandUseClass
 from .pipeline import export_geojson, run_pipeline
 from .spatial import CityCentre, ZoneIndex, ZoneTable, build_zone_index, load_zones_geojson
-from .stats import (BivariateFit, OlsFit, SlotDistribution, bivariate_slot_ols,
-                    census_correlation, fit_ols, slot_descriptives, stepwise_fit)
+from .stats import (OlsFit, SlotDistribution, bivariate_slot_ols, census_correlation, fit_ols,
+                    slot_descriptives, stepwise_fit)
 from .synth import SynthConfig, generate_city, generate_events
 
 __version__ = "0.1.0"

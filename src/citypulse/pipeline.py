@@ -435,10 +435,8 @@ def run_pipeline(config: PipelineConfig, steps: Iterable[str] = ALL_STEPS) -> Ru
                                                   names=predictor_names, alpha=config.alpha)
                 warnings.extend(f"model {name}: {w}" for w in fit.warnings)
                 _write_model_csv(stage / f"model_{name}.csv", fit, dropped)
-                spread = float(np.std(fit.residuals))
-                std_res = fit.residuals / spread if spread > 0 else np.zeros_like(fit.residuals)
                 write_csv(stage / f"model_{name}_residuals.csv", residual_header,
-                          [zone_ids, fit.residuals, std_res])
+                          [zone_ids, fit.residuals, fit.std_residuals])
 
             # residential and mixed zones, codes 0 and 1
             eligible = {z for z, c in zip(zone_ids, codes.tolist()) if c in (0, 1)}

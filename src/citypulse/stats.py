@@ -170,6 +170,7 @@ class OlsFit:
     f_p_value: float
     aic: float
     residuals: np.ndarray
+    std_residuals: np.ndarray
     vif: dict[str, float]
     n: int
     warnings: list[str] = field(default_factory=list)
@@ -212,12 +213,18 @@ def _total_sum_of_squares(y: np.ndarray) -> float:
 def fit_ols(y, X, names: Sequence[str] | None = None) -> OlsFit:
     """Ordinary least squares of y on an intercept and the columns of X.
 
-    X excludes the intercept column. Raises :class:`SingularityError` naming
-    the offending columns for all-zero, duplicate, or linearly dependent
-    predictors. ``VIF_j`` is the j-th diagonal element of the inverse of the
-    predictors' correlation matrix, which equals ``1/(1 - R2_j)`` of the
-    regression of predictor j on the others with an intercept; a lone
-    predictor has VIF 1.
+    X excludes the intercept column; with no columns the model is
+    intercept-only, its coefficient the mean of y and its r² 0. Raises
+    :class:`SingularityError` naming the offending columns for all-zero,
+    duplicate, or linearly dependent predictors. ``VIF_j`` is the j-th
+    diagonal element of the inverse of the predictors' correlation matrix,
+    which equals ``1/(1 - R2_j)`` of the regression of predictor j on the
+    others with an intercept; a lone predictor has VIF 1.
+
+    A standardized residual is the residual over the residuals' population
+    std dev. A fit exact apart from rounding, whose std dev is at most
+    1e-12 × max(1, max|y|), leaves only rounding noise and has all its
+    standardized residuals 0.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     X = np.asarray(X, dtype=float)
@@ -245,13 +252,13 @@ def fit_ols(y, X, names: Sequence[str] | None = None) -> OlsFit:
         raise SingularityError(bad or list(all_names))
 
     q, r = np.linalg.qr(design)
-    coef = np.linalg.solve(r, q.T @ y)
+    coef = np.linalg.solve(r, q.T @ y) if k else np.array([y.mean()])
     fitted = design @ coef
     residuals = y - fitted
     rss = float(residuals @ residuals)
     tss = _total_sum_of_squares(y)
     dof = n - p
-    r2 = 0.0 if tss == 0.0 else 1.0 - rss / tss
+    r2 = 0.0 if tss == 0.0 or not k else 1.0 - rss / tss
     adj_r2 = r2 if dof == 0 else 1.0 - (1.0 - r2) * (n - 1) / dof
 
     sigma2 = rss / dof
@@ -274,6 +281,12 @@ def fit_ols(y, X, names: Sequence[str] | None = None) -> OlsFit:
 
     aic = float("-inf") if rss == 0.0 else n * np.log(rss / n) + 2.0 * (k + 1)
 
+    spread = float(np.std(residuals))
+    if spread <= 1e-12 * max(1.0, float(np.abs(y).max())):
+        std_residuals = np.zeros_like(residuals)
+    else:
+        std_residuals = residuals / spread
+
     # the rank check above rules out constant and dependent columns, so the
     # correlation matrix is invertible
     if k >= 2:
@@ -283,23 +296,7 @@ def fit_ols(y, X, names: Sequence[str] | None = None) -> OlsFit:
 
     return OlsFit(all_names, coef, std_errors, t_stats, p_values,
                   float(r2), float(adj_r2), float(f_stat), float(f_p), float(aic),
-                  residuals, vif, n)
-
-
-def _intercept_only_fit(y: np.ndarray) -> OlsFit:
-    y = np.asarray(y, dtype=float).reshape(-1)
-    n = len(y)
-    mean = float(y.mean())
-    residuals = y - mean
-    rss = float(residuals @ residuals)
-    dof = n - 1
-    se = np.sqrt(rss / dof / n) if dof else 0.0
-    t = mean / se if se > 0 else (0.0 if mean == 0 else float("inf"))
-    p = float(_t_two_sided(t, dof)) if dof else float("nan")
-    aic = float("-inf") if rss == 0.0 else n * np.log(rss / n) + 2.0
-    return OlsFit(("intercept",), np.array([mean]), np.array([se]), np.array([t]),
-                  np.array([p]), 0.0, 0.0, float("nan"), float("nan"), aic,
-                  residuals, {}, n)
+                  residuals, std_residuals, vif, n)
 
 
 def stepwise_fit(y, X, names: Sequence[str] | None = None,
@@ -307,43 +304,28 @@ def stepwise_fit(y, X, names: Sequence[str] | None = None,
     """Two-pass elimination: fit all predictors, drop every one with p >= alpha, refit.
 
     Exactly two passes, never iterated. Any control variable in X is treated
-    like the rest. If everything is dropped an intercept-only fit is returned
-    with a warning attached.
+    like the rest. If everything is dropped the refit is intercept-only and
+    carries a warning.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X.reshape(-1, 1)
-    if names is None:
-        names = tuple(f"x{j + 1}" for j in range(X.shape[1]))
     first = fit_ols(y, X, names=names)
+    names = first.names[1:]
     dropped = [name for name in names if first.p_value(name) >= alpha]
     if not dropped:
         return first, []
     keep = [j for j, name in enumerate(names) if name not in dropped]
-    if not keep:
-        fit = _intercept_only_fit(y)
-        fit.warnings.append("all predictors dropped; intercept-only model")
-        return fit, list(dropped)
+    X = np.reshape(X, (first.n, len(names)))
     second = fit_ols(y, X[:, keep], names=[names[j] for j in keep])
+    if not keep:
+        second.warnings.append("all predictors dropped; intercept-only model")
     return second, dropped
 
 
-@dataclass
-class BivariateFit:
-    """Simple regression of one slot distribution on another."""
-
-    r2: float
-    slope: float
-    intercept: float
-    residuals: np.ndarray
-    std_residuals: np.ndarray
-
-
-def bivariate_slot_ols(a, b) -> BivariateFit:
+def bivariate_slot_ols(a, b) -> OlsFit:
     """Fit b ~ a across zones with :func:`fit_ols`, so over three zones or more.
 
-    Standardized residuals are residual / std(residual). A positive one
-    marks a zone more active in b than its activity in a predicts.
+    The coefficients are the intercept and the slope. A positive
+    standardized residual marks a zone more active in b than its activity
+    in a predicts.
     """
     a = np.asarray(a, dtype=float).reshape(-1)
     b = np.asarray(b, dtype=float).reshape(-1)
@@ -352,18 +334,9 @@ def bivariate_slot_ols(a, b) -> BivariateFit:
     if np.ptp(a) == 0.0:
         raise DataError("predictor slot has zero variance")
     try:
-        fit = fit_ols(b, a)
+        return fit_ols(b, a)
     except SingularityError as exc:  # a predictor constant to rounding
         raise DataError("predictor slot has zero variance to rounding") from exc
-    residuals = fit.residuals
-    spread = float(np.std(residuals))
-    # a perfect fit leaves only rounding noise; report zero residuals then
-    if spread <= 1e-12 * max(1.0, float(np.abs(b).max())):
-        std_residuals = np.zeros_like(residuals)
-    else:
-        std_residuals = residuals / spread
-    intercept, slope = fit.coefficients.tolist()
-    return BivariateFit(fit.r2, slope, intercept, residuals, std_residuals)
 
 
 @dataclass

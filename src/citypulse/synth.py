@@ -399,6 +399,10 @@ def generate_events(city: SynthCity) -> tuple[EventBatch, SynthTruth]:
     day_s = np.array([(day - date(1970, 1, 1)).days for day in days], dtype=np.int64) * 86_400
     wall = day_s[day_idx] + bin_idx * 900 + minutes * 60 + seconds
     offset = wall_offsets(wall, get_timezone(config.timezone))
+    odd = offset[offset % 60 != 0]
+    if len(odd):  # local mean time before a zone's standard time, e.g. -00:14:44
+        raise ConfigError(f"{config.timezone} is {int(odd[0])} s off UTC on a generated date; "
+                          "RFC 3339 offsets are whole minutes, so start_date must be later")
     x0, y0, x1, y1 = table.bbox[rows[zone_idx]].T
     lon = x0 + jitter_x * (x1 - x0)
     lat = y0 + jitter_y * (y1 - y0)

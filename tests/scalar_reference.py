@@ -6,8 +6,9 @@ in a polygon or a zone index, take a polygon's centroid and its distance to
 the centre, classify a zone, bin a timestamp, build a batch from checked event
 rows, encode located events, count distinct users into a dense matrix and
 spell out quarter-hour counts cell by cell. Nothing in the package calls
-them; the tests compare the array code against them. The last section reads
-single values off an OLS fit.
+them; the tests compare the array code against them. The last section fits
+the intercept-only model in closed form and reads single values off an OLS
+fit.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from citypulse.ingest import EventBatch, GeoEvent, _BatchBuilder, get_timezone
 from citypulse.landuse import (ACTIVITY_CATEGORIES, CATEGORIES, MIXED, PREDOMINANCE_THRESHOLD,
                                RESIDENTIAL, LandUseClass)
 from citypulse.spatial import CityCentre, Ring, Zone, ZoneIndex, ZoneTable, haversine_m
-from citypulse.stats import OlsFit
+from citypulse.stats import OlsFit, _t_two_sided
 
 from timestamp_reference import instant
 
@@ -259,6 +260,28 @@ def quarter_counts(zone_ids: Sequence[str], counts: np.ndarray) -> QuarterCounts
 
 
 # --- models ---------------------------------------------------------------------
+
+
+def intercept_only_fit(y) -> OlsFit:
+    """The intercept-only model in closed form: the mean, its standard error
+    sqrt(RSS / (n - 1) / n), and t = mean / se, which is ±inf with the mean's
+    sign when the residuals are all 0."""
+    y = np.asarray(y, dtype=float).reshape(-1)
+    n = len(y)
+    mean = float(y.mean())
+    residuals = y - mean
+    rss = float(residuals @ residuals)
+    dof = n - 1
+    se = np.sqrt(rss / dof / n) if dof else 0.0
+    t = mean / se if se > 0 else (0.0 if mean == 0 else math.copysign(math.inf, mean))
+    p = float(_t_two_sided(t, dof)) if dof else float("nan")
+    aic = float("-inf") if rss == 0.0 else n * np.log(rss / n) + 2.0
+    spread = float(np.std(residuals))
+    exact = spread <= 1e-12 * max(1.0, float(np.abs(y).max()))
+    std_residuals = np.zeros(n) if exact else residuals / spread
+    return OlsFit(("intercept",), np.array([mean]), np.array([se]), np.array([t]),
+                  np.array([p]), 0.0, 0.0, float("nan"), float("nan"), aic,
+                  residuals, std_residuals, {}, n)
 
 
 def coefficient(fit: OlsFit, name: str) -> float:

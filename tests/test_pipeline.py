@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from citypulse import activity, cli, pipeline
+from citypulse import activity, cli, pipeline, stats
 from citypulse.config import (PipelineConfig, load_config, parse_slots,
                               parse_time_range, slots_to_text)
 from citypulse.activity import DEFAULT_SLOTS
@@ -437,6 +437,21 @@ def test_model_csv_has_summary_row(small_city):
     assert len(summary) == 1
     assert 0.0 <= float(summary[0]["r2"]) <= 1.0
     assert int(summary[0]["n"]) == 36
+
+
+def test_perfect_model_fit_writes_zero_std_residuals(small_city, tmp_path, monkeypatch):
+    """Each slot's response replaced by 3a + 2b + 7 of the first two predictors."""
+    real_stepwise = stats.stepwise_fit
+
+    def perfect_fit(y, X, **kwargs):
+        return real_stepwise(3.0 * X[:, 0] + 2.0 * X[:, 1] + 7.0, X, **kwargs)
+
+    monkeypatch.setattr(stats, "stepwise_fit", perfect_fit)
+    run_pipeline(dataclasses.replace(small_city.config, output_dir=tmp_path / "out"))
+    for slot in ("morning", "afternoon", "evening", "night"):
+        rows = read_csv(tmp_path / "out" / f"model_{slot}_residuals.csv")
+        assert len(rows) == 36
+        assert {r["std_residual"] for r in rows} == {"0"}, slot
 
 
 def test_unicode_line_separators_in_text_stay_inside_one_row(tmp_path):

@@ -15,11 +15,11 @@ from scipy import stats as sps
 
 import citypulse
 from citypulse.errors import DataError, SingularityError
-from citypulse.stats import (DEFAULT_ALPHA, DEFAULT_NIGHT_BINS, _f_upper, _intercept_only_fit,
-                             _t_two_sided, bivariate_slot_ols, census_correlation, fit_ols,
-                             infer_homes, slot_descriptives, stepwise_fit)
+from citypulse.stats import (DEFAULT_ALPHA, DEFAULT_NIGHT_BINS, _f_upper, _t_two_sided,
+                             bivariate_slot_ols, census_correlation, fit_ols, infer_homes,
+                             slot_descriptives, stepwise_fit)
 
-from scalar_reference import coefficient, encode, n_predictors
+from scalar_reference import coefficient, encode, intercept_only_fit, n_predictors
 
 
 def normal_equations(y, X, intercept=True):
@@ -275,7 +275,7 @@ def test_p_values_equal_scipy_stats_tail_probabilities(y, x, regime):
         "large dof 2", "large dof 4999"])
 def test_intercept_only_p_value_equals_scipy_stats(y, t):
     """Within 1e-12 of the exact tail (0 below the normal range), on scipy.stats' side of alpha."""
-    fit = _intercept_only_fit(y)
+    fit = fit_ols(y, np.empty((len(y), 0)))
     (stat,) = fit.t_stats
     if t == "tiny":
         assert 0 < abs(stat) < 1e-3
@@ -397,8 +397,47 @@ def test_stepwise_all_dropped_returns_intercept_only():
     fit, dropped = stepwise_fit(y, rng.normal(size=(30, 2)), names=["a", "b"])
     assert set(dropped) == {"a", "b"}
     assert fit.names == ("intercept",)
-    assert fit.warnings
-    assert coefficient(fit, "intercept") == pytest.approx(y.mean())
+    assert fit.warnings == ["all predictors dropped; intercept-only model"]
+    assert coefficient(fit, "intercept") == y.mean()
+    assert _printed(fit) == _printed(intercept_only_fit(y))
+
+
+def _intercept_only_responses():
+    """Seeded responses: constant, integer-valued and real, scales 1e0-1e6, n 3-5000."""
+    rng = np.random.default_rng(25)
+    for n in (3, 4, 7, 30, 399, 5000):
+        yield np.full(n, 100000 / n)  # one normalized slot spread evenly
+        for scale in 10.0 ** np.arange(7):
+            yield np.full(n, scale * rng.normal())
+            yield scale * rng.integers(-5, 6, n)
+            yield scale * rng.normal(loc=rng.normal(), size=n)
+
+
+def _printed(fit):
+    """Every summary field and every residual of a fit as the model CSVs print it."""
+    values = [*fit.coefficients, *fit.std_errors, *fit.t_stats, *fit.p_values, fit.r2,
+              fit.adj_r2, fit.f_stat, fit.f_p_value, fit.aic, fit.n, *fit.residuals,
+              *fit.std_residuals]
+    return ["%.6g" % v for v in values]
+
+
+def test_no_predictors_is_the_closed_form_intercept_only_model():
+    for y in _intercept_only_responses():
+        fit, reference = fit_ols(y, np.empty((len(y), 0))), intercept_only_fit(y)
+        assert fit.names == ("intercept",) and fit.vif == {}
+        assert fit.r2 == fit.adj_r2 == 0.0
+        assert _printed(fit) == _printed(reference), y[:3]
+
+
+def test_perfect_model_fit_has_zero_std_residuals():
+    # the rounding noise of an exact fit is no residual to standardize
+    rng = np.random.default_rng(26)
+    a, b = rng.integers(0, 50, size=(2, 40)).astype(float)
+    fit, dropped = stepwise_fit(3.0 * a + 2.0 * b + 7.0, np.column_stack([a, b]),
+                                names=["a", "b"])
+    assert dropped == [] and fit.r2 == pytest.approx(1.0)
+    assert fit.residuals.any()
+    assert not fit.std_residuals.any()
 
 
 def test_stepwise_is_exactly_two_passes():
@@ -453,7 +492,8 @@ def test_bivariate_is_the_ols_fit():
     a = rng.normal(size=30)
     b = 0.4 * a + rng.normal(size=30)
     fit, ols = bivariate_slot_ols(a, b), fit_ols(b, a)
-    assert (fit.intercept, fit.slope) == tuple(ols.coefficients.tolist())
+    assert fit.names == ("intercept", "x1")
+    assert np.array_equal(fit.coefficients, ols.coefficients)
     assert fit.r2 == ols.r2 and np.array_equal(fit.residuals, ols.residuals)
 
 

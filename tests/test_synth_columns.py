@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import synth_reference as reference
 from citypulse import tables
+from citypulse.errors import ConfigError
 from citypulse.ingest import EventBatch, parse_events, write_events_ndjson
 from citypulse.synth import SynthConfig, generate_city, generate_events
 
@@ -65,6 +66,15 @@ def test_columns_match_per_event_reference(name, tmp_path):
         assert list(ours) == list(theirs)
         assert all(ours[k].tobytes() == theirs[k].tobytes() for k in ours), field
     assert truth.homes == expected.homes
+
+
+def test_local_mean_time_offset_is_a_config_error():
+    # Madrid kept local mean time, -00:14:44, until 1901; RFC 3339 cannot write it
+    city = generate_city(SynthConfig(seed=1, n_zones=16, n_users=10,
+                                     events_per_user_per_day=2.0, n_days=1,
+                                     start_date=date(1890, 3, 4)))
+    with pytest.raises(ConfigError, match="-884 s off UTC"):
+        generate_events(city)
 
 
 def test_batch_equals_the_parse_of_its_file(tmp_path):
