@@ -3,7 +3,7 @@
 Input is NDJSON (keys ``u,t,lon,lat`` plus optional ``lang,device,text``) or
 CSV with a header (``user_id,timestamp,lon,lat`` plus the same optionals).
 Timestamps are RFC 3339 with an explicit UTC offset. Malformed rows are
-skipped and reported, never fatal; an unreadable source is fatal.
+skipped and reported, never fatal; an unreadable file is fatal.
 
 Parsing yields one :class:`EventBatch`: parallel numpy columns (interned user
 codes, UTC epoch seconds, lon, lat) that every later stage works on whole.
@@ -12,17 +12,15 @@ codes, UTC epoch seconds, lon, lat) that every later stage works on whole.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
+import os
 import re
 from array import array
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from itertools import chain, compress, islice, repeat
 from json.encoder import encode_basestring
-from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
@@ -50,7 +48,7 @@ _QUARTER_S = 900
 # 1970-01-01 was a Thursday
 _EPOCH_WEEKDAY = 3
 
-# A UTF-8 byte-order mark (EF BB BF) that opens a source is skipped: the
+# A UTF-8 byte-order mark (EF BB BF) that opens a file is skipped: the
 # readers strip it from the first text they read, so that every other read
 # keeps the plain "utf-8" decoder ("utf-8-sig" passes each read through a
 # decoder written in Python).
@@ -382,51 +380,6 @@ def _undecodable(text: str) -> bool:
     return not text.isascii() and _UNDECODABLE.search(text) is not None
 
 
-class _ByteReader(io.RawIOBase):
-    """Any object whose ``read(n)`` returns bytes, as a raw stream; never closes it."""
-
-    def __init__(self, source) -> None:
-        self._source = source
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        data = self._source.read(len(buffer))
-        buffer[:len(data)] = data
-        return len(data)
-
-
-@contextmanager
-def _open_text(source) -> Iterator[IO[str]]:
-    """The source as text, decoded as it is read and never held whole.
-
-    A path is opened; a text stream is read in place; bytes and binary streams
-    are decoded by one ``TextIOWrapper``, whose lines end where a path's file
-    object ends them: at "\\n", "\\r\\n" or "\\r". Streams the caller passed in
-    are left open. A leading byte-order mark is left to the readers (see
-    :data:`_BOM`).
-    """
-    if isinstance(source, (str, Path)):
-        try:
-            fh = open(source, "r", encoding="utf-8", errors="surrogateescape", newline="")
-        except OSError as exc:
-            raise DataError(f"cannot read events file {source}: {exc}") from exc
-        with fh:
-            yield fh
-        return
-    if isinstance(source, (bytes, bytearray)):
-        source = io.BytesIO(source)
-    elif not hasattr(source, "read"):
-        raise DataError(f"unsupported event source {type(source).__name__}")
-    if isinstance(source.read(0), str):
-        yield source
-        return
-    with io.TextIOWrapper(io.BufferedReader(_ByteReader(source)), encoding="utf-8",
-                          errors="surrogateescape", newline="") as text:
-        yield text
-
-
 def _load_row(line: str) -> dict:
     """One NDJSON line as its object; ValueError names the fault."""
     if _undecodable(line):
@@ -620,7 +573,7 @@ def _add_rows(builder: _BatchBuilder, numbers: Sequence[int], columns: list[list
 # 24 KiB (median 1.22 against 1.33 s, 6 interleaved parses on a shared 2-CPU
 # VM) and 64 KiB no faster than 48. A chunk's objects add ~11 bytes per
 # character to the parse's peak: a run's peak RSS went 52.5 → 52.6 MB, and
-# at 96 KiB a 20,000-row bytes source peaks above twice its size
+# at 96 KiB the parse of a 20,000-row file peaks above twice the file's size
 _BLOCK_CHARS = 48 * 1024
 
 # One line and its line end: an NDJSON row ends only at "\n", "\r\n" or "\r"
@@ -690,7 +643,7 @@ _CSV_BLOCK_ROWS = 512
 
 
 def _parse_csv(fh: IO[str], builder: _BatchBuilder, report: RejectionReport) -> None:
-    """The CSV rows, read strictly: a framing fault refuses the whole source, naming its line."""
+    """The CSV rows, read strictly: a framing fault refuses the whole file, naming its line."""
     # the mark leaves the first line, so that a quoted first header cell reads as a name
     first = fh.readline().removeprefix(_BOM)
     reader = csv.reader(chain([first] if first else [], fh), strict=True)
@@ -727,31 +680,37 @@ def _add_csv_rows(reader, builder: _BatchBuilder, report: RejectionReport) -> No
         report.entries.extend(sorted(rejected))
 
 
-def parse_events(source, fmt: str = "ndjson") -> tuple[EventBatch, RejectionReport]:
-    """Parse an NDJSON or CSV event source into one batch, skipping bad rows.
+def parse_events(path, fmt: str = "ndjson") -> tuple[EventBatch, RejectionReport]:
+    """Parse an NDJSON or CSV events file into one batch, skipping bad rows.
 
+    ``path`` is a ``str`` or ``os.PathLike`` (anything else, bytes or a stream
+    too, is a TypeError); the file is decoded as it is read, never held whole.
     Every row is checked field by field: the user id, the timestamp (its UTC
     instant must lie in [0001-01-02, 9999-12-31)), lon, lat, then that
     ``lang``, ``device`` and ``text`` are strings when present. A row holding
     bytes that are not UTF-8 is rejected as ``invalid utf-8``. Accepted rows
     keep input order.
-    A UTF-8 byte-order mark that opens the source (U+FEFF that opens a text
-    stream) is skipped; line numbers stay physical.
-    Rejections carry the physical line number. An NDJSON row ends only at
-    ``\\n``, ``\\r\\n`` or ``\\r``, whatever the source, so U+2028, U+0085 and
-    other Unicode line breaks inside a JSON string stay in their row. A CSV
-    row reports the line on which it ends; ``csv.reader`` reads the lines of
-    the source (a caller's text stream splits them itself), and a framing
-    fault, such as a quote left open or a cell past csv's field size limit,
-    refuses the whole source as ``malformed csv``. Both formats are checked a
-    block at a time (NDJSON lines, CSV rows) by one row engine, with the
-    results of a row-by-row parse.
+    A UTF-8 byte-order mark that opens the file is skipped; line numbers stay
+    physical.
+    Rejections carry the physical line number. A line ends only at ``\\n``,
+    ``\\r\\n`` or ``\\r``, so U+2028, U+0085 and other Unicode line breaks
+    inside a JSON string stay in their row. A CSV row reports the line on
+    which it ends, and a framing fault, such as a quote left open or a cell
+    past csv's field size limit, refuses the whole file as ``malformed
+    csv``. Both formats are checked a block at a time (NDJSON lines, CSV
+    rows) by one row engine, with the results of a row-by-row parse.
     """
     if fmt not in ("ndjson", "csv"):
         raise ConfigError(f"unknown event format {fmt!r} (expected ndjson or csv)")
+    if not isinstance(path, (str, os.PathLike)):
+        raise TypeError(f"expected a str or os.PathLike path, not {type(path).__name__}")
     builder = _BatchBuilder()
     report = RejectionReport()
-    with _open_text(source) as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8", errors="surrogateescape", newline="")
+    except OSError as exc:
+        raise DataError(f"cannot read events file {path}: {exc}") from exc
+    with fh:
         (_parse_ndjson if fmt == "ndjson" else _parse_csv)(fh, builder, report)
     batch = builder.finish()
     report.parsed = len(batch)

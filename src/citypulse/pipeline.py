@@ -35,10 +35,12 @@ ALL_STEPS = frozenset({"ingest", "aggregate", "profiles", "regress"})
 
 
 def _sha256(path: Path) -> str:
+    """The file's SHA-256, read into one reused 64 KiB buffer: no more is held at any size."""
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
+    block = memoryview(bytearray(1 << 16))
+    with open(path, "rb", buffering=0) as fh:
+        while size := fh.readinto(block):
+            digest.update(block[:size])
     return digest.hexdigest()
 
 

@@ -2,8 +2,11 @@ import csv
 import io
 import json
 import re
+import tempfile
 import tracemalloc
 from datetime import datetime, timedelta, timezone
+from itertools import cycle
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -24,8 +27,21 @@ from timestamp_reference import (FRACTION_CASES, TIMESTAMP_CASES, instant_or_rea
 NDJSON_ROW = '{"u":"a1","t":"2013-03-05T10:07:00+01:00","lon":-3.70,"lat":40.42}'
 
 
+def _parse(data, fmt="ndjson"):
+    """Parse ``data`` (text or bytes) from a file that holds exactly its bytes.
+
+    Text is written as UTF-8 with its line ends as they stand. The file lies in
+    a fresh temporary directory, not the function-scoped ``tmp_path``, so that
+    a Hypothesis test may write one per example.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "events")
+        path.write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))
+        return parse_events(path, fmt)
+
+
 def test_parse_ndjson_row_maps_fields():
-    batch, report = parse_events(io.StringIO(NDJSON_ROW), "ndjson")
+    batch, report = _parse(NDJSON_ROW)
     assert report.rejected == 0
     (event,) = batch
     assert event.user_id == "a1"
@@ -36,7 +52,7 @@ def test_parse_ndjson_row_maps_fields():
 
 def test_lat_out_of_range_rejected():
     row = '{"u":"a1","t":"2013-03-05T10:07:00+01:00","lon":-3.70,"lat":95.0}'
-    events, report = parse_events(io.StringIO(row), "ndjson")
+    events, report = _parse(row)
     assert len(events) == 0
     assert report.entries == [(1, "lat out of range")]
 
@@ -45,7 +61,7 @@ def test_ten_row_file_with_two_malformed():
     good = [f'{{"u":"u{i}","t":"2013-03-05T0{i}:00:00+01:00","lon":1.0,"lat":2.0}}'
             for i in range(8)]
     rows = good[:4] + ["not json"] + good[4:] + ['{"u":"x","lon":1.0,"lat":2.0}']
-    events, report = parse_events(io.StringIO("\n".join(rows)), "ndjson")
+    events, report = _parse("\n".join(rows))
     assert len(events) == 8
     assert report.rejected == 2
     assert report.total_rows == 10
@@ -56,7 +72,7 @@ def test_parse_csv_with_optional_columns():
     csv_text = ("user_id,timestamp,lon,lat,lang,device,text\n"
                 "a1,2013-03-05T10:07:00+01:00,-3.70,40.42,es,android,hola\n"
                 "a2,2013-03-05T11:00:00+01:00,-3.71,40.43,,,\n")
-    batch, report = parse_events(io.StringIO(csv_text), "csv")
+    batch, report = _parse(csv_text, "csv")
     assert report.rejected == 0
     events = list(batch)
     assert events[0].lang == "es" and events[0].text == "hola"
@@ -65,24 +81,24 @@ def test_parse_csv_with_optional_columns():
 
 def test_csv_missing_required_column_is_fatal():
     with pytest.raises(DataError, match="missing column"):
-        parse_events(io.StringIO("user_id,timestamp,lon\na,2013-01-01T00:00:00Z,1\n"), "csv")
+        _parse("user_id,timestamp,lon\na,2013-01-01T00:00:00Z,1\n", "csv")
 
 
 def test_unknown_format_rejected():
     with pytest.raises(ConfigError):
-        parse_events(io.StringIO(""), "parquet")
+        _parse("", "parquet")
 
 
 def test_naive_timestamp_rejected():
     row = '{"u":"a1","t":"2013-03-05T10:07:00","lon":-3.70,"lat":40.42}'
-    events, report = parse_events(io.StringIO(row), "ndjson")
+    events, report = _parse(row)
     assert len(events) == 0
     assert "no UTC offset" in report.entries[0][1]
 
 
 def test_zulu_suffix_accepted():
     row = '{"u":"a1","t":"2013-03-05T10:07:00Z","lon":-3.70,"lat":40.42}'
-    batch, report = parse_events(io.StringIO(row), "ndjson")
+    batch, report = _parse(row)
     assert report.entries == []
     assert batch.offset_us.tolist() == [0]
 
@@ -93,7 +109,7 @@ def test_ordering_preserved_and_empty_lines_skipped():
         "",
         '{"u":"a","t":"2013-03-05T11:00:00Z","lon":0.0,"lat":0.0}',
     ])
-    events, _ = parse_events(io.StringIO(rows), "ndjson")
+    events, _ = _parse(rows)
     assert [e.user_id for e in events] == ["b", "a"]
 
 
@@ -263,7 +279,7 @@ def test_ndjson_row_field_rules(overrides, expected):
         obj.update(overrides)
         line = (json.dumps(obj).replace(json.dumps(LONG_INTEGER), "9" * 5000)
                 .replace(json.dumps(DEEP_ARRAY), DEEP_NESTING))
-    events, report = parse_events(io.StringIO(line), "ndjson")
+    events, report = _parse(line)
     if isinstance(expected, str):
         assert len(events) == 0
         assert report.entries == [(1, expected)]
@@ -283,7 +299,7 @@ def test_ndjson_row_field_rules(overrides, expected):
 ])
 def test_csv_coordinate_rules(lon, reason):
     csv_text = f"user_id,timestamp,lon,lat\n0,2013-03-05T10:07:00+01:00,{lon},40.42\n"
-    events, report = parse_events(io.StringIO(csv_text), "csv")
+    events, report = _parse(csv_text, "csv")
     assert len(events) == 0
     assert report.entries == [(2, reason)]
 
@@ -301,7 +317,7 @@ def test_csv_coordinate_rules(lon, reason):
             b"b,2013-03-05T10:07:00Z,1,2,\x80\n", 3),
 ])
 def test_invalid_utf8_rejects_only_its_row(fmt, data, line):
-    events, report = parse_events(data, fmt)
+    events, report = _parse(data, fmt)
     assert report.entries == [(line, "invalid utf-8")]
     assert report.total_rows == 2
     assert len(events) == 1
@@ -311,7 +327,7 @@ def test_valid_non_ascii_text_is_kept():
     # JSON escapes, surrogate pair included, and the same text as raw UTF-8
     row = r'{"u":"a","t":"2013-03-05T10:07:00Z","lon":1,"lat":2,"text":"caf\u00e9 \ud83d\ude00"}'
     raw = '{"u":"b","t":"2013-03-05T10:07:00Z","lon":1,"lat":2,"text":"café 😀"}'
-    events, report = parse_events((row + "\n" + raw + "\n").encode("utf-8"), "ndjson")
+    events, report = _parse(row + "\n" + raw + "\n")
     assert report.entries == []
     assert [e.text for e in events] == ["café 😀", "café 😀"]
 
@@ -417,7 +433,7 @@ def test_parsed_timestamps_keep_instant_offset_and_microseconds():
             ("1901-01-01T00:00:00-00:14", _utc(1901, 1, 1, 0, 14), 0, -840),
             ("1969-12-31T23:59:59.999999Z", -1, 999999, 0)]
     text = "\n".join(json.dumps({"u": "a", "t": t, "lon": 0, "lat": 0}) for t, *_ in rows)
-    batch, report = parse_events(io.StringIO(text), "ndjson")
+    batch, report = _parse(text)
     assert report.entries == []
     assert batch.epoch.tolist() == [r[1] for r in rows]
     assert batch.micro.tolist() == [r[2] for r in rows]
@@ -449,50 +465,52 @@ def _checked_object(obj: dict) -> tuple:
                         obj.get("lang"), obj.get("device"), obj.get("text"))
 
 
-def _parse_per_line(source):
+def _text(data: bytes) -> io.StringIO:
+    """A file's bytes decoded as the reader decodes them, split at "\\n", "\\r\\n" and "\\r"."""
+    return io.StringIO(data.decode("utf-8", "surrogateescape"), newline="")
+
+
+def _parse_per_line(data: bytes):
     """The NDJSON reader one line at a time: json.loads and the per-row checks.
 
-    Every source is split into lines by a StringIO in universal-newline mode,
-    at "\\n", "\\r\\n" and a lone "\\r", after a leading byte-order mark.
+    The file's bytes are read as lines by :func:`_text`, after a leading
+    byte-order mark.
     """
     rows, report = [], RejectionReport()
-    with ingest._open_text(source) as fh:
-        text = fh.read().removeprefix("\ufeff")
-        for n, line in enumerate(io.StringIO(text, newline=""), start=1):
-            if not line.strip():
-                continue
-            report.total_rows += 1
-            try:
-                rows.append(_checked_object(ingest._load_row(line)))
-            except ValueError as exc:
-                report.entries.append((n, str(exc)))
+    for n, line in enumerate(_text(data.removeprefix(b"\xef\xbb\xbf")), start=1):
+        if not line.strip():
+            continue
+        report.total_rows += 1
+        try:
+            rows.append(_checked_object(ingest._load_row(line)))
+        except ValueError as exc:
+            report.entries.append((n, str(exc)))
     return checked_rows_batch(rows), report
 
 
-def _parse_csv_per_row(source):
-    """The CSV reader one row at a time: csv.reader and the per-row checks."""
+def _parse_csv_per_row(data: bytes):
+    """The CSV reader one row at a time: csv.reader over :func:`_text` and the per-row checks."""
     rows, report = [], RejectionReport()
-    with ingest._open_text(source) as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header:  # a leading byte-order mark opens the first (unquoted) name
-            header[0] = header[0].removeprefix("\ufeff")
-        # a repeated name: the last wins
-        position = {name: i for i, name in enumerate(header)}
-        columns = [position.get(name) for name in ingest.CSV_COLUMNS + ingest.OPTIONAL_FIELDS]
-        for row in reader:
-            if not row:
-                continue
-            report.total_rows += 1
-            # a short row leaves its last columns empty (None), as csv.DictReader does
-            cells = [row[i] if i is not None and i < len(row) else None for i in columns]
-            try:
-                if any(map(ingest._undecodable, row)):
-                    raise ValueError("invalid utf-8")
-                user_id, raw_ts, lon, lat, lang, device, text = cells
-                rows.append(_checked_row(user_id, raw_ts or "", lon, lat, lang, device, text))
-            except ValueError as exc:
-                report.entries.append((reader.line_num, str(exc)))
+    reader = csv.reader(_text(data))
+    header = next(reader)
+    if header:  # a leading byte-order mark opens the first (unquoted) name
+        header[0] = header[0].removeprefix("\ufeff")
+    # a repeated name: the last wins
+    position = {name: i for i, name in enumerate(header)}
+    columns = [position.get(name) for name in ingest.CSV_COLUMNS + ingest.OPTIONAL_FIELDS]
+    for row in reader:
+        if not row:
+            continue
+        report.total_rows += 1
+        # a short row leaves its last columns empty (None), as csv.DictReader does
+        cells = [row[i] if i is not None and i < len(row) else None for i in columns]
+        try:
+            if any(map(ingest._undecodable, row)):
+                raise ValueError("invalid utf-8")
+            user_id, raw_ts, lon, lat, lang, device, text = cells
+            rows.append(_checked_row(user_id, raw_ts or "", lon, lat, lang, device, text))
+        except ValueError as exc:
+            report.entries.append((reader.line_num, str(exc)))
     return checked_rows_batch(rows), report
 
 
@@ -568,29 +586,16 @@ def ndjson_lines(draw):
     return [line]
 
 
-def _source(kind, data, tmp_path_factory):
-    """``data`` as bytes, as a file's path, or as a text stream of its decoded text."""
-    if kind == "file":
-        path = tmp_path_factory.mktemp("blocks") / "events.ndjson"
-        path.write_bytes(data)
-        return path
-    if kind == "text":
-        return io.StringIO(data.decode("utf-8", "surrogateescape"))
-    return data
-
-
 @settings(max_examples=300, deadline=None)
 @given(lines=st.lists(ndjson_lines(), max_size=12),
        terminator=st.sampled_from([b"\n", b"\r\n", b"\r"]), final=st.booleans(),
-       bom=st.booleans(), block_chars=st.sampled_from([1, 40, 300, ingest._BLOCK_CHARS]),
-       kind=st.sampled_from(["bytes", "file", "text"]))
-def test_block_decoding_matches_per_line_parse(lines, terminator, final, bom, block_chars,
-                                               kind, tmp_path_factory):
+       bom=st.booleans(), block_chars=st.sampled_from([1, 40, 300, ingest._BLOCK_CHARS]))
+def test_block_decoding_matches_per_line_parse(lines, terminator, final, bom, block_chars):
     data = terminator.join(line for group in lines for line in group)
     data = (b"\xef\xbb\xbf" if bom else b"") + data + (terminator if final else b"")
     with mock.patch.object(ingest, "_BLOCK_CHARS", block_chars):
-        batch, report = parse_events(_source(kind, data, tmp_path_factory), "ndjson")
-    expected, expected_report = _parse_per_line(_source(kind, data, tmp_path_factory))
+        batch, report = _parse(data)
+    expected, expected_report = _parse_per_line(data)
     assert _columns(batch) == _columns(expected)
     assert report.entries == expected_report.entries
     assert report.total_rows == expected_report.total_rows
@@ -645,7 +650,7 @@ def csv_sources(draw):
 def test_csv_blocks_match_per_row_parse(data, block_rows, bom):
     data = (b"\xef\xbb\xbf" if bom else b"") + data
     with mock.patch.object(ingest, "_CSV_BLOCK_ROWS", block_rows):
-        batch, report = parse_events(data, "csv")
+        batch, report = _parse(data, "csv")
     expected, expected_report = _parse_csv_per_row(data)
     assert _columns(batch) == _columns(expected)
     assert report.entries == expected_report.entries
@@ -675,7 +680,7 @@ STRING_OVER_A_LINE_END = [b'{"u": "b", "t": "2013-03-05T10:08:00Z", "lon": 1, "l
 def test_block_decoder_conditions_each_needed(lines):
     data = b"\n".join(lines) + b"\n"
     json.loads(b"[" + b",".join(lines) + b"]")  # the block alone would decode
-    batch, report = parse_events(data, "ndjson")
+    batch, report = _parse(data)
     expected, expected_report = _parse_per_line(data)
     assert len(batch) == 0 and report.rejected == len(lines)
     assert _columns(batch) == _columns(expected)
@@ -688,7 +693,7 @@ def test_lone_carriage_return_between_tokens_ends_its_line():
     # a line there: the chunk must not decode as one object per "\n"
     clean = b'{"u": "a", "t": "2013-03-05T10:07:00Z", "lon": 1, "lat": 2}'
     data = b"\n".join([clean, clean.replace(b', "lon"', b',\r "lon"'), clean]) + b"\n"
-    batch, report = parse_events(data, "ndjson")
+    batch, report = _parse(data)
     expected, expected_report = _parse_per_line(data)
     assert [line for line, _ in report.entries] == [2, 3]
     assert report.entries == expected_report.entries
@@ -700,7 +705,7 @@ def test_deeply_nested_row_in_a_provable_block_rejects_only_itself():
     clean = b'{"u": "a", "t": "2013-03-05T10:07:00Z", "lon": 1, "lat": 2}'
     deep = clean.replace(b'"u": "a"', b'"u": "b", "x": ' + DEEP_NESTING.encode())
     data = b"\n".join([clean, deep, clean]) + b"\n"
-    batch, report = parse_events(data, "ndjson")
+    batch, report = _parse(data)
     expected, expected_report = _parse_per_line(data)
     assert report.entries == [(2, "invalid json: nesting too deep")]
     assert report.entries == expected_report.entries
@@ -722,14 +727,14 @@ def test_clean_blocks_skip_the_per_row_checks(tmp_path, fmt, line_end):
     events, _ = generate_events(generate_city(config))
     path = tmp_path / "events.ndjson"
     write_events_ndjson(events, path)
-    expected, expected_report = _parse_per_line(path)
+    expected, expected_report = _parse_per_line(path.read_bytes())
     path.write_bytes(path.read_bytes().replace(b"\n", line_end))
     assert path.stat().st_size > 3 * ingest._BLOCK_CHARS
     if fmt == "csv":
         _write_csv_copy(path, tmp_path / "events.csv")
         path = tmp_path / "events.csv"
         assert len(events) > 3 * ingest._CSV_BLOCK_ROWS
-        assert _columns(_parse_csv_per_row(path)[0]) == _columns(expected)
+        assert _columns(_parse_csv_per_row(path.read_bytes())[0]) == _columns(expected)
     with mock.patch.multiple(ingest, _check_row=_per_row_step, _rfc3339_instants=_per_row_step,
                              _load_row=_per_row_step, _float_or_nan=_per_row_step):
         batch, report = parse_events(path, fmt)
@@ -771,7 +776,7 @@ def test_rows_off_the_bulk_path_alone_take_the_per_row_checks(layout, lon):
         rows.insert(3, special["F" if layout == "L" else "L"])
     text = _padded_lines(rows)
     assert len(text) == len(rows) * ROW_WIDTH
-    expected, expected_report = _parse_per_line(io.StringIO(text))
+    expected, expected_report = _parse_per_line(text.encode())
     calls = []
 
     def spy(step):
@@ -784,7 +789,7 @@ def test_rows_off_the_bulk_path_alone_take_the_per_row_checks(layout, lon):
                              _rfc3339_instants=spy(ingest._rfc3339_instants),
                              _load_row=spy(ingest._load_row),
                              _BLOCK_CHARS=size * ROW_WIDTH):
-        batch, report = parse_events(io.StringIO(text), "ndjson")
+        batch, report = _parse(text)
     # the word lon row takes the per-row checks, its timestamp read in bulk
     # with its block's; the fraction row only the grammar step, with no other
     # timestamp of its block. A numeric string lon is read on the column
@@ -809,8 +814,8 @@ def test_user_codes_follow_the_first_accepted_row():
         ("e", ok), ("b", ok), ("a", ok), ("f", ok), ("c", ok)]]
     text = _padded_lines(rows)
     with mock.patch.object(ingest, "_BLOCK_CHARS", 5 * ROW_WIDTH):
-        batch, report = parse_events(io.StringIO(text), "ndjson")
-    expected, expected_report = _parse_per_line(io.StringIO(text))
+        batch, report = _parse(text)
+    expected, expected_report = _parse_per_line(text.encode())
     assert [line for line, _ in report.entries] == [2]
     assert report.entries == expected_report.entries
     assert batch.user_ids == expected.user_ids == ("a", "c", "b", "d", "e", "f")
@@ -848,7 +853,7 @@ def _case_rows(raws, fmt) -> tuple[bytes, list[tuple[int, object]]]:
 def _check_cases(raws, fmt) -> None:
     """Every row of :func:`_case_rows` in one source parses to its reference outcome."""
     data, expected = _case_rows(raws, fmt)
-    batch, report = parse_events(data, fmt)
+    batch, report = _parse(data, fmt)
     rejected = dict(report.entries)
     instants = iter(zip(batch.epoch.tolist(), batch.micro.tolist(), batch.offset_us.tolist()))
     assert [(n, rejected[n] if n in rejected else next(instants)) for n, _ in expected] == expected
@@ -873,7 +878,7 @@ def test_every_case_in_one_block_matches_the_reference(fmt):
 @pytest.mark.parametrize("raw,micro", FRACTION_CASES, ids=[raw for raw, _ in FRACTION_CASES])
 def test_fractions_of_any_length_read_alike_on_every_python(raw, micro):
     assert parse_timestamp(raw).microsecond == micro
-    batch, report = parse_events(json.dumps({"u": "a", "t": raw, "lon": 1, "lat": 2}).encode())
+    batch, report = _parse(json.dumps({"u": "a", "t": raw, "lon": 1, "lat": 2}))
     assert report.entries == [] and batch.micro.tolist() == [micro]
 
 
@@ -927,93 +932,95 @@ def test_bulk_timestamps_in_one_call():
             assert (e, o) == (ts.timestamp(), ts.utcoffset().total_seconds())
 
 
-# --- sources: a path, bytes and binary streams read the same lines -----------
+# --- the events file: a path, its line ends, byte-order mark and size --------
 
-SOURCE_BYTES = (b'{"u":"a","t":"2013-03-05T10:07:00Z","lon":1,"lat":2,"text":"x\xe2\x80\xa8y"}\n'
-                b'{"u":"b","t":"2013-03-05T10:08:00Z","lon":1,"lat":2,"text":"bad \xff"}\r\n'
-                b'{"u":"c","t":"2013-03-05T10:09:00Z","lon":1,"lat":2}\r'
-                b'{"u":"d","t":"2013-03-05T10:10:00Z","lon":1,"lat":2}')
+@pytest.mark.parametrize("source", [b"events.ndjson", bytearray(b"events.ndjson"),
+                                    io.BytesIO(b"{}\n"), io.StringIO("{}\n")],
+                         ids=["bytes", "bytearray", "BytesIO", "StringIO"])
+def test_only_a_path_is_read(source):
+    # bytes are not taken for a file name, nor a stream read
+    with pytest.raises(TypeError, match=r"expected a str or os\.PathLike path, not "):
+        parse_events(source, "ndjson")
+
+
+def test_missing_file_is_a_data_error(tmp_path):
+    with pytest.raises(DataError, match="cannot read events file"):
+        parse_events(tmp_path / "missing.ndjson", "ndjson")
+
+
+# Per format, a header (CSV) and rows a-d: a text holding U+2028, which ends
+# no line; bytes that are not UTF-8; then two clean rows, the last with no line end
+SOURCE_LINES = {
+    "ndjson": [b'{"u":"a","t":"2013-03-05T10:07:00Z","lon":1,"lat":2,"text":"x\xe2\x80\xa8y"}',
+               b'{"u":"b","t":"2013-03-05T10:08:00Z","lon":1,"lat":2,"text":"bad \xff"}',
+               b'{"u":"c","t":"2013-03-05T10:09:00Z","lon":1,"lat":2}',
+               b'{"u":"d","t":"2013-03-05T10:10:00Z","lon":1,"lat":2}'],
+    "csv": [b'"user_id",timestamp,lon,lat,text',
+            b'a,2013-03-05T10:07:00Z,1,2,"x\xe2\x80\xa8y"',
+            b"b,2013-03-05T10:08:00Z,1,2,bad \xff",
+            b"c,2013-03-05T10:09:00Z,1,2,",
+            b"d,2013-03-05T10:10:00Z,1,2,"],
+}
+
+
+def _source_bytes(fmt, line_ends=(b"\n",)):
+    """The lines of ``fmt``, each but the last ended by the next of ``line_ends`` in turn."""
+    ends = cycle(line_ends)
+    return b"".join(line + next(ends) for line in SOURCE_LINES[fmt][:-1]) + SOURCE_LINES[fmt][-1]
 
 
 @pytest.mark.parametrize("fmt", ["ndjson", "csv"])
-def test_path_bytes_and_streams_parse_alike(fmt, tmp_path):
-    data = SOURCE_BYTES
-    if fmt == "csv":
-        data = (b"user_id,timestamp,lon,lat,text\n"
-                b'a,2013-03-05T10:07:00Z,1,2,"x\xe2\x80\xa8y"\n'
-                b"b,2013-03-05T10:08:00Z,1,2,bad \xff\r\n"
-                b"c,2013-03-05T10:09:00Z,1,2,\r"
-                b"d,2013-03-05T10:10:00Z,1,2,")
-    path = tmp_path / "events"
-    path.write_bytes(data)
-    stream = io.BytesIO(data)
-
-    class ReadOnly:  # an object with nothing but read(n)
-        def read(self, n=-1):
-            return stream_copy.read(n)
-
-    stream_copy = io.BytesIO(data)
-    results = [parse_events(source, fmt)
-               for source in (path, str(path), data, bytearray(data), stream, ReadOnly())]
-    assert not stream.closed  # the caller's stream stays open
-    batch, report = results[0]
-    assert batch.user_ids == ("a", "c", "d")  # the U+2028 row and the lone "\r" row parse
-    assert report.entries == [(2 if fmt == "ndjson" else 3, "invalid utf-8")]
-    for other, other_report in results[1:]:
-        assert _columns(other) == _columns(batch)
-        assert (other_report.entries, other_report.total_rows) == (
-            report.entries, report.total_rows)
-
-
-def test_text_stream_is_read_in_place_and_left_open():
-    # the reader, not the stream, splits the lines: a lone "\r" ends row c, as
-    # it does in a file, although a StringIO's own lines end at "\n" only
-    stream = io.StringIO(SOURCE_BYTES.decode("utf-8", "surrogateescape"))
-    batch, report = parse_events(stream, "ndjson")
-    assert not stream.closed
+@pytest.mark.parametrize("line_ends", [[b"\n"], [b"\r\n"], [b"\r"], [b"\n", b"\r\n", b"\r"]],
+                         ids=["LF", "CRLF", "CR", "mixed"])
+def test_every_line_end_ends_a_row_in_a_file(fmt, line_ends):
+    batch, report = _parse(_source_bytes(fmt, line_ends), fmt)
     assert batch.user_ids == ("a", "c", "d")
-    assert report.entries == [(2, "invalid utf-8")]
+    assert [e.text for e in batch] == ["x\u2028y", None, None]
+    assert report.entries == [(2 if fmt == "ndjson" else 3, "invalid utf-8")]
+    assert report.total_rows == 4
+
+
+def test_lone_carriage_return_between_csv_records_splits_them():
+    # a reader that splits lines at "\n" only, as io.StringIO does, reads
+    # "c\rd,e" as one line and stops: "new-line character seen in unquoted field"
+    batch, report = _parse("user_id,timestamp,lon,lat\na,b\nc\rd,e\n", "csv")
+    assert len(batch) == 0 and report.total_rows == 3
+    assert report.entries == [(2, "bad timestamp 'b'"), (3, "bad timestamp ''"),
+                              (4, "bad timestamp 'e'")]
 
 
 @pytest.mark.parametrize("fmt", ["ndjson", "csv"])
 def test_leading_byte_order_mark_is_skipped(fmt, tmp_path):
-    # spreadsheet tools write EF BB BF at the start of a UTF-8 file. Every
-    # source kind skips it, a text stream's U+FEFF too, and line numbers stay
-    # physical; a quoted first header cell still reads as its name. A mark
-    # anywhere else is the row's own text.
-    data = SOURCE_BYTES
-    if fmt == "csv":
-        data = (b'"user_id",timestamp,lon,lat,text\n'
-                b'a,2013-03-05T10:07:00Z,1,2,"x\xe2\x80\xa8y"\n'
-                b"b,2013-03-05T10:08:00Z,1,2,bad \xff\r\n"
-                b"c,2013-03-05T10:09:00Z,1,2,\n"
-                b"d,2013-03-05T10:10:00Z,1,2,")
-    marked = b"\xef\xbb\xbf" + data
-    path = tmp_path / "events"
-    path.write_bytes(marked)
-    batch, report = parse_events(data, fmt)
+    # spreadsheet tools write EF BB BF at the start of a UTF-8 file. The
+    # reader skips it and line numbers stay physical; a quoted first header
+    # cell still reads as its name. A mark anywhere else is the row's own text.
+    data = _source_bytes(fmt, [b"\n", b"\r\n"])
+    batch, report = _parse(data, fmt)
     assert batch.user_ids == ("a", "c", "d")
-    for source in (path, marked, io.BytesIO(marked),
-                   io.StringIO(marked.decode("utf-8", "surrogateescape"))):
+    path = tmp_path / "events"
+    path.write_bytes(b"\xef\xbb\xbf" + data)
+    for source in (path, str(path)):
         other, other_report = parse_events(source, fmt)
         assert _columns(other) == _columns(batch)
         assert (other_report.entries, other_report.total_rows) == (
             report.entries, report.total_rows)
     if fmt == "ndjson":
-        batch, report = parse_events(data + b"\n\xef\xbb\xbf" + data.split(b"\n")[0], fmt)
+        batch, report = _parse(data + b"\n\xef\xbb\xbf" + data.split(b"\n")[0], fmt)
         assert report.entries == [(2, "invalid utf-8"),
                                   (5, "invalid json: Unexpected UTF-8 BOM (decode using utf-8-sig)")]
 
 
 @pytest.mark.parametrize("line_end", [b"\n", b"\r"])
-def test_bytes_source_is_not_held_whole(line_end):
-    # 20,000 rows; reading the source whole and copying it into a StringIO
+def test_events_file_is_not_held_whole(line_end, tmp_path):
+    # 20,000 rows; reading the file whole and copying it into a StringIO
     # peaked at about five times its size
     data = line_end.join(b'{"u":"u%d","t":"2013-03-05T10:07:00Z","lon":1.5,"lat":2.5}' % (i % 500)
                          for i in range(20000)) + line_end
+    path = tmp_path / "events.ndjson"
+    path.write_bytes(data)
     tracemalloc.start()
     try:
-        batch, _ = parse_events(data, "ndjson")
+        batch, _ = parse_events(path, "ndjson")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1027,9 +1034,9 @@ def test_line_longer_than_a_read_parses_intact(block_chars):
     text = "x" * 200_000
     rows = [{"u": u, "t": "2013-03-05T10:07:00Z", "lon": 1.5, "lat": 2.5, "text": t}
             for u, t in [("a", "short"), ("b", text), ("c", "short")]]
-    data = "".join(json.dumps(row) + "\n" for row in rows).encode()
+    data = "".join(json.dumps(row) + "\n" for row in rows)
     with mock.patch.object(ingest, "_BLOCK_CHARS", block_chars):
-        batch, report = parse_events(data, "ndjson")
+        batch, report = _parse(data)
     assert report.entries == [] and report.total_rows == 3
     assert [e.text for e in batch] == ["short", text, "short"]
 

@@ -168,6 +168,30 @@ def test_manifest_lists_every_output_with_digest(small_city):
     assert manifest["counts"]["zones"] == 36
 
 
+DIGEST_DATA = bytes(range(256)) * 12_289  # 3,145,984 bytes, every byte value
+
+
+@pytest.mark.parametrize("size", [0, 1, 65_535, 65_536, 65_537, len(DIGEST_DATA)])
+def test_file_digest_matches_hashlib(tmp_path, size):
+    path = tmp_path / "data"
+    path.write_bytes(DIGEST_DATA[:size])
+    assert pipeline._sha256(path) == hashlib.sha256(DIGEST_DATA[:size]).hexdigest()
+
+
+def test_file_digest_reads_into_one_small_buffer(tmp_path):
+    # a 3 MB file, the size of fine-grid's events.ndjson: fresh 1 MiB reads,
+    # each alive while the next one was read, peaked at 2 MiB traced
+    path = tmp_path / "data"
+    path.write_bytes(DIGEST_DATA)
+    tracemalloc.start()
+    try:
+        pipeline._sha256(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
+
+
 def test_rerun_is_byte_identical(small_city, tmp_path):
     import dataclasses
     config = dataclasses.replace(small_city.config, output_dir=tmp_path / "again")
