@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from functools import cached_property
+from itertools import groupby
+from operator import itemgetter
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -146,14 +149,19 @@ class TemporalProfile:
     daily_total: float = 0.0
 
 
+# Entries of the sorted key that a count reads at a time: its int64
+# temporaries stay ~128 KiB, whatever the number of events
+KEY_CHUNK = 1 << 14
+
+
 @dataclass(frozen=True)
 class AssignedEvents:
     """Located events as parallel arrays, encoded once for every count.
 
     ``users`` (int32) holds codes into ``user_ids`` and ``zones`` (int32)
     codes into ``zone_ids``, which is sorted, so code order is zone_id order.
-    ``bins`` (int8) holds each event's local quarter-hour bin 0..95. A key
-    combining codes is built in int64: int32 arithmetic wraps without a word.
+    ``bins`` (int8) holds each event's local quarter-hour bin 0..95: 9 B an
+    event. Every count reads one key built from them, :attr:`sorted_key`.
     """
 
     user_ids: Sequence[str]
@@ -165,44 +173,41 @@ class AssignedEvents:
     def __len__(self) -> int:
         return len(self.users)
 
+    @cached_property
+    def sorted_key(self) -> np.ndarray:
+        """``(zone * n_users + user) * 96 + bin`` of each event, ascending (int64).
 
-def _distinct_cells(events: AssignedEvents, cols: np.ndarray,
-                    n_cols: int) -> tuple[np.ndarray, np.ndarray]:
-    """``zone * n_cols + col`` of each (zone, column) cell with users, ascending,
-    and its distinct users (both int64); events whose col is < 0 are dropped."""
-    users, zones = events.users, events.zones
-    if cols.min(initial=0) < 0:
-        keep = cols >= 0
-        users, zones, cols = users[keep], zones[keep], cols[keep]
-        del keep
-    # one int64 key, (zone * n_cols + col) * n_users + user, sorted in place
-    # (many times faster than np.unique with numpy 2.x): its distinct entries
-    # come grouped by cell, so each cell's run length is its count
-    n_users = max(len(events.user_ids), 1)
-    key = zones.astype(np.int64)
-    key *= n_cols
-    key += cols
-    key *= n_users
-    key += users
-    key.sort()
-    distinct = np.ones(len(key), dtype=bool)
-    distinct[1:] = key[1:] != key[:-1]
-    cells = key[distinct]
-    del key, distinct
-    cells //= n_users
-    first = np.ones(len(cells), dtype=bool)
-    first[1:] = cells[1:] != cells[:-1]
-    starts = np.flatnonzero(first)
-    counts = np.diff(starts, append=len(cells))
-    return cells[starts], counts
+        Built in place and sorted in place, once, by the first count that
+        reads it; int32 codes times a Python int would wrap without a word.
+        Each (zone, user) pair's events form one run in it, their bins
+        ascending, and the zones' runs follow in zone order.
+        """
+        key = self.zones.astype(np.int64)
+        key *= max(len(self.user_ids), 1)
+        key += self.users
+        key *= N_QUARTER_BINS
+        key += self.bins
+        key.sort()
+        return key
 
+    def key_parts(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        """The sorted key in parts of at most :data:`KEY_CHUNK` entries, none of
+        them across a block of :data:`PROFILE_BLOCK_ROWS` zones.
 
-def _dense_counts(events: AssignedEvents, cols: np.ndarray, n_cols: int) -> np.ndarray:
-    """:func:`_distinct_cells` scattered into the int64 zones x ``n_cols`` matrix."""
-    cells, counts = _distinct_cells(events, cols, n_cols)
-    matrix = np.zeros((len(events.zone_ids), n_cols), dtype=np.int64)
-    matrix.reshape(-1)[cells] = counts
-    return matrix
+        Per part: the first zone row of its block, the part, and per entry the
+        entry before it in the key (-1 before the first, below every entry).
+        """
+        key = self.sorted_key
+        zone_stride = max(len(self.user_ids), 1) * N_QUARTER_BINS
+        n_zones = len(self.zone_ids)
+        firsts = range(0, n_zones, PROFILE_BLOCK_ROWS)
+        bounds = np.searchsorted(key, np.array([*firsts, n_zones], dtype=np.int64)
+                                 * zone_stride).tolist()
+        for first, lo, hi in zip(firsts, bounds, bounds[1:]):
+            for a in range(lo, hi, KEY_CHUNK):
+                b = min(a + KEY_CHUNK, hi)
+                before = key[a - 1:b - 1] if a else np.concatenate(([-1], key[:b - 1]))
+                yield first, key[a:b], before
 
 
 def count_unique_users(events: AssignedEvents) -> QuarterCounts:
@@ -212,9 +217,45 @@ def count_unique_users(events: AssignedEvents) -> QuarterCounts:
     active in one zone across two bins counts once per bin; repeat events in
     the same cell (including on different days) collapse to one. Rows follow
     ``events.zone_ids``; only the cells with users are kept.
+
+    Each distinct (zone, user, bin) is an entry of :attr:`~AssignedEvents.sorted_key`
+    that differs from the one before it. They are counted into one dense
+    block of :data:`PROFILE_BLOCK_ROWS` zones x 96 bins at a time, whose
+    nonzero cells are kept.
     """
-    cells, counts = _distinct_cells(events, events.bins, N_QUARTER_BINS)
-    return QuarterCounts(events.zone_ids, cells.astype(np.int32), counts.astype(np.int32))
+    zone_stride = max(len(events.user_ids), 1) * N_QUARTER_BINS
+    cells, counts = [np.empty(0, dtype=np.int32)], [np.empty(0, dtype=np.int32)]
+    for first, parts in groupby(events.key_parts(), key=itemgetter(0)):
+        block = np.zeros(PROFILE_BLOCK_ROWS * N_QUARTER_BINS, dtype=np.int64)
+        for _, part, before in parts:
+            distinct = part[part != before] - first * zone_stride
+            block += np.bincount(distinct // zone_stride * N_QUARTER_BINS
+                                 + distinct % N_QUARTER_BINS, minlength=len(block))
+        nonzero = np.flatnonzero(block)
+        cells.append((nonzero + first * N_QUARTER_BINS).astype(np.int32))
+        counts.append(block[nonzero].astype(np.int32))
+    return QuarterCounts(events.zone_ids, np.concatenate(cells), np.concatenate(counts))
+
+
+def _column_counts(events: AssignedEvents, column_of: np.ndarray, n_columns: int) -> np.ndarray:
+    """Distinct users per (zone, column) as an int64 zones x ``n_columns`` matrix.
+
+    ``column_of`` gives each bin's column, -1 for none; each column is one
+    range of bins. Within a (zone, user) run of the sorted key the bins
+    ascend, so each (zone, user, column) starts where the run or the column
+    changes.
+    """
+    n_users = max(len(events.user_ids), 1)
+    counts = np.zeros(len(events.zone_ids) * n_columns, dtype=np.int64)
+    for _, part, before in events.key_parts():
+        pair, column = np.divmod(part, N_QUARTER_BINS)
+        column = column_of[column]
+        start = pair != before // N_QUARTER_BINS
+        start |= column != column_of[before % N_QUARTER_BINS]
+        start &= column >= 0
+        counts += np.bincount(pair[start] // n_users * n_columns + column[start],
+                              minlength=len(counts))
+    return counts.reshape(-1, n_columns)
 
 
 def aggregate_major_slots(events: AssignedEvents,
@@ -226,16 +267,16 @@ def aggregate_major_slots(events: AssignedEvents,
     counts once. Bins outside every slot are excluded.
     """
     validate_slots(slots)
-    slot_of = np.full(N_QUARTER_BINS, -1, dtype=np.int8)  # one byte a slot code per event
+    slot_of = np.full(N_QUARTER_BINS, -1, dtype=np.int64)
     for i, slot in enumerate(slots):
         slot_of[slot.start_bin:slot.end_bin + 1] = i
-    counts = _dense_counts(events, slot_of[events.bins], len(slots))
+    counts = _column_counts(events, slot_of, len(slots))
     return ActivityMatrix(events.zone_ids, tuple(s.name for s in slots), counts)
 
 
 def count_daily_unique(events: AssignedEvents) -> ActivityMatrix:
     """Distinct users per zone over the whole day (single-column matrix)."""
-    counts = _dense_counts(events, np.zeros_like(events.bins), 1)
+    counts = _column_counts(events, np.zeros(N_QUARTER_BINS, dtype=np.int64), 1)
     return ActivityMatrix(events.zone_ids, ("day",), counts)
 
 

@@ -5,8 +5,10 @@ CSV with a header (``user_id,timestamp,lon,lat`` plus the same optionals).
 Timestamps are RFC 3339 with an explicit UTC offset. Malformed rows are
 skipped and reported, never fatal; an unreadable file is fatal.
 
-Parsing yields one :class:`EventBatch`: parallel numpy columns (interned user
-codes, UTC epoch seconds, lon, lat) that every later stage works on whole.
+Parsing yields :class:`EventBatch` values: parallel numpy columns (interned
+user codes, UTC epoch seconds, lon, lat), the whole file as one batch
+(:func:`parse_events`) or a block of rows at a time (:func:`read_event_blocks`),
+that every later stage works on whole.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import math
 import os
 import re
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
 from itertools import chain, compress, islice, repeat
 from json.encoder import encode_basestring
@@ -80,46 +82,50 @@ class GeoEvent:
 class EventBatch:
     """Events as parallel columns; row i is the i-th accepted input row.
 
-    ``users`` (int32) holds codes into ``user_ids``. ``epoch`` (int64 floor
-    seconds) and ``micro`` (int32) give the UTC instant; ``offset_us`` (int64)
-    is the UTC offset the input wrote, kept so that iterating the batch and
-    :func:`write_events_ndjson` print every timestamp back as parsed. ``lon``
-    and ``lat`` are float64.
-    ``optional`` maps each of ``lang``/``device``/``text`` that some row
-    carries to an object column holding a string or None per row.
+    ``users`` (int32) holds codes into ``user_ids``, ``epoch`` (int64) the UTC
+    instant in floor seconds, ``lon`` and ``lat`` (float64) the point: 24 B an
+    event, all that the workday filter and the zone join read.
 
-    Only the write-back reads ``micro``, ``offset_us`` and ``optional``, so a
-    run that writes none drops them before the workday filter (``micro`` and
-    ``offset_us`` None, and :meth:`take` keeps them None) and holds 28 of the
-    parse's 40 B an event past the parse. With them alive the zone join set
-    the run's peak RSS at city-253k (52.5 MB); without them it stays at the
-    parse's own (~47 MB).
+    ``write_back`` holds the columns that only :func:`write_events_ndjson` and
+    iteration read: ``micro`` (int32, the instant's microseconds),
+    ``offset_us`` (int64, the UTC offset the input wrote) and each of
+    ``lang``/``device``/``text`` that some row carries, as an object column
+    holding a string or None per row. Only ``citypulse ingest`` writes events
+    back, so the blocks of every other run leave it empty (see
+    :func:`read_event_blocks`).
     """
 
-    user_ids: tuple[str, ...]
+    user_ids: Sequence[str]
     users: np.ndarray  # int32
     epoch: np.ndarray  # int64
-    micro: np.ndarray | None  # int32
-    offset_us: np.ndarray | None  # int64
     lon: np.ndarray  # float64
     lat: np.ndarray  # float64
-    optional: dict[str, np.ndarray] = field(default_factory=dict)
+    write_back: dict[str, np.ndarray] = field(default_factory=dict)
+
+    @property
+    def micro(self) -> np.ndarray | None:
+        return self.write_back.get("micro")
+
+    @property
+    def offset_us(self) -> np.ndarray | None:
+        return self.write_back.get("offset_us")
+
+    @property
+    def optional(self) -> dict[str, np.ndarray]:
+        return {name: self.write_back[name] for name in OPTIONAL_FIELDS if name in self.write_back}
 
     def __len__(self) -> int:
         return len(self.users)
 
     def take(self, rows: np.ndarray) -> EventBatch:
         """The rows picked by a boolean mask or an index array, in that order."""
-        micro, offset_us = (None if col is None else col[rows]
-                            for col in (self.micro, self.offset_us))
-        return EventBatch(self.user_ids, self.users[rows], self.epoch[rows], micro, offset_us,
-                          self.lon[rows], self.lat[rows],
-                          {name: col[rows] for name, col in self.optional.items()})
+        return EventBatch(self.user_ids, self.users[rows], self.epoch[rows], self.lon[rows],
+                          self.lat[rows], {name: col[rows] for name, col in self.write_back.items()})
 
     def __iter__(self) -> Iterator[GeoEvent]:
         """The rows as :class:`GeoEvent` values, each with its input offset as a fixed tzinfo."""
         zones: dict[int, timezone] = {}
-        columns = [self.optional.get(name) for name in OPTIONAL_FIELDS]
+        columns = [self.write_back.get(name) for name in OPTIONAL_FIELDS]
         rows = zip(self.users.tolist(), self.epoch.tolist(), self.micro.tolist(),
                    self.offset_us.tolist(), self.lon.tolist(), self.lat.tolist())
         for i, (user, epoch, micro, offset, lon, lat) in enumerate(rows):
@@ -132,10 +138,22 @@ class EventBatch:
 
 
 class _BatchBuilder:
-    """Appends blocks of checked rows to typed columns, one UTC instant and offset per row."""
+    """Appends blocks of checked rows to typed columns, one UTC instant and offset per row.
 
-    def __init__(self):
+    :meth:`finish` hands the rows gathered so far on as one batch and starts
+    the columns anew; the user codes go on from one batch to the next, in
+    order of first appearance, and every batch shares the one ``user_ids``
+    list. Without ``write_back`` the columns that only the write-back reads
+    are not kept.
+    """
+
+    def __init__(self, write_back: bool = True):
+        self.write_back = write_back
         self._user_code: dict[str, int] = {}
+        self.user_ids: list[str] = []
+        self._start()
+
+    def _start(self) -> None:
         self._users = array("i")
         self._epoch = array("q")
         self._micro = array("i")
@@ -143,6 +161,9 @@ class _BatchBuilder:
         self._lon = array("d")
         self._lat = array("d")
         self._optional: list[tuple[int, list[list | None]]] = []  # (first row, extras) per block
+
+    def __len__(self) -> int:
+        return len(self._users)
 
     def extend(self, users: list[str], epoch: np.ndarray, micro: np.ndarray,
                offset: np.ndarray, lon: np.ndarray, lat: np.ndarray,
@@ -153,36 +174,45 @@ class _BatchBuilder:
         string or None per row), or None where no row has that field.
         """
         extras = [column if column is not None and any(column) else None for column in extras]
-        if any(extras):
+        if any(extras) and self.write_back:
             self._optional.append((len(self._users), extras))
         code = self._user_code
         codes = list(map(code.get, users))
         if None in codes:  # new users take the next codes in order of first appearance
             for i in [i for i, c in enumerate(codes) if c is None]:
-                codes[i] = code.setdefault(users[i], len(code))
+                user = users[i]
+                if user not in code:
+                    code[user] = len(code)
+                    self.user_ids.append(user)
+                codes[i] = code[user]
         self._users.extend(array("i", codes))
-        for column, values in ((self._epoch, epoch), (self._micro, micro),
-                               (self._offset, offset), (self._lon, lon), (self._lat, lat)):
+        columns = [(self._epoch, epoch), (self._lon, lon), (self._lat, lat)]
+        if self.write_back:
+            columns += [(self._micro, micro), (self._offset, offset)]
+        for column, values in columns:
             column.frombytes(np.ascontiguousarray(values, dtype=column.typecode).view(np.uint8))
 
     def finish(self) -> EventBatch:
         n = len(self._users)
-        optional: dict[str, np.ndarray] = {}
+        write_back: dict[str, np.ndarray] = {}
+        if self.write_back:
+            write_back["micro"] = np.frombuffer(self._micro, dtype=np.int32)
+            write_back["offset_us"] = np.frombuffer(self._offset, dtype=np.int64)
         for k, name in enumerate(OPTIONAL_FIELDS):
             blocks = [(first, extras[k]) for first, extras in self._optional if extras[k]]
             if blocks:
-                optional[name] = column = np.full(n, None, dtype=object)
+                write_back[name] = column = np.full(n, None, dtype=object)
                 for first, values in blocks:
                     column[first:first + len(values)] = values
-        return EventBatch(
-            tuple(self._user_code),
+        batch = EventBatch(
+            self.user_ids,
             np.frombuffer(self._users, dtype=np.int32),
             np.frombuffer(self._epoch, dtype=np.int64),
-            np.frombuffer(self._micro, dtype=np.int32),
-            np.frombuffer(self._offset, dtype=np.int64),
             np.frombuffer(self._lon, dtype=np.float64),
             np.frombuffer(self._lat, dtype=np.float64),
-            optional)
+            write_back)
+        self._start()
+        return batch
 
 
 @dataclass
@@ -534,7 +564,8 @@ def _add_rows(builder: _BatchBuilder, numbers: Sequence[int], columns: list[list
     for k, values in enumerate(optional):
         if values is not None:
             _flag(suspect, values, _OPTIONAL)
-            extras[k] = [value or None for value in values]
+            if builder.write_back:
+                extras[k] = [value or None for value in values]
     valid, epoch, offset = _fixed_instants(times)
     fits = valid & _in_range(epoch)
     if fits.all() and not suspect.any():  # no row for the per-row steps
@@ -601,7 +632,9 @@ def _chunks(fh: IO[str]) -> Iterator[str]:
         yield rest
 
 
-def _parse_ndjson(fh: IO[str], builder: _BatchBuilder, report: RejectionReport) -> None:
+def _parse_ndjson(fh: IO[str], builder: _BatchBuilder, report: RejectionReport
+                  ) -> Iterator[None]:
+    """Parse the rows chunk by chunk into ``builder``; yields after each chunk."""
     first = 1
     for text in _chunks(fh):
         if first == 1:  # the first chunk: a byte-order mark opens no row
@@ -633,6 +666,7 @@ def _parse_ndjson(fh: IO[str], builder: _BatchBuilder, report: RejectionReport) 
                         for name in OPTIONAL_FIELDS]
             _add_rows(builder, numbers, columns, rejected)
         report.entries.extend(sorted(rejected))
+        yield
 
 
 # CSV rows checked at a time, about as many as an NDJSON block holds. On the
@@ -642,18 +676,21 @@ def _parse_ndjson(fh: IO[str], builder: _BatchBuilder, report: RejectionReport) 
 _CSV_BLOCK_ROWS = 512
 
 
-def _parse_csv(fh: IO[str], builder: _BatchBuilder, report: RejectionReport) -> None:
-    """The CSV rows, read strictly: a framing fault refuses the whole file, naming its line."""
+def _parse_csv(fh: IO[str], builder: _BatchBuilder, report: RejectionReport) -> Iterator[None]:
+    """The CSV rows, read strictly: a framing fault refuses the whole file, naming its line.
+
+    Parses block by block into ``builder``; yields after each block.
+    """
     # the mark leaves the first line, so that a quoted first header cell reads as a name
     first = fh.readline().removeprefix(_BOM)
     reader = csv.reader(chain([first] if first else [], fh), strict=True)
     try:
-        _add_csv_rows(reader, builder, report)
+        yield from _add_csv_rows(reader, builder, report)
     except csv.Error as exc:  # a cell past the field size limit, a stray or unclosed quote
         raise DataError(f"malformed csv: line {reader.line_num}: {exc}") from exc
 
 
-def _add_csv_rows(reader, builder: _BatchBuilder, report: RejectionReport) -> None:
+def _add_csv_rows(reader, builder: _BatchBuilder, report: RejectionReport) -> Iterator[None]:
     header = next(reader, None)
     if header is None:
         raise DataError("csv source has no header row")
@@ -678,6 +715,55 @@ def _add_csv_rows(reader, builder: _BatchBuilder, report: RejectionReport) -> No
             columns = [[row[i] for row in rows] if i is not None else None for i in positions]
             _add_rows(builder, numbers, columns, rejected)
         report.entries.extend(sorted(rejected))
+        yield
+
+
+# Rows a block of a run gathers, whole NDJSON chunks or CSV blocks at a time,
+# before it goes through the workday filter and the zone join. On city-253k
+# (257,902 rows) blocks of 4,096 rows made run_pipeline ~20 % slower, while
+# 16,384 and 65,536 ran within noise of one whole-file batch (8 interleaved
+# runs each, shared 2-CPU VM); the block's columns are ~0.4 MB at 16,384 rows
+EVENT_BLOCK_ROWS = 1 << 14
+
+
+def read_event_blocks(path, fmt: str, report: RejectionReport, *,
+                      block_rows: float | None = None,
+                      write_back: bool = True) -> Iterator[EventBatch]:
+    """Parse an NDJSON or CSV events file a block at a time, skipping bad rows.
+
+    Yields a batch each time the rows gathered reach ``block_rows``
+    (:data:`EVENT_BLOCK_ROWS` when None; whole NDJSON chunks or CSV blocks
+    are gathered, so a block may hold a few hundred rows more), then the
+    rest: the last block goes on if it holds rows or is the only one, so a
+    ``block_rows`` of ``math.inf`` yields the file as one batch. The blocks
+    share one user-code table, so codes keep the order of first appearance
+    in the file, and every block's ``user_ids`` is the one list of the codes
+    given so far. Without ``write_back`` the blocks leave
+    :attr:`EventBatch.write_back` empty. ``report`` gathers the rejections
+    and row counts as the blocks go. The rules are those of
+    :func:`parse_events`.
+    """
+    if fmt not in ("ndjson", "csv"):
+        raise ConfigError(f"unknown event format {fmt!r} (expected ndjson or csv)")
+    if not isinstance(path, (str, os.PathLike)):
+        raise TypeError(f"expected a str or os.PathLike path, not {type(path).__name__}")
+    if block_rows is None:
+        block_rows = EVENT_BLOCK_ROWS
+    builder = _BatchBuilder(write_back)
+    try:
+        fh = open(path, "r", encoding="utf-8", errors="surrogateescape", newline="")
+    except OSError as exc:
+        raise DataError(f"cannot read events file {path}: {exc}") from exc
+    blocks = 0
+    with fh:
+        for _ in (_parse_ndjson if fmt == "ndjson" else _parse_csv)(fh, builder, report):
+            if len(builder) >= block_rows:
+                blocks += 1
+                report.parsed += len(builder)
+                yield builder.finish()
+    if len(builder) or not blocks:
+        report.parsed += len(builder)
+        yield builder.finish()
 
 
 def parse_events(path, fmt: str = "ndjson") -> tuple[EventBatch, RejectionReport]:
@@ -698,23 +784,12 @@ def parse_events(path, fmt: str = "ndjson") -> tuple[EventBatch, RejectionReport
     which it ends, and a framing fault, such as a quote left open or a cell
     past csv's field size limit, refuses the whole file as ``malformed
     csv``. Both formats are checked a block at a time (NDJSON lines, CSV
-    rows) by one row engine, with the results of a row-by-row parse.
+    rows) by one row engine, with the results of a row-by-row parse; this is
+    :func:`read_event_blocks` with the file as one block.
     """
-    if fmt not in ("ndjson", "csv"):
-        raise ConfigError(f"unknown event format {fmt!r} (expected ndjson or csv)")
-    if not isinstance(path, (str, os.PathLike)):
-        raise TypeError(f"expected a str or os.PathLike path, not {type(path).__name__}")
-    builder = _BatchBuilder()
     report = RejectionReport()
-    try:
-        fh = open(path, "r", encoding="utf-8", errors="surrogateescape", newline="")
-    except OSError as exc:
-        raise DataError(f"cannot read events file {path}: {exc}") from exc
-    with fh:
-        (_parse_ndjson if fmt == "ndjson" else _parse_csv)(fh, builder, report)
-    batch = builder.finish()
-    report.parsed = len(batch)
-    return batch, report
+    (batch,) = read_event_blocks(path, fmt, report, block_rows=math.inf)
+    return replace(batch, user_ids=tuple(batch.user_ids)), report
 
 
 # The text json.dumps(row, ensure_ascii=False) gives one row: user, local time,
@@ -748,26 +823,46 @@ def _optional_texts(events: EventBatch, rows: slice) -> Iterable[str]:
     return map("".join, zip(*parts)) if parts else repeat("")
 
 
-def write_events_ndjson(events: EventBatch, path) -> None:
-    """Serialize a batch to the NDJSON schema; inverse of ndjson parsing.
+class EventsWriter:
+    """Writes batches to one NDJSON file in order: the inverse of ndjson parsing.
 
     Each line is the ``json.dumps(..., ensure_ascii=False)`` text of the row's
     object, built from the columns: the local time by ``np.datetime_as_string``,
-    each distinct offset and user id formatted once, floats by ``repr``. One
-    row template is filled, and every column formatted, a block of rows at a
-    time, as in :func:`tables.write_csv`.
+    each distinct offset of a batch and each user id formatted once, floats by
+    ``repr``. One row template is filled, and every column formatted, a block
+    of rows at a time, as in :func:`tables.write_csv`. The batches share one
+    user-code table, as the blocks of :func:`read_event_blocks` do: each
+    user id is formatted once, when a batch first brings it.
     """
-    users = [encode_basestring(user) for user in events.user_ids]
-    offsets, which = np.unique(events.offset_us, return_inverse=True)
-    offset_texts = [_offset_text(offset) for offset in offsets.tolist()]
-    columns = [events.users, which.reshape(-1), events.lon, events.lat]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+
+    def __init__(self, path):
+        self._fh = open(path, "w", encoding="utf-8", newline="\n")
+        self._users: list[str] = []  # each user id as JSON text
+
+    def __enter__(self) -> EventsWriter:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._fh.close()
+
+    def write(self, events: EventBatch) -> None:
+        users = self._users
+        users += map(encode_basestring, events.user_ids[len(users):])
+        offsets, which = np.unique(events.offset_us, return_inverse=True)
+        offset_texts = [_offset_text(offset) for offset in offsets.tolist()]
+        columns = [events.users, which.reshape(-1), events.lon, events.lat]
         for lo in range(0, len(events), tables.BLOCK_ROWS):
             rows = slice(lo, lo + tables.BLOCK_ROWS)
             user, offset, lon, lat = (c[rows].tolist() for c in columns)
-            fh.write("".join(_NDJSON_ROW % row for row in zip(
+            self._fh.write("".join(_NDJSON_ROW % row for row in zip(
                 map(users.__getitem__, user), _local_texts(events, rows),
                 map(offset_texts.__getitem__, offset), lon, lat, _optional_texts(events, rows))))
+
+
+def write_events_ndjson(events: EventBatch, path) -> None:
+    """Serialize a batch to the NDJSON schema (see :class:`EventsWriter`)."""
+    with EventsWriter(path) as writer:
+        writer.write(events)
 
 
 def _utc_offset_s(epoch_s: int, zone: ZoneInfo) -> int:
@@ -787,7 +882,11 @@ def _by_quarter(seconds: np.ndarray, lookup) -> np.ndarray:
     time) that quarter-hour's values are looked up one by one.
     """
     quarter = seconds // _QUARTER_S
-    quarters = np.unique(quarter)
+    # the distinct ones by a neighbour test: np.unique would import numpy.ma
+    quarters = np.sort(quarter)
+    distinct = np.ones(len(quarters), dtype=bool)
+    distinct[1:] = quarters[1:] != quarters[:-1]
+    quarters = quarters[distinct]
     inverse = np.searchsorted(quarters, quarter)
     starts = (quarters * _QUARTER_S).tolist()
     first = np.array([lookup(s) for s in starts], dtype=np.int64)

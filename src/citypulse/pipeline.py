@@ -9,6 +9,7 @@ digits, and a manifest with content digests instead of timestamps.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
@@ -16,9 +17,10 @@ import logging
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field, replace
+from array import array
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -44,13 +46,25 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def parse_events_file(path, fmt: str | None
-                      ) -> tuple[ingest.EventBatch, ingest.RejectionReport]:
-    """Parse an event file; ``fmt=None`` infers csv or ndjson from the suffix."""
+def parse_events_file(path, fmt: str | None, *,
+                      sink: Callable[[ingest.EventBatch], None] | None = None,
+                      write_back: bool = True
+                      ) -> tuple[ingest.EventBatch | None, ingest.RejectionReport]:
+    """Parse an event file; ``fmt=None`` infers csv or ndjson from the suffix.
+
+    Without ``sink`` the file is parsed into one batch. With it, each block
+    of :func:`ingest.read_event_blocks` goes to ``sink`` as soon as it is
+    parsed, and no batch is returned (None). The report is complete either way.
+    """
     path = Path(path)
     if fmt is None:
         fmt = "csv" if path.suffix.lower() == ".csv" else "ndjson"
-    return ingest.parse_events(path, fmt)
+    if sink is None:
+        return ingest.parse_events(path, fmt)
+    report = ingest.RejectionReport()
+    for block in ingest.read_event_blocks(path, fmt, report, write_back=write_back):
+        sink(block)
+    return None, report
 
 
 def assign_events(events: ingest.EventBatch, index: ZoneIndex, tz: str
@@ -73,6 +87,54 @@ def assign_events(events: ingest.EventBatch, index: ZoneIndex, tz: str
                                        ingest.quarter_bins(epoch, zone_info))
     return (assigned, len(events) - len(assigned),
             index.overlap_warnings - overlaps_before)
+
+
+class _Located:
+    """The run's located events, appended a block at a time: the (user, zone,
+    bin) codes, 9 B an event, and the funnel's counts."""
+
+    def __init__(self, zone_ids: tuple[str, ...]):
+        self.zone_ids = zone_ids
+        self.user_ids: Sequence[str] = ()
+        self.columns = (array("i"), array("i"), array("b"))
+        self.workdays = self.unassigned = self.overlaps = 0
+
+    def extend(self, workdays: int, assigned: activity.AssignedEvents, unassigned: int,
+               overlaps: int) -> None:
+        self.user_ids = assigned.user_ids
+        for column, codes in zip(self.columns, (assigned.users, assigned.zones, assigned.bins)):
+            column.frombytes(np.ascontiguousarray(codes, dtype=column.typecode).view(np.uint8))
+        self.workdays += workdays
+        self.unassigned += unassigned
+        self.overlaps += overlaps
+
+    def finish(self) -> activity.AssignedEvents:
+        users, zones, bins = (np.frombuffer(column, dtype=column.typecode)
+                              for column in self.columns)
+        return activity.AssignedEvents(self.user_ids, self.zone_ids, users, zones, bins)
+
+
+def _events_stage(config: PipelineConfig, index: ZoneIndex, write_to: Path | None
+                  ) -> tuple[_Located, ingest.RejectionReport]:
+    """Parse, workday-filter and locate the events a block at a time.
+
+    Each parsed block goes through ``ingest.filter_workdays`` and
+    ``assign_events`` at once and only its codes are kept, so no batch of the
+    whole file exists. With ``write_to`` each workday block is also written
+    there (``events_clean.ndjson``); only then do the blocks carry the
+    write-back columns.
+    """
+    located = _Located(index.zone_ids)
+    with (ingest.EventsWriter(write_to) if write_to else contextlib.nullcontext()) as writer:
+        def locate(block: ingest.EventBatch) -> None:
+            workdays = ingest.filter_workdays(block, config.timezone)
+            if writer is not None:
+                writer.write(workdays)
+            located.extend(len(workdays), *assign_events(workdays, index, config.timezone))
+
+        _, report = parse_events_file(config.events_path, config.events_format, sink=locate,
+                                      write_back=writer is not None)
+    return located, report
 
 
 def load_census(path) -> dict[str, float]:
@@ -305,19 +367,17 @@ def run_pipeline(config: PipelineConfig, steps: Iterable[str] = ALL_STEPS) -> Ru
         zone_ids = zones.zone_ids
         codes = landuse.classify_zones(zones, config.predominance_threshold)
 
-        # one event batch alive at a time: each is dropped once the next stage has it
-        events, report = parse_events_file(config.events_path, config.events_format)
-        if steps != {"ingest"}:  # only events_clean.ndjson reads these columns
-            events = replace(events, micro=None, offset_us=None, optional={})
-        workday_events = ingest.filter_workdays(events, config.timezone)
-        del events
+        # the events stream through the workday filter and the zone join; only
+        # the ingest step writes the workday events back
+        located, report = _events_stage(
+            config, index, stage / "events_clean.ndjson" if steps == {"ingest"} else None)
+        del index  # the index has no other user
+        assigned = located.finish()
         report.write_csv(stage / "rejections.csv")
-        if steps == {"ingest"}:
-            ingest.write_events_ndjson(workday_events, stage / "events_clean.ndjson")
         counts["rows_total"] = report.total_rows
         counts["rows_rejected"] = report.rejected
         counts["events_parsed"] = report.parsed
-        counts["events_workdays"] = len(workday_events)
+        counts["events_workdays"] = located.workdays
         if report.rejected:
             warnings.append(f"{report.rejected} input rows rejected")
         counts["zones"] = len(zones)
@@ -333,11 +393,10 @@ def run_pipeline(config: PipelineConfig, steps: Iterable[str] = ALL_STEPS) -> Ru
         if unclassified:
             warnings.append(f"{unclassified} zones with zero built surface left unclassified")
 
-        assigned, unassigned, overlaps = assign_events(
-            workday_events, index, config.timezone)
-        del workday_events, index  # the index has no other user
+        overlaps = located.overlaps
         counts["events_assigned"] = len(assigned)
-        counts["events_unassigned"] = unassigned
+        counts["events_unassigned"] = located.unassigned
+        del located  # the codes live on in assigned alone
         counts["distinct_users"] = int(np.count_nonzero(
             np.bincount(assigned.users, minlength=len(assigned.user_ids))))
         counts["zone_overlap_warnings"] = overlaps
@@ -390,6 +449,12 @@ def run_pipeline(config: PipelineConfig, steps: Iterable[str] = ALL_STEPS) -> Ru
                        np.array(list(densities.values()))])
 
         if "regress" in steps:
+            # residential and mixed zones, codes 0 and 1. Homes are the last
+            # count of the codes' one sorted key: the codes and the key go
+            # before the fits' workspace comes.
+            eligible = {z for z, c in zip(zone_ids, codes.tolist()) if c in (0, 1)}
+            homes = stats.infer_homes(assigned, config.night_bins, eligible)
+            del assigned
             baseline = "night" if "night" in slot_names else slot_names[-1]
             residual_header = ["zone_id", "residual", "std_residual"]
             base_col = slot_names.index(baseline)
@@ -440,9 +505,6 @@ def run_pipeline(config: PipelineConfig, steps: Iterable[str] = ALL_STEPS) -> Ru
                 write_csv(stage / f"model_{name}_residuals.csv", residual_header,
                           [zone_ids, fit.residuals, fit.std_residuals])
 
-            # residential and mixed zones, codes 0 and 1
-            eligible = {z for z, c in zip(zone_ids, codes.tolist()) if c in (0, 1)}
-            homes = stats.infer_homes(assigned, config.night_bins, eligible)
             code_of = {z: k for k, z in enumerate(zone_ids)}
             home_counts = np.bincount(
                 np.fromiter((code_of[z] for z in homes.values()), np.int64, len(homes)),

@@ -34,7 +34,7 @@ from typing import Collection, Sequence
 
 import numpy as np
 
-from .activity import AssignedEvents
+from .activity import N_QUARTER_BINS, AssignedEvents
 from .errors import DataError, SingularityError
 
 
@@ -375,34 +375,54 @@ def infer_homes(events: AssignedEvents,
     A user's home is the zone holding most of their night-time events (bins
     in ``night_bins``), counting only zones in ``residential_zones`` when it
     is given. Ties break by the user's total event count in the zone (all
-    bins), then by zone_id. Night events are counted per (user, zone) key
-    with ``np.unique``; each night key's total is the length of its run in
-    the one sorted key of all events, so no count is made for a key with no
-    night event. Each user's keys are ranked by night count, then total
-    count (both descending), then zone_id. Users come out in sorted user_id
-    order. Sorting the key in place, rather than ``np.unique`` with counts
-    over every key, took the call's traced peak 9.2 → 4.1 MiB at city-253k.
+    bins), then by zone_id. Users come out in sorted user_id order.
+
+    Both counts are read off the events' one sorted key
+    (:attr:`~citypulse.activity.AssignedEvents.sorted_key`), where each
+    (zone, user) pair's events form one run, bins ascending: a pair's total
+    is the length of its run and its night count the length of the run's
+    stretches in the night bins, each found by two binary searches. The
+    pairs that hold a qualifying night event are taken a part of the key at
+    a time, in zone order, and each user's best pair so far is kept in two
+    arrays of one entry per user, so nothing grows with the events.
     """
-    n_zones = len(events.zone_ids)
-    key = events.users.astype(np.int64)
-    key *= n_zones
-    key += events.zones
-    night = np.isin(events.bins, np.fromiter(night_bins, dtype=np.int64))
+    n_users = max(len(events.user_ids), 1)
+    key = events.sorted_key
+    night = np.isin(np.arange(N_QUARTER_BINS), np.fromiter(night_bins, dtype=np.int64))
+    # the night bins as ranges [low, high): where the mask turns on, and off
+    edges = np.flatnonzero(np.diff(night.astype(np.int8), prepend=0, append=0)).tolist()
+    eligible = np.ones(len(events.zone_ids), dtype=bool)
     if residential_zones is not None:
-        eligible = np.array([z in residential_zones for z in events.zone_ids], dtype=bool)
-        night &= eligible[events.zones]
-    night_keys, night_counts = np.unique(key[night], return_counts=True)
-    key.sort()
-    totals = np.searchsorted(key, night_keys, "right") - np.searchsorted(key, night_keys, "left")
-    users, zones = np.divmod(night_keys, n_zones)
-    # keys are grouped by user; within a user the best-ranked key comes first
-    order = np.lexsort((zones, -totals, -night_counts, users))
-    ranked = users[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = ranked[1:] != ranked[:-1]
-    best = order[first]
+        eligible[:] = [z in residential_zones for z in events.zone_ids]
+    best = np.full(n_users, -1, dtype=np.int64)  # per user: the score of the best pair so far,
+    home = np.zeros(n_users, dtype=np.int64)  # and its zone
+    for _, part, _ in events.key_parts():
+        pair, bins = np.divmod(part, N_QUARTER_BINS)
+        pair = pair[night[bins] & eligible[pair // n_users]]
+        new = np.ones(len(pair), dtype=bool)
+        new[1:] = pair[1:] != pair[:-1]
+        first = pair[new] * N_QUARTER_BINS  # the first key a pair's run may hold
+        # the night count, then the total, as one score; a pair whose run
+        # spans two parts gets the same score in both
+        score = np.zeros(len(first), dtype=np.int64)
+        for low, high in zip(edges[0::2], edges[1::2]):
+            score += np.searchsorted(key, first + high) - np.searchsorted(key, first + low)
+        score *= len(key) + 1
+        score += np.searchsorted(key, first + N_QUARTER_BINS) - np.searchsorted(key, first)
+        zones, users = np.divmod(first // N_QUARTER_BINS, n_users)
+        # each user's best pair of the part: the sort is stable, and the pairs
+        # come in zone order, so of equal scores the first zone comes first
+        order = np.lexsort((-score, users))
+        lead = np.ones(len(order), dtype=bool)
+        lead[1:] = users[order[1:]] != users[order[:-1]]
+        order = order[lead]
+        # a later part's pair, of a later zone, wins only with a higher score
+        better = order[score[order] > best[users[order]]]
+        best[users[better]] = score[better]
+        home[users[better]] = zones[better]
+    found = np.flatnonzero(best >= 0)
     homes = {events.user_ids[u]: events.zone_ids[z]
-             for u, z in zip(users[best].tolist(), zones[best].tolist())}
+             for u, z in zip(found.tolist(), home[found].tolist())}
     return dict(sorted(homes.items()))
 
 

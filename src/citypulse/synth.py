@@ -419,8 +419,9 @@ def generate_events(city: SynthCity) -> tuple[EventBatch, SynthTruth]:
     code = np.empty(config.n_users, dtype=np.int32)
     code[seen] = np.arange(len(seen))
     batch = EventBatch(tuple(user_ids[u] for u in seen.tolist()), code[users],
-                       (wall - offset)[order], np.zeros(n_events, dtype=np.int32),
-                       offset[order] * 1_000_000, lon[order], lat[order])
+                       (wall - offset)[order], lon[order], lat[order],
+                       {"micro": np.zeros(n_events, dtype=np.int32),
+                        "offset_us": offset[order] * 1_000_000})
     logger.info("generated %d events for %d users over %d days",
                 n_events, config.n_users, len(days))
 

@@ -14,6 +14,7 @@ fit.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from datetime import datetime
 from typing import Iterable, Sequence
 from zoneinfo import ZoneInfo
@@ -196,7 +197,8 @@ def checked_rows_batch(rows: Iterable[tuple]) -> EventBatch:
         epoch, micro, offset_us = np.array(instants, dtype=np.int64).T
         builder.extend(users, epoch, micro, offset_us, np.array(lon, dtype=np.float64),
                        np.array(lat, dtype=np.float64), optional)
-    return builder.finish()
+    batch = builder.finish()
+    return replace(batch, user_ids=tuple(batch.user_ids))
 
 
 def events_batch(events: Iterable[GeoEvent]) -> EventBatch:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from citypulse import cli
+from citypulse import cli, ingest
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -164,11 +164,15 @@ def _perfbench_layers():
 
 def test_traced_run_yields_every_per_layer_metric(city, tmp_path, monkeypatch):
     # the benchmark's traced run reads its per-layer metrics off wrapped
-    # entry points: each must still exist and keep its argument and result shapes
+    # entry points: each must still exist and keep its argument and result
+    # shapes. The events go through the workday filter and the zone join a
+    # block at a time, each block one call of both: the counts the metrics
+    # add up over the calls must be the run's own.
     layers = _perfbench_layers()
     for module_name, attr, _layer, _metric in layers.ENTRY_POINTS:
         module = importlib.import_module(f"citypulse.{module_name}")
         monkeypatch.setattr(module, attr, getattr(module, attr, None), raising=False)
+    monkeypatch.setattr(ingest, "EVENT_BLOCK_ROWS", 2000)
     tracer = layers.Tracer(run_id=0)
     tracer.install()
     assert run(city, "run", tmp_path / "out") == 0
@@ -180,3 +184,13 @@ def test_traced_run_yields_every_per_layer_metric(city, tmp_path, monkeypatch):
                 if m["name"].split(".")[0] not in ("synth", "host", "trace")}
     assert len(expected) == 31 and set(metrics) == expected
     json.dumps(metrics, allow_nan=False)
+
+    calls = [span["name"] for span in tracer.spans]
+    assert calls.count("ingest.filter_workdays") == calls.count("pipeline.assign_events") >= 3
+    counts = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))["counts"]
+    assert metrics["ingest.rows"] == counts["rows_total"]
+    assert metrics["ingest.workday_kept_ratio"] == (
+        counts["events_workdays"] / counts["events_parsed"])
+    assert metrics["spatial.assigned_ratio"] == (
+        counts["events_assigned"] / counts["events_workdays"])
+    assert metrics["stats.users_with_home"] == counts["users_with_home"]

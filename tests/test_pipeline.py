@@ -211,7 +211,8 @@ def test_rerun_is_byte_identical(small_city, tmp_path):
 
 
 @pytest.mark.parametrize("weekend_row", [False, True], ids=["all workdays", "one weekend row"])
-def test_one_event_batch_alive_at_a_time(small_city, tmp_path, monkeypatch, weekend_row):
+def test_events_stream_through_the_join_a_block_at_a_time(small_city, tmp_path, monkeypatch,
+                                                          weekend_row):
     import dataclasses
     import weakref
 
@@ -221,7 +222,7 @@ def test_one_event_batch_alive_at_a_time(small_city, tmp_path, monkeypatch, week
         events_path = tmp_path / "events.ndjson"
         events_path.write_bytes(small_city.events_path.read_bytes() + b'{"u": "w", '
                                 b'"t": "2013-03-09T10:00:00+01:00", "lon": 0, "lat": 0}\n')
-    seen, order = {}, []
+    blocks, order = [], []
     filter_workdays, assign_events = ingest.filter_workdays, pipeline.assign_events
     load_zones, parse_events = spatial.load_zones_geojson, pipeline.parse_events_file
 
@@ -229,31 +230,32 @@ def test_one_event_batch_alive_at_a_time(small_city, tmp_path, monkeypatch, week
         order.append("zones")
         return load_zones(path)
 
-    def traced_parse(path, fmt):
+    def traced_parse(path, fmt, **kwargs):
         order.append("parse")
-        return parse_events(path, fmt)
+        result = parse_events(path, fmt, **kwargs)
+        order.append("parsed")
+        return result
 
     def traced_filter(events, tz):
         order.append("filter")
-        seen["parsed"] = weakref.ref(events)
         workdays = filter_workdays(events, tz)
-        seen["same"] = workdays is events
-        seen["write_back"] = [column is not None for batch in (events, workdays)
-                              for column in (batch.micro, batch.offset_us)]
+        blocks.append({"rows": len(events), "kept": len(workdays),
+                       "write_back": dict(events.write_back),
+                       "alive": [weakref.ref(events), weakref.ref(workdays)]})
         return workdays
 
     def traced_assign(events, index, tz):
         order.append("assign")
-        seen["parsed_alive"] = seen["parsed"]() is not None and seen["parsed"]() is not events
-        seen["workdays"] = weakref.ref(events)
         return assign_events(events, index, tz)
 
     def traced_count(assigned):
         order.append("count")
-        seen["workdays_alive"] = seen["workdays"]() is not None
+        alive.extend(ref() is not None for block in blocks for ref in block["alive"])
         return count_unique_users(assigned)
 
+    alive = []
     count_unique_users = activity.count_unique_users
+    monkeypatch.setattr(ingest, "EVENT_BLOCK_ROWS", 500)
     monkeypatch.setattr(spatial, "load_zones_geojson", traced_load)
     monkeypatch.setattr(pipeline, "parse_events_file", traced_parse)
     monkeypatch.setattr(ingest, "filter_workdays", traced_filter)
@@ -262,17 +264,20 @@ def test_one_event_batch_alive_at_a_time(small_city, tmp_path, monkeypatch, week
     config = dataclasses.replace(small_city.config, events_path=events_path,
                                  output_dir=tmp_path / "out")
     result = run_pipeline(config, steps={"aggregate"})
-    assert result.manifest["counts"]["events_workdays"] == len(small_city.events)
-    # the zones load before the events; a filter that drops no row hands its
-    # input on; the parsed batch is gone before the zone join, and the workday
-    # batch before the quarter-hour counts, the first aggregation
-    assert order == ["zones", "parse", "filter", "assign", "count"]
-    assert seen["same"] is not weekend_row
-    assert not seen["parsed_alive"]
-    assert not seen["workdays_alive"]
-    # the write-back columns are gone before the filter, and a filter that
-    # drops a row keeps them gone in the rows it takes
-    assert seen["write_back"] == [False] * 4
+    counts = result.manifest["counts"]
+    assert counts["events_workdays"] == len(small_city.events)
+    # the zones load before the events; each parsed block of at least 500
+    # rows (but the last) goes through the workday filter and the zone join
+    # before the next is parsed, and none is alive at the first aggregation
+    assert order == ["zones", "parse", *["filter", "assign"] * len(blocks), "parsed", "count"]
+    assert len(blocks) >= 3 and all(block["rows"] >= 500 for block in blocks[:-1])
+    assert sum(block["rows"] for block in blocks) == counts["events_parsed"]
+    assert sum(block["kept"] for block in blocks) == counts["events_workdays"]
+    assert [block["rows"] - block["kept"] for block in blocks[:-1]] == [0] * (len(blocks) - 1)
+    assert blocks[-1]["rows"] - blocks[-1]["kept"] == weekend_row
+    assert alive == [False] * 2 * len(blocks)
+    # no block of a run that writes no events back carries the write-back columns
+    assert [block["write_back"] for block in blocks] == [{}] * len(blocks)
 
 
 def test_bad_zones_file_is_reported_before_unreadable_events(tmp_path):

@@ -127,10 +127,12 @@ def batches(draw):
             optional[name] = np.empty(n, dtype=object)
             optional[name][:] = draw(st.lists(st.none() | texts.filter(bool),
                                               min_size=n, max_size=n))
-    return EventBatch(tuple(user_ids), column(st.integers(0, len(user_ids) - 1), np.int64),
-                      column(epochs, np.int64), column(micros, np.int64),
-                      column(offsets, np.int64), column(coordinates, np.float64),
-                      column(coordinates, np.float64), optional)
+    users, epoch, micro, offset_us = (column(st.integers(0, len(user_ids) - 1), np.int64),
+                                      column(epochs, np.int64), column(micros, np.int64),
+                                      column(offsets, np.int64))
+    return EventBatch(tuple(user_ids), users, epoch, column(coordinates, np.float64),
+                      column(coordinates, np.float64),
+                      {"micro": micro, "offset_us": offset_us, **optional})
 
 
 @settings(max_examples=200, deadline=None)
@@ -162,9 +164,9 @@ def test_writer_prints_offsets_and_years_as_isoformat(tmp_path):
             ("2013-03-05T09:00:00-00:00:00.000001", 1362474000, 1, -1),
             ("2013-03-05T09:00:00+00:00", 1362474000, 0, 0)]
     n = len(rows)
-    batch = EventBatch(("u",), np.zeros(n, dtype=np.int64), *(
-        np.array(col, dtype=np.int64) for col in list(zip(*rows))[1:]),
-        np.zeros(n), np.zeros(n))
+    epoch, micro, offset_us = (np.array(col, dtype=np.int64) for col in list(zip(*rows))[1:])
+    batch = EventBatch(("u",), np.zeros(n, dtype=np.int64), epoch, np.zeros(n), np.zeros(n),
+                       {"micro": micro, "offset_us": offset_us})
     write_events_ndjson(batch, tmp_path / "events.ndjson")
     lines = (tmp_path / "events.ndjson").read_text(encoding="utf-8").splitlines()
     assert [json.loads(line)["t"] for line in lines] == [t for t, *_ in rows]
