@@ -247,14 +247,16 @@ def _column_counts(events: AssignedEvents, column_of: np.ndarray, n_columns: int
     """
     n_users = max(len(events.user_ids), 1)
     counts = np.zeros(len(events.zone_ids) * n_columns, dtype=np.int64)
-    for _, part, before in events.key_parts():
+    for first, part, before in events.key_parts():
         pair, column = np.divmod(part, N_QUARTER_BINS)
         column = column_of[column]
         start = pair != before // N_QUARTER_BINS
         start |= column != column_of[before % N_QUARTER_BINS]
         start &= column >= 0
-        counts += np.bincount(pair[start] // n_users * n_columns + column[start],
-                              minlength=len(counts))
+        # each part lies in one block of zones: count into that block's rows
+        block = counts[first * n_columns:(first + PROFILE_BLOCK_ROWS) * n_columns]
+        block += np.bincount((pair[start] // n_users - first) * n_columns + column[start],
+                             minlength=len(block))
     return counts.reshape(-1, n_columns)
 
 

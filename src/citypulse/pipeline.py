@@ -48,14 +48,18 @@ def _sha256(path: Path) -> str:
 
 def parse_events_file(path, fmt: str | None, *,
                       sink: Callable[[ingest.EventBatch], None] | None = None,
-                      write_back: bool = True
+                      write_back: bool = False
                       ) -> tuple[ingest.EventBatch | None, ingest.RejectionReport]:
     """Parse an event file; ``fmt=None`` infers csv or ndjson from the suffix.
 
-    Without ``sink`` the file is parsed into one batch. With it, each block
-    of :func:`ingest.read_event_blocks` goes to ``sink`` as soon as it is
-    parsed, and no batch is returned (None). The report is complete either way.
+    Without ``sink`` the file is parsed into one batch (:func:`ingest.parse_events`,
+    every column). With it, each block of :func:`ingest.read_event_blocks` goes
+    to ``sink`` as soon as it is parsed, carrying the write-back columns only
+    when ``write_back`` asks for them, and no batch is returned (None). The
+    report is complete either way.
     """
+    if write_back and sink is None:
+        raise ValueError("write_back applies to the blocks given to a sink")
     path = Path(path)
     if fmt is None:
         fmt = "csv" if path.suffix.lower() == ".csv" else "ndjson"

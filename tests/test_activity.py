@@ -1,11 +1,13 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from citypulse.activity import (DEFAULT_SLOTS, N_QUARTER_BINS, NORMALIZATION_TOTAL,
+from citypulse import activity
+from citypulse.activity import (DEFAULT_SLOTS, KEY_CHUNK, N_QUARTER_BINS, NORMALIZATION_TOTAL,
                                 PROFILE_BLOCK_ROWS, QUARTER_LABELS, ActivityMatrix,
                                 AssignedEvents, MajorSlot, aggregate_major_slots,
                                 count_daily_unique, count_unique_users,
@@ -358,20 +360,23 @@ def located_events(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(events=located_events(), total=st.sampled_from([NORMALIZATION_TOTAL, 3.7e4]),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_quarter_blocks_match_the_dense_counts(events, total, seed, tmp_path_factory):
+       seed=st.integers(0, 2 ** 32 - 1), key_chunk=st.sampled_from([1, 2, 3, KEY_CHUNK]))
+def test_quarter_blocks_match_the_dense_counts(events, total, seed, key_chunk, tmp_path_factory):
     from citypulse.pipeline import write_quarter_csv
     from citypulse.tables import write_csv
-    # the dense path: one (user, zone, bin) key and a bincount over zones x 96
+    # the dense path: one (user, zone, bin) key and a bincount over zones x 96;
+    # the counts read the sorted key in parts of `key_chunk` entries, so that
+    # a (zone, user) run may span parts
     dense = dedup_matrix(events, events.bins, N_QUARTER_BINS)
     slot_of = np.full(N_QUARTER_BINS, -1)
     for i, slot in enumerate(DEFAULT_SLOTS):
         slot_of[slot.bins] = i
-    assert np.array_equal(aggregate_major_slots(events).counts,
-                          dedup_matrix(events, slot_of[events.bins], len(DEFAULT_SLOTS)))
-    assert np.array_equal(count_daily_unique(events).counts,
-                          dedup_matrix(events, np.zeros_like(events.bins), 1))
-    quarter = count_unique_users(events)
+    with mock.patch.object(activity, "KEY_CHUNK", key_chunk):
+        slots = aggregate_major_slots(events).counts
+        days = count_daily_unique(events).counts
+        quarter = count_unique_users(events)
+    assert np.array_equal(slots, dedup_matrix(events, slot_of[events.bins], len(DEFAULT_SLOTS)))
+    assert np.array_equal(days, dedup_matrix(events, np.zeros_like(events.bins), 1))
     assert quarter.cells.dtype == quarter.counts.dtype == np.int32
     assert np.all(np.diff(quarter.cells) > 0) and np.all(quarter.counts > 0)
     blocks = list(quarter.blocks())

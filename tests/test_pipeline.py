@@ -239,7 +239,7 @@ def test_events_stream_through_the_join_a_block_at_a_time(small_city, tmp_path, 
     def traced_filter(events, tz):
         order.append("filter")
         workdays = filter_workdays(events, tz)
-        blocks.append({"rows": len(events), "kept": len(workdays),
+        blocks.append({"rows": len(events), "kept": len(workdays), "same": workdays is events,
                        "write_back": dict(events.write_back),
                        "alive": [weakref.ref(events), weakref.ref(workdays)]})
         return workdays
@@ -275,6 +275,8 @@ def test_events_stream_through_the_join_a_block_at_a_time(small_city, tmp_path, 
     assert sum(block["kept"] for block in blocks) == counts["events_workdays"]
     assert [block["rows"] - block["kept"] for block in blocks[:-1]] == [0] * (len(blocks) - 1)
     assert blocks[-1]["rows"] - blocks[-1]["kept"] == weekend_row
+    # a filter that drops no row hands its input block on, not a copy
+    assert [block["same"] for block in blocks] == [True] * (len(blocks) - 1) + [not weekend_row]
     assert alive == [False] * 2 * len(blocks)
     # no block of a run that writes no events back carries the write-back columns
     assert [block["write_back"] for block in blocks] == [{}] * len(blocks)
@@ -498,6 +500,13 @@ def test_unicode_line_separators_in_text_stay_inside_one_row(tmp_path):
     assert [e.text for e in events] == texts
     assert report.entries == []
     assert report.total_rows == physical_lines
+    # streamed to a sink, the blocks hold the same rows and the report is the same
+    blocks = []
+    assert parse_events_file(events_path, None, sink=blocks.append,
+                             write_back=True) == (None, report)
+    assert [e.text for block in blocks for e in block] == texts
+    with pytest.raises(ValueError, match="write_back"):
+        parse_events_file(events_path, None, write_back=True)
 
     zones_path = tmp_path / "zones.geojson"
     export_geojson(one_zone(), {}, zones_path)

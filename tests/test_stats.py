@@ -5,6 +5,7 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -14,6 +15,8 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 import citypulse
+from citypulse import activity
+from citypulse.activity import KEY_CHUNK
 from citypulse.errors import DataError, SingularityError
 from citypulse.stats import (DEFAULT_ALPHA, DEFAULT_NIGHT_BINS, _f_upper, _t_two_sided,
                              bivariate_slot_ols, census_correlation, fit_ols, infer_homes,
@@ -589,9 +592,13 @@ def test_infer_homes_per_user():
 @given(events=st.lists(st.tuples(st.sampled_from(["u1", "u2", "u3", "u4"]),
                                  st.sampled_from(["A", "B", "C", "D"]),
                                  st.sampled_from([0, 40, 87, 88, 90, 95])), max_size=40),
-       residential=st.one_of(st.none(), st.sets(st.sampled_from(["A", "B", "C", "D"]))))
-def test_infer_homes_matches_per_user_reference(events, residential):
-    homes = infer_homes(encode(events), residential_zones=residential)
+       residential=st.one_of(st.none(), st.sets(st.sampled_from(["A", "B", "C", "D"]))),
+       key_chunk=st.sampled_from([1, 2, 3, KEY_CHUNK]))
+def test_infer_homes_matches_per_user_reference(events, residential, key_chunk):
+    # the sorted key is read in parts of `key_chunk` entries: a (zone, user)
+    # run may span parts, and a user's tied pairs may lie in different parts
+    with mock.patch.object(activity, "KEY_CHUNK", key_chunk):
+        homes = infer_homes(encode(events), residential_zones=residential)
     expected = {}
     for user in sorted({u for u, _, _ in events}):
         home = infer_home([(z, b) for u, z, b in events if u == user],
@@ -635,8 +642,14 @@ def test_infer_homes_matches_dict_counts_with_ties(seed):
             events += [(user, zone, int(rng.integers(0, 80)))] * d
         events += [(user, zones[30 + u % 10], 90)] * (nights + 1)
     events = [events[i] for i in rng.permutation(len(events))]
-    homes = infer_homes(encode(events), residential_zones=residential)
-    assert list(homes.items()) == list(_homes_by_dict_count(events, residential).items())
+    expected = list(_homes_by_dict_count(events, residential).items())
+    encoded = encode(events)
+    # the sorted key read in parts of one entry, of a few and whole: with
+    # small parts a user's tied pairs lie in different parts
+    for key_chunk in (1, 3, KEY_CHUNK):
+        with mock.patch.object(activity, "KEY_CHUNK", key_chunk):
+            homes = infer_homes(encoded, residential_zones=residential)
+        assert list(homes.items()) == expected, key_chunk
     # the ties the ranking must break: one night count and one total count
     # in two zones, and one night count with different totals
     night = Counter((u, z) for u, z, b in events if b in DEFAULT_NIGHT_BINS and z in residential)

@@ -127,20 +127,24 @@ def test_streamed_events_match_the_whole_batch(tmp_path_factory, data, drawn, fm
         column = getattr(assigned, name)
         assert column.dtype == dtype and column.tolist() == getattr(expected, name).tolist(), name
 
-    # the counts off the streamed codes' one sorted key, against the dense
+    # the counts off the streamed codes' one sorted key, read in parts of a
+    # few entries so that runs of a pair span parts, against the dense
     # reference of the whole batch's codes
     slot_of = np.full(N_QUARTER_BINS, -1)
     for i, slot in enumerate(DEFAULT_SLOTS):
         slot_of[slot.bins] = i
-    quarter = quarter_matrix(activity.count_unique_users(assigned)).counts
-    assert quarter.tolist() == dedup_matrix(expected, expected.bins, N_QUARTER_BINS).tolist()
-    assert activity.aggregate_major_slots(assigned).counts.tolist() == dedup_matrix(
-        expected, slot_of[expected.bins], len(DEFAULT_SLOTS)).tolist()
-    assert activity.count_daily_unique(assigned).counts.tolist() == dedup_matrix(
-        expected, np.zeros_like(expected.bins), 1).tolist()
     residential = {"a", "d"}
-    assert stats.infer_homes(assigned, DEFAULT_NIGHT_BINS, residential) == (
-        homes_by_dict_count(expected, residential))
+    key_chunk = data.draw(st.sampled_from([1, 2, 3, activity.KEY_CHUNK]), label="key_chunk")
+    with mock.patch.object(activity, "KEY_CHUNK", key_chunk):
+        quarter = quarter_matrix(activity.count_unique_users(assigned)).counts
+        slots = activity.aggregate_major_slots(assigned).counts
+        days = activity.count_daily_unique(assigned).counts
+        homes = stats.infer_homes(assigned, DEFAULT_NIGHT_BINS, residential)
+    assert quarter.tolist() == dedup_matrix(expected, expected.bins, N_QUARTER_BINS).tolist()
+    assert slots.tolist() == dedup_matrix(
+        expected, slot_of[expected.bins], len(DEFAULT_SLOTS)).tolist()
+    assert days.tolist() == dedup_matrix(expected, np.zeros_like(expected.bins), 1).tolist()
+    assert homes == homes_by_dict_count(expected, residential)
 
 
 def test_a_run_imports_no_numpy_ma(tmp_path):
