@@ -11,7 +11,7 @@ from .activity import (ActivityMatrix, AssignedEvents, DEFAULT_SLOTS, MajorSlot,
                        landuse_profile, normalize_counts)
 from .config import PipelineConfig, load_config
 from .errors import CityPulseError, ConfigError, DataError, SingularityError
-from .ingest import EventBatch, GeoEvent, RejectionReport, filter_workdays, parse_events
+from .ingest import EventBatch, GeoEvent, RejectionReport, filter_workdays, read_event_blocks
 from .landuse import LandUseCategory, LandUseClass
 from .pipeline import export_geojson, run_pipeline
 from .spatial import CityCentre, ZoneIndex, ZoneTable, build_zone_index, load_zones_geojson

@@ -133,13 +133,14 @@ def apply_item(config: PipelineConfig, key: str, value: str) -> PipelineConfig:
 
 
 def load_config(path) -> PipelineConfig:
-    """Read a flat key=value config file (# comments, blank lines allowed)."""
+    """Read a flat key=value config file (# comments, blank lines allowed); a
+    line ends only at ``\\n``, ``\\r\\n`` or ``\\r``, never at U+2028 or U+0085."""
     config = PipelineConfig()
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    for n, raw in enumerate(text.splitlines(), start=1):
+    for n, raw in enumerate(text.split("\n"), start=1):  # read_text turned \r\n and \r into \n
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

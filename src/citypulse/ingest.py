@@ -5,10 +5,9 @@ CSV with a header (``user_id,timestamp,lon,lat`` plus the same optionals).
 Timestamps are RFC 3339 with an explicit UTC offset. Malformed rows are
 skipped and reported, never fatal; an unreadable file is fatal.
 
-Parsing yields :class:`EventBatch` values: parallel numpy columns (interned
-user codes, UTC epoch seconds, lon, lat), the whole file as one batch
-(:func:`parse_events`) or a block of rows at a time (:func:`read_event_blocks`),
-that every later stage works on whole.
+The one reader, :func:`read_event_blocks`, yields :class:`EventBatch` values a
+block of rows at a time: parallel numpy columns (interned user codes, UTC epoch
+seconds, lon, lat) that every later stage works on whole.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import math
 import os
 import re
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from itertools import chain, compress, islice, repeat
 from json.encoder import encode_basestring
@@ -147,7 +146,7 @@ class _BatchBuilder:
     are not kept.
     """
 
-    def __init__(self, write_back: bool = True):
+    def __init__(self, write_back: bool):
         self.write_back = write_back
         self._user_code: dict[str, int] = {}
         self.user_ids: list[str] = []
@@ -727,28 +726,37 @@ EVENT_BLOCK_ROWS = 1 << 14
 
 
 def read_event_blocks(path, fmt: str, report: RejectionReport, *,
-                      block_rows: float | None = None,
                       write_back: bool = True) -> Iterator[EventBatch]:
     """Parse an NDJSON or CSV events file a block at a time, skipping bad rows.
 
-    Yields a batch each time the rows gathered reach ``block_rows``
-    (:data:`EVENT_BLOCK_ROWS` when None; whole NDJSON chunks or CSV blocks
-    are gathered, so a block may hold a few hundred rows more), then the
-    rest: the last block goes on if it holds rows or is the only one, so a
-    ``block_rows`` of ``math.inf`` yields the file as one batch. The blocks
-    share one user-code table, so codes keep the order of first appearance
-    in the file, and every block's ``user_ids`` is the one list of the codes
-    given so far. Without ``write_back`` the blocks leave
+    ``path`` is a ``str`` or ``os.PathLike`` (anything else, bytes or a stream
+    too, is a TypeError); the file is decoded as it is read, never held whole.
+    Every row is checked field by field: the user id, the timestamp (its UTC
+    instant must lie in [0001-01-02, 9999-12-31)), lon, lat, then that
+    ``lang``, ``device`` and ``text`` are strings when present. A row holding
+    bytes that are not UTF-8 is rejected as ``invalid utf-8``. Accepted rows
+    keep input order. A UTF-8 byte-order mark that opens the file is skipped.
+    Rejections carry the physical line number. A line ends only at ``\\n``,
+    ``\\r\\n`` or ``\\r``, so U+2028, U+0085 and other Unicode line breaks
+    inside a JSON string stay in their row. A CSV row reports the line on
+    which it ends, and a framing fault, such as a quote left open or a cell
+    past csv's field size limit, refuses the whole file as ``malformed
+    csv``. One row engine checks both formats a block at a time (NDJSON
+    lines, CSV rows), with the results of a row-by-row parse.
+
+    A batch goes on each time the rows gathered reach :data:`EVENT_BLOCK_ROWS`
+    (whole NDJSON chunks or CSV blocks are gathered, so a block may hold a
+    few hundred rows more), then the rest if it holds rows or is the only
+    block. The blocks share one user-code table, so codes keep the order of
+    first appearance, and each block's ``user_ids`` is the one list of the
+    codes given so far. Without ``write_back`` the blocks leave
     :attr:`EventBatch.write_back` empty. ``report`` gathers the rejections
-    and row counts as the blocks go. The rules are those of
-    :func:`parse_events`.
+    and row counts as the blocks go.
     """
     if fmt not in ("ndjson", "csv"):
         raise ConfigError(f"unknown event format {fmt!r} (expected ndjson or csv)")
     if not isinstance(path, (str, os.PathLike)):
         raise TypeError(f"expected a str or os.PathLike path, not {type(path).__name__}")
-    if block_rows is None:
-        block_rows = EVENT_BLOCK_ROWS
     builder = _BatchBuilder(write_back)
     try:
         fh = open(path, "r", encoding="utf-8", errors="surrogateescape", newline="")
@@ -757,39 +765,13 @@ def read_event_blocks(path, fmt: str, report: RejectionReport, *,
     blocks = 0
     with fh:
         for _ in (_parse_ndjson if fmt == "ndjson" else _parse_csv)(fh, builder, report):
-            if len(builder) >= block_rows:
+            if len(builder) >= EVENT_BLOCK_ROWS:
                 blocks += 1
                 report.parsed += len(builder)
                 yield builder.finish()
     if len(builder) or not blocks:
         report.parsed += len(builder)
         yield builder.finish()
-
-
-def parse_events(path, fmt: str = "ndjson") -> tuple[EventBatch, RejectionReport]:
-    """Parse an NDJSON or CSV events file into one batch, skipping bad rows.
-
-    ``path`` is a ``str`` or ``os.PathLike`` (anything else, bytes or a stream
-    too, is a TypeError); the file is decoded as it is read, never held whole.
-    Every row is checked field by field: the user id, the timestamp (its UTC
-    instant must lie in [0001-01-02, 9999-12-31)), lon, lat, then that
-    ``lang``, ``device`` and ``text`` are strings when present. A row holding
-    bytes that are not UTF-8 is rejected as ``invalid utf-8``. Accepted rows
-    keep input order.
-    A UTF-8 byte-order mark that opens the file is skipped; line numbers stay
-    physical.
-    Rejections carry the physical line number. A line ends only at ``\\n``,
-    ``\\r\\n`` or ``\\r``, so U+2028, U+0085 and other Unicode line breaks
-    inside a JSON string stay in their row. A CSV row reports the line on
-    which it ends, and a framing fault, such as a quote left open or a cell
-    past csv's field size limit, refuses the whole file as ``malformed
-    csv``. Both formats are checked a block at a time (NDJSON lines, CSV
-    rows) by one row engine, with the results of a row-by-row parse; this is
-    :func:`read_event_blocks` with the file as one block.
-    """
-    report = RejectionReport()
-    (batch,) = read_event_blocks(path, fmt, report, block_rows=math.inf)
-    return replace(batch, user_ids=tuple(batch.user_ids)), report
 
 
 # The text json.dumps(row, ensure_ascii=False) gives one row: user, local time,

@@ -20,7 +20,7 @@ import tempfile
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -44,31 +44,6 @@ def _sha256(path: Path) -> str:
         while size := fh.readinto(block):
             digest.update(block[:size])
     return digest.hexdigest()
-
-
-def parse_events_file(path, fmt: str | None, *,
-                      sink: Callable[[ingest.EventBatch], None] | None = None,
-                      write_back: bool = False
-                      ) -> tuple[ingest.EventBatch | None, ingest.RejectionReport]:
-    """Parse an event file; ``fmt=None`` infers csv or ndjson from the suffix.
-
-    Without ``sink`` the file is parsed into one batch (:func:`ingest.parse_events`,
-    every column). With it, each block of :func:`ingest.read_event_blocks` goes
-    to ``sink`` as soon as it is parsed, carrying the write-back columns only
-    when ``write_back`` asks for them, and no batch is returned (None). The
-    report is complete either way.
-    """
-    if write_back and sink is None:
-        raise ValueError("write_back applies to the blocks given to a sink")
-    path = Path(path)
-    if fmt is None:
-        fmt = "csv" if path.suffix.lower() == ".csv" else "ndjson"
-    if sink is None:
-        return ingest.parse_events(path, fmt)
-    report = ingest.RejectionReport()
-    for block in ingest.read_event_blocks(path, fmt, report, write_back=write_back):
-        sink(block)
-    return None, report
 
 
 def assign_events(events: ingest.EventBatch, index: ZoneIndex, tz: str
@@ -118,26 +93,31 @@ class _Located:
         return activity.AssignedEvents(self.user_ids, self.zone_ids, users, zones, bins)
 
 
-def _events_stage(config: PipelineConfig, index: ZoneIndex, write_to: Path | None
-                  ) -> tuple[_Located, ingest.RejectionReport]:
-    """Parse, workday-filter and locate the events a block at a time.
+def parse_events_file(path, fmt: str | None, index: ZoneIndex, tz: str,
+                      write_to: Path | None = None) -> tuple[_Located, ingest.RejectionReport]:
+    """The events stage: parse, workday-filter and locate the events a block at a time.
 
-    Each parsed block goes through ``ingest.filter_workdays`` and
-    ``assign_events`` at once and only its codes are kept, so no batch of the
-    whole file exists. With ``write_to`` each workday block is also written
-    there (``events_clean.ndjson``); only then do the blocks carry the
-    write-back columns.
+    ``fmt=None`` infers csv or ndjson from the suffix. Each block of
+    :func:`ingest.read_event_blocks` goes through ``ingest.filter_workdays``
+    and :func:`assign_events` at once and only its codes are kept, so no
+    batch of the whole file exists. With ``write_to`` each workday block is
+    also written there (``events_clean.ndjson``); only then do the blocks
+    carry the write-back columns. The report is complete on return. It
+    keeps the name of the parse it grew from because ``perfbench/layers.py``
+    wraps it by that name as the parse layer, until the benchmark reads a
+    run profile instead (ROADMAP item H).
     """
+    path = Path(path)
+    if fmt is None:
+        fmt = "csv" if path.suffix.lower() == ".csv" else "ndjson"
     located = _Located(index.zone_ids)
+    report = ingest.RejectionReport()
     with (ingest.EventsWriter(write_to) if write_to else contextlib.nullcontext()) as writer:
-        def locate(block: ingest.EventBatch) -> None:
-            workdays = ingest.filter_workdays(block, config.timezone)
+        for block in ingest.read_event_blocks(path, fmt, report, write_back=writer is not None):
+            workdays = ingest.filter_workdays(block, tz)
             if writer is not None:
                 writer.write(workdays)
-            located.extend(len(workdays), *assign_events(workdays, index, config.timezone))
-
-        _, report = parse_events_file(config.events_path, config.events_format, sink=locate,
-                                      write_back=writer is not None)
+            located.extend(len(workdays), *assign_events(workdays, index, tz))
     return located, report
 
 
@@ -373,8 +353,9 @@ def run_pipeline(config: PipelineConfig, steps: Iterable[str] = ALL_STEPS) -> Ru
 
         # the events stream through the workday filter and the zone join; only
         # the ingest step writes the workday events back
-        located, report = _events_stage(
-            config, index, stage / "events_clean.ndjson" if steps == {"ingest"} else None)
+        located, report = parse_events_file(
+            config.events_path, config.events_format, index, config.timezone,
+            stage / "events_clean.ndjson" if steps == {"ingest"} else None)
         del index  # the index has no other user
         assigned = located.finish()
         report.write_csv(stage / "rejections.csv")

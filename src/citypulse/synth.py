@@ -429,13 +429,15 @@ def generate_events(city: SynthCity) -> tuple[EventBatch, SynthTruth]:
     return batch, truth
 
 
-def _expected_unique(mu_group: np.ndarray, rates: np.ndarray,
-                     chunk: int = 256) -> np.ndarray:
+UNIQUE_CHUNK = 256  # users of a home group evaluated at a time
+
+
+def _expected_unique(mu_group: np.ndarray, rates: np.ndarray) -> np.ndarray:
     """Sum over users of P(at least one event) per cell, for one home group."""
     flat = rates.reshape(-1)
     out = np.zeros_like(flat)
-    for lo in range(0, len(mu_group), chunk):
-        block = mu_group[lo:lo + chunk, None] * flat[None, :]
+    for lo in range(0, len(mu_group), UNIQUE_CHUNK):
+        block = mu_group[lo:lo + UNIQUE_CHUNK, None] * flat[None, :]
         out += (1.0 - np.exp(-block)).sum(axis=0)
     return out.reshape(rates.shape)
 

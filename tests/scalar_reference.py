@@ -4,11 +4,11 @@ Each function here does for one zone or one event what the package does on
 whole arrays: validate a zone, read one row of a zone table, locate a point
 in a polygon or a zone index, take a polygon's centroid and its distance to
 the centre, classify a zone, bin a timestamp, build a batch from checked event
-rows, encode located events, count distinct users into a dense matrix and
-spell out quarter-hour counts cell by cell. Nothing in the package calls
-them; the tests compare the array code against them. The last section fits
-the intercept-only model in closed form and reads single values off an OLS
-fit.
+rows, read an events file as one batch, encode located events, count
+distinct users into a dense matrix and spell out quarter-hour counts cell by
+cell. Nothing in the package calls them; the tests compare the array code
+against them. The last section fits the intercept-only model in closed form
+and reads single values off an OLS fit.
 """
 
 from __future__ import annotations
@@ -17,14 +17,16 @@ import math
 from dataclasses import replace
 from datetime import datetime
 from typing import Iterable, Sequence
+from unittest import mock
 from zoneinfo import ZoneInfo
 
 import numpy as np
 
+from citypulse import ingest
 from citypulse.activity import (N_QUARTER_BINS, QUARTER_LABELS, ActivityMatrix, AssignedEvents,
                                 QuarterCounts)
 from citypulse.errors import CityPulseError, DataError
-from citypulse.ingest import EventBatch, GeoEvent, _BatchBuilder, get_timezone
+from citypulse.ingest import EventBatch, GeoEvent, RejectionReport, _BatchBuilder, get_timezone
 from citypulse.landuse import (ACTIVITY_CATEGORIES, CATEGORIES, MIXED, PREDOMINANCE_THRESHOLD,
                                RESIDENTIAL, LandUseClass)
 from citypulse.spatial import CityCentre, Ring, Zone, ZoneIndex, ZoneTable, haversine_m
@@ -190,7 +192,7 @@ def checked_rows_batch(rows: Iterable[tuple]) -> EventBatch:
     Each row is ``(user_id, (epoch, micro, offset_us), lon, lat, lang,
     device, text)``; the rows go into the builder as one block.
     """
-    builder = _BatchBuilder()
+    builder = _BatchBuilder(True)
     rows = list(rows)
     if rows:
         users, instants, lon, lat, *optional = (list(column) for column in zip(*rows))
@@ -199,6 +201,15 @@ def checked_rows_batch(rows: Iterable[tuple]) -> EventBatch:
                        np.array(lat, dtype=np.float64), optional)
     batch = builder.finish()
     return replace(batch, user_ids=tuple(batch.user_ids))
+
+
+def whole_file(path, fmt: str) -> tuple[EventBatch, RejectionReport]:
+    """An events file as one batch and its report: :func:`citypulse.ingest.read_event_blocks`
+    with a block as large as the file. The batch's ``user_ids`` is a tuple."""
+    report = RejectionReport()
+    with mock.patch.object(ingest, "EVENT_BLOCK_ROWS", math.inf):
+        (batch,) = ingest.read_event_blocks(path, fmt, report)
+    return replace(batch, user_ids=tuple(batch.user_ids)), report
 
 
 def events_batch(events: Iterable[GeoEvent]) -> EventBatch:

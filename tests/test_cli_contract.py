@@ -68,6 +68,15 @@ def test_synth_writes_the_same_inputs_twice(city, tmp_path):
         assert (tmp_path / name).read_bytes() == (city / name).read_bytes(), name
 
 
+def test_city_under_unicode_line_breaks_runs_from_its_own_config(city, tmp_path):
+    # the config's lines end only at \n: str.splitlines would also break its
+    # paths at the U+2028 and U+0085 of the directory's name
+    out = tmp_path / "a\u2028b\u0085c d"
+    assert cli.main(["synth", "--out", str(out), *SYNTH]) == 0
+    assert cli.main(["run", "--config", str(out / "pipeline.config")]) == 0
+    assert_run_bytes(city, out / "run")
+
+
 def test_profiles_writes_the_bytes_of_the_run(city, tmp_path):
     assert run(city, "profiles", tmp_path / "profiles") == 0
     assert (tmp_path / "profiles" / "profiles.csv").is_file()

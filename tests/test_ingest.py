@@ -17,10 +17,10 @@ from hypothesis import strategies as st
 from citypulse import ingest
 from citypulse.errors import ConfigError, DataError
 from citypulse.ingest import (GeoEvent, RejectionReport, filter_workdays, get_timezone,
-                              local_seconds, parse_events, quarter_bins, write_events_ndjson)
+                              local_seconds, quarter_bins, write_events_ndjson)
 from citypulse.synth import SynthConfig, generate_city, generate_events
 
-from scalar_reference import checked_rows_batch, events_batch, quarter_bin
+from scalar_reference import checked_rows_batch, events_batch, quarter_bin, whole_file
 from timestamp_reference import (FRACTION_CASES, TIMESTAMP_CASES, instant_or_reason,
                                  parse_timestamp)
 
@@ -37,7 +37,7 @@ def _parse(data, fmt="ndjson"):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp, "events")
         path.write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))
-        return parse_events(path, fmt)
+        return whole_file(path, fmt)
 
 
 def test_parse_ndjson_row_maps_fields():
@@ -136,7 +136,7 @@ events_strategy = st.lists(
 def test_ndjson_round_trip_identity(tmp_path_factory, events):
     path = tmp_path_factory.mktemp("rt") / "events.ndjson"
     write_events_ndjson(events_batch(events), path)
-    parsed, report = parse_events(path, "ndjson")
+    parsed, report = whole_file(path, "ndjson")
     assert report.rejected == 0
     assert list(parsed) == events
     # the clean-events writer prints every timestamp back as it was read
@@ -737,7 +737,7 @@ def test_clean_blocks_skip_the_per_row_checks(tmp_path, fmt, line_end):
         assert _columns(_parse_csv_per_row(path.read_bytes())[0]) == _columns(expected)
     with mock.patch.multiple(ingest, _check_row=_per_row_step, _rfc3339_instants=_per_row_step,
                              _load_row=_per_row_step, _float_or_nan=_per_row_step):
-        batch, report = parse_events(path, fmt)
+        batch, report = whole_file(path, fmt)
     assert report.entries == expected_report.entries == []
     assert report.total_rows == len(batch) == len(events)
     assert _columns(batch) == _columns(expected)
@@ -940,12 +940,12 @@ def test_bulk_timestamps_in_one_call():
 def test_only_a_path_is_read(source):
     # bytes are not taken for a file name, nor a stream read
     with pytest.raises(TypeError, match=r"expected a str or os\.PathLike path, not "):
-        parse_events(source, "ndjson")
+        whole_file(source, "ndjson")
 
 
 def test_missing_file_is_a_data_error(tmp_path):
     with pytest.raises(DataError, match="cannot read events file"):
-        parse_events(tmp_path / "missing.ndjson", "ndjson")
+        whole_file(tmp_path / "missing.ndjson", "ndjson")
 
 
 # Per format, a header (CSV) and rows a-d: a text holding U+2028, which ends
@@ -1000,7 +1000,7 @@ def test_leading_byte_order_mark_is_skipped(fmt, tmp_path):
     path = tmp_path / "events"
     path.write_bytes(b"\xef\xbb\xbf" + data)
     for source in (path, str(path)):
-        other, other_report = parse_events(source, fmt)
+        other, other_report = whole_file(source, fmt)
         assert _columns(other) == _columns(batch)
         assert (other_report.entries, other_report.total_rows) == (
             report.entries, report.total_rows)
@@ -1020,7 +1020,7 @@ def test_events_file_is_not_held_whole(line_end, tmp_path):
     path.write_bytes(data)
     tracemalloc.start()
     try:
-        batch, _ = parse_events(path, "ndjson")
+        batch, _ = whole_file(path, "ndjson")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1060,7 +1060,7 @@ def test_parse_memory_grows_by_bytes_per_row(tmp_path, fmt):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        batch, report = parse_events(path, fmt)
+        batch, report = whole_file(path, fmt)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

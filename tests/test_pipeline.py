@@ -15,11 +15,11 @@ from citypulse.config import (PipelineConfig, load_config, parse_slots,
 from citypulse.activity import DEFAULT_SLOTS
 from citypulse.errors import ConfigError, DataError
 from citypulse.pipeline import export_geojson, parse_events_file, run_pipeline
-from citypulse.spatial import Zone, ZoneTable, load_zones_geojson
+from citypulse.spatial import Zone, ZoneTable, build_zone_index, load_zones_geojson
 from citypulse.stats import bivariate_slot_ols
 from citypulse.synth import SynthConfig, generate_city, generate_events
 
-from scalar_reference import zone_rows
+from scalar_reference import whole_file, zone_rows
 
 SQUARE = (((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.0, 0.0)),)
 
@@ -224,15 +224,15 @@ def test_events_stream_through_the_join_a_block_at_a_time(small_city, tmp_path, 
                                 b'"t": "2013-03-09T10:00:00+01:00", "lon": 0, "lat": 0}\n')
     blocks, order = [], []
     filter_workdays, assign_events = ingest.filter_workdays, pipeline.assign_events
-    load_zones, parse_events = spatial.load_zones_geojson, pipeline.parse_events_file
+    load_zones, events_stage = spatial.load_zones_geojson, pipeline.parse_events_file
 
     def traced_load(path):
         order.append("zones")
         return load_zones(path)
 
-    def traced_parse(path, fmt, **kwargs):
+    def traced_parse(*args):
         order.append("parse")
-        result = parse_events(path, fmt, **kwargs)
+        result = events_stage(*args)
         order.append("parsed")
         return result
 
@@ -380,7 +380,7 @@ def test_missing_inputs_fail_before_writing(tmp_path):
 def test_regress_without_centre_fails_before_parsing(small_city, tmp_path, monkeypatch):
     import dataclasses
 
-    def parse_events_file(path, fmt):
+    def parse_events_file(*args):
         raise AssertionError("events parsed before the centre check")
 
     monkeypatch.setattr(pipeline, "parse_events_file", parse_events_file)
@@ -496,17 +496,18 @@ def test_unicode_line_separators_in_text_stay_inside_one_row(tmp_path):
     physical_lines = events_path.read_bytes().count(b"\n")
     assert physical_lines == 4
 
-    events, report = parse_events_file(events_path, "ndjson")
+    events, report = whole_file(events_path, "ndjson")
     assert [e.text for e in events] == texts
     assert report.entries == []
     assert report.total_rows == physical_lines
-    # streamed to a sink, the blocks hold the same rows and the report is the same
-    blocks = []
-    assert parse_events_file(events_path, None, sink=blocks.append,
-                             write_back=True) == (None, report)
-    assert [e.text for block in blocks for e in block] == texts
-    with pytest.raises(ValueError, match="write_back"):
-        parse_events_file(events_path, None, write_back=True)
+    # the events stage, its format read off the suffix, gives the same report
+    # and writes the same rows back
+    clean = tmp_path / "clean.ndjson"
+    located, streamed = parse_events_file(events_path, None, build_zone_index(one_zone()),
+                                          "UTC", clean)
+    assert (streamed.entries, streamed.total_rows) == (report.entries, report.total_rows)
+    assert located.workdays == 4
+    assert [e.text for e in whole_file(clean, "ndjson")[0]] == texts
 
     zones_path = tmp_path / "zones.geojson"
     export_geojson(one_zone(), {}, zones_path)
@@ -687,7 +688,7 @@ def test_cli_synth_class_mix_and_census_round_trip(tmp_path):
     ("z0000,", "''"), ("z0000", "missing")])
 def test_cli_bad_census_population_exits_2_before_parsing(small_city, tmp_path, monkeypatch,
                                                           capsys, row, shown):
-    def parse_events_file(path, fmt):
+    def parse_events_file(*args):
         raise AssertionError("events parsed before the census was read")
 
     monkeypatch.setattr(pipeline, "parse_events_file", parse_events_file)
@@ -850,7 +851,7 @@ def test_failed_rename_leaves_the_old_outputs_whole(small_city, tmp_path, monkey
 ])
 def test_foreign_output_dir_is_refused_before_the_parse(small_city, tmp_path, monkeypatch,
                                                         capsys, content):
-    def parse_events_file(path, fmt):
+    def parse_events_file(*args):
         raise AssertionError("events parsed before the output directory was checked")
 
     monkeypatch.setattr(pipeline, "parse_events_file", parse_events_file)

@@ -1,8 +1,8 @@
 """A run streams its events: blocks of parsed rows go through the workday
 filter and the zone join at once, and only their codes are kept.
 
-The whole-file batch (``ingest.parse_events``, then one workday filter and
-one zone join) is the reference: the streamed codes, the counts read off
+The whole-file batch (``scalar_reference.whole_file``, then one workday
+filter and one zone join) is the reference: the streamed codes, the counts read off
 their one sorted key and the homes must equal what it gives, whatever the
 block size.
 """
@@ -28,7 +28,7 @@ from citypulse.spatial import Zone, ZoneTable, build_zone_index
 from citypulse.stats import DEFAULT_NIGHT_BINS
 from citypulse.synth import SynthConfig, city_geojson, generate_city, generate_events
 
-from scalar_reference import dedup_matrix, quarter_matrix
+from scalar_reference import dedup_matrix, quarter_matrix, whole_file
 
 REPO = Path(__file__).resolve().parents[1]
 TZ = "Europe/Madrid"
@@ -78,7 +78,7 @@ def write_events(path: Path, fmt: str, drawn: list[dict]) -> None:
 
 def whole_batch(path: Path, fmt: str):
     """The reference: the file parsed as one batch, then one workday filter and one zone join."""
-    batch, report = ingest.parse_events(path, fmt)
+    batch, report = whole_file(path, fmt)
     workdays = ingest.filter_workdays(batch, TZ)
     assigned, unassigned, _ = pipeline.assign_events(workdays, INDEX, TZ)
     return assigned, report, len(workdays), unassigned
@@ -110,12 +110,10 @@ def test_streamed_events_match_the_whole_batch(tmp_path_factory, data, drawn, fm
     # the blocks end where the block size asks
     block_rows = data.draw(st.sampled_from([1, 2, max(parsed - 1, 1), max(parsed, 1), parsed + 1])
                            | st.integers(1, max(parsed, 1)), label="block_rows")
-    config = PipelineConfig(events_path=path, zones_path=path, output_dir=path.parent / "out",
-                            timezone=TZ, events_format=fmt)
     with mock.patch.object(ingest, "EVENT_BLOCK_ROWS", block_rows), \
             mock.patch.object(ingest, "_BLOCK_CHARS", 64), \
             mock.patch.object(ingest, "_CSV_BLOCK_ROWS", 2):
-        located, report = pipeline._events_stage(config, INDEX, None)
+        located, report = pipeline.parse_events_file(path, fmt, INDEX, TZ)
     assigned = located.finish()
 
     assert (report.entries, report.total_rows, report.parsed) == (

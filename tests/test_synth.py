@@ -6,7 +6,7 @@ import pytest
 from citypulse import synth
 from citypulse.activity import aggregate_major_slots, count_unique_users
 from citypulse.errors import ConfigError
-from citypulse.ingest import filter_workdays, get_timezone, parse_events, write_events_ndjson
+from citypulse.ingest import filter_workdays, get_timezone, write_events_ndjson
 from citypulse.landuse import CLASSES, LandUseClass, classify_zones
 from citypulse.spatial import ZoneTable, build_zone_index
 from citypulse.stats import infer_homes
@@ -14,7 +14,7 @@ from citypulse.synth import (SynthConfig, allocate_counts, city_geojson, generat
                              generate_events, slot_weights_to_intensity)
 
 from scalar_reference import (classify_zone, encode, events_batch, locate, point_in_rings,
-                              quarter_bin, zone_rows)
+                              quarter_bin, whole_file, zone_rows)
 from synth_reference import zone_classes
 
 
@@ -121,7 +121,7 @@ def test_generated_events_round_trip_with_zero_rejections(tmp_path):
     events, _ = generate_events(city)
     path = tmp_path / "events.ndjson"
     write_events_ndjson(events, path)
-    parsed, report = parse_events(path, "ndjson")
+    parsed, report = whole_file(path, "ndjson")
     assert report.rejected == 0
     assert list(parsed) == list(events)
 

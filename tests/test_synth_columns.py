@@ -16,9 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import synth_reference as reference
+from scalar_reference import whole_file
 from citypulse import tables
 from citypulse.errors import ConfigError
-from citypulse.ingest import EventBatch, parse_events, write_events_ndjson
+from citypulse.ingest import EventBatch, write_events_ndjson
 from citypulse.synth import SynthConfig, generate_city, generate_events
 
 MIX = {"residential": 0.40, "mixed": 0.25, "activity:education": 0.15,
@@ -81,7 +82,7 @@ def test_batch_equals_the_parse_of_its_file(tmp_path):
     city = generate_city(SynthConfig(**CONFIGS["dst overlap"]))
     batch, _ = generate_events(city)
     write_events_ndjson(batch, tmp_path / "events.ndjson")
-    parsed, report = parse_events(tmp_path / "events.ndjson", "ndjson")
+    parsed, report = whole_file(tmp_path / "events.ndjson", "ndjson")
     assert report.rejected == 0
     assert parsed.user_ids == batch.user_ids
     for name in ("users", "epoch", "micro", "offset_us", "lon", "lat"):
