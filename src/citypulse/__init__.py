@@ -12,7 +12,7 @@ from .activity import (ActivityMatrix, AssignedEvents, DEFAULT_SLOTS, MajorSlot,
 from .config import PipelineConfig, load_config
 from .errors import CityPulseError, ConfigError, DataError, SingularityError
 from .ingest import EventBatch, GeoEvent, RejectionReport, filter_workdays, read_event_blocks
-from .landuse import LandUseCategory, LandUseClass
+from .landuse import LandUseCategory
 from .pipeline import export_geojson, run_pipeline
 from .spatial import CityCentre, ZoneIndex, ZoneTable, build_zone_index, load_zones_geojson
 from .stats import (OlsFit, SlotDistribution, bivariate_slot_ols, census_correlation, fit_ols,

@@ -87,6 +87,14 @@ def _parse_class_mix(text: str) -> dict[str, float]:
 
 
 def _cmd_synth(args) -> int:
+    out = Path(args.out)
+    # pipeline.config is UTF-8 without quoting: a line ends at \n or \r, and a
+    # value is stripped. A name from non-UTF-8 bytes holds surrogates.
+    text = str(out)
+    if ("\n" in text or "\r" in text or text != text.lstrip()
+            or text.encode("utf-8", "replace").decode("utf-8") != text):
+        raise ConfigError(f"--out {text!r} would not read back from pipeline.config, whose "
+                          "paths are UTF-8 and cannot begin with whitespace or hold a line end")
     # only the flags given reach SynthConfig, which holds every default
     settings = {f.name: getattr(args, f.name) for f in dataclasses.fields(synth.SynthConfig)
                 if hasattr(args, f.name)}
@@ -96,7 +104,6 @@ def _cmd_synth(args) -> int:
     city = synth.generate_city(config)
     events, truth = synth.generate_events(city)
 
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     zones_path = out / "zones.geojson"
     zones_path.write_text(json.dumps(synth.city_geojson(city), ensure_ascii=False),

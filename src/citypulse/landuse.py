@@ -7,7 +7,6 @@ non-residential (carrying the dominant activity category), and mixed otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable
 
@@ -48,48 +47,14 @@ ACTIVITY_CATEGORIES: tuple[LandUseCategory, ...] = tuple(
 )
 
 
-@dataclass(frozen=True, order=True)
-class LandUseClass:
-    """Predominant class of a zone: residential, mixed, or activity with a subcategory."""
-
-    kind: str  # "residential" | "mixed" | "activity"
-    sub: LandUseCategory | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("residential", "mixed", "activity"):
-            raise ValueError(f"unknown land-use class kind {self.kind!r}")
-        if self.kind == "activity":
-            if self.sub is None or self.sub is LandUseCategory.RESIDENTIAL:
-                raise ValueError("activity class requires a non-residential subcategory")
-        elif self.sub is not None:
-            raise ValueError(f"{self.kind} class carries no subcategory")
-
-    @property
-    def key(self) -> str:
-        """Stable string form used in CSV exports, e.g. ``activity:retail``."""
-        if self.kind == "activity":
-            return f"activity:{self.sub.value}"
-        return self.kind
-
-    @classmethod
-    def from_key(cls, key: str) -> "LandUseClass":
-        if key.startswith("activity:"):
-            return cls("activity", LandUseCategory(key.split(":", 1)[1]))
-        return cls(key)
-
-
-RESIDENTIAL = LandUseClass("residential")
-MIXED = LandUseClass("mixed")
-
-
-# Every class a zone can get, in class-code order: residential, mixed, then
-# activity by category
-CLASSES: tuple[LandUseClass, ...] = (
-    RESIDENTIAL, MIXED, *(LandUseClass("activity", c) for c in ACTIVITY_CATEGORIES))
+# Every class a zone can get, indexed by class code: residential, mixed, then
+# ``activity:<category>`` by category. Code -1 is an unclassified zone.
+CLASSES: tuple[str, ...] = (
+    "residential", "mixed", *(f"activity:{c.value}" for c in ACTIVITY_CATEGORIES))
 _ACTIVITY_COLUMNS = [CATEGORIES.index(c) for c in ACTIVITY_CATEGORIES]
 
 # Profile and density labels in output order: the three kinds, then each activity class
-LABELS: tuple[str, ...] = ("residential", "mixed", "activity", *(c.key for c in CLASSES[2:]))
+LABELS: tuple[str, ...] = (*CLASSES[:2], "activity", *CLASSES[2:])
 
 
 def classify_zones(table: "ZoneTable", threshold: float = PREDOMINANCE_THRESHOLD) -> np.ndarray:
@@ -125,6 +90,11 @@ def class_groups(codes: np.ndarray) -> list[tuple[str, np.ndarray]]:
     groups = [(label, np.flatnonzero(kinds == k)) for k, label in enumerate(LABELS[:3])]
     groups += [(label, np.flatnonzero(codes == k)) for k, label in enumerate(LABELS[3:], 2)]
     return [(label, rows) for label, rows in groups if len(rows)]
+
+
+def home_zones(codes: np.ndarray) -> np.ndarray:
+    """Rows, ascending, of the zones whose class can hold a home: residential or mixed."""
+    return np.flatnonzero((codes == 0) | (codes == 1))
 
 
 def class_sums(codes: np.ndarray, values: np.ndarray | Iterable[np.ndarray]) -> dict:
@@ -166,8 +136,9 @@ def write_classification_csv(path, table: "ZoneTable", codes: np.ndarray) -> Non
     with np.errstate(divide="ignore", invalid="ignore"):
         fractions = (table.built_residential_m2 / table.built_total_m2).tolist()
     codes = codes.tolist()
-    kinds = [CLASSES[c].kind if c >= 0 else "" for c in codes]
-    subs = [CLASSES[c].sub.value if c >= 2 else "" for c in codes]
+    # class and subcategory per code, split once; code -1 takes the blank last entry
+    parts = [key.partition(":") for key in CLASSES] + [("", "", "")]
     fractions = ["%.6g" % f if c >= 0 else "" for c, f in zip(codes, fractions)]
     write_csv(path, ["zone_id", "class", "subcategory", "residential_fraction"],
-              [table.zone_ids, kinds, subs, fractions])
+              [table.zone_ids, [parts[c][0] for c in codes], [parts[c][2] for c in codes],
+               fractions])

@@ -434,17 +434,16 @@ def run_pipeline(config: PipelineConfig, steps: Iterable[str] = ALL_STEPS) -> Ru
                        np.array(list(densities.values()))])
 
         if "regress" in steps:
-            # residential and mixed zones, codes 0 and 1. Homes are the last
-            # count of the codes' one sorted key: the codes and the key go
-            # before the fits' workspace comes.
-            eligible = {z for z, c in zip(zone_ids, codes.tolist()) if c in (0, 1)}
+            # Homes are the last count of the codes' one sorted key: the codes
+            # and the key go before the fits' workspace comes.
+            eligible = {zone_ids[i] for i in landuse.home_zones(codes).tolist()}
             homes = stats.infer_homes(assigned, config.night_bins, eligible)
             del assigned
             baseline = "night" if "night" in slot_names else slot_names[-1]
             residual_header = ["zone_id", "residual", "std_residual"]
             base_col = slot_names.index(baseline)
             geo_columns: dict[str, object] = {"landuse_class": [
-                landuse.CLASSES[c].key if c >= 0 else None for c in codes.tolist()]}
+                landuse.CLASSES[c] if c >= 0 else None for c in codes.tolist()]}
             for j, name in enumerate(slot_names):
                 geo_columns[f"normalized_{name}"] = normalized_slots.values[:, j]
             # r² of slot j (row) on slot i (column) is their squared correlation;

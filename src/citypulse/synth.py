@@ -24,7 +24,7 @@ import numpy as np
 from .activity import DEFAULT_SLOTS, MajorSlot, N_QUARTER_BINS, validate_slots
 from .errors import ConfigError
 from .ingest import EventBatch, WORKDAY_WEEKDAYS, get_timezone, wall_offsets
-from .landuse import CLASSES, LandUseCategory, LandUseClass, class_groups, classify_zones
+from .landuse import CLASSES, LandUseCategory, class_groups, classify_zones, home_zones
 from .spatial import CityCentre, Zone, ZoneTable, distances_to_centre
 
 logger = logging.getLogger(__name__)
@@ -116,10 +116,8 @@ class SynthConfig:
             raise ConfigError("centre_decay_per_km must be a finite number >= 0")
         get_timezone(self.timezone)
         for key, fraction in self.class_mix.items():
-            try:
-                LandUseClass.from_key(key)
-            except ValueError as exc:
-                raise ConfigError(f"unknown class mix key {key!r}") from exc
+            if key not in CLASSES:
+                raise ConfigError(f"unknown class mix key {key!r}")
             if not 0.0 <= fraction < math.inf:
                 raise ConfigError(f"class mix fraction for {key!r} must be a finite number >= 0")
         total = sum(self.class_mix.values())
@@ -148,7 +146,7 @@ class SynthConfig:
         activity share, so small classes still receive enough events to measure."""
         kinds: dict[str, list[str]] = {}
         for key in self.class_mix:
-            kinds.setdefault(LandUseClass.from_key(key).kind, []).append(key)
+            kinds.setdefault(key.partition(":")[0], []).append(key)
         return {key: (1.0 / len(kinds)) / len(keys) for keys in kinds.values() for key in keys}
 
 
@@ -197,24 +195,25 @@ def allocate_counts(fractions: Mapping[str, float], n: int) -> dict[str, int]:
     return counts
 
 
-def _zone_composition(rng: np.random.Generator, cls: LandUseClass,
+def _zone_composition(rng: np.random.Generator, key: str,
                       total_m2: float) -> dict[LandUseCategory, float]:
-    """Land-use m2 split that classifies exactly as ``cls``.
+    """Land-use m2 split that classifies exactly as the class ``key``.
 
     Residential zones: 78-95% residential, remainder 'other'. Mixed zones:
     42-58% residential, remainder 'other'. Activity zones: 10-28% residential
     and the whole rest in the subcategory, so each category's surface is
     cleanly attributable to one diurnal shape.
     """
-    if cls.kind == "residential":
+    kind, _, sub = key.partition(":")
+    if kind == "residential":
         res = rng.uniform(0.78, 0.95)
         split = {LandUseCategory.RESIDENTIAL: res, LandUseCategory.OTHER: 1.0 - res}
-    elif cls.kind == "mixed":
+    elif kind == "mixed":
         res = rng.uniform(0.42, 0.58)
         split = {LandUseCategory.RESIDENTIAL: res, LandUseCategory.OTHER: 1.0 - res}
     else:
         res = rng.uniform(0.10, 0.28)
-        split = {LandUseCategory.RESIDENTIAL: res, cls.sub: 1.0 - res}
+        split = {LandUseCategory.RESIDENTIAL: res, LandUseCategory(sub): 1.0 - res}
     return {cat: share * total_m2 for cat, share in split.items()}
 
 
@@ -227,13 +226,9 @@ def generate_city(config: SynthConfig) -> SynthCity:
     rows = int(math.ceil(n / cols))
 
     counts = allocate_counts(config.class_mix, n)
-    assignment: list[LandUseClass] = []
-    for key in config.class_mix:
-        assignment.extend([LandUseClass.from_key(key)] * counts[key])
-    order = rng.permutation(n)
-    class_of = [None] * n
-    for slot_i, zone_i in enumerate(order):
-        class_of[zone_i] = assignment[slot_i]
+    codes = np.empty(n, dtype=np.int64)
+    codes[rng.permutation(n)] = np.repeat([CLASSES.index(key) for key in counts],
+                                          list(counts.values()))
 
     d = config.cell_deg
     lat_mid = config.origin_lat + rows * d / 2.0
@@ -250,7 +245,7 @@ def generate_city(config: SynthConfig) -> SynthCity:
         ring = ((xs[c], ys[r]), (xs[c + 1], ys[r]), (xs[c + 1], ys[r + 1]),
                 (xs[c], ys[r + 1]), (xs[c], ys[r]))
         total_m2 = BUILT_TOTAL_BASE_M2 * rng.lognormal(0.0, 0.35)
-        landuse = _zone_composition(rng, class_of[i], total_m2)
+        landuse = _zone_composition(rng, CLASSES[codes[i]], total_m2)
         zones.append(Zone(
             zone_id=f"z{i:04d}",
             rings=(ring,),
@@ -264,7 +259,6 @@ def generate_city(config: SynthConfig) -> SynthCity:
                         config.origin_lat + rows * d / 2.0)
     logger.info("generated %d zones (%dx%d grid): %s", n, rows, cols,
                 ", ".join(f"{k}={v}" for k, v in counts.items()))
-    codes = np.array([CLASSES.index(cls) for cls in class_of], dtype=np.int64)
     return SynthCity(zones, codes, centre, config)
 
 
@@ -300,7 +294,7 @@ def _placement(city: SynthCity, table: ZoneTable, rows: np.ndarray
 
     q = np.zeros((n_zones, N_QUARTER_BINS))
     for key, target in targets.items():
-        members = np.flatnonzero(city.codes == CLASSES.index(LandUseClass.from_key(key)))
+        members = np.flatnonzero(city.codes == CLASSES.index(key))
         if not len(members):
             continue
         class_weight = weight[members]
@@ -340,7 +334,7 @@ def _user_rates(config: SynthConfig, rng: np.random.Generator) -> np.ndarray:
 
 def _home_zones(city: SynthCity, pull: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """A home zone per user, drawn among residential and mixed zones by ``pull``."""
-    eligible = np.flatnonzero(city.codes < 2)  # CLASSES starts residential, mixed
+    eligible = home_zones(city.codes)
     if not len(eligible):
         raise ConfigError("class mix has no residential or mixed zones to home users in")
     probs = pull[eligible] / pull[eligible].sum()

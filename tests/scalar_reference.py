@@ -27,8 +27,7 @@ from citypulse.activity import (N_QUARTER_BINS, QUARTER_LABELS, ActivityMatrix, 
                                 QuarterCounts)
 from citypulse.errors import CityPulseError, DataError
 from citypulse.ingest import EventBatch, GeoEvent, RejectionReport, _BatchBuilder, get_timezone
-from citypulse.landuse import (ACTIVITY_CATEGORIES, CATEGORIES, MIXED, PREDOMINANCE_THRESHOLD,
-                               RESIDENTIAL, LandUseClass)
+from citypulse.landuse import ACTIVITY_CATEGORIES, CATEGORIES, PREDOMINANCE_THRESHOLD
 from citypulse.spatial import CityCentre, Ring, Zone, ZoneIndex, ZoneTable, haversine_m
 from citypulse.stats import OlsFit, _t_two_sided
 
@@ -154,8 +153,8 @@ def residential_fraction(zone: Zone) -> float:
     return zone.built_residential_m2 / zone.built_total_m2
 
 
-def classify_zone(zone: Zone, threshold: float = PREDOMINANCE_THRESHOLD) -> LandUseClass:
-    """Classify a zone by its residential share of built surface.
+def classify_zone(zone: Zone, threshold: float = PREDOMINANCE_THRESHOLD) -> str:
+    """A zone's class key, by its residential share of built surface.
 
     Strictly above ``threshold`` is residential; strictly below ``1 - threshold``
     (non-residential predominant) is activity, labelled with the largest
@@ -164,7 +163,7 @@ def classify_zone(zone: Zone, threshold: float = PREDOMINANCE_THRESHOLD) -> Land
     """
     fraction = residential_fraction(zone)
     if fraction > threshold:
-        return RESIDENTIAL
+        return "residential"
     if fraction < 1.0 - threshold:
         best = None
         best_area = -1.0
@@ -172,8 +171,8 @@ def classify_zone(zone: Zone, threshold: float = PREDOMINANCE_THRESHOLD) -> Land
             area = float(zone.landuse_m2.get(cat, 0.0))
             if area > best_area:
                 best, best_area = cat, area
-        return LandUseClass("activity", best)
-    return MIXED
+        return f"activity:{best.value}"
+    return "mixed"
 
 
 # --- events ---------------------------------------------------------------------

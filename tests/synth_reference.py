@@ -20,13 +20,13 @@ import numpy as np
 from citypulse.activity import N_QUARTER_BINS
 from citypulse.errors import ConfigError
 from citypulse.ingest import OPTIONAL_FIELDS, GeoEvent
-from citypulse.landuse import CLASSES, LandUseClass, class_groups
+from citypulse.landuse import CLASSES, class_groups
 from citypulse.synth import SynthCity, SynthTruth, _user_rates, _workdays
 from scalar_reference import distance_to_centre
 
 
-def zone_classes(city: SynthCity) -> dict[str, LandUseClass]:
-    """Each generated zone's planned class, by zone_id."""
+def zone_classes(city: SynthCity) -> dict[str, str]:
+    """Each generated zone's planned class key, by zone_id."""
     return {z.zone_id: CLASSES[c] for z, c in zip(city.zones, city.codes.tolist())}
 
 
@@ -45,8 +45,7 @@ def placement(city: SynthCity):
     q = np.zeros((n_zones, N_QUARTER_BINS))
     classes = zone_classes(city)
     for key, target in config.mass_targets().items():
-        cls = LandUseClass.from_key(key)
-        members = [i for i, z in enumerate(city.zones) if classes[z.zone_id] == cls]
+        members = [i for i, z in enumerate(city.zones) if classes[z.zone_id] == key]
         if not members:
             continue
         class_weight = weight[members]
@@ -64,7 +63,7 @@ def placement(city: SynthCity):
 def home_zones(city: SynthCity, rng: np.random.Generator) -> np.ndarray:
     classes = zone_classes(city)
     eligible = [i for i, z in enumerate(city.zones)
-                if classes[z.zone_id].kind in ("residential", "mixed")]
+                if classes[z.zone_id] in ("residential", "mixed")]
     pull = np.array([city.zones[i].built_residential_m2 for i in eligible])
     picks = rng.choice(len(eligible), size=city.config.n_users, p=pull / pull.sum())
     return np.array([eligible[i] for i in picks])
@@ -164,7 +163,7 @@ def expected_truth(city: SynthCity, q0, p0_bin, night_mask, homes, mu) -> SynthT
     normalized_slots = expected_slots / np.where(slot_sums > 0, slot_sums, 1.0) * 100_000.0
 
     profiles, slot_class_totals = {}, {}
-    code_of = {cls: k for k, cls in enumerate(CLASSES)}
+    code_of = {key: k for k, key in enumerate(CLASSES)}
     classes = zone_classes(city)
     codes = np.array([code_of[classes[z]] for z in city.zone_ids], dtype=np.int64)
     for label, rows in class_groups(codes):

@@ -236,7 +236,7 @@ def _class_slot_totals(fixture, normalized_slots):
     for label in ("residential", "mixed", "activity",
                   "activity:education", "activity:retail", "activity:office"):
         rows = [i for i, z in enumerate(fixture.city.zone_ids)
-                if classes[z].kind == label or classes[z].key == label]
+                if label in (classes[z], classes[z].partition(":")[0])]
         totals[label] = normalized_slots.values[rows].sum(axis=0)
     return totals
 
@@ -365,8 +365,7 @@ def test_home_inference(tmp_path):
     city = generate_city(config)
     events, truth = generate_events(city)
     assigned = _assign(city, events)
-    eligible = {z for z, cls in zone_classes(city).items()
-                if cls.kind in ("residential", "mixed")}
+    eligible = {z for z, key in zone_classes(city).items() if key in ("residential", "mixed")}
     homes = infer_homes(encode(assigned, city.zone_ids), range(88, 96), eligible)
 
     night_users = {u for u, _, b in assigned if 88 <= b <= 95}

@@ -14,7 +14,7 @@ from citypulse.activity import (DEFAULT_SLOTS, KEY_CHUNK, N_QUARTER_BINS, NORMAL
                                 density_per_hectare, landuse_profile,
                                 normalize_counts, validate_slots)
 from citypulse.errors import ConfigError, DataError
-from citypulse.landuse import CLASSES, LandUseCategory, LandUseClass, class_groups
+from citypulse.landuse import CLASSES, class_groups
 from citypulse.stats import DEFAULT_NIGHT_BINS, infer_homes
 
 from scalar_reference import dedup_matrix, encode, quarter_counts, quarter_matrix
@@ -221,12 +221,13 @@ def test_daily_unique_counts():
     assert matrix.counts[0, 0] == 2
 
 
-RES = LandUseClass("residential")
-RETAIL = LandUseClass("activity", LandUseCategory.RETAIL)
+RES = "residential"
+RETAIL = "activity:retail"
+OFFICE = "activity:office"
 
 
 def codes_of(classes, zone_ids):
-    """Class code per zone from a zone_id -> LandUseClass dict; -1 for a zone without one."""
+    """Class code per zone from a zone_id -> class key dict; -1 for a zone without one."""
     return np.array([CLASSES.index(classes[z]) if z in classes else -1 for z in zone_ids],
                     dtype=np.int64)
 
@@ -260,8 +261,7 @@ def test_profile_concentration_follows_activity():
 def test_profiles_partition_city_totals():
     rng = np.random.default_rng(12)
     zone_ids = [f"z{i}" for i in range(6)]
-    classes = {"z0": RES, "z1": RES, "z2": LandUseClass("mixed"), "z3": RETAIL,
-               "z4": RETAIL, "z5": LandUseClass("activity", LandUseCategory.OFFICE)}
+    classes = {"z0": RES, "z1": RES, "z2": "mixed", "z3": RETAIL, "z4": RETAIL, "z5": OFFICE}
     events = [(f"u{rng.integers(60)}", rng.choice(zone_ids), int(rng.integers(96)))
               for _ in range(500)]
     matrix = count_unique_users(encode(events, zone_ids))
@@ -449,7 +449,7 @@ def test_profile_memory_grows_by_bytes_per_zone():
 
 
 def test_profile_label_order():
-    classes = {"a": RETAIL, "b": RES, "c": LandUseClass("activity", LandUseCategory.OFFICE)}
+    classes = {"a": RETAIL, "b": RES, "c": OFFICE}
     groups = class_groups(codes_of(classes, "abc"))
     assert [label for label, _ in groups] == ["residential", "activity",
                                               "activity:office", "activity:retail"]

@@ -77,6 +77,28 @@ def test_city_under_unicode_line_breaks_runs_from_its_own_config(city, tmp_path)
     assert_run_bytes(city, out / "run")
 
 
+@pytest.mark.parametrize("name", ["city\nx", "city\rx", "city\r\n", " lead", "\tlead",
+                                  "\u2028lead", "\x85lead", "non\udcffutf8"])
+def test_synth_refuses_an_out_its_config_cannot_hold(tmp_path, monkeypatch, capsys, name):
+    # pipeline.config ends a line at \n or \r and strips each value, so a
+    # relative --out with a line end or leading whitespace would not read back;
+    # nor would a name from non-UTF-8 bytes. Nothing is created.
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["synth", "--out", name, *SYNTH]) == 2
+    assert capsys.readouterr().err.startswith(f"error: --out {name!r} would not read back")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_relative_out_with_a_unicode_line_break_inside_runs(city, tmp_path, monkeypatch):
+    # U+2028 is stripped at the start of a value but is no line end inside it
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["synth", "--out", "in\u2028side ", *SYNTH]) == 0
+    assert "events = in\u2028side /events.ndjson\n" in Path(
+        "in\u2028side ", "pipeline.config").read_text(encoding="utf-8")
+    assert cli.main(["run", "--config", str(Path("in\u2028side ", "pipeline.config"))]) == 0
+    assert_run_bytes(city, tmp_path / "in\u2028side " / "run")
+
+
 def test_profiles_writes_the_bytes_of_the_run(city, tmp_path):
     assert run(city, "profiles", tmp_path / "profiles") == 0
     assert (tmp_path / "profiles" / "profiles.csv").is_file()

@@ -1,4 +1,7 @@
 import csv
+import importlib.util
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,11 +12,11 @@ from citypulse.activity import (N_QUARTER_BINS, NORMALIZATION_TOTAL, QUARTER_LAB
                                 ActivityMatrix, density_per_hectare, landuse_profile,
                                 normalize_counts)
 from citypulse.landuse import (ACTIVITY_CATEGORIES, CATEGORIES, CLASSES, LandUseCategory,
-                               LandUseClass, class_sums, classify_zones,
-                               write_classification_csv)
+                               class_sums, classify_zones, write_classification_csv)
 from citypulse.spatial import Zone, ZoneTable
 from citypulse.synth import SynthConfig, generate_city, generate_events
 
+from conftest import materialize
 from scalar_reference import ClassificationError, classify_zone, quarter_counts
 from synth_reference import zone_classes
 
@@ -33,13 +36,13 @@ def zone_with(zone_id="z", landuse=None, residential=None, total=None):
 def test_high_residential_fraction_is_residential():
     zone = zone_with(landuse={LandUseCategory.RESIDENTIAL: 7000.0,
                               LandUseCategory.OFFICE: 3000.0})
-    assert classify_zone(zone) == LandUseClass("residential")
+    assert classify_zone(zone) == "residential"
 
 
 def test_middle_band_is_mixed():
     zone = zone_with(landuse={LandUseCategory.RESIDENTIAL: 5000.0,
                               LandUseCategory.RETAIL: 5000.0})
-    assert classify_zone(zone) == LandUseClass("mixed")
+    assert classify_zone(zone) == "mixed"
 
 
 def test_activity_subcategory_is_argmax_of_nonresidential():
@@ -47,14 +50,14 @@ def test_activity_subcategory_is_argmax_of_nonresidential():
                               LandUseCategory.OFFICE: 5000.0,
                               LandUseCategory.RETAIL: 3000.0,
                               LandUseCategory.EDUCATION: 1000.0})
-    assert classify_zone(zone) == LandUseClass("activity", LandUseCategory.OFFICE)
+    assert classify_zone(zone) == "activity:office"
 
 
 def test_activity_tie_breaks_by_enumeration_order():
     zone = zone_with(landuse={LandUseCategory.RESIDENTIAL: 500.0,
                               LandUseCategory.RETAIL: 4750.0,
                               LandUseCategory.OFFICE: 4750.0})
-    assert classify_zone(zone) == LandUseClass("activity", LandUseCategory.OFFICE)
+    assert classify_zone(zone) == "activity:office"
 
 
 @pytest.mark.parametrize("fraction,kind", [
@@ -66,7 +69,7 @@ def test_threshold_boundaries(fraction, kind):
     zone = zone_with(landuse={LandUseCategory.RESIDENTIAL: fraction * 1000.0,
                               LandUseCategory.RETAIL: (1 - fraction) * 1000.0},
                      residential=fraction * 1000.0, total=1000.0)
-    assert classify_zone(zone).kind == kind
+    assert classify_zone(zone).partition(":")[0] == kind
 
 
 @settings(max_examples=40, deadline=None)
@@ -94,7 +97,7 @@ def test_classify_zones_collects_unclassified():
     good = zone_with(zone_id="a", landuse={LandUseCategory.RESIDENTIAL: 100.0})
     bad = zone_with(zone_id="b", landuse={})
     codes = classify_zones(ZoneTable.from_zones([good, bad]))
-    assert codes.tolist() == [CLASSES.index(LandUseClass("residential")), -1]
+    assert codes.tolist() == [CLASSES.index("residential"), -1]
 
 
 def test_area_table_single_retail_zone():
@@ -125,21 +128,31 @@ def test_area_table_column_sums_match_recomputation():
         assert table[:, j].sum() == pytest.approx(direct)
 
 
-def test_class_key_round_trip():
-    for cls in (LandUseClass("residential"), LandUseClass("mixed"),
-                LandUseClass("activity", LandUseCategory.TRANSPORT)):
-        assert LandUseClass.from_key(cls.key) == cls
+def test_benchmark_class_keys_are_the_classes():
+    # the benchmark's fine-grid workload names every class by its own tuple
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    assert workloads.ALL_CLASS_KEYS == CLASSES
+    assert all(isinstance(key, str) for key in CLASSES)
 
 
-def test_invalid_class_constructions():
-    with pytest.raises(ValueError):
-        LandUseClass("activity")
-    with pytest.raises(ValueError):
-        LandUseClass("activity", LandUseCategory.RESIDENTIAL)
-    with pytest.raises(ValueError):
-        LandUseClass("residential", LandUseCategory.RETAIL)
-    with pytest.raises(ValueError):
-        LandUseClass("suburban")
+def test_planned_class_keys_reach_both_exports(tmp_path):
+    # a city of all 11 classes, run end to end: each zone's class in the
+    # classification CSV and in the GeoJSON export is the key it was planned as
+    config = SynthConfig(seed=23, n_zones=44, n_users=40, events_per_user_per_day=4.0,
+                         class_mix={key: 1 / len(CLASSES) for key in CLASSES})
+    fixture = materialize(config, tmp_path)
+    planned = zone_classes(fixture.city)
+    assert len(CLASSES) == 11 and sorted(set(planned.values())) == sorted(CLASSES)
+    with open(fixture.out / "landuse_classes.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert {row["zone_id"]: ":".join(filter(None, (row["class"], row["subcategory"])))
+            for row in rows} == planned
+    features = json.loads((fixture.out / "zones_metrics.geojson").read_text(encoding="utf-8"))
+    assert {f["properties"]["zone_id"]: f["properties"]["landuse_class"]
+            for f in features["features"]} == planned
 
 
 def test_classification_csv_export(tmp_path):
@@ -156,7 +169,7 @@ def test_classification_csv_export(tmp_path):
 
 
 # --- class grouping against the per-zone dict walk ------------------------------
-# The references walk a zone_id -> LandUseClass dict zone by zone, as the
+# The references walk a zone_id -> class key dict zone by zone, as the
 # profiles, the density rows, the classification CSV and the synth truth did
 # before they shared class_groups over the code array.
 
@@ -165,22 +178,23 @@ MAIN_CLASS_ORDER = ("residential", "mixed", "activity")
 
 def reference_profile_labels(classes):
     """Main kinds present, then activity subcategories present, in enumeration order."""
-    kinds = {cls.kind for cls in classes.values()}
-    subs = {cls.sub for cls in classes.values() if cls.kind == "activity"}
+    kinds = {key.partition(":")[0] for key in classes.values()}
     labels = [k for k in MAIN_CLASS_ORDER if k in kinds]
-    labels.extend(f"activity:{c.value}" for c in ACTIVITY_CATEGORIES if c in subs)
+    labels.extend(f"activity:{c.value}" for c in ACTIVITY_CATEGORIES
+                  if f"activity:{c.value}" in classes.values())
     return labels
 
 
 def reference_rows_by_label(zone_ids, classes):
     rows_by_label = {}
     for i, zone_id in enumerate(zone_ids):
-        cls = classes.get(zone_id)
-        if cls is None:
+        key = classes.get(zone_id)
+        if key is None:
             continue
-        rows_by_label.setdefault(cls.kind, []).append(i)
-        if cls.kind == "activity":
-            rows_by_label.setdefault(cls.key, []).append(i)
+        kind = key.partition(":")[0]
+        rows_by_label.setdefault(kind, []).append(i)
+        if kind == "activity":
+            rows_by_label.setdefault(key, []).append(i)
     return rows_by_label
 
 
@@ -204,10 +218,11 @@ def reference_density_rows(zone_ids, classes, day, area_ha):
     """Running sums over the zones in order, then the densities in label order."""
     totals, areas = {}, {}
     for i, zone_id in enumerate(zone_ids):
-        cls = classes.get(zone_id)
-        if cls is None:
+        key = classes.get(zone_id)
+        if key is None:
             continue
-        for label in (cls.kind, cls.key) if cls.kind == "activity" else (cls.kind,):
+        kind = key.partition(":")[0]
+        for label in (kind, key) if kind == "activity" else (kind,):
             totals[label] = totals.get(label, 0.0) + day[i]
             areas[label] = areas.get(label, 0.0) + area_ha[i]
     densities, _ = density_per_hectare(totals, areas)
@@ -220,11 +235,12 @@ def reference_classification_csv(path, zones, classes):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["zone_id", "class", "subcategory", "residential_fraction"])
         for zone in sorted(zones, key=lambda z: z.zone_id):
-            cls = classes.get(zone.zone_id)
-            if cls is None:
+            key = classes.get(zone.zone_id)
+            if key is None:
                 writer.writerow([zone.zone_id, "", "", ""])
             else:
-                writer.writerow([zone.zone_id, cls.kind, cls.sub.value if cls.sub else "",
+                kind, _, sub = key.partition(":")
+                writer.writerow([zone.zone_id, kind, sub,
                                  format(zone.built_residential_m2 / zone.built_total_m2,
                                         ".6g")])
 
@@ -267,7 +283,7 @@ def test_class_groups_match_dict_walk(codes, seed, data, tmp_path_factory):
 @pytest.mark.parametrize("seed", [3, 11])
 def test_synth_truth_grouping_matches_dict_walk(seed):
     config = SynthConfig(seed=seed, n_zones=48, n_users=40, events_per_user_per_day=2.0,
-                         class_mix={key: 1 / len(CLASSES) for key in (c.key for c in CLASSES)})
+                         class_mix={key: 1 / len(CLASSES) for key in CLASSES})
     city = generate_city(config)
     _, truth = generate_events(city)
     quarter, slots = truth.expected_quarter, truth.expected_slots
@@ -275,8 +291,7 @@ def test_synth_truth_grouping_matches_dict_walk(seed):
     normalized_slots = slots / np.where(slots.sum(axis=0) > 0, slots.sum(axis=0), 1.0) * 1e5
 
     rows_by_label = reference_rows_by_label(city.zone_ids, zone_classes(city))
-    assert set(rows_by_label) == set(truth.slot_class_totals) == set(
-        cls.key for cls in CLASSES) | {"activity"}
+    assert set(rows_by_label) == set(truth.slot_class_totals) == set(CLASSES) | {"activity"}
     for label, rows in rows_by_label.items():
         totals = normalized[rows].sum(axis=0)
         assert truth.profiles[label].tobytes() == (totals / totals.sum()).tobytes()

@@ -7,7 +7,7 @@ from citypulse import synth
 from citypulse.activity import aggregate_major_slots, count_unique_users
 from citypulse.errors import ConfigError
 from citypulse.ingest import filter_workdays, get_timezone, write_events_ndjson
-from citypulse.landuse import CLASSES, LandUseClass, classify_zones
+from citypulse.landuse import CLASSES, classify_zones
 from citypulse.spatial import ZoneTable, build_zone_index
 from citypulse.stats import infer_homes
 from citypulse.synth import (SynthConfig, allocate_counts, city_geojson, generate_city,
@@ -37,24 +37,23 @@ def test_all_residential_city_classifies_residential():
     city = generate_city(config)
     assert len(city.zones) == 4
     for zone in city.zones:
-        assert classify_zone(zone) == LandUseClass("residential")
+        assert classify_zone(zone) == "residential"
 
 
 def test_zone_off_its_planned_class_stops_the_events(monkeypatch):
     composition = synth._zone_composition
-    residential = LandUseClass("residential")
     swapped = []
 
-    def one_residential_zone_mixed(rng, cls, total_m2):
-        if cls == residential and not swapped:
-            swapped.append(cls)
-            cls = LandUseClass("mixed")
-        return composition(rng, cls, total_m2)
+    def one_residential_zone_mixed(rng, key, total_m2):
+        if key == "residential" and not swapped:
+            swapped.append(key)
+            key = "mixed"
+        return composition(rng, key, total_m2)
 
     monkeypatch.setattr(synth, "_zone_composition", one_residential_zone_mixed)
     city = generate_city(small_config())
     first = next(z.zone_id for z, c in zip(city.zones, city.codes.tolist())
-                 if CLASSES[c] == residential)
+                 if CLASSES[c] == "residential")
     with pytest.raises(AssertionError, match=f"generated zone {first} does not classify"):
         generate_events(city)
 
@@ -93,6 +92,14 @@ def test_config_validation():
         small_config(home_bias=1.5).validate()
     with pytest.raises(ConfigError):
         small_config(intensities={"residential": np.ones(5)}).validate()
+
+
+@pytest.mark.parametrize("key", [5, None, "activity", "activity:residential", "activity:",
+                                 "Residential", "residential "])
+def test_class_mix_key_outside_the_classes_is_refused(key):
+    with pytest.raises(ConfigError) as raised:
+        SynthConfig(class_mix={key: 1.0}).validate()
+    assert str(raised.value) == f"unknown class mix key {key!r}"
 
 
 def test_mass_targets_sum_to_one():
@@ -142,8 +149,7 @@ def test_home_bias_one_recovers_every_home():
     city = generate_city(config)
     events, truth = generate_events(city)
     assigned = assign(city, events)
-    eligible = {z for z, cls in zone_classes(city).items()
-                if cls.kind in ("residential", "mixed")}
+    eligible = {z for z, key in zone_classes(city).items() if key in ("residential", "mixed")}
     homes = infer_homes(encode(assigned, city.zone_ids), range(88, 96), eligible)
     assert set(homes) == set(truth.homes)
     assert homes == truth.homes
@@ -161,7 +167,7 @@ def test_intensity_support_constraint_confines_events():
         intensities=intensities, home_bias=0.0, n_users=80)
     city = generate_city(config)
     events, _ = generate_events(city)
-    retail_zones = {z for z, cls in zone_classes(city).items() if cls.kind == "activity"}
+    retail_zones = {z for z, key in zone_classes(city).items() if key == "activity:retail"}
     assigned = assign(city, events)
     retail_bins = {b for _, z, b in assigned if z in retail_zones}
     assert retail_bins

@@ -376,7 +376,7 @@ def test_zones_metrics_reparses_as_zones_input_at_scale(tmp_path):
     original = load_zones_geojson(zones_path)
     reloaded = load_zones_geojson(tmp_path / "out" / "zones_metrics.geojson")
     assert len(original) == 2025
-    assert {CLASSES[c].key for c in classify_zones(original).tolist()} == set(ALL_CLASSES)
+    assert {CLASSES[c] for c in classify_zones(original).tolist()} == set(ALL_CLASSES)
     assert reloaded.zone_ids == original.zone_ids
     for name in ("area_ha", "built_residential_m2", "built_total_m2", "landuse_m2",
                  "landuse_present", "vertices", "ring_start", "zone_ring_start", "bbox"):
