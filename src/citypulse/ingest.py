@@ -123,6 +123,7 @@ class EventBatch:
 
     def __iter__(self) -> Iterator[GeoEvent]:
         """The rows as :class:`GeoEvent` values, each with its input offset as a fixed tzinfo."""
+        _require_write_back(self, "iterating a batch")
         zones: dict[int, timezone] = {}
         columns = [self.write_back.get(name) for name in OPTIONAL_FIELDS]
         rows = zip(self.users.tolist(), self.epoch.tolist(), self.micro.tolist(),
@@ -134,6 +135,13 @@ class EventBatch:
             local = _NAIVE_EPOCH + timedelta(seconds=epoch, microseconds=micro + offset)
             yield GeoEvent(self.user_ids[user], local.replace(tzinfo=tz), lon, lat,
                            *(None if col is None else col[i] for col in columns))
+
+
+def _require_write_back(events: EventBatch, use: str) -> None:
+    """Raise ValueError, naming ``use``, if the batch lacks its instant columns."""
+    if events.micro is None or events.offset_us is None:
+        raise ValueError(f"{use} needs the micro and offset_us columns, which a batch "
+                         "read with write_back=False does not hold")
 
 
 class _BatchBuilder:
@@ -164,13 +172,14 @@ class _BatchBuilder:
     def __len__(self) -> int:
         return len(self._users)
 
-    def extend(self, users: list[str], epoch: np.ndarray, micro: np.ndarray,
-               offset: np.ndarray, lon: np.ndarray, lat: np.ndarray,
+    def extend(self, users: list[str], epoch: np.ndarray, micro: np.ndarray | None,
+               offset: np.ndarray | None, lon: np.ndarray, lat: np.ndarray,
                extras: list[list | None]) -> None:
         """Append checked rows: user ids, integer instant columns and float64 coordinates.
 
         ``extras`` holds a ``lang``/``device``/``text`` column per field (a
         string or None per row), or None where no row has that field.
+        ``micro`` and ``offset`` are read only with ``write_back``.
         """
         extras = [column if column is not None and any(column) else None for column in extras]
         if any(extras) and self.write_back:
@@ -246,6 +255,7 @@ _FIXED_SHAPE = "0000-00-00T00:00:00+00:00"
 _WIDTH = len(_FIXED_SHAPE)
 _ZULU_WIDTH = len("0000-00-00T00:00:00Z")
 _SIGN = _FIXED_SHAPE.index("+")
+_LINE_FEED = ord("\n")
 # per character of the shape, the lowest byte allowed there and how far above
 # it the others may lie: the ten digits, "+" to "-" (the "," between them is
 # ruled out on its own) or the one literal character
@@ -256,8 +266,8 @@ _SPAN = np.array([[{"0": 9, "+": 2}.get(c, 0)] for c in _FIXED_SHAPE], dtype=np.
 # offset minute; and the lowest value and span of the fields from the year on
 _DIGITS = [i for i, c in enumerate(_FIXED_SHAPE) if c == "0"]
 _TENS, _ONES = _DIGITS[0::2], _DIGITS[1::2]
-_LOW = np.array([[1], [1], [1], [0], [0], [0], [0], [0]])
-_RANGE = (np.array([[9999], [12], [31], [23], [59], [59], [23], [59]]) - _LOW).astype(np.uint64)
+_LOW = np.array([[1], [1], [1], [0], [0], [0], [0], [0]], dtype=np.int32)
+_RANGE = (np.array([[9999], [12], [31], [23], [59], [59], [23], [59]]) - _LOW).astype(np.uint32)
 # Calendar tables (numpy's calendar is the proleptic Gregorian one that
 # datetime uses): days from 1970-01-01 to 1 January of each year 0-9999, 1 for
 # each leap year and 0 for the others, and per common and leap year (rows) the
@@ -280,37 +290,53 @@ def _fixed_instants(raws: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rows ``epoch`` and ``offset`` hold the instant, which may still lie
     outside a batch's range (:func:`_in_range`); other rows, and every value
     that is not a string, hold no meaningful value.
+
+    The strings are read from one buffer, each followed by a line feed, one
+    byte per character. When the buffer is ``(_WIDTH + 1) * n`` bytes, holds
+    exactly ``n`` line feeds and has one at column ``_WIDTH`` of every row,
+    those line feeds are the ``n`` separators and each string has the fixed
+    width, so the buffer is read as an ``(n, _WIDTH + 1)`` view. Any other
+    list gathers each string's first ``_WIDTH`` bytes from its own start.
     """
     try:
-        text = "".join(raws)
+        text = "\n".join(raws)
     except TypeError:  # a value that is not a string reads as "", which never fits
         raws = [raw if type(raw) is str else "" for raw in raws]
-        text = "".join(raws)
+        text = "\n".join(raws)
     n = len(raws)
-    size = np.fromiter(map(len, raws), dtype=np.int64, count=n)
-    # the strings end to end, one byte per character, every one that is not
-    # ASCII read as "?" (and one byte more, so that the buffer is never empty);
-    # each string's first 25 bytes, where a shorter or longer one fails on its size
-    data = np.frombuffer((text + "\n").encode("ascii", "replace"), dtype=np.uint8)
-    start = np.cumsum(size) - size
-    chars = data.take(start[:, None] + np.arange(_WIDTH), mode="clip")
-    zulu = (size == _ZULU_WIDTH) & (chars[:, _SIGN] == ord("Z"))
+    text += "\n"
+    # every character that is not ASCII reads as "?", so the buffer keeps one
+    # byte per character (and never is empty)
+    data = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)
+    row = _WIDTH + 1
+    if (len(data) == row * n and (data[_WIDTH::row] == _LINE_FEED).all()
+            and np.count_nonzero(data == _LINE_FEED) == n):
+        chars = data.reshape(n, row)[:, :_WIDTH]
+        zulu = None
+        fits = True
+    else:  # where a shorter or longer string fails on its size
+        size = np.fromiter(map(len, raws), dtype=np.int64, count=n)
+        start = np.cumsum(size + 1) - (size + 1)
+        chars = data.take(start[:, None] + np.arange(_WIDTH), mode="clip")
+        zulu = (size == _ZULU_WIDTH) & (chars[:, _SIGN] == ord("Z"))
+        fits = zulu | (size == _WIDTH)
     # each byte's rise above the lowest one allowed in its place, one string
     # per column; unsigned, so a byte below that wraps past every span
     rise = np.subtract(chars.T, _BASE, order="C")
-    rise[_SIGN:, zulu] = 0
+    if zulu is not None:
+        rise[_SIGN:, zulu] = 0
     west = rise[_SIGN] == 2
-    valid = (zulu | (size == _WIDTH)) & (rise <= _SPAN).all(axis=0) & (rise[_SIGN] != 1)
+    valid = fits & (rise <= _SPAN).all(axis=0) & (rise[_SIGN] != 1)
     # each two-digit field (0-99 where the digits fit), the year from its halves
-    fields = (rise[_TENS] * 10 + rise[_ONES]).astype(np.int64)
+    fields = (rise[_TENS] * 10 + rise[_ONES]).astype(np.int32)
     fields[1] += fields[0] * 100
     fields = fields[1:]
-    valid &= (np.subtract(fields, _LOW).view(np.uint64) <= _RANGE).all(axis=0)
+    valid &= (np.subtract(fields, _LOW).view(np.uint32) <= _RANGE).all(axis=0)
     fields *= valid  # what does not fit reads as 0000-00-00, which indexes the tables safely
     year, month, day, hour, minute, second, offset_hour, offset_minute = fields
     leap = _LEAP[year]
     valid &= day <= _MONTH_DAYS[leap, month]
-    offset = offset_hour * 3600 + offset_minute * 60
+    offset = (offset_hour * 3600 + offset_minute * 60).astype(np.int64)
     np.negative(offset, out=offset, where=west)
     epoch = ((_YEAR_START[year] + _MONTH_START[leap, month] + day - 1) * _DAY_S
              + (hour * 60 + minute) * 60 + second - offset)
@@ -568,8 +594,9 @@ def _add_rows(builder: _BatchBuilder, numbers: Sequence[int], columns: list[list
     valid, epoch, offset = _fixed_instants(times)
     fits = valid & _in_range(epoch)
     if fits.all() and not suspect.any():  # no row for the per-row steps
-        builder.extend(users, epoch, np.zeros(n, dtype=np.int32), offset * 1_000_000, lon, lat,
-                       extras)
+        micro, offset_us = ((np.zeros(n, dtype=np.int32), offset * 1_000_000)
+                            if builder.write_back else (None, None))
+        builder.extend(users, epoch, micro, offset_us, lon, lat, extras)
         return
     instants = np.array([epoch, np.zeros(n, dtype=np.int64), offset * 1_000_000])
     refusals: dict[int, str | None] = {}
@@ -828,6 +855,7 @@ class EventsWriter:
         self._fh.close()
 
     def write(self, events: EventBatch) -> None:
+        _require_write_back(events, "writing events")
         users = self._users
         users += map(encode_basestring, events.user_ids[len(users):])
         offsets, which = np.unique(events.offset_us, return_inverse=True)
@@ -843,6 +871,7 @@ class EventsWriter:
 
 def write_events_ndjson(events: EventBatch, path) -> None:
     """Serialize a batch to the NDJSON schema (see :class:`EventsWriter`)."""
+    _require_write_back(events, "writing events")  # before the file is made
     with EventsWriter(path) as writer:
         writer.write(events)
 

@@ -326,8 +326,12 @@ def _longest_first(counts: np.ndarray) -> list[np.ndarray]:
 # Points located per pass, and the most (pair, edge) tests held in memory at
 # once; both keep the temporaries of a pass to a few MB. At city-253k 4,096
 # points a pass took assign_events 79 → 52 ms and its traced peak
-# 4.9 → 3.1 MiB against 8,192 (best of 11 in-process calls); 2,048 was no faster.
-LOCATE_CHUNK = 4096
+# 4.9 → 3.1 MiB against 8,192 (best of 11 in-process calls). Inside a run,
+# where each block is joined after a parse, the larger temporaries of a pass
+# land on fresh pages: the 16 block joins of city-253k took 8.7k-10.4k minor
+# page faults at 4,096 points and 19-1.6k at 2,048, and 65-90 against 52-70 ms
+# of CPU (3 runs each, 2-CPU VM); joined one after another, the two sizes are alike.
+LOCATE_CHUNK = 2048
 PAIR_EDGE_BUDGET = 1 << 17
 
 
@@ -342,6 +346,26 @@ class ZoneIndex:
     ``point_in_rings`` reference kept in the tests. When overlapping zones
     both claim a point (a data error) the lexicographically smallest zone_id
     wins and ``overlap_warnings`` is incremented once per extra claim.
+
+    A zone is a candidate only in the cells of the points it can claim. Its
+    edge from ``(x1, y1)`` to ``(x2, y2)`` toggles the crossing test at
+    ``(px, py)`` only when ``(y1 > py) != (y2 > py)``, which no
+    ``py >= ymax`` meets, and when ``px < fl(fl(fl(d * a) / b) + x1)``, with
+    ``d = x2 - x1``, ``a = py - y1`` and ``b = y2 - y1`` rounded as the kernel
+    rounds them, ``a`` between 0 and ``b``. Every rounding step is monotone,
+    so that crossing lies between its values at ``a = 0``, ``x1``, and at
+    ``a = b``, ``fl(fl(fl(d * b) / b) + x1)``, which rounding can put past
+    ``x2``, even past the zone's bbox. A claimed point toggles some edge, so
+    its ``px`` lies below the largest of these bounds over the zone's edges,
+    ``right``; and some edge that its row crosses does not toggle (a ring
+    crosses a row an even number of times), so ``px`` is at least the
+    smallest, ``left``. Since ``_cells`` is monotone, the zone's cells run
+    from ``_cells(left)`` to ``_cells(nextafter(right, -inf))`` in x and from
+    ``_cells(ymin)`` to ``_cells(nextafter(ymax, -inf))`` in y, half-open at
+    the top. A zone whose non-horizontal edges are all vertical, as every
+    synthetic zone's are, has ``left = xmin`` and ``right = xmax``. An edge
+    whose bound overflows (to an infinity or NaN) reaches every x: where
+    ``d`` is infinite, the crossing at ``a = 0`` is NaN, not ``x1``.
     """
 
     def __init__(self, table: ZoneTable):
@@ -350,26 +374,6 @@ class ZoneIndex:
         self.zone_ids = table.zone_ids
         self.overlap_warnings = 0
 
-        x0, y0, x1, y1 = table.bbox.T
-        self._minx, self._miny = float(x0.min()), float(y0.min())
-        self._maxx, self._maxy = float(x1.max()), float(y1.max())
-        n = self._n = max(1, int(math.sqrt(len(table))) * 2)
-        self._dx = (self._maxx - self._minx) / n or 1.0
-        self._dy = (self._maxy - self._miny) / n or 1.0
-
-        # one (cell, code) pair per grid cell a zone's bbox touches; a stable
-        # sort by cell keeps each cell's candidates ascending = by zone_id
-        cx0, cx1 = (self._cells(v, self._minx, self._dx) for v in (x0, x1))
-        cy0, cy1 = (self._cells(v, self._miny, self._dy) for v in (y0, y1))
-        ny = cy1 - cy0 + 1
-        per_zone = (cx1 - cx0 + 1) * ny
-        code = np.repeat(np.arange(len(table)), per_zone)
-        k = np.arange(len(code)) - np.repeat(np.cumsum(per_zone) - per_zone, per_zone)
-        cell = (cx0[code] + k // ny[code]) * n + cy0[code] + k % ny[code]
-        self._cell_zones = code[np.argsort(cell, kind="stable")]
-        self._cell_start = np.zeros(n * n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(cell, minlength=n * n), out=self._cell_start[1:])
-
         # Edges of all rings, zone after zone: vertex i closes the edge from
         # its ring predecessor (a ring's first vertex from its last). A
         # horizontal edge never toggles the crossing test, so it is left out.
@@ -377,14 +381,56 @@ class ZoneIndex:
         prev = np.arange(len(v)) - 1
         prev[starts[:-1]] = starts[1:] - 1
         keep = v[prev, 1] != v[:, 1]
-        zone_of_vertex = np.repeat(np.arange(len(table)), np.diff(starts[table.zone_ring_start]))
-        self._edge_count = np.bincount(zone_of_vertex[keep], minlength=len(table))
+        zone_of_edge = np.repeat(np.arange(len(table)),
+                                 np.diff(starts[table.zone_ring_start]))[keep]
+        self._edge_count = np.bincount(zone_of_edge, minlength=len(table))
         self._edge_start = np.cumsum(self._edge_count) - self._edge_count
         self._ex1, self._ey1 = v[prev[keep], 0], v[prev[keep], 1]
         self._ex2, self._ey2 = v[keep, 0], v[keep, 1]
 
+        x0, y0, x1, y1 = table.bbox.T
+        self._minx, self._miny = float(x0.min()), float(y0.min())
+        self._maxx, self._maxy = float(x1.max()), float(y1.max())
+        n = self._n = max(1, int(math.sqrt(len(table))) * 2)
+        self._dx = (self._maxx - self._minx) / n or 1.0
+        self._dy = (self._maxy - self._miny) / n or 1.0
+
+        # each zone's x range [left, right) of claimable points (see above); a
+        # zone without edges keeps [inf, -inf), which holds none
+        with np.errstate(over="ignore", invalid="ignore"):
+            d, b = self._ex2 - self._ex1, self._ey2 - self._ey1
+            far = d * b / b + self._ex1
+        unbounded = ~np.isfinite(far)
+        left = np.full(len(table), np.inf)
+        right = np.full(len(table), -np.inf)
+        np.minimum.at(left, zone_of_edge,
+                      np.where(unbounded, -np.inf, np.minimum(self._ex1, far)))
+        np.maximum.at(right, zone_of_edge,
+                      np.where(unbounded, np.inf, np.maximum(self._ex1, far)))
+        self._left, self._right = float(left.min()), float(right.max())
+
+        # one (cell, code) pair per grid cell of a zone's claimable points; a
+        # stable sort by cell keeps each cell's candidates ascending = by zone_id
+        cx0, cx1 = (self._cells(v, self._minx, self._dx)
+                    for v in (left, np.nextafter(right, -np.inf)))
+        cy0, cy1 = (self._cells(v, self._miny, self._dy)
+                    for v in (y0, np.nextafter(y1, -np.inf)))
+        nx, ny = np.maximum(cx1 - cx0 + 1, 0), np.maximum(cy1 - cy0 + 1, 0)
+        per_zone = nx * ny
+        code = np.repeat(np.arange(len(table)), per_zone)
+        k = np.arange(len(code)) - np.repeat(np.cumsum(per_zone) - per_zone, per_zone)
+        cell = (cx0[code] + k // ny[code]) * n + cy0[code] + k % ny[code]
+        self._cell_zones = code[np.argsort(cell, kind="stable")]
+        self._cell_start = np.zeros(n * n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(cell, minlength=n * n), out=self._cell_start[1:])
+
     def _cells(self, values: np.ndarray, origin: float, step: float) -> np.ndarray:
-        return np.clip(((values - origin) / step).astype(np.int64), 0, self._n - 1)
+        # bounded before the cast, so that an infinite value (an overflow, with
+        # coordinates near the float limits) takes an end cell and a NaN one
+        # (an infinite value over an infinite step) the first
+        with np.errstate(over="ignore", invalid="ignore"):
+            cells = np.fmin(np.fmax((values - origin) / step, 0), self._n - 1)
+        return cells.astype(np.int64)
 
     def locate_codes(self, lons, lats) -> np.ndarray:
         """Zone code (int32) per point, an index into ``zone_ids``, or -1 outside every zone.
@@ -405,8 +451,8 @@ class ZoneIndex:
 
     def _locate_chunk(self, lon: np.ndarray, lat: np.ndarray) -> np.ndarray:
         codes = np.full(len(lon), -1, dtype=np.int64)
-        pts = np.flatnonzero((self._minx <= lon) & (lon <= self._maxx)
-                             & (self._miny <= lat) & (lat <= self._maxy))
+        pts = np.flatnonzero((self._left <= lon) & (lon < self._right)
+                             & (self._miny <= lat) & (lat < self._maxy))
         x, y = lon[pts], lat[pts]
         cell = (self._cells(x, self._minx, self._dx) * self._n
                 + self._cells(y, self._miny, self._dy))
@@ -433,7 +479,10 @@ class ZoneIndex:
                 slice_edges)
             px, py = x[pair_pt[pair]], y[pair_pt[pair]]
             x1, y1, x2, y2 = self._ex1[edge], self._ey1[edge], self._ex2[edge], self._ey2[edge]
-            toggles = ((y1 > py) != (y2 > py)) & (px < (x2 - x1) * (py - y1) / (y2 - y1) + x1)
+            # an overflow (coordinates near the float limits, or an edge a
+            # subnormal high) reads inf or NaN here, as in the scalar reference
+            with np.errstate(over="ignore", invalid="ignore"):
+                toggles = ((y1 > py) != (y2 > py)) & (px < (x2 - x1) * (py - y1) / (y2 - y1) + x1)
             inside[lo:hi] = np.bincount(pair[toggles] - lo, minlength=hi - lo) & 1
             lo = hi
         hits = np.flatnonzero(inside)

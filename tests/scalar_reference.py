@@ -3,7 +3,8 @@
 Each function here does for one zone or one event what the package does on
 whole arrays: validate a zone, read one row of a zone table, locate a point
 in a polygon or a zone index, take a polygon's centroid and its distance to
-the centre, classify a zone, bin a timestamp, build a batch from checked event
+the centre, classify a zone, bin a timestamp, read timestamps of the bulk
+shape string by string from one gather, build a batch from checked event
 rows, read an events file as one batch, encode located events, count
 distinct users into a dense matrix and spell out quarter-hour counts cell by
 cell. Nothing in the package calls them; the tests compare the array code
@@ -183,6 +184,46 @@ def quarter_bin(timestamp: datetime, tz: str | ZoneInfo) -> int:
     zone = get_timezone(tz) if isinstance(tz, str) else tz
     local = timestamp.astimezone(zone)
     return (local.hour * 60 + local.minute) // 15
+
+
+# the lowest value and span of each field from the year on, as int64
+_LOW = np.array([[1], [1], [1], [0], [0], [0], [0], [0]])
+_RANGE = (np.array([[9999], [12], [31], [23], [59], [59], [23], [59]]) - _LOW).astype(np.uint64)
+
+
+def gathered_instants(raws: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(valid, epoch, offset)`` of :func:`citypulse.ingest._fixed_instants`, read by
+    gathering: the strings end to end with no separator, each string's first 25
+    bytes taken from its own start whatever the lengths, the fields in int64."""
+    try:
+        text = "".join(raws)
+    except TypeError:
+        raws = [raw if type(raw) is str else "" for raw in raws]
+        text = "".join(raws)
+    n = len(raws)
+    size = np.fromiter(map(len, raws), dtype=np.int64, count=n)
+    data = np.frombuffer((text + "\n").encode("ascii", "replace"), dtype=np.uint8)
+    start = np.cumsum(size) - size
+    chars = data.take(start[:, None] + np.arange(ingest._WIDTH), mode="clip")
+    zulu = (size == ingest._ZULU_WIDTH) & (chars[:, ingest._SIGN] == ord("Z"))
+    rise = np.subtract(chars.T, ingest._BASE, order="C")
+    rise[ingest._SIGN:, zulu] = 0
+    west = rise[ingest._SIGN] == 2
+    valid = ((zulu | (size == ingest._WIDTH)) & (rise <= ingest._SPAN).all(axis=0)
+             & (rise[ingest._SIGN] != 1))
+    fields = (rise[ingest._TENS] * 10 + rise[ingest._ONES]).astype(np.int64)
+    fields[1] += fields[0] * 100
+    fields = fields[1:]
+    valid &= (np.subtract(fields, _LOW).view(np.uint64) <= _RANGE).all(axis=0)
+    fields *= valid
+    year, month, day, hour, minute, second, offset_hour, offset_minute = fields
+    leap = ingest._LEAP[year]
+    valid &= day <= ingest._MONTH_DAYS[leap, month]
+    offset = offset_hour * 3600 + offset_minute * 60
+    np.negative(offset, out=offset, where=west)
+    epoch = ((ingest._YEAR_START[year] + ingest._MONTH_START[leap, month] + day - 1) * 86_400
+             + (hour * 60 + minute) * 60 + second - offset)
+    return valid, epoch, offset
 
 
 def checked_rows_batch(rows: Iterable[tuple]) -> EventBatch:

@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from citypulse import ingest
@@ -20,8 +20,9 @@ from citypulse.ingest import (GeoEvent, RejectionReport, filter_workdays, get_ti
                               local_seconds, quarter_bins, write_events_ndjson)
 from citypulse.synth import SynthConfig, generate_city, generate_events
 
-from scalar_reference import checked_rows_batch, events_batch, quarter_bin, whole_file
-from timestamp_reference import (FRACTION_CASES, TIMESTAMP_CASES, instant_or_reason,
+from scalar_reference import (checked_rows_batch, events_batch, gathered_instants, quarter_bin,
+                              whole_file)
+from timestamp_reference import (FRACTION_CASES, TIMESTAMP_CASES, instant, instant_or_reason,
                                  parse_timestamp)
 
 NDJSON_ROW = '{"u":"a1","t":"2013-03-05T10:07:00+01:00","lon":-3.70,"lat":40.42}'
@@ -143,6 +144,18 @@ def test_ndjson_round_trip_identity(tmp_path_factory, events):
     rewritten = path.with_name("rewritten.ndjson")
     write_events_ndjson(parsed, rewritten)
     assert rewritten.read_bytes() == path.read_bytes()
+
+
+def test_a_batch_read_without_write_back_says_so(tmp_path):
+    source = tmp_path / "events.ndjson"
+    source.write_text(NDJSON_ROW + "\n")
+    (batch,) = ingest.read_event_blocks(source, "ndjson", RejectionReport(), write_back=False)
+    with pytest.raises(ValueError, match="iterating a batch .* write_back=False"):
+        list(batch)
+    out = tmp_path / "out.ndjson"
+    with pytest.raises(ValueError, match="writing events .* write_back=False"):
+        write_events_ndjson(batch, out)
+    assert not out.exists()
 
 
 def _event(ts: str) -> GeoEvent:
@@ -930,6 +943,78 @@ def test_bulk_timestamps_in_one_call():
         if ok:
             ts = parse_timestamp(raw)
             assert (e, o) == (ts.timestamp(), ts.utcoffset().total_seconds())
+
+
+# The bulk shape: a date, "T", a time, then "Z" or a numeric offset, ASCII digits
+BULK_SHAPE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}"
+                        r"(?:Z|[+-][0-9]{2}:[0-9]{2})")
+
+
+def _bulk_reference(raw):
+    """The stdlib reading of one string: (epoch, offset) seconds, or None off the shape."""
+    if type(raw) is not str or not BULK_SHAPE.fullmatch(raw):
+        return None
+    try:
+        epoch, _, offset_us = instant(parse_timestamp(raw))
+    except ValueError:  # a date, time or offset out of its range
+        return None
+    return epoch, offset_us // 1_000_000
+
+
+@st.composite
+def bulk_timestamps(draw, zulu=False):
+    """A string of the bulk shape, every field a little past its range at times."""
+    y, mo, d, h, mi, s = (draw(st.integers(lo, hi)) for lo, hi in
+                          [(0, 9999), (0, 13), (0, 32), (0, 24), (0, 60), (0, 60)])
+    zone = "Z" if zulu else (draw(st.sampled_from("+-")) + f"{draw(st.integers(0, 24)):02d}:"
+                             f"{draw(st.integers(0, 60)):02d}")
+    return f"{y:04d}-{mo:02d}-{d:02d}T{h:02d}:{mi:02d}:{s:02d}{zone}"
+
+
+# what a fixed-width string is resized with, or has a character replaced by
+ODD_CHARS = "\n\x00é２0Z"
+
+
+@st.composite
+def bulk_lists(draw):
+    """Lists of timestamps for the bulk reader: all of the fixed width, or the same
+    with one string cut to 24 characters or grown to 26 (or one cut and the next
+    grown, which keeps the total length), with a line feed, NUL or non-ASCII
+    character inside one 25-character string; all-Z lists and mixed widths."""
+    kind = draw(st.sampled_from(["fixed", "resized", "shifted", "inside", "zulu", "mixed"]))
+    if kind == "zulu":
+        return draw(st.lists(bulk_timestamps(zulu=True), min_size=1, max_size=8))
+    if kind == "mixed":
+        return draw(st.lists(st.one_of(bulk_timestamps(), bulk_timestamps(zulu=True),
+                                       mutated_timestamps()), min_size=1, max_size=8))
+    raws = draw(st.lists(bulk_timestamps(), min_size=2 if kind == "shifted" else 1,
+                         max_size=8))
+    i = draw(st.integers(0, len(raws) - (2 if kind == "shifted" else 1)))
+    char = draw(st.sampled_from(ODD_CHARS))
+    if kind == "resized":
+        raws[i] = raws[i][:-1] if draw(st.booleans()) else raws[i] + char
+    elif kind == "shifted":
+        raws[i], raws[i + 1] = raws[i][:-1], char + raws[i + 1]
+    elif kind == "inside":
+        at = draw(st.integers(0, 24))
+        raws[i] = raws[i][:at] + char + raws[i][at + 1:]
+    return raws
+
+
+@settings(max_examples=400, deadline=None)
+@given(raws=bulk_lists())
+@example(raws=["2013-03-05T10:00:00+01:0", "\n2013-03-05T10:00:00+01:00"])
+def test_bulk_reader_matches_the_references(raws):
+    valid, epoch, offset = ingest._fixed_instants(raws)
+    gathered = gathered_instants(raws)
+    assert valid.tolist() == gathered[0].tolist()
+    assert epoch.dtype == offset.dtype == np.int64
+    assert epoch[valid].tolist() == gathered[1][valid].tolist()
+    assert offset[valid].tolist() == gathered[2][valid].tolist()
+    expected = [_bulk_reference(raw) for raw in raws]
+    assert valid.tolist() == [pair is not None for pair in expected]
+    assert list(zip(epoch[valid].tolist(), offset[valid].tolist())) == [
+        pair for pair in expected if pair is not None]
 
 
 # --- the events file: a path, its line ends, byte-order mark and size --------

@@ -11,6 +11,7 @@ from citypulse.errors import DataError
 from citypulse.landuse import LandUseCategory
 from citypulse.spatial import (CityCentre, Zone, ZoneTable, build_zone_index, haversine_m,
                                load_zones_geojson)
+from citypulse.synth import SynthConfig, generate_city
 
 from scalar_reference import (distance_to_centre, locate, point_in_rings, polygon_centroid,
                               zone_rows)
@@ -282,17 +283,22 @@ def join_cases(draw):
     return zones, draw(st.lists(point, min_size=1, max_size=60))
 
 
-@settings(max_examples=300, deadline=None)
-@given(join_cases(), st.sampled_from([(8192, 1 << 17), (3, 2)]))
-def test_array_join_matches_point_in_rings_scan(case, sizes):
-    zones, points = case
+def _scan(zones, points):
+    """Per point the smallest zone_id whose rings claim it (or None), and the extra claims."""
     by_id = sorted(zones, key=lambda z: z.zone_id)
     expected, overlaps = [], 0
     for lon, lat in points:
         owners = [z.zone_id for z in by_id if point_in_rings(z.rings, lon, lat)]
         expected.append(owners[0] if owners else None)
         overlaps += max(0, len(owners) - 1)
+    return expected, overlaps
 
+
+@settings(max_examples=300, deadline=None)
+@given(join_cases(), st.sampled_from([(8192, 1 << 17), (3, 2)]))
+def test_array_join_matches_point_in_rings_scan(case, sizes):
+    zones, points = case
+    expected, overlaps = _scan(zones, points)
     saved = spatial.LOCATE_CHUNK, spatial.PAIR_EDGE_BUDGET
     spatial.LOCATE_CHUNK, spatial.PAIR_EDGE_BUDGET = sizes  # also tiny chunks and slices
     try:
@@ -309,3 +315,129 @@ def test_array_join_empty_input():
     index = build_zone_index(ZoneTable.from_zones([square("a", 0, 0)]))
     assert index.locate_codes([], []).tolist() == []
     assert index.overlap_warnings == 0
+
+
+# --- half-open index cells ------------------------------------------------------
+
+def _crossing_x(x1, y1, x2, y2, py):
+    """Where the crossing test puts an edge at height ``py``, in its own order."""
+    return (x2 - x1) * (py - y1) / (y2 - y1) + x1
+
+
+def _up(v):
+    return math.nextafter(v, math.inf)
+
+
+def _down(v):
+    return math.nextafter(v, -math.inf)
+
+
+# Vertex coordinates: a 0.25-degree lattice, so bbox maxima fall on cell
+# boundaries, and values straddling 0 whose differences are not exact
+SPLIT = st.one_of(st.integers(-4, 4).map(lambda k: k * 0.25),
+                  st.sampled_from([-0.3, -0.1, 0.1, 0.3, 0.7, -0.7119942499614846]),
+                  st.floats(-1.0, 1.0, allow_nan=False))
+
+
+@st.composite
+def slanted_cases(draw):
+    """Triangles and quadrilaterals with slanted edges, and the points at their
+    edges: each zone's bbox xmax and ymax, every cell boundary, and each slanted
+    edge's crossing x (and the floats beside it) near the edge's ends."""
+    rings = [tuple(pts) + (pts[0],) for pts in draw(st.lists(
+        st.lists(st.tuples(SPLIT, SPLIT), min_size=3, max_size=4, unique=True),
+        min_size=1, max_size=5))]
+    zones = [Zone(f"z{k}", (ring,), area_ha=1.0) for k, ring in enumerate(rings)]
+    table = ZoneTable.from_zones(zones)
+    index = build_zone_index(table)
+    xs = [index._minx + k * index._dx for k in range(index._n + 1)]
+    ys = [index._miny + k * index._dy for k in range(index._n + 1)]
+    points = []
+    for x0, y0, x1, y1 in table.bbox.tolist():
+        for y in [y0, y1, _down(y1), (y0 + y1) / 2] + ys:
+            points += [(x1, y), (_down(x1), y), (_up(x1), y)]
+        for x in [x0, x1, (x0 + x1) / 2] + xs:
+            points += [(x, y1), (x, _down(y1)), (x, _up(y1))]
+    for ring in rings:
+        for (x1, y1), (x2, y2) in zip(ring, ring[1:]):
+            if y1 == y2:
+                continue
+            for py in (_down(max(y1, y2)), min(y1, y2), (y1 + y2) / 2):
+                r = _crossing_x(x1, y1, x2, y2, py)
+                points += [(r, py), (_down(r), py), (_up(r), py)]
+    points += [(x, y) for x in xs for y in ys]
+    return zones, draw(st.permutations(points))[:400]
+
+
+@settings(max_examples=150, deadline=None)
+@given(slanted_cases())
+def test_half_open_cells_match_point_in_rings_scan(case):
+    zones, points = case
+    expected, overlaps = _scan(zones, points)
+    index = build_zone_index(ZoneTable.from_zones(zones))
+    codes = index.locate_codes([p[0] for p in points], [p[1] for p in points])
+    assert [index.zone_ids[c] if c >= 0 else None for c in codes] == expected
+    assert index.overlap_warnings == overlaps
+
+
+def test_a_crossing_rounded_past_xmax_keeps_its_point():
+    # The slanted edge's crossing x rounds one ulp past the triangle's xmax
+    # (1.0) just below its top, so the crossing test claims (1.0, py), a point
+    # in the cell right of that boundary; squares from x 0 to 2 put a cell
+    # boundary at x = 1.0. Cells cut at xmax would lose the point.
+    left, bottom, top = 0.002042029723804562, 0.32438732534705855, 0.9041034433073107
+    triangle = ((left, bottom), (1.0, top), (left, top), (left, bottom))
+    py = _down(top)
+    assert _crossing_x(left, bottom, 1.0, top, py) > 1.0
+    assert point_in_rings((triangle,), 1.0, py)
+    zones = [Zone("a", (triangle,), area_ha=1.0), square("b", 0.0, 0.0, 0.25),
+             square("c", 1.5, 0.0, 0.5)]
+    index = build_zone_index(ZoneTable.from_zones(zones))
+    assert index._cells(np.array([_down(1.0), 1.0]), index._minx, index._dx).tolist() == [0, 1]
+    assert locate(index, 1.0, py) == "a"
+
+
+def test_a_crossing_rounded_below_xmin_keeps_its_point():
+    # At the slanted edge's lower end the crossing x rounds below the
+    # triangle's xmin, so a point there crosses only the vertical edge and
+    # is claimed; the bbox's x range would leave it out
+    top, bottom = 0.7205795578410992, -0.5356477438739708
+    right, xmin = 0.5410462796616011, 0.07923489689955754
+    triangle = ((right, top), (xmin, bottom), (right, bottom), (right, top))
+    px = _crossing_x(right, top, xmin, bottom, bottom)
+    assert px < xmin
+    assert point_in_rings((triangle,), px, bottom)
+    index = build_zone_index(ZoneTable.from_zones([Zone("a", (triangle,), area_ha=1.0)]))
+    assert locate(index, px, bottom) == "a"
+
+
+@pytest.mark.parametrize("ring", [
+    ((-1e308, 0.0), (1e308, 1.0), (-1e308, 1.0), (-1e308, 0.0)),
+    ((-1e308, 0.0), (1e308, 0.0), (1e308, 1.0), (-1e308, 1.0), (-1e308, 0.0)),
+])
+def test_zones_at_the_float_limits_match_point_in_rings_scan(ring):
+    # x2 - x1 overflows: the grid step is infinite, and the slanted edge's
+    # crossing at its lower end is NaN, so no edge toggles there for a point
+    # left of every vertex that the vertical edge still claims
+    zones = [Zone("a", (ring,), area_ha=1.0), square("b", 2.0, 2.0)]
+    points = [(-1.5e308, 0.0), (0.0, 0.5), (-1e308, 0.0), (-1.7e308, 0.5), (1e308, 0.5),
+              (5e307, _down(1.0)), (2.5, 2.5)]
+    expected, overlaps = _scan(zones, points)
+    index = build_zone_index(ZoneTable.from_zones(zones))
+    codes = index.locate_codes([p[0] for p in points], [p[1] for p in points])
+    assert [index.zone_ids[c] if c >= 0 else None for c in codes] == expected
+    assert index.overlap_warnings == overlaps
+
+
+def test_grid_city_zones_sit_in_fewer_cells():
+    # Every synth zone's non-horizontal edges are vertical, so each takes the
+    # half-open cells in x and y; its bbox maxima on cell boundaries then
+    # leave out a row and a column of cells that the closed ranges took
+    table = ZoneTable.from_zones(generate_city(SynthConfig(seed=5, n_zones=400)).zones)
+    index = build_zone_index(table)
+    x0, y0, x1, y1 = table.bbox.T
+    closed = ((index._cells(x1, index._minx, index._dx)
+               - index._cells(x0, index._minx, index._dx) + 1)
+              * (index._cells(y1, index._miny, index._dy)
+                 - index._cells(y0, index._miny, index._dy) + 1)).sum()
+    assert len(index._cell_zones) < 0.9 * closed
