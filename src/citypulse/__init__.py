@@ -5,8 +5,7 @@ time bin, normalized per-slot distributions, land-use activity profiles, and
 OLS models linking activity to land-use composition.
 """
 
-from .activity import (ActivityMatrix, AssignedEvents, DEFAULT_SLOTS, MajorSlot,
-                       NormalizedMatrix, QuarterCounts, TemporalProfile,
+from .activity import (AssignedEvents, DEFAULT_SLOTS, MajorSlot, QuarterCounts,
                        aggregate_major_slots, count_unique_users, density_per_hectare,
                        landuse_profile, normalize_counts)
 from .config import PipelineConfig, load_config
@@ -15,8 +14,7 @@ from .ingest import EventBatch, GeoEvent, RejectionReport, filter_workdays, read
 from .landuse import LandUseCategory
 from .pipeline import export_geojson, run_pipeline
 from .spatial import CityCentre, ZoneIndex, ZoneTable, build_zone_index, load_zones_geojson
-from .stats import (OlsFit, SlotDistribution, bivariate_slot_ols, census_correlation, fit_ols,
-                    slot_descriptives, stepwise_fit)
+from .stats import OlsFit, bivariate_slot_ols, census_correlation, fit_ols, stepwise_fit
 from .synth import SynthConfig, generate_city, generate_events
 
 __version__ = "0.1.0"

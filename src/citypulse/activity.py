@@ -71,15 +71,6 @@ def validate_slots(slots: Sequence[MajorSlot]) -> None:
         seen.update(slot.bins)
 
 
-@dataclass
-class ActivityMatrix:
-    """Unique active users per zone per time bin; rows follow sorted zone_id."""
-
-    zone_ids: tuple[str, ...]
-    bin_labels: tuple[str, ...]
-    counts: np.ndarray  # int64, zones x bins
-
-
 # Zone rows made dense at a time, for activity_matrix.csv and the profiles: a
 # block is 192 KiB at 96 bins. On a 4,900-zone city with a third of its cells
 # nonzero (3.76 MB as a dense int64 matrix) the profiles peak at 0.92 MB of
@@ -127,26 +118,6 @@ class QuarterCounts:
             block = np.zeros((rows, N_QUARTER_BINS), dtype=np.int64)
             block.reshape(-1)[self.cells[cells] - lo * N_QUARTER_BINS] = self.counts[cells]
             yield block
-
-
-@dataclass
-class NormalizedMatrix:
-    """Per-bin normalized user counts; every nonzero column sums to slot_total."""
-
-    zone_ids: tuple[str, ...]
-    bin_labels: tuple[str, ...]
-    values: np.ndarray  # float64, zones x bins
-    slot_total: float
-    zero_bins: tuple[int, ...] = ()
-
-
-@dataclass
-class TemporalProfile:
-    """Share of one class's daily normalized users falling in each quarter-hour bin."""
-
-    label: str
-    shares: np.ndarray  # length 96, sums to 1
-    daily_total: float = 0.0
 
 
 # Entries of the sorted key that a count reads at a time: its int64
@@ -261,8 +232,9 @@ def _column_counts(events: AssignedEvents, column_of: np.ndarray, n_columns: int
 
 
 def aggregate_major_slots(events: AssignedEvents,
-                          slots: Sequence[MajorSlot] = DEFAULT_SLOTS) -> ActivityMatrix:
-    """Distinct users per (zone, major slot), re-deduplicated at slot scope.
+                          slots: Sequence[MajorSlot] = DEFAULT_SLOTS) -> np.ndarray:
+    """Distinct users per (zone, major slot) as an int64 zones x slots matrix,
+    re-deduplicated at slot scope; rows follow ``events.zone_ids``.
 
     Slot counts are recomputed from the encoded events rather than summed
     from quarter-hour counts: a user active in two bins of the same slot
@@ -272,51 +244,37 @@ def aggregate_major_slots(events: AssignedEvents,
     slot_of = np.full(N_QUARTER_BINS, -1, dtype=np.int64)
     for i, slot in enumerate(slots):
         slot_of[slot.start_bin:slot.end_bin + 1] = i
-    counts = _column_counts(events, slot_of, len(slots))
-    return ActivityMatrix(events.zone_ids, tuple(s.name for s in slots), counts)
+    return _column_counts(events, slot_of, len(slots))
 
 
-def count_daily_unique(events: AssignedEvents) -> ActivityMatrix:
-    """Distinct users per zone over the whole day (single-column matrix)."""
-    counts = _column_counts(events, np.zeros(N_QUARTER_BINS, dtype=np.int64), 1)
-    return ActivityMatrix(events.zone_ids, ("day",), counts)
+def count_daily_unique(events: AssignedEvents) -> np.ndarray:
+    """Distinct users per zone over the whole day, as an int64 zones x 1 matrix."""
+    return _column_counts(events, np.zeros(N_QUARTER_BINS, dtype=np.int64), 1)
 
 
-def _divisors(totals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each column's total as a float divisor, 1.0 for a column without users, and
-    which columns those are."""
-    zero = totals == 0
-    return np.where(zero, 1.0, totals), zero
-
-
-def _normalized(counts: np.ndarray, divisors: np.ndarray, slot_total: float) -> np.ndarray:
-    """``counts / divisors * slot_total`` per element, in one float copy of ``counts``."""
+def _normalized(counts: np.ndarray, totals: np.ndarray, slot_total: float) -> np.ndarray:
+    """``counts / totals * slot_total`` per element, in one float copy of ``counts``;
+    a column whose total is 0, without users, stays 0."""
     values = counts.astype(float)
-    values /= divisors
+    values /= np.where(totals == 0, 1.0, totals)
     values *= slot_total
     return values
 
 
-def normalize_counts(matrix: ActivityMatrix,
-                     slot_total: float = NORMALIZATION_TOTAL) -> NormalizedMatrix:
-    """Rescale every column so it sums to ``slot_total``.
-
-    Columns with no active users at all are left as zeros and flagged in
-    ``zero_bins`` rather than treated as fatal.
-    """
-    divisors, zero = _divisors(matrix.counts.sum(axis=0))
-    values = _normalized(matrix.counts, divisors, slot_total)
-    zero_bins = tuple(int(i) for i in np.flatnonzero(zero))
-    if zero_bins:
-        logger.info("%d time bins have no active users", len(zero_bins))
-    return NormalizedMatrix(matrix.zone_ids, matrix.bin_labels, values,
-                            float(slot_total), zero_bins)
+def normalize_counts(counts: np.ndarray, slot_total: float = NORMALIZATION_TOTAL) -> np.ndarray:
+    """``counts`` (zones x columns) as float64, each column rescaled to sum to
+    ``slot_total``; a column without users stays zero rather than being fatal."""
+    totals = counts.sum(axis=0)
+    if not totals.all():
+        logger.info("%d time bins have no active users", np.count_nonzero(totals == 0))
+    return _normalized(counts, totals, slot_total)
 
 
 def landuse_profile(counts: QuarterCounts, codes: np.ndarray,
                     total: float = NORMALIZATION_TOTAL,
-                    ) -> tuple[list[TemporalProfile], list[str]]:
-    """Temporal profile per land-use class from the quarter-hour counts.
+                    ) -> tuple[dict[str, np.ndarray], list[str]]:
+    """Temporal profile per land-use class from the quarter-hour counts: label
+    -> the share of the class's daily normalized users in each of the 96 bins.
 
     Every zone's users, normalized as :func:`normalize_counts` does with
     ``total``, are assigned to its predominant class (``codes``, one class
@@ -330,16 +288,16 @@ def landuse_profile(counts: QuarterCounts, codes: np.ndarray,
     """
     if not isinstance(counts, QuarterCounts):
         raise DataError("land-use profiles require the quarter-hour counts")
-    divisors, _ = _divisors(counts.column_totals())
-    blocks = (_normalized(block, divisors, total) for block in counts.blocks())
-    profiles: list[TemporalProfile] = []
+    column_totals = counts.column_totals()
+    blocks = (_normalized(block, column_totals, total) for block in counts.blocks())
+    profiles: dict[str, np.ndarray] = {}
     omitted: list[str] = []
     for label, totals in class_sums(codes, blocks).items():
         daily = float(totals.sum())
         if daily == 0.0:
             omitted.append(label)
-            continue
-        profiles.append(TemporalProfile(label, totals / daily, daily))
+        else:
+            profiles[label] = totals / daily
     return profiles, omitted
 
 

@@ -930,25 +930,9 @@ def wall_offsets(wall: np.ndarray, zone: ZoneInfo) -> np.ndarray:
     return _by_quarter(wall, lambda s: _wall_offset_s(s, zone))
 
 
-# Rows per pass of the local-time work: each pass's int64 temporaries are
-# ~100 KB, whatever the batch size. At city-253k 16,384 rows a pass took
-# filter_workdays 12.6 → 9.4 ms and its traced peak 2.4 → 0.8 MiB against
-# 65,536 (best of 11 in-process calls).
-LOCAL_CHUNK = 1 << 14
-
-
-def _by_local_seconds(epoch: np.ndarray, zone: ZoneInfo, dtype, of_local) -> np.ndarray:
-    """``of_local(local seconds)`` per row as ``dtype``, :data:`LOCAL_CHUNK` rows at a time."""
-    out = np.empty(len(epoch), dtype=dtype)
-    for lo in range(0, len(epoch), LOCAL_CHUNK):
-        hi = lo + LOCAL_CHUNK
-        out[lo:hi] = of_local(local_seconds(epoch[lo:hi], zone))
-    return out
-
-
 def quarter_bins(epoch: np.ndarray, zone: ZoneInfo) -> np.ndarray:
     """Quarter-hour bin 0..95 (int8) of each instant's local wall-clock time."""
-    return _by_local_seconds(epoch, zone, np.int8, lambda local: local % _DAY_S // _QUARTER_S)
+    return (local_seconds(epoch, zone) % _DAY_S // _QUARTER_S).astype(np.int8)
 
 
 def filter_workdays(events: EventBatch, tz: str) -> EventBatch:
@@ -960,6 +944,6 @@ def filter_workdays(events: EventBatch, tz: str) -> EventBatch:
     :func:`local_seconds`); floor division keeps pre-1970 instants right.
     """
     zone = get_timezone(tz)
-    keep = _by_local_seconds(events.epoch, zone, bool, lambda local: np.isin(
-        (local // _DAY_S + _EPOCH_WEEKDAY) % 7, WORKDAY_WEEKDAYS))
+    local = local_seconds(events.epoch, zone)
+    keep = np.isin((local // _DAY_S + _EPOCH_WEEKDAY) % 7, WORKDAY_WEEKDAYS)
     return events if keep.all() else events.take(keep)

@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .tables import write_csv
+from .tables import FLOAT_FORMAT, write_csv
 
 if TYPE_CHECKING:
     from .spatial import ZoneTable
@@ -138,7 +138,7 @@ def write_classification_csv(path, table: "ZoneTable", codes: np.ndarray) -> Non
     codes = codes.tolist()
     # class and subcategory per code, split once; code -1 takes the blank last entry
     parts = [key.partition(":") for key in CLASSES] + [("", "", "")]
-    fractions = ["%.6g" % f if c >= 0 else "" for c, f in zip(codes, fractions)]
+    fractions = [FLOAT_FORMAT % f if c >= 0 else "" for c, f in zip(codes, fractions)]
     write_csv(path, ["zone_id", "class", "subcategory", "residential_fraction"],
               [table.zone_ids, [parts[c][0] for c in codes], [parts[c][2] for c in codes],
                fractions])

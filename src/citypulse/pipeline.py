@@ -29,7 +29,7 @@ from .config import PipelineConfig, config_echo
 from .errors import ConfigError, DataError
 from .landuse import CATEGORIES
 from .spatial import CityCentre, ZoneIndex, ZoneTable
-from .tables import write_csv
+from .tables import FLOAT_FORMAT, write_csv
 
 logger = logging.getLogger(__name__)
 
@@ -169,10 +169,10 @@ def _json_floats(values: list[float]) -> list[str]:
 
 
 def _json_values(values) -> list[str]:
-    """json.dumps text per value, a float rounded first to float(format(v, ".6g"))."""
+    """json.dumps text per value, a float rounded first to float(FLOAT_FORMAT % v)."""
     if isinstance(values, np.ndarray) and values.dtype.kind == "f":
-        return _json_floats(list(map(float, map("%.6g".__mod__, values.tolist()))))
-    return [_encode(float(format(v, ".6g")) if isinstance(v, float) else v) for v in values]
+        return _json_floats(list(map(float, map(FLOAT_FORMAT.__mod__, values.tolist()))))
+    return [_encode(float(FLOAT_FORMAT % v) if isinstance(v, float) else v) for v in values]
 
 
 # Features formatted at a time. At 5 vertices a zone (4,900 zones, 8 value
@@ -257,13 +257,14 @@ def _write_model_csv(path, fit: stats.OlsFit, dropped: Sequence[str]) -> None:
               "r2", "adj_r2", "f", "f_p", "aic", "n"]
     per_predictor = (fit.coefficients, fit.std_errors, fit.t_stats, fit.p_values,
                      [fit.vif.get(name) for name in fit.names])
-    summary = [*("%.6g" % v for v in (fit.r2, fit.adj_r2, fit.f_stat, fit.f_p_value, fit.aic)),
-               str(fit.n)]
+    summary = [*(FLOAT_FORMAT % v
+                 for v in (fit.r2, fit.adj_r2, fit.f_stat, fit.f_p_value, fit.aic)), str(fit.n)]
     below = [""] * (len(dropped) + 1)  # the dropped rows and the summary row
     above = [""] * (len(fit.names) + len(dropped))
     write_csv(path, header, [
         [*fit.names, *dropped, "(summary)"],
-        *(["" if v is None else "%.6g" % v for v in values] + below for values in per_predictor),
+        *(["" if v is None else FLOAT_FORMAT % v for v in values] + below
+          for values in per_predictor),
         *(above + [text] for text in summary)])
 
 
@@ -389,39 +390,39 @@ def run_pipeline(config: PipelineConfig, steps: Iterable[str] = ALL_STEPS) -> Ru
             warnings.append(f"{overlaps} points hit overlapping zones")
 
         slot_names = [s.name for s in config.slots]
-        quarter = slot_matrix = normalized_slots = None
-
         if "aggregate" in steps:
             quarter = activity.count_unique_users(assigned)
             write_quarter_csv(stage / "activity_matrix.csv", quarter)
-            slot_matrix = activity.aggregate_major_slots(assigned, config.slots)
-            write_csv(stage / "slot_counts.csv", ["zone_id", *slot_matrix.bin_labels],
-                      [slot_matrix.zone_ids, *slot_matrix.counts.T])
-            normalized_slots = activity.normalize_counts(slot_matrix, config.normalization_total)
-            write_csv(stage / "normalized_slots.csv", ["zone_id", *normalized_slots.bin_labels],
-                      [normalized_slots.zone_ids, *normalized_slots.values.T])
-            if normalized_slots.zero_bins:
-                warnings.append("slots with no active users: " + ", ".join(
-                    slot_names[i] for i in normalized_slots.zero_bins))
-            described = [stats.slot_descriptives(normalized_slots.values[:, j], name)
-                         for j, name in enumerate(slot_names)]
-            measures = ["n_zones", "minimum", "maximum", "total", "mean", "std_dev"]
-            write_csv(stage / "descriptives.csv", ["slot", *measures],
-                      [slot_names, *(np.array([getattr(d, m) for d in described])
-                                     for m in measures)])
+            slot_counts = activity.aggregate_major_slots(assigned, config.slots)
+            write_csv(stage / "slot_counts.csv", ["zone_id", *slot_names],
+                      [zone_ids, *slot_counts.T])
+            normalized_slots = activity.normalize_counts(slot_counts, config.normalization_total)
+            write_csv(stage / "normalized_slots.csv", ["zone_id", *slot_names],
+                      [zone_ids, *normalized_slots.T])
+            empty = np.flatnonzero(slot_counts.sum(axis=0) == 0).tolist()
+            if empty:
+                warnings.append("slots with no active users: "
+                                + ", ".join(slot_names[j] for j in empty))
+            # per column, as an axis-0 sum adds row after row, not pairwise, and
+            # could move the last digits; std_dev is the population one
+            described = np.array([[c.min(), c.max(), c.sum(), c.mean(), c.std()]
+                                  for c in normalized_slots.T])
+            write_csv(stage / "descriptives.csv",
+                      ["slot", "n_zones", "minimum", "maximum", "total", "mean", "std_dev"],
+                      [slot_names, np.full(len(slot_names), len(zone_ids)), *described.T])
 
         if "profiles" in steps:
             landuse.write_classification_csv(stage / "landuse_classes.csv", zones, codes)
             profiles, omitted = activity.landuse_profile(quarter, codes,
                                                          config.normalization_total)
             quarter = None  # the quarter-hour counts are not needed past the profiles
-            write_profiles_csv(stage / "profiles.csv", {p.label: p.shares for p in profiles})
+            write_profiles_csv(stage / "profiles.csv", profiles)
             if omitted:
                 warnings.append("classes with no activity omitted from profiles: "
                                 + ", ".join(omitted))
             day = activity.count_daily_unique(assigned)
             day_norm = activity.normalize_counts(day, config.normalization_total)
-            class_totals = landuse.class_sums(codes, day_norm.values[:, 0])
+            class_totals = landuse.class_sums(codes, day_norm[:, 0])
             class_areas = landuse.class_sums(codes, zones.area_ha)
             densities, zero_area = activity.density_per_hectare(class_totals, class_areas)
             if zero_area:
@@ -445,14 +446,15 @@ def run_pipeline(config: PipelineConfig, steps: Iterable[str] = ALL_STEPS) -> Ru
             geo_columns: dict[str, object] = {"landuse_class": [
                 landuse.CLASSES[c] if c >= 0 else None for c in codes.tolist()]}
             for j, name in enumerate(slot_names):
-                geo_columns[f"normalized_{name}"] = normalized_slots.values[:, j]
+                geo_columns[f"normalized_{name}"] = normalized_slots[:, j]
             # r² of slot j (row) on slot i (column) is their squared correlation;
             # a constant predictor slot has no fit (blank), a constant response r² 0.
             # corrcoef of a single slot is 0-d, hence atleast_2d.
             with np.errstate(divide="ignore", invalid="ignore"):
-                r2 = np.atleast_2d(np.corrcoef(normalized_slots.values, rowvar=False)) ** 2
-            flat = np.ptp(normalized_slots.values, axis=0) == 0.0
-            cells = np.array([["%.6g" % v for v in row] for row in r2.tolist()], dtype=object)
+                r2 = np.atleast_2d(np.corrcoef(normalized_slots, rowvar=False)) ** 2
+            flat = np.ptp(normalized_slots, axis=0) == 0.0
+            cells = np.array([[FLOAT_FORMAT % v for v in row] for row in r2.tolist()],
+                             dtype=object)
             cells[flat, :] = "0"
             cells[:, flat] = ""
             np.fill_diagonal(cells, "1")
@@ -462,8 +464,8 @@ def run_pipeline(config: PipelineConfig, steps: Iterable[str] = ALL_STEPS) -> Ru
                 if j == base_col:
                     continue
                 try:
-                    fit = stats.bivariate_slot_ols(normalized_slots.values[:, base_col],
-                                                   normalized_slots.values[:, j])
+                    fit = stats.bivariate_slot_ols(normalized_slots[:, base_col],
+                                                   normalized_slots[:, j])
                 except DataError as exc:
                     warnings.append(f"bivariate {name} vs {baseline} skipped: {exc}")
                     continue
@@ -482,7 +484,7 @@ def run_pipeline(config: PipelineConfig, steps: Iterable[str] = ALL_STEPS) -> Ru
             predictor_names = [CATEGORIES[j].value for j in nonzero] + ["distance_to_centre"]
             X = np.column_stack([areas[:, nonzero], distance])
             for j, name in enumerate(slot_names):
-                fit, dropped = stats.stepwise_fit(normalized_slots.values[:, j], X,
+                fit, dropped = stats.stepwise_fit(normalized_slots[:, j], X,
                                                   names=predictor_names, alpha=config.alpha)
                 warnings.extend(f"model {name}: {w}" for w in fit.warnings)
                 _write_model_csv(stage / f"model_{name}.csv", fit, dropped)
@@ -507,7 +509,8 @@ def run_pipeline(config: PipelineConfig, steps: Iterable[str] = ALL_STEPS) -> Ru
                 x = home_counts.astype(float)
                 y = np.array([census.get(z, 0.0) for z in zone_ids])
                 try:
-                    stats_out["census_home_r2"] = float("%.6g" % stats.census_correlation(x, y))
+                    stats_out["census_home_r2"] = float(
+                        FLOAT_FORMAT % stats.census_correlation(x, y))
                 except DataError as exc:
                     warnings.append(f"census correlation skipped: {exc}")
 

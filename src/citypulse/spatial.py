@@ -347,25 +347,28 @@ class ZoneIndex:
     both claim a point (a data error) the lexicographically smallest zone_id
     wins and ``overlap_warnings`` is incremented once per extra claim.
 
-    A zone is a candidate only in the cells of the points it can claim. Its
-    edge from ``(x1, y1)`` to ``(x2, y2)`` toggles the crossing test at
-    ``(px, py)`` only when ``(y1 > py) != (y2 > py)``, which no
-    ``py >= ymax`` meets, and when ``px < fl(fl(fl(d * a) / b) + x1)``, with
-    ``d = x2 - x1``, ``a = py - y1`` and ``b = y2 - y1`` rounded as the kernel
-    rounds them, ``a`` between 0 and ``b``. Every rounding step is monotone,
-    so that crossing lies between its values at ``a = 0``, ``x1``, and at
-    ``a = b``, ``fl(fl(fl(d * b) / b) + x1)``, which rounding can put past
-    ``x2``, even past the zone's bbox. A claimed point toggles some edge, so
-    its ``px`` lies below the largest of these bounds over the zone's edges,
-    ``right``; and some edge that its row crosses does not toggle (a ring
-    crosses a row an even number of times), so ``px`` is at least the
-    smallest, ``left``. Since ``_cells`` is monotone, the zone's cells run
-    from ``_cells(left)`` to ``_cells(nextafter(right, -inf))`` in x and from
-    ``_cells(ymin)`` to ``_cells(nextafter(ymax, -inf))`` in y, half-open at
-    the top. A zone whose non-horizontal edges are all vertical, as every
-    synthetic zone's are, has ``left = xmin`` and ``right = xmax``. An edge
-    whose bound overflows (to an infinity or NaN) reaches every x: where
-    ``d`` is infinite, the crossing at ``a = 0`` is NaN, not ``x1``.
+    Every edge runs from its lower end ``(x1, y1)`` to its upper end
+    ``(x2, y2)``, whichever way its ring walks it, so zones that share an edge
+    round its crossing alike and a point at it lands in exactly one of them. A
+    zone is a candidate only in the cells of the points it can claim. Its edge
+    toggles the crossing test at ``(px, py)`` only when ``y1 <= py < y2``,
+    which no ``py >= ymax`` meets, and when
+    ``px < fl(fl(fl(d * a) / b) + x1)``, with ``d = x2 - x1``, ``a = py - y1``
+    and ``b = y2 - y1`` rounded as the kernel rounds them, so that
+    ``0 <= a <= b``. Every rounding step is monotone, so that crossing lies
+    between its values at ``a = 0``, ``x1``, and at ``a = b``,
+    ``fl(fl(fl(d * b) / b) + x1)``, which rounding can put past ``x2``, even
+    past the zone's bbox. A claimed point toggles some edge, so its ``px`` lies
+    below the largest of these bounds over the zone's edges, ``right``; and
+    some edge that its row crosses does not toggle (a ring crosses a row an
+    even number of times), so ``px`` is at least the smallest, ``left``. Since
+    ``_cells`` is monotone, the zone's cells run from ``_cells(left)`` to
+    ``_cells(nextafter(right, -inf))`` in x and from ``_cells(ymin)`` to
+    ``_cells(nextafter(ymax, -inf))`` in y, half-open at the top. A zone whose
+    non-horizontal edges are all vertical, as every synthetic zone's are, has
+    ``left = xmin`` and ``right = xmax``. An edge whose bound overflows (to an
+    infinity or NaN) reaches every x: where ``d`` is infinite, the crossing at
+    ``a = 0`` is NaN, not ``x1``.
     """
 
     def __init__(self, table: ZoneTable):
@@ -385,8 +388,11 @@ class ZoneIndex:
                                  np.diff(starts[table.zone_ring_start]))[keep]
         self._edge_count = np.bincount(zone_of_edge, minlength=len(table))
         self._edge_start = np.cumsum(self._edge_count) - self._edge_count
-        self._ex1, self._ey1 = v[prev[keep], 0], v[prev[keep], 1]
-        self._ex2, self._ey2 = v[keep, 0], v[keep, 1]
+        low, high = prev[keep], np.flatnonzero(keep)
+        down = v[low, 1] > v[high, 1]
+        low[down], high[down] = high[down], low[down]
+        self._ex1, self._ey1 = v[low, 0], v[low, 1]
+        self._ex2, self._ey2 = v[high, 0], v[high, 1]
 
         x0, y0, x1, y1 = table.bbox.T
         self._minx, self._miny = float(x0.min()), float(y0.min())

@@ -339,34 +339,6 @@ def bivariate_slot_ols(a, b) -> OlsFit:
         raise DataError("predictor slot has zero variance to rounding") from exc
 
 
-@dataclass
-class SlotDistribution:
-    """Descriptive statistics of one slot's per-zone values (population std dev)."""
-
-    slot: str
-    n_zones: int
-    mean: float
-    std_dev: float
-    minimum: float
-    maximum: float
-    total: float
-
-
-def slot_descriptives(values, slot: str = "") -> SlotDistribution:
-    values = np.asarray(values, dtype=float).reshape(-1)
-    if len(values) == 0:
-        raise DataError("descriptives need at least one zone")
-    return SlotDistribution(
-        slot=slot,
-        n_zones=len(values),
-        mean=float(values.mean()),
-        std_dev=float(values.std()),
-        minimum=float(values.min()),
-        maximum=float(values.max()),
-        total=float(values.sum()),
-    )
-
-
 def infer_homes(events: AssignedEvents,
                 night_bins: Collection[int] = DEFAULT_NIGHT_BINS,
                 residential_zones: Collection[str] | None = None) -> dict[str, str]:

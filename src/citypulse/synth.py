@@ -17,15 +17,16 @@ import logging
 import math
 from dataclasses import dataclass, field
 from datetime import date, timedelta
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .activity import DEFAULT_SLOTS, MajorSlot, N_QUARTER_BINS, validate_slots
+from .activity import DEFAULT_SLOTS, N_QUARTER_BINS
 from .errors import ConfigError
 from .ingest import EventBatch, WORKDAY_WEEKDAYS, get_timezone, wall_offsets
 from .landuse import CLASSES, LandUseCategory, class_groups, classify_zones, home_zones
 from .spatial import CityCentre, Zone, ZoneTable, distances_to_centre
+from .stats import DEFAULT_NIGHT_BINS
 
 logger = logging.getLogger(__name__)
 
@@ -47,11 +48,10 @@ DEFAULT_SLOT_WEIGHTS: dict[str, dict[str, float]] = {
 }
 
 
-def slot_weights_to_intensity(weights: Mapping[str, float],
-                              slots: Sequence[MajorSlot] = DEFAULT_SLOTS) -> np.ndarray:
-    """Spread per-slot weights uniformly over their quarter-hour bins (sums to 1)."""
+def slot_weights_to_intensity(weights: Mapping[str, float]) -> np.ndarray:
+    """Spread per-slot weights uniformly over the bins of the default slots (sums to 1)."""
     intensity = np.zeros(N_QUARTER_BINS)
-    for slot in slots:
+    for slot in DEFAULT_SLOTS:
         weight = float(weights.get(slot.name, 0.0))
         if weight < 0 or not math.isfinite(weight):
             raise ConfigError(f"bad slot weight for {slot.name!r}: {weight}")
@@ -83,8 +83,6 @@ class SynthConfig:
         "activity:education": 0.15, "activity:retail": 0.10, "activity:office": 0.10,
     })
     intensities: Mapping[str, np.ndarray] | None = None  # per class key, 96 bins
-    slots: tuple[MajorSlot, ...] = DEFAULT_SLOTS
-    night_bins: tuple[int, ...] = tuple(range(88, 96))
     n_users: int = 500
     events_per_user_per_day: float = 8.0
     n_days: int = 3
@@ -123,7 +121,6 @@ class SynthConfig:
         total = sum(self.class_mix.values())
         if abs(total - 1.0) > 1e-9:
             raise ConfigError(f"class mix fractions sum to {total}, expected 1")
-        validate_slots(self.slots)
         if self.intensities is not None:
             for key, vec in self.intensities.items():
                 arr = np.asarray(vec, dtype=float)
@@ -138,7 +135,7 @@ class SynthConfig:
         weights = DEFAULT_SLOT_WEIGHTS.get(key)
         if weights is None:
             raise ConfigError(f"no intensity configured or defaulted for class {key!r}")
-        return slot_weights_to_intensity(weights, self.slots)
+        return slot_weights_to_intensity(weights)
 
     def mass_targets(self) -> dict[str, float]:
         """Target share of total event mass per class key: equal across the main
@@ -308,7 +305,7 @@ def _placement(city: SynthCity, table: ZoneTable, rows: np.ndarray
         raise ConfigError("placement model has zero total mass")
     q /= total
     night = np.zeros(N_QUARTER_BINS, dtype=bool)
-    night[list(config.night_bins)] = True
+    night[DEFAULT_NIGHT_BINS] = True
     return q, q.sum(axis=0), night
 
 
@@ -471,7 +468,6 @@ def _home_group_sums(cells: np.ndarray, home_cells: np.ndarray, groups: np.ndarr
 
 def _expected_truth(city: SynthCity, q0, p0_bin, night_mask, homes, mu) -> SynthTruth:
     config = city.config
-    slots = config.slots
 
     # per-event placement given a home zone: night mass shifts toward home
     base = q0 * np.where(night_mask, 1.0 - config.home_bias, 1.0)[None, :]
@@ -480,7 +476,7 @@ def _expected_truth(city: SynthCity, q0, p0_bin, night_mask, homes, mu) -> Synth
     home_rows = base[groups] + bonus
 
     def by_slot(q: np.ndarray) -> np.ndarray:
-        return np.column_stack([q[:, list(s.bins)].sum(axis=1) for s in slots])
+        return np.column_stack([q[:, list(s.bins)].sum(axis=1) for s in DEFAULT_SLOTS])
 
     expected_quarter = _home_group_sums(base, home_rows, groups, homes, mu)
     expected_slots = _home_group_sums(by_slot(base), by_slot(home_rows), groups, homes, mu)
@@ -507,7 +503,7 @@ def _expected_truth(city: SynthCity, q0, p0_bin, night_mask, homes, mu) -> Synth
                 for u in range(config.n_users)}
     return SynthTruth(city.zone_ids, home_map, expected_quarter,
                       expected_slots, expected_day, profiles,
-                      tuple(s.name for s in slots), slot_class_totals)
+                      tuple(s.name for s in DEFAULT_SLOTS), slot_class_totals)
 
 
 def city_geojson(city: SynthCity) -> dict:

@@ -1,7 +1,8 @@
 """Per-zone CSV tables: one row template, filled a block of rows at a time.
 
-Floats print at 6 significant digits (``"%.6g"``, the same text as
-``format(v, ".6g")``), which keeps golden files stable.
+Floats print at 6 significant digits, :data:`FLOAT_FORMAT` (the same text as
+``format(v, ".6g")``), as does every float that a run computes and exports,
+which keeps golden files stable.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
+
+FLOAT_FORMAT = "%.6g"
 
 # Rows formatted at a time: a block's cells as Python objects stay a few MB
 # even at 96 columns
@@ -50,7 +53,7 @@ def write_csv(path, header: Sequence[str], columns: Sequence = (), *,
             specs, cells = [], []
             for column in block:
                 if isinstance(column, np.ndarray):
-                    specs.append("%.6g" if column.dtype.kind == "f" else "%d")
+                    specs.append(FLOAT_FORMAT if column.dtype.kind == "f" else "%d")
                 else:
                     specs.append("%s")
                     column = _text_cells(column)

@@ -24,8 +24,7 @@ from zoneinfo import ZoneInfo
 import numpy as np
 
 from citypulse import ingest
-from citypulse.activity import (N_QUARTER_BINS, QUARTER_LABELS, ActivityMatrix, AssignedEvents,
-                                QuarterCounts)
+from citypulse.activity import N_QUARTER_BINS, AssignedEvents, QuarterCounts
 from citypulse.errors import CityPulseError, DataError
 from citypulse.ingest import EventBatch, GeoEvent, RejectionReport, _BatchBuilder, get_timezone
 from citypulse.landuse import ACTIVITY_CATEGORIES, CATEGORIES, PREDOMINANCE_THRESHOLD
@@ -77,13 +76,15 @@ def zone_rows(table: ZoneTable) -> list[Zone]:
 
 
 def point_in_rings(rings: Sequence[Ring], lon: float, lat: float) -> bool:
-    """Even-odd crossing test over all rings (half-open edges)."""
+    """Even-odd crossing test over all rings (half-open edges), each edge taken
+    from its lower end, whichever way the ring walks it."""
     inside = False
     for ring in rings:
         x1, y1 = ring[-1]
         for x2, y2 in ring:
             if (y1 > lat) != (y2 > lat):
-                if lon < (x2 - x1) * (lat - y1) / (y2 - y1) + x1:
+                (lx, ly), (hx, hy) = sorted(((x1, y1), (x2, y2)), key=lambda p: p[1])
+                if lon < (hx - lx) * (lat - ly) / (hy - ly) + lx:
                     inside = not inside
             x1, y1 = x2, y2
     return inside
@@ -297,12 +298,12 @@ def dedup_matrix(events: AssignedEvents, cols: np.ndarray, n_cols: int) -> np.nd
     return np.bincount(cells, minlength=n_zones * n_cols).reshape(n_zones, n_cols)
 
 
-def quarter_matrix(quarter: QuarterCounts) -> ActivityMatrix:
+def quarter_matrix(quarter: QuarterCounts) -> np.ndarray:
     """The quarter-hour counts as the dense zones x 96 int64 matrix, each cell set alone."""
     counts = np.zeros((len(quarter.zone_ids), N_QUARTER_BINS), dtype=np.int64)
     for cell, count in zip(quarter.cells.tolist(), quarter.counts.tolist()):
         counts[divmod(cell, N_QUARTER_BINS)] = count
-    return ActivityMatrix(quarter.zone_ids, QUARTER_LABELS, counts)
+    return counts
 
 
 def quarter_counts(zone_ids: Sequence[str], counts: np.ndarray) -> QuarterCounts:

@@ -17,10 +17,11 @@ from zoneinfo import ZoneInfo
 
 import numpy as np
 
-from citypulse.activity import N_QUARTER_BINS
+from citypulse.activity import DEFAULT_SLOTS, N_QUARTER_BINS
 from citypulse.errors import ConfigError
 from citypulse.ingest import OPTIONAL_FIELDS, GeoEvent
 from citypulse.landuse import CLASSES, class_groups
+from citypulse.stats import DEFAULT_NIGHT_BINS
 from citypulse.synth import SynthCity, SynthTruth, _user_rates, _workdays
 from scalar_reference import distance_to_centre
 
@@ -56,7 +57,7 @@ def placement(city: SynthCity):
         raise ConfigError("placement model has zero total mass")
     q /= total
     night = np.zeros(N_QUARTER_BINS, dtype=bool)
-    night[list(config.night_bins)] = True
+    night[list(DEFAULT_NIGHT_BINS)] = True
     return q, q.sum(axis=0), night
 
 
@@ -140,7 +141,7 @@ def expected_truth(city: SynthCity, q0, p0_bin, night_mask, homes, mu) -> SynthT
     """The exact expectations, one zones x 96 matrix per home group."""
     config = city.config
     n_zones = len(city.zones)
-    slots = config.slots
+    slots = DEFAULT_SLOTS
     base = q0 * np.where(night_mask, 1.0 - config.home_bias, 1.0)[None, :]
     bonus = config.home_bias * p0_bin * night_mask
 

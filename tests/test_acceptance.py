@@ -12,8 +12,8 @@ import time
 import numpy as np
 import pytest
 
-from citypulse.activity import (DEFAULT_SLOTS, ActivityMatrix, aggregate_major_slots,
-                                count_unique_users, landuse_profile, normalize_counts)
+from citypulse.activity import (DEFAULT_SLOTS, aggregate_major_slots, count_unique_users,
+                                landuse_profile, normalize_counts)
 from citypulse.ingest import get_timezone
 from citypulse.landuse import CATEGORIES, classify_zones
 from citypulse.pipeline import run_pipeline
@@ -45,20 +45,15 @@ def test_normalization_conservation():
         n_bins = int(rng.integers(1, 8))
         counts = rng.integers(0, 200, size=(n_zones, n_bins))
         counts[:, rng.integers(0, n_bins)] = 0  # force an empty column too
-        matrix = ActivityMatrix(tuple(f"z{i}" for i in range(n_zones)),
-                                tuple(map(str, range(n_bins))), counts)
-        normalized = normalize_counts(matrix)
-        sums = normalized.values.sum(axis=0)
+        sums = normalize_counts(counts).sum(axis=0)
         for k in range(n_bins):
             if counts[:, k].sum() == 0:
-                assert k in normalized.zero_bins and sums[k] == 0.0
+                assert sums[k] == 0.0
             else:
                 assert abs(sums[k] - 100000.0) <= 1e-6 * 100000.0
 
     counts = np.random.default_rng(1).integers(1, 500, size=(584, 4))
-    matrix = ActivityMatrix(tuple(f"z{i:04d}" for i in range(584)), tuple(SLOT_NAMES), counts)
-    normalized = normalize_counts(matrix)
-    means = normalized.values.mean(axis=0)
+    means = normalize_counts(counts).mean(axis=0)
     assert np.all(np.abs(means - 171.23) <= 0.01 + 1e-9)
     print("PASS: normalization conservation (column totals 100000, 584-zone mean 171.23)")
 
@@ -85,7 +80,7 @@ def test_dedup_property_suite():
         slots = aggregate_major_slots(doubled, DEFAULT_SLOTS)
         assert np.array_equal(quarter.cells, base_quarter.cells)
         assert np.array_equal(quarter.counts, base_quarter.counts)
-        assert np.array_equal(slots.counts, base_slots.counts)
+        assert np.array_equal(slots, base_slots)
     elapsed = time.monotonic() - start
     assert elapsed < 10.0
     print(f"PASS: dedup invariance over 1000 duplication trials ({elapsed:.1f}s)")
@@ -224,9 +219,8 @@ def _profiles_from_run(fixture):
     encoded = encode(assigned, zone_ids)
     profiles, _ = landuse_profile(
         count_unique_users(encoded), classify_zones(ZoneTable.from_zones(fixture.city.zones)))
-    slot_matrix = aggregate_major_slots(encoded, DEFAULT_SLOTS)
-    normalized_slots = normalize_counts(slot_matrix)
-    return {p.label: p.shares for p in profiles}, normalized_slots, assigned
+    normalized_slots = normalize_counts(aggregate_major_slots(encoded, DEFAULT_SLOTS))
+    return profiles, normalized_slots, assigned
 
 
 def _class_slot_totals(fixture, normalized_slots):
@@ -237,7 +231,7 @@ def _class_slot_totals(fixture, normalized_slots):
                   "activity:education", "activity:retail", "activity:office"):
         rows = [i for i, z in enumerate(fixture.city.zone_ids)
                 if label in (classes[z], classes[z].partition(":")[0])]
-        totals[label] = normalized_slots.values[rows].sum(axis=0)
+        totals[label] = normalized_slots[rows].sum(axis=0)
     return totals
 
 
@@ -274,9 +268,8 @@ def test_profile_round_trip(big_city):
     small_profiles, _ = landuse_profile(
         count_unique_users(encode(small_assigned, small_city_obj.zone_ids)),
         classify_zones(ZoneTable.from_zones(small_city_obj.zones)))
-    small_map = {p.label: p.shares for p in small_profiles}
     for label in ("residential", "mixed", "activity"):
-        small_l1 = float(np.abs(small_map[label] - small_truth.profiles[label]).sum())
+        small_l1 = float(np.abs(small_profiles[label] - small_truth.profiles[label]).sum())
         assert small_l1 > l1[label]
     elapsed = time.monotonic() - start
     assert elapsed < 60.0
@@ -296,7 +289,7 @@ def test_regression_sign_structure(big_city):
 
     coefficients = {}
     for j, slot in enumerate(SLOT_NAMES):
-        fit, dropped = stepwise_fit(normalized_slots.values[:, j], X, names=names,
+        fit, dropped = stepwise_fit(normalized_slots[:, j], X, names=names,
                                     alpha=0.01)
         for name in fit.names:
             if name == "intercept":

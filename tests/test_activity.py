@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 
 from citypulse import activity
 from citypulse.activity import (DEFAULT_SLOTS, KEY_CHUNK, N_QUARTER_BINS, NORMALIZATION_TOTAL,
-                                PROFILE_BLOCK_ROWS, QUARTER_LABELS, ActivityMatrix,
-                                AssignedEvents, MajorSlot, aggregate_major_slots,
-                                count_daily_unique, count_unique_users,
-                                density_per_hectare, landuse_profile,
-                                normalize_counts, validate_slots)
+                                PROFILE_BLOCK_ROWS, QUARTER_LABELS, AssignedEvents, MajorSlot,
+                                aggregate_major_slots, count_daily_unique, count_unique_users,
+                                density_per_hectare, landuse_profile, normalize_counts,
+                                validate_slots)
 from citypulse.errors import ConfigError, DataError
 from citypulse.landuse import CLASSES, class_groups
 from citypulse.stats import DEFAULT_NIGHT_BINS, infer_homes
@@ -23,34 +22,36 @@ from scalar_reference import dedup_matrix, encode, quarter_counts, quarter_matri
 def test_repeat_events_in_same_cell_count_once():
     events = [("a", "Z", 40)] * 5
     matrix = quarter_matrix(count_unique_users(encode(events)))
-    assert matrix.counts[0, 40] == 1
-    assert matrix.counts.sum() == 1
+    assert matrix[0, 40] == 1
+    assert matrix.sum() == 1
 
 
 def test_distinct_users_both_count():
     matrix = quarter_matrix(count_unique_users(encode([("a", "Z", 40), ("b", "Z", 40)])))
-    assert matrix.counts[0, 40] == 2
+    assert matrix[0, 40] == 2
 
 
 def test_user_in_two_bins_counts_once_per_bin():
     matrix = quarter_matrix(count_unique_users(
         encode([("a", "Z", 40), ("a", "Z", 41), ("a", "Z", 41)])))
-    assert matrix.counts[0, 40] == 1
-    assert matrix.counts[0, 41] == 1
-    assert matrix.counts.sum() == 2
+    assert matrix[0, 40] == 1
+    assert matrix[0, 41] == 1
+    assert matrix.sum() == 2
 
 
 def test_user_in_two_zones_same_bin_counts_in_each():
-    matrix = quarter_matrix(count_unique_users(encode([("a", "Y", 40), ("a", "Z", 40)])))
-    assert matrix.counts[matrix.zone_ids.index("Y"), 40] == 1
-    assert matrix.counts[matrix.zone_ids.index("Z"), 40] == 1
+    quarter = count_unique_users(encode([("a", "Y", 40), ("a", "Z", 40)]))
+    matrix = quarter_matrix(quarter)
+    assert matrix[quarter.zone_ids.index("Y"), 40] == 1
+    assert matrix[quarter.zone_ids.index("Z"), 40] == 1
 
 
 def test_zone_rows_sorted_and_zero_rows_kept():
-    matrix = quarter_matrix(count_unique_users(encode([("a", "B", 0)], ["C", "A", "B"])))
-    assert matrix.zone_ids == ("A", "B", "C")
-    assert matrix.counts[1, 0] == 1
-    assert matrix.counts[0].sum() == 0 and matrix.counts[2].sum() == 0
+    quarter = count_unique_users(encode([("a", "B", 0)], ["C", "A", "B"]))
+    matrix = quarter_matrix(quarter)
+    assert quarter.zone_ids == ("A", "B", "C")
+    assert matrix[1, 0] == 1
+    assert matrix[0].sum() == 0 and matrix[2].sum() == 0
 
 
 def test_unknown_zone_rejected_with_explicit_zone_set():
@@ -94,7 +95,7 @@ def test_keys_past_int32_match_a_set_reference():
         expected = np.zeros((n_zones, n_cols), dtype=np.int64)
         for _, z, col in {(u, z, col_of(b)) for u, z, b in rows if col_of(b) is not None}:
             expected[z, col] += 1
-        np.testing.assert_array_equal(matrix.counts, expected)
+        np.testing.assert_array_equal(matrix, expected)
 
     night, total = {}, {}
     for u, z, b in rows:
@@ -130,18 +131,18 @@ def test_normalize_proportional_example():
         [(f"u{i}", "z1", 0) for i in range(50)] + [(f"v{i}", "z2", 0) for i in range(150)],
         ["z1", "z2"])))
     normalized = normalize_counts(matrix)
-    assert normalized.values[0, 0] == pytest.approx(25000.0)
-    assert normalized.values[1, 0] == pytest.approx(75000.0)
+    assert normalized[0, 0] == pytest.approx(25000.0)
+    assert normalized[1, 0] == pytest.approx(75000.0)
 
 
 def test_normalized_nonzero_columns_sum_to_total():
     rng = np.random.default_rng(4)
     events = [(f"u{rng.integers(50)}", f"z{rng.integers(5)}", int(rng.integers(96)))
               for _ in range(400)]
-    normalized = normalize_counts(quarter_matrix(count_unique_users(encode(events))))
-    sums = normalized.values.sum(axis=0)
+    matrix = quarter_matrix(count_unique_users(encode(events)))
+    sums = normalize_counts(matrix).sum(axis=0)
     for k in range(96):
-        if k in normalized.zero_bins:
+        if not matrix[:, k].any():
             assert sums[k] == 0.0
         else:
             assert sums[k] == pytest.approx(100000.0, rel=1e-6)
@@ -153,34 +154,34 @@ def test_normalize_matches_hand_computation():
          ("e", "z3", 10), ("f", "z3", 10)], ["z1", "z2", "z3"])))
     normalized = normalize_counts(matrix)
     # hand: T_h = 6, values = (2, 1, 3) / 6 * 100000
-    assert normalized.values[0, 10] == pytest.approx(2 / 6 * 100000)
-    assert normalized.values[1, 10] == pytest.approx(1 / 6 * 100000)
-    assert normalized.values[2, 10] == pytest.approx(3 / 6 * 100000)
+    assert normalized[0, 10] == pytest.approx(2 / 6 * 100000)
+    assert normalized[1, 10] == pytest.approx(1 / 6 * 100000)
+    assert normalized[2, 10] == pytest.approx(3 / 6 * 100000)
 
 
-def test_normalize_flags_empty_columns():
-    normalized = normalize_counts(quarter_matrix(count_unique_users(encode([("a", "Z", 40)]))))
-    assert 39 in normalized.zero_bins
-    assert 40 not in normalized.zero_bins
-    assert normalized.values[0, 39] == 0.0
+def test_normalize_flags_empty_columns(caplog):
+    with caplog.at_level("INFO", logger="citypulse.activity"):
+        normalized = normalize_counts(quarter_matrix(count_unique_users(encode([("a", "Z", 40)]))))
+    assert caplog.messages == ["95 time bins have no active users"]
+    assert normalized[0, 39] == 0.0
+    assert normalized[0, 40] == 100000.0
 
 
 def test_normalize_scale_invariance():
     base = quarter_matrix(count_unique_users(
         encode([("a", "Z", 5), ("b", "Z", 5), ("c", "Y", 5)], ["Y", "Z"])))
-    scaled = base
-    scaled.counts[:, 5] *= 7
-    np.testing.assert_allclose(normalize_counts(base).values[:, 5],
-                               normalize_counts(scaled).values[:, 5])
+    scaled = base.copy()
+    scaled[:, 5] *= 7
+    np.testing.assert_allclose(normalize_counts(base)[:, 5], normalize_counts(scaled)[:, 5])
 
 
 def test_slot_scope_dedup():
     # bins 40 and 41 are both morning; 60 is afternoon
     matrix = aggregate_major_slots(encode([("a", "Z", 40), ("a", "Z", 41)]))
-    assert matrix.bin_labels == ("morning", "afternoon", "evening", "night")
-    assert matrix.counts[0].tolist() == [1, 0, 0, 0]
+    assert matrix.dtype == np.int64
+    assert matrix[0].tolist() == [1, 0, 0, 0]
     matrix = aggregate_major_slots(encode([("a", "Z", 40), ("a", "Z", 60)]))
-    assert matrix.counts[0].tolist() == [1, 1, 0, 0]
+    assert matrix[0].tolist() == [1, 1, 0, 0]
 
 
 def test_slot_counts_not_sums_of_quarter_counts():
@@ -188,12 +189,12 @@ def test_slot_counts_not_sums_of_quarter_counts():
     quarter = count_unique_users(encode(events))
     slots = aggregate_major_slots(encode(events))
     assert quarter.counts.sum() == 24
-    assert slots.counts[0, 0] == 1
+    assert slots[0, 0] == 1
 
 
 def test_bins_outside_slots_are_excluded():
     matrix = aggregate_major_slots(encode([("a", "Z", 0), ("a", "Z", 31)]))  # early morning
-    assert matrix.counts.sum() == 0
+    assert matrix.sum() == 0
 
 
 def test_six_user_fixture_hand_enumerated():
@@ -206,7 +207,7 @@ def test_six_user_fixture_hand_enumerated():
         ("u6", "A", 10),                    # outside all slots
     ]
     matrix = aggregate_major_slots(encode(events, ["A", "B"]))
-    assert matrix.counts.tolist() == [[2, 0, 1, 1], [1, 1, 0, 1]]
+    assert matrix.tolist() == [[2, 0, 1, 1], [1, 1, 0, 1]]
 
 
 def test_overlapping_slot_config_fatal():
@@ -218,7 +219,7 @@ def test_overlapping_slot_config_fatal():
 
 def test_daily_unique_counts():
     matrix = count_daily_unique(encode([("a", "Z", 1), ("a", "Z", 90), ("b", "Z", 50)]))
-    assert matrix.counts[0, 0] == 2
+    assert matrix.tolist() == [[2]] and matrix.dtype == np.int64
 
 
 RES = "residential"
@@ -240,11 +241,11 @@ def test_profile_all_residential_matches_city_columns():
     normalized = normalize_counts(quarter_matrix(matrix))
     profiles, omitted = landuse_profile(matrix, np.zeros(len(matrix.zone_ids), np.int64))
     assert omitted == []
-    (profile,) = profiles
-    assert profile.label == "residential"
-    assert profile.shares.sum() == pytest.approx(1.0, abs=1e-9)
-    city = normalized.values.sum(axis=0)
-    np.testing.assert_allclose(profile.shares, city / city.sum())
+    assert list(profiles) == ["residential"]
+    shares = profiles["residential"]
+    assert shares.sum() == pytest.approx(1.0, abs=1e-9)
+    city = normalized.sum(axis=0)
+    np.testing.assert_allclose(shares, city / city.sum())
 
 
 def test_profile_concentration_follows_activity():
@@ -253,9 +254,8 @@ def test_profile_concentration_follows_activity():
     matrix = count_unique_users(encode(events, ["H", "R"]))
     classes = {"R": RETAIL, "H": RES}
     profiles, _ = landuse_profile(matrix, codes_of(classes, matrix.zone_ids))
-    by_label = {p.label: p.shares for p in profiles}
-    assert by_label["activity:retail"][76:88].sum() == pytest.approx(1.0)
-    assert by_label["activity"][76:88].sum() == pytest.approx(1.0)
+    assert profiles["activity:retail"][76:88].sum() == pytest.approx(1.0)
+    assert profiles["activity"][76:88].sum() == pytest.approx(1.0)
 
 
 def test_profiles_partition_city_totals():
@@ -266,11 +266,14 @@ def test_profiles_partition_city_totals():
               for _ in range(500)]
     matrix = count_unique_users(encode(events, zone_ids))
     normalized = normalize_counts(quarter_matrix(matrix))
-    profiles, _ = landuse_profile(matrix, codes_of(classes, matrix.zone_ids))
-    by_label = {p.label: p for p in profiles}
-    main = ["residential", "mixed", "activity"]
-    per_bin = sum(by_label[m].shares * by_label[m].daily_total for m in main)
-    np.testing.assert_allclose(per_bin, normalized.values.sum(axis=0), rtol=1e-9)
+    codes = codes_of(classes, matrix.zone_ids)
+    profiles, _ = landuse_profile(matrix, codes)
+    kind_of = [CLASSES[c].partition(":")[0] for c in codes.tolist()]
+    # each main kind's shares times its daily total: its per-bin sums add up
+    # to the city's, every zone here being classified
+    per_bin = sum(profiles[m] * normalized[[k == m for k in kind_of]].sum()
+                  for m in ["residential", "mixed", "activity"])
+    np.testing.assert_allclose(per_bin, normalized.sum(axis=0), rtol=1e-9)
 
 
 def test_profile_zero_class_omitted():
@@ -278,7 +281,7 @@ def test_profile_zero_class_omitted():
     profiles, omitted = landuse_profile(count_unique_users(encode(events, ["H", "R"])),
                                         codes_of({"H": RES, "R": RETAIL}, ["H", "R"]))
     assert "activity" in omitted and "activity:retail" in omitted
-    assert [p.label for p in profiles] == ["residential"]
+    assert list(profiles) == ["residential"]
 
 
 def test_profile_requires_quarter_granularity():
@@ -291,14 +294,14 @@ def two_step_profile(matrix, codes, total):
     """The profiles by the two-step formula: the whole matrix normalized, then
     each class's rows gathered and summed."""
     normalized = normalize_counts(matrix, total)
-    profiles, omitted = [], []
+    profiles, omitted = {}, []
     for label, rows in class_groups(codes):
-        totals = normalized.values[rows].sum(axis=0)
+        totals = normalized[rows].sum(axis=0)
         daily = float(totals.sum())
         if daily == 0.0:
             omitted.append(label)
             continue
-        profiles.append((label, totals / daily, daily))
+        profiles[label] = totals / daily
     return profiles, omitted
 
 
@@ -319,14 +322,13 @@ def test_block_profiles_match_two_step_formula(n, present, zero_bins, idle, tota
     counts = rng.integers(0, rng.choice([1, 3, 1_000, 100_000], (n, 1)), (n, N_QUARTER_BINS))
     counts[:, sorted(zero_bins)] = 0  # bins without users
     counts[codes == idle] = 0  # a class whose total is 0
-    matrix = ActivityMatrix(tuple(f"z{i:04d}" for i in range(n)), QUARTER_LABELS, counts)
-    profiles, omitted = landuse_profile(quarter_counts(matrix.zone_ids, counts), codes, total)
-    expected, expected_omitted = two_step_profile(matrix, codes, total)
+    zone_ids = tuple(f"z{i:04d}" for i in range(n))
+    profiles, omitted = landuse_profile(quarter_counts(zone_ids, counts), codes, total)
+    expected, expected_omitted = two_step_profile(counts, codes, total)
     assert omitted == expected_omitted
-    assert [p.label for p in profiles] == [label for label, _, _ in expected]
-    for profile, (_, shares, daily) in zip(profiles, expected):
-        assert np.array_equal(profile.shares, shares)
-        assert profile.daily_total == daily
+    assert list(profiles) == list(expected)
+    for label, shares in expected.items():
+        assert np.array_equal(profiles[label], shares)
 
 
 @st.composite
@@ -372,8 +374,8 @@ def test_quarter_blocks_match_the_dense_counts(events, total, seed, key_chunk, t
     for i, slot in enumerate(DEFAULT_SLOTS):
         slot_of[slot.bins] = i
     with mock.patch.object(activity, "KEY_CHUNK", key_chunk):
-        slots = aggregate_major_slots(events).counts
-        days = count_daily_unique(events).counts
+        slots = aggregate_major_slots(events)
+        days = count_daily_unique(events)
         quarter = count_unique_users(events)
     assert np.array_equal(slots, dedup_matrix(events, slot_of[events.bins], len(DEFAULT_SLOTS)))
     assert np.array_equal(days, dedup_matrix(events, np.zeros_like(events.bins), 1))
@@ -386,14 +388,12 @@ def test_quarter_blocks_match_the_dense_counts(events, total, seed, key_chunk, t
     assert np.array_equal(quarter.column_totals(), dense.sum(axis=0))
 
     codes = np.random.default_rng(seed).integers(-1, len(CLASSES), len(events.zone_ids))
-    matrix = ActivityMatrix(events.zone_ids, QUARTER_LABELS, dense)
     profiles, omitted = landuse_profile(quarter, codes, total)
-    expected, expected_omitted = two_step_profile(matrix, codes, total)
+    expected, expected_omitted = two_step_profile(dense, codes, total)
     assert omitted == expected_omitted
-    assert [p.label for p in profiles] == [label for label, _, _ in expected]
-    for profile, (_, shares, daily) in zip(profiles, expected):
-        assert np.array_equal(profile.shares, shares)
-        assert profile.daily_total == daily
+    assert list(profiles) == list(expected)
+    for label, shares in expected.items():
+        assert np.array_equal(profiles[label], shares)
 
     tmp = tmp_path_factory.mktemp("quarter")
     write_quarter_csv(tmp / "blocks.csv", quarter)

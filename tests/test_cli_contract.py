@@ -6,9 +6,7 @@ of the inputs written as CSV, with other line ends or with a byte-order mark,
 and mutated rows are rejected by their physical line.
 """
 
-import csv
 import importlib
-import io
 import json
 import os
 import subprocess
@@ -19,10 +17,10 @@ import pytest
 
 from citypulse import cli, ingest
 
+from golden import SYNTH, csv_bytes, mutated_ndjson
+
 REPO = Path(__file__).resolve().parents[1]
 
-SYNTH = ["--seed", "4", "--n-zones", "49", "--n-users", "300", "--events-per-day", "8",
-         "--centre-decay", "0.1"]
 BOM = b"\xef\xbb\xbf"
 
 
@@ -49,17 +47,6 @@ def assert_run_bytes(city, out, same_files=True):
     for name in names:
         if name != "manifest.json":
             assert (out / name).read_bytes() == (city / "run" / name).read_bytes(), name
-
-
-def csv_bytes(ndjson: bytes) -> bytes:
-    """The rows as CSV written by Python's csv module, a row without "u" with an empty user_id."""
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["user_id", "timestamp", "lon", "lat"])
-    for line in io.StringIO(ndjson.decode("utf-8")):
-        row = json.loads(line)
-        writer.writerow([row.get("u", ""), row["t"], row["lon"], row["lat"]])
-    return out.getvalue().encode("utf-8")
 
 
 def test_synth_writes_the_same_inputs_twice(city, tmp_path):
@@ -112,22 +99,6 @@ def test_ingest_writes_back_the_synth_events(city, tmp_path):
     assert clean == (city / "events.ndjson").read_bytes()
 
 
-def mutated_ndjson(city) -> bytes:
-    """A bad date, a string lon, a lon that float() reads as -37, no "u", and a
-    timestamp with a fraction, which is accepted."""
-    with open(city / "events.ndjson", encoding="utf-8") as fh:
-        lines = fh.readlines()
-    for line, change in [(2, lambda row: row.update(t="2013-02-30T10:00:00+01:00")),
-                         (1500, lambda row: row.update(lon="west")),
-                         (2000, lambda row: row.update(lon="-3_7")),
-                         (3000, lambda row: row.pop("u")),
-                         (4500, lambda row: row.update(t=row["t"][:17] + "00.25Z"))]:
-        row = json.loads(lines[line - 1])
-        change(row)
-        lines[line - 1] = json.dumps(row) + "\n"
-    return "".join(lines).encode("utf-8")
-
-
 @pytest.mark.parametrize("fmt,expected", [
     ("ndjson", "line,reason\n2,bad timestamp '2013-02-30T10:00:00+01:00'\n"
                "1500,lon not a number\n2000,lon not a number\n3000,missing field 'u'\n"),
@@ -137,7 +108,7 @@ def mutated_ndjson(city) -> bytes:
 ], ids=["ndjson", "csv"])
 def test_mutated_rows_are_rejected_by_physical_line(city, tmp_path, fmt, expected):
     events = tmp_path / f"mutated.{fmt}"
-    data = mutated_ndjson(city)
+    data = mutated_ndjson((city / "events.ndjson").read_bytes())
     events.write_bytes(data if fmt == "ndjson" else csv_bytes(data))
     assert run(city, "ingest", tmp_path / "out", "--events", str(events)) == 0
     assert (tmp_path / "out" / "rejections.csv").read_bytes() == expected.encode("ascii")
@@ -149,7 +120,7 @@ def test_each_warning_is_reported_once(city, tmp_path):
     # through a fresh interpreter, so that the command line's own logging
     # setup prints the library's log records to stderr as a user sees them
     events = tmp_path / "mutated.ndjson"
-    events.write_bytes(mutated_ndjson(city))
+    events.write_bytes(mutated_ndjson((city / "events.ndjson").read_bytes()))
     done = subprocess.run(
         [sys.executable, "-m", "citypulse.cli", "run", "--config", str(city / "pipeline.config"),
          "--events", str(events), "--out", str(tmp_path / "out")],

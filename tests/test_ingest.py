@@ -425,10 +425,9 @@ def test_local_mean_time_offset_off_the_quarter_grid():
         *range(MADRID_LMT_END - 900, MADRID_LMT_END + 900, 61)]),
     ("Europe/Paris", [*range(PARIS_PMT_END - 900, PARIS_PMT_END + 900, 61)])],
     ids=["Madrid DST and LMT", "Paris PMT"])
-def test_local_time_chunks_match_per_event(monkeypatch, tz, seconds):
-    # 7-row chunks: one quarter-hour's rows, and the quarter-hour a transition
-    # splits (looked up row by row), fall into several chunks
-    monkeypatch.setattr(ingest, "LOCAL_CHUNK", 7)
+def test_local_time_of_a_block_matches_per_event(tz, seconds):
+    # one block in one pass: quarter-hours a transition splits are looked up
+    # row by row, the rest once, in either order of the rows
     assert quarter_bins(np.array(seconds), get_timezone(tz)).dtype == np.int8
     _check_against_per_event(seconds, tz)
     _check_against_per_event(seconds[::-1], tz)

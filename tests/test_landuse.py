@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from citypulse.activity import (N_QUARTER_BINS, NORMALIZATION_TOTAL, QUARTER_LABELS,
-                                ActivityMatrix, density_per_hectare, landuse_profile,
-                                normalize_counts)
+from citypulse.activity import (N_QUARTER_BINS, NORMALIZATION_TOTAL, density_per_hectare,
+                                landuse_profile, normalize_counts)
 from citypulse.landuse import (ACTIVITY_CATEGORIES, CATEGORIES, CLASSES, LandUseCategory,
                                class_sums, classify_zones, write_classification_csv)
 from citypulse.spatial import Zone, ZoneTable
@@ -198,19 +197,19 @@ def reference_rows_by_label(zone_ids, classes):
     return rows_by_label
 
 
-def reference_profiles(normalized, classes):
-    rows_by_label = reference_rows_by_label(normalized.zone_ids, classes)
+def reference_profiles(zone_ids, normalized, classes):
+    rows_by_label = reference_rows_by_label(zone_ids, classes)
     profiles, omitted = [], []
     for label in reference_profile_labels(classes):
         rows = rows_by_label.get(label)
         if not rows:
             continue
-        totals = normalized.values[rows].sum(axis=0)
+        totals = normalized[rows].sum(axis=0)
         daily = float(totals.sum())
         if daily == 0.0:
             omitted.append(label)
             continue
-        profiles.append((label, (totals / daily).tobytes(), daily))
+        profiles.append((label, (totals / daily).tobytes()))
     return profiles, omitted
 
 
@@ -257,12 +256,11 @@ def test_class_groups_match_dict_walk(codes, seed, data, tmp_path_factory):
     counts = rng.integers(0, rng.choice([2, 1_000, 100_000], (n, 1)), (n, N_QUARTER_BINS))
     idle = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
     counts[idle] = 0  # zones without activity; a class of only these is omitted
-    matrix = ActivityMatrix(zone_ids, QUARTER_LABELS, counts)
 
     profiles, omitted = landuse_profile(quarter_counts(zone_ids, counts), codes,
                                         NORMALIZATION_TOTAL)
-    assert ([(p.label, p.shares.tobytes(), p.daily_total) for p in profiles], omitted) == \
-        reference_profiles(normalize_counts(matrix, NORMALIZATION_TOTAL), classes)
+    assert ([(label, shares.tobytes()) for label, shares in profiles.items()], omitted) == \
+        reference_profiles(zone_ids, normalize_counts(counts, NORMALIZATION_TOTAL), classes)
 
     day = rng.random(n) * rng.choice([1.0, 1e3, 1e5], n)
     day[idle] = 0.0

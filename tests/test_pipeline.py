@@ -300,32 +300,37 @@ def test_bad_zones_file_is_reported_before_unreadable_events(tmp_path):
 
 
 def test_event_path_memory_grows_by_bytes_per_row(monkeypatch):
-    # ~52k synth rows through the workday filter and the zone join. The
-    # assigned events keep 5 B a row (int32 zone code, int8 bin; the user
-    # codes are the batch's own). The passes are shrunk so that their fixed
-    # temporaries stay small next to what grows with the rows: measured 5.2 B
-    # a row kept and 0.77 MB peak above the input (14.7 B a row). Masking
-    # every column through the found mask and full-length int64 local times
-    # kept 24.2 B a row and peaked at 2.57 MB (49.5 B a row).
+    # ~52k synth rows through the workday filter and the zone join, a block of
+    # 4,096 rows at a time, as a run streams them. The assigned events keep
+    # 5 B a row (int32 zone code, int8 bin; the user codes are the block's
+    # own). The zone join's passes are shrunk so that their fixed temporaries
+    # stay small next to what grows with the rows: measured 5.6-6.1 B a row
+    # kept and 0.70-0.73 MB peak above the input (13.6-14.0 B a row) in three
+    # runs. Masking every column through the found mask and full-length int64
+    # local times over the whole batch kept 24.2 B a row and peaked at 2.57 MB
+    # (49.5 B a row).
     from citypulse import ingest, spatial
     monkeypatch.setattr(spatial, "LOCATE_CHUNK", 1024)
     monkeypatch.setattr(spatial, "PAIR_EDGE_BUDGET", 1 << 14)
-    monkeypatch.setattr(ingest, "LOCAL_CHUNK", 4096)
     config = SynthConfig(seed=11, n_zones=100, n_users=1000, events_per_user_per_day=17.0,
                          n_days=3, home_bias=0.3, centre_decay_per_km=0.12)
     city = generate_city(config)
     events, _ = generate_events(city)
     index = spatial.build_zone_index(ZoneTable.from_zones(city.zones))
+    tz = config.timezone
+    blocks = [events.take(slice(lo, lo + 4096)) for lo in range(0, len(events), 4096)]
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        workdays = ingest.filter_workdays(events, config.timezone)
-        assigned, unassigned, _ = pipeline.assign_events(workdays, index, config.timezone)
+        located = [pipeline.assign_events(ingest.filter_workdays(block, tz), index, tz)
+                   for block in blocks]
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     rows = len(events)
-    assert rows >= 50_000 and len(assigned) == rows and unassigned == 0
+    assert rows >= 50_000
+    assert [(len(assigned), unassigned) for assigned, unassigned, _ in located] == [
+        (len(block), 0) for block in blocks]
     assert kept - before < 8 * rows
     assert peak - before < 1_000_000 + 8 * rows
 
@@ -419,10 +424,10 @@ def test_bivariate_r2_edge_cells_match_simple_regressions(small_city, tmp_path, 
     normalized = []
     real_normalize = activity.normalize_counts
 
-    def normalize_counts(matrix, total):
-        result = real_normalize(matrix, total)
-        if list(result.bin_labels) == names:
-            normalized.append(result.values)
+    def normalize_counts(counts, total):
+        result = real_normalize(counts, total)
+        if result.shape[1] == len(names):  # the slots, not the day
+            normalized.append(result)
         return result
 
     monkeypatch.setattr(activity, "normalize_counts", normalize_counts)
@@ -460,6 +465,52 @@ def test_normalized_slots_columns_sum_to_total(small_city):
     for slot in ("morning", "afternoon", "evening", "night"):
         total = sum(float(r[slot]) for r in rows)
         assert total == pytest.approx(100000.0, rel=1e-4)
+
+
+def test_descriptives_normalized_mean_is_total_over_zones(small_city):
+    rows = read_csv(small_city.out / "descriptives.csv")
+    assert [r["slot"] for r in rows] == ["morning", "afternoon", "evening", "night"]
+    for r in rows:
+        assert (r["n_zones"], r["total"], r["mean"]) == ("36", "100000", "2777.78")
+
+
+def _descriptives_run(tmp_path, users_per_zone):
+    """A run over unit-square zones, one a column, where each zone has
+    ``users_per_zone[slot][i]`` users in that slot, once each; the rows of its
+    descriptives.csv and its warnings."""
+    n = len(next(iter(users_per_zone.values())))
+    table = ZoneTable.from_zones([
+        Zone(f"z{i}", (((i, 0.0), (i + 1, 0.0), (i + 1, 1.0), (i, 1.0), (i, 0.0)),), area_ha=1.0)
+        for i in range(n)])
+    hour = {"morning": 9, "afternoon": 15, "evening": 20, "night": 23}
+    lines = [json.dumps({"u": f"{slot}-{i}-{k}", "t": f"2013-03-05T{hour[slot]:02d}:00:00Z",
+                         "lon": i + 0.5, "lat": 0.5})
+             for slot, users in users_per_zone.items()
+             for i, count in enumerate(users) for k in range(count)]
+    (tmp_path / "events.ndjson").write_text("\n".join(lines) + "\n")
+    export_geojson(table, {}, tmp_path / "zones.geojson")
+    config = PipelineConfig(events_path=tmp_path / "events.ndjson",
+                            zones_path=tmp_path / "zones.geojson",
+                            output_dir=tmp_path / "out", timezone="UTC")
+    result = run_pipeline(config, {"aggregate"})
+    return {r.pop("slot"): r for r in read_csv(tmp_path / "out" / "descriptives.csv")}, \
+        result.warnings
+
+
+def test_descriptives_hand_computed(tmp_path):
+    # morning users 2, 4, 4, 4, 5, 5, 7, 9 of 40 normalize to 2,500 times each;
+    # one afternoon user a zone normalizes to 12,500 in every zone
+    rows, warnings = _descriptives_run(tmp_path, {"morning": [2, 4, 4, 4, 5, 5, 7, 9],
+                                                  "afternoon": [1] * 8})
+    assert rows["morning"] == {"n_zones": "8", "minimum": "5000", "maximum": "22500",
+                               "total": "100000", "mean": "12500",
+                               "std_dev": "5000"}  # population, not sample
+    assert rows["afternoon"]["std_dev"] == "0"
+    assert rows["afternoon"]["mean"] == rows["afternoon"]["minimum"] == "12500"
+    assert rows["evening"] == rows["night"] == {
+        "n_zones": "8", "minimum": "0", "maximum": "0", "total": "0", "mean": "0",
+        "std_dev": "0"}
+    assert "slots with no active users: evening, night" in warnings
 
 
 def test_model_csv_has_summary_row(small_city):

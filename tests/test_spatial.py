@@ -320,7 +320,7 @@ def test_array_join_empty_input():
 # --- half-open index cells ------------------------------------------------------
 
 def _crossing_x(x1, y1, x2, y2, py):
-    """Where the crossing test puts an edge at height ``py``, in its own order."""
+    """Where the crossing test puts an edge at height ``py``, taken from ``(x1, y1)``."""
     return (x2 - x1) * (py - y1) / (y2 - y1) + x1
 
 
@@ -359,10 +359,11 @@ def slanted_cases(draw):
         for x in [x0, x1, (x0 + x1) / 2] + xs:
             points += [(x, y1), (x, _down(y1)), (x, _up(y1))]
     for ring in rings:
-        for (x1, y1), (x2, y2) in zip(ring, ring[1:]):
+        for edge in zip(ring, ring[1:]):
+            (x1, y1), (x2, y2) = sorted(edge, key=lambda p: p[1])  # from its lower end
             if y1 == y2:
                 continue
-            for py in (_down(max(y1, y2)), min(y1, y2), (y1 + y2) / 2):
+            for py in (_down(y2), y1, (y1 + y2) / 2):
                 r = _crossing_x(x1, y1, x2, y2, py)
                 points += [(r, py), (_down(r), py), (_up(r), py)]
     points += [(x, y) for x in xs for y in ys]
@@ -398,17 +399,84 @@ def test_a_crossing_rounded_past_xmax_keeps_its_point():
 
 
 def test_a_crossing_rounded_below_xmin_keeps_its_point():
-    # At the slanted edge's lower end the crossing x rounds below the
+    # Just below the slanted edge's upper end the crossing x rounds below the
     # triangle's xmin, so a point there crosses only the vertical edge and
     # is claimed; the bbox's x range would leave it out
-    top, bottom = 0.7205795578410992, -0.5356477438739708
-    right, xmin = 0.5410462796616011, 0.07923489689955754
-    triangle = ((right, top), (xmin, bottom), (right, bottom), (right, top))
-    px = _crossing_x(right, top, xmin, bottom, bottom)
+    top, bottom = 0.22502784272288479, -0.8639623929776784
+    right, xmin = 0.8848982719212887, -0.19482849080938758
+    triangle = ((right, bottom), (xmin, top), (right, top), (right, bottom))
+    py = _down(top)
+    px = _crossing_x(right, bottom, xmin, top, py)
     assert px < xmin
-    assert point_in_rings((triangle,), px, bottom)
+    assert point_in_rings((triangle,), px, py)
     index = build_zone_index(ZoneTable.from_zones([Zone("a", (triangle,), area_ha=1.0)]))
-    assert locate(index, px, bottom) == "a"
+    assert locate(index, px, py) == "a"
+
+
+def _ulps_beside(x, n=2):
+    """``x`` and the ``n`` floats on either side of it."""
+    out = [x]
+    for toward in (-math.inf, math.inf):
+        v = x
+        for _ in range(n):
+            v = math.nextafter(v, toward)
+            out.append(v)
+    return out
+
+
+@st.composite
+def jittered_grids(draw):
+    """A grid of quadrilateral zones, 0.25 a side, whose interior vertices are
+    moved by up to 0.1 each way, so that every edge between two zones is
+    slanted and shared bit for bit; each ring walks its zone one way or the
+    other. Points lie strictly inside the grid's outline: at every vertex,
+    on each slanted edge at heights where the crossing is taken from either
+    end, at 6-decimal splits of the edge, and a few floats beside them all."""
+    nx, ny = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    xs, ys = np.meshgrid(np.arange(nx + 1) * 0.25, np.arange(ny + 1) * 0.25, indexing="ij")
+    for grid in (xs, ys):
+        grid[1:-1, 1:-1] += rng.uniform(-0.1, 0.1, (nx - 1, ny - 1))
+    xs, ys = xs.tolist(), ys.tolist()
+    zones = []
+    for i in range(nx):
+        for j in range(ny):
+            ring = [(xs[a][b], ys[a][b]) for a, b in
+                    ((i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1), (i, j))]
+            zones.append(Zone(f"z{i}{j}", (tuple(ring[::-1] if rng.random() < 0.5 else ring),),
+                              area_ha=1.0))
+    points = [(x, y) for column in zip(xs, ys) for x, y in zip(*column)]
+    for zone in zones:
+        for (x1, y1), (x2, y2) in zip(zone.rings[0], zone.rings[0][1:]):
+            if y1 == y2:
+                continue
+            for t in [*rng.random(2).tolist(), 0.5]:
+                py = y1 + t * (y2 - y1)
+                points += [(_crossing_x(x1, y1, x2, y2, py), py),
+                           (_crossing_x(x2, y2, x1, y1, py), py),
+                           (round(x1 + t * (x2 - x1), 6), round(py, 6))]
+    width, height = nx * 0.25, ny * 0.25
+    points = [(px, py) for x, y in points for px in _ulps_beside(x) for py in _ulps_beside(y, 1)
+              if 0.0 < px < width and 0.0 < py < height]
+    return zones, points
+
+
+@settings(max_examples=60, deadline=None)
+@given(jittered_grids(), st.randoms(use_true_random=False))
+def test_a_jittered_grid_gives_every_point_one_zone(case, random):
+    # Neighbours walk a shared edge in opposite directions; were its crossing
+    # taken from each ring's own order, the two walks could round it apart
+    # and leave a point beside the edge in both zones or in neither
+    zones, points = case
+    index = build_zone_index(ZoneTable.from_zones(zones))
+    codes = index.locate_codes([p[0] for p in points], [p[1] for p in points])
+    assert [p for p, code in zip(points, codes.tolist()) if code < 0] == []
+    assert index.overlap_warnings == 0
+    # the scalar rule on a sample: one owner each, the index's
+    picks = random.sample(range(len(points)), min(len(points), 200))
+    owners = {points[k]: [z.zone_id for z in zones if point_in_rings(z.rings, *points[k])]
+              for k in picks}
+    assert owners == {points[k]: [index.zone_ids[codes[k]]] for k in picks}
 
 
 @pytest.mark.parametrize("ring", [

@@ -20,7 +20,7 @@ from citypulse.activity import KEY_CHUNK
 from citypulse.errors import DataError, SingularityError
 from citypulse.stats import (DEFAULT_ALPHA, DEFAULT_NIGHT_BINS, _f_upper, _t_two_sided,
                              bivariate_slot_ols, census_correlation, fit_ols, infer_homes,
-                             slot_descriptives, stepwise_fit)
+                             stepwise_fit)
 
 from scalar_reference import coefficient, encode, intercept_only_fit, n_predictors
 
@@ -508,28 +508,6 @@ def test_bivariate_needs_three_zones_and_a_predictor_past_rounding():
         bivariate_slot_ols(a, np.arange(50.0))
     with pytest.raises(DataError, match="more than 2 observations"):
         bivariate_slot_ols([1.0, 2.0], [3.0, 5.0])
-
-
-def test_descriptives_normalized_mean_is_total_over_zones():
-    rng = np.random.default_rng(22)
-    counts = rng.integers(1, 50, size=584).astype(float)
-    normalized = counts / counts.sum() * 100000.0
-    d = slot_descriptives(normalized, "morning")
-    assert d.n_zones == 584
-    assert d.mean == pytest.approx(171.2328767, abs=1e-6)
-    assert d.total == pytest.approx(100000.0)
-
-
-def test_descriptives_uniform_values_have_zero_std():
-    d = slot_descriptives([4.0, 4.0, 4.0])
-    assert d.std_dev == 0.0
-
-
-def test_descriptives_hand_computed():
-    d = slot_descriptives([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0])
-    assert d.mean == pytest.approx(5.0)
-    assert d.std_dev == pytest.approx(2.0)  # population, not sample
-    assert d.minimum == 2.0 and d.maximum == 9.0 and d.total == 40.0
 
 
 def infer_home(user_events, night_bins=DEFAULT_NIGHT_BINS, residential_zones=None):

@@ -134,9 +134,9 @@ def test_streamed_events_match_the_whole_batch(tmp_path_factory, data, drawn, fm
     residential = {"a", "d"}
     key_chunk = data.draw(st.sampled_from([1, 2, 3, activity.KEY_CHUNK]), label="key_chunk")
     with mock.patch.object(activity, "KEY_CHUNK", key_chunk):
-        quarter = quarter_matrix(activity.count_unique_users(assigned)).counts
-        slots = activity.aggregate_major_slots(assigned).counts
-        days = activity.count_daily_unique(assigned).counts
+        quarter = quarter_matrix(activity.count_unique_users(assigned))
+        slots = activity.aggregate_major_slots(assigned)
+        days = activity.count_daily_unique(assigned)
         homes = stats.infer_homes(assigned, DEFAULT_NIGHT_BINS, residential)
     assert quarter.tolist() == dedup_matrix(expected, expected.bins, N_QUARTER_BINS).tolist()
     assert slots.tolist() == dedup_matrix(
@@ -186,7 +186,6 @@ def test_run_memory_grows_by_bytes_per_event(tmp_path, monkeypatch):
     from citypulse import spatial
     monkeypatch.setattr(ingest, "EVENT_BLOCK_ROWS", 4096)
     monkeypatch.setattr(ingest, "_BLOCK_CHARS", 8192)
-    monkeypatch.setattr(ingest, "LOCAL_CHUNK", 4096)
     monkeypatch.setattr(spatial, "LOCATE_CHUNK", 1024)
     monkeypatch.setattr(spatial, "PAIR_EDGE_BUDGET", 1 << 14)
     monkeypatch.setattr(activity, "KEY_CHUNK", 4096)
