@@ -11,7 +11,6 @@ from .activity import (AssignedEvents, DEFAULT_SLOTS, MajorSlot, QuarterCounts,
 from .config import PipelineConfig, load_config
 from .errors import CityPulseError, ConfigError, DataError, SingularityError
 from .ingest import EventBatch, GeoEvent, RejectionReport, filter_workdays, read_event_blocks
-from .landuse import LandUseCategory
 from .pipeline import export_geojson, run_pipeline
 from .spatial import CityCentre, ZoneIndex, ZoneTable, build_zone_index, load_zones_geojson
 from .stats import OlsFit, bivariate_slot_ols, census_correlation, fit_ols, stepwise_fit

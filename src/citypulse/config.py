@@ -134,11 +134,12 @@ def apply_item(config: PipelineConfig, key: str, value: str) -> PipelineConfig:
 
 def load_config(path) -> PipelineConfig:
     """Read a flat key=value config file (# comments, blank lines allowed); a
-    line ends only at ``\\n``, ``\\r\\n`` or ``\\r``, never at U+2028 or U+0085."""
+    line ends only at ``\\n``, ``\\r\\n`` or ``\\r``, never at U+2028 or U+0085.
+    The file is UTF-8; a byte-order mark that opens it is skipped."""
     config = PipelineConfig()
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for n, raw in enumerate(text.split("\n"), start=1):  # read_text turned \r\n and \r into \n
         line = raw.strip()

@@ -55,9 +55,11 @@ _EPOCH_WEEKDAY = 3
 # decoder written in Python).
 _BOM = "\ufeff"
 
-# Reading with errors="surrogateescape" maps each byte that is not valid UTF-8
-# to one of these code points, and valid UTF-8 never decodes to them.
-_UNDECODABLE = re.compile("[\udc80-\udcff]")
+# The surrogate code points, which UTF-8 cannot write. Reading with
+# errors="surrogateescape" maps each byte that is not valid UTF-8 to one of
+# them, and valid UTF-8 never decodes to one; a JSON string gives one for
+# each \u escape of a surrogate that is not half of a pair.
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 # float() also reads " 1.5 ", "1_5" and the digits of other scripts, so a
 # coordinate string must be ASCII and hold no whitespace and no "_" first
@@ -388,6 +390,8 @@ def _rfc3339_instants(raws: list) -> tuple[np.ndarray, list[str | None]]:
 def _user_id(value) -> str:
     """A non-empty string, or an integer kept as its decimal string."""
     if type(value) is str and value:
+        if _unencodable(value):
+            raise ValueError("user_id holds a lone surrogate")
         return value
     if type(value) is int:
         return str(value)
@@ -425,19 +429,23 @@ def _coordinate(value, name: str, limit: float) -> float:
 def _optional(value, name: str) -> str | None:
     """A string; None, absent and "" all mean no value."""
     if type(value) is str:
+        if _unencodable(value):
+            raise ValueError(f"{name} holds a lone surrogate")
         return value or None
     if value is None:
         return None
     raise ValueError(f"{name} not a string")
 
 
-def _undecodable(text: str) -> bool:
-    return not text.isascii() and _UNDECODABLE.search(text) is not None
+def _unencodable(text: str) -> bool:
+    """Whether the text holds a surrogate: in text read from a file an undecodable
+    byte, in a decoded JSON string a lone surrogate."""
+    return not text.isascii() and _SURROGATE.search(text) is not None
 
 
 def _load_row(line: str) -> dict:
     """One NDJSON line as its object; ValueError names the fault."""
-    if _undecodable(line):
+    if _unencodable(line):
         raise ValueError("invalid utf-8")
     try:
         obj = json.loads(line)
@@ -502,7 +510,7 @@ def _proven_objects(text: str) -> list[dict] | None:
     """
     if not text.endswith("\n"):
         text += "\n"
-    if _undecodable(text):
+    if _unencodable(text):
         return None
     # counted on the UTF-8 bytes, where no byte of a multi-byte character is ASCII
     data = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
@@ -531,9 +539,14 @@ _OPTIONAL = frozenset({str, type(None)})
 
 
 def _flag(suspect: np.ndarray, values: list, kinds: frozenset) -> None:
-    """Flag the rows whose value's exact type is not one of ``kinds``."""
-    if not set(map(type, values)) <= kinds:
+    """Flag the rows whose value's exact type is not one of ``kinds``, or whose
+    string holds a lone surrogate, tested on the column's strings joined."""
+    types = set(map(type, values))
+    if not types <= kinds:
         suspect |= [type(value) not in kinds for value in values]
+    if _unencodable("".join(values if types == _STRING else
+                            [value for value in values if type(value) is str])):
+        suspect |= [type(value) is str and _unencodable(value) for value in values]
 
 
 def _float_or_nan(value) -> float:
@@ -731,8 +744,8 @@ def _add_csv_rows(reader, builder: _BatchBuilder, report: RejectionReport) -> It
     while block := [(reader.line_num, row) for row in islice(nonblank, _CSV_BLOCK_ROWS)]:
         report.total_rows += len(block)
         rejected: list[tuple[int, str]] = []
-        if _undecodable("".join(chain.from_iterable(row for _, row in block))):
-            bad = [any(map(_undecodable, row)) for _, row in block]
+        if _unencodable("".join(chain.from_iterable(row for _, row in block))):
+            bad = [any(map(_unencodable, row)) for _, row in block]
             rejected = [(n, "invalid utf-8") for n, _ in compress(block, bad)]
             block = [entry for entry, b in zip(block, bad) if not b]
         if block:

@@ -7,7 +7,6 @@ non-residential (carrying the dominant activity category), and mixed otherwise.
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -21,37 +20,18 @@ if TYPE_CHECKING:
 PREDOMINANCE_THRESHOLD = 0.666
 
 
-class LandUseCategory(Enum):
-    """Closed set of land-use categories; enumeration order is the tie-break order."""
-
-    OFFICE = "office"
-    INDUSTRY = "industry"
-    RETAIL = "retail"
-    HEALTH = "health"
-    EDUCATION = "education"
-    CULTURE = "culture"
-    TRANSPORT = "transport"
-    PARK = "park"
-    OTHER = "other"
-    RESIDENTIAL = "residential"
-
-    @property
-    def column(self) -> str:
-        """Column name used in zone input files, e.g. ``lu_retail_m2``."""
-        return f"lu_{self.value}_m2"
-
-
-CATEGORIES: tuple[LandUseCategory, ...] = tuple(LandUseCategory)
-ACTIVITY_CATEGORIES: tuple[LandUseCategory, ...] = tuple(
-    c for c in LandUseCategory if c is not LandUseCategory.RESIDENTIAL
-)
+# The land-use categories; their order is the tie-break order
+CATEGORIES: tuple[str, ...] = ("office", "industry", "retail", "health", "education", "culture",
+                               "transport", "park", "other", "residential")
+# The zone-file key of each category, e.g. ``lu_retail_m2``
+COLUMNS: tuple[str, ...] = tuple(f"lu_{name}_m2" for name in CATEGORIES)
+ACTIVITY_CATEGORIES = CATEGORIES[:-1]
 
 
 # Every class a zone can get, indexed by class code: residential, mixed, then
 # ``activity:<category>`` by category. Code -1 is an unclassified zone.
 CLASSES: tuple[str, ...] = (
-    "residential", "mixed", *(f"activity:{c.value}" for c in ACTIVITY_CATEGORIES))
-_ACTIVITY_COLUMNS = [CATEGORIES.index(c) for c in ACTIVITY_CATEGORIES]
+    "residential", "mixed", *(f"activity:{name}" for name in ACTIVITY_CATEGORIES))
 
 # Profile and density labels in output order: the three kinds, then each activity class
 LABELS: tuple[str, ...] = (*CLASSES[:2], "activity", *CLASSES[2:])
@@ -64,7 +44,7 @@ def classify_zones(table: "ZoneTable", threshold: float = PREDOMINANCE_THRESHOLD
     strictly above ``threshold`` is residential; strictly below
     ``1 - threshold`` (non-residential predominant) is activity, labelled
     with the first largest non-residential column of the land-use matrix,
-    which is the enumeration-order tie-break; the closed middle band is
+    which is the :data:`CATEGORIES`-order tie-break; the closed middle band is
     mixed. -1 marks a zone that cannot be classified (zero built surface):
     it is excluded from profile analyses but stays in regressions with
     whatever areas it carries.
@@ -74,7 +54,8 @@ def classify_zones(table: "ZoneTable", threshold: float = PREDOMINANCE_THRESHOLD
         fraction = table.built_residential_m2 / total
     codes = np.where(fraction > threshold, 0, 1)
     activity = fraction < 1.0 - threshold
-    codes[activity] = 2 + np.argmax(table.landuse_m2[activity][:, _ACTIVITY_COLUMNS], axis=1)
+    codes[activity] = 2 + np.argmax(table.landuse_m2[activity, :len(ACTIVITY_CATEGORIES)],
+                                     axis=1)
     codes[total <= 0] = -1
     return codes
 

@@ -27,7 +27,7 @@ import numpy as np
 from . import activity, ingest, landuse, spatial, stats
 from .config import PipelineConfig, config_echo
 from .errors import ConfigError, DataError
-from .landuse import CATEGORIES
+from .landuse import CATEGORIES, COLUMNS
 from .spatial import CityCentre, ZoneIndex, ZoneTable
 from .tables import FLOAT_FORMAT, write_csv
 
@@ -151,16 +151,15 @@ def load_census(path) -> dict[str, float]:
                                     f"{reader.line_num}: zone_id {zone_id!r} appears twice")
                 line_of[zone_id] = reader.line_num
                 census[zone_id] = population
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read census file {path}: {exc}") from exc
     return census
 
 
 # json.dumps(value, ensure_ascii=False) without its per-call set-up
 _encode = json.JSONEncoder(ensure_ascii=False).encode
-_LANDUSE_KEYS = [cat.column for cat in CATEGORIES]
 _ZONE_PROPERTIES = frozenset(
-    ["zone_id", "area_ha", "built_residential_m2", "built_total_m2", *_LANDUSE_KEYS])
+    ["zone_id", "area_ha", "built_residential_m2", "built_total_m2", *COLUMNS])
 
 
 def _json_floats(values: list[float]) -> list[str]:
@@ -209,7 +208,7 @@ def export_geojson(table: ZoneTable, columns: Mapping[str, Sequence], path) -> N
                 parts.append([f', "{label}": {t}'
                               for t in _json_floats(getattr(table, label)[lo:hi].tolist())])
             zone_of, cat_of = np.nonzero(table.landuse_present[lo:hi])  # by zone, then category
-            keyed = [f', "{_LANDUSE_KEYS[j]}": {t}' for j, t in zip(
+            keyed = [f', "{COLUMNS[j]}": {t}' for j, t in zip(
                 cat_of.tolist(), _json_floats(table.landuse_m2[lo + zone_of, cat_of].tolist()))]
             bounds = np.searchsorted(zone_of, np.arange(hi - lo + 1)).tolist()
             parts.append(["".join(keyed[a:b]) for a, b in zip(bounds, bounds[1:])])
@@ -477,11 +476,11 @@ def run_pipeline(config: PipelineConfig, steps: Iterable[str] = ALL_STEPS) -> Ru
             areas = zones.landuse_m2
             distance = spatial.distances_to_centre(zones, centre)
             nonzero = [j for j in range(areas.shape[1]) if np.any(areas[:, j])]
-            zero_cats = [CATEGORIES[j].value for j in range(areas.shape[1]) if j not in nonzero]
+            zero_cats = [CATEGORIES[j] for j in range(areas.shape[1]) if j not in nonzero]
             if zero_cats:
                 warnings.append("land-use categories absent from every zone: "
                                 + ", ".join(zero_cats))
-            predictor_names = [CATEGORIES[j].value for j in nonzero] + ["distance_to_centre"]
+            predictor_names = [CATEGORIES[j] for j in nonzero] + ["distance_to_centre"]
             X = np.column_stack([areas[:, nonzero], distance])
             for j, name in enumerate(slot_names):
                 fit, dropped = stats.stepwise_fit(normalized_slots[:, j], X,

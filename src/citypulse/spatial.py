@@ -19,7 +19,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import DataError
-from .landuse import CATEGORIES, LandUseCategory
+from .landuse import CATEGORIES, COLUMNS
 
 logger = logging.getLogger(__name__)
 
@@ -41,7 +41,7 @@ class Zone:
     zone_id: str
     rings: tuple[Ring, ...]
     area_ha: float
-    landuse_m2: Mapping[LandUseCategory, float] = field(default_factory=dict)
+    landuse_m2: Mapping[str, float] = field(default_factory=dict)  # by category name
     built_residential_m2: float = 0.0
     built_total_m2: float = 0.0
 
@@ -239,7 +239,7 @@ def _first_fault(ids, position, vertices, ring_start, zone_ring_start, numbers, 
     elif exceeds[k]:
         reason = "built_residential_m2 exceeds built_total_m2"
     else:  # the first category in CATEGORIES order
-        reason = f"bad area for {CATEGORIES[int(np.argmax(bad_area[k]))].value}"
+        reason = f"bad area for {CATEGORIES[int(np.argmax(bad_area[k]))]}"
     return f"zone {ids[k]!r}: {reason}"
 
 
@@ -505,7 +505,7 @@ def build_zone_index(table: ZoneTable) -> ZoneIndex:
     return ZoneIndex(table)
 
 
-_LANDUSE_COLUMN = {cat.column: j for j, cat in enumerate(CATEGORIES)}
+_LANDUSE_COLUMN = {column: j for j, column in enumerate(COLUMNS)}
 _FLOAT_OF = {int: float, float: float}  # JSON numbers; a string or a boolean is not one
 
 
@@ -516,6 +516,10 @@ def _add_feature(rows: _ZoneRows, feature, n: int) -> None:
     if not isinstance(props, dict) or "zone_id" not in props:
         raise DataError(f"feature #{n}: missing property 'zone_id'")
     zone_id = str(props["zone_id"])
+    try:  # UTF-8 cannot write a lone surrogate, which a JSON \u escape can give
+        zone_id.encode("utf-8")
+    except UnicodeEncodeError:
+        raise DataError(f"feature #{n}: zone_id {zone_id!r} holds a lone surrogate") from None
     gtype = geom.get("type") if isinstance(geom, dict) else None
     if gtype != "Polygon":
         raise DataError(

@@ -24,7 +24,7 @@ import numpy as np
 from .activity import DEFAULT_SLOTS, N_QUARTER_BINS
 from .errors import ConfigError
 from .ingest import EventBatch, WORKDAY_WEEKDAYS, get_timezone, wall_offsets
-from .landuse import CLASSES, LandUseCategory, class_groups, classify_zones, home_zones
+from .landuse import CATEGORIES, CLASSES, COLUMNS, class_groups, classify_zones, home_zones
 from .spatial import CityCentre, Zone, ZoneTable, distances_to_centre
 from .stats import DEFAULT_NIGHT_BINS
 
@@ -167,7 +167,6 @@ class SynthTruth:
     homes: dict[str, str]
     expected_quarter: np.ndarray  # zones x 96 expected unique active users
     expected_slots: np.ndarray    # zones x n_slots
-    expected_day: np.ndarray      # zones
     profiles: dict[str, np.ndarray]  # class label -> 96 shares (sum 1)
     slot_names: tuple[str, ...] = ()
     # class label -> expected normalized users per major slot (each slot's
@@ -193,7 +192,7 @@ def allocate_counts(fractions: Mapping[str, float], n: int) -> dict[str, int]:
 
 
 def _zone_composition(rng: np.random.Generator, key: str,
-                      total_m2: float) -> dict[LandUseCategory, float]:
+                      total_m2: float) -> dict[str, float]:
     """Land-use m2 split that classifies exactly as the class ``key``.
 
     Residential zones: 78-95% residential, remainder 'other'. Mixed zones:
@@ -204,13 +203,13 @@ def _zone_composition(rng: np.random.Generator, key: str,
     kind, _, sub = key.partition(":")
     if kind == "residential":
         res = rng.uniform(0.78, 0.95)
-        split = {LandUseCategory.RESIDENTIAL: res, LandUseCategory.OTHER: 1.0 - res}
+        split = {"residential": res, "other": 1.0 - res}
     elif kind == "mixed":
         res = rng.uniform(0.42, 0.58)
-        split = {LandUseCategory.RESIDENTIAL: res, LandUseCategory.OTHER: 1.0 - res}
+        split = {"residential": res, "other": 1.0 - res}
     else:
         res = rng.uniform(0.10, 0.28)
-        split = {LandUseCategory.RESIDENTIAL: res, LandUseCategory(sub): 1.0 - res}
+        split = {"residential": res, sub: 1.0 - res}
     return {cat: share * total_m2 for cat, share in split.items()}
 
 
@@ -248,7 +247,7 @@ def generate_city(config: SynthConfig) -> SynthCity:
             rings=(ring,),
             area_ha=area_ha,
             landuse_m2=landuse,
-            built_residential_m2=landuse.get(LandUseCategory.RESIDENTIAL, 0.0),
+            built_residential_m2=landuse.get("residential", 0.0),
             built_total_m2=sum(landuse.values()),
         ))
 
@@ -480,8 +479,6 @@ def _expected_truth(city: SynthCity, q0, p0_bin, night_mask, homes, mu) -> Synth
 
     expected_quarter = _home_group_sums(base, home_rows, groups, homes, mu)
     expected_slots = _home_group_sums(by_slot(base), by_slot(home_rows), groups, homes, mu)
-    expected_day = _home_group_sums(base.sum(axis=1)[:, None], home_rows.sum(axis=1)[:, None],
-                                    groups, homes, mu)[:, 0]
 
     col_sums = expected_quarter.sum(axis=0)
     safe = np.where(col_sums > 0, col_sums, 1.0)
@@ -502,7 +499,7 @@ def _expected_truth(city: SynthCity, q0, p0_bin, night_mask, homes, mu) -> Synth
     home_map = {f"u{u:05d}": city.zones[int(homes[u])].zone_id
                 for u in range(config.n_users)}
     return SynthTruth(city.zone_ids, home_map, expected_quarter,
-                      expected_slots, expected_day, profiles,
+                      expected_slots, profiles,
                       tuple(s.name for s in DEFAULT_SLOTS), slot_class_totals)
 
 
@@ -516,8 +513,8 @@ def city_geojson(city: SynthCity) -> dict:
             "built_residential_m2": zone.built_residential_m2,
             "built_total_m2": zone.built_total_m2,
         }
-        for cat, m2 in zone.landuse_m2.items():
-            props[cat.column] = m2
+        for name, m2 in zone.landuse_m2.items():
+            props[COLUMNS[CATEGORIES.index(name)]] = m2
         features.append({
             "type": "Feature",
             "properties": props,

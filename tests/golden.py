@@ -9,7 +9,11 @@ its events: as CSV, with ``\\r\\n`` and with ``\\r`` line ends, and as CSV
 with a few bad rows. Left out are the files that BLAS feeds, whose last
 digits may vary with the numpy build and the machine: the models and their
 residuals, ``bivariate_r2.csv``, ``zones_metrics.geojson``, and the manifest,
-which holds their digests.
+which holds their digests. Of the run's BLAS-fed files, the parts that no BLAS
+call feeds are pinned: ``zones_metrics.geojson`` without its
+``std_residual_*`` values (every ``lu_*`` key, ``landuse_class`` and
+``normalized_*`` stay), and the sorted predictor names of each
+``model_<slot>.csv``, which come from the land-use categories present.
 
 ``tests/test_golden.py`` builds the files and compares them with
 ``tests/golden.json``. After a change that is meant to move an artifact,
@@ -83,6 +87,26 @@ def _digests(directory: Path, names, prefix: str) -> dict[str, str]:
             for name in names}
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _blas_free_digests(run: Path) -> dict[str, str]:
+    """The digests of the run's BLAS-fed files with what BLAS feeds left out."""
+    geojson = json.loads((run / "zones_metrics.geojson").read_text(encoding="utf-8"))
+    for feature in geojson["features"]:
+        feature["properties"] = {key: value for key, value in feature["properties"].items()
+                                 if not key.startswith("std_residual_")}
+    digests = {"run/zones_metrics.geojson without std_residual_*": _sha256(json.dumps(geojson))}
+    for path in sorted(run.glob("model_*.csv")):
+        if not path.name.endswith("_residuals.csv"):
+            with open(path, encoding="utf-8", newline="") as fh:
+                names = [row["predictor"] for row in csv.DictReader(fh)]
+            names.remove("(summary)")
+            digests[f"run/{path.name} predictors"] = _sha256("\n".join(sorted(names)))
+    return digests
+
+
 def build(root: Path) -> dict[str, str]:
     """Make the city and its runs under ``root``: the digest of each pinned file,
     named ``<run>/<file>``."""
@@ -96,6 +120,7 @@ def build(root: Path) -> dict[str, str]:
     digests = {**_digests(city, SYNTH_FILES[:-1], "synth"),
                **_digests(root, SYNTH_FILES[-1:], "synth"),
                **_digests(city / "run", RUN_FILES, "run"),
+               **_blas_free_digests(city / "run"),
                **_digests(root / "ingest", INGEST_FILES, "ingest")}
     data = (city / "events.ndjson").read_bytes()
     for name, file, transform in COPIES:

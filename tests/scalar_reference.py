@@ -53,7 +53,7 @@ def validate(zone: Zone) -> None:
             f"zone {zone.zone_id!r}: built_residential_m2 exceeds built_total_m2")
     for cat, value in zone.landuse_m2.items():
         if not math.isfinite(value) or value < 0:
-            raise DataError(f"zone {zone.zone_id!r}: bad area for {cat.value}")
+            raise DataError(f"zone {zone.zone_id!r}: bad area for {cat}")
 
 
 def zone_row(table: ZoneTable, k: int) -> Zone:
@@ -173,7 +173,7 @@ def classify_zone(zone: Zone, threshold: float = PREDOMINANCE_THRESHOLD) -> str:
             area = float(zone.landuse_m2.get(cat, 0.0))
             if area > best_area:
                 best, best_area = cat, area
-        return f"activity:{best.value}"
+        return f"activity:{best}"
     return "mixed"
 
 

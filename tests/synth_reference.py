@@ -147,7 +147,6 @@ def expected_truth(city: SynthCity, q0, p0_bin, night_mask, homes, mu) -> SynthT
 
     expected_quarter = np.zeros((n_zones, N_QUARTER_BINS))
     expected_slots = np.zeros((n_zones, len(slots)))
-    expected_day = np.zeros(n_zones)
     slot_cols = [list(s.bins) for s in slots]
     for h in np.unique(homes):
         group_mu = mu[homes == h]
@@ -156,7 +155,6 @@ def expected_truth(city: SynthCity, q0, p0_bin, night_mask, homes, mu) -> SynthT
         expected_quarter += _expected_unique(group_mu, q_h)
         q_h_slots = np.column_stack([q_h[:, cols].sum(axis=1) for cols in slot_cols])
         expected_slots += _expected_unique(group_mu, q_h_slots)
-        expected_day += _expected_unique(group_mu, q_h.sum(axis=1))
 
     col_sums = expected_quarter.sum(axis=0)
     normalized = expected_quarter / np.where(col_sums > 0, col_sums, 1.0) * 100_000.0
@@ -174,8 +172,8 @@ def expected_truth(city: SynthCity, q0, p0_bin, night_mask, homes, mu) -> SynthT
             profiles[label] = totals / daily
         slot_class_totals[label] = normalized_slots[rows].sum(axis=0)
     home_map = {f"u{u:05d}": city.zones[int(homes[u])].zone_id for u in range(config.n_users)}
-    return SynthTruth(city.zone_ids, home_map, expected_quarter, expected_slots, expected_day,
-                      profiles, tuple(s.name for s in slots), slot_class_totals)
+    return SynthTruth(city.zone_ids, home_map, expected_quarter, expected_slots, profiles,
+                      tuple(s.name for s in slots), slot_class_totals)
 
 
 def write_events_ndjson(events, path) -> None:

@@ -284,7 +284,7 @@ def test_regression_sign_structure(big_city):
     table = ZoneTable.from_zones(big_city.city.zones).landuse_m2
     distance = np.array([distance_to_centre(z, big_city.city.centre) for z in zones_sorted])
     nonzero = [j for j in range(table.shape[1]) if np.any(table[:, j])]
-    names = [CATEGORIES[j].value for j in nonzero] + ["distance_to_centre"]
+    names = [CATEGORIES[j] for j in nonzero] + ["distance_to_centre"]
     X = np.column_stack([table[:, nonzero], distance])
 
     coefficients = {}

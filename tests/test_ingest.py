@@ -345,6 +345,49 @@ def test_valid_non_ascii_text_is_kept():
     assert [e.text for e in events] == ["café 😀", "café 😀"]
 
 
+@pytest.mark.parametrize("fields,reason", [
+    (r'"u":"a\ud800"', "user_id holds a lone surrogate"),
+    (r'"u":"\udc80"', "user_id holds a lone surrogate"),
+    (r'"u":"a","text":"x\udc80y"', "text holds a lone surrogate"),
+    (r'"u":"a","lang":"\udbff"', "lang holds a lone surrogate"),
+    (r'"u":"a","device":"\ud83d"', "device holds a lone surrogate"),
+    (r'"u":"a","text":"\ude00\ud83d"', "text holds a lone surrogate"),  # halves swapped
+    (r'"u":"a\ud800","lon":"west"', "user_id holds a lone surrogate"),  # the first field
+], ids=["user", "user low half", "text", "lang", "device", "swapped pair", "user before lon"])
+def test_a_lone_surrogate_rejects_its_row(fields, reason, tmp_path):
+    # a JSON \u escape of half a surrogate pair decodes to a character that
+    # UTF-8 cannot write; its row is refused, naming the field
+    clean = '{"u":"b","t":"2013-03-05T10:07:00Z","lon":1,"lat":2,"text":"\\ud83d\\ude00"}'
+    bad = '{"t":"2013-03-05T10:07:00Z","lon":1,"lat":2,%s}' % fields  # a repeated key: the last
+    events, report = _parse("\n".join([clean, bad, clean]) + "\n")
+    assert report.entries == [(2, reason)]
+    assert [e.text for e in events] == ["\U0001f600"] * 2
+    write_events_ndjson(events, tmp_path / "clean.ndjson")
+    assert (tmp_path / "clean.ndjson").read_text(encoding="utf-8").count("\U0001f600") == 2
+
+
+def test_clean_chunks_take_one_surrogate_test_of_their_user_ids(tmp_path):
+    # beside the undecodable-byte test of the chunk's text, a clean chunk
+    # tests only its user ids, joined, for a lone surrogate
+    config = SynthConfig(seed=5, n_zones=16, n_users=100, events_per_user_per_day=10.0, n_days=2)
+    events, _ = generate_events(generate_city(config))
+    path = tmp_path / "events.ndjson"
+    write_events_ndjson(events, path)
+    tested, chunks = [], []
+
+    def unencodable(text):
+        tested.append(text)
+        return False
+
+    add_rows = ingest._add_rows
+    with mock.patch.multiple(ingest, _unencodable=unencodable,
+                             _add_rows=lambda *args: chunks.append(args[2][0]) or add_rows(*args)):
+        batch, report = whole_file(path, "ndjson")
+    assert len(chunks) > 3 and len(batch) == len(events)
+    assert tested[1::2] == ["".join(users) for users in chunks]
+    assert len(tested) == 2 * len(chunks)
+
+
 def test_rejection_report_csv(tmp_path):
     report = RejectionReport(entries=[(3, "lat out of range"), (1, "invalid json")])
     path = tmp_path / "rej.csv"
@@ -517,7 +560,7 @@ def _parse_csv_per_row(data: bytes):
         # a short row leaves its last columns empty (None), as csv.DictReader does
         cells = [row[i] if i is not None and i < len(row) else None for i in columns]
         try:
-            if any(map(ingest._undecodable, row)):
+            if any(map(ingest._unencodable, row)):
                 raise ValueError("invalid utf-8")
             user_id, raw_ts, lon, lat, lang, device, text = cells
             rows.append(_checked_row(user_id, raw_ts or "", lon, lat, lang, device, text))

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from citypulse.activity import (N_QUARTER_BINS, NORMALIZATION_TOTAL, density_per_hectare,
                                 landuse_profile, normalize_counts)
-from citypulse.landuse import (ACTIVITY_CATEGORIES, CATEGORIES, CLASSES, LandUseCategory,
-                               class_sums, classify_zones, write_classification_csv)
+from citypulse.landuse import (ACTIVITY_CATEGORIES, CATEGORIES, CLASSES, class_sums,
+                               classify_zones, write_classification_csv)
 from citypulse.spatial import Zone, ZoneTable
 from citypulse.synth import SynthConfig, generate_city, generate_events
 
@@ -25,7 +25,7 @@ RING = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.0, 0.0))
 def zone_with(zone_id="z", landuse=None, residential=None, total=None):
     landuse = landuse or {}
     if residential is None:
-        residential = landuse.get(LandUseCategory.RESIDENTIAL, 0.0)
+        residential = landuse.get("residential", 0.0)
     if total is None:
         total = sum(landuse.values())
     return Zone(zone_id, (RING,), area_ha=1.0, landuse_m2=landuse,
@@ -33,29 +33,29 @@ def zone_with(zone_id="z", landuse=None, residential=None, total=None):
 
 
 def test_high_residential_fraction_is_residential():
-    zone = zone_with(landuse={LandUseCategory.RESIDENTIAL: 7000.0,
-                              LandUseCategory.OFFICE: 3000.0})
+    zone = zone_with(landuse={"residential": 7000.0,
+                              "office": 3000.0})
     assert classify_zone(zone) == "residential"
 
 
 def test_middle_band_is_mixed():
-    zone = zone_with(landuse={LandUseCategory.RESIDENTIAL: 5000.0,
-                              LandUseCategory.RETAIL: 5000.0})
+    zone = zone_with(landuse={"residential": 5000.0,
+                              "retail": 5000.0})
     assert classify_zone(zone) == "mixed"
 
 
 def test_activity_subcategory_is_argmax_of_nonresidential():
-    zone = zone_with(landuse={LandUseCategory.RESIDENTIAL: 1000.0,
-                              LandUseCategory.OFFICE: 5000.0,
-                              LandUseCategory.RETAIL: 3000.0,
-                              LandUseCategory.EDUCATION: 1000.0})
+    zone = zone_with(landuse={"residential": 1000.0,
+                              "office": 5000.0,
+                              "retail": 3000.0,
+                              "education": 1000.0})
     assert classify_zone(zone) == "activity:office"
 
 
 def test_activity_tie_breaks_by_enumeration_order():
-    zone = zone_with(landuse={LandUseCategory.RESIDENTIAL: 500.0,
-                              LandUseCategory.RETAIL: 4750.0,
-                              LandUseCategory.OFFICE: 4750.0})
+    zone = zone_with(landuse={"residential": 500.0,
+                              "retail": 4750.0,
+                              "office": 4750.0})
     assert classify_zone(zone) == "activity:office"
 
 
@@ -65,8 +65,8 @@ def test_activity_tie_breaks_by_enumeration_order():
     (0.333, "activity"), (0.10, "activity"),
 ])
 def test_threshold_boundaries(fraction, kind):
-    zone = zone_with(landuse={LandUseCategory.RESIDENTIAL: fraction * 1000.0,
-                              LandUseCategory.RETAIL: (1 - fraction) * 1000.0},
+    zone = zone_with(landuse={"residential": fraction * 1000.0,
+                              "retail": (1 - fraction) * 1000.0},
                      residential=fraction * 1000.0, total=1000.0)
     assert classify_zone(zone).partition(":")[0] == kind
 
@@ -78,7 +78,7 @@ def test_threshold_boundaries(fraction, kind):
     areas=st.lists(st.floats(min_value=0.0, max_value=1000.0), min_size=2, max_size=4),
 )
 def test_classification_is_scale_invariant(scale, res, areas):
-    landuse = {LandUseCategory.RESIDENTIAL: res * 1000.0 + 1.0}
+    landuse = {"residential": res * 1000.0 + 1.0}
     for cat, area in zip(ACTIVITY_CATEGORIES, areas):
         landuse[cat] = area
     base = zone_with(landuse=landuse)
@@ -93,23 +93,23 @@ def test_zero_built_total_raises_naming_zone():
 
 
 def test_classify_zones_collects_unclassified():
-    good = zone_with(zone_id="a", landuse={LandUseCategory.RESIDENTIAL: 100.0})
+    good = zone_with(zone_id="a", landuse={"residential": 100.0})
     bad = zone_with(zone_id="b", landuse={})
     codes = classify_zones(ZoneTable.from_zones([good, bad]))
     assert codes.tolist() == [CLASSES.index("residential"), -1]
 
 
 def test_area_table_single_retail_zone():
-    table = ZoneTable.from_zones([zone_with(landuse={LandUseCategory.RETAIL: 100.0})])
+    table = ZoneTable.from_zones([zone_with(landuse={"retail": 100.0})])
     assert table.zone_ids == ("z",)
     expected = np.zeros(10)
-    expected[CATEGORIES.index(LandUseCategory.RETAIL)] = 100.0
+    expected[CATEGORIES.index("retail")] = 100.0
     np.testing.assert_array_equal(table.landuse_m2[0], expected)
 
 
 def test_area_table_shape_and_row_order():
-    zones = [zone_with(zone_id="b", landuse={LandUseCategory.OFFICE: 1.0}),
-             zone_with(zone_id="a", landuse={LandUseCategory.PARK: 2.0})]
+    zones = [zone_with(zone_id="b", landuse={"office": 1.0}),
+             zone_with(zone_id="a", landuse={"park": 2.0})]
     table = ZoneTable.from_zones(zones)
     assert table.zone_ids == ("a", "b")
     assert table.landuse_m2.shape == (2, 10)
@@ -155,8 +155,8 @@ def test_planned_class_keys_reach_both_exports(tmp_path):
 
 
 def test_classification_csv_export(tmp_path):
-    zones = [zone_with(zone_id="a", landuse={LandUseCategory.RESIDENTIAL: 750.0,
-                                             LandUseCategory.RETAIL: 250.0}),
+    zones = [zone_with(zone_id="a", landuse={"residential": 750.0,
+                                             "retail": 250.0}),
              zone_with(zone_id="b", landuse={})]
     table = ZoneTable.from_zones(zones)
     path = tmp_path / "classes.csv"
@@ -179,8 +179,8 @@ def reference_profile_labels(classes):
     """Main kinds present, then activity subcategories present, in enumeration order."""
     kinds = {key.partition(":")[0] for key in classes.values()}
     labels = [k for k in MAIN_CLASS_ORDER if k in kinds]
-    labels.extend(f"activity:{c.value}" for c in ACTIVITY_CATEGORIES
-                  if f"activity:{c.value}" in classes.values())
+    labels.extend(f"activity:{c}" for c in ACTIVITY_CATEGORIES
+                  if f"activity:{c}" in classes.values())
     return labels
 
 

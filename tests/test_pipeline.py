@@ -756,6 +756,79 @@ def test_cli_bad_census_population_exits_2_before_parsing(small_city, tmp_path, 
     assert not out.exists()
 
 
+def _small_city_flags(small_city) -> list[str]:
+    config = small_city.config
+    return ["--events", str(config.events_path), "--zones", str(config.zones_path),
+            "--timezone", config.timezone, "--centre-lon", str(config.centre_lon),
+            "--centre-lat", str(config.centre_lat)]
+
+
+def test_cli_census_not_utf8_exits_2(small_city, tmp_path, capsys):
+    census = tmp_path / "census.csv"
+    census.write_bytes(b"zone_id,population\nz0000,12\nz\xff,3\n")
+    out = tmp_path / "out"
+    code = cli.main(["run", *_small_city_flags(small_city), "--census", str(census),
+                     "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot read census file {census}: 'utf-8' codec can't decode byte 0xff")
+    assert not out.exists()
+
+
+def test_cli_config_not_utf8_exits_2(tmp_path, capsys):
+    config = tmp_path / "pipeline.config"
+    config.write_bytes(b"timezone = UTC\nevents = caf\xe9.ndjson\n")
+    assert cli.main(["run", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot read config file {config}: 'utf-8' codec can't decode byte 0xe9")
+
+
+def test_cli_config_byte_order_mark_is_skipped(small_city, tmp_path):
+    config = small_city.config
+    lines = [f"events = {config.events_path}", f"zones = {config.zones_path}",
+             f"timezone = {config.timezone}", f"output_dir = {tmp_path / 'out'}"]
+    path = tmp_path / "pipeline.config"
+    path.write_text("\ufeff" + "\n".join(lines) + "\n", encoding="utf-8")
+    assert cli.main(["ingest", "--config", str(path)]) == 0
+    assert load_config(path) == dataclasses.replace(
+        config, centre_lon=None, centre_lat=None, output_dir=tmp_path / "out")
+
+
+def test_cli_lone_surrogate_rows_are_rejected_alike_by_run_and_ingest(small_city, tmp_path):
+    # JSON escapes of half a surrogate pair decode to characters UTF-8 cannot
+    # write: both commands refuse their rows; a whole pair is its character
+    data = small_city.events_path.read_bytes()
+    n = data.count(b"\n")
+    first = json.loads(data[:data.index(b"\n")])
+    row = json.dumps(first)[:-1]
+    events = tmp_path / "events.ndjson"
+    events.write_bytes(data + "".join(row + extra + "}\n" for extra in [
+        r', "u": "a\ud800"', r', "text": "x\udc80y"', r', "text": "\ud83d\ude00"']).encode())
+    flags = [*_small_city_flags(small_city), "--events", str(events)]
+    assert cli.main(["run", *flags, "--out", str(tmp_path / "run")]) == 0
+    assert cli.main(["ingest", *flags, "--out", str(tmp_path / "ingest")]) == 0
+    expected = [{"line": str(n + 1), "reason": "user_id holds a lone surrogate"},
+                {"line": str(n + 2), "reason": "text holds a lone surrogate"}]
+    assert read_csv(tmp_path / "run" / "rejections.csv") == expected
+    assert read_csv(tmp_path / "ingest" / "rejections.csv") == expected
+    clean = (tmp_path / "ingest" / "events_clean.ndjson").read_text(encoding="utf-8")
+    assert clean.endswith(', "text": "\U0001f600"}\n')
+
+
+def test_cli_zone_id_with_a_lone_surrogate_exits_2(small_city, tmp_path, capsys):
+    zones = tmp_path / "zones.geojson"
+    text = small_city.zones_path.read_text(encoding="utf-8")
+    zones.write_text(text.replace('"zone_id": "z0003"', r'"zone_id": "z\ud800"'),
+                     encoding="utf-8")
+    out = tmp_path / "out"
+    code = cli.main(["run", *_small_city_flags(small_city), "--zones", str(zones),
+                     "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "error: feature #3: zone_id 'z\\ud800' holds a lone surrogate\n"
+    assert not out.exists()
+
+
 def test_census_zone_id_twice_is_fatal_naming_both_lines(tmp_path):
     census = tmp_path / "census.csv"
     census.write_text("zone_id,population\nz0000,900\nz0001,12\nz0000,40\n", encoding="utf-8")

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from citypulse import spatial
 from citypulse.errors import DataError
-from citypulse.landuse import LandUseCategory
 from citypulse.spatial import (CityCentre, Zone, ZoneTable, build_zone_index, haversine_m,
                                load_zones_geojson)
 from citypulse.synth import SynthConfig, generate_city
@@ -199,7 +198,7 @@ def test_load_zones_geojson(tmp_path):
     zones = zone_rows(load_zones_geojson(path))
     assert [z.zone_id for z in zones] == ["z1", "z2"]
     assert zones[0].area_ha == 2.5
-    assert zones[0].landuse_m2[LandUseCategory.RETAIL] == 200.0
+    assert zones[0].landuse_m2["retail"] == 200.0
     assert zones[0].built_residential_m2 == 800.0
 
 

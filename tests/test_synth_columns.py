@@ -60,7 +60,7 @@ def test_columns_match_per_event_reference(name, tmp_path):
     assert ([(e.user_id, e.timestamp.isoformat(), e.lon, e.lat) for e in batch]
             == [(e.user_id, e.timestamp.isoformat(), e.lon, e.lat) for e in events])
 
-    for field in ("expected_quarter", "expected_slots", "expected_day"):
+    for field in ("expected_quarter", "expected_slots"):
         assert getattr(truth, field).tobytes() == getattr(expected, field).tobytes(), field
     for field in ("profiles", "slot_class_totals"):
         ours, theirs = getattr(truth, field), getattr(expected, field)

@@ -24,7 +24,8 @@ from citypulse import pipeline, spatial, tables
 from citypulse.config import PipelineConfig
 from citypulse.errors import DataError
 from citypulse.ingest import write_events_ndjson
-from citypulse.landuse import ACTIVITY_CATEGORIES, CATEGORIES, CLASSES, classify_zones
+from citypulse.landuse import (ACTIVITY_CATEGORIES, CATEGORIES, CLASSES, COLUMNS,
+                               classify_zones)
 from citypulse.pipeline import export_geojson, run_pipeline
 from citypulse.spatial import (CityCentre, Zone, ZoneTable, distances_to_centre,
                                load_zones_geojson)
@@ -54,7 +55,8 @@ def reference_load(path):
                 f"zone {zone_id!r}: unsupported geometry type {gtype!r} "
                 "(zones must be single polygons; split multipart zones upstream)")
         try:
-            landuse = {cat: float(props[cat.column]) for cat in CATEGORIES if cat.column in props}
+            landuse = {cat: float(props[column]) for cat, column in zip(CATEGORIES, COLUMNS)
+                       if column in props}
             area, residential, total = (float(props.get(k, 0.0)) for k in (
                 "area_ha", "built_residential_m2", "built_total_m2"))
         except (TypeError, ValueError):
@@ -81,9 +83,9 @@ def reference_export(zones, columns, path):
         props = {"zone_id": zone.zone_id, "area_ha": zone.area_ha,
                  "built_residential_m2": zone.built_residential_m2,
                  "built_total_m2": zone.built_total_m2}
-        for cat in CATEGORIES:
+        for cat, column in zip(CATEGORIES, COLUMNS):
             if cat in zone.landuse_m2:
-                props[cat.column] = zone.landuse_m2[cat]
+                props[column] = zone.landuse_m2[cat]
         for name in sorted(columns):
             value = columns[name].get(zone.zone_id)
             if isinstance(value, float):
@@ -110,7 +112,7 @@ AREA = st.one_of(st.floats(0, 1e7, allow_nan=False), st.integers(0, 10 ** 6),
                  st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-7, 2.5e16]))
 M2 = st.one_of(st.floats(0, 1e9, allow_nan=False, allow_infinity=False),
                st.integers(0, 10 ** 9), st.just(0), st.just(0.0))
-ACTIVITY_COLUMNS = [cat.column for cat in ACTIVITY_CATEGORIES]
+ACTIVITY_COLUMNS = COLUMNS[:len(ACTIVITY_CATEGORIES)]
 
 
 @st.composite
@@ -140,10 +142,10 @@ def features(draw, n):
     for zone_id in ids:  # file order is the drawn order, not sorted
         props = {"zone_id": zone_id}
         landuse = {}
-        for cat in CATEGORIES:  # absent, present zero, integer or float
+        for column in COLUMNS:  # absent, present zero, integer or float
             value = draw(st.one_of(st.none(), M2))
             if value is not None:
-                landuse[cat.column] = value
+                landuse[column] = value
         if draw(st.booleans()):  # two activity categories tie for the largest area
             a, b = draw(st.lists(st.sampled_from(ACTIVITY_COLUMNS), min_size=2, max_size=2,
                                  unique=True))
